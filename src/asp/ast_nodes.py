@@ -6,7 +6,7 @@ the typechecker, which returns wrapped Typed* structures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import NOPOS, Pos
 
@@ -39,18 +39,6 @@ ADDRESS = SemType("address")
 COIN = SemType("coin")
 TOKEN = SemType("token")
 TIMER = SemType("timer")
-
-
-def map_t(k: SemType, v: SemType) -> SemType:
-    return SemType("map", (k, v))
-
-
-def seq_t(e: SemType) -> SemType:
-    return SemType("seq", (e,))
-
-
-def tuple_t(*items: SemType) -> SemType:
-    return SemType("tuple", tuple(items))
 
 
 def contains_resource(t: SemType) -> bool:
@@ -123,6 +111,49 @@ class Quant(Expr):
     pos: Pos = field(default=NOPOS, compare=False)
 
 
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of e, left to right."""
+    if isinstance(e, Unop):
+        return (e.operand,)
+    if isinstance(e, Binop):
+        return (e.left, e.right)
+    if isinstance(e, Builtin):
+        return e.args
+    if isinstance(e, Quant):
+        return (e.body,)
+    return ()
+
+
+def map_children(e: Expr, f) -> Expr:
+    """A copy of e with f applied to each direct subexpression. Walkers
+    that scope quantified names handle Quant themselves before calling."""
+    if isinstance(e, Unop):
+        return replace(e, operand=f(e.operand))
+    if isinstance(e, Binop):
+        return replace(e, left=f(e.left), right=f(e.right))
+    if isinstance(e, Builtin):
+        return replace(e, args=tuple(f(a) for a in e.args))
+    if isinstance(e, Quant):
+        return replace(e, body=f(e.body))
+    return e
+
+
+def membership_maps(exprs) -> set[str]:
+    """Names of the map variables that some `Map.in` tests."""
+    found: set[str] = set()
+
+    def walk(e):
+        if isinstance(e, Builtin) and (e.ns, e.op) == ("Map", "in") \
+                and isinstance(e.args[1], Var):
+            found.add(e.args[1].name)
+        for c in children(e):
+            walk(c)
+
+    for e in exprs:
+        walk(e)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Statements (loop-free by construction: no loop node exists)
 # ---------------------------------------------------------------------------
@@ -170,6 +201,25 @@ class If(Stmt):
     then: tuple[Stmt, ...]
     els: tuple[Stmt, ...] = ()
     pos: Pos = field(default=NOPOS, compare=False)
+
+
+def stmt_exprs(stmts) -> list[Expr]:
+    """Every expression the statements evaluate, branch conditions
+    included, in source order."""
+    out: list[Expr] = []
+    for s in stmts:
+        if isinstance(s, Assign):
+            out.append(s.value)
+        elif isinstance(s, OpStmt):
+            out.extend(s.args)
+        elif isinstance(s, Send):
+            if s.dest is not None:
+                out.append(s.dest)
+            out.extend(s.args)
+        elif isinstance(s, If):
+            out.append(s.cond)
+            out.extend(stmt_exprs(s.then + s.els))
+    return out
 
 
 # ---------------------------------------------------------------------------

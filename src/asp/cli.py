@@ -176,7 +176,12 @@ def cmd_prove(args) -> int:
         print(Diagnostic("error", "IOError", f"no such file: {proof_path}").to_json(),
               file=sys.stderr)
         return EXIT_USAGE
-    bounds = DomainBounds.parse(str(_config_value(args, "bounds", "")))
+    try:
+        bounds = DomainBounds.parse(str(_config_value(args, "bounds", "")))
+    except ValueError as e:
+        print(Diagnostic("error", "UsageError", f"--bounds: {e}").to_json(),
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         sketch = parse_proof_sketch(proof_path.read_text(encoding="utf-8"), prog)
         report = check_proof(prog, sketch, bounds)

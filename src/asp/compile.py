@@ -1,20 +1,27 @@
 """Compilation of predicates, actions, and ranks into Python closures for
 the bounded discharge engine.
 
-The engine's hot loop touches hundreds of thousands of valuations; a
-tree-walking evaluator dominates the proof budget, so hypotheses,
-transition relations, and conclusions are compiled once per discharge into
+Proof verdicts come from two independent routes. The engine prunes,
+propagates and checks its high-volume leaves with the code generated
+here; its oracle (raw enumeration) and counterexample replay evaluate
+everything with the runtime evaluator (machine.eval_expr over boxed
+instances). Leaf obligations outside the compiled fragment (initiality,
+the game-rule obligations) use the runtime evaluator on both routes.
+
+The engine's hot loop touches hundreds of thousands of valuations, so
+hypothesis conjuncts, their equality-forcing targets, transition
+relations, ranks and conclusions are compiled once per discharge into
 generated Python functions over a flat "exploded" environment:
 
     scalars            E["maxBid"]        (coins are plain ints here)
     map entries        E[("bidded", k)]   (ABSENT marks a missing key)
     timers             (code, remaining)  code: 0 off, 1 active, 2 fired
     tokens             (kind | None, amount)
+    sequences, tuples  tuples of element values
 
 Missing dict keys mean "not yet assigned" and surface as KeyError, which
 the enumeration uses to defer conjuncts; genuinely undefined operations
-raise Undef. The interpreted runtime evaluator remains the independent
-second route (naive oracle, counterexample replay, game obligations).
+raise Undef.
 """
 from __future__ import annotations
 
@@ -70,6 +77,12 @@ def _tval(t):
     if t[0] != T_ACTIVE:
         raise Undef("Timer.value on a non-active timer")
     return t[1]
+
+
+def _sget(s, i):
+    if not (0 <= i < len(s)):
+        raise Undef("sequence index out of bounds")
+    return s[i]
 
 
 def _tset(t, k):
@@ -141,7 +154,7 @@ def _tokcut(src, k):
 PRELUDE = {
     "_u": _u, "_div": _div, "_mod": _mod, "_nsub": _nsub,
     "_sand": _sand, "_sor": _sor, "_simp": _simp,
-    "_tval": _tval, "_tset": _tset, "_tick1": _tick1,
+    "_tval": _tval, "_sget": _sget, "_tset": _tset, "_tick1": _tick1,
     "_xget": _xget, "_xin": _xin, "_xref": _xref,
     "_ckmove": _ckmove, "_tokmerge": _tokmerge, "_tokcut": _tokcut,
     "ABSENT": ABSENT, "Undef": Undef,
@@ -149,8 +162,9 @@ PRELUDE = {
 
 
 class CannotCompile(Exception):
-    """Construct outside the compiled fragment; callers fall back to the
-    interpreted evaluator."""
+    """Construct outside the compiled fragment: a leaf obligation falls
+    back to the runtime evaluator; a hypothesis conjunct makes the VC
+    Unknown."""
 
 
 class Compiler:
@@ -249,6 +263,12 @@ class Compiler:
             m, _, keys = self._map_args(e.args[1])
             k = self.expr(e.args[0], env)
             return f"_xin({env}, {m!r}, {k}, {keys})"
+        if key == ("Seq", "len"):
+            return f"len({self.expr(e.args[0], env)})"
+        if key == ("Seq", "get"):
+            return f"_sget({self.expr(e.args[0], env)}, {self.expr(e.args[1], env)})"
+        if key == ("Tuple", "get"):
+            return f"({self.expr(e.args[0], env)})[{self.expr(e.args[1], env)}]"
         raise CannotCompile(f"{e.ns}.{e.op}")
 
     def predicate(self, exprs, env: str = "E"):
@@ -258,6 +278,10 @@ class Compiler:
         parts = [self.expr(e, env) for e in exprs]
         return self.function(
             f"def _f({env}):\n    return " + " and ".join(f"({p} is True)" for p in parts))
+
+    def value(self, e: Expr):
+        """The value of e as a callable E -> value (Undef propagates)."""
+        return self.function(f"def _f(E):\n    return {self.expr(e)}")
 
     # -- statements (the transition relation) --
 

@@ -153,12 +153,6 @@ def _abstract_args(args) -> tuple:
     return tuple(out)
 
 
-def _ir_args(args) -> tuple:
-    # IR letters carry unboxed values; retag coins by position is not
-    # possible, so compare through the message signature
-    return tuple(args)
-
-
 def _letters_of_tx(program: TypedProgram, res: TxResult) -> list[tuple]:
     out = []
     for l in res.letters:
@@ -232,7 +226,8 @@ def run_differential(program: TypedProgram, news: list[NewItem], items: list,
                 new_config, events = env_input(system, config, idx, letter)
             except Rejected:
                 accepted = False
-            pre_hash = machine.storage_hash()
+            if atomicity_log is not None:
+                pre_hash = machine.storage_hash()
             res = machine.transact(item.instance, item.msg,
                                    letter.sender, _ir_tx_args(item))
             if res.committed:

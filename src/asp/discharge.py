@@ -5,23 +5,34 @@ small enumerated set (plus `none`), nats 0..N, timers Off/Fired/Active(k<=N),
 maps become one enumeration variable per key over the bounded key set.
 Validity means no valuation satisfies hypothesis && relation && !conclusion.
 
-The engine is a pruning DFS over an unboxed environment: hypothesis
-conjuncts (quantifiers pre-expanded) are checked as soon as their variables
-are assigned, equalities with a single unknown force its value, and the
-leaf obligations run as code generated by the compile module. The
-tree-walking runtime evaluator is the independent second route: it powers
-discharge_naive (the engine's own oracle), counterexample replay, and the
-game-rule obligations whose inner searches are tiny.
+Each verdict has two independent routes:
+
+- the engine (discharge_bounded), a pruning DFS over an unboxed
+  environment: hypothesis conjuncts (quantifiers pre-expanded) are checked
+  as soon as their variables are assigned, an equality with a single
+  unknown forces its value, and the leaf obligations run as code generated
+  by the compile module. Pruning and forcing run compiled code only;
+- the raw-enumeration oracle (discharge_naive) and counterexample replay,
+  which evaluate hypothesis conjuncts and leaf obligations with the
+  runtime evaluator over boxed instances, without propagation.
+
+Leaf obligations outside the compiled fragment (initiality, the game-rule
+obligations, whose inner searches are tiny) use the runtime evaluator on
+both routes.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace as dc_replace
 
-from .ast_nodes import Binop, Builtin, Expr, Lit, Quant, SemType, Unop, Var
+from .ast_nodes import (
+    ADDRESS, Binop, Builtin, Expr, Lit, Quant, SemType, Var, children,
+    map_children, membership_maps, stmt_exprs,
+)
 from .compile import ABSENT, CannotCompile, Compiler, T_ACTIVE, T_FIRED, T_OFF
 from .machine import (
-    InstanceState, UNDEFINED, advance_instance, init_instance, step_instance,
+    InstanceState, UNDEFINED, advance_instance, eval_expr, init_instance,
+    step_instance,
 )
 from .typecheck import TypedTransition, free_vars, subst_expr
 from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal, Undef
@@ -103,7 +114,9 @@ class DomainBounds:
 
     @staticmethod
     def parse(text: str) -> "DomainBounds":
-        """Parse the CLI form: addr=3,nat=4,timer=5."""
+        """Parse the CLI form: addr=3,nat=4,timer=5. Raises ValueError on
+        an unknown key, a non-integer or a value below the key's minimum:
+        0, except addr, which needs the creator P0."""
         kw = {}
         names = {"addr": "addresses", "nat": "nat_max", "timer": "timer_max",
                  "seq": "seq_max"}
@@ -111,7 +124,18 @@ class DomainBounds:
             if not part.strip():
                 continue
             key, _, val = part.partition("=")
-            kw[names[key.strip()]] = int(val)
+            key = key.strip()
+            if key not in names:
+                raise ValueError(f"unknown bound {key!r}; expected one of "
+                                 f"{', '.join(names)}")
+            try:
+                n = int(val)
+            except ValueError:
+                raise ValueError(f"bound {key} needs an integer, got {val!r}") from None
+            least = 1 if key == "addr" else 0
+            if n < least:
+                raise ValueError(f"bound {key} must be at least {least}, got {n}")
+            kw[names[key]] = n
         return DomainBounds(**kw)
 
 
@@ -172,60 +196,32 @@ def box_value(typ: SemType, v):
 def _subst_value(e: Expr, name: str, value) -> Expr:
     if isinstance(e, Var):
         return Lit(value) if e.name == name else e
-    if isinstance(e, Unop):
-        return dc_replace(e, operand=_subst_value(e.operand, name, value))
-    if isinstance(e, Binop):
-        return dc_replace(e, left=_subst_value(e.left, name, value),
-                          right=_subst_value(e.right, name, value))
-    if isinstance(e, Builtin):
-        return dc_replace(e, args=tuple(_subst_value(a, name, value) for a in e.args))
-    if isinstance(e, Quant):
-        if e.var == name:
-            return e
-        return dc_replace(e, body=_subst_value(e.body, name, value))
-    return e
+    if isinstance(e, Quant) and e.var == name:
+        return e
+    return map_children(e, lambda c: _subst_value(c, name, value))
 
 
 def expand_quants(e: Expr, bounds: DomainBounds) -> Expr:
     """Replace bounded quantifiers by finite conjunctions/disjunctions.
     Only scalar-comparable types quantify, so substituted values are plain
     literals (ints, bools, address strings)."""
-    if isinstance(e, Quant):
-        body = expand_quants(e.body, bounds)
-        values = scalar_domain(e.typ, bounds)
-        parts = [_subst_value(body, e.var, v) for v in values]
-        if not parts:
-            return Lit(e.kind == "forall")
-        op = "&&" if e.kind == "forall" else "||"
-        out = parts[0]
-        for p in parts[1:]:
-            out = Binop(op, out, p)
-        return out
-    if isinstance(e, Unop):
-        return dc_replace(e, operand=expand_quants(e.operand, bounds))
-    if isinstance(e, Binop):
-        return dc_replace(e, left=expand_quants(e.left, bounds),
-                          right=expand_quants(e.right, bounds))
-    if isinstance(e, Builtin):
-        return dc_replace(e, args=tuple(expand_quants(a, bounds) for a in e.args))
-    return e
+    e = map_children(e, lambda c: expand_quants(c, bounds))
+    if not isinstance(e, Quant):
+        return e
+    parts = [_subst_value(e.body, e.var, v) for v in scalar_domain(e.typ, bounds)]
+    if not parts:
+        return Lit(e.kind == "forall")
+    op = "&&" if e.kind == "forall" else "||"
+    out = parts[0]
+    for p in parts[1:]:
+        out = Binop(op, out, p)
+    return out
 
 
 def split_conjuncts(e: Expr) -> list[Expr]:
     if isinstance(e, Binop) and e.op == "&&":
         return split_conjuncts(e.left) + split_conjuncts(e.right)
     return [e]
-
-
-# ---------------------------------------------------------------------------
-# Tree-walking evaluation over the exploded unboxed environment (used for
-# unit propagation and by the naive oracle)
-# ---------------------------------------------------------------------------
-
-
-class _Unassigned(Exception):
-    def __init__(self, key):
-        self.key = key
 
 
 @dataclass
@@ -237,144 +233,6 @@ class MapSpec:
     default: object  # unboxed
 
 
-def _deval(e: Expr, env: dict, maps: dict[str, MapSpec]):
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        if e.name in env:
-            return env[e.name]
-        raise _Unassigned(e.name)
-    if isinstance(e, Unop):
-        v = _deval(e.operand, env, maps)
-        return (not v) if e.op == "!" else -v
-    if isinstance(e, Binop):
-        l = _deval(e.left, env, maps)
-        r = _deval(e.right, env, maps)
-        op = e.op
-        if op == "&&":
-            return l and r
-        if op == "||":
-            return l or r
-        if op == "==>":
-            return (not l) or r
-        if op == "==":
-            return l == r
-        if op == "!=":
-            return l != r
-        if op == "<":
-            return l < r
-        if op == "<=":
-            return l <= r
-        if op == ">":
-            return l > r
-        if op == ">=":
-            return l >= r
-        from .values import arith
-        if op == "-nat":
-            return arith("-", l, r, nat=True)
-        return arith(op, l, r, nat=False)
-    if isinstance(e, Builtin):
-        key = (e.ns, e.op)
-        if key == ("Address", "none"):
-            return ADDR_NONE
-        if key == ("Address", "self"):
-            return env.get("__self", "@self")
-        if key in (("Map", "get"), ("Map", "ref")):
-            base = e.args[0]
-            if not isinstance(base, Var) or base.name not in maps:
-                raise Unfinitizable(f"unsupported map expression {base!r}")
-            k = _deval(e.args[1], env, maps)
-            spec = maps[base.name]
-            if k not in spec.keys:
-                v = ABSENT
-            else:
-                ekey = (base.name, k)
-                if ekey not in env:
-                    raise _Unassigned(ekey)
-                v = env[ekey]
-            if v is ABSENT:
-                if spec.default is None:
-                    raise Undef(f"map {base.name} has no entry for {k!r}")
-                return spec.default
-            return v
-        if key == ("Map", "in"):
-            base = e.args[1]
-            if not isinstance(base, Var) or base.name not in maps:
-                raise Unfinitizable(f"unsupported map expression {base!r}")
-            k = _deval(e.args[0], env, maps)
-            if k not in maps[base.name].keys:
-                return False
-            ekey = (base.name, k)
-            if ekey not in env:
-                raise _Unassigned(ekey)
-            return env[ekey] is not ABSENT
-        args = [_deval(a, env, maps) for a in e.args]
-        if key == ("Coin", "value"):
-            return args[0]
-        if key == ("Token", "value"):
-            return args[0][1]
-        if key == ("Timer", "is_off"):
-            return args[0][0] == T_OFF
-        if key == ("Timer", "is_active"):
-            return args[0][0] == T_ACTIVE
-        if key == ("Timer", "has_fired"):
-            return args[0][0] == T_FIRED
-        if key == ("Timer", "value"):
-            if args[0][0] != T_ACTIVE:
-                raise Undef("Timer.value on a non-active timer")
-            return args[0][1]
-        if key == ("Seq", "len"):
-            return len(args[0])
-        if key == ("Seq", "get"):
-            seq, i = args
-            if not (0 <= i < len(seq)):
-                raise Undef("sequence index out of bounds")
-            return seq[i]
-        if key == ("Tuple", "get"):
-            return args[0][args[1]]
-        raise Unfinitizable(f"unsupported operation {e.ns}.{e.op} in VC")
-    raise Unfinitizable(f"unsupported expression {e!r}")
-
-
-def _direct_target(e: Expr, env: dict, maps: dict):
-    if isinstance(e, Var) and e.name not in env:
-        return e.name
-    if isinstance(e, Builtin) and (e.ns, e.op) in (("Map", "get"), ("Map", "ref")):
-        base = e.args[0]
-        if isinstance(base, Var) and base.name in maps:
-            try:
-                k = _deval(e.args[1], env, maps)
-            except (_Unassigned, Undef):
-                return None
-            ekey = (base.name, k)
-            if k in maps[base.name].keys and ekey not in env:
-                return ekey
-    return None
-
-
-def _try_force(c: Expr, env: dict, maps: dict):
-    """("assign", key, value) | "satisfied" | None (unit propagation)."""
-    if isinstance(c, Binop) and c.op == "==>":
-        try:
-            lhs = _deval(c.left, env, maps)
-        except (_Unassigned, Undef):
-            return None
-        if lhs is not True:
-            return "satisfied"
-        return _try_force(c.right, env, maps)
-    if isinstance(c, Binop) and c.op == "==":
-        for a, b in ((c.left, c.right), (c.right, c.left)):
-            key = _direct_target(a, env, maps)
-            if key is None:
-                continue
-            try:
-                v = _deval(b, env, maps)
-            except (_Unassigned, Undef):
-                continue
-            return ("assign", key, v)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Expanded sketch context shared by leaf checks (interpreted side)
 # ---------------------------------------------------------------------------
@@ -382,12 +240,13 @@ def _try_force(c: Expr, env: dict, maps: dict):
 
 class _Ctx:
     """Caches bounds-expanded sketch pieces; evaluates them through the
-    runtime evaluator over boxed instances."""
+    runtime evaluator over boxed instances. The VC is needed only by the
+    leaf checks; the state searches work from the sketch alone."""
 
-    def __init__(self, vc: VC, bounds: DomainBounds):
+    def __init__(self, tc, sketch, bounds: DomainBounds, vc: VC | None = None):
         self.vc = vc
-        self.tc = vc.tc
-        self.sketch = vc.sketch
+        self.tc = tc
+        self.sketch = sketch
         self.bounds = bounds
         self._theta: dict[str, tuple] = {}
         self._goal: dict[str, object] = {}
@@ -466,7 +325,6 @@ class _Ctx:
                              self.self_addr, remaining)
 
     def all_true(self, exprs, inst, bindings=None) -> bool:
-        from .machine import eval_expr
         b = dict(self.extra)
         if bindings:
             b.update(bindings)
@@ -476,7 +334,6 @@ class _Ctx:
         return True
 
     def ev(self, expr, inst, bindings=None):
-        from .machine import eval_expr
         b = dict(self.extra)
         if bindings:
             b.update(bindings)
@@ -805,13 +662,22 @@ _COMPILED_KINDS = ("Inductiveness", "Sufficiency", "RankDefined", "RankDecrease"
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Conjunct:
+    """One hypothesis conjunct: the expression, which the oracle and replay
+    evaluate at runtime, and the engine's compiled forms of it."""
+    expr: Expr
+    holds: object  # exploded env -> bool; KeyError while pending
+    force: tuple | None  # (guards, targets) for _forced, if an equality
+
+
 @dataclass
 class _Problem:
     vc: VC
     bounds: DomainBounds
     scalars: list  # (name, values, SemType | None)
     maps: dict[str, MapSpec]
-    conjuncts: list  # (expr, compiled fn | None)
+    conjuncts: list[_Conjunct]
     check: object  # callable(exploded env) -> str | None
     order: list
     boundary: int = 10**9  # index where hypothesis-only variables start
@@ -838,61 +704,49 @@ def _action_writes(stmts) -> set[str]:
     return out
 
 
-def _collect_map_in_names(exprs) -> set[str]:
-    found: set[str] = set()
-
-    def walk(e):
-        if isinstance(e, Builtin):
-            if (e.ns, e.op) == ("Map", "in") and isinstance(e.args[1], Var):
-                found.add(e.args[1].name)
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, Unop):
-            walk(e.operand)
-        elif isinstance(e, Binop):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Quant):
-            walk(e.body)
-
-    for e in exprs:
-        walk(e)
-    return found
+def _uses_self(e: Expr) -> bool:
+    if isinstance(e, Builtin) and (e.ns, e.op) == ("Address", "self"):
+        return True
+    return any(_uses_self(c) for c in children(e))
 
 
-def _stmts_exprs(stmts):
-    from .ast_nodes import Assign, If, OpStmt, Send
-    out = []
-    for s in stmts:
-        if isinstance(s, Assign):
-            out.append(s.value)
-        elif isinstance(s, OpStmt):
-            out.extend(s.args)
-        elif isinstance(s, Send):
-            if s.dest is not None:
-                out.append(s.dest)
-            out.extend(s.args)
-        elif isinstance(s, If):
-            out.append(s.cond)
-            out.extend(_stmts_exprs(s.then + s.els))
-    return out
+def _compile_conjunct(comp: Compiler, maps: dict[str, MapSpec],
+                      e: Expr) -> _Conjunct:
+    """Compile a conjunct and, when it is a chain of `==>` guards ending in
+    an `==`, its unit propagation: each side that names a variable or a
+    map entry is a target for the value of the other side."""
+    guards = []
+    body = e
+    while isinstance(body, Binop) and body.op == "==>":
+        guards.append(comp.predicate((body.left,)))
+        body = body.right
+    targets = []
+    if isinstance(body, Binop) and body.op == "==":
+        for a, b in ((body.left, body.right), (body.right, body.left)):
+            target = _target(comp, maps, a)
+            if target is not None:
+                targets.append((target, comp.value(b)))
+    force = (tuple(guards), tuple(targets)) if targets else None
+    return _Conjunct(e, comp.predicate((e,)), force)
 
 
-def _uses_self(exprs) -> bool:
-    def walk(e):
-        if isinstance(e, Builtin):
-            if (e.ns, e.op) == ("Address", "self"):
-                return True
-            return any(walk(a) for a in e.args)
-        if isinstance(e, Unop):
-            return walk(e.operand)
-        if isinstance(e, Binop):
-            return walk(e.left) or walk(e.right)
-        if isinstance(e, Quant):
-            return walk(e.body)
-        return False
+def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
+    """E -> the unassigned variable or in-domain map entry that e names,
+    or None; KeyError/Undef while its key is pending or undefined."""
+    if isinstance(e, Var):
+        name = e.name
+        return lambda E: None if name in E else name
+    if isinstance(e, Builtin) and (e.ns, e.op) in (("Map", "get"), ("Map", "ref")) \
+            and isinstance(e.args[0], Var) and e.args[0].name in maps:
+        m = e.args[0].name
+        keys = maps[m].keys
+        key_fn = comp.value(e.args[1])
 
-    return any(walk(e) for e in exprs)
+        def entry(E):
+            k = key_fn(E)
+            return (m, k) if k in keys and (m, k) not in E else None
+        return entry
+    return None
 
 
 def _definedness_hints(vc: VC) -> list[Expr]:
@@ -928,14 +782,14 @@ def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
         states.add(vc.state)
     if vc.transition is not None:
         states.add(vc.transition.target)
-        pool.extend(_stmts_exprs(vc.action))
+        pool.extend(stmt_exprs(vc.action))
     if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
         for t in vc.tc.transitions_from(vc.state):
             pool.extend(guard_conjuncts(t))
             if vc.kind == "Enabledness":
-                pool.extend(_stmts_exprs(cx.defined_slice(t)))
+                pool.extend(stmt_exprs(cx.defined_slice(t)))
             else:
-                pool.extend(_stmts_exprs(cx.progress_slice(t)))
+                pool.extend(stmt_exprs(cx.progress_slice(t)))
                 states.add(t.target)
         w = getattr(sk, "witness", {}).get(vc.state)
         if w is not None:
@@ -956,7 +810,7 @@ def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
 
 def _build_problem(vc: VC, bounds: DomainBounds,
                    allow_trivial: bool = True) -> _Problem:
-    cx = _Ctx(vc, bounds)
+    cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
     tc = vc.tc
 
     pool = _vc_expr_pool(vc, cx)
@@ -984,7 +838,7 @@ def _build_problem(vc: VC, bounds: DomainBounds,
     own_binders: dict[str, SemType] = {}
     if vc.transition is not None:
         own_binders = transition_binders(vc.transition)
-    map_in_names = _collect_map_in_names(pool)
+    map_in_names = membership_maps(pool)
 
     scalars: list = []
     maps: dict[str, MapSpec] = {}
@@ -998,11 +852,12 @@ def _build_problem(vc: VC, bounds: DomainBounds,
         for pname, ptyp in tc.params:
             add_scalar(pname, scalar_domain(ptyp, bounds, cx.self_addr), ptyp)
         add_scalar("creator", bounds.actor_values(), None)
-        hyp_exprs = []
+        comp = Compiler({}, cx.self_addr, ())
+        conjuncts = []
         if tc.where is not None:
-            hyp_exprs.extend(split_conjuncts(expand_quants(tc.where, bounds)))
-        conjuncts = [(e, None) for e in hyp_exprs]
-        check = _make_check(vc, cx, None, bounds, None)
+            conjuncts = [_compile_conjunct(comp, {}, e) for e in
+                         split_conjuncts(expand_quants(tc.where, bounds))]
+        check = _make_check(vc, cx, None, bounds)
         order = [name for name, _, _ in scalars]
         return _Problem(vc, bounds, scalars, {}, conjuncts, check, order)
 
@@ -1023,7 +878,6 @@ def _build_problem(vc: VC, bounds: DomainBounds,
                                    v.default)
         else:
             add_scalar(v.name, scalar_domain(v.typ, bounds, cx.self_addr), v.typ)
-    from .ast_nodes import ADDRESS
     for name, typ in own_binders.items():
         if name == vc.transition.sender_var:
             add_scalar(name, bounds.actor_values(), ADDRESS)
@@ -1033,7 +887,7 @@ def _build_problem(vc: VC, bounds: DomainBounds,
         add_scalar("owner", bounds.actor_values(), ADDRESS)
     if "creator" in reads or vc.kind == "Initiality":
         add_scalar("creator", bounds.actor_values(), ADDRESS)
-    if _uses_self(pool):
+    if any(_uses_self(e) for e in pool):
         add_scalar("__self", (cx.self_addr,), ADDRESS)
 
     timer_vars = tuple(v.name for v in tc.vars.values() if v.typ.kind == "timer")
@@ -1096,15 +950,8 @@ def _build_problem(vc: VC, bounds: DomainBounds,
     for m in maps.values():
         comp.map_meta[m.name] = (m.default, comp.const(frozenset(m.keys)))
 
-    conjuncts = []
-    for e in hyp_exprs:
-        try:
-            fn = comp.predicate((e,))
-        except CannotCompile:
-            fn = None
-        conjuncts.append((e, fn))
-
-    check = _make_check(vc, cx, comp, bounds, player_name)
+    conjuncts = [_compile_conjunct(comp, maps, e) for e in hyp_exprs]
+    check = _make_check(vc, cx, comp, bounds)
 
     # Variables no leaf obligation reads only constrain the hypothesis:
     # they are deferred behind `boundary` and resolved by a satisfiability
@@ -1133,7 +980,7 @@ def _leaf_reads(vc: VC, cx: _Ctx):
     out: set[str] = set()
     for e in vc.conclusion:
         out |= free_vars(e)
-    for e in _stmts_exprs(vc.action):
+    for e in stmt_exprs(vc.action):
         out |= free_vars(e)
     out |= _action_writes(vc.action)
     if "owner" in _action_writes(vc.action):
@@ -1158,8 +1005,7 @@ def _leaf_reads(vc: VC, cx: _Ctx):
     return out
 
 
-def _make_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds,
-                player_name):
+def _make_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds):
     """Leaf obligation: compiled for the flat high-volume kinds, the
     runtime evaluator otherwise."""
     if vc.kind in _COMPILED_KINDS:
@@ -1167,8 +1013,14 @@ def _make_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds,
             return _compiled_check(vc, cx, comp, bounds)
         except CannotCompile:
             pass
+    return _interpreted_check(vc, cx)
 
+
+def _interpreted_check(vc: VC, cx: _Ctx):
+    """Leaf obligation through the runtime evaluator: env -> message or
+    None. The sketch's player name reads the `__player` variable."""
     check_fn = _CHECKS[vc.kind]
+    player_name = getattr(vc.sketch, "player", None)
 
     def interpreted(env):
         if "__player" in env and player_name:
@@ -1203,7 +1055,7 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds):
     sender_key = None
     if vc.transition is not None and vc.transition.input is not None:
         sender_key = vc.transition.sender_var
-    rel = comp.relation(() if vc.is_time else _bindings_prologue(vc), sender_key)
+    rel = comp.relation(() if vc.is_time else vc.action, sender_key)
 
     if vc.kind == "Inductiveness":
         concl = comp.predicate([ex(e) for e in vc.conclusion])
@@ -1250,12 +1102,6 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds):
     return check_dec
 
 
-def _bindings_prologue(vc: VC):
-    """The compiled relation runs the (sliced) action; binder values are
-    already in the environment under their own names."""
-    return vc.action
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -1286,35 +1132,47 @@ def _json_valuation(env: dict) -> dict:
     return out
 
 
-def _conjunct_state(c, fn, env, maps):
-    """True / False-or-undef ("prune") / "pending"."""
-    if fn is not None:
+def _pending(conjuncts: list[_Conjunct], env: dict) -> list | None:
+    """The conjuncts still waiting on unassigned variables, or None when
+    one is false or undefined under env."""
+    still = []
+    for c in conjuncts:
         try:
-            v = fn(env)
+            if not c.holds(env):
+                return None
         except KeyError:
-            return "pending"
+            still.append(c)
         except Undef:
-            return "prune"
-        return True if v is True else "prune"
+            return None
+    return still
+
+
+def _forced(force: tuple, env: dict):
+    """(key, value) a pending conjunct forces under env, or None: its
+    guards hold and one side of its equality names an unassigned variable
+    or map entry while the other side is already defined."""
+    guards, targets = force
     try:
-        v = _deval(c, env, maps)
-    except _Unassigned:
-        return "pending"
-    except Undef:
-        return "prune"
-    return True if v is True else "prune"
+        if not all(g(env) for g in guards):
+            return None
+    except (KeyError, Undef):
+        return None
+    for target, value in targets:
+        try:
+            key = target(env)
+            if key is not None:
+                return key, value(env)
+        except (KeyError, Undef):
+            pass
+    return None
 
 
 def _complete(prob: _Problem, env: dict, pending: list, pos: int) -> bool:
     """Find one assignment of the remaining (hypothesis-only) variables
     satisfying the pending conjuncts; leaves it in env on success."""
-    still = []
-    for c, fn in pending:
-        st = _conjunct_state(c, fn, env, prob.maps)
-        if st == "prune":
-            return False
-        if st == "pending":
-            still.append((c, fn))
+    still = _pending(pending, env)
+    if still is None:
+        return False
     while pos < len(prob.order) and prob.order[pos] in env:
         pos += 1
     if not still:
@@ -1336,18 +1194,14 @@ def _complete(prob: _Problem, env: dict, pending: list, pos: int) -> bool:
 
 
 def _dfs(prob: _Problem, env: dict, pending: list, pos: int, stats: dict):
-    still = []
-    for c, fn in pending:
-        st = _conjunct_state(c, fn, env, prob.maps)
-        if st == "prune":
-            return None
-        if st == "pending":
-            still.append((c, fn))
-    for c, fn in still:
-        f = _try_force(c, env, prob.maps)
-        if f is None or f == "satisfied":
+    still = _pending(pending, env)
+    if still is None:
+        return None
+    for c in still:
+        f = None if c.force is None else _forced(c.force, env)
+        if f is None:
             continue
-        _, key, value = f
+        key, value = f
         if value not in _domain_of(prob, key):
             return None
         env[key] = value
@@ -1408,53 +1262,88 @@ def discharge_bounded(vc: VC, bounds: DomainBounds) -> DischargeResult:
     return Valid(vc.name, leaves)
 
 
+def _runtime_hypothesis(prob: _Problem, cx: _Ctx):
+    """(exprs, env) -> True iff every expr holds under the runtime
+    evaluator, on the instance built from env with the binders boxed."""
+    vc = prob.vc
+    own = transition_binders(vc.transition) if vc.transition is not None else {}
+    binders = [(name, typ) for name, _, typ in prob.scalars
+               if name in own or name == "__player"]
+
+    def holds(exprs, env) -> bool:
+        inst = cx.build_instance(vc.state, env)
+        b = {name: box_value(typ, env[name]) for name, typ in binders if name in env}
+        return all(eval_expr(e, inst, b) is True for e in exprs)
+
+    return holds
+
+
+def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
+    """For each enumeration depth d, the hypothesis conjuncts whose reads
+    are all among the first d keys of the order. A conjunct reads its free
+    variables, every entry of the maps among them, and `__self` when it
+    uses Address.self."""
+    index = {key: i for i, key in enumerate(prob.order)}
+    at: list[list[Expr]] = [[] for _ in range(len(prob.order) + 1)]
+    for c in prob.conjuncts:
+        reads: set = set()
+        for name in free_vars(c.expr):
+            if name in prob.maps:
+                reads.update((name, k) for k in prob.maps[name].keys)
+            else:
+                reads.add(name)
+        if _uses_self(c.expr):
+            reads.add("__self")
+        at[max((index[r] + 1 for r in reads), default=0)].append(c.expr)
+    return at
+
+
 def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
-    """Raw-product oracle: no pruning, no propagation, no compiled checks;
-    everything runs through the runtime evaluator."""
+    """Raw-enumeration oracle: no propagation and no compiled code; the
+    runtime evaluator checks each hypothesis conjunct once, at the first
+    enumeration prefix that binds all its reads, and every leaf. Prefix
+    filtering drops only valuations the full product would reject, so the
+    `checked` count and the first counterexample are those of the raw
+    product in the engine's variable order."""
     try:
         prob = _build_problem(vc, bounds, allow_trivial=False)
-        cx = _Ctx(vc, bounds)
-        player_name = getattr(vc.sketch, "player", None)
-        check_fn = _CHECKS[vc.kind]
-
-        def interp(env):
-            if "__player" in env and player_name:
-                env = dict(env)
-                env[player_name] = env["__player"]
-                cx.extra = {player_name: env["__player"]}
-            return check_fn(cx, env)
-
-        keys = list(prob.order)
+        cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
+        hyp = _runtime_hypothesis(prob, cx)
+        leaf = _interpreted_check(vc, cx)
+        at = _hypothesis_schedule(prob)
+        keys = prob.order
         domains = [_domain_of(prob, k) for k in keys]
+        env: dict = {}
         checked = 0
-        for combo in itertools.product(*domains):
-            env = dict(zip(keys, combo))
-            ok = True
-            for c, _ in prob.conjuncts:
-                try:
-                    v = _deval(c, env, prob.maps)
-                except Undef:
-                    ok = False
-                    break
-                if v is not True:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            checked += 1
-            msg = interp(env)
-            if msg is not None:
-                return Counterexample(vc.name, _json_valuation(env), msg)
+
+        def enumerate_from(d: int):
+            nonlocal checked
+            if at[d] and not hyp(at[d], env):
+                return None
+            if d == len(keys):
+                checked += 1
+                msg = leaf(env)
+                return None if msg is None else \
+                    Counterexample(vc.name, _json_valuation(env), msg)
+            for value in domains[d]:
+                env[keys[d]] = value
+                r = enumerate_from(d + 1)
+                if r is not None:
+                    return r
+            env.pop(keys[d], None)
+            return None
+
+        r = enumerate_from(0)
     except (Unfinitizable, CannotCompile) as e:
         return Unknown(vc.name, str(e))
-    return Valid(vc.name, checked)
+    return r if r is not None else Valid(vc.name, checked)
 
 
 def replay_counterexample(vc: VC, bounds: DomainBounds,
                           cex: Counterexample) -> bool:
-    """Re-run a counterexample valuation through the interpreted leaf check
-    (the runtime evaluator); True if the violation reproduces."""
-    prob = _build_problem(vc, bounds)
+    """Re-run a counterexample valuation through the runtime evaluator:
+    hypothesis and leaf check. True if the violation reproduces."""
+    prob = _build_problem(vc, bounds, allow_trivial=False)
     env: dict = {}
     for key, values, _ in prob.scalars:
         if str(key) in cex.valuation:
@@ -1466,19 +1355,10 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
                 v = cex.valuation[name]
                 env[(m.name, k)] = ABSENT if v is None else \
                     _value_from_json(v, m.values)
-    for c, _ in prob.conjuncts:
-        try:
-            if _deval(c, env, prob.maps) is not True:
-                return False
-        except Undef:
-            return False
-    cx = _Ctx(vc, bounds)
-    player_name = getattr(vc.sketch, "player", None)
-    if "__player" in env and player_name:
-        env = dict(env)
-        env[player_name] = env["__player"]
-        cx.extra = {player_name: env["__player"]}
-    return _CHECKS[vc.kind](cx, env) is not None
+    cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
+    if not _runtime_hypothesis(prob, cx)([c.expr for c in prob.conjuncts], env):
+        return False
+    return _interpreted_check(vc, cx)(env) is not None
 
 
 def _value_from_json(j, domain):

@@ -64,10 +64,6 @@ class SystemIR:
     reentrancy_limit: int
     word_bits: int
 
-    @property
-    def word_max(self) -> int:
-        return (1 << self.word_bits) - 1
-
 
 def _strip_ghost(stmts, ghost):
     from dataclasses import replace
@@ -85,7 +81,7 @@ def _strip_ghost(stmts, ghost):
     return tuple(out)
 
 
-def lower_contract(tc: TypedContract, R: int) -> ContractIR:
+def lower_contract(tc: TypedContract) -> ContractIR:
     ghost = tc.ghost_names()
     methods: dict[str, list[ArmIR]] = {m: [] for m in tc.msg_sigs}
     taus: dict[str, list[TauArmIR]] = {s: [] for s in tc.norm_states}
@@ -115,6 +111,6 @@ def lower_contract(tc: TypedContract, R: int) -> ContractIR:
 
 def lower(program: TypedProgram, R: int = 1, word_bits: int = 256) -> SystemIR:
     return SystemIR(
-        {name: lower_contract(tc, R) for name, tc in program.contracts.items()},
+        {name: lower_contract(tc) for name, tc in program.contracts.items()},
         reentrancy_limit=R, word_bits=word_bits,
     )

@@ -110,18 +110,17 @@ def check_proof(program: TypedProgram, sketch: ProofSketch,
 
 
 class FiniteModel:
-    """All transitions of one finitized contract instance. States are
-    canonical snapshots; successors carry (label, kind, sender)."""
+    """All transitions of one finitized instance of the sketch's contract.
+    States are canonical snapshots; successors carry (label, kind, sender)."""
 
-    def __init__(self, program: TypedProgram, contract: str,
+    def __init__(self, program: TypedProgram, sketch: ProofSketch,
                  bounds: DomainBounds, params: dict, creator: str = "P0"):
         from .machine import init_instance
-        self.tc = program.contract(contract)
+        self.tc = program.contract(sketch.contract)
         self.bounds = bounds
-        vc = VC(name="model", kind="RankDefined", tc=self.tc,
-                sketch=_DUMMY_SKETCH, state=None)
-        self.cx = _Ctx(vc, bounds)
-        self.initial = init_instance(self.tc, "@" + contract, params, creator)
+        self.cx = _Ctx(self.tc, sketch, bounds)
+        self.initial = init_instance(self.tc, "@" + sketch.contract, params,
+                                     creator)
 
     def key(self, inst) -> str:
         return inst.snapshot()
@@ -195,21 +194,6 @@ def _var(name):
     return Var(name)
 
 
-class _Dummy:
-    kind = "none"
-    rank: dict = {}
-    witness: dict = {}
-
-    def theta(self, state):
-        return ()
-
-    def goal_at(self, state):
-        return None
-
-
-_DUMMY_SKETCH = _Dummy()
-
-
 @dataclass
 class SearchReport:
     ok: bool
@@ -224,12 +208,8 @@ def reach_search(program: TypedProgram, sketch, bounds: DomainBounds,
     """Explicit-state confirmation of a reachability claim: every maximal
     path from the initial state reaches the goal. Fails on a reachable dead
     end or a goal-avoiding cycle."""
-    model = FiniteModel(program, sketch.contract, bounds, params, creator)
+    model = FiniteModel(program, sketch, bounds, params, creator)
     cx = model.cx
-    cx.sketch = sketch
-    cx._theta.clear()
-    cx._goal.clear()
-    cx._rank.clear()
 
     def is_goal(inst) -> bool:
         g = cx.goal(inst.skeleton)
@@ -291,10 +271,8 @@ def game_solve(program: TypedProgram, sketch: AdversarialSketch,
     state and every actor x, x must be able to force the goal. Player moves
     are x's own inputs; the Opponent resolves everything else and may stall
     unless a tau/time move is guaranteed."""
-    model = FiniteModel(program, sketch.contract, bounds, params, creator)
+    model = FiniteModel(program, sketch, bounds, params, creator)
     cx = model.cx
-    cx.sketch = sketch
-    cx._goal.clear()
 
     # reachable state space (all moves)
     reach: dict[str, object] = {}

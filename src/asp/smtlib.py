@@ -17,7 +17,7 @@ from __future__ import annotations
 import subprocess
 from dataclasses import dataclass
 
-from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var
+from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps, stmt_exprs
 from .typecheck import TypedContract
 from .vcgen import VC, time_guard
 
@@ -401,25 +401,6 @@ class _Emitter:
                 f"(and (= {post[0]} {pre[0]}) {rest}))")
 
 
-def _collect_membership(em: _Emitter, exprs):
-    def walk(e):
-        if isinstance(e, Builtin):
-            if (e.ns, e.op) == ("Map", "in") and isinstance(e.args[1], Var):
-                em.membership.add(e.args[1].name)
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, Unop):
-            walk(e.operand)
-        elif isinstance(e, Binop):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Quant):
-            walk(e.body)
-
-    for e in exprs:
-        walk(e)
-
-
 def emit_smtlib(vc: VC) -> SmtScript:
     """Emit one VC as an SMT-LIB 2 script; (check-sat) answering unsat
     establishes the obligation."""
@@ -432,7 +413,7 @@ def emit_smtlib(vc: VC) -> SmtScript:
             f"the bounded engine")
 
     pool = list(vc.hypothesis) + list(vc.conclusion)
-    _collect_membership(em, pool + _action_exprs(vc.action))
+    em.membership = membership_maps(pool + stmt_exprs(vc.action))
 
     env: dict[str, str] = {}
     for pname, ptyp in tc.params:
@@ -586,23 +567,6 @@ def _finish(em: _Emitter, vc: VC) -> SmtScript:
         trans = "init"
     fname = f"{_sanitize(vc.sketch.name)}.{vc.kind}.{_sanitize(trans)}.smt2"
     return SmtScript(vc.name, "\n".join(lines) + "\n", fname)
-
-
-def _action_exprs(stmts):
-    out = []
-    for s in stmts:
-        if isinstance(s, Assign):
-            out.append(s.value)
-        elif isinstance(s, OpStmt):
-            out.extend(s.args)
-        elif isinstance(s, Send):
-            out.extend(s.args)
-            if s.dest is not None:
-                out.append(s.dest)
-        elif isinstance(s, If):
-            out.append(s.cond)
-            out.extend(_action_exprs(s.then + s.els))
-    return out
 
 
 def run_solver(solver: str, script_path: str, timeout_ms: int = 30000) -> str:

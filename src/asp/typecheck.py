@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from .ast_nodes import (
     ADDRESS, BOOL, INT, NAT, Assign, Binop, Builtin, ContractDecl, Expr, If,
     InputGuard, Lit, OpStmt, Program, Quant, Send, SemType, Stmt, Transition,
-    Unop, Var, contains_resource, contains_timer,
+    Unop, Var, children, contains_resource, contains_timer, map_children,
+    stmt_exprs,
 )
 from .diagnostics import NOPOS, Pos, TypecheckError
 
@@ -134,10 +135,6 @@ class TypedContract:
     def has_timers(self) -> bool:
         return any(v.typ.kind == "timer" for v in self.vars.values())
 
-    def proof_vars(self) -> list[VarInfo]:
-        """Variables visible to proofs: declared (incl. ghost), no stashes."""
-        return [v for v in self.vars.values() if not v.synthetic]
-
 
 @dataclass
 class TypedProgram:
@@ -174,9 +171,6 @@ class ExprChecker:
 
     def infer(self, e: Expr) -> SemType:
         return self.check(e)[0]
-
-    def annotate(self, e: Expr) -> Expr:
-        return self.check(e)[1]
 
     def check(self, e: Expr) -> tuple[SemType, Expr]:
         if isinstance(e, Lit):
@@ -344,32 +338,20 @@ def lvalue_root(e: Expr) -> str:
 def expr_reads(e: Expr, names: frozenset[str]) -> bool:
     if isinstance(e, Var):
         return e.name in names
-    if isinstance(e, Unop):
-        return expr_reads(e.operand, names)
-    if isinstance(e, Binop):
-        return expr_reads(e.left, names) or expr_reads(e.right, names)
-    if isinstance(e, Builtin):
-        return any(expr_reads(a, names) for a in e.args)
     if isinstance(e, Quant):
-        return expr_reads(e.body, names - {e.var})
-    return False
+        names = names - {e.var}
+    return any(expr_reads(c, names) for c in children(e))
 
 
 def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, Unop):
-        return free_vars(e.operand)
-    if isinstance(e, Binop):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Builtin):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
+    out: set[str] = set()
+    for c in children(e):
+        out |= free_vars(c)
     if isinstance(e, Quant):
-        return free_vars(e.body) - {e.var}
-    return set()
+        out.discard(e.var)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -897,16 +879,9 @@ def _check_sends(tc: TypedContract, universe, origin):
 def subst_expr(e: Expr, sub: dict[str, str]) -> Expr:
     if isinstance(e, Var):
         return Var(sub.get(e.name, e.name), e.pos)
-    if isinstance(e, Unop):
-        return replace(e, operand=subst_expr(e.operand, sub))
-    if isinstance(e, Binop):
-        return replace(e, left=subst_expr(e.left, sub), right=subst_expr(e.right, sub))
-    if isinstance(e, Builtin):
-        return replace(e, args=tuple(subst_expr(a, sub) for a in e.args))
     if isinstance(e, Quant):
-        inner = {k: v for k, v in sub.items() if k != e.var}
-        return replace(e, body=subst_expr(e.body, inner))
-    return e
+        sub = {k: v for k, v in sub.items() if k != e.var}
+    return map_children(e, lambda c: subst_expr(c, sub))
 
 
 def subst_stmt(s: Stmt, sub: dict[str, str]) -> Stmt:
@@ -934,19 +909,7 @@ def _contains_send(s: Stmt) -> bool:
 
 
 def _stmts_read(stmts, names: frozenset[str]) -> bool:
-    for s in stmts:
-        if isinstance(s, Assign) and expr_reads(s.value, names):
-            return True
-        if isinstance(s, OpStmt) and any(expr_reads(a, names) for a in s.args):
-            return True
-        if isinstance(s, Send):
-            es = list(s.args) + ([s.dest] if s.dest is not None else [])
-            if any(expr_reads(e, names) for e in es):
-                return True
-        if isinstance(s, If):
-            if expr_reads(s.cond, names) or _stmts_read(s.then + s.els, names):
-                return True
-    return False
+    return any(expr_reads(e, names) for e in stmt_exprs(stmts))
 
 
 def _max_sends(stmts) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ast_nodes import Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
+from .ast_nodes import Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, stmt_exprs
 from .diagnostics import SketchError
 from .sketch import AdversarialSketch, ProofSketch, RankCase, ReachabilitySketch, SafetySketch
 from .typecheck import TypedContract, TypedProgram, TypedTransition, free_vars
@@ -145,25 +145,10 @@ def _expr_total(e: Expr, tc: TypedContract) -> bool:
 
 
 def _stmt_reads(s: Stmt) -> set[str]:
-    from .ast_nodes import Assign
-    if isinstance(s, Assign):
-        return free_vars(s.value)
-    if isinstance(s, OpStmt):
-        out: set[str] = set()
-        for a in s.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(s, Send):
-        out = set() if s.dest is None else free_vars(s.dest)
-        for a in s.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(s, If):
-        out = free_vars(s.cond)
-        for b in s.then + s.els:
-            out |= _stmt_reads(b)
-        return out
-    raise TypeError(s)
+    out: set[str] = set()
+    for e in stmt_exprs((s,)):
+        out |= free_vars(e)
+    return out
 
 
 def _stmt_total(s: Stmt, tc: TypedContract) -> bool:

@@ -107,6 +107,16 @@ def test_prove_invalid_exit_one():
     assert "Choose" in report["failed_obligations"]
 
 
+@pytest.mark.parametrize("bounds", ["foo=3", "addr=x", "addr=-1", "addr=0"])
+def test_prove_bad_bounds_exit_two(bounds):
+    r = run_cli("prove", str(CORPUS / "auction.asp"),
+                "--proof", str(CORPUS / "auction_closed.aspproof"),
+                "--bounds", bounds)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["code"] == "UsageError"
+
+
 def test_diff_clean_exit_zero(tmp_path):
     r = run_cli("diff", str(CORPUS / "auction.asp"),
                 "--script", str(CORPUS / "auction_happy.aspscript"),

@@ -222,11 +222,18 @@ reachability done(1) {
 
 
 def _agree(prog, sketch, bounds):
+    """Engine and oracle verdicts per VC; every counterexample replays."""
+    results = []
     for vc in generate_vcs(prog, sketch):
         fast = discharge_bounded(vc, bounds)
         slow = discharge_naive(vc, bounds)
         assert fast.status == slow.status, (
             f"{vc.name}: engine={fast.status} oracle={slow.status}")
+        for r in (fast, slow):
+            if isinstance(r, Counterexample):
+                assert replay_counterexample(vc, bounds, r), vc.name
+        results.append(fast)
+    return results
 
 
 def test_engine_agrees_with_naive_oracle_refunds(auction):
@@ -248,6 +255,41 @@ def test_engine_agrees_on_reachability(auction):
 def test_engine_agrees_on_lockout(vending_fixed):
     sk = parse_proof_sketch(load("vending_lockout.aspproof"), vending_fixed)
     _agree(vending_fixed, sk, SMALL)
+
+
+SEQS = """
+contract Seqs() {
+  msg push(nat), put(nat, nat);
+  var xs: seq[nat];
+  var pair: tuple[nat, address];
+  initial Empty;
+  state Empty:
+  | a??push(n) -> Full { Seq.append(xs, n); Tuple.set(pair, 0, n); }
+  state Full:
+  | a??put(i, n) -> Full { %s }
+}
+"""
+
+MIRRORED = """
+safety mirrored {
+  always Seq.len(xs) <= 1
+  @Empty Seq.len(xs) == 0
+  @Full Seq.len(xs) == 1 && Seq.get(xs, 0) == Tuple.get(pair, 0)
+}
+"""
+
+
+@pytest.mark.parametrize("put_action, valid", [
+    ("Seq.set(xs, i, n); Tuple.set(pair, 0, n);", True),
+    ("Seq.set(xs, i, n);", False),
+])
+def test_engine_agrees_on_seq_tuple_safety(put_action, valid):
+    """Hypotheses over sequence and tuple state compile in the engine."""
+    prog = typecheck(parse_program(SEQS % put_action))
+    sk = parse_proof_sketch(MIRRORED, prog)
+    statuses = [r.status for r in _agree(prog, sk, SMALL)]
+    assert "unknown" not in statuses
+    assert ("counterexample" not in statuses) == valid
 
 
 # -- rank well-foundedness ----------------------------------------------------
