@@ -203,11 +203,20 @@ class If(Stmt):
     pos: Pos = field(default=NOPOS, compare=False)
 
 
+def walk_stmts(stmts):
+    """Every statement, each `If` followed by the statements of its then
+    and else branches, in source order."""
+    for s in stmts:
+        yield s
+        if isinstance(s, If):
+            yield from walk_stmts(s.then + s.els)
+
+
 def stmt_exprs(stmts) -> list[Expr]:
     """Every expression the statements evaluate, branch conditions
     included, in source order."""
     out: list[Expr] = []
-    for s in stmts:
+    for s in walk_stmts(stmts):
         if isinstance(s, Assign):
             out.append(s.value)
         elif isinstance(s, OpStmt):
@@ -218,7 +227,6 @@ def stmt_exprs(stmts) -> list[Expr]:
             out.extend(s.args)
         elif isinstance(s, If):
             out.append(s.cond)
-            out.extend(stmt_exprs(s.then + s.els))
     return out
 
 

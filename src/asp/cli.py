@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .cascade import CascadeLimit, FixedPolicy, RandomPolicy, Rejected, WhereClauseViolated
-from .diagnostics import AspError, Diagnostic
+from .diagnostics import AspError, InputError, UsageError
 from .discharge import DomainBounds
 from .parser import parse_program
 from .typecheck import typecheck
@@ -36,11 +36,40 @@ def _config_value(args, name: str, default):
     if cfg.exists():
         try:
             data = json.loads(cfg.read_text())
-            if name in data:
+            if isinstance(data, dict) and name in data:
                 return data[name]
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             pass
     return default
+
+
+def _int_option(args, name: str, default, least: int | None = None):
+    """An integer option from its flag, ASP_* variable or config key,
+    whichever comes first; a UsageError unless it is an integer of at
+    least `least`."""
+    value = _config_value(args, name, default)
+    if value is None:
+        return None
+    flag = "--" + name.replace("_", "-")
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        n = int(value)
+    except ValueError:
+        raise UsageError(f"{flag} needs an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise UsageError(f"{flag} must be at least {least}, got {n}")
+    return n
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file; an InputError if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}") from None
 
 
 def _emit(args, payload: dict):
@@ -52,14 +81,7 @@ def _emit(args, payload: dict):
 
 
 def _load_program(paths, args):
-    sources = []
-    for p in paths:
-        path = Path(p)
-        if not path.exists():
-            print(Diagnostic("error", "IOError", f"no such file: {p}").to_json(),
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        sources.append((str(path), path.read_text(encoding="utf-8")))
+    sources = [(str(Path(p)), _read_text(p)) for p in paths]
     try:
         program = parse_program("\n".join(text for _, text in sources))
         return typecheck(program)
@@ -88,19 +110,14 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     prog = _load_program(args.contracts, args)
     from .script import run_script_text
-    script = Path(args.script)
-    if not script.exists():
-        print(Diagnostic("error", "IOError", f"no such file: {script}").to_json(),
-              file=sys.stderr)
-        return EXIT_USAGE
-    seed = _config_value(args, "seed", None)
-    policy = RandomPolicy(int(seed)) if seed is not None else FixedPolicy()
-    R = int(_config_value(args, "reentrancy_limit", 1))
+    text = _read_text(args.script)
+    seed = _int_option(args, "seed", None)
+    policy = RandomPolicy(seed) if seed is not None else FixedPolicy()
+    R = _int_option(args, "reentrancy_limit", 1, least=0)
     try:
-        result = run_script_text(prog, script.read_text(encoding="utf-8"), R,
-                                 policy)
+        result = run_script_text(prog, text, R, policy)
     except (AspError, CascadeLimit, WhereClauseViolated, Rejected) as e:
-        print(e.diagnostic(str(script)).to_json())
+        print(e.diagnostic(str(Path(args.script))).to_json())
         return EXIT_FAIL
     trace_lines = [e.to_json() for e in result.events]
     if args.trace_out:
@@ -118,8 +135,8 @@ def cmd_compile(args) -> int:
     prog = _load_program(args.contracts, args)
     from .lower import lower
     from .solidity import emit_system
-    R = int(_config_value(args, "reentrancy_limit", 1))
-    word_bits = int(_config_value(args, "word_bits", 256))
+    R = _int_option(args, "reentrancy_limit", 1, least=0)
+    word_bits = _int_option(args, "word_bits", 256, least=1)
     system = lower(prog, R, word_bits)
     out = _out_dir(args)
     written = []
@@ -171,74 +188,61 @@ def cmd_prove(args) -> int:
     from .prove import check_proof
     from .sketch import parse_proof_sketch
     from .smtlib import EmitUnsupported, emit_smtlib
-    proof_path = Path(args.proof)
-    if not proof_path.exists():
-        print(Diagnostic("error", "IOError", f"no such file: {proof_path}").to_json(),
-              file=sys.stderr)
-        return EXIT_USAGE
+    text = _read_text(args.proof)
     try:
         bounds = DomainBounds.parse(str(_config_value(args, "bounds", "")))
     except ValueError as e:
-        print(Diagnostic("error", "UsageError", f"--bounds: {e}").to_json(),
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--bounds: {e}") from None
+    solver = _config_value(args, "solver", None)
+    timeout_ms = _int_option(args, "timeout_ms", 30000, least=1) if solver else None
     try:
-        sketch = parse_proof_sketch(proof_path.read_text(encoding="utf-8"), prog)
+        sketch = parse_proof_sketch(text, prog)
         report = check_proof(prog, sketch, bounds)
     except AspError as e:
-        print(e.diagnostic(str(proof_path)).to_json())
+        print(e.diagnostic(str(Path(args.proof))).to_json())
         return EXIT_FAIL
     if args.smt_out:
         out = _out_dir(args)
-        from .vcgen import generate_vcs
-        for vc in generate_vcs(prog, sketch):
+        for r in report.results:
             try:
-                script = emit_smtlib(vc)
+                script = emit_smtlib(r.vc)
             except EmitUnsupported:
                 continue
             (out / script.filename).write_text(script.text, encoding="utf-8")
-    solver = _config_value(args, "solver", None)
     if solver:
-        _solver_pass(args, prog, sketch, bounds, solver)
+        _solver_pass(args, report, solver, timeout_ms)
     print(report.to_json())
     return EXIT_OK if report.valid else EXIT_FAIL
 
 
-def _solver_pass(args, prog, sketch, bounds, solver):
+def _solver_pass(args, report, solver, timeout_ms):
+    """Run the external solver on each exportable VC and compare its
+    answer with the bounded verdict the report already holds."""
     import tempfile
 
-    from .discharge import Valid, discharge_bounded
     from .smtlib import EmitUnsupported, emit_smtlib, run_solver
-    from .vcgen import generate_vcs
-    timeout_ms = int(_config_value(args, "timeout_ms", 30000))
-    for vc in generate_vcs(prog, sketch):
-        try:
-            script = emit_smtlib(vc)
-        except EmitUnsupported:
-            continue
-        with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as f:
-            f.write(script.text)
-            path = f.name
-        verdict = run_solver(solver, path, timeout_ms)
-        bounded = discharge_bounded(vc, bounds)
-        agree = (verdict == "unsat") == isinstance(bounded, Valid) or verdict == "unknown"
-        _emit(args, {"vc": vc.name, "solver": verdict,
-                     "bounded": bounded.status, "agree": agree})
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, r in enumerate(report.results):
+            try:
+                script = emit_smtlib(r.vc)
+            except EmitUnsupported:
+                continue
+            path = Path(tmp) / f"{i}.smt2"
+            path.write_text(script.text, encoding="utf-8")
+            verdict = run_solver(solver, str(path), timeout_ms)
+            agree = (verdict == "unsat") == r.ok or verdict == "unknown"
+            _emit(args, {"vc": r.vc.name, "solver": verdict,
+                         "bounded": r.result.status, "agree": agree})
 
 
 def cmd_diff(args) -> int:
     prog = _load_program(args.contracts, args)
     from .diff import differential_check
     from .script import parse_script
-    script_path = Path(args.script)
-    if not script_path.exists():
-        print(Diagnostic("error", "IOError", f"no such file: {script_path}").to_json(),
-              file=sys.stderr)
-        return EXIT_USAGE
-    news, fixed_items = parse_script(script_path.read_text(encoding="utf-8"))
-    R = int(_config_value(args, "reentrancy_limit", 1))
-    word_bits = int(_config_value(args, "word_bits", 256))
-    seed = int(_config_value(args, "seed", 0))
+    news, fixed_items = parse_script(_read_text(args.script))
+    R = _int_option(args, "reentrancy_limit", 1, least=0)
+    word_bits = _int_option(args, "word_bits", 256, least=1)
+    seed = _int_option(args, "seed", 0)
     if args.trials:
         report = differential_check(prog, news, R, word_bits, args.trials,
                                     seed=seed)
@@ -316,6 +320,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    except UsageError as e:
+        print(e.diagnostic().to_json(), file=sys.stderr)
+        return EXIT_USAGE
     except AspError as e:
         print(e.diagnostic().to_json())
         return EXIT_FAIL

@@ -77,6 +77,16 @@ class TypecheckError(AspError):
         self.code = code
 
 
+class UsageError(AspError):
+    """A bad flag, configuration value or external tool: exit code 2."""
+    code = "UsageError"
+
+
+class InputError(UsageError):
+    """An input file that cannot be read: exit code 2."""
+    code = "IOError"
+
+
 class SketchError(AspError):
     code = "SketchError"
 

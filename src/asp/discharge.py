@@ -14,29 +14,38 @@ Each verdict has two independent routes:
   by the compile module. Pruning and forcing run compiled code only;
 - the raw-enumeration oracle (discharge_naive) and counterexample replay,
   which evaluate hypothesis conjuncts and leaf obligations with the
-  runtime evaluator over boxed instances, without propagation.
+  runtime evaluator over boxed instances, without propagation. They share
+  the engine's finitization (`_finitize`) but never its compiled code.
 
 Leaf obligations outside the compiled fragment (initiality, the game-rule
 obligations, whose inner searches are tiny) use the runtime evaluator on
-both routes.
+both routes. The game-rule checks enumerate a state's moves with
+`_Ctx.moves`, the same enumerator the state searches of the prove module
+use, so guards, binder domains and action slices are described once.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 
 from .ast_nodes import (
-    ADDRESS, Binop, Builtin, Expr, Lit, Quant, SemType, Var, children,
-    map_children, membership_maps, stmt_exprs,
+    ADDRESS, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Send, Var,
+    children, map_children, membership_maps, stmt_exprs, walk_stmts,
 )
 from .compile import ABSENT, CannotCompile, Compiler, T_ACTIVE, T_FIRED, T_OFF
 from .machine import (
     InstanceState, UNDEFINED, advance_instance, eval_expr, init_instance,
     step_instance,
 )
-from .typecheck import TypedTransition, free_vars, subst_expr
+from .typecheck import (
+    TypedTransition, free_vars, is_lvalue, lvalue_root, stmt_written_roots,
+    subst_expr,
+)
 from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal, Undef
-from .vcgen import VC, guard_conjuncts, time_guard, transition_binders
+from .vcgen import (
+    VC, guard_conjuncts, progress_slice, reads_of, slice_action, time_guard,
+    transition_binders,
+)
 
 _TCODE = {"off": T_OFF, "active": T_ACTIVE, "fired": T_FIRED}
 _TSTATE = {v: k for k, v in _TCODE.items()}
@@ -87,6 +96,17 @@ class DomainBounds:
     timer_max: int = 4
     seq_max: int = 1
 
+    def __post_init__(self):
+        """Every bound is an integer of at least 0, except addresses: the
+        model needs the creator P0."""
+        for f in fields(self):
+            n = getattr(self, f.name)
+            least = 1 if f.name == "addresses" else 0
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"bound {f.name} needs an integer, got {n!r}")
+            if n < least:
+                raise ValueError(f"bound {f.name} must be at least {least}, got {n}")
+
     @property
     def delta_max(self) -> int:
         return self.timer_max + 1
@@ -115,8 +135,8 @@ class DomainBounds:
     @staticmethod
     def parse(text: str) -> "DomainBounds":
         """Parse the CLI form: addr=3,nat=4,timer=5. Raises ValueError on
-        an unknown key, a non-integer or a value below the key's minimum:
-        0, except addr, which needs the creator P0."""
+        an unknown key, a non-integer or a value below the bound's
+        minimum."""
         kw = {}
         names = {"addr": "addresses", "nat": "nat_max", "timer": "timer_max",
                  "seq": "seq_max"}
@@ -129,13 +149,9 @@ class DomainBounds:
                 raise ValueError(f"unknown bound {key!r}; expected one of "
                                  f"{', '.join(names)}")
             try:
-                n = int(val)
+                kw[names[key]] = int(val)
             except ValueError:
                 raise ValueError(f"bound {key} needs an integer, got {val!r}") from None
-            least = 1 if key == "addr" else 0
-            if n < least:
-                raise ValueError(f"bound {key} must be at least {least}, got {n}")
-            kw[names[key]] = n
         return DomainBounds(**kw)
 
 
@@ -234,65 +250,59 @@ class MapSpec:
 
 
 # ---------------------------------------------------------------------------
-# Expanded sketch context shared by leaf checks (interpreted side)
+# The proof model, interpreted: expanded sketch pieces and the moves of a
+# state, shared by the leaf checks and the state searches
 # ---------------------------------------------------------------------------
 
 
 class _Ctx:
-    """Caches bounds-expanded sketch pieces; evaluates them through the
-    runtime evaluator over boxed instances. The VC is needed only by the
-    leaf checks; the state searches work from the sketch alone."""
+    """Caches bounds-expanded sketch pieces and, per transition, the
+    expanded guards, boxed binder domains and action slices; evaluates them
+    through the runtime evaluator over boxed instances. `moves` is the one
+    enumeration of a state's moves. The VC is needed only by the leaf
+    checks; the state searches work from the sketch alone."""
 
     def __init__(self, tc, sketch, bounds: DomainBounds, vc: VC | None = None):
         self.vc = vc
         self.tc = tc
         self.sketch = sketch
         self.bounds = bounds
-        self._theta: dict[str, tuple] = {}
-        self._goal: dict[str, object] = {}
-        self._rank: dict[str, object] = {}
-        self._wit: dict[str, object] = {}
-        self._guards: dict[int, list] = {}
-        self._concl: tuple | None = None
+        self._memo: dict = {}
         self.self_addr = "@" + self.tc.name
         self.extra: dict[str, object] = {}  # e.g. the adversarial player
+
+    def _cached(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def ex(self, e: Expr) -> Expr:
         return expand_quants(e, self.bounds)
 
     def theta(self, state: str):
-        if state not in self._theta:
-            self._theta[state] = tuple(self.ex(e) for e in self.sketch.theta(state))
-        return self._theta[state]
+        return self._cached(("theta", state), lambda: tuple(
+            self.ex(e) for e in self.sketch.theta(state)))
 
     def goal(self, state: str):
-        if state not in self._goal:
-            g = getattr(self.sketch, "goal_at", lambda s: None)(state)
-            self._goal[state] = None if g is None else tuple(self.ex(e) for e in g)
-        return self._goal[state]
+        g = self.sketch.goal_at(state)
+        return self._cached(("goal", state), lambda: None if g is None else tuple(
+            self.ex(e) for e in g))
 
     def rank(self, state: str):
-        if state not in self._rank:
-            cases = getattr(self.sketch, "rank", {}).get(state)
-            if cases is None:
-                self._rank[state] = None
-            else:
-                self._rank[state] = tuple(
-                    (tuple(self.ex(x) for x in c.exprs),
-                     None if c.cond is None else self.ex(c.cond))
-                    for c in cases)
-        return self._rank[state]
+        cases = self.sketch.rank.get(state)
+        return self._cached(("rank", state), lambda: None if cases is None else tuple(
+            (tuple(self.ex(x) for x in c.exprs),
+             None if c.cond is None else self.ex(c.cond))
+            for c in cases))
 
     def witness(self, state: str):
-        if state not in self._wit:
-            w = getattr(self.sketch, "witness", {}).get(state)
-            self._wit[state] = None if w is None else self.ex(w)
-        return self._wit[state]
+        w = self.sketch.witness.get(state)
+        return self._cached(("witness", state),
+                            lambda: None if w is None else self.ex(w))
 
     def conclusion(self):
-        if self._concl is None:
-            self._concl = tuple(self.ex(e) for e in self.vc.conclusion)
-        return self._concl
+        return self._cached(("conclusion",), lambda: tuple(
+            self.ex(e) for e in self.vc.conclusion))
 
     # -- boxed-instance evaluation --
 
@@ -355,6 +365,65 @@ class _Ctx:
             return tuple(vals)
         return None
 
+    # -- the moves of a state --
+
+    def guards_pass(self, t: TypedTransition, inst, bindings) -> bool:
+        guards = self._cached(("guards", id(t)), lambda: [
+            self.ex(g) for g in guard_conjuncts(t)])
+        for g in guards:
+            if self.ev(g, inst, bindings) is not True:
+                return False
+        return True
+
+    def binder_domains(self, t: TypedTransition):
+        """Names and boxed domains of t's binders; the sender ranges over
+        the actors."""
+        def make():
+            names, doms = [], []
+            for name, typ in transition_binders(t).items():
+                names.append(name)
+                if name == t.sender_var:
+                    doms.append(self.bounds.actor_values())
+                else:
+                    doms.append(tuple(
+                        box_value(typ, v) for v in
+                        scalar_domain(typ, self.bounds, self.self_addr)))
+            return names, doms
+        return self._cached(("binders", id(t)), make)
+
+    def moves(self, inst, senders=None, taus: bool = True, witness=None):
+        """(t, sender, step bindings) for each move from inst whose guards
+        pass, in transition and binder order: the tau moves when `taus`,
+        and the input moves from `senders` (every actor when None) whose
+        binders satisfy `witness`, when one is given. A matched sender is
+        one of the guards."""
+        for t in self.tc.transitions_from(inst.skeleton):
+            if t.input is None:
+                if taus and self.guards_pass(t, inst, {}):
+                    yield t, None, {}
+                continue
+            names, doms = self.binder_domains(t)
+            if senders is not None:
+                doms = [tuple(a for a in d if a in senders)
+                        if n == t.sender_var else d for n, d in zip(names, doms)]
+            for combo in itertools.product(*doms):
+                bindings = dict(zip(names, combo))
+                if witness is not None and \
+                        self.ev(witness, inst, bindings) is not True:
+                    continue
+                if not self.guards_pass(t, inst, bindings):
+                    continue
+                step_b = {n: v for n, v in bindings.items()
+                          if t.sender_fresh or n != t.sender_var}
+                yield t, bindings[t.sender_var], step_b
+
+    def time_enabled(self, inst) -> bool:
+        """Whether the time transition can fire: some timer is active."""
+        if not self.tc.has_timers():
+            return False
+        guard = self._cached(("time",), lambda: self.ex(time_guard(self.tc)))
+        return self.ev(guard, inst) is True
+
     def run_inner(self, t: TypedTransition, inst, bindings, sender, delta,
                   action=None):
         pseudo = t if action is None else dc_replace(t, action=action)
@@ -366,50 +435,20 @@ class _Ctx:
             post = advance_instance(post, delta)
         return post
 
-    def guards_pass(self, t: TypedTransition, inst, bindings) -> bool:
-        if id(t) not in self._guards:
-            self._guards[id(t)] = [self.ex(g) for g in guard_conjuncts(t)]
-        for g in self._guards[id(t)]:
-            if self.ev(g, inst, bindings) is not True:
-                return False
-        return True
-
-    def binder_domains(self, t: TypedTransition, boxed: bool):
-        names, doms = [], []
-        for name, typ in transition_binders(t).items():
-            names.append(name)
-            if name == t.sender_var:
-                doms.append(self.bounds.actor_values())
-            else:
-                dom = scalar_domain(typ, self.bounds, self.self_addr)
-                if boxed:
-                    dom = tuple(box_value(typ, v) for v in dom)
-                doms.append(dom)
-        return names, doms
-
     def deltas(self):
         if self.tc.has_timers():
             return tuple(range(1, self.bounds.delta_max + 1))
         return (None,)
 
     def defined_slice(self, t: TypedTransition):
-        from .vcgen import slice_action
-        return slice_action(t, set(), self.tc)[0]
+        """t's action sliced to what its definedness needs."""
+        return self._cached(("defined", id(t)),
+                            lambda: slice_action(t, set(), self.tc)[0])
 
     def progress_slice(self, t: TypedTransition):
-        from .vcgen import slice_action
-        needed = set()
-        for e in self.theta(t.target):
-            needed |= free_vars(e)
-        for e in self.goal(t.target) or ():
-            needed |= free_vars(e)
-        cases = getattr(self.sketch, "rank", {}).get(t.target, ())
-        for c in cases:
-            for x in c.exprs:
-                needed |= free_vars(x)
-            if c.cond is not None:
-                needed |= free_vars(c.cond)
-        return slice_action(t, needed, self.tc)[0]
+        """t's action sliced to what the proof reads at its target."""
+        return self._cached(("progress", id(t)),
+                            lambda: progress_slice(t, self.sketch, self.tc))
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +473,28 @@ def _check_initiality(cx: _Ctx, env: dict):
     return None
 
 
+def _vc_step(cx: _Ctx, inst, env: dict):
+    """The post-state of the VC's step from inst under env, None when the
+    step is not a transition at this valuation."""
+    vc = cx.vc
+    if vc.is_time:
+        return advance_instance(inst, env.get("__delta", 1))
+    t = vc.transition
+    bindings = {}
+    sender = None
+    if t.input is not None:
+        sender = env.get(t.sender_var)
+        if t.sender_fresh:
+            bindings[t.input.sender] = sender
+        for name, typ in zip(t.input.params, t.param_types):
+            bindings[name] = box_value(typ, env[name])
+    return cx.run_inner(t, inst, bindings, sender, env.get("__delta"), vc.action)
+
+
 def _check_inductive(cx: _Ctx, env: dict):
-    inst = cx.build_instance(cx.vc.state, env)
-    if cx.vc.is_time:
-        post = advance_instance(inst, env.get("__delta", 1))
-    else:
-        t = cx.vc.transition
-        bindings = {}
-        sender = None
-        if t.input is not None:
-            sender = env.get(t.sender_var)
-            if t.sender_fresh:
-                bindings[t.input.sender] = sender
-            for name, typ in zip(t.input.params, t.param_types):
-                bindings[name] = box_value(typ, env[name])
-        post = cx.run_inner(t, inst, bindings, sender, env.get("__delta"),
-                            cx.vc.action)
-        if post is None:
-            return None  # the step is not a transition at this valuation
+    post = _vc_step(cx, cx.build_instance(cx.vc.state, env), env)
+    if post is None:
+        return None
     if not cx.all_true(cx.conclusion(), post):
         return "assertion is not preserved"
     return None
@@ -473,32 +516,16 @@ def _check_rank_defined(cx: _Ctx, env: dict):
 
 def _check_enabledness(cx: _Ctx, env: dict):
     inst = cx.build_instance(cx.vc.state, env)
-    for t in cx.tc.transitions_from(cx.vc.state):
-        if t.input is None:
-            if cx.guards_pass(t, inst, {}) and \
-                    cx.run_inner(t, inst, {}, None, None,
-                                 cx.defined_slice(t)) is not None:
-                return None
-            continue
-        wit = cx.witness(cx.vc.state)
-        if wit is None:
-            continue  # no way to discharge this transition's existential
-        names, doms = cx.binder_domains(t, boxed=True)
-        for combo in itertools.product(*doms):
-            bindings = dict(zip(names, combo))
-            if cx.ev(wit, inst, bindings) is not True:
-                continue
-            if not cx.guards_pass(t, inst, bindings):
-                continue
-            sender = bindings[t.sender_var]
-            step_b = {n: v for n, v in bindings.items()
-                      if t.sender_fresh or n != t.sender_var}
-            if cx.run_inner(t, inst, step_b, sender, None,
-                            cx.defined_slice(t)) is not None:
-                return None
-    if cx.tc.has_timers():
-        if cx.ev(cx.ex(time_guard(cx.tc)), inst) is True:
+    wit = cx.witness(cx.vc.state)
+    # without a witness an input transition's existential cannot be
+    # discharged: only tau moves count then
+    for t, sender, step_b in cx.moves(inst, None if wit is not None else (),
+                                      witness=wit):
+        if cx.run_inner(t, inst, step_b, sender, None,
+                        cx.defined_slice(t)) is not None:
             return None
+    if cx.time_enabled(inst):
+        return None
     return "no transition is enabled"
 
 
@@ -517,25 +544,10 @@ def _check_rank_decrease(cx: _Ctx, env: dict):
     pre_rank = cx.rank_of(cx.vc.state, inst)
     if pre_rank is None:
         return "rank is undefined at the source state"
-    if cx.vc.is_time:
-        post = advance_instance(inst, env.get("__delta", 1))
-        target = cx.vc.state
-    else:
-        t = cx.vc.transition
-        bindings = {}
-        sender = None
-        if t.input is not None:
-            sender = env.get(t.sender_var)
-            if t.sender_fresh:
-                bindings[t.input.sender] = sender
-            for name, typ in zip(t.input.params, t.param_types):
-                bindings[name] = box_value(typ, env[name])
-        post = cx.run_inner(t, inst, bindings, sender, env.get("__delta"),
-                            cx.vc.action)
-        target = t.target
-        if post is None:
-            return None
-    if not _progress_ok(cx, target, post, pre_rank):
+    post = _vc_step(cx, inst, env)
+    if post is None:
+        return None
+    if not _progress_ok(cx, cx.vc.target, post, pre_rank):
         return "rank does not decrease strictly"
     return None
 
@@ -546,33 +558,14 @@ def _check_player_move(cx: _Ctx, env: dict):
     pre_rank = cx.rank_of(cx.vc.state, inst)
     if pre_rank is None:
         return "rank is undefined"
-    wit = cx.witness(cx.vc.state)
-    for t in cx.tc.transitions_from(cx.vc.state):
-        if t.input is None:
-            continue  # tau moves belong to the Opponent (the contract)
-        if not t.sender_fresh:
-            expected = cx.ev(Var(t.input.sender), inst)
-            if expected is UNDEFINED or expected != x:
-                continue  # the matched sender is not the Player here
-        names, doms = cx.binder_domains(t, boxed=True)
-        spaces = [(x,) if n == t.sender_var else d for n, d in zip(names, doms)]
-        for combo in itertools.product(*spaces):
-            bindings = dict(zip(names, combo))
-            if wit is not None and cx.ev(wit, inst, bindings) is not True:
-                continue
-            if not cx.guards_pass(t, inst, bindings):
-                continue
-            step_b = {n: v for n, v in bindings.items()
-                      if t.sender_fresh or n != t.sender_var}
-            ok = True
-            for delta in cx.deltas():
-                post = cx.run_inner(t, inst, step_b, x, delta,
-                                    cx.progress_slice(t))
-                if post is None or not _progress_ok(cx, t.target, post, pre_rank):
-                    ok = False
-                    break
-            if ok:
-                return None
+    # tau moves belong to the Opponent (the contract)
+    for t, _, step_b in cx.moves(inst, (x,), taus=False,
+                                 witness=cx.witness(cx.vc.state)):
+        posts = (cx.run_inner(t, inst, step_b, x, delta, cx.progress_slice(t))
+                 for delta in cx.deltas())
+        if all(post is not None and _progress_ok(cx, t.target, post, pre_rank)
+               for post in posts):
+            return None
     return "no Player move makes progress"
 
 
@@ -585,61 +578,35 @@ def _check_opponent_total(cx: _Ctx, env: dict):
     # (a) an opponent move is guaranteed: only the contract's own tau
     # transitions and the time transition are inevitable (other agents may
     # simply never act).
-    inevitable = False
-    taus = [t for t in cx.tc.transitions_from(cx.vc.state) if t.input is None]
-    for t in taus:
-        if cx.guards_pass(t, inst, {}) and \
-                cx.run_inner(t, inst, {}, None, None,
-                             cx.defined_slice(t)) is not None:
-            inevitable = True
-            break
-    time_on = cx.tc.has_timers() and \
-        cx.ev(cx.ex(time_guard(cx.tc)), inst) is True
-    if not inevitable and time_on:
-        inevitable = True
-    if not inevitable:
+    taus = list(cx.moves(inst, ()))
+    time_on = cx.time_enabled(inst)
+    if not time_on and all(
+            cx.run_inner(t, inst, {}, None, None, cx.defined_slice(t)) is None
+            for t, _, _ in taus):
         return "no Opponent transition is guaranteed"
+
     # (b) every opponent move (tau, time, other agents' inputs) stays in
     # theta and strictly decreases the rank, or lands in the goal.
-    for t in taus:
-        if not cx.guards_pass(t, inst, {}):
-            continue
-        for delta in cx.deltas():
-            post = cx.run_inner(t, inst, {}, None, delta, cx.progress_slice(t))
-            if post is None:
-                continue
-            if not _progress_ok(cx, t.target, post, pre_rank):
-                return f"opponent move {t.label()} escapes the proof"
+    def escape(moves):
+        for t, sender, step_b in moves:
+            for delta in cx.deltas():
+                post = cx.run_inner(t, inst, step_b, sender, delta,
+                                    cx.progress_slice(t))
+                if post is not None and \
+                        not _progress_ok(cx, t.target, post, pre_rank):
+                    return f"opponent move {t.label()} escapes the proof"
+        return None
+
+    msg = escape(taus)
+    if msg is not None:
+        return msg
     if time_on:
         for delta in cx.deltas():
             post = advance_instance(inst, delta)
             if not _progress_ok(cx, cx.vc.state, post, pre_rank):
                 return "time transition escapes the proof"
-    for t in cx.tc.transitions_from(cx.vc.state):
-        if t.input is None:
-            continue
-        names, doms = cx.binder_domains(t, boxed=True)
-        for combo in itertools.product(*doms):
-            bindings = dict(zip(names, combo))
-            if bindings[t.sender_var] == x:
-                continue  # the Player's own moves are not Opponent moves
-            if not t.sender_fresh:
-                expected = cx.ev(Var(t.input.sender), inst)
-                if expected is UNDEFINED or expected != bindings[t.sender_var]:
-                    continue
-            if not cx.guards_pass(t, inst, bindings):
-                continue
-            sender = bindings[t.sender_var]
-            step_b = {n: v for n, v in bindings.items()
-                      if t.sender_fresh or n != t.sender_var}
-            for delta in cx.deltas():
-                post = cx.run_inner(t, inst, step_b, sender, delta,
-                                    cx.progress_slice(t))
-                if post is None:
-                    continue
-                if not _progress_ok(cx, t.target, post, pre_rank):
-                    return f"opponent move {t.label()} escapes the proof"
-    return None
+    others = tuple(a for a in cx.bounds.actor_values() if a != x)
+    return escape(cx.moves(inst, others, taus=False))
 
 
 _CHECKS = {
@@ -658,49 +625,32 @@ _COMPILED_KINDS = ("Inductiveness", "Sufficiency", "RankDefined", "RankDecrease"
 
 
 # ---------------------------------------------------------------------------
-# Problem construction
+# Finitization: the context of a VC, shared by the engine, the oracle and
+# replay
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Conjunct:
-    """One hypothesis conjunct: the expression, which the oracle and replay
-    evaluate at runtime, and the engine's compiled forms of it."""
-    expr: Expr
-    holds: object  # exploded env -> bool; KeyError while pending
-    force: tuple | None  # (guards, targets) for _forced, if an equality
 
 
 @dataclass
 class _Problem:
+    """A VC over finite domains: its context variables, hypothesis
+    conjuncts (quantifiers expanded) and enumeration order."""
     vc: VC
-    bounds: DomainBounds
+    cx: _Ctx
     scalars: list  # (name, values, SemType | None)
     maps: dict[str, MapSpec]
-    conjuncts: list[_Conjunct]
-    check: object  # callable(exploded env) -> str | None
+    hypothesis: list[Expr]
     order: list
     boundary: int = 10**9  # index where hypothesis-only variables start
-    trivial: bool = False  # conclusion is syntactically untouched
 
 
 def _action_writes(stmts) -> set[str]:
-    from .ast_nodes import If, Send
-    from .typecheck import stmt_written_roots
     out: set[str] = set()
-    for s in stmts:
-        if isinstance(s, If):
-            out |= _action_writes(s.then + s.els)
-        elif isinstance(s, Send):
-            from .typecheck import is_lvalue, lvalue_root
-            for a in s.args:
-                if is_lvalue(a):
-                    out.add(lvalue_root(a))
-        else:
-            from .ast_nodes import OpStmt
-            if isinstance(s, OpStmt) and (s.ns, s.op) == ("Address", "change_owner"):
-                out.add("owner")
-            out |= stmt_written_roots(s)
+    for s in walk_stmts(stmts):
+        if isinstance(s, Send):
+            out |= {lvalue_root(a) for a in s.args if is_lvalue(a)}
+        elif isinstance(s, OpStmt) and (s.ns, s.op) == ("Address", "change_owner"):
+            out.add("owner")
+        out |= stmt_written_roots(s)
     return out
 
 
@@ -710,53 +660,12 @@ def _uses_self(e: Expr) -> bool:
     return any(_uses_self(c) for c in children(e))
 
 
-def _compile_conjunct(comp: Compiler, maps: dict[str, MapSpec],
-                      e: Expr) -> _Conjunct:
-    """Compile a conjunct and, when it is a chain of `==>` guards ending in
-    an `==`, its unit propagation: each side that names a variable or a
-    map entry is a target for the value of the other side."""
-    guards = []
-    body = e
-    while isinstance(body, Binop) and body.op == "==>":
-        guards.append(comp.predicate((body.left,)))
-        body = body.right
-    targets = []
-    if isinstance(body, Binop) and body.op == "==":
-        for a, b in ((body.left, body.right), (body.right, body.left)):
-            target = _target(comp, maps, a)
-            if target is not None:
-                targets.append((target, comp.value(b)))
-    force = (tuple(guards), tuple(targets)) if targets else None
-    return _Conjunct(e, comp.predicate((e,)), force)
-
-
-def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
-    """E -> the unassigned variable or in-domain map entry that e names,
-    or None; KeyError/Undef while its key is pending or undefined."""
-    if isinstance(e, Var):
-        name = e.name
-        return lambda E: None if name in E else name
-    if isinstance(e, Builtin) and (e.ns, e.op) in (("Map", "get"), ("Map", "ref")) \
-            and isinstance(e.args[0], Var) and e.args[0].name in maps:
-        m = e.args[0].name
-        keys = maps[m].keys
-        key_fn = comp.value(e.args[1])
-
-        def entry(E):
-            k = key_fn(E)
-            return (m, k) if k in keys and (m, k) not in E else None
-        return entry
-    return None
-
-
 def _definedness_hints(vc: VC) -> list[Expr]:
     """Guards implied by the relation's definedness, hoisted into the
     hypothesis to prune before the leaf: e.g. Timer.set on the unmodified
     timer requires it to be Off. Pure pruning aid; never changes verdicts."""
-    from .ast_nodes import OpStmt
     hints: list[Expr] = []
     written: set[str] = set()
-    from .typecheck import stmt_written_roots
     for s in vc.action:
         if isinstance(s, OpStmt) and (s.ns, s.op) == ("Timer", "set"):
             t = s.args[0]
@@ -776,7 +685,6 @@ def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
     pool = list(vc.hypothesis) + list(vc.conclusion)
     if vc.tc.where is not None:
         pool.append(vc.tc.where)
-    sk = vc.sketch
     states: set[str] = set()
     if vc.state:
         states.add(vc.state)
@@ -791,55 +699,37 @@ def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
             else:
                 pool.extend(stmt_exprs(cx.progress_slice(t)))
                 states.add(t.target)
-        w = getattr(sk, "witness", {}).get(vc.state)
+        w = vc.sketch.witness.get(vc.state)
         if w is not None:
             pool.append(w)
         if vc.tc.has_timers():
             pool.append(time_guard(vc.tc))
     if vc.kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
         for st in states:
-            for c in getattr(sk, "rank", {}).get(st, ()):
-                pool.extend(c.exprs)
-                if c.cond is not None:
-                    pool.append(c.cond)
-            g = sk.goal_at(st) if hasattr(sk, "goal_at") else None
-            pool.extend(g or ())
-            pool.extend(sk.theta(st))
+            pool.extend(vc.sketch.reads_at(st))
     return pool
 
 
-def _build_problem(vc: VC, bounds: DomainBounds,
-                   allow_trivial: bool = True) -> _Problem:
+def _timer_vars(tc) -> tuple[str, ...]:
+    return tuple(v.name for v in tc.vars.values() if v.typ.kind == "timer")
+
+
+def _preserved(vc: VC) -> bool:
+    """An inductiveness obligation whose conclusion conjuncts are all
+    hypothesis conjuncts over variables the relation never writes (nor
+    ticks) holds outright."""
+    if vc.kind != "Inductiveness":
+        return False
+    writes = _action_writes(vc.action)
+    if vc.tc.has_timers():
+        writes |= set(_timer_vars(vc.tc))
+    return not (reads_of(vc.conclusion) & writes) and \
+        set(vc.conclusion) <= set(vc.hypothesis)
+
+
+def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
     cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
     tc = vc.tc
-
-    pool = _vc_expr_pool(vc, cx)
-    reads: set[str] = set()
-    for e in pool:
-        reads |= free_vars(e)
-    player_name = getattr(vc.sketch, "player", None)
-
-    # Preservation shortcut: an inductiveness obligation whose conclusion
-    # conjuncts are all hypothesis conjuncts over variables the relation
-    # never writes (nor ticks) holds outright.
-    if vc.kind == "Inductiveness":
-        writes = _action_writes(vc.action)
-        if tc.has_timers():
-            writes |= {v.name for v in tc.vars.values() if v.typ.kind == "timer"}
-        concl_free: set[str] = set()
-        for e in vc.conclusion:
-            concl_free |= free_vars(e)
-        hyp_set = set(vc.hypothesis)
-        if allow_trivial and not (concl_free & writes) and \
-                all(e in hyp_set for e in vc.conclusion):
-            return _Problem(vc, bounds, [], {}, [], lambda env: None, [],
-                            trivial=True)
-
-    own_binders: dict[str, SemType] = {}
-    if vc.transition is not None:
-        own_binders = transition_binders(vc.transition)
-    map_in_names = membership_maps(pool)
-
     scalars: list = []
     maps: dict[str, MapSpec] = {}
 
@@ -852,14 +742,17 @@ def _build_problem(vc: VC, bounds: DomainBounds,
         for pname, ptyp in tc.params:
             add_scalar(pname, scalar_domain(ptyp, bounds, cx.self_addr), ptyp)
         add_scalar("creator", bounds.actor_values(), None)
-        comp = Compiler({}, cx.self_addr, ())
-        conjuncts = []
-        if tc.where is not None:
-            conjuncts = [_compile_conjunct(comp, {}, e) for e in
-                         split_conjuncts(expand_quants(tc.where, bounds))]
-        check = _make_check(vc, cx, None, bounds)
-        order = [name for name, _, _ in scalars]
-        return _Problem(vc, bounds, scalars, {}, conjuncts, check, order)
+        hyp = [] if tc.where is None else \
+            split_conjuncts(expand_quants(tc.where, bounds))
+        return _Problem(vc, cx, scalars, {}, hyp,
+                        [name for name, _, _ in scalars])
+
+    pool = _vc_expr_pool(vc, cx)
+    reads = reads_of(pool)
+    own_binders: dict[str, SemType] = {}
+    if vc.transition is not None:
+        own_binders = transition_binders(vc.transition)
+    map_in_names = membership_maps(pool)
 
     for pname, ptyp in tc.params:
         if pname in reads:
@@ -885,78 +778,46 @@ def _build_problem(vc: VC, bounds: DomainBounds,
             add_scalar(name, scalar_domain(typ, bounds, cx.self_addr), typ)
     if "owner" in reads:
         add_scalar("owner", bounds.actor_values(), ADDRESS)
-    if "creator" in reads or vc.kind == "Initiality":
+    if "creator" in reads:
         add_scalar("creator", bounds.actor_values(), ADDRESS)
     if any(_uses_self(e) for e in pool):
         add_scalar("__self", (cx.self_addr,), ADDRESS)
 
-    timer_vars = tuple(v.name for v in tc.vars.values() if v.typ.kind == "timer")
     if tc.has_timers() and (vc.transition is not None or vc.is_time):
-        post_reads: set[str] = set()
-        for e in vc.conclusion:
-            post_reads |= free_vars(e)
+        post_reads = reads_of(vc.conclusion)
         if vc.kind == "RankDecrease":
-            tgt = vc.state if vc.is_time else vc.transition.target
-            for c in getattr(vc.sketch, "rank", {}).get(tgt, ()):
-                for x in c.exprs:
-                    post_reads |= free_vars(x)
-                if c.cond is not None:
-                    post_reads |= free_vars(c.cond)
-            g = vc.sketch.goal_at(tgt) if hasattr(vc.sketch, "goal_at") else None
-            for e in g or ():
-                post_reads |= free_vars(e)
-            for e in vc.sketch.theta(tgt):
-                post_reads |= free_vars(e)
-        if post_reads & set(timer_vars):
+            post_reads |= reads_of(vc.sketch.reads_at(vc.target))
+        if post_reads & set(_timer_vars(tc)):
             add_scalar("__delta", tuple(range(1, bounds.delta_max + 1)))
+    player = vc.sketch.player
     if vc.kind in ("PlayerMove", "OpponentTotal") or (
-            player_name is not None and player_name in reads):
+            player is not None and player in reads):
         add_scalar("__player", bounds.actor_values(), ADDRESS)
 
-    def _action_issues(stmts):
-        from .ast_nodes import If as IfS, OpStmt
-        for s in stmts:
-            if isinstance(s, OpStmt) and s.ns == "Token" and s.op in ("issue", "burn"):
-                return True
-            if isinstance(s, IfS) and _action_issues(s.then + s.els):
-                return True
-        return False
-
-    if tc.issues and tc.issue_limit is not None and _action_issues(vc.action):
+    if tc.issues and tc.issue_limit is not None and any(
+            isinstance(s, OpStmt) and s.ns == "Token" and s.op in ("issue", "burn")
+            for s in walk_stmts(vc.action)):
         add_scalar("__remaining",
                    tuple(range(0, min(tc.issue_limit, bounds.nat_max) + 1)))
 
     # hypothesis: expand quantifiers, split conjunctions, substitute the
     # player, then add the constructor constraint restricted to read vars
-    subst = {player_name: "__player"} if player_name and ("__player" in
-            {n for n, _, _ in scalars}) else {}
-    hyp_exprs: list[Expr] = []
+    names = {n for n, _, _ in scalars}
+    subst = {player: "__player"} if player and "__player" in names else {}
+    hyp: list[Expr] = []
     for e in vc.hypothesis:
         e2 = subst_expr(e, subst) if subst else e
-        hyp_exprs.extend(split_conjuncts(expand_quants(e2, bounds)))
-    hyp_exprs.extend(expand_quants(h, bounds) for h in _definedness_hints(vc))
-    ctx_names = {n for n, _, _ in scalars} | set(maps)
+        hyp.extend(split_conjuncts(expand_quants(e2, bounds)))
+    hyp.extend(expand_quants(h, bounds) for h in _definedness_hints(vc))
     if tc.where is not None:
         for w in split_conjuncts(expand_quants(tc.where, bounds)):
-            if free_vars(w) <= ctx_names:
-                hyp_exprs.append(w)
-
-    # compiled artifacts
-    comp = Compiler(
-        {m.name: (m.default, "") for m in maps.values()},
-        cx.self_addr, timer_vars,
-        {v.name: v.typ for v in tc.vars.values()},
-    )
-    for m in maps.values():
-        comp.map_meta[m.name] = (m.default, comp.const(frozenset(m.keys)))
-
-    conjuncts = [_compile_conjunct(comp, maps, e) for e in hyp_exprs]
-    check = _make_check(vc, cx, comp, bounds)
+            if free_vars(w) <= names | set(maps):
+                hyp.append(w)
 
     # Variables no leaf obligation reads only constrain the hypothesis:
     # they are deferred behind `boundary` and resolved by a satisfiability
     # probe instead of full enumeration.
-    leaf_reads = _leaf_reads(vc, cx)
+    leaf_reads = _leaf_reads(vc)
     order: list = []
     deferred: list = []
     for name, _, _ in scalars:
@@ -969,48 +830,97 @@ def _build_problem(vc: VC, bounds: DomainBounds,
         order.extend((m.name, k) for k in m.keys)
     boundary = len(order)
     order.extend(deferred)
-    return _Problem(vc, bounds, scalars, maps, conjuncts, check, order,
-                    boundary=boundary)
+    return _Problem(vc, cx, scalars, maps, hyp, order, boundary)
 
 
-def _leaf_reads(vc: VC, cx: _Ctx):
-    """Variables the leaf obligation can read; None means everything."""
+def _leaf_reads(vc: VC):
+    """Variables the leaf obligation can read; None means everything.
+    RankDefined leaves out theta, which only constrains the hypothesis."""
     if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal", "Initiality"):
         return None
-    out: set[str] = set()
-    for e in vc.conclusion:
-        out |= free_vars(e)
-    for e in stmt_exprs(vc.action):
-        out |= free_vars(e)
-    out |= _action_writes(vc.action)
-    if "owner" in _action_writes(vc.action):
-        out.add("owner")  # change_owner compares the sender to the owner
-    states = set()
-    if vc.kind in ("RankDefined", "RankDecrease"):
-        states.add(vc.state)
-    if vc.kind == "RankDecrease":
-        states.add(vc.state if vc.is_time else vc.transition.target)
-    for st in states:
-        for c in getattr(vc.sketch, "rank", {}).get(st, ()):
-            for x in c.exprs:
-                out |= free_vars(x)
-            if c.cond is not None:
-                out |= free_vars(c.cond)
-        g = vc.sketch.goal_at(st) if hasattr(vc.sketch, "goal_at") else None
-        for e in g or ():
-            out |= free_vars(e)
-        if vc.kind == "RankDecrease":
-            for e in vc.sketch.theta(st):
-                out |= free_vars(e)
+    # writes count as reads: e.g. change_owner compares sender and owner
+    out = reads_of(vc.conclusion) | reads_of(stmt_exprs(vc.action)) | \
+        _action_writes(vc.action)
+    if vc.kind == "RankDefined":
+        out |= reads_of(vc.sketch.reads_at(vc.state, theta=False))
+    elif vc.kind == "RankDecrease":
+        for st in {vc.state, vc.target}:
+            out |= reads_of(vc.sketch.reads_at(st))
     return out
 
 
-def _make_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds):
+# ---------------------------------------------------------------------------
+# The engine's compiled forms of a problem
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Conjunct:
+    """One hypothesis conjunct, compiled: its predicate and, for an
+    equality, its unit propagation."""
+    holds: object  # exploded env -> bool; KeyError while pending
+    force: tuple | None  # (guards, targets) for _forced, if an equality
+
+
+def _compile(prob: _Problem):
+    """(compiled hypothesis conjuncts, leaf check) of a problem."""
+    tc = prob.vc.tc
+    comp = Compiler(
+        {m.name: (m.default, "") for m in prob.maps.values()},
+        prob.cx.self_addr, _timer_vars(tc),
+        {v.name: v.typ for v in tc.vars.values()},
+    )
+    for m in prob.maps.values():
+        comp.map_meta[m.name] = (m.default, comp.const(frozenset(m.keys)))
+    conjuncts = [_compile_conjunct(comp, prob.maps, e) for e in prob.hypothesis]
+    return conjuncts, _make_check(prob.vc, prob.cx, comp)
+
+
+def _compile_conjunct(comp: Compiler, maps: dict[str, MapSpec],
+                      e: Expr) -> _Conjunct:
+    """Compile a conjunct and, when it is a chain of `==>` guards ending in
+    an `==`, its unit propagation: each side that names a variable or a
+    map entry is a target for the value of the other side."""
+    guards = []
+    body = e
+    while isinstance(body, Binop) and body.op == "==>":
+        guards.append(comp.predicate((body.left,)))
+        body = body.right
+    targets = []
+    if isinstance(body, Binop) and body.op == "==":
+        for a, b in ((body.left, body.right), (body.right, body.left)):
+            target = _target(comp, maps, a)
+            if target is not None:
+                targets.append((target, comp.value(b)))
+    force = (tuple(guards), tuple(targets)) if targets else None
+    return _Conjunct(comp.predicate((e,)), force)
+
+
+def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
+    """E -> the unassigned variable or in-domain map entry that e names,
+    or None; KeyError/Undef while its key is pending or undefined."""
+    if isinstance(e, Var):
+        name = e.name
+        return lambda E: None if name in E else name
+    if isinstance(e, Builtin) and (e.ns, e.op) in (("Map", "get"), ("Map", "ref")) \
+            and isinstance(e.args[0], Var) and e.args[0].name in maps:
+        m = e.args[0].name
+        keys = maps[m].keys
+        key_fn = comp.value(e.args[1])
+
+        def entry(E):
+            k = key_fn(E)
+            return (m, k) if k in keys and (m, k) not in E else None
+        return entry
+    return None
+
+
+def _make_check(vc: VC, cx: _Ctx, comp: Compiler):
     """Leaf obligation: compiled for the flat high-volume kinds, the
     runtime evaluator otherwise."""
     if vc.kind in _COMPILED_KINDS:
         try:
-            return _compiled_check(vc, cx, comp, bounds)
+            return _compiled_check(vc, cx, comp)
         except CannotCompile:
             pass
     return _interpreted_check(vc, cx)
@@ -1020,7 +930,7 @@ def _interpreted_check(vc: VC, cx: _Ctx):
     """Leaf obligation through the runtime evaluator: env -> message or
     None. The sketch's player name reads the `__player` variable."""
     check_fn = _CHECKS[vc.kind]
-    player_name = getattr(vc.sketch, "player", None)
+    player_name = vc.sketch.player
 
     def interpreted(env):
         if "__player" in env and player_name:
@@ -1032,10 +942,9 @@ def _interpreted_check(vc: VC, cx: _Ctx):
     return interpreted
 
 
-def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds):
-    ex = lambda e: expand_quants(e, bounds)
+def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
     if vc.kind == "Sufficiency":
-        concl = comp.predicate([ex(e) for e in vc.conclusion])
+        concl = comp.predicate(list(cx.conclusion()))
 
         def check_suff(E):
             try:
@@ -1058,7 +967,7 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds):
     rel = comp.relation(() if vc.is_time else vc.action, sender_key)
 
     if vc.kind == "Inductiveness":
-        concl = comp.predicate([ex(e) for e in vc.conclusion])
+        concl = comp.predicate(list(cx.conclusion()))
 
         def check_ind(E):
             E2 = rel(E)
@@ -1071,7 +980,7 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler, bounds: DomainBounds):
         return check_ind
 
     assert vc.kind == "RankDecrease"
-    target = vc.state if vc.is_time else vc.transition.target
+    target = vc.target
     rank_src = comp.rank(cx.rank(vc.state))
     rank_tgt = comp.rank(cx.rank(target))
     goal_tgt = cx.goal(target)
@@ -1193,7 +1102,8 @@ def _complete(prob: _Problem, env: dict, pending: list, pos: int) -> bool:
     return False
 
 
-def _dfs(prob: _Problem, env: dict, pending: list, pos: int, stats: dict):
+def _dfs(prob: _Problem, check, env: dict, pending: list, pos: int,
+         stats: dict):
     still = _pending(pending, env)
     if still is None:
         return None
@@ -1205,7 +1115,7 @@ def _dfs(prob: _Problem, env: dict, pending: list, pos: int, stats: dict):
         if value not in _domain_of(prob, key):
             return None
         env[key] = value
-        r = _dfs(prob, env, still, pos, stats)
+        r = _dfs(prob, check, env, still, pos, stats)
         del env[key]
         return r
     while pos < len(prob.order) and prob.order[pos] in env:
@@ -1217,7 +1127,7 @@ def _dfs(prob: _Problem, env: dict, pending: list, pos: int, stats: dict):
             if not _complete(prob, env, still, pos):
                 return None
             stats["leaves"] += 1
-            msg = prob.check(env)
+            msg = check(env)
             if msg is not None:
                 return Counterexample(prob.vc.name, _json_valuation(env), msg)
             return None
@@ -1226,14 +1136,14 @@ def _dfs(prob: _Problem, env: dict, pending: list, pos: int, stats: dict):
                 del env[k]
     if pos == len(prob.order):
         stats["leaves"] += 1
-        msg = prob.check(env)
+        msg = check(env)
         if msg is not None:
             return Counterexample(prob.vc.name, _json_valuation(env), msg)
         return None
     key = prob.order[pos]
     for value in _domain_of(prob, key):
         env[key] = value
-        r = _dfs(prob, env, still, pos + 1, stats)
+        r = _dfs(prob, check, env, still, pos + 1, stats)
         if r is not None:
             del env[key]
             return r
@@ -1241,31 +1151,25 @@ def _dfs(prob: _Problem, env: dict, pending: list, pos: int, stats: dict):
     return None
 
 
-def _run_problem(prob: _Problem):
-    if prob.trivial:
-        return None, 0
-    stats = {"leaves": 0}
-    r = _dfs(prob, {}, list(prob.conjuncts), 0, stats)
-    return r, stats["leaves"]
-
-
 def discharge_bounded(vc: VC, bounds: DomainBounds) -> DischargeResult:
     """Exhaustively enumerate the finitized context; Valid iff no valuation
     satisfies hypothesis && relation && !conclusion."""
+    if _preserved(vc):
+        return Valid(vc.name, 0)
+    stats = {"leaves": 0}
     try:
-        prob = _build_problem(vc, bounds)
-        r, leaves = _run_problem(prob)
+        prob = _finitize(vc, bounds)
+        conjuncts, check = _compile(prob)
+        r = _dfs(prob, check, {}, conjuncts, 0, stats)
     except (Unfinitizable, CannotCompile) as e:
         return Unknown(vc.name, str(e))
-    if r is not None:
-        return r
-    return Valid(vc.name, leaves)
+    return r if r is not None else Valid(vc.name, stats["leaves"])
 
 
-def _runtime_hypothesis(prob: _Problem, cx: _Ctx):
+def _runtime_hypothesis(prob: _Problem):
     """(exprs, env) -> True iff every expr holds under the runtime
     evaluator, on the instance built from env with the binders boxed."""
-    vc = prob.vc
+    vc, cx = prob.vc, prob.cx
     own = transition_binders(vc.transition) if vc.transition is not None else {}
     binders = [(name, typ) for name, _, typ in prob.scalars
                if name in own or name == "__player"]
@@ -1285,16 +1189,16 @@ def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
     uses Address.self."""
     index = {key: i for i, key in enumerate(prob.order)}
     at: list[list[Expr]] = [[] for _ in range(len(prob.order) + 1)]
-    for c in prob.conjuncts:
+    for e in prob.hypothesis:
         reads: set = set()
-        for name in free_vars(c.expr):
+        for name in free_vars(e):
             if name in prob.maps:
                 reads.update((name, k) for k in prob.maps[name].keys)
             else:
                 reads.add(name)
-        if _uses_self(c.expr):
+        if _uses_self(e):
             reads.add("__self")
-        at[max((index[r] + 1 for r in reads), default=0)].append(c.expr)
+        at[max((index[r] + 1 for r in reads), default=0)].append(e)
     return at
 
 
@@ -1306,10 +1210,9 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
     `checked` count and the first counterexample are those of the raw
     product in the engine's variable order."""
     try:
-        prob = _build_problem(vc, bounds, allow_trivial=False)
-        cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
-        hyp = _runtime_hypothesis(prob, cx)
-        leaf = _interpreted_check(vc, cx)
+        prob = _finitize(vc, bounds)
+        hyp = _runtime_hypothesis(prob)
+        leaf = _interpreted_check(vc, prob.cx)
         at = _hypothesis_schedule(prob)
         keys = prob.order
         domains = [_domain_of(prob, k) for k in keys]
@@ -1334,7 +1237,7 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
             return None
 
         r = enumerate_from(0)
-    except (Unfinitizable, CannotCompile) as e:
+    except Unfinitizable as e:
         return Unknown(vc.name, str(e))
     return r if r is not None else Valid(vc.name, checked)
 
@@ -1343,7 +1246,7 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
                           cex: Counterexample) -> bool:
     """Re-run a counterexample valuation through the runtime evaluator:
     hypothesis and leaf check. True if the violation reproduces."""
-    prob = _build_problem(vc, bounds, allow_trivial=False)
+    prob = _finitize(vc, bounds)
     env: dict = {}
     for key, values, _ in prob.scalars:
         if str(key) in cex.valuation:
@@ -1355,10 +1258,9 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
                 v = cex.valuation[name]
                 env[(m.name, k)] = ABSENT if v is None else \
                     _value_from_json(v, m.values)
-    cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
-    if not _runtime_hypothesis(prob, cx)([c.expr for c in prob.conjuncts], env):
+    if not _runtime_hypothesis(prob)(prob.hypothesis, env):
         return False
-    return _interpreted_check(vc, cx)(env) is not None
+    return _interpreted_check(vc, prob.cx)(env) is not None
 
 
 def _value_from_json(j, domain):

@@ -2,7 +2,9 @@
 
 Also hosts two independent oracles over the finitized single-instance
 model (the same model the VCs quantify over: contract transitions compose
-with a >=1 timer tick; `time` self-loops when a timer is active):
+with a >=1 timer tick; `time` self-loops when a timer is active). Their
+moves come from `_Ctx.moves`, the enumerator of the game-rule checks, run
+on full actions rather than slices:
 
   reach_search  - explicit-state check that every maximal path reaches the
                   goal (no dead ends, no goal-avoiding cycles);
@@ -13,7 +15,6 @@ with a >=1 timer tick; `time` self-loops when a timer is active):
 """
 from __future__ import annotations
 
-import itertools
 import json
 import time as _time
 from dataclasses import dataclass, field
@@ -22,8 +23,8 @@ from .discharge import (
     Counterexample, DischargeResult, DomainBounds, Unknown, Valid, _Ctx,
     discharge_bounded,
 )
-from .machine import UNDEFINED, advance_instance
-from .sketch import AdversarialSketch, ProofSketch
+from .machine import advance_instance
+from .sketch import ProofSketch
 from .typecheck import TypedProgram
 from .vcgen import VC, generate_vcs
 
@@ -152,46 +153,20 @@ class FiniteModel:
     def successors(self, inst):
         """(kind, label, sender, post) for every finitized move: inputs over
         bounded binder domains, taus, each composed with every tick; plus
-        the pure time transition."""
+        the pure time transition. The moves are those of the proof
+        obligations (`_Ctx.moves`), run on the full action."""
         cx = self.cx
         out = []
-        for t in self.tc.transitions_from(inst.skeleton):
-            if t.input is None:
-                if not cx.guards_pass(t, inst, {}):
-                    continue
-                for delta in cx.deltas():
-                    post = cx.run_inner(t, inst, {}, None, delta)
-                    if post is not None:
-                        out.append(("tau", t.label(), None, self._clamp(post)))
-                continue
-            names, doms = cx.binder_domains(t, boxed=True)
-            for combo in itertools.product(*doms):
-                bindings = dict(zip(names, combo))
-                sender = bindings[t.sender_var]
-                if not t.sender_fresh:
-                    expected = cx.ev(_var(t.input.sender), inst)
-                    if expected is UNDEFINED or expected != sender:
-                        continue
-                if not cx.guards_pass(t, inst, bindings):
-                    continue
-                step_b = {n: v for n, v in bindings.items()
-                          if t.sender_fresh or n != t.sender_var}
-                for delta in cx.deltas():
-                    post = cx.run_inner(t, inst, step_b, sender, delta)
-                    if post is not None:
-                        out.append(("input", t.label(), sender, self._clamp(post)))
-        if self.tc.has_timers():
-            from .vcgen import time_guard
-            if cx.ev(cx.ex(time_guard(self.tc)), inst) is True:
-                for delta in cx.deltas():
-                    out.append(("time", "time", None,
-                                advance_instance(inst, delta)))
+        for t, sender, step_b in cx.moves(inst):
+            kind = "tau" if t.input is None else "input"
+            for delta in cx.deltas():
+                post = cx.run_inner(t, inst, step_b, sender, delta)
+                if post is not None:
+                    out.append((kind, t.label(), sender, self._clamp(post)))
+        if cx.time_enabled(inst):
+            for delta in cx.deltas():
+                out.append(("time", "time", None, advance_instance(inst, delta)))
         return out
-
-
-def _var(name):
-    from .ast_nodes import Var
-    return Var(name)
 
 
 @dataclass
@@ -264,7 +239,7 @@ class GameReport:
     losing_player: str | None = None
 
 
-def game_solve(program: TypedProgram, sketch: AdversarialSketch,
+def game_solve(program: TypedProgram, sketch: ProofSketch,
                bounds: DomainBounds, params: dict, creator: str = "P0",
                state_limit: int = 100_000) -> GameReport:
     """Solve the lockout game on the finitized model: for every reachable

@@ -43,61 +43,40 @@ class RankCase:
 
 
 @dataclass
-class SafetySketch:
+class ProofSketch:
+    """A proof sketch of any of the three rules, in one shape. Safety
+    sketches leave the ranked fields empty (no goal, rank, witness or
+    player); reachability sketches have no player."""
     name: str
     contract: str
-    always: tuple[Expr, ...]
-    at: dict[str, tuple[Expr, ...]]
-    reject: Expr | None = None
-
-    kind = "safety"
+    kind: str  # safety | reachability | adversarial
+    at: dict[str, tuple[Expr, ...]]  # per-state assertions (the invariant)
+    always: tuple[Expr, ...] = ()
+    reject: Expr | None = None  # safety: enables Sufficiency checks
+    rank_len: int = 0
+    player: str | None = None
+    goal: dict[str, tuple[Expr, ...]] = field(default_factory=dict)
+    rank: dict[str, tuple[RankCase, ...]] = field(default_factory=dict)
+    witness: dict[str, Expr] = field(default_factory=dict)
 
     def theta(self, state: str) -> tuple[Expr, ...]:
         """Per-state assertion family: always clauses plus @state clauses."""
         return self.always + self.at.get(state, ())
 
-
-@dataclass
-class ReachabilitySketch:
-    name: str
-    contract: str
-    rank_len: int
-    goal: dict[str, tuple[Expr, ...]]
-    invariant: dict[str, tuple[Expr, ...]]
-    rank: dict[str, tuple[RankCase, ...]]
-    witness: dict[str, Expr]
-
-    kind = "reachability"
-
-    def theta(self, state: str) -> tuple[Expr, ...]:
-        return self.invariant.get(state, ())
-
     def goal_at(self, state: str) -> tuple[Expr, ...] | None:
         """Conjuncts of the goal at a state; None means goal is false there."""
         return self.goal.get(state)
 
-
-@dataclass
-class AdversarialSketch:
-    name: str
-    contract: str
-    rank_len: int
-    player: str
-    goal: dict[str, tuple[Expr, ...]]
-    invariant: dict[str, tuple[Expr, ...]]
-    rank: dict[str, tuple[RankCase, ...]]
-    witness: dict[str, Expr]
-
-    kind = "adversarial"
-
-    def theta(self, state: str) -> tuple[Expr, ...]:
-        return self.invariant.get(state, ())
-
-    def goal_at(self, state: str) -> tuple[Expr, ...] | None:
-        return self.goal.get(state)
-
-
-ProofSketch = SafetySketch | ReachabilitySketch | AdversarialSketch
+    def reads_at(self, state: str, theta: bool = True) -> list[Expr]:
+        """The expressions a proof reads at a state: theta (unless left
+        out), the goal, and every rank case's components and condition."""
+        out = list(self.theta(state)) if theta else []
+        out.extend(self.goal.get(state, ()))
+        for case in self.rank.get(state, ()):
+            out.extend(case.exprs)
+            if case.cond is not None:
+                out.append(case.cond)
+        return out
 
 
 def _witness_scope(tc: TypedContract, state: str) -> dict:
@@ -246,7 +225,7 @@ def parse_proof_sketch(text: str, program: TypedProgram) -> ProofSketch:
     return sketch
 
 
-def _parse_safety(ts: TokenStream, name: str, tc: TypedContract) -> SafetySketch:
+def _parse_safety(ts: TokenStream, name: str, tc: TypedContract) -> ProofSketch:
     always: list[Expr] = []
     at: dict[str, list[Expr]] = {}
     reject = None
@@ -282,8 +261,8 @@ def _parse_safety(ts: TokenStream, name: str, tc: TypedContract) -> SafetySketch
     ts.expect("}")
     if not always and not at:
         raise SketchError(f"safety sketch {name!r} has no assertions")
-    return SafetySketch(name, tc.name, tuple(always),
-                        {k: tuple(v) for k, v in at.items()}, reject)
+    return ProofSketch(name, tc.name, "safety",
+                       {k: tuple(v) for k, v in at.items()}, tuple(always), reject)
 
 
 def _parse_ranked(ts: TokenStream, kind: str, name: str, rank_len: int,
@@ -316,20 +295,16 @@ def _parse_ranked(ts: TokenStream, kind: str, name: str, rank_len: int,
         raise SketchError(f"{kind} sketch {name!r} has no goal")
     if rank is None:
         raise SketchError(f"{kind} sketch {name!r} has no rank")
-    invariant = invariant or {}
-    witness = witness or {}
     if kind == "reachability":
-        return ReachabilitySketch(name, tc.name, rank_len, goal, invariant,
-                                  rank, witness)
-    if player is None:
+        player = None  # a reachability proof has no game
+    elif player is None:
         raise SketchError(f"adversarial sketch {name!r} names no player")
-    return AdversarialSketch(name, tc.name, rank_len, player, goal, invariant,
-                             rank, witness)
+    return ProofSketch(name, tc.name, kind, invariant or {}, rank_len=rank_len,
+                       player=player, goal=goal, rank=rank,
+                       witness=witness or {})
 
 
 def _validate(sketch: ProofSketch, tc: TypedContract):
-    if isinstance(sketch, SafetySketch):
-        return
     for state, cases in sketch.rank.items():
         for case in cases:
             if len(case.exprs) != sketch.rank_len:

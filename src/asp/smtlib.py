@@ -18,6 +18,7 @@ import subprocess
 from dataclasses import dataclass
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps, stmt_exprs
+from .diagnostics import UsageError
 from .typecheck import TypedContract
 from .vcgen import VC, time_guard
 
@@ -571,10 +572,16 @@ def _finish(em: _Emitter, vc: VC) -> SmtScript:
 
 def run_solver(solver: str, script_path: str, timeout_ms: int = 30000) -> str:
     """Invoke an external solver on a script file; returns its first
-    sat/unsat/unknown token."""
-    proc = subprocess.run(
-        [solver, script_path], capture_output=True, text=True,
-        timeout=timeout_ms / 1000)
+    sat/unsat/unknown token, "unknown" on a timeout. Raises UsageError when
+    the solver cannot be started."""
+    try:
+        proc = subprocess.run(
+            [solver, script_path], capture_output=True, text=True,
+            timeout=timeout_ms / 1000)
+    except subprocess.TimeoutExpired:
+        return "unknown"
+    except OSError as e:
+        raise UsageError(f"--solver: cannot run {solver}: {e}") from None
     for token in (proc.stdout + proc.stderr).split():
         if token in ("sat", "unsat", "unknown"):
             return token

@@ -9,7 +9,9 @@ the verification weight.
 """
 from __future__ import annotations
 
-from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Send, SemType, Stmt, Unop, Var
+from .ast_nodes import (
+    Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Send, SemType, Stmt, Unop, Var, walk_stmts,
+)
 from .lower import ContractIR, SystemIR
 
 _OPMAP = {"&&": "&&", "||": "||", "==": "==", "!=": "!=", "<": "<",
@@ -379,22 +381,9 @@ def emit_solidity(ir: ContractIR, R: int = 1, word_bits: int = 256) -> str:
 
 
 def _collect_logs(ir: ContractIR):
-    found = set()
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, Send) and s.dest is None:
-                found.add((s.msg, len(s.args)))
-            elif isinstance(s, If):
-                walk(s.then + s.els)
-
-    for arms in ir.methods.values():
-        for arm in arms:
-            walk(arm.body)
-    for arms in ir.taus.values():
-        for arm in arms:
-            walk(arm.body)
-    return found
+    arms = [a for group in (*ir.methods.values(), *ir.taus.values()) for a in group]
+    return {(s.msg, len(s.args)) for a in arms for s in walk_stmts(a.body)
+            if isinstance(s, Send) and s.dest is None}
 
 
 def emit_system(system: SystemIR) -> dict[str, str]:

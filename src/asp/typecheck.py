@@ -21,7 +21,7 @@ from .ast_nodes import (
     ADDRESS, BOOL, INT, NAT, Assign, Binop, Builtin, ContractDecl, Expr, If,
     InputGuard, Lit, OpStmt, Program, Quant, Send, SemType, Stmt, Transition,
     Unop, Var, children, contains_resource, contains_timer, map_children,
-    stmt_exprs,
+    stmt_exprs, walk_stmts,
 )
 from .diagnostics import NOPOS, Pos, TypecheckError
 
@@ -842,21 +842,13 @@ def _check_coin_linearity(t: TypedTransition):
 # ---------------------------------------------------------------------------
 
 
-def _walk_sends(stmts):
-    for s in stmts:
-        if isinstance(s, Send):
-            yield s
-        elif isinstance(s, If):
-            yield from _walk_sends(s.then + s.els)
-
-
 def _check_sends(tc: TypedContract, universe, origin):
     for t in tc.transitions:
         scope = tc.state_scope()
         scope.update(t.binder_scope())
         checker = ExprChecker(scope, allow_ref=True)
-        for s in _walk_sends(t.action):
-            if s.dest is None:
+        for s in walk_stmts(t.action):
+            if not isinstance(s, Send) or s.dest is None:
                 continue  # log events carry no synchronizing signature
             sig = tuple(checker.infer(a) for a in s.args)
             if s.msg in universe:
@@ -901,11 +893,7 @@ def subst_stmt(s: Stmt, sub: dict[str, str]) -> Stmt:
 
 
 def _contains_send(s: Stmt) -> bool:
-    if isinstance(s, Send):
-        return not s.is_log
-    if isinstance(s, If):
-        return any(_contains_send(b) for b in s.then + s.els)
-    return False
+    return any(isinstance(b, Send) and not b.is_log for b in walk_stmts((s,)))
 
 
 def _stmts_read(stmts, names: frozenset[str]) -> bool:

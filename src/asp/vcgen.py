@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .ast_nodes import Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, stmt_exprs
 from .diagnostics import SketchError
-from .sketch import AdversarialSketch, ProofSketch, RankCase, ReachabilitySketch, SafetySketch
+from .sketch import ProofSketch
 from .typecheck import TypedContract, TypedProgram, TypedTransition, free_vars
 
 TIME = "time"  # relation tag for the implicit time transition
@@ -50,6 +50,12 @@ class VC:
 
     def label(self) -> str:
         return self.name
+
+    @property
+    def target(self) -> str:
+        """The state after the VC's step: the transition's target, or the
+        VC's own state for the time transition."""
+        return self.state if self.is_time else self.transition.target
 
 
 def _neg(e: Expr) -> Expr:
@@ -185,37 +191,40 @@ def slice_action(t: TypedTransition, needed: set[str], tc: TypedContract):
     return tuple(kept), need
 
 
-def _post_reads(conclusion_exprs, rank_cases=None) -> set[str]:
+def reads_of(exprs) -> set[str]:
+    """The free variables of the expressions."""
     out: set[str] = set()
-    for e in conclusion_exprs or ():
+    for e in exprs:
         out |= free_vars(e)
-    for case in rank_cases or ():
-        for e in case.exprs:
-            out |= free_vars(e)
-        if case.cond is not None:
-            out |= free_vars(case.cond)
     return out
 
 
-def _rank_cases(sketch, state: str) -> tuple[RankCase, ...]:
-    return sketch.rank.get(state, ())
+def progress_slice(t: TypedTransition, sketch: ProofSketch, tc: TypedContract):
+    """t's action sliced to what the proof reads at its target: theta, the
+    goal and the rank."""
+    return slice_action(t, reads_of(sketch.reads_at(t.target)), tc)[0]
 
 
 # ---------------------------------------------------------------------------
-# Safety
+# Invariance: Initiality and Inductiveness (safety and adversarial)
 # ---------------------------------------------------------------------------
 
 
-def gen_safety_vcs(program: TypedProgram, sketch: SafetySketch) -> list[VC]:
-    tc = program.contract(sketch.contract)
-    vcs = [VC(
+def _initiality_vc(tc: TypedContract, sketch: ProofSketch) -> VC:
+    return VC(
         name=f"initiality[{tc.name}.{tc.initial}]",
         kind="Initiality", tc=tc, sketch=sketch, state=None,
         conclusion=sketch.theta(tc.initial),
-    )]
+    )
+
+
+def _invariance_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
+    """theta holds initially and is preserved by every transition and by
+    the time transition: an invariant of the whole contract."""
+    vcs = [_initiality_vc(tc, sketch)]
     for t in tc.transitions:
         theta_post = sketch.theta(t.target)
-        action, _ = slice_action(t, _post_reads(theta_post), tc)
+        action, _ = slice_action(t, reads_of(theta_post), tc)
         vcs.append(VC(
             name=f"inductive[{tc.name}.{t.label()}]",
             kind="Inductiveness", tc=tc, sketch=sketch, state=t.source,
@@ -233,6 +242,16 @@ def gen_safety_vcs(program: TypedProgram, sketch: SafetySketch) -> list[VC]:
                 hypothesis=sketch.theta(state) + (time_guard(tc),),
                 conclusion=sketch.theta(state),
             ))
+    return vcs
+
+
+# ---------------------------------------------------------------------------
+# Safety
+# ---------------------------------------------------------------------------
+
+
+def gen_safety_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
+    vcs = _invariance_vcs(tc, sketch)
     if sketch.reject is not None:
         for state in tc.source_states:
             vcs.append(VC(
@@ -249,14 +268,8 @@ def gen_safety_vcs(program: TypedProgram, sketch: SafetySketch) -> list[VC]:
 # ---------------------------------------------------------------------------
 
 
-def gen_reachability_vcs(program: TypedProgram,
-                         sketch: ReachabilitySketch) -> list[VC]:
-    tc = program.contract(sketch.contract)
-    vcs = [VC(
-        name=f"initiality[{tc.name}.{tc.initial}]",
-        kind="Initiality", tc=tc, sketch=sketch, state=None,
-        conclusion=sketch.theta(tc.initial),
-    )]
+def gen_reachability_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
+    vcs = [_initiality_vc(tc, sketch)]
     for state in tc.source_states:
         pending = sketch.theta(state) + _not_goal(sketch.goal_at(state))
         vcs.append(VC(
@@ -277,17 +290,12 @@ def gen_reachability_vcs(program: TypedProgram,
             hypothesis=pending,
         ))
         for t in tc.transitions_from(state):
-            theta_post = sketch.theta(t.target)
-            goal_post = sketch.goal_at(t.target)
-            needed = _post_reads(theta_post) | _post_reads(goal_post or ())
-            needed |= _post_reads((), _rank_cases(sketch, t.target))
-            action, _ = slice_action(t, needed, tc)
             vcs.append(VC(
                 name=f"rank_decrease[{tc.name}.{t.label()}]",
                 kind="RankDecrease", tc=tc, sketch=sketch, state=state,
                 transition=t,
                 hypothesis=pending + guard_conjuncts(t),
-                action=action,
+                action=progress_slice(t, sketch, tc),
             ))
         if tc.has_timers():
             vcs.append(VC(
@@ -304,35 +312,8 @@ def gen_reachability_vcs(program: TypedProgram,
 # ---------------------------------------------------------------------------
 
 
-def gen_adversarial_vcs(program: TypedProgram,
-                        sketch: AdversarialSketch) -> list[VC]:
-    tc = program.contract(sketch.contract)
-    vcs = [VC(
-        name=f"initiality[{tc.name}.{tc.initial}]",
-        kind="Initiality", tc=tc, sketch=sketch, state=None,
-        conclusion=sketch.theta(tc.initial),
-    )]
-    # theta is an invariant of the whole contract
-    for t in tc.transitions:
-        theta_post = sketch.theta(t.target)
-        action, _ = slice_action(t, _post_reads(theta_post), tc)
-        vcs.append(VC(
-            name=f"inductive[{tc.name}.{t.label()}]",
-            kind="Inductiveness", tc=tc, sketch=sketch, state=t.source,
-            transition=t,
-            hypothesis=sketch.theta(t.source) + guard_conjuncts(t),
-            conclusion=theta_post,
-            action=action,
-        ))
-    if tc.has_timers():
-        for state in tc.source_states:
-            vcs.append(VC(
-                name=f"inductive[{tc.name}.time@{state}]",
-                kind="Inductiveness", tc=tc, sketch=sketch, state=state,
-                is_time=True,
-                hypothesis=sketch.theta(state) + (time_guard(tc),),
-                conclusion=sketch.theta(state),
-            ))
+def gen_adversarial_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
+    vcs = _invariance_vcs(tc, sketch)
     for state in tc.source_states:
         vcs.append(VC(
             name=f"rank_defined[{tc.name}.{state}]",
@@ -355,9 +336,9 @@ def gen_adversarial_vcs(program: TypedProgram,
     return vcs
 
 
+_GENERATORS = {"safety": gen_safety_vcs, "reachability": gen_reachability_vcs,
+               "adversarial": gen_adversarial_vcs}
+
+
 def generate_vcs(program: TypedProgram, sketch: ProofSketch) -> list[VC]:
-    if isinstance(sketch, SafetySketch):
-        return gen_safety_vcs(program, sketch)
-    if isinstance(sketch, ReachabilitySketch):
-        return gen_reachability_vcs(program, sketch)
-    return gen_adversarial_vcs(program, sketch)
+    return _GENERATORS[sketch.kind](program.contract(sketch.contract), sketch)

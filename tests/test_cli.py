@@ -117,6 +117,77 @@ def test_prove_bad_bounds_exit_two(bounds):
     assert json.loads(r.stderr)["code"] == "UsageError"
 
 
+HAPPY = str(CORPUS / "auction_happy.aspscript")
+
+
+@pytest.mark.parametrize("args", [
+    ["compile", "AUCTION", "--word-bits", "abc"],
+    ["compile", "AUCTION", "--word-bits", "0"],
+    ["compile", "AUCTION", "--reentrancy-limit", "abc"],
+    ["compile", "AUCTION", "--reentrancy-limit", "-1"],
+    ["diff", "AUCTION", "--script", HAPPY, "--trials", "2", "--word-bits", "0"],
+    ["diff", "AUCTION", "--script", HAPPY, "--trials", "2", "--seed", "x"],
+    ["simulate", "AUCTION", "--script", HAPPY, "--seed", "1.5"],
+    ["prove", "AUCTION", "--proof", str(CORPUS / "auction_closed.aspproof"),
+     "--solver", "z3", "--timeout-ms", "0"],
+])
+def test_bad_integer_option_exit_two(args, tmp_path):
+    args = [str(CORPUS / "auction.asp") if a == "AUCTION" else a for a in args]
+    r = run_cli(*args, "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["code"] == "UsageError"
+
+
+@pytest.mark.parametrize("config", ['{"reentrancy_limit": [1]}',
+                                    '{"word_bits": true}'])
+def test_bad_config_value_exit_two(config, tmp_path):
+    (tmp_path / "asp.config.json").write_text(config, encoding="utf-8")
+    r = run_cli("compile", str(CORPUS / "auction.asp"), cwd=tmp_path)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "UsageError"
+
+
+@pytest.mark.parametrize("what", ["directory", "non-UTF-8 file"])
+def test_unreadable_input_exit_two(what, tmp_path):
+    path = tmp_path
+    if what == "non-UTF-8 file":
+        path = tmp_path / "bad.asp"
+        path.write_bytes(b"contract \xff")
+    r = run_cli("check", str(path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["code"] == "IOError"
+
+
+@pytest.mark.parametrize("body, answer", [("echo unsat", "unsat"),
+                                          ("exec sleep 5", "unknown")])
+def test_solver_pass_reports_each_exportable_vc(body, answer, tmp_path):
+    """A fake solver answers every exportable VC; one that outlives
+    --timeout-ms answers unknown."""
+    solver = tmp_path / "fake-solver"
+    solver.write_text(f"#!/bin/sh\n{body}\n", encoding="utf-8")
+    solver.chmod(0o755)
+    r = run_cli("prove", str(CORPUS / "auction.asp"),
+                "--proof", str(CORPUS / "auction_closed.aspproof"),
+                "--bounds", "addr=2,nat=2,timer=2", "--solver", str(solver),
+                "--timeout-ms", "100")
+    assert r.returncode == 0, r.stderr
+    answers = [json.loads(line) for line in r.stdout.splitlines()
+               if line.startswith('{"vc"')]
+    assert answers and all(a["solver"] == answer and a["bounded"] == "valid"
+                           and a["agree"] for a in answers)
+
+
+def test_missing_solver_exit_two():
+    r = run_cli("prove", str(CORPUS / "auction.asp"),
+                "--proof", str(CORPUS / "auction_closed.aspproof"),
+                "--bounds", "addr=2,nat=2,timer=2", "--solver", "/nonexistent/z3")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["code"] == "UsageError"
+
+
 def test_diff_clean_exit_zero(tmp_path):
     r = run_cli("diff", str(CORPUS / "auction.asp"),
                 "--script", str(CORPUS / "auction_happy.aspscript"),

@@ -221,30 +221,45 @@ reachability done(1) {
 # -- engine agreement (pruning DFS vs raw-product interpreted oracle) ---------
 
 
+def _no_compiler(*args, **kwargs):
+    raise AssertionError("the oracle and replay run no compiled code")
+
+
 def _agree(prog, sketch, bounds):
-    """Engine and oracle verdicts per VC; every counterexample replays."""
-    results = []
+    """Engine and oracle results per VC; the verdicts agree and every
+    counterexample replays. The oracle and replay run with the engine's
+    compiler patched away: they share only its finitization."""
+    fast, slow = [], []
     for vc in generate_vcs(prog, sketch):
-        fast = discharge_bounded(vc, bounds)
-        slow = discharge_naive(vc, bounds)
-        assert fast.status == slow.status, (
-            f"{vc.name}: engine={fast.status} oracle={slow.status}")
-        for r in (fast, slow):
-            if isinstance(r, Counterexample):
-                assert replay_counterexample(vc, bounds, r), vc.name
-        results.append(fast)
-    return results
+        fast.append(discharge_bounded(vc, bounds))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr("asp.discharge.Compiler", _no_compiler)
+            slow.append(discharge_naive(vc, bounds))
+            assert fast[-1].status == slow[-1].status, (
+                f"{vc.name}: engine={fast[-1].status} oracle={slow[-1].status}")
+            for r in (fast[-1], slow[-1]):
+                if isinstance(r, Counterexample):
+                    assert replay_counterexample(vc, bounds, r), vc.name
+    return fast, slow
+
+
+def _checked(results):
+    return sum(r.checked for r in results if isinstance(r, Valid))
 
 
 def test_engine_agrees_with_naive_oracle_refunds(auction):
     sk = parse_proof_sketch(load("auction_refunds.aspproof"), auction)
-    _agree(auction, sk, SMALL)
+    _, oracle = _agree(auction, sk, SMALL)
+    assert _checked(oracle) == 6344
 
 
 def test_engine_agrees_with_naive_oracle_mutant():
     prog = typecheck(parse_program(load("auction_norefund.asp")))
     sk = parse_proof_sketch(load("auction_refunds.aspproof"), prog)
-    _agree(prog, sk, SMALL)
+    _, oracle = _agree(prog, sk, SMALL)
+    assert _checked(oracle) == 5192
+    assert [r.vc for r in oracle if isinstance(r, Counterexample)] == [
+        "inductive[SimpleAuction.bid@AuctionOpen#1]"]
 
 
 def test_engine_agrees_on_reachability(auction):
@@ -287,9 +302,47 @@ def test_engine_agrees_on_seq_tuple_safety(put_action, valid):
     """Hypotheses over sequence and tuple state compile in the engine."""
     prog = typecheck(parse_program(SEQS % put_action))
     sk = parse_proof_sketch(MIRRORED, prog)
-    statuses = [r.status for r in _agree(prog, sk, SMALL)]
+    statuses = [r.status for r in _agree(prog, sk, SMALL)[0]]
     assert "unknown" not in statuses
     assert ("counterexample" not in statuses) == valid
+
+
+# -- liveness answers pinned --------------------------------------------------
+
+# The engine's total leaf count over the valid VCs and the failing VCs of
+# each liveness proof at SMALL. The game-rule checks enumerate moves, guards
+# and slices through the runtime evaluator; a change there shows here.
+LIVENESS = {
+    ("auction.asp", "auction_closed.aspproof"): (272, []),
+    ("vending_fixed.asp", "vending_lockout.aspproof"): (155, [
+        "opponent_total[VendingMachine.Choose]",
+        "player_move[VendingMachine.Deliver]"]),
+    ("vending_machine.asp", "vending_lockout_original.aspproof"): (119, [
+        "opponent_total[VendingMachine.Choose]",
+        "opponent_total[VendingMachine.Halt]",
+        "player_move[VendingMachine.Choose]",
+        "player_move[VendingMachine.Deliver]",
+        "player_move[VendingMachine.Halt]",
+        "rank_defined[VendingMachine.Halt]"]),
+}
+
+
+@pytest.mark.parametrize("contract, proof", LIVENESS)
+def test_liveness_leaves_and_failures_pinned(contract, proof):
+    leaves, failing = LIVENESS[contract, proof]
+    prog = typecheck(parse_program(load(contract)))
+    rep = check_proof(prog, parse_proof_sketch(load(proof), prog), SMALL)
+    assert sum(r.result.checked for r in rep.results if r.ok) == leaves
+    assert sorted(r.vc.name for r in rep.results if not r.ok) == failing
+
+
+def test_bounds_checked_on_construction():
+    """The API gets the same bound checks as --bounds: no address means no
+    creator P0."""
+    for kw in ({"addresses": 0}, {"nat_max": -1}, {"timer_max": "4"}):
+        with pytest.raises(ValueError):
+            DomainBounds(**kw)
+    assert DomainBounds(3, 4, 4) == BOUNDS
 
 
 # -- rank well-foundedness ----------------------------------------------------
@@ -322,6 +375,7 @@ def test_reach_search_confirms_closing(auction):
     rep = reach_search(auction, sk, SMALL,
                        {"beneficiary": "P0", "bidding_time": 2}, creator="P1")
     assert rep.ok, rep.reason
+    assert rep.states == 8
 
 
 def test_reach_search_detects_nonclosing():
@@ -349,8 +403,10 @@ def test_game_search_confirms_both_verdicts(vending_fixed, vending_original):
     skf = parse_proof_sketch(load("vending_lockout.aspproof"), vending_fixed)
     g = game_solve(vending_fixed, skf, SMALL, {})
     assert g.ok
+    assert g.states == 27
     sko = parse_proof_sketch(load("vending_lockout_original.aspproof"),
                              vending_original)
     g2 = game_solve(vending_original, sko, SMALL, {})
     assert not g2.ok
     assert g2.losing_state == "Choose"
+    assert g2.states == 30
