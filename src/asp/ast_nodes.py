@@ -189,6 +189,10 @@ class Send(Stmt):
     msg: str
     args: tuple[Expr, ...]
     pos: Pos = field(default=NOPOS, compare=False)
+    # set by the typechecker: per argument, "coin" or "token" if the send
+    # drains it (its whole value leaves and its source becomes empty), else
+    # None; every back end reads this one rule
+    kinds: tuple[str | None, ...] = field(default=(), compare=False)
 
     @property
     def is_log(self) -> bool:

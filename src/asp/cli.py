@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cascade import CascadeLimit, FixedPolicy, RandomPolicy, Rejected, WhereClauseViolated
@@ -25,6 +26,20 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _read_config(path: Path) -> dict:
+    """The settings in the config file, if there is one; a UsageError if
+    it cannot be read or does not hold a JSON object."""
+    if not path.exists():
+        return {}
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        raise UsageError(f"{path}: {e}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    return data
+
+
 def _config_value(args, name: str, default):
     flag = getattr(args, name, None)
     if flag is not None:
@@ -32,15 +47,7 @@ def _config_value(args, name: str, default):
     env = os.environ.get("ASP_" + name.upper())
     if env is not None:
         return env
-    cfg = Path("asp.config.json")
-    if cfg.exists():
-        try:
-            data = json.loads(cfg.read_text())
-            if isinstance(data, dict) and name in data:
-                return data[name]
-        except (OSError, ValueError):
-            pass
-    return default
+    return args.config.get(name, default)
 
 
 def _int_option(args, name: str, default, least: int | None = None):
@@ -86,8 +93,20 @@ def _load_program(paths, args):
         program = parse_program("\n".join(text for _, text in sources))
         return typecheck(program)
     except AspError as e:
-        print(e.diagnostic(sources[0][0] if sources else None).to_json())
+        print(_locate(e, sources).to_json())
         raise SystemExit(EXIT_FAIL)
+
+
+def _locate(e: AspError, sources):
+    """The diagnostic of an error in the joined sources, against the file
+    and the line of that file it comes from."""
+    line = e.pos.line
+    for path, text in sources:
+        lines = text.count("\n") + 1  # the join adds one line break
+        if line <= lines:
+            break
+        line -= lines
+    return replace(e.diagnostic(path), pos=replace(e.pos, line=line))
 
 
 def _out_dir(args) -> Path:
@@ -138,9 +157,10 @@ def cmd_compile(args) -> int:
     R = _int_option(args, "reentrancy_limit", 1, least=0)
     word_bits = _int_option(args, "word_bits", 256, least=1)
     system = lower(prog, R, word_bits)
+    texts = emit_system(system)
     out = _out_dir(args)
     written = []
-    for name, text in emit_system(system).items():
+    for name, text in texts.items():
         path = out / f"{name}.sol"
         path.write_text(text, encoding="utf-8")
         written.append(str(path))
@@ -243,9 +263,9 @@ def cmd_diff(args) -> int:
     R = _int_option(args, "reentrancy_limit", 1, least=0)
     word_bits = _int_option(args, "word_bits", 256, least=1)
     seed = _int_option(args, "seed", 0)
-    if args.trials:
-        report = differential_check(prog, news, R, word_bits, args.trials,
-                                    seed=seed)
+    trials = _int_option(args, "trials", 0, least=0)
+    if trials:
+        report = differential_check(prog, news, R, word_bits, trials, seed=seed)
     else:
         from .diff import run_differential
         report = run_differential(prog, news, fixed_items, R, word_bits)
@@ -300,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("contracts", nargs="+")
     p.add_argument("--script", required=True,
                    help="script with `new` lines (plus items unless --trials)")
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials",
                    help="random scripts instead of the file's items")
     p.add_argument("--reentrancy-limit", dest="reentrancy_limit")
     p.add_argument("--word-bits", dest="word_bits")
@@ -317,6 +337,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        args.config = _read_config(Path("asp.config.json"))
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE

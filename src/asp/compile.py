@@ -169,30 +169,14 @@ class CannotCompile(Exception):
 
 class Compiler:
     """Compiles expressions/statements against a contract's variable layout.
-    map_meta gives (unboxed default, keyset constant name) per map variable;
-    var_types drives the coin/token distinction at send sites."""
+    map_meta gives (unboxed default, keyset constant name) per map variable."""
 
     def __init__(self, map_meta: dict[str, tuple], self_addr: str,
-                 timer_vars: tuple[str, ...], var_types: dict | None = None):
+                 timer_vars: tuple[str, ...]):
         self.map_meta = map_meta  # name -> (default, keyset const name)
         self.self_addr = self_addr
         self.timer_vars = timer_vars
-        self.var_types = var_types or {}
         self.consts: dict[str, object] = {}
-
-    def _lvalue_kind(self, e: Expr) -> str | None:
-        """'coin' | 'token' | None for a send-argument lvalue."""
-        t = None
-        if isinstance(e, Var):
-            t = self.var_types.get(e.name)
-        elif isinstance(e, Builtin) and e.op == "ref" and e.ns == "Map":
-            base = e.args[0]
-            if isinstance(base, Var):
-                mt = self.var_types.get(base.name)
-                t = mt.args[1] if mt is not None and mt.kind == "map" else None
-        if t is not None and t.kind in ("coin", "token"):
-            return t.kind
-        return None
 
     def const(self, value) -> str:
         name = f"_c{len(self.consts)}"
@@ -321,8 +305,7 @@ class Compiler:
         if isinstance(s, Send):
             # argument evaluation keeps the definedness constraint; coin and
             # token arguments are drained into the letter
-            for a in s.args:
-                kind = self._lvalue_kind(a) if s.dest is not None else None
+            for a, kind in zip(s.args, s.kinds, strict=True):
                 if kind is not None:
                     read, write = self._lvalue_slots(a, env, kind)
                     body.append(f"{indent}_ = {read}")

@@ -87,6 +87,11 @@ class InputError(UsageError):
     code = "IOError"
 
 
+class CompileError(AspError):
+    """A contract the Solidity back end has no layout for."""
+    code = "CompileError"
+
+
 class SketchError(AspError):
     code = "SketchError"
 

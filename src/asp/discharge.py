@@ -38,7 +38,7 @@ from .machine import (
     step_instance,
 )
 from .typecheck import (
-    TypedTransition, free_vars, is_lvalue, lvalue_root, stmt_written_roots,
+    TypedTransition, free_vars, lvalue_root, stmt_written_roots,
     subst_expr,
 )
 from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal, Undef
@@ -647,7 +647,8 @@ def _action_writes(stmts) -> set[str]:
     out: set[str] = set()
     for s in walk_stmts(stmts):
         if isinstance(s, Send):
-            out |= {lvalue_root(a) for a in s.args if is_lvalue(a)}
+            out |= {lvalue_root(a)
+                    for a, kind in zip(s.args, s.kinds, strict=True) if kind}
         elif isinstance(s, OpStmt) and (s.ns, s.op) == ("Address", "change_owner"):
             out.add("owner")
         out |= stmt_written_roots(s)
@@ -864,12 +865,8 @@ class _Conjunct:
 
 def _compile(prob: _Problem):
     """(compiled hypothesis conjuncts, leaf check) of a problem."""
-    tc = prob.vc.tc
-    comp = Compiler(
-        {m.name: (m.default, "") for m in prob.maps.values()},
-        prob.cx.self_addr, _timer_vars(tc),
-        {v.name: v.typ for v in tc.vars.values()},
-    )
+    comp = Compiler({m.name: (m.default, "") for m in prob.maps.values()},
+                    prob.cx.self_addr, _timer_vars(prob.vc.tc))
     for m in prob.maps.values():
         comp.map_meta[m.name] = (m.default, comp.const(frozenset(m.keys)))
     conjuncts = [_compile_conjunct(comp, prob.maps, e) for e in prob.hypothesis]

@@ -528,7 +528,7 @@ class Machine:
             self._exec(ir, st, binds, sender, branch, letters, pending)
             return
         if isinstance(s, Send):
-            self._send(ir, st, binds, sender, s, letters, pending)
+            self._send(ir, st, binds, s, letters, pending)
             return
         assert isinstance(s, OpStmt)
         key = (s.ns, s.op)
@@ -625,42 +625,27 @@ class Machine:
             return
         raise ValueError(key)
 
-    def _send(self, ir, st, binds, sender, s: Send, letters, pending=None):
+    def _send(self, ir, st, binds, s: Send, letters, pending=None):
         ev = _Eval(ir, st, binds, self.system.word_bits)
-        dest = "log" if s.dest is None else ev.eval(s.dest)
+        dest = st.addr if s.dest is None else ev.eval(s.dest)
         out_args = []
         coin_out = 0
-        from .typecheck import is_lvalue
-        for a in s.args:
-            if s.dest is not None and is_lvalue(a):
-                kind = _lvalue_kind(ir, a)
-                if kind == "coin":
-                    slot = _slot(ir, st, binds, ev, a)
-                    v = slot.read()
-                    slot.write(0)
-                    coin_out += v
-                    out_args.append(v)
-                    continue
-                if kind == "token":
-                    slot = _slot(ir, st, binds, ev, a, token=True)
-                    v = slot.read()
-                    slot.write((None, 0))
-                    out_args.append(v)
-                    continue
-            out_args.append(_deep_copy(ev.eval(a)))
+        for a, kind in zip(s.args, s.kinds, strict=True):
+            if kind is None:
+                out_args.append(_deep_copy(ev.eval(a)))
+                continue
+            slot = _slot(ir, st, binds, ev, a, token=kind == "token")
+            v = slot.read()
+            slot.write(0 if kind == "coin" else (None, 0))
+            if kind == "coin":
+                coin_out += v
+            out_args.append(v)
         st.ledger -= coin_out
-        if s.dest is None:
-            if pending is not None:
-                pending.append(("log", s.msg, st.addr, tuple(out_args)))
-            else:
-                letters.append(Letter("log", s.msg, st.addr, tuple(out_args)))
-            return
+        letter = ("log" if s.dest is None else "send", s.msg, dest, tuple(out_args))
         if pending is not None:
-            pending.append(("send", s.msg, dest, tuple(out_args)))
-        elif dest in self.storages:
-            self._call(dest, s.msg, st.addr, tuple(out_args), letters)
-        else:
-            letters.append(Letter("send", s.msg, dest, tuple(out_args)))
+            pending.append(letter)
+        else:  # normalized dispatch arms hold only log sends
+            letters.append(Letter(*letter))
 
 
 class _SlotRef:
@@ -699,21 +684,6 @@ def _slot(ir, st, binds, ev, a: Expr, token: bool = False) -> _SlotRef:
     base = _slot(ir, st, binds, ev, a.args[0], token).read()
     i = a.args[1].value
     return _SlotRef(lambda: base[i], lambda v: base.__setitem__(i, v))
-
-
-def _lvalue_kind(ir: ContractIR, a: Expr) -> str | None:
-    t = None
-    if isinstance(a, Var):
-        vi = ir.vars.get(a.name)
-        t = vi.typ if vi else None
-        if t is None:
-            return None
-    elif isinstance(a, Builtin) and a.ns == "Map" and isinstance(a.args[0], Var):
-        vi = ir.vars.get(a.args[0].name)
-        t = vi.typ.args[1] if vi and vi.typ.kind == "map" else None
-    if t is not None and t.kind in ("coin", "token"):
-        return t.kind
-    return None
 
 
 def _check_store(ev: _Eval, typ, v):

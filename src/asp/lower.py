@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast_nodes import Expr, SemType, Stmt
-from .typecheck import TypedContract, TypedProgram, VarInfo, stmt_is_ghost
+from .typecheck import TypedContract, TypedProgram, VarInfo, strip_ghost
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class ContractIR:
     issues: bool = False
     issue_limit: int | None = None
 
-    def has_timers(self) -> bool:
-        return any(v.typ.kind == "timer" for v in self.vars.values())
-
 
 @dataclass
 class SystemIR:
@@ -65,28 +62,12 @@ class SystemIR:
     word_bits: int
 
 
-def _strip_ghost(stmts, ghost):
-    from dataclasses import replace
-
-    from .ast_nodes import If
-    out = []
-    for s in stmts:
-        if stmt_is_ghost(s, ghost):
-            continue
-        if isinstance(s, If):
-            out.append(replace(s, then=_strip_ghost(s.then, ghost),
-                               els=_strip_ghost(s.els, ghost)))
-        else:
-            out.append(s)
-    return tuple(out)
-
-
 def lower_contract(tc: TypedContract) -> ContractIR:
     ghost = tc.ghost_names()
     methods: dict[str, list[ArmIR]] = {m: [] for m in tc.msg_sigs}
     taus: dict[str, list[TauArmIR]] = {s: [] for s in tc.norm_states}
     for t in tc.norm_transitions:
-        body = _strip_ghost(t.action, ghost)
+        body = strip_ghost(t.action, ghost)
         if t.input is not None:
             methods[t.msg].append(ArmIR(
                 state=t.source, target=t.target, when=t.when, access=t.access,

@@ -238,12 +238,11 @@ class _Emitter:
         if isinstance(s, Assign):
             env[s.target] = self.expr(s.value, env)
         elif isinstance(s, Send):
-            for a in s.args:
-                kind = self._send_kind(a)
-                if kind is not None:
-                    self._zero_lvalue(a, env)
-                else:
+            for a, kind in zip(s.args, s.kinds, strict=True):
+                if kind is None:
                     self.expr(a, env)  # definedness only
+                else:
+                    self._slot(a, env)[1]("0")  # drained into the letter
             if s.dest is not None:
                 self.expr(s.dest, env)
         elif isinstance(s, OpStmt):
@@ -251,28 +250,6 @@ class _Emitter:
         else:
             raise EmitUnsupported(repr(s))
         yield from self.exec_action(rest, env, path)
-
-    def _send_kind(self, a: Expr):
-        from .typecheck import is_lvalue
-        if not is_lvalue(a):
-            return None
-        t = None
-        if isinstance(a, Var):
-            vi = self.tc.vars.get(a.name)
-            t = vi.typ if vi else None
-        elif isinstance(a, Builtin) and a.ns == "Map" and isinstance(a.args[0], Var):
-            vi = self.tc.vars.get(a.args[0].name)
-            t = vi.typ.args[1] if vi and vi.typ.kind == "map" else None
-        if t is not None and t.kind in ("coin", "token"):
-            return t.kind
-        return None
-
-    def _zero_lvalue(self, a: Expr, env):
-        if isinstance(a, Var):
-            env[a.name] = "0"
-            return
-        base, k = a.args[0].name, self.expr(a.args[1], env)
-        env[base] = f"(store {env[base]} {k} 0)"
 
     def _slot(self, a: Expr, env):
         """(read_term, write) for coin/token move operands."""

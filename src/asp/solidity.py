@@ -12,6 +12,7 @@ from __future__ import annotations
 from .ast_nodes import (
     Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Send, SemType, Stmt, Unop, Var, walk_stmts,
 )
+from .diagnostics import CompileError
 from .lower import ContractIR, SystemIR
 
 _OPMAP = {"&&": "&&", "||": "||", "==": "==", "!=": "!=", "<": "<",
@@ -39,7 +40,7 @@ def _sol_type(t: SemType) -> str:
         return f"mapping({_sol_key(t.args[0])} => {_sol_type(t.args[1])})"
     if k == "seq":
         return f"{_sol_type(t.args[0])}[]"
-    raise ValueError(f"no Solidity layout for {t}")
+    raise CompileError(f"no Solidity layout for {t}")
 
 
 def _sol_key(t: SemType) -> str:
@@ -172,16 +173,14 @@ class _Gen:
         return True  # membership mirror kept for every map (Map.in support)
 
     def _send(self, s: Send, ind: int):
-        from .typecheck import is_lvalue
         if s.dest is None:
             args = ", ".join(self.expr(a) for a in s.args)
             self.w(ind, f"emit {_event_name(s.msg)}({args});")
             return
         value_parts = []
         arg_parts = []
-        for a in s.args:
-            kind = self._arg_kind(a)
-            if kind == "coin" and is_lvalue(a):
+        for a, kind in zip(s.args, s.kinds, strict=True):
+            if kind == "coin":
                 tmp = self.expr(a)
                 value_parts.append(tmp)
                 arg_parts.append(tmp)
@@ -200,18 +199,6 @@ class _Gen:
                f"(bool ok, ) = {self.expr(s.dest)}.call{{value: callValue}}({encode});")
         self.w(ind + 1, "require(ok, \"message refused\");")
         self.w(ind, f"}}")
-
-    def _arg_kind(self, a: Expr):
-        if isinstance(a, Var):
-            vi = self.ir.vars.get(a.name)
-            if vi is not None and vi.typ.kind in ("coin", "token"):
-                return vi.typ.kind
-        if isinstance(a, Builtin) and a.ns == "Map" and isinstance(a.args[0], Var):
-            vi = self.ir.vars.get(a.args[0].name)
-            if vi is not None and vi.typ.kind == "map" \
-                    and vi.typ.args[1].kind in ("coin", "token"):
-                return vi.typ.args[1].kind
-        return None
 
 
 def _ident(name: str) -> str:
@@ -387,5 +374,10 @@ def _collect_logs(ir: ContractIR):
 
 
 def emit_system(system: SystemIR) -> dict[str, str]:
-    return {name: emit_solidity(ir, system.reentrancy_limit, system.word_bits)
-            for name, ir in system.contracts.items()}
+    out = {}
+    for name, ir in system.contracts.items():
+        try:
+            out[name] = emit_solidity(ir, system.reentrancy_limit, system.word_bits)
+        except CompileError as e:
+            raise CompileError(f"contract {name}: {e.message}") from None
+    return out

@@ -596,7 +596,7 @@ def _check_stmt(tc: TypedContract, s: Stmt, scope: dict[str, SemType]) -> Stmt:
             dt, dest = checker.check(s.dest)
             if dt.kind != "address":
                 err("TypeError", "send destination must be an address", s.pos)
-        new_args = []
+        new_args, kinds = [], []
         for a in s.args:
             at, a2 = ExprChecker(scope, allow_ref=True).check(a)
             if at.kind in ("coin", "token"):
@@ -608,7 +608,8 @@ def _check_stmt(tc: TypedContract, s: Stmt, scope: dict[str, SemType]) -> Stmt:
             elif contains_resource(at) or contains_timer(at):
                 err("TypeError", "message argument carries nested resources", s.pos)
             new_args.append(a2)
-        return replace(s, dest=dest, args=tuple(new_args))
+            kinds.append(at.kind if at.kind in ("coin", "token") else None)
+        return replace(s, dest=dest, args=tuple(new_args), kinds=tuple(kinds))
     if isinstance(s, If):
         ct, cond = checker.check(s.cond)
         if ct.kind != "bool":
@@ -1020,27 +1021,29 @@ def _normalize_contract(tc: TypedContract):
 # ---------------------------------------------------------------------------
 
 
+def strip_ghost(stmts, ghost: frozenset[str]) -> tuple[Stmt, ...]:
+    """The statements without those that only write ghost state."""
+    out = []
+    for s in stmts:
+        if stmt_is_ghost(s, ghost):
+            continue
+        if isinstance(s, If):
+            s = replace(s, then=strip_ghost(s.then, ghost),
+                        els=strip_ghost(s.els, ghost))
+        out.append(s)
+    return tuple(out)
+
+
 def erase_ghosts(program: Program) -> Program:
     """Delete ghost declarations and ghost statements; the result of a
     well-typed program is well-typed and behaviourally identical."""
     contracts = []
     for c in program.contracts:
         ghost = frozenset(v.name for v in c.vars if v.ghost)
-
-        def strip(stmts):
-            out = []
-            for s in stmts:
-                if stmt_is_ghost(s, ghost):
-                    continue
-                if isinstance(s, If):
-                    out.append(replace(s, then=strip(s.then), els=strip(s.els)))
-                else:
-                    out.append(s)
-            return tuple(out)
-
         states = tuple(
             replace(st, transitions=tuple(
-                replace(t, action=strip(t.action)) for t in st.transitions))
+                replace(t, action=strip_ghost(t.action, ghost))
+                for t in st.transitions))
             for st in c.states
         )
         contracts.append(replace(

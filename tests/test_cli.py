@@ -130,6 +130,8 @@ HAPPY = str(CORPUS / "auction_happy.aspscript")
     ["simulate", "AUCTION", "--script", HAPPY, "--seed", "1.5"],
     ["prove", "AUCTION", "--proof", str(CORPUS / "auction_closed.aspproof"),
      "--solver", "z3", "--timeout-ms", "0"],
+    ["diff", "AUCTION", "--script", HAPPY, "--trials", "-3"],
+    ["diff", "AUCTION", "--script", HAPPY, "--trials", "x"],
 ])
 def test_bad_integer_option_exit_two(args, tmp_path):
     args = [str(CORPUS / "auction.asp") if a == "AUCTION" else a for a in args]
@@ -140,12 +142,58 @@ def test_bad_integer_option_exit_two(args, tmp_path):
 
 
 @pytest.mark.parametrize("config", ['{"reentrancy_limit": [1]}',
-                                    '{"word_bits": true}'])
+                                    '{"word_bits": true}', '{bad', '[1]'])
 def test_bad_config_value_exit_two(config, tmp_path):
     (tmp_path / "asp.config.json").write_text(config, encoding="utf-8")
     r = run_cli("compile", str(CORPUS / "auction.asp"), cwd=tmp_path)
     assert r.returncode == 2
     assert json.loads(r.stderr)["code"] == "UsageError"
+
+
+def test_compile_unsupported_layout_exit_one(tmp_path):
+    """A contract the Solidity back end has no layout for is a diagnostic
+    naming the contract and the type, and no .sol file is written."""
+    src = tmp_path / "pair.asp"
+    src.write_text("""
+contract Pair() {
+  msg put(nat);
+  var pair: tuple[nat, bool];
+  initial A;
+  state A:
+  | x??put(n) -> A { Tuple.set(pair, 0, n); }
+}
+""", encoding="utf-8")
+    out = tmp_path / "out"
+    r = run_cli("compile", str(src), "--out", str(out))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    diag = json.loads(r.stdout)
+    assert diag["code"] == "CompileError"
+    assert "Pair" in diag["message"] and "tuple[nat, bool]" in diag["message"]
+    assert not list(tmp_path.rglob("*.sol"))
+
+
+BROKEN = """contract Broken() {
+  msg poke;
+  initial A;
+  state A:
+  | x??poke -> Nowhere { }
+}
+"""
+
+
+@pytest.mark.parametrize("broken_first", [False, True])
+def test_check_reports_error_in_its_own_file(broken_first, tmp_path):
+    """With several files, an error is reported against the file it is
+    in, at that file's own line."""
+    broken = tmp_path / "broken.asp"
+    broken.write_text(BROKEN, encoding="utf-8")
+    files = [str(CORPUS / "auction.asp"), str(broken)]
+    r = run_cli("check", *(files[::-1] if broken_first else files))
+    assert r.returncode == 1
+    diag = json.loads(r.stdout)
+    assert diag["code"] == "UnknownState"
+    assert (diag["file"], diag["line"]) == (str(broken), 5)
 
 
 @pytest.mark.parametrize("what", ["directory", "non-UTF-8 file"])

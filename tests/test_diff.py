@@ -63,3 +63,26 @@ def test_divergence_report_carries_reproduction(auction):
                                 trials=5, seed=1)
     assert report.clean  # sanity: same-R runs stay clean
     assert report.to_json().startswith("{")
+
+
+POT = """
+contract Pot() {
+  msg put(coin), paid(coin);
+  var pot: tuple[coin, nat], payee: address;
+  initial Open;
+  state Open:
+  | a??put(c) -> Paying { Coin.moveall(c, Tuple.ref(pot, 0)); payee = a; }
+  state Paying:
+  | -> Open { payee!!paid(Tuple.ref(pot, 0)); }
+}
+"""
+
+
+def test_send_drains_tuple_ref_argument():
+    """A send of `Tuple.ref(pot, 0)` moves the coins out of the tuple on
+    both routes; kept in place, the IR would pay the same coins twice."""
+    prog = typecheck(parse_program(POT))
+    report = differential_check(prog, [NewItem("pot", "Pot", (), "own", 0)],
+                                R=1, word_bits=256, trials=40, seed=1)
+    assert report.clean, report.to_json()
+    assert report.committed > 0

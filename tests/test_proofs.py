@@ -307,6 +307,26 @@ def test_engine_agrees_on_seq_tuple_safety(put_action, valid):
     assert ("counterexample" not in statuses) == valid
 
 
+ECHO = """
+contract Echo() {
+  msg give(coin), got(coin);
+  var n: nat;
+  initial A;
+  state A:
+  | a??give(c) -> A { a!!got(c); if Coin.value(c) > 0 then n = 1; }
+}
+"""
+
+
+def test_engine_agrees_on_send_of_coin_binder():
+    """A send drains a coin binder as it drains a coin variable: after
+    `a!!got(c)` the binder holds nothing, on every route."""
+    prog = typecheck(parse_program(ECHO))
+    sk = parse_proof_sketch("safety untouched { always n == 0 }", prog)
+    statuses = [r.status for r in _agree(prog, sk, SMALL)[0]]
+    assert statuses == ["valid", "valid"]
+
+
 # -- liveness answers pinned --------------------------------------------------
 
 # The engine's total leaf count over the valid VCs and the failing VCs of
