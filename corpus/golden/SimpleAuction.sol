@@ -90,7 +90,7 @@ contract SimpleAuction {
                     uint256 callValue = maxBid;
                     maxBid = 0;
                     coinLedger -= callValue;
-                    (bool ok, ) = beneficiary.call{value: callValue}(abi.encodeWithSignature("winner(uint256,uint256)", maxBid, maxBidder));
+                    (bool ok, ) = beneficiary.call{value: callValue}(abi.encodeWithSignature("winner(address)", maxBidder));
                     require(ok, "message refused");
                 }
                 skeleton = State.AuctionClosed;
@@ -102,7 +102,7 @@ contract SimpleAuction {
                     uint256 callValue = maxBid;
                     maxBid = 0;
                     coinLedger -= callValue;
-                    (bool ok, ) = maxBidder.call{value: callValue}(abi.encodeWithSignature("bid_lost(uint256)", maxBid));
+                    (bool ok, ) = maxBidder.call{value: callValue}(abi.encodeWithSignature("bid_lost()"));
                     require(ok, "message refused");
                 }
                 maxBidder = z_AuctionOpen_bid1_a;

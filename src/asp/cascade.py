@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 from .diagnostics import AspError
 from .machine import (
-    InputLetter, InstanceState, OutputLetter, UNDEFINED, advance_instance,
-    enabled_transitions, has_active_timer, init_instance, instance_moves,
-    step_instance,
+    InputLetter, InstanceState, OutputLetter, advance_instance,
+    has_active_timer, init_instance, receptions,
 )
 from .typecheck import TypedContract, TypedProgram
 from .values import Undef
@@ -154,10 +153,12 @@ def _candidates(system: System, config: Config):
     inst = config.states[k]
     tc = system.contract_of(k)
     out = []
-    for t, inst2, letter, logs in instance_moves(tc, inst, normalized=True):
-        if letter is None:
+    for t, inst2, outputs, logs in receptions(tc, inst, None):
+        assert len(outputs) <= 1, "normalization guarantees at most one output"
+        if not outputs:
             out.append(("LocalTau", t, inst2, None, logs, None))
             continue
+        letter = outputs[0]
         l = system.index_of_addr(letter.dest)
         if l is None:
             out.append(("EnvOutput", t, inst2, letter, logs, None))
@@ -166,16 +167,10 @@ def _candidates(system: System, config: Config):
         # have a matching, defined input transition at its current state.
         if config.stack.count(l) > system.R:
             continue
-        input_letter = letter.matching(sender=inst.self_addr)
-        rtc = system.contract_of(l)
-        receptions = []
-        for rt, rb in enabled_transitions(rtc, config.states[l], input_letter,
-                                          normalized=True):
-            res = step_instance(rtc, config.states[l], rt, rb, input_letter.sender)
-            if res is not UNDEFINED:
-                receptions.append(res)
-        if receptions:
-            out.append(("SyncPush", t, inst2, letter, logs, (l, receptions)))
+        steps = receptions(system.contract_of(l), config.states[l],
+                           letter.matching(sender=inst.self_addr))
+        if steps:
+            out.append(("SyncPush", t, inst2, letter, logs, (l, steps)))
     out.sort(key=lambda c: (_RULE_RANK[c[0]], c[1].idx))
     return out
 
@@ -194,8 +189,8 @@ def cascade_step(system: System, config: Config) -> tuple[Config, TraceEvent]:
     states = list(config.states)
     states[k] = inst2
     if rule == "SyncPush":
-        l, receptions = sync
-        rinst, routs, rlogs = system.policy.pick(receptions)
+        l, steps = sync
+        _, rinst, routs, rlogs = system.policy.pick(steps)
         assert not routs, "normalized input transitions emit nothing"
         states[l] = rinst
         stack = (l,) + config.stack
@@ -224,18 +219,13 @@ def env_input(system: System, config: Config, target: int,
     is not receivable at the target's current state."""
     if not config.quiescent:
         raise ValueError("environment input on a non-quiescent configuration")
-    tc = system.contract_of(target)
     inst = config.states[target]
-    receptions = []
-    for rt, rb in enabled_transitions(tc, inst, letter, normalized=True):
-        res = step_instance(tc, inst, rt, rb, letter.sender)
-        if res is not UNDEFINED:
-            receptions.append(res)
-    if not receptions:
+    steps = receptions(system.contract_of(target), inst, letter)
+    if not steps:
         raise Rejected(
             f"{letter.msg!r} is not receivable by {system.names[target]!r} "
             f"at state {inst.skeleton!r}")
-    inst2, outs, logs = system.policy.pick(receptions)
+    _, inst2, outs, logs = system.policy.pick(steps)
     assert not outs
     states = list(config.states)
     states[target] = inst2
@@ -266,8 +256,7 @@ def wake_internal(system: System, config: Config) -> tuple[Config, list[TraceEve
     e.g. a timeout transition waiting on Timer.has_fired)."""
     events: list[TraceEvent] = []
     for idx in range(len(config.states)):
-        if instance_moves(system.contract_of(idx), config.states[idx],
-                          normalized=True):
+        if receptions(system.contract_of(idx), config.states[idx], None):
             config, evs = run_cascade(system, Config(config.states, (idx,)))
             events.extend(evs)
     return config, events

@@ -109,10 +109,17 @@ def _locate(e: AspError, sources):
     return replace(e.diagnostic(path), pos=replace(e.pos, line=line))
 
 
-def _out_dir(args) -> Path:
-    out = Path(_config_value(args, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_out(args, name: str, text: str) -> Path:
+    """Write an output file under --out, creating that directory; a
+    UsageError if the directory or the file cannot be written."""
+    out = Path(str(_config_value(args, "out", ".")))
+    path = out / name
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +147,7 @@ def cmd_simulate(args) -> int:
         return EXIT_FAIL
     trace_lines = [e.to_json() for e in result.events]
     if args.trace_out:
-        out = _out_dir(args) / args.trace_out
-        out.write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+        out = _write_out(args, args.trace_out, "\n".join(trace_lines) + "\n")
         _emit(args, {"status": "ok", "events": len(trace_lines),
                      "trace": str(out)})
     else:
@@ -158,16 +164,10 @@ def cmd_compile(args) -> int:
     word_bits = _int_option(args, "word_bits", 256, least=1)
     system = lower(prog, R, word_bits)
     texts = emit_system(system)
-    out = _out_dir(args)
-    written = []
-    for name, text in texts.items():
-        path = out / f"{name}.sol"
-        path.write_text(text, encoding="utf-8")
-        written.append(str(path))
+    written = [str(_write_out(args, f"{name}.sol", text))
+               for name, text in texts.items()]
     if args.dump_ir:
-        ir_path = out / "ir.json"
-        ir_path.write_text(_ir_dump(system), encoding="utf-8")
-        written.append(str(ir_path))
+        written.append(str(_write_out(args, "ir.json", _ir_dump(system))))
     _emit(args, {"status": "ok", "outputs": written})
     return EXIT_OK
 
@@ -222,13 +222,12 @@ def cmd_prove(args) -> int:
         print(e.diagnostic(str(Path(args.proof))).to_json())
         return EXIT_FAIL
     if args.smt_out:
-        out = _out_dir(args)
         for r in report.results:
             try:
                 script = emit_smtlib(r.vc)
             except EmitUnsupported:
                 continue
-            (out / script.filename).write_text(script.text, encoding="utf-8")
+            _write_out(args, script.filename, script.text)
     if solver:
         _solver_pass(args, report, solver, timeout_ms)
     print(report.to_json())
@@ -269,8 +268,7 @@ def cmd_diff(args) -> int:
     else:
         from .diff import run_differential
         report = run_differential(prog, news, fixed_items, R, word_bits)
-    out = _out_dir(args) / "diff_report.json"
-    out.write_text(report.to_json(), encoding="utf-8")
+    out = _write_out(args, "diff_report.json", report.to_json())
     _emit(args, {"status": "ok" if report.clean else "divergent",
                  "items": report.items, "overflow_gaps": report.overflow_gaps,
                  "divergences": len(report.divergences), "report": str(out)})

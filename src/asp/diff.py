@@ -18,10 +18,11 @@ from .cascade import (
     Config, FixedPolicy, Rejected, env_input, init_system, time_advance,
     wake_internal,
 )
+from .diagnostics import Pos, ScriptError
 from .interp import Machine, TxResult
 from .lower import lower
 from .machine import InputLetter
-from .script import AdvanceItem, InputItem, NewItem
+from .script import AdvanceItem, InputItem, NewItem, instantiations
 from .typecheck import TypedProgram
 from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal
 
@@ -201,15 +202,19 @@ def run_differential(program: TypedProgram, news: list[NewItem], items: list,
                      report: DiffReport | None = None,
                      atomicity_log: list | None = None) -> DiffReport:
     """Run one script against both semantics, recording divergences."""
+    return _run_script(program, lower(program, R, word_bits),
+                       instantiations(program, news), items, R, report,
+                       atomicity_log)
+
+
+def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
+                R: int, report: DiffReport | None,
+                atomicity_log: list | None) -> DiffReport:
+    """run_differential on an already lowered system and checked
+    instantiations."""
     report = report or DiffReport()
-    instantiations = []
-    for n in news:
-        tc = program.contract(n.contract)
-        args = {p: (ADDR_NONE if a == "none" else a)
-                for (p, _), a in zip(tc.params, n.args)}
-        instantiations.append((n.name, n.contract, args, n.creator))
-    system, config = init_system(program, instantiations, R, FixedPolicy())
-    machine = Machine(lower(program, R, word_bits), instantiations)
+    system, config = init_system(program, insts, R, FixedPolicy())
+    machine = Machine(system_ir, insts)
     script_so_far: list[dict] = []
     report.trials += 1
 
@@ -220,6 +225,9 @@ def run_differential(program: TypedProgram, news: list[NewItem], items: list,
                     "args": [repr(a) for a in item.args], "from": item.sender}
             script_so_far.append(desc)
             idx = system.index_of_addr(item.instance)
+            if idx is None:
+                raise ScriptError(f"unknown instance {item.instance!r}",
+                                  Pos(item.line, 1))
             letter = _to_letter(item)
             accepted = True
             try:
@@ -350,8 +358,9 @@ def differential_check(program: TypedProgram, news: list[NewItem], R: int,
     report = DiffReport()
     rng = random.Random(seed)
     cap = min(coin_max, (1 << word_bits) - 1)
+    insts = instantiations(program, news)
+    system_ir = lower(program, R, word_bits)
     for _ in range(trials):
         items = random_items(program, news, rng, length, cap)
-        run_differential(program, news, items, R, word_bits, report,
-                         atomicity_log)
+        _run_script(program, system_ir, insts, items, R, report, atomicity_log)
     return report

@@ -42,10 +42,7 @@ from .typecheck import (
     subst_expr,
 )
 from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal, Undef
-from .vcgen import (
-    VC, guard_conjuncts, progress_slice, reads_of, slice_action, time_guard,
-    transition_binders,
-)
+from .vcgen import VC, progress_slice, reads_of, slice_action, time_guard
 
 _TCODE = {"off": T_OFF, "active": T_ACTIVE, "fired": T_FIRED}
 _TSTATE = {v: k for k, v in _TCODE.items()}
@@ -369,7 +366,7 @@ class _Ctx:
 
     def guards_pass(self, t: TypedTransition, inst, bindings) -> bool:
         guards = self._cached(("guards", id(t)), lambda: [
-            self.ex(g) for g in guard_conjuncts(t)])
+            self.ex(g) for g in t.guards])
         for g in guards:
             if self.ev(g, inst, bindings) is not True:
                 return False
@@ -380,7 +377,7 @@ class _Ctx:
         the actors."""
         def make():
             names, doms = [], []
-            for name, typ in transition_binders(t).items():
+            for name, typ in t.binders.items():
                 names.append(name)
                 if name == t.sender_var:
                     doms.append(self.bounds.actor_values())
@@ -413,9 +410,7 @@ class _Ctx:
                     continue
                 if not self.guards_pass(t, inst, bindings):
                     continue
-                step_b = {n: v for n, v in bindings.items()
-                          if t.sender_fresh or n != t.sender_var}
-                yield t, bindings[t.sender_var], step_b
+                yield t, bindings[t.sender_var], t.action_view(bindings)
 
     def time_enabled(self, inst) -> bool:
         """Whether the time transition can fire: some timer is active."""
@@ -480,15 +475,9 @@ def _vc_step(cx: _Ctx, inst, env: dict):
     if vc.is_time:
         return advance_instance(inst, env.get("__delta", 1))
     t = vc.transition
-    bindings = {}
-    sender = None
-    if t.input is not None:
-        sender = env.get(t.sender_var)
-        if t.sender_fresh:
-            bindings[t.input.sender] = sender
-        for name, typ in zip(t.input.params, t.param_types):
-            bindings[name] = box_value(typ, env[name])
-    return cx.run_inner(t, inst, bindings, sender, env.get("__delta"), vc.action)
+    bindings = {name: box_value(typ, env[name]) for name, typ in t.binders.items()}
+    return cx.run_inner(t, inst, t.action_view(bindings), bindings.get(t.sender_var),
+                        env.get("__delta"), vc.action)
 
 
 def _check_inductive(cx: _Ctx, env: dict):
@@ -694,7 +683,7 @@ def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
         pool.extend(stmt_exprs(vc.action))
     if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
         for t in vc.tc.transitions_from(vc.state):
-            pool.extend(guard_conjuncts(t))
+            pool.extend(t.guards)
             if vc.kind == "Enabledness":
                 pool.extend(stmt_exprs(cx.defined_slice(t)))
             else:
@@ -750,9 +739,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
 
     pool = _vc_expr_pool(vc, cx)
     reads = reads_of(pool)
-    own_binders: dict[str, SemType] = {}
-    if vc.transition is not None:
-        own_binders = transition_binders(vc.transition)
+    own_binders = {} if vc.transition is None else vc.transition.binders
     map_in_names = membership_maps(pool)
 
     for pname, ptyp in tc.params:
@@ -1167,7 +1154,7 @@ def _runtime_hypothesis(prob: _Problem):
     """(exprs, env) -> True iff every expr holds under the runtime
     evaluator, on the instance built from env with the binders boxed."""
     vc, cx = prob.vc, prob.cx
-    own = transition_binders(vc.transition) if vc.transition is not None else {}
+    own = {} if vc.transition is None else vc.transition.binders
     binders = [(name, typ) for name, _, typ in prob.scalars
                if name in own or name == "__player"]
 

@@ -60,6 +60,7 @@ class SystemIR:
     contracts: dict[str, ContractIR]
     reentrancy_limit: int
     word_bits: int
+    msg_universe: dict[str, tuple[SemType, ...]]  # every message's declared signature
 
 
 def lower_contract(tc: TypedContract) -> ContractIR:
@@ -94,4 +95,5 @@ def lower(program: TypedProgram, R: int = 1, word_bits: int = 256) -> SystemIR:
     return SystemIR(
         {name: lower_contract(tc) for name, tc in program.contracts.items()},
         reentrancy_limit=R, word_bits=word_bits,
+        msg_universe=program.msg_universe,
     )

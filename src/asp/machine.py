@@ -441,37 +441,16 @@ def match_input(t: TypedTransition, inst: InstanceState, letter: InputLetter):
         return None
     if len(letter.args) != len(t.param_types):
         return None
-    bindings: dict[str, object] = {}
-    if t.sender_fresh:
-        bindings[t.input.sender] = letter.sender
-    else:
-        try:
-            expected = _eval(Var(t.input.sender), inst, {})
-        except Undef:
-            return None
-        if expected != letter.sender:
-            return None
-    for name, v in zip(t.input.params, letter.args):
-        bindings[name] = copy_value(v)
-    if not _guards_pass(t, inst, bindings, letter.sender):
-        return None
-    return bindings
+    values = (letter.sender,) + tuple(copy_value(v) for v in letter.args)
+    bindings = dict(zip(t.binders, values))
+    return t.action_view(bindings) if _enabled(t, inst, bindings) else None
 
 
-def _guards_pass(t: TypedTransition, inst, bindings, sender) -> bool:
+def _enabled(t: TypedTransition, inst, bindings) -> bool:
     try:
-        if t.when is not None and _eval(t.when, inst, bindings) is not True:
-            return False
-        if t.access is not None:
-            kind, e = t.access
-            v = _eval(e, inst, bindings)
-            if kind == "by" and sender != v:
-                return False
-            if kind == "notby" and sender == v:
-                return False
+        return all(_eval(g, inst, bindings) is True for g in t.guards)
     except Undef:
         return False
-    return True
 
 
 def enabled_transitions(tc: TypedContract, inst: InstanceState,
@@ -482,7 +461,7 @@ def enabled_transitions(tc: TypedContract, inst: InstanceState,
     out = []
     for t in tc.transitions_from(inst.skeleton, normalized):
         if letter is None:
-            if t.input is None and _guards_pass(t, inst, {}, None):
+            if t.input is None and _enabled(t, inst, {}):
                 out.append((t, {}))
         else:
             b = match_input(t, inst, letter)
@@ -511,20 +490,18 @@ def step_instance(tc: TypedContract, inst: InstanceState, t: TypedTransition,
     return work, tuple(ctx.outputs), tuple(ctx.logs)
 
 
-def instance_moves(tc: TypedContract, inst: InstanceState, normalized: bool = True):
-    """Every internal move available at the instance: a list of
-    (transition, inst', letter-or-None, logs), computed by executing each
-    enabled tau/output transition. Undefined actions yield no move."""
-    moves = []
-    for t, b in enabled_transitions(tc, inst, None, normalized):
-        res = step_instance(tc, inst, t, b, None)
-        if res is UNDEFINED:
-            continue
-        inst2, outputs, logs = res
-        letter = outputs[0] if outputs else None
-        assert len(outputs) <= 1, "normalization guarantees at most one output"
-        moves.append((t, inst2, letter, logs))
-    return moves
+def receptions(tc: TypedContract, inst: InstanceState,
+               letter: InputLetter | None):
+    """(t, inst', outputs, logs) for each normalized transition that the
+    letter enables at the instance (the taus when it is None) and whose
+    action is defined, in transition order."""
+    sender = None if letter is None else letter.sender
+    out = []
+    for t, b in enabled_transitions(tc, inst, letter, normalized=True):
+        res = step_instance(tc, inst, t, b, sender)
+        if res is not UNDEFINED:
+            out.append((t, *res))
+    return out
 
 
 def advance_instance(inst: InstanceState, delta: int) -> InstanceState:

@@ -4,14 +4,16 @@ Also hosts two independent oracles over the finitized single-instance
 model (the same model the VCs quantify over: contract transitions compose
 with a >=1 timer tick; `time` self-loops when a timer is active). Their
 moves come from `_Ctx.moves`, the enumerator of the game-rule checks, run
-on full actions rather than slices:
+on full actions rather than slices. Both explore the model once
+(`FiniteModel.explore`) and then solve a reachability game by one least
+fixpoint (`least_fixpoint`):
 
-  reach_search  - explicit-state check that every maximal path reaches the
-                  goal (no dead ends, no goal-avoiding cycles);
-  game_solve    - least-fixpoint solution of the lockout game: from every
-                  reachable state, every actor must have a winning strategy
-                  (stalling is the Opponent's privilege whenever no tau or
-                  time move is guaranteed).
+  reach_search  - every maximal path reaches the goal (no dead ends, no
+                  goal-avoiding cycles): goal states absorb, and a state
+                  wins when it has a move and every move wins;
+  game_solve    - the lockout game: from every reachable state, every actor
+                  must have a winning strategy (stalling is the Opponent's
+                  privilege whenever no tau or time move is guaranteed).
 """
 from __future__ import annotations
 
@@ -112,7 +114,7 @@ def check_proof(program: TypedProgram, sketch: ProofSketch,
 
 class FiniteModel:
     """All transitions of one finitized instance of the sketch's contract.
-    States are canonical snapshots; successors carry (label, kind, sender)."""
+    States are canonical snapshots; moves carry (kind, sender, successor)."""
 
     def __init__(self, program: TypedProgram, sketch: ProofSketch,
                  bounds: DomainBounds, params: dict, creator: str = "P0"):
@@ -125,6 +127,11 @@ class FiniteModel:
 
     def key(self, inst) -> str:
         return inst.snapshot()
+
+    def is_goal(self, inst) -> bool:
+        """The goal holds at the instance (for the player in `cx.extra`)."""
+        g = self.cx.goal(inst.skeleton)
+        return g is not None and self.cx.all_true(g, inst)
 
     def _clamp(self, inst):
         """Saturating finitization: numeric values stick at the bound so
@@ -151,7 +158,7 @@ class FiniteModel:
         return inst
 
     def successors(self, inst):
-        """(kind, label, sender, post) for every finitized move: inputs over
+        """(kind, sender, post) for every finitized move: inputs over
         bounded binder domains, taus, each composed with every tick; plus
         the pure time transition. The moves are those of the proof
         obligations (`_Ctx.moves`), run on the full action."""
@@ -162,11 +169,57 @@ class FiniteModel:
             for delta in cx.deltas():
                 post = cx.run_inner(t, inst, step_b, sender, delta)
                 if post is not None:
-                    out.append((kind, t.label(), sender, self._clamp(post)))
+                    out.append((kind, sender, self._clamp(post)))
         if cx.time_enabled(inst):
             for delta in cx.deltas():
-                out.append(("time", "time", None, advance_instance(inst, delta)))
+                out.append(("time", None, advance_instance(inst, delta)))
         return out
+
+    def explore(self, state_limit: int, absorbing=lambda inst: False):
+        """The reachable states in discovery order, keyed by snapshot, and
+        each state's moves as (kind, sender, successor key). Absorbing
+        states are not expanded; their moves are None."""
+        k0 = self.key(self.initial)
+        states = {k0: self.initial}
+        moves: dict[str, list | None] = {}
+        frontier = [(k0, self.initial)]
+        while frontier:
+            k, inst = frontier.pop()
+            if absorbing(inst):
+                moves[k] = None
+                continue
+            moves[k] = []
+            for kind, sender, post in self.successors(inst):
+                pk = self.key(post)
+                moves[k].append((kind, sender, pk))
+                if pk not in states:
+                    if len(states) > state_limit:
+                        raise StateLimit(len(states))
+                    states[pk] = post
+                    frontier.append((pk, post))
+        return states, moves
+
+
+class StateLimit(RuntimeError):
+    """The finitized model has more states than the search allows."""
+
+    def __init__(self, states: int):
+        super().__init__(f"state limit hit at {states} states")
+        self.states = states
+
+
+def least_fixpoint(states, wins) -> set[str]:
+    """The least set W of states such that every state k with wins(k, W)
+    is in W: the attractor of a reachability game (Thomas, STACS 1995)."""
+    won: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for k in states:
+            if k not in won and wins(k, won):
+                won.add(k)
+                changed = True
+    return won
 
 
 @dataclass
@@ -182,53 +235,24 @@ def reach_search(program: TypedProgram, sketch, bounds: DomainBounds,
                  state_limit: int = 200_000) -> SearchReport:
     """Explicit-state confirmation of a reachability claim: every maximal
     path from the initial state reaches the goal. Fails on a reachable dead
-    end or a goal-avoiding cycle."""
+    end or a goal-avoiding cycle. Goal states absorb; a state wins when it
+    is a goal, or it has a move and every move wins."""
     model = FiniteModel(program, sketch, bounds, params, creator)
-    cx = model.cx
-
-    def is_goal(inst) -> bool:
-        g = cx.goal(inst.skeleton)
-        return g is not None and cx.all_true(g, inst)
-
-    # iterative depth-first search with back-edge detection: a GRAY
-    # successor closes a goal-avoiding cycle
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    succs_cache: dict[str, list] = {}
-    stack = [(model.initial, 0)]
-    while stack:
-        inst, idx = stack.pop()
-        k = model.key(inst)
-        if idx == 0:
-            if color.get(k, WHITE) != WHITE:
-                continue
-            if is_goal(inst):
-                color[k] = BLACK  # absorbing: maximal paths stop here
-                continue
-            if len(color) > state_limit:
-                return SearchReport(False, len(color), "state limit hit")
-            color[k] = GRAY
-            succ = model.successors(inst)
-            if not succ:
-                return SearchReport(False, len(color),
-                                    "reachable dead end before the goal",
-                                    inst.skeleton)
-            succs_cache[k] = succ
-        succ = succs_cache[k]
-        if idx < len(succ):
-            stack.append((inst, idx + 1))
-            nxt = succ[idx][3]
-            nk = model.key(nxt)
-            c = color.get(nk, WHITE)
-            if c == GRAY:
-                return SearchReport(False, len(color),
-                                    "goal-avoiding cycle", nxt.skeleton)
-            if c == WHITE:
-                stack.append((nxt, 0))
-        else:
-            color[k] = BLACK
-            succs_cache.pop(k, None)
-    return SearchReport(True, len(color))
+    try:
+        states, moves = model.explore(state_limit, model.is_goal)
+    except StateLimit as e:
+        return SearchReport(False, e.states, "state limit hit")
+    won = least_fixpoint(states, lambda k, won: moves[k] is None or (
+        bool(moves[k]) and all(pk in won for _, _, pk in moves[k])))
+    lost = [k for k in states if k not in won]
+    if not lost:
+        return SearchReport(True, len(states))
+    dead = [k for k in lost if not moves[k]]
+    if dead:
+        return SearchReport(False, len(states), "reachable dead end before the goal",
+                            states[dead[0]].skeleton)
+    return SearchReport(False, len(states), "goal-avoiding cycle",
+                        states[lost[0]].skeleton)
 
 
 @dataclass
@@ -245,62 +269,29 @@ def game_solve(program: TypedProgram, sketch: ProofSketch,
     """Solve the lockout game on the finitized model: for every reachable
     state and every actor x, x must be able to force the goal. Player moves
     are x's own inputs; the Opponent resolves everything else and may stall
-    unless a tau/time move is guaranteed."""
+    unless a tau/time move is guaranteed. A state wins for x when it is a
+    goal, or one of x's moves wins, or a tau/time move exists and every
+    Opponent move wins."""
     model = FiniteModel(program, sketch, bounds, params, creator)
     cx = model.cx
-
-    # reachable state space (all moves)
-    reach: dict[str, object] = {}
-    frontier = [model.initial]
-    reach[model.key(model.initial)] = model.initial
-    succs: dict[str, list] = {}
-    while frontier:
-        inst = frontier.pop()
-        k = model.key(inst)
-        succ = model.successors(inst)
-        succs[k] = succ
-        for _, _, _, post in succ:
-            pk = model.key(post)
-            if pk not in reach:
-                if len(reach) > state_limit:
-                    raise RuntimeError("game state limit hit")
-                reach[pk] = post
-                frontier.append(post)
-
-    def is_goal(inst, x) -> bool:
-        cx.extra = {sketch.player: x}
-        g = cx.goal(inst.skeleton)
-        ok = g is not None and cx.all_true(g, inst)
-        cx.extra = {}
-        return ok
+    states, moves = model.explore(state_limit)
 
     for x in bounds.actor_values():
-        # least fixpoint of: Q | <Player>W | (<forced>true & [Opponent]W)
-        win: set[str] = set()
-        for k, inst in reach.items():
-            if is_goal(inst, x):
-                win.add(k)
-        changed = True
-        while changed:
-            changed = False
-            for k, inst in reach.items():
-                if k in win:
-                    continue
-                player_moves = [s for s in succs[k]
-                                if s[0] == "input" and s[2] == x]
-                opp_moves = [s for s in succs[k]
-                             if s[0] in ("tau", "time")
-                             or (s[0] == "input" and s[2] != x)]
-                forced = any(s[0] in ("tau", "time") for s in succs[k])
-                if any(model.key(s[3]) in win for s in player_moves):
-                    win.add(k)
-                    changed = True
-                    continue
-                if forced and opp_moves and \
-                        all(model.key(s[3]) in win for s in opp_moves):
-                    win.add(k)
-                    changed = True
-        for k, inst in reach.items():
-            if k not in win:
-                return GameReport(False, len(reach), inst.skeleton, x)
-    return GameReport(True, len(reach))
+        cx.extra = {sketch.player: x}
+        goal = {k for k, inst in states.items() if model.is_goal(inst)}
+        cx.extra = {}
+
+        def wins(k, won):
+            if k in goal:
+                return True
+            player = [pk for kind, s, pk in moves[k] if kind == "input" and s == x]
+            opponent = [pk for kind, s, pk in moves[k] if kind != "input" or s != x]
+            forced = any(kind != "input" for kind, _, _ in moves[k])
+            return any(pk in won for pk in player) or \
+                (forced and all(pk in won for pk in opponent))
+
+        won = least_fixpoint(states, wins)
+        for k, inst in states.items():
+            if k not in won:
+                return GameReport(False, len(states), inst.skeleton, x)
+    return GameReport(True, len(states))

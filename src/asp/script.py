@@ -213,13 +213,11 @@ class ScriptResult:
     events: list[TraceEvent] = field(default_factory=list)
 
 
-def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
-               policy: ChoicePolicy | None = None,
-               step_limit: int = 10_000) -> ScriptResult:
-    """Deterministic replay under the given policy. Aborts with a
-    position-tagged ScriptError on the first Rejected item not marked
-    expect-reject, and on the first failed assertion."""
-    instantiations = []
+def instantiations(program: TypedProgram, news: list[NewItem]):
+    """(name, contract, args, creator) of each `new` line, for
+    init_system; a ScriptError for an unknown contract or a wrong number
+    of arguments."""
+    out = []
     for n in news:
         if n.contract not in program.contracts:
             raise ScriptError(f"unknown contract {n.contract!r}", Pos(n.line, 1))
@@ -229,8 +227,18 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
                 f"{n.contract} takes {len(tc.params)} argument(s)", Pos(n.line, 1))
         args = {pname: _resolve_literal(v, None)
                 for (pname, _), v in zip(tc.params, n.args)}
-        instantiations.append((n.name, n.contract, args, n.creator))
-    system, config = init_system(program, instantiations, R, policy, step_limit)
+        out.append((n.name, n.contract, args, n.creator))
+    return out
+
+
+def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
+               policy: ChoicePolicy | None = None,
+               step_limit: int = 10_000) -> ScriptResult:
+    """Deterministic replay under the given policy. Aborts with a
+    position-tagged ScriptError on the first Rejected item not marked
+    expect-reject, and on the first failed assertion."""
+    system, config = init_system(program, instantiations(program, news), R,
+                                 policy, step_limit)
     result = ScriptResult(system, config)
 
     for item in items:

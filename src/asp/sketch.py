@@ -80,36 +80,38 @@ class ProofSketch:
 
 
 def _witness_scope(tc: TypedContract, state: str) -> dict:
-    """Scope for a witness predicate: state scope plus the input binders of
-    every input transition from the state (the canonical sender name for
+    """Scope for a witness predicate: state scope plus the binders of every
+    input transition from the state (the canonical sender name for
     equality-matched senders)."""
     scope = tc.state_scope()
     for t in tc.transitions_from(state):
-        if t.input is None:
-            continue
-        scope.setdefault(t.sender_var, ADDRESS)
-        for pname, ptyp in zip(t.input.params, t.param_types):
-            scope.setdefault(pname, ptyp)
+        for name, typ in t.binders.items():
+            scope.setdefault(name, typ)
     return scope
+
+
+def _state_assertion(ts: TokenStream, tc: TypedContract, scope, what: str):
+    """One `@State <bool expr>` entry: (state, checked expr), the
+    expression checked in `scope(state)`."""
+    ts.expect("@")
+    state = ts.ident()
+    if state not in tc.source_states:
+        raise SketchError(f"{what}: unknown state label {state!r}", ts.peek().pos)
+    t, e = ExprChecker(scope(state), allow_quant=True).check(parse_expr(ts))
+    if t.kind != "bool":
+        raise SketchError(f"{what}: assertion at @{state} is not bool", ts.peek().pos)
+    return state, e
 
 
 def _parse_state_entries(ts: TokenStream, tc: TypedContract, scope_extra: dict,
                          what: str):
     """Parse `@State expr` entries until '}'. Returns {state: (exprs...)}."""
+    scope = {**tc.state_scope(), **scope_extra}
     out: dict[str, list[Expr]] = {}
     ts.expect("{")
     while not ts.at("}"):
-        ts.expect("@")
-        state = ts.ident()
-        if state not in tc.source_states:
-            raise SketchError(f"{what}: unknown state label {state!r}", ts.peek().pos)
-        e = parse_expr(ts)
-        scope = dict(tc.state_scope())
-        scope.update(scope_extra)
-        t, e2 = ExprChecker(scope, allow_quant=True).check(e)
-        if t.kind != "bool":
-            raise SketchError(f"{what}: assertion at @{state} is not bool", ts.peek().pos)
-        out.setdefault(state, []).append(e2)
+        state, e = _state_assertion(ts, tc, lambda _: scope, what)
+        out.setdefault(state, []).append(e)
     ts.expect("}")
     return {k: tuple(v) for k, v in out.items()}
 
@@ -118,19 +120,11 @@ def _parse_witness_entries(ts: TokenStream, tc: TypedContract, scope_extra: dict
     out: dict[str, Expr] = {}
     ts.expect("{")
     while not ts.at("}"):
-        ts.expect("@")
-        state = ts.ident()
-        if state not in tc.source_states:
-            raise SketchError(f"witness: unknown state label {state!r}", ts.peek().pos)
-        e = parse_expr(ts)
-        scope = _witness_scope(tc, state)
-        scope.update(scope_extra)
-        t, e2 = ExprChecker(scope, allow_quant=True).check(e)
-        if t.kind != "bool":
-            raise SketchError(f"witness at @{state} is not bool", ts.peek().pos)
+        state, e = _state_assertion(
+            ts, tc, lambda st: {**_witness_scope(tc, st), **scope_extra}, "witness")
         if state in out:
             raise SketchError(f"duplicate witness for @{state}", ts.peek().pos)
-        out[state] = e2
+        out[state] = e
     ts.expect("}")
     return out
 
@@ -221,7 +215,6 @@ def parse_proof_sketch(text: str, program: TypedProgram) -> ProofSketch:
     else:
         sketch = _parse_ranked(ts, head.text, name, rank_len, tc)
     ts.expect("eof")
-    _validate(sketch, tc)
     return sketch
 
 
@@ -240,13 +233,7 @@ def _parse_safety(ts: TokenStream, name: str, tc: TypedContract) -> ProofSketch:
                 raise SketchError("always assertion is not bool", pos)
             always.append(e)
         elif ts.at("@"):
-            ts.next()
-            state = ts.ident()
-            if state not in tc.source_states:
-                raise SketchError(f"unknown state label {state!r}", ts.peek().pos)
-            t, e = checker.check(parse_expr(ts))
-            if t.kind != "bool":
-                raise SketchError(f"assertion at @{state} is not bool", ts.peek().pos)
+            state, e = _state_assertion(ts, tc, lambda _: scope, "safety")
             at.setdefault(state, []).append(e)
         elif ts.at_kw("reject"):
             pos = ts.next().pos
@@ -303,10 +290,3 @@ def _parse_ranked(ts: TokenStream, kind: str, name: str, rank_len: int,
                        player=player, goal=goal, rank=rank,
                        witness=witness or {})
 
-
-def _validate(sketch: ProofSketch, tc: TypedContract):
-    for state, cases in sketch.rank.items():
-        for case in cases:
-            if len(case.exprs) != sketch.rank_len:
-                raise SketchError(
-                    f"rank case at @{state} has wrong length", case.pos)

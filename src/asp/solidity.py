@@ -37,22 +37,22 @@ def _sol_type(t: SemType) -> str:
     if k == "timer":
         return "Timer"
     if k == "map":
-        return f"mapping({_sol_key(t.args[0])} => {_sol_type(t.args[1])})"
+        return f"mapping({_abi_type(t.args[0])} => {_sol_type(t.args[1])})"
     if k == "seq":
         return f"{_sol_type(t.args[0])}[]"
     raise CompileError(f"no Solidity layout for {t}")
 
 
-def _sol_key(t: SemType) -> str:
-    return "address" if t.kind == "address" else _sol_type(t)
+def _abi_type(t: SemType) -> str:
+    """The type as the ABI names it: addresses without `payable`."""
+    return _sol_type(t).replace("address payable", "address")
 
 
 class _Gen:
-    def __init__(self, ir: ContractIR, R: int):
+    def __init__(self, ir: ContractIR, msg_universe: dict[str, tuple[SemType, ...]]):
         self.ir = ir
-        self.R = R
+        self.msg_universe = msg_universe
         self.lines: list[str] = []
-        self.events: dict[str, int] = {}
 
     def w(self, indent: int, text: str = ""):
         self.lines.append(("    " * indent + text).rstrip())
@@ -155,7 +155,7 @@ class _Gen:
             self.w(ind, f"{a[0]} = Timer(TimerPhase.Off, 0);")
         elif key == ("Map", "set"):
             self.w(ind, f"{a[0]}[{a[1]}] = {a[2]};")
-            if s.args[0].name in self.ir.vars and self._needs_has(s.args[0].name):
+            if s.args[0].name in self.ir.vars:
                 self.w(ind, f"{_ident(s.args[0].name)}Has[{a[1]}] = true;")
         elif key == ("Seq", "set"):
             self.w(ind, f"{a[0]}[{a[1]}] = {a[2]};")
@@ -169,32 +169,34 @@ class _Gen:
         else:
             raise ValueError(key)
 
-    def _needs_has(self, name: str) -> bool:
-        return True  # membership mirror kept for every map (Map.in support)
-
     def _send(self, s: Send, ind: int):
         if s.dest is None:
             args = ", ".join(self.expr(a) for a in s.args)
             self.w(ind, f"emit {_event_name(s.msg)}({args});")
             return
-        value_parts = []
-        arg_parts = []
-        for a, kind in zip(s.args, s.kinds, strict=True):
+        # Coins travel as msg.value, which the receiver does not declare as a
+        # parameter; tokens travel as amounts in the payload. Both are
+        # drained before the call, so token amounts are read first.
+        coins, tokens, payload = [], [], []
+        for i, (a, kind) in enumerate(zip(s.args, s.kinds, strict=True)):
             if kind == "coin":
-                tmp = self.expr(a)
-                value_parts.append(tmp)
-                arg_parts.append(tmp)
+                coins.append(self.expr(a))
+            elif kind == "token":
+                tokens.append((f"tokens{i}", self.expr(a)))
+                payload.append(f"tokens{i}")
             else:
-                arg_parts.append(self.expr(a))
-        value = " + ".join(value_parts) if value_parts else "0"
-        sig = f"{s.msg}({','.join('uint256' for _ in s.args)})"
+                payload.append(self.expr(a))
+        value = " + ".join(coins) if coins else "0"
+        params = [_abi_type(t) for t in self.msg_universe[s.msg] if t.kind != "coin"]
+        sig = f"{s.msg}({','.join(params)})"
         self.w(ind, f"{{")
         self.w(ind + 1, f"uint256 callValue = {value};")
-        for v in value_parts:
+        for tmp, text in tokens:
+            self.w(ind + 1, f"uint256 {tmp} = {text};")
+        for v in coins + [text for _, text in tokens]:
             self.w(ind + 1, f"{v} = 0;")
         self.w(ind + 1, "coinLedger -= callValue;")
-        payload = ", ".join(arg_parts)
-        encode = f"abi.encodeWithSignature(\"{sig}\"{', ' + payload if payload else ''})"
+        encode = f"abi.encodeWithSignature(\"{sig}\"{''.join(', ' + p for p in payload)})"
         self.w(ind + 1,
                f"(bool ok, ) = {self.expr(s.dest)}.call{{value: callValue}}({encode});")
         self.w(ind + 1, "require(ok, \"message refused\");")
@@ -209,9 +211,11 @@ def _event_name(msg: str) -> str:
     return "Log" + msg[:1].upper() + msg[1:]
 
 
-def emit_solidity(ir: ContractIR, R: int = 1, word_bits: int = 256) -> str:
-    """Byte-stable Solidity source for one lowered contract."""
-    g = _Gen(ir, R)
+def emit_solidity(ir: ContractIR, R: int,
+                  msg_universe: dict[str, tuple[SemType, ...]]) -> str:
+    """Byte-stable Solidity source for one lowered contract; sends call the
+    receiver's function as `msg_universe` declares the message."""
+    g = _Gen(ir, msg_universe)
     w = g.w
     w(0, "// SPDX-License-Identifier: MIT")
     w(0, f"// Generated from the {ir.name} state machine; do not edit.")
@@ -235,7 +239,7 @@ def emit_solidity(ir: ContractIR, R: int = 1, word_bits: int = 256) -> str:
     for v in ir.vars.values():
         w(1, f"{_sol_type(v.typ)} private {_ident(v.name)};")
         if v.typ.kind == "map":
-            w(1, f"mapping({_sol_key(v.typ.args[0])} => bool) private {_ident(v.name)}Has;")
+            w(1, f"mapping({_abi_type(v.typ.args[0])} => bool) private {_ident(v.name)}Has;")
     w(0)
     log_msgs = sorted(_collect_logs(ir))
     for msg, arity in log_msgs:
@@ -377,7 +381,7 @@ def emit_system(system: SystemIR) -> dict[str, str]:
     out = {}
     for name, ir in system.contracts.items():
         try:
-            out[name] = emit_solidity(ir, system.reentrancy_limit, system.word_bits)
+            out[name] = emit_solidity(ir, system.reentrancy_limit, system.msg_universe)
         except CompileError as e:
             raise CompileError(f"contract {name}: {e.message}") from None
     return out

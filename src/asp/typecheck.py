@@ -16,6 +16,7 @@ of nat subtraction visible to the evaluators without re-typing at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .ast_nodes import (
     ADDRESS, BOOL, INT, NAT, Assign, Binop, Builtin, ContractDecl, Expr, If,
@@ -90,16 +91,35 @@ class TypedTransition:
             return f"{self.msg}@{self.source}#{self.idx}"
         return f"tau@{self.source}#{self.idx}"
 
-    def binder_scope(self) -> dict[str, SemType]:
-        """Names bound by the input guard (sender + message params)."""
-        scope: dict[str, SemType] = {}
+    @cached_property
+    def binders(self) -> dict[str, SemType]:
+        """The transition's existentials with their types: the canonical
+        sender first, then the message parameters (none for a tau)."""
         if self.input is None:
-            return scope
+            return {}
+        return {self.sender_var: ADDRESS,
+                **dict(zip(self.input.params, self.param_types))}
+
+    @cached_property
+    def guards(self) -> tuple[Expr, ...]:
+        """The enabling conjuncts over the pre-state and the binders: the
+        matched-sender equality, `when`, then the access guard."""
+        out: list[Expr] = []
+        if self.input is not None and not self.sender_fresh:
+            out.append(Binop("==", Var(self.sender_var), Var(self.input.sender)))
+        if self.when is not None:
+            out.append(self.when)
+        if self.access is not None:
+            kind, e = self.access
+            out.append(Binop("==" if kind == "by" else "!=", Var(self.sender_var), e))
+        return tuple(out)
+
+    def action_view(self, bindings: dict) -> dict:
+        """The bindings the action sees: a matched sender names an existing
+        variable, so its canonical binder is dropped."""
         if self.sender_fresh:
-            scope[self.input.sender] = ADDRESS
-        for name, t in zip(self.input.params, self.param_types):
-            scope[name] = t
-        return scope
+            return dict(bindings)
+        return {n: v for n, v in bindings.items() if n != self.sender_var}
 
 
 @dataclass
@@ -846,7 +866,7 @@ def _check_coin_linearity(t: TypedTransition):
 def _check_sends(tc: TypedContract, universe, origin):
     for t in tc.transitions:
         scope = tc.state_scope()
-        scope.update(t.binder_scope())
+        scope.update(t.action_view(t.binders))
         checker = ExprChecker(scope, allow_ref=True)
         for s in walk_stmts(t.action):
             if not isinstance(s, Send) or s.dest is None:
@@ -989,7 +1009,7 @@ def _normalize_contract(tc: TypedContract):
                     and not (isinstance(rest[0], If) and _contains_send(rest[0])):
                 head.append(rest.pop(0))
             sub: dict[str, str] = {}
-            for bname, btyp in t.binder_scope().items():
+            for bname, btyp in t.action_view(t.binders).items():
                 if not _stmts_read(rest, frozenset({bname})):
                     continue
                 stash = f"__{base}_{bname}"

@@ -4,7 +4,7 @@ Integers and naturals are unbounded Python ints; booleans are Python bools;
 addresses are opaque interned strings. Partial operations raise Undef, which
 callers surface as the Undefined outcome (never as a crash).
 
-Distinguished addresses: ADDR_NONE ("none") and ADDR_LOG ("log"). Contract
+The distinguished address ADDR_NONE ("none") names no one. Contract
 instances use their instance name as self address.
 """
 from __future__ import annotations
@@ -19,7 +19,6 @@ class Undef(Exception):
 
 
 ADDR_NONE = "none"
-ADDR_LOG = "log"
 
 
 @dataclass(frozen=True)

@@ -80,33 +80,6 @@ def _not_goal(goal_conjs) -> tuple[Expr, ...]:
     return (_neg(_conj(goal_conjs)),)
 
 
-def guard_conjuncts(t: TypedTransition) -> tuple[Expr, ...]:
-    """Enabledness of a transition as hypothesis conjuncts over pre-state
-    plus binders (the sender binder is t.sender_var)."""
-    out: list[Expr] = []
-    if t.input is not None and not t.sender_fresh:
-        out.append(Binop("==", Var(t.sender_var), Var(t.input.sender)))
-    if t.when is not None:
-        out.append(t.when)
-    if t.access is not None:
-        kind, e = t.access
-        op = "==" if kind == "by" else "!="
-        out.append(Binop(op, Var(t.sender_var), e))
-    return tuple(out)
-
-
-def transition_binders(t: TypedTransition) -> dict[str, object]:
-    """Context variable names for a transition's existentials: the sender
-    (canonical name) and the message parameter binders, with their types."""
-    from .ast_nodes import ADDRESS
-    if t.input is None:
-        return {}
-    binders = {t.sender_var: ADDRESS}
-    for name, typ in zip(t.input.params, t.param_types):
-        binders[name] = typ
-    return binders
-
-
 def time_guard(tc: TypedContract) -> Expr:
     """Some timer is active (the time transition's enabling condition)."""
     timers = [v.name for v in tc.vars.values() if v.typ.kind == "timer"]
@@ -229,7 +202,7 @@ def _invariance_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
             name=f"inductive[{tc.name}.{t.label()}]",
             kind="Inductiveness", tc=tc, sketch=sketch, state=t.source,
             transition=t,
-            hypothesis=sketch.theta(t.source) + guard_conjuncts(t),
+            hypothesis=sketch.theta(t.source) + t.guards,
             conclusion=theta_post,
             action=action,
         ))
@@ -294,7 +267,7 @@ def gen_reachability_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
                 name=f"rank_decrease[{tc.name}.{t.label()}]",
                 kind="RankDecrease", tc=tc, sketch=sketch, state=state,
                 transition=t,
-                hypothesis=pending + guard_conjuncts(t),
+                hypothesis=pending + t.guards,
                 action=progress_slice(t, sketch, tc),
             ))
         if tc.has_timers():

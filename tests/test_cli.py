@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, ROOT
 
@@ -245,3 +247,85 @@ def test_diff_clean_exit_zero(tmp_path):
     assert payload["divergences"] == 0
     report = json.loads((tmp_path / "diff_report.json").read_text())
     assert report["trials"] == 25
+
+
+@pytest.mark.parametrize("args", [
+    ["compile", "AUCTION", "--out", "afile"],
+    ["simulate", "ESTORE", "--script", "ESCRIPT", "--out", "afile/x",
+     "--trace-out", "t.jsonl"],
+    ["simulate", "ESTORE", "--script", "ESCRIPT", "--trace-out", "nodir/t.jsonl"],
+])
+def test_unwritable_output_exit_two(args, tmp_path):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    paths = {"AUCTION": CORPUS / "auction.asp",
+             "ESTORE": CORPUS / "etherstore_attack.asp",
+             "ESCRIPT": CORPUS / "etherstore_attack.aspscript"}
+    r = run_cli(*(str(paths.get(a, a)) for a in args), cwd=tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["code"] == "UsageError"
+
+
+_CONTRACTS = sorted(str(p) for p in CORPUS.glob("*.asp"))
+# per flag: (valid values, invalid values); None for a switch
+_VALUES = {
+    "--script": (sorted(str(p) for p in CORPUS.glob("*.aspscript")), ["nofile"]),
+    "--proof": (sorted(str(p) for p in CORPUS.glob("*.aspproof")), ["nofile"]),
+    "--bounds": (["addr=1,nat=1,timer=1", "addr=2,nat=1,timer=2",
+                  "addr=2,nat=2,timer=2"], ["addr=0", "nat=x", "seq=9"]),
+    "--trials": (["0", "1", "3"], ["-1", "x"]),
+    "--seed": (["0", "7"], ["1.5"]),
+    "--word-bits": (["8", "256"], ["0", "w"]),
+    "--reentrancy-limit": (["0", "1", "2"], ["-1"]),
+    "--timeout-ms": (["1"], ["0"]),
+    "--out": (["out", "out/sub"], ["afile", "afile/x"]),
+    "--trace-out": (["t.jsonl"], ["nodir/t.jsonl"]),
+    "--dump-ir": None,
+    "--smt-out": None,
+}
+# each subcommand's required flags (--bounds for prove, whose default
+# bounds take seconds) and optional flags
+_FLAGS = {
+    "check": ((), ()),
+    "simulate": (("--script",), ("--reentrancy-limit", "--seed", "--out",
+                                 "--trace-out")),
+    "compile": ((), ("--reentrancy-limit", "--word-bits", "--out", "--dump-ir")),
+    "prove": (("--proof", "--bounds"), ("--timeout-ms", "--out", "--smt-out")),
+    "diff": (("--script",), ("--trials", "--reentrancy-limit", "--word-bits",
+                             "--seed", "--out")),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line: mostly the subcommand's own flags, sometimes one it
+    does not take; values valid and invalid."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = ["--pretty"] if draw(st.booleans()) else []
+    argv.append(command)
+    argv += draw(st.lists(st.sampled_from(_CONTRACTS), min_size=1, max_size=2))
+    required, optional = _FLAGS[command]
+    flags = list(required)
+    if optional:
+        flags += draw(st.lists(st.sampled_from(optional), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_VALUES))))
+    for flag in flags:
+        argv.append(flag)
+        if _VALUES[flag] is not None:
+            valid, invalid = _VALUES[flag]
+            pick = invalid if draw(st.integers(0, 7)) == 0 else valid
+            argv.append(draw(st.sampled_from(pick)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+def test_cli_exit_codes_over_random_command_lines(argv, tmp_path, monkeypatch):
+    """Any mix of subcommand, corpus inputs, flags and values ends in exit
+    0, 1 or 2; no exception escapes `main`."""
+    from asp.cli import main
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert main(argv) in (0, 1, 2)

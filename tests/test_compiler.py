@@ -166,6 +166,48 @@ contract Beneficiary(auction: address) {
     assert "emit LogFinal_winner(" in text
 
 
+def test_send_calls_the_function_the_receiver_declares():
+    """A send encodes the receiver's ABI signature: coins travel as
+    msg.value and are drained before the call, tokens travel as amounts
+    read before they are drained, and addresses are `address`."""
+    prog = typecheck(parse_program("""
+contract Payer(to: address) {
+  msg go(coin, nat);
+  var pot: coin;
+  var bag: token;
+  initial S;
+  state S:
+  | a??go(c, n) -> S { Coin.moveall(c, pot); to!!pay(pot, n, a); to!!gift(bag); }
+}
+contract Payee() {
+  msg pay(coin, nat, address);
+  msg gift(token);
+  var held: coin;
+  var mine: token;
+  var last: address;
+  initial S;
+  state S:
+  | p??pay(c, n, who) -> S { Coin.moveall(c, held); last = who; }
+  | p??gift(t) -> S { Token.moveall(t, mine); }
+}
+"""))
+    texts = emit_system(lower(prog, 1, 256))
+    assert "function pay(uint256 m1, address payable m2) external payable" \
+        in texts["Payee"]
+    assert "function gift(uint256 m0) external defended" in texts["Payee"]
+    payer = [line.strip() for line in texts["Payer"].splitlines()]
+    pay = payer.index("uint256 callValue = pot;")
+    assert payer[pay + 1:pay + 4] == [
+        "pot = 0;", "coinLedger -= callValue;",
+        '(bool ok, ) = to.call{value: callValue}(abi.encodeWithSignature('
+        '"pay(uint256,address)", z_S_go0_n, z_S_go0_a));']
+    gift = payer.index("uint256 tokens0 = bag;")
+    assert payer[gift + 1:gift + 4] == [
+        "bag = 0;", "coinLedger -= callValue;",
+        '(bool ok, ) = to.call{value: callValue}(abi.encodeWithSignature('
+        '"gift(uint256)", tokens0));']
+
+
 def test_token_contract_has_supply_ledger(basic_coin):
     text = emit_system(lower(basic_coin, 1, 256))["BasicCoin"]
     assert "tokenSupplyRemaining = 1000" in text
