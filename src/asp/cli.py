@@ -99,8 +99,11 @@ def _load_program(paths, args):
 
 def _locate(e: AspError, sources):
     """The diagnostic of an error in the joined sources, against the file
-    and the line of that file it comes from."""
+    and the line of that file it comes from; without a line (0) it names
+    no file."""
     line = e.pos.line
+    if line == 0:
+        return e.diagnostic(None)
     for path, text in sources:
         lines = text.count("\n") + 1  # the join adds one line break
         if line <= lines:

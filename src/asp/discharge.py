@@ -8,10 +8,12 @@ Validity means no valuation satisfies hypothesis && relation && !conclusion.
 Each verdict has two independent routes:
 
 - the engine (discharge_bounded), a pruning DFS over an unboxed
-  environment: hypothesis conjuncts (quantifiers pre-expanded) are checked
-  as soon as their variables are assigned, an equality with a single
-  unknown forces its value, and the leaf obligations run as code generated
-  by the compile module. Pruning and forcing run compiled code only;
+  environment: a hypothesis conjunct (quantifiers pre-expanded) is checked
+  again only once the key it blocked on is assigned (Chaff's lazy
+  watches), an equality with a single unknown forces its value, variables
+  only the hypothesis reads get one witness per prefix (the conjuncts
+  over them alone are solved once per VC), and the leaf obligations run
+  as code generated by the compile module, as do pruning and forcing;
 - the raw-enumeration oracle (discharge_naive) and counterexample replay,
   which evaluate hypothesis conjuncts and leaf obligations with the
   runtime evaluator over boxed instances, without propagation. They share
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields, replace as dc_replace
+from functools import cached_property
 
 from .ast_nodes import (
     ADDRESS, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Send, Var,
@@ -631,6 +634,14 @@ class _Problem:
     order: list
     boundary: int = 10**9  # index where hypothesis-only variables start
 
+    @cached_property
+    def domains(self) -> dict:
+        """Key -> values, for every scalar and map entry."""
+        out = {name: values for name, values, _ in self.scalars}
+        for m in self.maps.values():
+            out.update(((m.name, k), m.values) for k in m.keys)
+        return out
+
 
 def _action_writes(stmts) -> set[str]:
     out: set[str] = set()
@@ -1000,15 +1011,6 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
 # ---------------------------------------------------------------------------
 
 
-def _domain_of(prob: _Problem, key):
-    if isinstance(key, tuple):
-        return prob.maps[key[0]].values
-    for name, values, _ in prob.scalars:
-        if name == key:
-            return values
-    raise KeyError(key)
-
-
 def _json_value(v):
     if v is ABSENT or v is None:
         return None
@@ -1025,129 +1027,157 @@ def _json_valuation(env: dict) -> dict:
     return out
 
 
-def _pending(conjuncts: list[_Conjunct], env: dict) -> list | None:
-    """The conjuncts still waiting on unassigned variables, or None when
-    one is false or undefined under env."""
+def _pending(pending: list, env: dict) -> list | None:
+    """The entries (conjunct, blocked, watch) still waiting on unassigned
+    keys, or None when one is false or undefined under env. `blocked` is
+    the key the conjunct's last `holds` raised KeyError on (None: never
+    evaluated); `watch` holds the keys its last failed force did (None:
+    try again; empty: it cannot force on this path). Compiled code reads
+    the env only through E[key], and along a path the env only grows, so
+    only an entry whose key is now assigned can change."""
     still = []
-    for c in conjuncts:
-        try:
-            if not c.holds(env):
+    for entry in pending:
+        key = entry[1]
+        if key is None or key in env:
+            c = entry[0]
+            try:
+                if not c.holds(env):
+                    return None
+                continue
+            except KeyError as e:
+                entry = (c, e.args[0], entry[2])
+            except Undef:
                 return None
-        except KeyError:
-            still.append(c)
-        except Undef:
-            return None
+        still.append(entry)
     return still
 
 
 def _forced(force: tuple, env: dict):
-    """(key, value) a pending conjunct forces under env, or None: its
-    guards hold and one side of its equality names an unassigned variable
-    or map entry while the other side is already defined."""
+    """((key, value) | None, watch) for a pending conjunct's force under
+    env: a hit when its guards hold and one side of its equality names an
+    unassigned variable or map entry while the other side is defined;
+    after a miss, the keys whose assignment can turn it into a hit."""
     guards, targets = force
     try:
-        if not all(g(env) for g in guards):
-            return None
-    except (KeyError, Undef):
-        return None
+        for g in guards:
+            if not g(env):
+                return None, ()
+    except KeyError as e:
+        return None, (e.args[0],)
+    except Undef:
+        return None, ()
+    blocked = ()
     for target, value in targets:
         try:
             key = target(env)
             if key is not None:
-                return key, value(env)
-        except (KeyError, Undef):
+                return (key, value(env)), None
+        except KeyError as e:
+            blocked += (e.args[0],)
+        except Undef:
             pass
-    return None
+    return None, blocked
 
 
-def _complete(prob: _Problem, env: dict, pending: list, pos: int) -> bool:
-    """Find one assignment of the remaining (hypothesis-only) variables
-    satisfying the pending conjuncts; leaves it in env on success."""
-    still = _pending(pending, env)
-    if still is None:
-        return False
-    while pos < len(prob.order) and prob.order[pos] in env:
-        pos += 1
-    if not still:
-        while pos < len(prob.order):  # unconstrained: any value works
-            key = prob.order[pos]
-            if key not in env:
-                env[key] = _domain_of(prob, key)[0]
-            pos += 1
-        return True
-    if pos == len(prob.order):
-        return False  # pending conjuncts but nothing left to assign
-    key = prob.order[pos]
-    for value in _domain_of(prob, key):
-        env[key] = value
-        if _complete(prob, env, still, pos + 1):
-            return True
-    del env[key]
-    return False
+def _search(name: str, order: list, boundary: int, domains: dict,
+            conjuncts, check):
+    """The engine's DFS over `order`: (Counterexample | None, leaves).
+    Before `boundary` it enumerates every valuation, forcing the first
+    pending conjunct (in hypothesis order) whose force hits; from there on
+    only hypothesis-only variables remain, and an existential search,
+    which does not force, looks for one witness per prefix. Each complete
+    valuation (one per prefix past the boundary) is a leaf for `check`."""
+    n = len(order)
+    leaves = 0
 
-
-def _dfs(prob: _Problem, check, env: dict, pending: list, pos: int,
-         stats: dict):
-    still = _pending(pending, env)
-    if still is None:
-        return None
-    for c in still:
-        f = None if c.force is None else _forced(c.force, env)
-        if f is None:
-            continue
-        key, value = f
-        if value not in _domain_of(prob, key):
+    def dfs(env, pending, pos, exists):
+        nonlocal leaves
+        still = _pending(pending, env)
+        if still is None:
             return None
-        env[key] = value
-        r = _dfs(prob, check, env, still, pos, stats)
-        del env[key]
-        return r
-    while pos < len(prob.order) and prob.order[pos] in env:
-        pos += 1
-    if pos >= prob.boundary and pos < len(prob.order):
-        # only hypothesis-only variables remain: one witness suffices
-        before = set(env)
-        try:
-            if not _complete(prob, env, still, pos):
+        for i, (c, blocked, watch) in enumerate(() if exists else still):
+            if watch is not None:
+                for k in watch:
+                    if k in env:
+                        break
+                else:
+                    continue
+            hit, watch = _forced(c.force, env)
+            if hit is None:
+                still[i] = (c, blocked, watch)
+                continue
+            key, value = hit
+            if value not in domains[key]:
                 return None
-            stats["leaves"] += 1
-            msg = check(env)
-            if msg is not None:
-                return Counterexample(prob.vc.name, _json_valuation(env), msg)
-            return None
-        finally:
-            for k in set(env) - before:
-                del env[k]
-    if pos == len(prob.order):
-        stats["leaves"] += 1
-        msg = check(env)
-        if msg is not None:
-            return Counterexample(prob.vc.name, _json_valuation(env), msg)
-        return None
-    key = prob.order[pos]
-    for value in _domain_of(prob, key):
-        env[key] = value
-        r = _dfs(prob, check, env, still, pos + 1, stats)
-        if r is not None:
+            env[key] = value
+            r = dfs(env, still, pos, False)
             del env[key]
             return r
-    del env[key]
-    return None
+        while pos < n and order[pos] in env:
+            pos += 1
+        if pos == n:
+            if exists and still:
+                return None  # pending conjuncts but nothing left to assign
+            leaves += 1
+            msg = check(env)
+            if msg is not None:
+                return Counterexample(name, _json_valuation(env), msg)
+            return True if exists else None  # True: the witness is found
+        key = order[pos]
+        inner = exists or pos >= boundary
+        for value in domains[key]:
+            env[key] = value
+            r = dfs(env, still, pos + 1, inner)
+            if r is not None:
+                del env[key]
+                return None if r is True and not exists else r
+        del env[key]
+        return None
+
+    r = dfs({}, [(c, None, None if c.force else ()) for c in conjuncts], 0, False)
+    return r, leaves
+
+
+def _independent_tail(prob: _Problem, conjuncts: list) -> dict[int, set]:
+    """Index -> reads of the conjuncts that read only deferred scalars,
+    force nothing and share no variable with the other conjuncts: their
+    witness is the same for every prefix."""
+    deferred = set(prob.order[prob.boundary:])
+    reads = [free_vars(e) for e in prob.hypothesis]
+    tail = {i: reads[i] for i, c in enumerate(conjuncts)
+            if c.force is None and reads[i] <= deferred}
+    while True:
+        shared = set().union(*(r for i, r in enumerate(reads) if i not in tail))
+        keep = {i: r for i, r in tail.items() if not r & shared}
+        if keep == tail:
+            return tail
+        tail = keep
 
 
 def discharge_bounded(vc: VC, bounds: DomainBounds) -> DischargeResult:
     """Exhaustively enumerate the finitized context; Valid iff no valuation
-    satisfies hypothesis && relation && !conclusion."""
+    satisfies hypothesis && relation && !conclusion. The independent tail
+    is solved once, first, and its witness pins its variables."""
     if _preserved(vc):
         return Valid(vc.name, 0)
-    stats = {"leaves": 0}
     try:
         prob = _finitize(vc, bounds)
         conjuncts, check = _compile(prob)
-        r = _dfs(prob, check, {}, conjuncts, 0, stats)
+        domains = dict(prob.domains)
+        tail = _independent_tail(prob, conjuncts)
+        if tail:
+            keys = set().union(*tail.values())
+            witness: dict = {}
+            if _search(vc.name, [k for k in prob.order if k in keys], 0, domains,
+                       [conjuncts[i] for i in tail], witness.update)[1] == 0:
+                return Valid(vc.name, 0)
+            domains.update((k, (v,)) for k, v in witness.items())
+            conjuncts = [c for i, c in enumerate(conjuncts) if i not in tail]
+        r, leaves = _search(vc.name, prob.order, prob.boundary, domains,
+                            conjuncts, check)
     except (Unfinitizable, CannotCompile) as e:
         return Unknown(vc.name, str(e))
-    return r if r is not None else Valid(vc.name, stats["leaves"])
+    return r if r is not None else Valid(vc.name, leaves)
 
 
 def _runtime_hypothesis(prob: _Problem):
@@ -1199,7 +1229,7 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
         leaf = _interpreted_check(vc, prob.cx)
         at = _hypothesis_schedule(prob)
         keys = prob.order
-        domains = [_domain_of(prob, k) for k in keys]
+        domains = [prob.domains[k] for k in keys]
         env: dict = {}
         checked = 0
 

@@ -67,6 +67,8 @@ class ProofReport:
                 "status": r.result.status,
                 "millis": round(r.millis, 3),
             }
+            if isinstance(r.result, Valid):
+                entry["checked"] = r.result.checked
             if isinstance(r.result, Counterexample):
                 entry["counterexample"] = r.result.valuation
                 entry["message"] = r.result.message

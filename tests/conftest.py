@@ -9,6 +9,16 @@ sys.path.insert(0, str(ROOT / "src"))
 CORPUS = ROOT / "corpus"
 
 
+# The (contract, proof) pairs whose VCs criterion 9 checks, 59 in all.
+CRITERION_9_PAIRS = [
+    ("auction.asp", "auction_refunds.aspproof"),
+    ("auction.asp", "auction_closed.aspproof"),
+    ("auction_norefund.asp", "auction_refunds.aspproof"),
+    ("vending_fixed.asp", "vending_lockout.aspproof"),
+    ("vending_machine.asp", "vending_lockout_original.aspproof"),
+]
+
+
 def load(name: str) -> str:
     return (CORPUS / name).read_text(encoding="utf-8")
 

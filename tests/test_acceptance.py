@@ -37,7 +37,7 @@ from asp.typecheck import erase_ghosts, typecheck
 from asp.values import Coin
 from asp.vcgen import generate_vcs
 import conftest
-from conftest import CORPUS, load, typed
+from conftest import CORPUS, CRITERION_9_PAIRS, load, typed
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
 
@@ -286,16 +286,11 @@ def test_criterion_8_atomicity(diff_results):
 
 def test_criterion_9_engine_agreement():
     small = DomainBounds(addresses=2, nat_max=2, timer_max=2)
-    pairs = [("auction.asp", "auction_refunds.aspproof"),
-             ("auction.asp", "auction_closed.aspproof"),
-             ("auction_norefund.asp", "auction_refunds.aspproof"),
-             ("vending_fixed.asp", "vending_lockout.aspproof"),
-             ("vending_machine.asp", "vending_lockout_original.aspproof")]
     emitted = disagreements = oracle_checked = 0
     import os
     import shutil
     solver = os.environ.get("ASP_SOLVER") or shutil.which("z3") or shutil.which("cvc5")
-    for contract, proof in pairs:
+    for contract, proof in CRITERION_9_PAIRS:
         prog = typed(contract)
         sketch = parse_proof_sketch(load(proof), prog)
         for vc in generate_vcs(prog, sketch):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, ROOT
+from asp.cli import _locate
+from asp.diagnostics import Pos, TypecheckError
+from asp.discharge import DomainBounds
+from asp.prove import check_proof
+from asp.sketch import parse_proof_sketch
+from conftest import CORPUS, ROOT, load, typed
 
 
 def run_cli(*args, cwd=None):
@@ -95,6 +100,12 @@ def test_prove_valid_exit_zero(tmp_path):
     report = json.loads(r.stdout)
     assert report["valid"] is True
     assert {v["status"] for v in report["vcs"]} == {"valid"}
+    # each valid VC reports the engine's leaves
+    prog = typed("auction.asp")
+    rep = check_proof(prog, parse_proof_sketch(load("auction_closed.aspproof"), prog),
+                      DomainBounds(3, 4, 4))
+    assert [v["checked"] for v in report["vcs"]] == [r.result.checked for r in rep.results]
+    assert sum(v["checked"] for v in report["vcs"]) > 0
     smt_files = list(tmp_path.glob("*.smt2"))
     assert smt_files and all(f.name.startswith("auction_closed.") for f in smt_files)
 
@@ -196,6 +207,16 @@ def test_check_reports_error_in_its_own_file(broken_first, tmp_path):
     diag = json.loads(r.stdout)
     assert diag["code"] == "UnknownState"
     assert (diag["file"], diag["line"]) == (str(broken), 5)
+
+
+def test_locate_error_without_line_names_no_file():
+    """An error without a position (line 0) is not blamed on the first of
+    several files; one with a line is mapped into its own file."""
+    sources = [("a.asp", "x\ny"), ("b.asp", "z")]
+    diag = _locate(TypecheckError("TypeError", "boom"), sources)
+    assert (diag.file, diag.pos.line) == (None, 0)
+    diag = _locate(TypecheckError("TypeError", "boom", Pos(3, 1)), sources)
+    assert (diag.file, diag.pos.line) == ("b.asp", 1)
 
 
 @pytest.mark.parametrize("what", ["directory", "non-UTF-8 file"])

@@ -1,5 +1,7 @@
 """Proof pipeline: sketches, VC generation, bounded discharge, searches."""
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from asp.prove import check_proof, game_solve, reach_search
 from asp.sketch import parse_proof_sketch
 from asp.typecheck import typecheck
 from asp.vcgen import generate_vcs
-from conftest import load
+from conftest import CRITERION_9_PAIRS, load, typed
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
 SMALL = DomainBounds(addresses=2, nat_max=2, timer_max=2)
@@ -325,6 +327,112 @@ def test_engine_agrees_on_send_of_coin_binder():
     sk = parse_proof_sketch("safety untouched { always n == 0 }", prog)
     statuses = [r.status for r in _agree(prog, sk, SMALL)[0]]
     assert statuses == ["valid", "valid"]
+
+
+CAPPED = """
+contract Capped(limit: nat) where limit > %d {
+  msg poke;
+  var n: nat;
+  initial A;
+  state A:
+  | a??poke -> A { n = 0; }
+}
+"""
+
+
+@pytest.mark.parametrize("floor, leaves", [(5, 0), (1, 2)])
+def test_engine_agrees_on_independent_tail(floor, leaves):
+    """Only the `where` clause reads `limit`, so the step's VC solves that
+    conjunct once, apart from the search: unsatisfiable at nat=2 it makes
+    the VC Valid with no leaf, as the oracle finds."""
+    prog = typecheck(parse_program(CAPPED % floor))
+    sk = parse_proof_sketch("safety zero { always n == 0 }", prog)
+    fast, slow = _agree(prog, sk, SMALL)
+    assert [(r.vc, r.checked) for r in fast] == [
+        ("initiality[Capped.A]", leaves), ("inductive[Capped.poke@A#0]", leaves)]
+    assert [r.checked for r in slow] == [leaves, leaves]
+
+
+def test_existential_search_does_not_force():
+    """Past the boundary one witness per prefix is sought in variable
+    order, without forcing: `r == p` does not pull r ahead of q."""
+    prog = typecheck(parse_program("""
+contract Trio(p: nat, q: nat, r: nat) where r == p && q < 5 {
+  msg poke;
+  var n: nat;
+  initial A;
+  state A:
+  | a??poke -> A { n = 1; }
+}
+"""))
+    sk = parse_proof_sketch("safety zero { always n == 0 }", prog)
+    fast, _ = _agree(prog, sk, SMALL)
+    assert list(fast[1].valuation) == ["n", "a", "p", "q", "r"]
+
+
+LEDGER = """
+contract Ledger() {
+  msg pay(nat);
+  var total: nat;
+  var a: address;
+  var b: address;
+  var bal: map[address, nat] default 0;
+  initial A;
+  state A:
+  | x??pay(v) -> A { %s }
+}
+"""
+
+
+@pytest.mark.parametrize("pay_action, valid", [
+    ("Map.set(bal, b, v); total = v;", True),
+    ("Map.set(bal, b, v);", False),
+])
+def test_engine_agrees_on_entry_forced_through_forced_key(pay_action, valid):
+    """`b == a` forces b; the conjunct over `Map.get(bal, b)`, blocked on
+    b until then, forces the entry of b's value next."""
+    prog = typecheck(parse_program(LEDGER % pay_action))
+    sk = parse_proof_sketch(
+        "safety mirrored { always b == a && Map.get(bal, b) == total }", prog)
+    fast, _ = _agree(prog, sk, SMALL)
+    cex = [r for r in fast if isinstance(r, Counterexample)]
+    assert len(cex) == (0 if valid else 1)
+    if cex:  # b and its entry come before the binders x and v
+        assert list(cex[0].valuation)[:4] == ["total", "a", "b", "bal[none]"]
+
+
+# -- engine results pinned per VC ---------------------------------------------
+
+# engine_pins.json holds, per bounds and criterion-9 pair, the engine's
+# result on each VC in VC order, as `_engine_results` gives it: status,
+# the leaves of a valid VC, and a counterexample's valuation as (key,
+# value) pairs in the order the engine assigned them, with its message.
+ENGINE_PINS = json.loads((Path(__file__).parent / "engine_pins.json").read_text())
+
+
+def _engine_results(prog, sketch, bounds):
+    out = []
+    for vc in generate_vcs(prog, sketch):
+        r = discharge_bounded(vc, bounds)
+        cex = isinstance(r, Counterexample)
+        out.append({"vc": vc.name, "status": r.status,
+                    "checked": r.checked if isinstance(r, Valid) else None,
+                    "counterexample": [list(kv) for kv in r.valuation.items()]
+                    if cex else None,
+                    "message": r.message if cex else None})
+    return out
+
+
+@pytest.mark.parametrize("bounds", ["addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2"])
+def test_engine_results_pinned(bounds):
+    """Every criterion-9 VC keeps its engine result, down to the key order
+    of a counterexample."""
+    for contract, proof in CRITERION_9_PAIRS:
+        prog = typed(contract)
+        got = _engine_results(prog, parse_proof_sketch(load(proof), prog),
+                              DomainBounds.parse(bounds))
+        for g, want in zip(got, ENGINE_PINS[bounds][f"{contract} {proof}"], strict=True):
+            assert g == want, (contract, proof)
 
 
 # -- liveness answers pinned --------------------------------------------------
