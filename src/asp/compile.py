@@ -22,8 +22,20 @@ generated Python functions over a flat "exploded" environment:
 Missing dict keys mean "not yet assigned" and surface as KeyError, which
 the enumeration uses to defer conjuncts; genuinely undefined operations
 raise Undef.
+
+This code runs at every node and leaf of the search, so map reads and
+connectives are emitted inline, not as prelude calls. A map read is a
+conditional expression on the entry, with fresh walrus temporaries; a
+literal key has its domain test decided here. `&&`, `||` and `==>` become
+`&`, `|` and `(not l) | r` on bools: like the runtime evaluator they
+evaluate both operands, left to right, so an undefined right side stays
+undefined whatever the left one is, and the first KeyError, which the
+engine records as the key a pending conjunct is blocked on, is the same.
+Short-circuit `and`/`or` would change both.
 """
 from __future__ import annotations
+
+import itertools
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .values import Undef
@@ -61,18 +73,6 @@ def _nsub(a, b):
     return r
 
 
-def _sand(a, b):
-    return a and b
-
-
-def _sor(a, b):
-    return a or b
-
-
-def _simp(a, b):
-    return (not a) or b
-
-
 def _tval(t):
     if t[0] != T_ACTIVE:
         raise Undef("Timer.value on a non-active timer")
@@ -97,25 +97,6 @@ def _tick1(t, d):
     if t[0] != T_ACTIVE:
         return t
     return (T_ACTIVE, t[1] - d) if t[1] > d else (T_FIRED, 0)
-
-
-def _xget(E, m, k, default, keys):
-    if k not in keys:
-        if default is None:
-            raise Undef("map key outside the bounded domain")
-        return default
-    v = E[(m, k)]  # KeyError: unassigned
-    if v is ABSENT:
-        if default is None:
-            raise Undef("map has no entry")
-        return default
-    return v
-
-
-def _xin(E, m, k, keys):
-    if k not in keys:
-        return False
-    return E[(m, k)] is not ABSENT
 
 
 def _xref(E, m, k, default, keys, zero):
@@ -153,12 +134,16 @@ def _tokcut(src, k):
 
 PRELUDE = {
     "_u": _u, "_div": _div, "_mod": _mod, "_nsub": _nsub,
-    "_sand": _sand, "_sor": _sor, "_simp": _simp,
     "_tval": _tval, "_sget": _sget, "_tset": _tset, "_tick1": _tick1,
-    "_xget": _xget, "_xin": _xin, "_xref": _xref,
+    "_xref": _xref,
     "_ckmove": _ckmove, "_tokmerge": _tokmerge, "_tokcut": _tokcut,
     "ABSENT": ABSENT, "Undef": Undef,
 }
+
+
+# operators that are not Python's own; the connectives stay strict
+_BINOPS = {"&&": "({} & {})", "||": "({} | {})", "==>": "((not {}) | {})",
+           "/": "_div({}, {})", "%": "_mod({}, {})", "-nat": "_nsub({}, {})"}
 
 
 class CannotCompile(Exception):
@@ -177,6 +162,9 @@ class Compiler:
         self.self_addr = self_addr
         self.timer_vars = timer_vars
         self.consts: dict[str, object] = {}
+        # walrus locals, never reused: a read in the value of a Map.set
+        # must not rebind the key it writes
+        self.temps = itertools.count()
 
     def const(self, value) -> str:
         name = f"_c{len(self.consts)}"
@@ -195,20 +183,9 @@ class Compiler:
             return f"(not {inner})" if e.op == "!" else f"(-{inner})"
         if isinstance(e, Binop):
             l, r = self.expr(e.left, env), self.expr(e.right, env)
-            op = e.op
-            if op == "&&":
-                return f"_sand({l}, {r})"
-            if op == "||":
-                return f"_sor({l}, {r})"
-            if op == "==>":
-                return f"_simp({l}, {r})"
-            if op == "/":
-                return f"_div({l}, {r})"
-            if op == "%":
-                return f"_mod({l}, {r})"
-            if op == "-nat":
-                return f"_nsub({l}, {r})"
-            return f"({l} {op} {r})"
+            if e.op in _BINOPS:
+                return _BINOPS[e.op].format(l, r)
+            return f"({l} {e.op} {r})"
         if isinstance(e, Builtin):
             return self._builtin(e, env)
         if isinstance(e, Quant):
@@ -219,7 +196,31 @@ class Compiler:
         if not isinstance(base, Var) or base.name not in self.map_meta:
             raise CannotCompile("non-variable map expression")
         default, keyset_name = self.map_meta[base.name]
-        return base.name, repr(default), keyset_name
+        return base.name, default, keyset_name
+
+    def _map_read(self, base: Expr, key: Expr, env: str) -> str:
+        """Inline Map.get/Map.ref of base[key]; for a literal key, `key in
+        keys` is resolved here."""
+        m, default, keys = self._map_args(base)
+        outside = "_u('map key outside the bounded domain')" if default is None else repr(default)
+        absent = "_u('map has no entry')" if default is None else repr(default)
+        v = f"_r{next(self.temps)}"
+        if isinstance(key, Lit):
+            if key.value not in self.consts[keys]:
+                return outside
+            return f"({v} if ({v} := {env}[{(m, key.value)!r}]) is not ABSENT else {absent})"
+        k = f"_r{next(self.temps)}"
+        return (f"(({v} if ({v} := {env}[({m!r}, {k})]) is not ABSENT else {absent})"
+                f" if ({k} := {self.expr(key, env)}) in {keys} else {outside})")
+
+    def _map_in(self, base: Expr, key: Expr, env: str) -> str:
+        m, _, keys = self._map_args(base)
+        if isinstance(key, Lit):
+            if key.value not in self.consts[keys]:
+                return "False"
+            return f"({env}[{(m, key.value)!r}] is not ABSENT)"
+        k = f"_r{next(self.temps)}"
+        return f"(({k} := {self.expr(key, env)}) in {keys} and {env}[({m!r}, {k})] is not ABSENT)"
 
     def _builtin(self, e: Builtin, env: str) -> str:
         key = (e.ns, e.op)
@@ -240,13 +241,9 @@ class Compiler:
         if key == ("Timer", "value"):
             return f"_tval({self.expr(e.args[0], env)})"
         if key in (("Map", "get"), ("Map", "ref")):
-            m, default, keys = self._map_args(e.args[0])
-            k = self.expr(e.args[1], env)
-            return f"_xget({env}, {m!r}, {k}, {default}, {keys})"
+            return self._map_read(e.args[0], e.args[1], env)
         if key == ("Map", "in"):
-            m, _, keys = self._map_args(e.args[1])
-            k = self.expr(e.args[0], env)
-            return f"_xin({env}, {m!r}, {k}, {keys})"
+            return self._map_in(e.args[1], e.args[0], env)
         if key == ("Seq", "len"):
             return f"len({self.expr(e.args[0], env)})"
         if key == ("Seq", "get"):
@@ -279,7 +276,7 @@ class Compiler:
             m, default, keys = self._map_args(e.args[0])
             k = self.expr(e.args[1], env)
             zero = "0" if kind == "coin" else "(None, 0)"
-            read = f"_xref({env}, {m!r}, {k}, {default}, {keys}, {zero})"
+            read = f"_xref({env}, {m!r}, {k}, {default!r}, {keys}, {zero})"
             write = lambda val, m=m, k=k: f"{env}[({m!r}, {k})] = {val}"
             return read, write
         raise CannotCompile("sequence/tuple refs in compiled relations")

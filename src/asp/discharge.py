@@ -135,8 +135,8 @@ class DomainBounds:
     @staticmethod
     def parse(text: str) -> "DomainBounds":
         """Parse the CLI form: addr=3,nat=4,timer=5. Raises ValueError on
-        an unknown key, a non-integer or a value below the bound's
-        minimum."""
+        an unknown or repeated key, a non-integer or a value below the
+        bound's minimum."""
         kw = {}
         names = {"addr": "addresses", "nat": "nat_max", "timer": "timer_max",
                  "seq": "seq_max"}
@@ -148,6 +148,8 @@ class DomainBounds:
             if key not in names:
                 raise ValueError(f"unknown bound {key!r}; expected one of "
                                  f"{', '.join(names)}")
+            if names[key] in kw:
+                raise ValueError(f"bound {key} given twice")
             try:
                 kw[names[key]] = int(val)
             except ValueError:
@@ -901,6 +903,11 @@ def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
             and isinstance(e.args[0], Var) and e.args[0].name in maps:
         m = e.args[0].name
         keys = maps[m].keys
+        if isinstance(e.args[1], Lit):  # (m, k) and `k in keys` known here
+            mk = (m, e.args[1].value)
+            if mk[1] not in keys:
+                return lambda E: None  # never hits; the conjunct still forces
+            return lambda E: None if mk in E else mk
         key_fn = comp.value(e.args[1])
 
         def entry(E):

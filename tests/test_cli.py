@@ -120,7 +120,7 @@ def test_prove_invalid_exit_one():
     assert "Choose" in report["failed_obligations"]
 
 
-@pytest.mark.parametrize("bounds", ["foo=3", "addr=x", "addr=-1", "addr=0"])
+@pytest.mark.parametrize("bounds", ["foo=3", "addr=x", "addr=-1", "addr=0", "addr=3,addr=2"])
 def test_prove_bad_bounds_exit_two(bounds):
     r = run_cli("prove", str(CORPUS / "auction.asp"),
                 "--proof", str(CORPUS / "auction_closed.aspproof"),

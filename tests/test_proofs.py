@@ -401,6 +401,27 @@ def test_engine_agrees_on_entry_forced_through_forced_key(pay_action, valid):
         assert list(cex[0].valuation)[:4] == ["total", "a", "b", "bal[none]"]
 
 
+BUMP = """
+contract Bump() {
+  msg bump(address, address);
+  var m: map[address, nat] default 0;
+  initial A;
+  state A:
+  | x??bump(a, b) %s -> A { Map.set(m, a, Map.get(m, b) + 1); }
+}
+"""
+
+
+@pytest.mark.parametrize("guard, valid", [("when a != Address.none", True), ("", False)])
+def test_engine_agrees_on_set_of_entry_read_under_another_key(guard, valid):
+    """The write goes to key a although the value reads key b: an inline
+    read must not rebind the temporary that holds the written key."""
+    prog = typecheck(parse_program(BUMP % guard))
+    sk = parse_proof_sketch("safety clean { always Map.get(m, Address.none) == 0 }", prog)
+    statuses = [r.status for r in _agree(prog, sk, SMALL)[0]]
+    assert statuses == ["valid", "valid" if valid else "counterexample"]
+
+
 # -- engine results pinned per VC ---------------------------------------------
 
 # engine_pins.json holds, per bounds and criterion-9 pair, the engine's

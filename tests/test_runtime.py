@@ -2,13 +2,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asp.ast_nodes import Lit, Var, map_children
+from asp.compile import ABSENT, Compiler
 from asp.machine import (
-    InputLetter, UNDEFINED, advance_instance, enabled_transitions, eval_expr,
-    init_instance, step_instance,
+    InputLetter, InstanceState, UNDEFINED, advance_instance, enabled_transitions,
+    eval_expr, init_instance, step_instance,
 )
 from asp.parser import parse_expression, parse_program
 from asp.typecheck import typecheck
-from asp.values import Coin, Timer, Tok, Undef, timer_advance, timer_reset, timer_set
+from asp.values import (
+    Coin, MapVal, Timer, Tok, Undef, timer_advance, timer_reset, timer_set,
+)
 from conftest import load
 
 
@@ -49,6 +53,46 @@ def test_strict_connectives(auction):
     _, inst = auction_instance(auction)
     assert ev(auction, inst, "false && 1 / 0 == 0") is UNDEFINED
     assert ev(auction, inst, "true || 1 / 0 == 0") is UNDEFINED
+
+
+def _literal_keys(e):
+    """The names P0, P1, P7 as address literals, as quantifier expansion
+    leaves them."""
+    if isinstance(e, Var) and e.name in ("P0", "P1", "P7"):
+        return Lit(e.name)
+    return map_children(e, _literal_keys)
+
+
+# m has no default, d defaults to 0; both hold only P0. The engine's
+# address domain is none, P0, P1: P7 lies outside it. k is bound to P7
+# and j to P1.
+@pytest.mark.parametrize("src", [
+    "false && Map.get(m, P1) == 0", "false && x / 0 == 0",
+    "false ==> Map.get(m, P1) == 0", "false ==> x / 0 == 0",
+    "true || Map.get(m, P1) == 0", "true || x / 0 == 0",
+    "Map.get(m, P0)", "Map.get(m, P1)", "Map.get(d, P1)",
+    "Map.get(m, P7)", "Map.get(d, P7)", "Map.get(m, k)", "Map.get(d, k)",
+    "Map.get(m, j)", "Map.get(d, j)",
+    "Map.in(P0, m)", "Map.in(P1, m)", "Map.in(P7, m)", "Map.in(j, m)", "Map.in(k, m)",
+])
+def test_compiled_and_runtime_agree_on_definedness(src):
+    """The engine's compiled code and the runtime evaluator give the same
+    value, or both find the expression undefined."""
+    e = _literal_keys(parse_expression(src))
+    comp = Compiler({}, "P0", ())
+    keys = comp.const(frozenset(("none", "P0", "P1")))
+    comp.map_meta.update(m=(None, keys), d=(0, keys))
+    E = {"x": 4, "k": "P7", "j": "P1"}
+    for name in ("m", "d"):
+        E.update({(name, "none"): ABSENT, (name, "P0"): 3, (name, "P1"): ABSENT})
+    try:
+        compiled = comp.value(e)(E)
+    except Undef:
+        compiled = UNDEFINED
+    inst = InstanceState("Probe", "A", {"x": 4, "m": MapVal({"P0": 3}),
+                                        "d": MapVal({"P0": 3}, 0)}, "P0", "P0", "P0")
+    runtime = eval_expr(e, inst, {"k": "P7", "j": "P1"})
+    assert (type(compiled), compiled) == (type(runtime), runtime)
 
 
 # -- coin and token primitives ------------------------------------------------
