@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cascade import CascadeLimit, FixedPolicy, RandomPolicy, Rejected, WhereClauseViolated
+from .cascade import FixedPolicy, RandomPolicy
 from .diagnostics import AspError, InputError, UsageError
 from .discharge import DomainBounds
 from .parser import parse_program
@@ -136,6 +136,12 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _script_failure(args, e: AspError) -> int:
+    """Report an error in running a script against the script file."""
+    print(e.diagnostic(str(Path(args.script))).to_json())
+    return EXIT_FAIL
+
+
 def cmd_simulate(args) -> int:
     prog = _load_program(args.contracts, args)
     from .script import run_script_text
@@ -145,9 +151,8 @@ def cmd_simulate(args) -> int:
     R = _int_option(args, "reentrancy_limit", 1, least=0)
     try:
         result = run_script_text(prog, text, R, policy)
-    except (AspError, CascadeLimit, WhereClauseViolated, Rejected) as e:
-        print(e.diagnostic(str(Path(args.script))).to_json())
-        return EXIT_FAIL
+    except AspError as e:
+        return _script_failure(args, e)
     trace_lines = [e.to_json() for e in result.events]
     if args.trace_out:
         out = _write_out(args, args.trace_out, "\n".join(trace_lines) + "\n")
@@ -259,18 +264,21 @@ def _solver_pass(args, report, solver, timeout_ms):
 
 def cmd_diff(args) -> int:
     prog = _load_program(args.contracts, args)
-    from .diff import differential_check
+    from .diff import differential_check, run_differential
     from .script import parse_script
-    news, fixed_items = parse_script(_read_text(args.script))
+    text = _read_text(args.script)
     R = _int_option(args, "reentrancy_limit", 1, least=0)
     word_bits = _int_option(args, "word_bits", 256, least=1)
     seed = _int_option(args, "seed", 0)
     trials = _int_option(args, "trials", 0, least=0)
-    if trials:
-        report = differential_check(prog, news, R, word_bits, trials, seed=seed)
-    else:
-        from .diff import run_differential
-        report = run_differential(prog, news, fixed_items, R, word_bits)
+    try:
+        news, fixed_items = parse_script(text)
+        if trials:
+            report = differential_check(prog, news, R, word_bits, trials, seed=seed)
+        else:
+            report = run_differential(prog, news, fixed_items, R, word_bits)
+    except AspError as e:
+        return _script_failure(args, e)
     out = _write_out(args, "diff_report.json", report.to_json())
     _emit(args, {"status": "ok" if report.clean else "divergent",
                  "items": report.items, "overflow_gaps": report.overflow_gaps,

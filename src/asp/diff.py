@@ -18,11 +18,12 @@ from .cascade import (
     Config, FixedPolicy, Rejected, env_input, init_system, time_advance,
     wake_internal,
 )
-from .diagnostics import Pos, ScriptError
 from .interp import Machine, TxResult
 from .lower import lower
 from .machine import InputLetter
-from .script import AdvanceItem, InputItem, NewItem, instantiations
+from .script import (
+    AdvanceItem, InputItem, NewItem, check_item, instance_index, instantiations,
+)
 from .typecheck import TypedProgram
 from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal
 
@@ -167,8 +168,7 @@ def _letters_of_tx(program: TypedProgram, res: TxResult) -> list[tuple]:
             else:
                 tagged.append(a)
         kind = "log" if l.kind == "log" else "send"
-        dest = l.dest if kind == "send" else l.dest
-        out.append((kind, l.msg, dest, tuple(tagged)))
+        out.append((kind, l.msg, l.dest, tuple(tagged)))
     return out
 
 
@@ -177,31 +177,19 @@ def _letters_of_tx(program: TypedProgram, res: TxResult) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _to_letter(item: InputItem) -> InputLetter:
-    args = tuple(ADDR_NONE if a == "none" else a for a in item.args)
-    sender = ADDR_NONE if item.sender == "none" else item.sender
-    return InputLetter(item.msg, sender, args)
-
-
-def _ir_tx_args(item: InputItem) -> tuple:
-    out = []
-    for a in item.args:
-        if isinstance(a, Coin):
-            out.append(a.value)
-        elif isinstance(a, Tok):
-            out.append((a.kind, a.value))
-        elif a == "none":
-            out.append(ADDR_NONE)
-        else:
-            out.append(a)
-    return tuple(out)
+def _ir_tx_args(letter: InputLetter) -> tuple:
+    """A letter's arguments as the IR takes them: coins and tokens unboxed."""
+    return tuple(a.value if isinstance(a, Coin) else
+                 (a.kind, a.value) if isinstance(a, Tok) else a
+                 for a in letter.args)
 
 
 def run_differential(program: TypedProgram, news: list[NewItem], items: list,
                      R: int, word_bits: int,
                      report: DiffReport | None = None,
                      atomicity_log: list | None = None) -> DiffReport:
-    """Run one script against both semantics, recording divergences."""
+    """Run one script against both semantics, recording divergences; its
+    items are checked on the cascade side by `script.check_item`."""
     return _run_script(program, lower(program, R, word_bits),
                        instantiations(program, news), items, R, report,
                        atomicity_log)
@@ -219,25 +207,28 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
     report.trials += 1
 
     for item in items:
+        if not isinstance(item, (InputItem, AdvanceItem)):
+            check_item(item, system, config)  # an assertion, on the cascade
+            continue
         report.items += 1
         if isinstance(item, InputItem):
             desc = {"input": item.instance, "msg": item.msg,
                     "args": [repr(a) for a in item.args], "from": item.sender}
             script_so_far.append(desc)
-            idx = system.index_of_addr(item.instance)
-            if idx is None:
-                raise ScriptError(f"unknown instance {item.instance!r}",
-                                  Pos(item.line, 1))
-            letter = _to_letter(item)
-            accepted = True
+            letter = item.letter
             try:
-                new_config, events = env_input(system, config, idx, letter)
+                new_config, events = env_input(
+                    system, config, instance_index(system, item.instance, item.line),
+                    letter)
             except Rejected:
                 accepted = False
+            else:
+                accepted = True
+                check_item(item, system, new_config)
             if atomicity_log is not None:
                 pre_hash = machine.storage_hash()
             res = machine.transact(item.instance, item.msg,
-                                   letter.sender, _ir_tx_args(item))
+                                   letter.sender, _ir_tx_args(letter))
             if res.committed:
                 report.committed += 1
                 if not accepted:
@@ -271,14 +262,16 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
                             f"reverted with {res.reason} but the cascade "
                             f"accepts the input", list(script_so_far)))
                 # a rejected cascade and a reverted transaction agree
-        elif isinstance(item, AdvanceItem):
+        else:
             desc = {"advance": item.delta}
             script_so_far.append(desc)
             try:
                 new_config, ev = time_advance(system, config, item.delta)
-                cascade_ok = True
             except Rejected:
                 cascade_ok = False
+            else:
+                cascade_ok = True
+                check_item(item, system, new_config)
             ir_ok = machine.advance(item.delta)
             if cascade_ok != ir_ok:
                 report.divergences.append(Divergence(

@@ -754,6 +754,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
     reads = reads_of(pool)
     own_binders = {} if vc.transition is None else vc.transition.binders
     map_in_names = membership_maps(pool)
+    uses_self = any(_uses_self(e) for e in pool)
 
     for pname, ptyp in tc.params:
         if pname in reads:
@@ -763,6 +764,8 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
             continue
         if v.typ.kind == "map":
             key_dom = scalar_domain(v.typ.args[0], bounds, cx.self_addr)
+            if uses_self and v.typ.args[0].kind == "address":
+                key_dom += (cx.self_addr,)  # Address.self can be a key
             val_dom = scalar_domain(v.typ.args[1], bounds, cx.self_addr)
             if v.default is not None and v.name not in map_in_names:
                 entry_values = tuple(val_dom)  # absence == default here
@@ -781,7 +784,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
         add_scalar("owner", bounds.actor_values(), ADDRESS)
     if "creator" in reads:
         add_scalar("creator", bounds.actor_values(), ADDRESS)
-    if any(_uses_self(e) for e in pool):
+    if uses_self:
         add_scalar("__self", (cx.self_addr,), ADDRESS)
 
     if tc.has_timers() and (vc.transition is not None or vc.is_time):

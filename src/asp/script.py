@@ -4,18 +4,26 @@ Directives:
     new <name> = <Contract>(<literals>) by <creator>
     input <instance> <msg>(<literals>) from <addr>
     advance <delta>
-    expect-reject            # marks the next input/advance
+    expect-reject            # marks the input/advance on the next line
     assert <instance> @<State>
     assert <expr>            # instance variables as <instance>.<var>
 
 Literals: numbers, true/false, none, bare names (addresses), coin(<n>),
-and token(<issuer>, <n>). Blank lines and // comments are ignored.
+and token(<issuer>, <n>). Blank lines and // comments are ignored. An
+expect-reject marker must directly precede an input or advance.
+
+`check_item` says what an item means, and both `asp simulate`
+(`run_script`) and `asp diff` (`diff.run_differential`) honour it: a false
+assertion, or an expect-reject item the cascade accepts, is a ScriptError
+at the item's line. Only `asp simulate` also fails on an unmarked item the
+cascade rejects; `asp diff` compares that with the target's revert.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NoReturn
 
-from .ast_nodes import Builtin, Expr, Var
+from .ast_nodes import Builtin, Expr, Quant, Var, map_children
 from .cascade import (
     ChoicePolicy, Config, Rejected, System, TraceEvent, env_input,
     init_system, time_advance, wake_internal,
@@ -46,6 +54,10 @@ class InputItem:
     line: int
     expect_reject: bool = False
 
+    @property
+    def letter(self) -> InputLetter:
+        return InputLetter(self.msg, self.sender, self.args)
+
 
 @dataclass(frozen=True)
 class AdvanceItem:
@@ -65,6 +77,11 @@ class AssertStateItem:
 class AssertExprItem:
     expr: Expr
     line: int
+
+
+def _address(name: str) -> str:
+    """A bare name in a script is an address; `none` is the none address."""
+    return ADDR_NONE if name == "none" else name
 
 
 def _parse_literal(ts: TokenStream):
@@ -91,7 +108,7 @@ def _parse_literal(ts: TokenStream):
             n = int(ts.expect("number").text)
             ts.expect(")")
             return Tok(issuer if n else None, n)
-        return tok.text  # address by name; "none" is the none address
+        return _address(tok.text)
     raise ScriptError(f"bad literal {tok.text!r}", tok.pos)
 
 
@@ -106,17 +123,25 @@ def _parse_args(ts: TokenStream):
     return tuple(args)
 
 
+def _misplaced_marker(line: int) -> ScriptError:
+    return ScriptError(
+        f"line {line}: expect-reject must directly precede an input or advance",
+        Pos(line, 1))
+
+
 def parse_script(text: str):
     """Returns (instantiations, items)."""
     news: list[NewItem] = []
     items: list = []
-    pending_reject = False
+    marker = 0  # line of the expect-reject waiting for its item, 0 if none
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//")[0].strip()
         if not line:
             continue
         ts = TokenStream(tokenize(line))
         head = ts.ident()
+        if marker and head not in ("input", "advance"):
+            raise _misplaced_marker(marker)
         if head == "new":
             name = ts.ident()
             ts.expect("=")
@@ -130,16 +155,16 @@ def parse_script(text: str):
             msg = ts.ident()
             args = _parse_args(ts)
             ts.expect("ident", "from")
-            sender = ts.ident()
-            items.append(InputItem(inst, msg, args, sender, lineno, pending_reject))
-            pending_reject = False
+            sender = _address(ts.ident())
+            items.append(InputItem(inst, msg, args, sender, lineno, bool(marker)))
+            marker = 0
         elif head == "advance":
             delta = int(ts.expect("number").text)
-            items.append(AdvanceItem(delta, lineno, pending_reject))
-            pending_reject = False
+            items.append(AdvanceItem(delta, lineno, bool(marker)))
+            marker = 0
         elif head == "expect" and ts.accept("-"):
             ts.expect("ident", "reject")
-            pending_reject = True
+            marker = lineno
         elif head == "assert":
             if ts.at("ident") and ts.peek(1).kind == "@":
                 inst = ts.ident()
@@ -153,32 +178,24 @@ def parse_script(text: str):
             raise ScriptError(f"unknown directive {head!r}", Pos(lineno, 1))
         if not ts.at("eof"):
             raise ScriptError(f"trailing input on script line", Pos(lineno, 1))
+    if marker:
+        raise _misplaced_marker(marker)
     return news, items
-
-
-def _resolve_literal(v, system: System):
-    if isinstance(v, str):
-        return ADDR_NONE if v == "none" else v
-    return v
 
 
 def eval_script_expr(e: Expr, system: System, config: Config):
     """Evaluate an assertion over the whole system: bare names are
     addresses, <instance>.<var> reads that instance's variable."""
-    from dataclasses import replace
-
-    from .ast_nodes import Binop, Quant, Unop
-
     bindings: dict[str, object] = {}
 
     def rewrite(x: Expr) -> Expr:
+        if isinstance(x, Quant):
+            raise ScriptError("quantifiers are not allowed in script assertions")
         if isinstance(x, Var):
-            if x.name not in bindings:
-                bindings[x.name] = ADDR_NONE if x.name == "none" else x.name
+            bindings.setdefault(x.name, _address(x.name))
             return x
         if isinstance(x, Builtin) and x.ns in system.names and not x.args:
-            idx = system.index_of_addr(x.ns)
-            inst = config.states[idx]
+            inst = config.states[system.index_of_addr(x.ns)]
             key = f"{x.ns}.{x.op}"
             if x.op == "owner":
                 bindings[key] = inst.owner
@@ -191,19 +208,44 @@ def eval_script_expr(e: Expr, system: System, config: Config):
             else:
                 raise ScriptError(f"{x.ns} has no variable {x.op!r}")
             return Var(key)
-        if isinstance(x, Builtin):
-            return replace(x, args=tuple(rewrite(a) for a in x.args))
-        if isinstance(x, Unop):
-            return replace(x, operand=rewrite(x.operand))
-        if isinstance(x, Binop):
-            return replace(x, left=rewrite(x.left), right=rewrite(x.right))
-        if isinstance(x, Quant):
-            raise ScriptError("quantifiers are not allowed in script assertions")
-        return x
+        return map_children(x, rewrite)
 
     rewritten = rewrite(e)
     dummy = InstanceState("<script>", "", {}, "env", "env", "env")
     return eval_expr(rewritten, dummy, bindings)
+
+
+def instance_index(system: System, name: str, line: int) -> int:
+    """The index of the instance a script item names; a ScriptError at
+    the item's line if there is none."""
+    idx = system.index_of_addr(name)
+    if idx is None:
+        raise ScriptError(f"unknown instance {name!r}", Pos(line, 1))
+    return idx
+
+
+def _fail(item, message: str) -> NoReturn:
+    raise ScriptError(f"line {item.line}: {message}", Pos(item.line, 1))
+
+
+def check_item(item, system: System, config: Config):
+    """The meaning of a script item the cascade did not reject, on the
+    configuration it leaves: an assertion must hold there, and an input
+    or advance must not be marked expect-reject. Both runners call it after
+    their own cascade step, or for an assertion instead of one."""
+    if isinstance(item, AssertStateItem):
+        actual = config.states[instance_index(system, item.instance, item.line)].skeleton
+        if actual != item.state:
+            _fail(item, f"{item.instance} is at {actual}, expected {item.state}")
+    elif isinstance(item, AssertExprItem):
+        try:
+            v = eval_script_expr(item.expr, system, config)
+        except ScriptError as e:  # an unknown variable or a quantifier
+            _fail(item, e.message)
+        if v is not True:
+            _fail(item, f"assertion evaluated to {v!r}")
+    elif item.expect_reject:
+        _fail(item, "the cascade accepts an item marked expect-reject")
 
 
 @dataclass
@@ -225,8 +267,7 @@ def instantiations(program: TypedProgram, news: list[NewItem]):
         if len(n.args) != len(tc.params):
             raise ScriptError(
                 f"{n.contract} takes {len(tc.params)} argument(s)", Pos(n.line, 1))
-        args = {pname: _resolve_literal(v, None)
-                for (pname, _), v in zip(tc.params, n.args)}
+        args = {pname: v for (pname, _), v in zip(tc.params, n.args)}
         out.append((n.name, n.contract, args, n.creator))
     return out
 
@@ -235,66 +276,29 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
                policy: ChoicePolicy | None = None,
                step_limit: int = 10_000) -> ScriptResult:
     """Deterministic replay under the given policy. Aborts with a
-    position-tagged ScriptError on the first Rejected item not marked
-    expect-reject, and on the first failed assertion."""
+    position-tagged ScriptError where `check_item` does, and on the first
+    item the cascade rejects that is not marked expect-reject."""
     system, config = init_system(program, instantiations(program, news), R,
                                  policy, step_limit)
     result = ScriptResult(system, config)
-
     for item in items:
-        if isinstance(item, InputItem):
-            idx = system.index_of_addr(item.instance)
-            if idx is None:
-                raise ScriptError(f"unknown instance {item.instance!r}",
-                                  Pos(item.line, 1))
-            letter = InputLetter(
-                item.msg, _resolve_literal(item.sender, system),
-                tuple(_resolve_literal(a, system) for a in item.args))
-            try:
-                config, events = env_input(system, result.config, idx, letter)
-            except Rejected as e:
-                if item.expect_reject:
-                    continue
-                raise ScriptError(f"line {item.line}: {e.message}", Pos(item.line, 1))
-            if item.expect_reject:
-                raise ScriptError(
-                    f"line {item.line}: input was accepted but marked expect-reject",
-                    Pos(item.line, 1))
-            result.config = config
-            result.events.extend(events)
-        elif isinstance(item, AdvanceItem):
-            try:
-                config, ev = time_advance(system, result.config, item.delta)
-            except Rejected as e:
-                if item.expect_reject:
-                    continue
-                raise ScriptError(f"line {item.line}: {e.message}", Pos(item.line, 1))
-            if item.expect_reject:
-                raise ScriptError(
-                    f"line {item.line}: advance succeeded but marked expect-reject",
-                    Pos(item.line, 1))
-            config, wake_events = wake_internal(system, config)
-            result.config = config
-            result.events.append(ev)
-            result.events.extend(wake_events)
-        elif isinstance(item, AssertStateItem):
-            idx = system.index_of_addr(item.instance)
-            if idx is None:
-                raise ScriptError(f"unknown instance {item.instance!r}",
-                                  Pos(item.line, 1))
-            actual = result.config.states[idx].skeleton
-            if actual != item.state:
-                raise ScriptError(
-                    f"line {item.line}: {item.instance} is at {actual}, "
-                    f"expected {item.state}", Pos(item.line, 1))
-        elif isinstance(item, AssertExprItem):
-            v = eval_script_expr(item.expr, system, result.config)
-            if v is not True:
-                raise ScriptError(
-                    f"line {item.line}: assertion evaluated to {v!r}",
-                    Pos(item.line, 1))
-        else:
-            raise ScriptError(f"unhandled item {item!r}")
+        events = []
+        try:
+            if isinstance(item, InputItem):
+                config, events = env_input(
+                    system, config, instance_index(system, item.instance, item.line),
+                    item.letter)
+            elif isinstance(item, AdvanceItem):
+                config, ev = time_advance(system, config, item.delta)
+                config, events = wake_internal(system, config)
+                events = [ev, *events]
+        except Rejected as e:
+            if not item.expect_reject:
+                _fail(item, e.message)
+            continue
+        check_item(item, system, config)
+        result.events.extend(events)
+    result.config = config
     return result
 
 

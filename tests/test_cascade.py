@@ -146,6 +146,17 @@ assert auction @AuctionClosed
     assert "AuctionOpen" in exc.value.message
 
 
+def test_script_unknown_variable_names_assert_line(auction):
+    text = """
+new auction = SimpleAuction(bene, 10) by alice
+assert auction.nosuch == 1
+"""
+    with pytest.raises(ScriptError) as exc:
+        run_script_text(auction, text, R=1)
+    assert exc.value.pos.line == 3
+    assert "nosuch" in exc.value.message
+
+
 def test_script_unexpected_accept_raises(auction):
     text = """
 new auction = SimpleAuction(bene, 10) by alice
@@ -154,6 +165,19 @@ input auction start from alice
 """
     with pytest.raises(ScriptError):
         run_script_text(auction, text, R=1)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("expect-reject\nassert a @S\ninput a start from al", 1),
+    ("input a start from al\n\nexpect-reject // nothing follows", 3),
+    ("expect-reject\nexpect-reject\ninput a start from al", 1),
+], ids=["before-assert", "at-end", "twice"])
+def test_misplaced_expect_reject_is_parse_error(text, line):
+    """A marker applies to the input or advance on its next line; one
+    before anything else, or at the end, is an error at its own line."""
+    with pytest.raises(ScriptError) as exc:
+        parse_script("new a = SimpleAuction(bene, 1) by al\n" + text)
+    assert exc.value.pos.line == line + 1
 
 
 def test_empty_script(auction):

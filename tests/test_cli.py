@@ -63,15 +63,22 @@ def test_simulate_golden_trace(tmp_path):
                      "Pop", "LocalTau", "LocalTau", "Pop", "Pop"]
 
 
-def test_simulate_failed_assert_exit_one(tmp_path):
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+@pytest.mark.parametrize("body, line", [
+    ("input auction start from alice\nassert auction @AuctionClosed", 4),
+    ("expect-reject\ninput auction start from alice", 4),
+], ids=["false-assert", "accepted-expect-reject"])
+def test_script_failure_exit_one(command, body, line, tmp_path):
+    """A false assertion, or an accepted item marked expect-reject, fails
+    both commands with a ScriptError at the item's line."""
     script = tmp_path / "bad.aspscript"
-    script.write_text("""
-new auction = SimpleAuction(bene, 10) by alice
-input auction start from alice
-assert auction @AuctionClosed
-""", encoding="utf-8")
-    r = run_cli("simulate", str(CORPUS / "auction.asp"), "--script", str(script))
+    script.write_text("\nnew auction = SimpleAuction(bene, 10) by alice\n" + body,
+                      encoding="utf-8")
+    r = run_cli(command, str(CORPUS / "auction.asp"), "--script", str(script),
+                "--out", str(tmp_path))
     assert r.returncode == 1
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"], diag["file"]) == ("ScriptError", line, str(script))
 
 
 def test_compile_writes_only_into_out(tmp_path):

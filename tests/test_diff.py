@@ -1,11 +1,15 @@
 """Differential testing of the compiled interpreter against the cascade."""
+import sys
+
 import pytest
 
-from asp.diff import differential_check, run_differential
+import asp.diff
+from asp.diff import _run_script, differential_check, run_differential
+from asp.lower import lower
 from asp.parser import parse_program
-from asp.script import NewItem, parse_script
+from asp.script import InputItem, NewItem, instantiations, parse_script
 from asp.typecheck import typecheck
-from conftest import load
+from conftest import ROOT, load
 
 AUCTION_NEWS = [NewItem("auction", "SimpleAuction", ("bene", 10), "alice", 0)]
 ATTACK_NEWS = [NewItem("estore", "Etherstore", (), "deployer", 0),
@@ -19,8 +23,6 @@ def test_empty_script_trivially_equivalent(auction):
 
 def test_replayed_happy_path(auction):
     news, items = parse_script(load("auction_happy.aspscript"))
-    items = [i for i in items if not getattr(i, "expect_reject", False)
-             and type(i).__name__ in ("InputItem", "AdvanceItem")]
     report = run_differential(auction, news, items, R=1, word_bits=256)
     assert report.clean, report.to_json()
     assert report.committed >= 4
@@ -28,7 +30,6 @@ def test_replayed_happy_path(auction):
 
 def test_attack_scenario_matches(etherstore):
     news, items = parse_script(load("etherstore_attack.aspscript"))
-    items = [i for i in items if type(i).__name__ == "InputItem"]
     report = run_differential(etherstore, news, items, R=1, word_bits=256)
     assert report.clean, report.to_json()
     assert report.committed == 1
@@ -55,14 +56,45 @@ def test_word8_divergences_are_overflow_only(etherstore):
     assert report.overflow_gaps > 0  # the documented inclusion gap fires
 
 
-def test_divergence_report_carries_reproduction(auction):
-    """A deliberately broken comparison: run the cascade at a different R
-    than the target and check that a divergence report includes a script."""
-    from asp.diff import DiffReport
-    report = differential_check(auction, AUCTION_NEWS, R=1, word_bits=256,
-                                trials=5, seed=1)
-    assert report.clean  # sanity: same-R runs stay clean
-    assert report.to_json().startswith("{")
+def test_divergence_report_carries_reproduction(etherstore):
+    """A deliberately broken comparison: the target lowered at R=0 against
+    the cascade at R=1. The attack's reentrant call reverts on the target
+    only, and the divergence report carries the script that reproduces it."""
+    news, items = parse_script(load("etherstore_attack.aspscript"))
+    attack = [i for i in items if isinstance(i, InputItem)]
+    report = _run_script(etherstore, lower(etherstore, 0, 256),
+                         instantiations(etherstore, news), attack, 1, None, None)
+    [d] = report.divergences
+    assert d.kind == "reverted-but-accepted"
+    assert "ReentrancyLimit" in d.detail
+    assert d.script == [{"input": "attacker", "msg": "send",
+                         "args": ["Coin(value=5)"], "from": "mallory"}]
+    assert d.script[-1] == d.item
+
+
+def test_traced_differential_run_counts_the_cascade(auction):
+    """The benchmark's traced run wraps the cascade steps where the
+    differential runner calls them, as attributes of asp.diff. A runner
+    that reached the cascade another way would leave its counters at 0."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.tracing import ENTRY_POINTS, Tracer, _owner
+    finally:
+        sys.path.remove(str(ROOT))
+    tracer = Tracer()
+    try:
+        tracer.install()
+        for _, module, attr, _ in ENTRY_POINTS:
+            owner, name = _owner(module, attr)
+            assert hasattr(getattr(owner, name), "__wrapped__"), f"{module}.{attr}"
+        tracer.begin_pass(0)
+        asp.diff.differential_check(auction, AUCTION_NEWS, R=1, word_bits=256,
+                                    trials=2)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[0]
+    for key in ("cascade.steps", "cascade.accepted", "diff.items"):
+        assert counts[key] > 0, (key, dict(counts))
 
 
 POT = """

@@ -422,6 +422,26 @@ def test_engine_agrees_on_set_of_entry_read_under_another_key(guard, valid):
     assert statuses == ["valid", "valid" if valid else "counterexample"]
 
 
+KEEP = """
+contract Keep() {
+  msg poke(nat);
+  var bal: map[address, nat] default 0;
+  initial A;
+  state A:
+  | a??poke(n) -> A { Map.set(bal, Address.self, 1); }
+}
+"""
+
+
+def test_engine_agrees_on_self_keyed_map_entry():
+    """Address.self is a key of an address-keyed map: the engine must see
+    the entry the action writes, as the oracle does."""
+    prog = typecheck(parse_program(KEEP))
+    sk = parse_proof_sketch("safety zero { always Map.get(bal, Address.self) == 0 }", prog)
+    statuses = [r.status for r in _agree(prog, sk, SMALL)[0]]
+    assert statuses == ["valid", "counterexample"]
+
+
 # -- engine results pinned per VC ---------------------------------------------
 
 # engine_pins.json holds, per bounds and criterion-9 pair, the engine's
