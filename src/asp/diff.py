@@ -199,7 +199,8 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
                 R: int, report: DiffReport | None,
                 atomicity_log: list | None) -> DiffReport:
     """run_differential on an already lowered system and checked
-    instantiations."""
+    instantiations. The run ends at its first divergence: past it, the
+    two sides no longer start from the same state."""
     report = report or DiffReport()
     system, config = init_system(program, insts, R, FixedPolicy())
     machine = Machine(system_ir, insts)
@@ -211,6 +212,7 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
             check_item(item, system, config)  # an assertion, on the cascade
             continue
         report.items += 1
+        found = None  # (kind, detail) of a divergence at this item
         if isinstance(item, InputItem):
             desc = {"input": item.instance, "msg": item.msg,
                     "args": [repr(a) for a in item.args], "from": item.sender}
@@ -232,36 +234,30 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
             if res.committed:
                 report.committed += 1
                 if not accepted:
-                    report.divergences.append(Divergence(
-                        desc, "committed-but-rejected",
-                        "transaction committed but the cascade rejects it",
-                        list(script_so_far)))
-                    continue
-                config = new_config
-                mismatch = compare_states(program, machine, config)
-                if mismatch:
-                    report.divergences.append(Divergence(
-                        desc, "state-mismatch", mismatch, list(script_so_far)))
-                want = _letters_of_trace(events)
-                got = _letters_of_tx(program, res)
-                if want != got:
-                    report.divergences.append(Divergence(
-                        desc, "letter-mismatch",
-                        f"cascade emitted {want}, target emitted {got}",
-                        list(script_so_far)))
+                    found = ("committed-but-rejected",
+                             "transaction committed but the cascade rejects it")
+                else:
+                    config = new_config
+                    mismatch = compare_states(program, machine, config)
+                    want = _letters_of_trace(events)
+                    got = _letters_of_tx(program, res)
+                    if mismatch:
+                        found = ("state-mismatch", mismatch)
+                    elif want != got:
+                        found = ("letter-mismatch",
+                                 f"cascade emitted {want}, target emitted {got}")
             else:
                 report.reverted += 1
                 if atomicity_log is not None:
                     atomicity_log.append(pre_hash == machine.storage_hash())
-                if accepted:
-                    if res.reason == "Overflow":
-                        report.overflow_gaps += 1
-                    else:
-                        report.divergences.append(Divergence(
-                            desc, "reverted-but-accepted",
-                            f"reverted with {res.reason} but the cascade "
-                            f"accepts the input", list(script_so_far)))
-                # a rejected cascade and a reverted transaction agree
+                # a rejected cascade and a reverted transaction agree, and
+                # an overflow is the permitted gap
+                if accepted and res.reason == "Overflow":
+                    report.overflow_gaps += 1
+                elif accepted:
+                    found = ("reverted-but-accepted",
+                             f"reverted with {res.reason} but the cascade "
+                             f"accepts the input")
         else:
             desc = {"advance": item.delta}
             script_so_far.append(desc)
@@ -274,28 +270,22 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
                 check_item(item, system, new_config)
             ir_ok = machine.advance(item.delta)
             if cascade_ok != ir_ok:
-                report.divergences.append(Divergence(
-                    desc, "advance-mismatch",
-                    f"cascade={'ok' if cascade_ok else 'rejected'} "
-                    f"target={'ok' if ir_ok else 'rejected'}",
-                    list(script_so_far)))
-                continue
-            if not cascade_ok:
-                continue
-            new_config, _wake_events = wake_internal(system, new_config)
-            wake_results = machine.wake()
-            bad = [r for r in wake_results if not r.committed
-                   and r.reason != "Overflow"]
-            if bad:
-                report.divergences.append(Divergence(
-                    desc, "wake-failure",
-                    f"timer wake-up reverted: {bad[0].reason}",
-                    list(script_so_far)))
-            config = new_config
-            mismatch = compare_states(program, machine, config)
-            if mismatch:
-                report.divergences.append(Divergence(
-                    desc, "state-mismatch", mismatch, list(script_so_far)))
+                found = ("advance-mismatch",
+                         f"cascade={'ok' if cascade_ok else 'rejected'} "
+                         f"target={'ok' if ir_ok else 'rejected'}")
+            elif cascade_ok:
+                new_config, _wake_events = wake_internal(system, new_config)
+                bad = [r for r in machine.wake() if not r.committed
+                       and r.reason != "Overflow"]
+                config = new_config
+                mismatch = compare_states(program, machine, config)
+                if bad:
+                    found = ("wake-failure", f"timer wake-up reverted: {bad[0].reason}")
+                elif mismatch:
+                    found = ("state-mismatch", mismatch)
+        if found:
+            report.divergences.append(Divergence(desc, *found, list(script_so_far)))
+            return report
     return report
 
 

@@ -37,8 +37,8 @@ from .ast_nodes import (
 )
 from .compile import ABSENT, CannotCompile, Compiler, T_ACTIVE, T_FIRED, T_OFF
 from .machine import (
-    InstanceState, UNDEFINED, advance_instance, eval_expr, init_instance,
-    step_instance,
+    InstanceState, UNDEFINED, advance_instance, enabled, eval_expr,
+    has_active_timer, init_instance, step_instance,
 )
 from .typecheck import (
     TypedTransition, free_vars, lvalue_root, stmt_written_roots,
@@ -369,14 +369,6 @@ class _Ctx:
 
     # -- the moves of a state --
 
-    def guards_pass(self, t: TypedTransition, inst, bindings) -> bool:
-        guards = self._cached(("guards", id(t)), lambda: [
-            self.ex(g) for g in t.guards])
-        for g in guards:
-            if self.ev(g, inst, bindings) is not True:
-                return False
-        return True
-
     def binder_domains(self, t: TypedTransition):
         """Names and boxed domains of t's binders; the sender ranges over
         the actors."""
@@ -401,7 +393,7 @@ class _Ctx:
         one of the guards."""
         for t in self.tc.transitions_from(inst.skeleton):
             if t.input is None:
-                if taus and self.guards_pass(t, inst, {}):
+                if taus and enabled(t, inst, {}):
                     yield t, None, {}
                 continue
             names, doms = self.binder_domains(t)
@@ -413,21 +405,18 @@ class _Ctx:
                 if witness is not None and \
                         self.ev(witness, inst, bindings) is not True:
                     continue
-                if not self.guards_pass(t, inst, bindings):
+                if not enabled(t, inst, bindings):
                     continue
                 yield t, bindings[t.sender_var], t.action_view(bindings)
 
     def time_enabled(self, inst) -> bool:
         """Whether the time transition can fire: some timer is active."""
-        if not self.tc.has_timers():
-            return False
-        guard = self._cached(("time",), lambda: self.ex(time_guard(self.tc)))
-        return self.ev(guard, inst) is True
+        return self.tc.has_timers() and has_active_timer(inst)
 
     def run_inner(self, t: TypedTransition, inst, bindings, sender, delta,
                   action=None):
         pseudo = t if action is None else dc_replace(t, action=action)
-        res = step_instance(self.tc, inst, pseudo, dict(bindings), sender)
+        res = step_instance(self.tc, inst, pseudo, bindings, sender)
         if res is UNDEFINED:
             return None
         post = res[0]
@@ -689,24 +678,29 @@ def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
     if vc.tc.where is not None:
         pool.append(vc.tc.where)
     states: set[str] = set()
+    actions = []
     if vc.state:
         states.add(vc.state)
     if vc.transition is not None:
         states.add(vc.transition.target)
-        pool.extend(stmt_exprs(vc.action))
+        actions.append(vc.action)
     if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
         for t in vc.tc.transitions_from(vc.state):
             pool.extend(t.guards)
             if vc.kind == "Enabledness":
-                pool.extend(stmt_exprs(cx.defined_slice(t)))
+                actions.append(cx.defined_slice(t))
             else:
-                pool.extend(stmt_exprs(cx.progress_slice(t)))
+                actions.append(cx.progress_slice(t))
                 states.add(t.target)
         w = vc.sketch.witness.get(vc.state)
         if w is not None:
             pool.append(w)
         if vc.tc.has_timers():
             pool.append(time_guard(vc.tc))
+    for action in actions:
+        pool.extend(stmt_exprs(action))
+        if "owner" in _action_writes(action):
+            pool.append(Var("owner"))  # change_owner compares it with the sender
     if vc.kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
         for st in states:
             pool.extend(vc.sketch.reads_at(st))

@@ -14,6 +14,10 @@ semantics where such a transition simply does not exist. Overflow and
 reentrancy breaches are hard: the abstract semantics has no such notion,
 so the defensive code cancels the transaction.
 
+Stored values are never changed in place: a write into a map, sequence or
+tuple stores an updated container in its slot, so a snapshot copies each
+storage's variable dict and shares the values.
+
 This module deliberately reimplements evaluation over its own storage
 representation; the abstract machine in machine.py is the independent
 oracle the differential tests compare against.
@@ -64,16 +68,8 @@ class Storage:
 
     def clone(self) -> "Storage":
         return Storage(self.contract, self.addr, self.state,
-                       _deep_copy(self.vars), self.owner, self.creator,
+                       dict(self.vars), self.owner, self.creator,
                        self.counter, self.ledger, self.remaining)
-
-
-def _deep_copy(v):
-    if isinstance(v, dict):
-        return {k: _deep_copy(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [_deep_copy(x) for x in v]
-    return v
 
 
 def _zero(typ):
@@ -521,7 +517,7 @@ class Machine:
             vi = ir.vars.get(s.target)
             if vi is not None:
                 v = _check_store(ev, vi.typ, v)
-            st.vars[s.target] = _deep_copy(v)
+            st.vars[s.target] = v
             return
         if isinstance(s, If):
             branch = s.then if ev.eval(s.cond) is True else s.els
@@ -595,25 +591,20 @@ class Machine:
             st.vars[s.args[0].name] = ("off", 0)
             return
         if key == ("Map", "set"):
-            m = st.vars[s.args[0].name]
+            name = s.args[0].name
             v = ev.eval(s.args[2])
-            vi = ir.vars.get(s.args[0].name)
+            vi = ir.vars.get(name)
             if vi is not None:
                 v = _check_store(ev, vi.typ.args[1], v)
-            m[ev.eval(s.args[1])] = _deep_copy(v)
+            st.vars[name] = {**st.vars[name], ev.eval(s.args[1]): v}
             return
-        if key == ("Seq", "set"):
-            seq = st.vars[s.args[0].name]
-            i = ev.eval(s.args[1])
-            if not (0 <= i < len(seq)):
-                raise CallFailed("UndefinedOp", "sequence index out of bounds")
-            seq[i] = _deep_copy(ev.eval(s.args[2]))
+        if key in (("Seq", "set"), ("Tuple", "set")):
+            slot = _slot(ir, st, binds, ev, Builtin(s.ns, "ref", s.args[:2]))
+            slot.write(ev.eval(s.args[2]))
             return
         if key == ("Seq", "append"):
-            st.vars[s.args[0].name].append(_deep_copy(ev.eval(s.args[1])))
-            return
-        if key == ("Tuple", "set"):
-            st.vars[s.args[0].name][s.args[1].value] = _deep_copy(ev.eval(s.args[2]))
+            name = s.args[0].name
+            st.vars[name] = st.vars[name] + [ev.eval(s.args[1])]
             return
         if key == ("Address", "change_owner"):
             if sender is None or sender != st.owner:
@@ -632,7 +623,7 @@ class Machine:
         coin_out = 0
         for a, kind in zip(s.args, s.kinds, strict=True):
             if kind is None:
-                out_args.append(_deep_copy(ev.eval(a)))
+                out_args.append(ev.eval(a))
                 continue
             slot = _slot(ir, st, binds, ev, a, token=kind == "token")
             v = slot.read()
@@ -665,25 +656,27 @@ def _slot(ir, st, binds, ev, a: Expr, token: bool = False) -> _SlotRef:
         return _SlotRef(lambda: st.vars[name],
                         lambda v: st.vars.__setitem__(name, v))
     assert isinstance(a, Builtin) and a.op == "ref"
+    # an entry is read and written through its container's slot, so two
+    # slots into one container see each other's writes
+    base = _slot(ir, st, binds, ev, a.args[0], token)
     if a.ns == "Map":
-        base = _slot(ir, st, binds, ev, a.args[0], token).read()
         k = ev.eval(a.args[1])
-        if k not in base:
+        if k not in base.read():
             vi = ir.vars.get(a.args[0].name) if isinstance(a.args[0], Var) else None
             if vi is not None and vi.default is not None:
-                base[k] = _deep_copy(vi.default)
+                base.write({**base.read(), k: vi.default})
             else:
-                base[k] = (None, 0) if token else 0
-        return _SlotRef(lambda: base[k], lambda v: base.__setitem__(k, v))
+                base.write({**base.read(), k: (None, 0) if token else 0})
+        return _SlotRef(lambda: base.read()[k],
+                        lambda v: base.write({**base.read(), k: v}))
     if a.ns == "Seq":
-        base = _slot(ir, st, binds, ev, a.args[0], token).read()
         i = ev.eval(a.args[1])
-        if not (0 <= i < len(base)):
+        if not (0 <= i < len(base.read())):
             raise CallFailed("UndefinedOp", "sequence index out of bounds")
-        return _SlotRef(lambda: base[i], lambda v: base.__setitem__(i, v))
-    base = _slot(ir, st, binds, ev, a.args[0], token).read()
-    i = a.args[1].value
-    return _SlotRef(lambda: base[i], lambda v: base.__setitem__(i, v))
+    else:
+        i = a.args[1].value
+    return _SlotRef(lambda: base.read()[i],
+                    lambda v: base.write(base.read()[:i] + [v] + base.read()[i + 1:]))
 
 
 def _check_store(ev: _Eval, typ, v):

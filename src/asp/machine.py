@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .typecheck import TypedContract, TypedTransition, is_lvalue
 from .values import (
-    ADDR_NONE, Coin, MapVal, SeqVal, Tok, TupVal, Timer, Undef, arith,
-    copy_value, merge_tokens, timer_advance, timer_reset, timer_set,
-    timer_value, token_burn_value, zero_value,
+    ADDR_NONE, Coin, SeqVal, Tok, Timer, Undef, arith, merge_tokens,
+    timer_advance, timer_reset, timer_set, timer_value, token_burn_value,
+    zero_value,
 )
 
 
@@ -72,9 +72,9 @@ class InstanceState:
     token_remaining: int | None = None
 
     def clone(self) -> "InstanceState":
+        """A copy that shares every (immutable) value with this instance."""
         return InstanceState(
-            self.contract, self.skeleton,
-            {k: copy_value(v) for k, v in self.env.items()},
+            self.contract, self.skeleton, dict(self.env),
             self.creator, self.owner, self.self_addr, self.token_remaining,
         )
 
@@ -242,29 +242,31 @@ def resolve_slot(e: Expr, inst: InstanceState, b: dict[str, object],
             raise Undef(f"no such location {name!r}")
         return Slot(lambda: inst.env[name], lambda v: inst.env.__setitem__(name, v))
     assert isinstance(e, Builtin) and e.op == "ref"
-    base = resolve_slot(e.args[0], inst, b, materialize).read()
+    # an entry is read and written through its container's slot, so two
+    # slots into one container see each other's writes
+    base = resolve_slot(e.args[0], inst, b, materialize)
     if e.ns == "Map":
         key = _eval(e.args[1], inst, b)
-        m: MapVal = base
+        m = base.read()
         if not m.has(key):
             if m.default is not None:
-                m.set(key, copy_value(m.default))
+                base.write(m.put(key, m.default))
             elif materialize == "coin":
-                m.set(key, Coin(0))
+                base.write(m.put(key, Coin(0)))
             elif materialize == "token":
-                m.set(key, Tok(None, 0))
+                base.write(m.put(key, Tok(None, 0)))
             else:
                 raise Undef(f"map has no entry for {key!r}")
-        return Slot(lambda: m.d[key], lambda v: m.d.__setitem__(key, v))
+        return Slot(lambda: base.read().d[key],
+                    lambda v: base.write(base.read().put(key, v)))
     if e.ns == "Seq":
         i = _eval(e.args[1], inst, b)
-        s: SeqVal = base
-        if not (0 <= i < len(s.items)):
+        if not (0 <= i < len(base.read().items)):
             raise Undef(f"sequence index {i} out of bounds")
-        return Slot(lambda: s.items[i], lambda v: s.items.__setitem__(i, v))
-    t: TupVal = base
-    i = e.args[1].value
-    return Slot(lambda: t.items[i], lambda v: t.items.__setitem__(i, v))
+    else:
+        i = e.args[1].value
+    return Slot(lambda: base.read().items[i],
+                lambda v: base.write(base.read().put(i, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,7 @@ def _as_token(v) -> Tok:
 def _exec_stmt(s: Stmt, ctx: StepContext):
     inst, b = ctx.inst, ctx.bindings
     if isinstance(s, Assign):
-        inst.env[s.target] = copy_value(_eval(s.value, inst, b))
+        inst.env[s.target] = _eval(s.value, inst, b)
         return
     if isinstance(s, If):
         branch = s.then if _eval(s.cond, inst, b) else s.els
@@ -376,23 +378,17 @@ def _exec_stmt(s: Stmt, ctx: StepContext):
         slot.write(timer_reset(slot.read()))
         return
     if key == ("Map", "set"):
-        m = resolve_slot(s.args[0], inst, b).read()
-        m.set(_eval(s.args[1], inst, b), copy_value(_eval(s.args[2], inst, b)))
+        slot = resolve_slot(s.args[0], inst, b)
+        k = _eval(s.args[1], inst, b)
+        slot.write(slot.read().put(k, _eval(s.args[2], inst, b)))
         return
-    if key == ("Seq", "set"):
-        seq = resolve_slot(s.args[0], inst, b).read()
-        i = _eval(s.args[1], inst, b)
-        if not (0 <= i < len(seq.items)):
-            raise Undef(f"sequence index {i} out of bounds")
-        seq.items[i] = copy_value(_eval(s.args[2], inst, b))
+    if key in (("Seq", "set"), ("Tuple", "set")):
+        slot = resolve_slot(Builtin(s.ns, "ref", s.args[:2]), inst, b)
+        slot.write(_eval(s.args[2], inst, b))
         return
     if key == ("Seq", "append"):
-        seq = resolve_slot(s.args[0], inst, b).read()
-        seq.items.append(copy_value(_eval(s.args[1], inst, b)))
-        return
-    if key == ("Tuple", "set"):
-        t = resolve_slot(s.args[0], inst, b).read()
-        t.items[s.args[1].value] = copy_value(_eval(s.args[2], inst, b))
+        slot = resolve_slot(s.args[0], inst, b)
+        slot.write(SeqVal(slot.read().items + [_eval(s.args[1], inst, b)]))
         return
     if key == ("Address", "change_owner"):
         if ctx.sender is None or ctx.sender != inst.owner:
@@ -421,7 +417,7 @@ def _exec_send(s: Send, ctx: StepContext):
                 slot.write(Tok(None, 0))
                 out_args.append(v)
                 continue
-        out_args.append(copy_value(_eval(a, inst, b)))
+        out_args.append(_eval(a, inst, b))
     letter = OutputLetter(s.msg, dest, tuple(out_args))
     if s.is_log:
         ctx.logs.append(letter)
@@ -441,12 +437,12 @@ def match_input(t: TypedTransition, inst: InstanceState, letter: InputLetter):
         return None
     if len(letter.args) != len(t.param_types):
         return None
-    values = (letter.sender,) + tuple(copy_value(v) for v in letter.args)
-    bindings = dict(zip(t.binders, values))
-    return t.action_view(bindings) if _enabled(t, inst, bindings) else None
+    bindings = dict(zip(t.binders, (letter.sender, *letter.args)))
+    return t.action_view(bindings) if enabled(t, inst, bindings) else None
 
 
-def _enabled(t: TypedTransition, inst, bindings) -> bool:
+def enabled(t: TypedTransition, inst, bindings) -> bool:
+    """Whether t's guards all hold; an undefined guard does not enable."""
     try:
         return all(_eval(g, inst, bindings) is True for g in t.guards)
     except Undef:
@@ -461,7 +457,7 @@ def enabled_transitions(tc: TypedContract, inst: InstanceState,
     out = []
     for t in tc.transitions_from(inst.skeleton, normalized):
         if letter is None:
-            if t.input is None and _enabled(t, inst, {}):
+            if t.input is None and enabled(t, inst, {}):
                 out.append((t, {}))
         else:
             b = match_input(t, inst, letter)

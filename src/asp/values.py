@@ -4,6 +4,10 @@ Integers and naturals are unbounded Python ints; booleans are Python bools;
 addresses are opaque interned strings. Partial operations raise Undef, which
 callers surface as the Undefined outcome (never as a crash).
 
+Values are never changed in place: an update of a map, sequence or tuple
+returns a new container, so states, letters and bindings share values
+without copying them.
+
 The distinguished address ADDR_NONE ("none") names no one. Contract
 instances use their instance name as self address.
 """
@@ -43,12 +47,13 @@ TIMER_FIRED = Timer("fired")
 
 
 class MapVal:
-    """Mapping from key values to values, with an optional declared default."""
+    """Mapping from key values to values, with an optional declared default.
+    It owns the dict it is built from; `put` returns an updated map."""
 
     __slots__ = ("d", "default")
 
     def __init__(self, d=None, default=None):
-        self.d = dict(d) if d else {}
+        self.d = {} if d is None else d
         self.default = default
 
     def get(self, key):
@@ -56,16 +61,13 @@ class MapVal:
             return self.d[key]
         if self.default is None:
             raise Undef(f"map has no entry for {key!r} and no default")
-        return copy_value(self.default)
+        return self.default
 
     def has(self, key) -> bool:
         return key in self.d
 
-    def set(self, key, value):
-        self.d[key] = value
-
-    def copy(self) -> "MapVal":
-        return MapVal({k: copy_value(v) for k, v in self.d.items()}, self.default)
+    def put(self, key, value) -> "MapVal":
+        return MapVal({**self.d, key: value}, self.default)
 
     def __eq__(self, other):
         return isinstance(other, MapVal) and self.d == other.d and self.default == other.default
@@ -74,42 +76,31 @@ class MapVal:
         return f"MapVal({self.d!r}, default={self.default!r})"
 
 
-class SeqVal:
+class _Items:
+    """A sequence or tuple. It owns the list it is built from; `put`
+    returns an updated one."""
+
     __slots__ = ("items",)
 
-    def __init__(self, items=()):
-        self.items = list(items)
+    def __init__(self, items=None):
+        self.items = [] if items is None else items
 
-    def copy(self) -> "SeqVal":
-        return SeqVal([copy_value(v) for v in self.items])
-
-    def __eq__(self, other):
-        return isinstance(other, SeqVal) and self.items == other.items
-
-    def __repr__(self):
-        return f"SeqVal({self.items!r})"
-
-
-class TupVal:
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = list(items)
-
-    def copy(self) -> "TupVal":
-        return TupVal([copy_value(v) for v in self.items])
+    def put(self, i: int, value):
+        return type(self)([*self.items[:i], value, *self.items[i + 1:]])
 
     def __eq__(self, other):
-        return isinstance(other, TupVal) and self.items == other.items
+        return type(other) is type(self) and self.items == other.items
 
     def __repr__(self):
-        return f"TupVal({self.items!r})"
+        return f"{type(self).__name__}({self.items!r})"
 
 
-def copy_value(v):
-    if isinstance(v, (MapVal, SeqVal, TupVal)):
-        return v.copy()
-    return v  # ints, bools, strings, Coin, Tok, Timer are immutable
+class SeqVal(_Items):
+    __slots__ = ()
+
+
+class TupVal(_Items):
+    __slots__ = ()
 
 
 def zero_value(t: SemType, default=None):

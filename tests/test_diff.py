@@ -1,13 +1,17 @@
 """Differential testing of the compiled interpreter against the cascade."""
+import random
 import sys
 
 import pytest
 
 import asp.diff
-from asp.diff import _run_script, differential_check, run_differential
+import asp.machine
+from asp.cascade import Rejected, env_input, init_system, time_advance, wake_internal
+from asp.diff import _ir_tx_args, _run_script, differential_check, random_items, run_differential
+from asp.interp import Machine, _canon
 from asp.lower import lower
 from asp.parser import parse_program
-from asp.script import InputItem, NewItem, instantiations, parse_script
+from asp.script import InputItem, NewItem, instance_index, instantiations, parse_script
 from asp.typecheck import typecheck
 from conftest import ROOT, load
 
@@ -35,12 +39,15 @@ def test_attack_scenario_matches(etherstore):
     assert report.committed == 1
 
 
-@pytest.mark.parametrize("contract,news", [
+SYSTEMS = [
     ("auction.asp", AUCTION_NEWS),
     ("etherstore_attack.asp", ATTACK_NEWS),
     ("vending_fixed.asp", [NewItem("vm", "VendingMachine", (), "own", 0)]),
     ("basic_coin.asp", [NewItem("bank", "BasicCoin", (), "own", 0)]),
-])
+]
+
+
+@pytest.mark.parametrize("contract,news", SYSTEMS)
 def test_randomized_diff_word256_clean(contract, news):
     prog = typecheck(parse_program(load(contract)))
     report = differential_check(prog, news, R=1, word_bits=256, trials=120,
@@ -59,11 +66,12 @@ def test_word8_divergences_are_overflow_only(etherstore):
 def test_divergence_report_carries_reproduction(etherstore):
     """A deliberately broken comparison: the target lowered at R=0 against
     the cascade at R=1. The attack's reentrant call reverts on the target
-    only, and the divergence report carries the script that reproduces it."""
+    only, and the divergence report carries the script that reproduces it.
+    The run ends there: the script's assertions, which would now be checked
+    on a cascade the target did not follow, are not reached."""
     news, items = parse_script(load("etherstore_attack.aspscript"))
-    attack = [i for i in items if isinstance(i, InputItem)]
     report = _run_script(etherstore, lower(etherstore, 0, 256),
-                         instantiations(etherstore, news), attack, 1, None, None)
+                         instantiations(etherstore, news), items, 1, None, None)
     [d] = report.divergences
     assert d.kind == "reverted-but-accepted"
     assert "ReentrancyLimit" in d.detail
@@ -118,3 +126,56 @@ def test_send_drains_tuple_ref_argument():
                                 R=1, word_bits=256, trials=40, seed=1)
     assert report.clean, report.to_json()
     assert report.committed > 0
+
+
+@pytest.mark.parametrize("contract,news", SYSTEMS)
+def test_steps_leave_their_inputs_unchanged(contract, news, monkeypatch):
+    """Both runtimes share values between states instead of copying them,
+    which is sound only because no value changes in place: every cascade
+    step and environment input leaves the instances it started from as
+    they were, and a storage snapshot taken before a committed
+    transaction reads the same after it."""
+    prog = typecheck(parse_program(load(contract)))
+    step_instance = asp.machine.step_instance
+    stepped, committed = [], 0
+
+    def checked_step(tc, inst, t, bindings, sender=None):
+        before = inst.snapshot()
+        res = step_instance(tc, inst, t, bindings, sender)
+        assert inst.snapshot() == before, t.label()
+        stepped.append(t)
+        return res
+
+    monkeypatch.setattr(asp.machine, "step_instance", checked_step)
+    insts = instantiations(prog, news)
+    system_ir = lower(prog, 1, 256)
+    rng = random.Random(5)
+    for _ in range(20):
+        system, config = init_system(prog, insts, 1)
+        machine = Machine(system_ir, insts)
+        for item in random_items(prog, news, rng):
+            before = [s.snapshot() for s in config.states]
+            try:
+                if isinstance(item, InputItem):
+                    new_config, _ = env_input(
+                        system, config, instance_index(system, item.instance, 0),
+                        item.letter)
+                else:
+                    new_config, _ = wake_internal(
+                        system, time_advance(system, config, item.delta)[0])
+            except Rejected:
+                new_config = config
+            assert [s.snapshot() for s in config.states] == before
+            config = new_config
+            if not isinstance(item, InputItem):
+                machine.advance(item.delta)
+                machine.wake()
+                continue
+            snapshot = machine._snapshot()
+            seen = {name: _canon(st.vars) for name, st in snapshot.items()}
+            res = machine.transact(item.instance, item.msg, item.sender,
+                                   _ir_tx_args(item.letter))
+            if res.committed:
+                committed += 1
+                assert {name: _canon(st.vars) for name, st in snapshot.items()} == seen
+    assert stepped and committed

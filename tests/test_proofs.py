@@ -442,6 +442,92 @@ def test_engine_agrees_on_self_keyed_map_entry():
     assert statuses == ["valid", "counterexample"]
 
 
+HAND = """
+contract Hand() {
+  msg handover(address);
+  var moved: bool;
+  initial S;
+  state S:
+  | a??handover(b) -> S { Address.change_owner(b); moved = true; }
+}
+"""
+
+BANK = """
+contract Bank() {
+  msg pay(address, address, nat);
+  var bal: map[address, coin];
+  initial A;
+  state A:
+  | x??pay(a, b, n) when Map.in(a, bal) && %s -> A
+    { Coin.move(Map.ref(bal, a), n, Map.ref(bal, b)); }
+}
+"""
+
+# every entry present and holding 1; the empty initial map leaves the
+# strict `==>` undefined, so initiality fails on both routes
+BANK_ONES = "safety ones { always forall c: address : Map.in(c, bal) ==> " \
+    "Coin.value(Map.get(bal, c)) == 1 }"
+
+MINT = """
+contract Mint() issues Token(3) {
+  msg go(address, nat);
+  var pot: token;
+  var acc: map[address, token];
+  initial A;
+  state A:
+  | x??go(b, n) -> A { %s }
+}
+"""
+
+TICK = """
+contract Tick() {
+  msg go(nat), stop;
+  var t: timer;
+  initial A;
+  state A:
+  | x??go(n) -> A { Timer.reset(t); Timer.set(t, n); }
+  | x??stop -> A { Timer.reset(t); }
+}
+"""
+
+
+def _no_interpreter(*args, **kwargs):
+    raise AssertionError("the engine fell back to the interpreted leaf check")
+
+
+@pytest.mark.parametrize("source, sketch, statuses", [
+    # change_owner compares the sender with owner, which no expression of
+    # the VC reads: both routes must still enumerate owner
+    (HAND, "safety still { always !moved }", ["valid", "counterexample"]),
+    # a == b: the move's operands alias one entry and conserve it
+    (BANK % "a == b", BANK_ONES, ["counterexample", "valid"]),
+    (BANK % "Map.in(b, bal)", BANK_ONES, ["counterexample", "counterexample"]),
+    (MINT % "Token.issue(n, pot);", "safety small { always Token.value(pot) <= 1 }",
+     ["valid", "counterexample"]),
+    (MINT % "Token.move(pot, n, Map.ref(acc, b));",
+     "safety small { always Token.value(pot) <= 1 }", ["valid", "valid"]),
+    (MINT % "Token.moveall(Map.ref(acc, b), pot);",
+     "safety small { always Token.value(pot) <= 1 }", ["valid", "counterexample"]),
+    (MINT % "Token.burn(pot, n);", "safety small { always Token.value(pot) <= 1 }",
+     ["valid", "valid"]),
+    (TICK, "safety off { always Timer.is_off(t) }",
+     ["valid", "counterexample", "valid", "valid"]),
+], ids=["change_owner", "coin_move_aliased", "coin_move", "token_issue",
+        "token_move", "token_moveall", "token_burn", "timer_reset"])
+def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
+    """Each statement operation of the compiled relation runs in an
+    inductiveness leaf, and the engine agrees with the oracle on it; the
+    engine checks those leaves with compiled code, not the interpreter."""
+    prog = typecheck(parse_program(source))
+    sk = parse_proof_sketch(sketch, prog)
+    assert [r.status for r in _agree(prog, sk, SMALL)[0]] == statuses
+    for vc in generate_vcs(prog, sk):
+        if vc.kind == "Inductiveness":
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr("asp.discharge._interpreted_check", _no_interpreter)
+                discharge_bounded(vc, SMALL)
+
+
 # -- engine results pinned per VC ---------------------------------------------
 
 # engine_pins.json holds, per bounds and criterion-9 pair, the engine's
