@@ -300,15 +300,14 @@ class Compiler:
                 self.stmts(body, s.els, env, indent + "    ")
             return
         if isinstance(s, Send):
-            # argument evaluation keeps the definedness constraint; coin and
-            # token arguments are drained into the letter
+            # argument evaluation keeps the definedness constraint (a send
+            # of an absent map entry is undefined); coin and token
+            # arguments are drained into the letter
             for a, kind in zip(s.args, s.kinds, strict=True):
+                body.append(f"{indent}_ = {self.expr(a, env)}")
                 if kind is not None:
-                    read, write = self._lvalue_slots(a, env, kind)
-                    body.append(f"{indent}_ = {read}")
+                    _, write = self._lvalue_slots(a, env, kind)
                     body.append(f"{indent}" + write("0" if kind == "coin" else "(None, 0)"))
-                else:
-                    body.append(f"{indent}_ = {self.expr(a, env)}")
             if s.dest is not None:
                 body.append(f"{indent}_ = {self.expr(s.dest, env)}")
             return
@@ -418,17 +417,19 @@ class Compiler:
         return self.function("\n".join(body), name="_rel")
 
     def rank(self, cases):
-        """Compile rank cases (pairs of (exprs, cond)) into E -> tuple|None."""
+        """Compile rank cases (pairs of (exprs, cond)) into E -> tuple|None;
+        a rank with a component below zero is undefined."""
         if cases is None:
             return lambda E: None
         lines = ["def _rank(E):", "    try:"]
         for exprs, cond in cases:
             tup = ", ".join(self.expr(x) for x in exprs)
+            ret = f"return _t if min(_t := ({tup},)) >= 0 else None"
             if cond is None:
-                lines.append(f"        return ({tup},)")
+                lines.append(f"        {ret}")
                 break
             lines.append(f"        if ({self.expr(cond)}) is True:")
-            lines.append(f"            return ({tup},)")
+            lines.append(f"            {ret}")
         else:
             lines.append("        return None")
         lines.append("    except Undef:")

@@ -529,23 +529,22 @@ class Machine:
         assert isinstance(s, OpStmt)
         key = (s.ns, s.op)
         if key in (("Coin", "move"), ("Coin", "moveall")):
-            src = _slot(ir, st, binds, ev, s.args[0])
+            src = _slot(ir, st, binds, ev, s.args[0], "coin")
             amount = ev.eval(s.args[1]) if s.op == "move" else src.read()
             if amount < 0 or src.read() < amount:
                 raise CallFailed("UndefinedOp", "insufficient coin value")
             src.write(src.read() - amount)
-            dst = _slot(ir, st, binds, ev, s.args[2 if s.op == "move" else 1])
+            dst = _slot(ir, st, binds, ev, s.args[2 if s.op == "move" else 1], "coin")
             dst.write(ev.check_unsigned(dst.read() + amount))
             return
         if key in (("Token", "move"), ("Token", "moveall")):
-            src = _slot(ir, st, binds, ev, s.args[0], token=True)
+            src = _slot(ir, st, binds, ev, s.args[0], "token")
             kind, held = src.read()
             amount = ev.eval(s.args[1]) if s.op == "move" else held
             if amount < 0 or held < amount:
                 raise CallFailed("UndefinedOp", "insufficient token value")
             src.write((kind if held > amount else None, held - amount))
-            dst = _slot(ir, st, binds, ev, s.args[2 if s.op == "move" else 1],
-                        token=True)
+            dst = _slot(ir, st, binds, ev, s.args[2 if s.op == "move" else 1], "token")
             dkind, dheld = dst.read()
             if amount:
                 if dheld and dkind != kind:
@@ -560,7 +559,7 @@ class Machine:
                 if n > st.remaining:
                     raise CallFailed("UndefinedOp", "token supply exhausted")
                 st.remaining -= n
-            dst = _slot(ir, st, binds, ev, s.args[1], token=True)
+            dst = _slot(ir, st, binds, ev, s.args[1], "token")
             dkind, dheld = dst.read()
             if n:
                 if dheld and dkind != st.addr:
@@ -568,7 +567,7 @@ class Machine:
                 dst.write((st.addr, ev.check_unsigned(dheld + n)))
             return
         if key == ("Token", "burn"):
-            src = _slot(ir, st, binds, ev, s.args[0], token=True)
+            src = _slot(ir, st, binds, ev, s.args[0], "token")
             kind, held = src.read()
             n = ev.eval(s.args[1])
             if n < 0 or held < n:
@@ -625,7 +624,7 @@ class Machine:
             if kind is None:
                 out_args.append(ev.eval(a))
                 continue
-            slot = _slot(ir, st, binds, ev, a, token=kind == "token")
+            slot = _slot(ir, st, binds, ev, a)
             v = slot.read()
             slot.write(0 if kind == "coin" else (None, 0))
             if kind == "coin":
@@ -647,7 +646,11 @@ class _SlotRef:
         self.write = write
 
 
-def _slot(ir, st, binds, ev, a: Expr, token: bool = False) -> _SlotRef:
+def _slot(ir, st, binds, ev, a: Expr, materialize: str | None = None) -> _SlotRef:
+    """The slot of an lvalue. An absent map entry takes the declared
+    default; a coin/token move materializes an empty container for the
+    entry it writes, never for an entry under it; otherwise the access is
+    undefined."""
     if isinstance(a, Var):
         name = a.name
         if name in binds:
@@ -658,15 +661,17 @@ def _slot(ir, st, binds, ev, a: Expr, token: bool = False) -> _SlotRef:
     assert isinstance(a, Builtin) and a.op == "ref"
     # an entry is read and written through its container's slot, so two
     # slots into one container see each other's writes
-    base = _slot(ir, st, binds, ev, a.args[0], token)
+    base = _slot(ir, st, binds, ev, a.args[0])
     if a.ns == "Map":
         k = ev.eval(a.args[1])
         if k not in base.read():
             vi = ir.vars.get(a.args[0].name) if isinstance(a.args[0], Var) else None
             if vi is not None and vi.default is not None:
                 base.write({**base.read(), k: vi.default})
+            elif materialize is not None:
+                base.write({**base.read(), k: (None, 0) if materialize == "token" else 0})
             else:
-                base.write({**base.read(), k: (None, 0) if token else 0})
+                raise CallFailed("UndefinedOp", "missing map entry")
         return _SlotRef(lambda: base.read()[k],
                         lambda v: base.write({**base.read(), k: v}))
     if a.ns == "Seq":

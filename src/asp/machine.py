@@ -231,9 +231,10 @@ class Slot:
 def resolve_slot(e: Expr, inst: InstanceState, b: dict[str, object],
                  materialize: str | None = None) -> Slot:
     """Resolve an lvalue to a slot. Map.ref on an absent key takes the
-    declared default; coin/token move targets may materialize an empty
-    container instead (so new entries can be created without fabricating
-    value); otherwise the access is undefined."""
+    declared default; a coin/token move materializes an empty container
+    for the entry it writes (so new entries can be created without
+    fabricating value), never for an entry under it; otherwise the access
+    is undefined."""
     if isinstance(e, Var):
         name = e.name
         if name in b:
@@ -244,7 +245,7 @@ def resolve_slot(e: Expr, inst: InstanceState, b: dict[str, object],
     assert isinstance(e, Builtin) and e.op == "ref"
     # an entry is read and written through its container's slot, so two
     # slots into one container see each other's writes
-    base = resolve_slot(e.args[0], inst, b, materialize)
+    base = resolve_slot(e.args[0], inst, b)
     if e.ns == "Map":
         key = _eval(e.args[1], inst, b)
         m = base.read()

@@ -263,11 +263,6 @@ class _Emitter:
             name = base.name
             if name in self.membership:
                 raise EmitUnsupported("moves into membership-tracked maps")
-            default = self._map_default(name)
-            if default is None:
-                # moves materialize an empty container for absent keys; with
-                # a total-array encoding absence is already the default 0
-                default = "0"
             read = f"(select {env[name]} {k})"
             def write(term, name=name, k=k):
                 env[name] = f"(store {env[name]} {k} {term})"

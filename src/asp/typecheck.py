@@ -12,6 +12,10 @@ across the split.
 Checked expressions are returned in annotated form: the only rewrite is
 "-" -> "-nat" when both operands are naturals, which makes the partiality
 of nat subtraction visible to the evaluators without re-typing at run time.
+
+Every container access -- Map.get/in/ref, Seq.get/ref, Tuple.get/ref and
+the Map/Seq/Tuple.set statements -- is typed by one rule,
+ExprChecker.access, and keeps the base and index that rule checked.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from .ast_nodes import (
 from .diagnostics import NOPOS, Pos, TypecheckError
 
 RESERVED = ("owner", "creator", "log", "self", "none", "true", "false")
+_CONTAINERS = ("Map", "Seq", "Tuple")
 
 # expression builtins: (ns, op) -> (arg type kinds, result)
 _EXPR_BUILTINS = {
@@ -236,7 +241,7 @@ class ExprChecker:
             if lt.kind != "bool" or rt.kind != "bool":
                 err("TypeError", f"{op} applies to bools", e.pos)
             return BOOL, out
-        if op in ("+", "-", "*", "/", "%"):
+        if op in ("+", "-", "-nat", "*", "/", "%"):
             if not (_numeric(lt) and _numeric(rt)):
                 err("TypeError", f"{op} applies to numbers", e.pos)
             if lt.kind == "nat" and rt.kind == "nat":
@@ -261,45 +266,16 @@ class ExprChecker:
             if e.args:
                 err("TypeError", f"{e.ns}.{e.op} takes no arguments", e.pos)
             return ADDRESS, e
-        if key == ("Map", "get"):
-            self._arity(e, 2)
-            mt, m = self.check(e.args[0])
-            if mt.kind != "map":
-                err("TypeError", "Map.get applies to a map", e.pos)
-            kt, k = self.check(e.args[1])
-            if not assignable(mt.args[0], kt):
-                err("TypeError", "Map.get key type mismatch", e.pos)
-            return mt.args[1], replace(e, args=(m, k))
-        if key == ("Map", "in"):
-            self._arity(e, 2)
-            kt, k = self.check(e.args[0])
-            mt, m = self.check(e.args[1])
-            if mt.kind != "map":
-                err("TypeError", "Map.in applies to (key, map)", e.pos)
-            if not assignable(mt.args[0], kt):
-                err("TypeError", "Map.in key type mismatch", e.pos)
-            return BOOL, replace(e, args=(k, m))
-        if key == ("Seq", "get"):
-            self._arity(e, 2)
-            st, s0 = self.check(e.args[0])
-            it, i0 = self.check(e.args[1])
-            if st.kind != "seq" or not _numeric(it):
-                err("TypeError", "Seq.get applies to (seq, index)", e.pos)
-            return st.args[0], replace(e, args=(s0, i0))
-        if key == ("Tuple", "get"):
-            self._arity(e, 2)
-            tt, t0 = self.check(e.args[0])
-            idx = e.args[1]
-            if tt.kind != "tuple" or not isinstance(idx, Lit) or isinstance(idx.value, bool):
-                err("TypeError", "Tuple.get applies to (tuple, literal index)", e.pos)
-            if not (0 <= idx.value < len(tt.args)):
-                err("TypeError", f"tuple index {idx.value} out of range", e.pos)
-            return tt.args[idx.value], replace(e, args=(t0, idx))
-        if e.op == "ref" and e.ns in ("Map", "Seq", "Tuple"):
-            if not self.allow_ref:
+        if e.ns in _CONTAINERS and (e.op in ("get", "ref") or key == ("Map", "in")):
+            if e.op == "ref" and not self.allow_ref:
                 err("RefRequired",
                     f"{e.ns}.ref is only allowed as a move operand or send argument", e.pos)
-            return self._ref(e)
+            self._arity(e, 2)
+            if e.op == "in":  # Map.in(key, map)
+                _, m, k = self.access(e, e.args[1], e.args[0])
+                return BOOL, replace(e, args=(k, m))
+            et, base, index = self.access(e, *e.args)
+            return et, replace(e, args=(base, index))
         if key in _EXPR_BUILTINS:
             kinds, result = _EXPR_BUILTINS[key]
             self._arity(e, len(kinds))
@@ -312,29 +288,29 @@ class ExprChecker:
             return result, replace(e, args=tuple(new_args))
         err("TypeError", f"unknown operation {e.ns}.{e.op}", e.pos)
 
-    def _ref(self, e: Builtin) -> tuple[SemType, Expr]:
-        self._arity(e, 2)
-        bt, base = self.check(e.args[0])
-        if e.ns == "Map":
-            if bt.kind != "map":
-                err("TypeError", "Map.ref applies to a map", e.pos)
-            kt, k = self.check(e.args[1])
-            if not assignable(bt.args[0], kt):
-                err("TypeError", "Map.ref key type mismatch", e.pos)
-            return bt.args[1], replace(e, args=(base, k))
-        if e.ns == "Seq":
-            if bt.kind != "seq":
-                err("TypeError", "Seq.ref applies to a sequence", e.pos)
-            it, i0 = self.check(e.args[1])
-            if not _numeric(it):
-                err("TypeError", "Seq.ref index must be numeric", e.pos)
-            return bt.args[0], replace(e, args=(base, i0))
-        idx = e.args[1]
-        if bt.kind != "tuple" or not isinstance(idx, Lit):
-            err("TypeError", "Tuple.ref applies to (tuple, literal index)", e.pos)
-        if not (0 <= idx.value < len(bt.args)):
-            err("TypeError", f"tuple index {idx.value} out of range", e.pos)
-        return bt.args[idx.value], e
+    def access(self, e: Builtin | OpStmt, base: Expr,
+               index: Expr) -> tuple[SemType, Expr, Expr]:
+        """The typing rule of a container access `Ns.op(base, index)`, Ns in
+        Map/Seq/Tuple: the base is a container of kind Ns; a map key is
+        assignable to the key type, a sequence index is numeric, a tuple
+        index is a non-bool integer literal within range. Returns the
+        element type, the checked base and the checked index."""
+        what, kind = f"{e.ns}.{e.op}", e.ns.lower()
+        bt, base = self.check(base)
+        if bt.kind != kind:
+            err("TypeError", f"{what} applies to a {kind}, got {bt}", e.pos)
+        if kind == "tuple":
+            if not isinstance(index, Lit) or isinstance(index.value, bool) \
+                    or not 0 <= index.value < len(bt.args):
+                err("TypeError",
+                    f"{what} index must be an integer literal below {len(bt.args)}", e.pos)
+            return bt.args[index.value], base, index
+        it, index = self.check(index)
+        if kind == "map" and not assignable(bt.args[0], it):
+            err("TypeError", f"{what} key has type {it}, expected {bt.args[0]}", e.pos)
+        if kind == "seq" and not _numeric(it):
+            err("TypeError", f"{what} index has type {it}, expected int or nat", e.pos)
+        return bt.args[-1], base, index
 
     def _arity(self, e: Builtin, n: int):
         if len(e.args) != n:
@@ -344,7 +320,7 @@ class ExprChecker:
 def is_lvalue(e: Expr) -> bool:
     if isinstance(e, Var):
         return True
-    if isinstance(e, Builtin) and e.op == "ref" and e.ns in ("Map", "Seq", "Tuple"):
+    if isinstance(e, Builtin) and e.op == "ref" and e.ns in _CONTAINERS:
         return is_lvalue(e.args[0])
     return False
 
@@ -705,57 +681,24 @@ def _check_opstmt(tc: TypedContract, s: OpStmt, scope) -> Stmt:
         if s.op == "set":
             numeric(1, "Timer.set duration")
         return replace(s, args=tuple(args))
-    if key == ("Map", "set"):
-        mt, m = plain.check(s.args[0])
-        if mt.kind != "map" or not isinstance(s.args[0], Var):
-            err("TypeError", "Map.set applies to a map variable", s.pos)
-        if contains_resource(mt.args[1]):
+    if s.op in ("set", "append"):
+        if s.op == "set":
+            et, container, index = plain.access(s, s.args[0], s.args[1])
+            head = (container, index)
+        else:
+            ct, container = plain.check(s.args[0])
+            if ct.kind != "seq":
+                err("TypeError", f"Seq.append applies to a seq, got {ct}", s.pos)
+            et, head = ct.args[0], (container,)
+        if not isinstance(s.args[0], Var):
+            err("TypeError", f"{s.ns}.{s.op} applies to a variable", s.pos)
+        if contains_resource(et):
             err("RefRequired",
-                "coin/token map entries change through moves on Map.ref", s.pos)
-        kt, k = plain.check(s.args[1])
-        if not assignable(mt.args[0], kt):
-            err("TypeError", "Map.set key type mismatch", s.pos)
-        vt, v = plain.check(s.args[2])
-        if not assignable(mt.args[1], vt):
-            err("TypeError", "Map.set value type mismatch", s.pos)
-        return replace(s, args=(m, k, v))
-    if key == ("Seq", "set"):
-        st, sq = plain.check(s.args[0])
-        if st.kind != "seq" or not isinstance(s.args[0], Var):
-            err("TypeError", "Seq.set applies to a sequence variable", s.pos)
-        if contains_resource(st.args[0]):
-            err("RefRequired", "coin/token entries change through moves on Seq.ref", s.pos)
-        it, i0 = plain.check(s.args[1])
-        if not _numeric(it):
-            err("TypeError", "Seq.set index must be numeric", s.pos)
-        vt, v = plain.check(s.args[2])
-        if not assignable(st.args[0], vt):
-            err("TypeError", "Seq.set value type mismatch", s.pos)
-        return replace(s, args=(sq, i0, v))
-    if key == ("Seq", "append"):
-        st, sq = plain.check(s.args[0])
-        if st.kind != "seq" or not isinstance(s.args[0], Var):
-            err("TypeError", "Seq.append applies to a sequence variable", s.pos)
-        if contains_resource(st.args[0]):
-            err("RefRequired", "cannot append resource copies to a sequence", s.pos)
-        vt, v = plain.check(s.args[1])
-        if not assignable(st.args[0], vt):
-            err("TypeError", "Seq.append value type mismatch", s.pos)
-        return replace(s, args=(sq, v))
-    if key == ("Tuple", "set"):
-        tt, tp = plain.check(s.args[0])
-        idx = s.args[1]
-        if tt.kind != "tuple" or not isinstance(s.args[0], Var) or not isinstance(idx, Lit):
-            err("TypeError", "Tuple.set applies to (tuple variable, literal index, value)", s.pos)
-        if not (0 <= idx.value < len(tt.args)):
-            err("TypeError", f"tuple index {idx.value} out of range", s.pos)
-        comp = tt.args[idx.value]
-        if contains_resource(comp):
-            err("RefRequired", "coin/token components change through moves on Tuple.ref", s.pos)
-        vt, v = plain.check(s.args[2])
-        if not assignable(comp, vt):
-            err("TypeError", "Tuple.set value type mismatch", s.pos)
-        return replace(s, args=(tp, idx, v))
+                f"coin/token entries change only through moves on {s.ns}.ref", s.pos)
+        vt, v = plain.check(s.args[-1])
+        if not assignable(et, vt):
+            err("TypeError", f"{s.ns}.{s.op} value has type {vt}, expected {et}", s.pos)
+        return replace(s, args=(*head, v))
     if key == ("Address", "change_owner"):
         at, a = plain.check(s.args[0])
         if at.kind != "address":

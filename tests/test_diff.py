@@ -128,6 +128,54 @@ def test_send_drains_tuple_ref_argument():
     assert report.committed > 0
 
 
+TAKE = """
+contract Bank() {
+  msg take;
+  var bal: map[address, coin];
+  initial S;
+  state S:
+  | a??take -> S { a!!got(Map.ref(bal, a)); }
+}
+"""
+
+
+def test_send_of_absent_map_entry_is_undefined():
+    """A send of an absent map entry is undefined on both routes: the
+    send's tau step does not exist, so the cascade and the target both
+    stay at the intermediate state the input step reaches."""
+    prog = typecheck(parse_program(TAKE))
+    news, items = parse_script("new bank = Bank() by alice\ninput bank take from bob\n")
+    report = run_differential(prog, news, items, R=1, word_bits=256)
+    assert report.clean, report.to_json()
+    assert report.committed == 1
+
+
+NEST = """
+contract Nest() {
+  msg put(coin, address);
+  var m: map[address, tuple[coin, nat]];
+  var c: coin;
+  initial S;
+  state S:
+  | a??put(k, x) -> S { Coin.moveall(k, c); Coin.moveall(c, Tuple.ref(Map.ref(m, x), 0)); }
+}
+"""
+
+
+def test_move_under_absent_map_entry_is_undefined():
+    """A move materializes only the entry it writes: a move into a
+    component of an absent map entry is undefined, so the cascade rejects
+    the input and the target reverts."""
+    prog = typecheck(parse_program(NEST))
+    news, items = parse_script(
+        "new nest = Nest() by alice\nexpect-reject\ninput nest put(coin(1), bob) from bob\n")
+    report = run_differential(prog, news, items, R=1, word_bits=256)
+    assert report.clean and report.reverted == 1, report.to_json()
+    machine = Machine(lower(prog), instantiations(prog, news))
+    res = machine.transact("nest", "put", "bob", (1, "bob"))
+    assert (res.committed, res.reason) == (False, "UndefinedOp")
+
+
 @pytest.mark.parametrize("contract,news", SYSTEMS)
 def test_steps_leave_their_inputs_unchanged(contract, news, monkeypatch):
     """Both runtimes share values between states instead of copying them,

@@ -442,6 +442,48 @@ def test_engine_agrees_on_self_keyed_map_entry():
     assert statuses == ["valid", "counterexample"]
 
 
+NEG = """
+contract Neg() {
+  msg go;
+  var x: int;
+  initial A;
+  state A:
+  | a??go -> B { x = x + 1; }
+  state B:
+}
+"""
+
+
+def test_engine_agrees_on_negative_rank_component():
+    """A rank with a component below zero is undefined on both routes: at
+    x == 0 the rank (x - 3) has no value."""
+    prog = typecheck(parse_program(NEG))
+    sk = parse_proof_sketch("""
+reachability done(1) {
+  goal = { @B true }
+  invariant = { }
+  rank = { @A | (x - 3)  @B | (0) }
+  witness = { @A a != Address.none }
+}
+""", prog)
+    fast, _ = _agree(prog, sk, SMALL)
+    assert [(r.vc, r.status) for r in fast if r.status != "valid"] == [
+        ("rank_defined[Neg.A]", "counterexample"),
+        ("rank_decrease[Neg.go@A#0]", "counterexample")]
+
+
+TAKE = """
+contract Bank() {
+  msg take;
+  var bal: map[address, coin];
+  initial S;
+  state S:
+  | a??take -> T { a!!got(Map.ref(bal, a)); }
+  state T:
+}
+"""
+
+
 HAND = """
 contract Hand() {
   msg handover(address);
@@ -512,8 +554,11 @@ def _no_interpreter(*args, **kwargs):
      ["valid", "valid"]),
     (TICK, "safety off { always Timer.is_off(t) }",
      ["valid", "counterexample", "valid", "valid"]),
+    # a send of an absent entry is undefined: a counterexample that reaches
+    # T holds the sender's entry, so it replays
+    (TAKE, "safety never { @T false }", ["valid", "counterexample"]),
 ], ids=["change_owner", "coin_move_aliased", "coin_move", "token_issue",
-        "token_move", "token_moveall", "token_burn", "timer_reset"])
+        "token_move", "token_moveall", "token_burn", "timer_reset", "send_map_ref"])
 def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
     """Each statement operation of the compiled relation runs in an
     inductiveness leaf, and the engine agrees with the oracle on it; the

@@ -1,6 +1,7 @@
 """Type checking: error taxonomy, ghost discipline, normalization."""
 import pytest
 
+from asp.ast_nodes import Binop, children, stmt_exprs
 from asp.diagnostics import TypecheckError
 from asp.parser import parse_program
 from asp.typecheck import erase_ghosts, typecheck
@@ -184,6 +185,95 @@ contract C() {
   | when true by boss -> A { }
 }
 """, "TypeError")
+
+
+# -- container access: one rule for Map/Seq/Tuple get, in, ref and set -------
+
+ACCESS = """
+contract Box() {
+  msg go(nat, address, bool), got(coin), put(nat);
+  var m: map[address, nat];
+  var s: seq[nat];
+  var t: tuple[nat, address];
+  var mc: map[address, coin];
+  var sc: seq[coin];
+  var tc: tuple[nat, coin];
+  var mt: map[nat, tuple[coin, nat]];
+  var c: coin;
+  var n: nat;
+  var b: bool;
+  initial A;
+  state A:
+  | a??go(x, y, f) -> A {
+    %s
+  }
+}
+"""
+
+TUPLE_INDEX = "index must be an integer literal below 2"
+
+
+@pytest.mark.parametrize("stmt, access, message", [
+    # get and in
+    ("n = Map.get(s, y);", "Map.get(s, y)", "Map.get applies to a map, got seq[nat]"),
+    ("n = Map.get(m, f);", "Map.get(m, f)", "Map.get key has type bool, expected address"),
+    ("b = Map.in(y, s);", "Map.in(y, s)", "Map.in applies to a map, got seq[nat]"),
+    ("b = Map.in(x, m);", "Map.in(x, m)", "Map.in key has type nat, expected address"),
+    ("n = Seq.get(m, x);", "Seq.get(m, x)", "Seq.get applies to a seq, got map[address, nat]"),
+    ("n = Seq.get(s, f);", "Seq.get(s, f)", "Seq.get index has type bool, expected int or nat"),
+    ("n = Tuple.get(s, 0);", "Tuple.get(s, 0)", "Tuple.get applies to a tuple, got seq[nat]"),
+    ("n = Tuple.get(t, 2);", "Tuple.get(t, 2)", f"Tuple.get {TUPLE_INDEX}"),
+    ("n = Tuple.get(t, x);", "Tuple.get(t, x)", f"Tuple.get {TUPLE_INDEX}"),
+    # ref, as a move operand and as a send argument
+    ("Coin.moveall(c, Map.ref(sc, y));", "Map.ref(sc, y)",
+     "Map.ref applies to a map, got seq[coin]"),
+    ("Coin.moveall(c, Map.ref(mc, x));", "Map.ref(mc, x)",
+     "Map.ref key has type nat, expected address"),
+    ("Coin.moveall(c, Seq.ref(mc, x));", "Seq.ref(mc, x)",
+     "Seq.ref applies to a seq, got map[address, coin]"),
+    ("a!!got(Seq.ref(sc, y));", "Seq.ref(sc, y)",
+     "Seq.ref index has type address, expected int or nat"),
+    ("Coin.moveall(c, Tuple.ref(sc, 0));", "Tuple.ref(sc, 0)",
+     "Tuple.ref applies to a tuple, got seq[coin]"),
+    ("Coin.moveall(c, Tuple.ref(tc, 2));", "Tuple.ref(tc, 2)", f"Tuple.ref {TUPLE_INDEX}"),
+    ("a!!got(Tuple.ref(tc, x));", "Tuple.ref(tc, x)", f"Tuple.ref {TUPLE_INDEX}"),
+    ("Coin.moveall(c, Tuple.ref(tc, true));", "Tuple.ref(tc, true)",
+     f"Tuple.ref {TUPLE_INDEX}"),
+    # set
+    ("Map.set(s, y, 1);", "Map.set(s, y, 1)", "Map.set applies to a map, got seq[nat]"),
+    ("Map.set(m, x, 1);", "Map.set(m, x, 1)", "Map.set key has type nat, expected address"),
+    ("Seq.set(m, 0, 1);", "Seq.set(m, 0, 1)", "Seq.set applies to a seq, got map[address, nat]"),
+    ("Seq.set(s, f, 1);", "Seq.set(s, f, 1)", "Seq.set index has type bool, expected int or nat"),
+    ("Tuple.set(s, 0, 1);", "Tuple.set(s, 0, 1)", "Tuple.set applies to a tuple, got seq[nat]"),
+    ("Tuple.set(t, 2, 1);", "Tuple.set(t, 2, 1)", f"Tuple.set {TUPLE_INDEX}"),
+    ("Tuple.set(t, true, y);", "Tuple.set(t, true, y)", f"Tuple.set {TUPLE_INDEX}"),
+])
+def test_container_access_rule(stmt, access, message):
+    """Every access form on every container kind goes through one rule:
+    the container kind, the key or index type and the tuple index are
+    checked alike, and the error points at the access. A `true` tuple
+    index is not the integer 1."""
+    src = ACCESS % stmt
+    line = src.splitlines().index(f"    {stmt}") + 1
+    e = expect_error(src, "TypeError")
+    assert (e.pos.line, e.pos.col, e.message) == (line, 5 + stmt.index(access), message)
+
+
+@pytest.mark.parametrize("stmt", [
+    "Coin.moveall(c, Tuple.ref(Map.ref(mt, x - n), 0));",
+    "a!!got(Tuple.ref(Map.ref(mt, x - n), 0));",
+    "a!!put(x - n);",
+])
+def test_access_base_is_annotated(stmt):
+    """The checked base of an access is the one the checker returns, so a
+    nat subtraction under Tuple.ref becomes the partial `-nat`; checking a
+    send's annotated arguments again for its signature accepts `-nat`."""
+    def binops(e):
+        own = [e.op] if isinstance(e, Binop) else []
+        return own + [o for c in children(e) for o in binops(c)]
+
+    action = check(ACCESS % stmt).contract("Box").transitions[0].action
+    assert [o for e in stmt_exprs(action) for o in binops(e)] == ["-nat"]
 
 
 # -- normalization ----------------------------------------------------------
