@@ -36,9 +36,6 @@ INT = SemType("int")
 NAT = SemType("nat")
 BOOL = SemType("bool")
 ADDRESS = SemType("address")
-COIN = SemType("coin")
-TOKEN = SemType("token")
-TIMER = SemType("timer")
 
 
 def contains_resource(t: SemType) -> bool:
@@ -256,14 +253,6 @@ class Transition:
     target: str
     action: tuple[Stmt, ...]
     pos: Pos = field(default=NOPOS, compare=False)
-
-    def label(self) -> str:
-        if self.input:
-            return f"{self.msg_name()}@{self.source}"
-        return f"tau@{self.source}->{self.target}"
-
-    def msg_name(self) -> str | None:
-        return self.input.msg if self.input else None
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .diagnostics import AspError
 from .machine import (
-    InputLetter, InstanceState, OutputLetter, advance_instance,
-    has_active_timer, init_instance, receptions,
+    InputLetter, InstanceState, OutputLetter, advance_instance, defined_steps,
+    enabled_transitions, has_active_timer, init_instance, receptions,
 )
 from .typecheck import TypedContract, TypedProgram
 from .values import Undef
@@ -216,15 +216,21 @@ def env_input(system: System, config: Config, target: int,
               letter: InputLetter) -> tuple[Config, list[TraceEvent]]:
     """Start a cascade with an environment input at a quiescent
     configuration and run it to quiescence. Raises Rejected if the message
-    is not receivable at the target's current state."""
+    is not receivable at the target's current state, or its action is
+    undefined there."""
     if not config.quiescent:
         raise ValueError("environment input on a non-quiescent configuration")
     inst = config.states[target]
-    steps = receptions(system.contract_of(target), inst, letter)
+    tc = system.contract_of(target)
+    # the receptions, keeping the enabled pairs for the diagnostic
+    enabled_pairs = enabled_transitions(tc, inst, letter, normalized=True)
+    steps = defined_steps(tc, inst, enabled_pairs, letter.sender)
     if not steps:
-        raise Rejected(
-            f"{letter.msg!r} is not receivable by {system.names[target]!r} "
-            f"at state {inst.skeleton!r}")
+        where = f"by {system.names[target]!r} at state {inst.skeleton!r}"
+        if enabled_pairs:
+            raise Rejected(f"{letter.msg!r} is receivable {where}, "
+                           f"but its action is undefined")
+        raise Rejected(f"{letter.msg!r} is not receivable {where}")
     _, inst2, outs, logs = system.policy.pick(steps)
     assert not outs
     states = list(config.states)

@@ -417,18 +417,18 @@ class Compiler:
         return self.function("\n".join(body), name="_rel")
 
     def rank(self, cases):
-        """Compile rank cases (pairs of (exprs, cond)) into E -> tuple|None;
+        """Compile rank cases (sketch `RankCase`s) into E -> tuple|None;
         a rank with a component below zero is undefined."""
         if cases is None:
             return lambda E: None
         lines = ["def _rank(E):", "    try:"]
-        for exprs, cond in cases:
-            tup = ", ".join(self.expr(x) for x in exprs)
+        for case in cases:
+            tup = ", ".join(self.expr(x) for x in case.exprs)
             ret = f"return _t if min(_t := ({tup},)) >= 0 else None"
-            if cond is None:
+            if case.cond is None:
                 lines.append(f"        {ret}")
                 break
-            lines.append(f"        if ({self.expr(cond)}) is True:")
+            lines.append(f"        if ({self.expr(case.cond)}) is True:")
             lines.append(f"            {ret}")
         else:
             lines.append("        return None")

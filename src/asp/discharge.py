@@ -40,10 +40,7 @@ from .machine import (
     InstanceState, UNDEFINED, advance_instance, enabled, eval_expr,
     has_active_timer, init_instance, step_instance,
 )
-from .typecheck import (
-    TypedTransition, free_vars, lvalue_root, stmt_written_roots,
-    subst_expr,
-)
+from .typecheck import TypedTransition, free_vars, lvalue_root, stmt_written_roots
 from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal, Undef
 from .vcgen import VC, progress_slice, reads_of, slice_action, time_guard
 
@@ -258,53 +255,30 @@ class MapSpec:
 
 
 class _Ctx:
-    """Caches bounds-expanded sketch pieces and, per transition, the
-    expanded guards, boxed binder domains and action slices; evaluates them
-    through the runtime evaluator over boxed instances. `moves` is the one
-    enumeration of a state's moves. The VC is needed only by the leaf
-    checks; the state searches work from the sketch alone."""
+    """Holds the sketch with its quantifiers expanded at the bounds and
+    caches, per transition, the boxed binder domains and action slices;
+    evaluates them through the runtime evaluator over boxed instances.
+    `moves` is the one enumeration of a state's moves. The VC (its
+    conclusion expanded too) is needed only by the leaf checks; the state
+    searches work from the sketch alone."""
 
     def __init__(self, tc, sketch, bounds: DomainBounds, vc: VC | None = None):
         self.vc = vc
         self.tc = tc
-        self.sketch = sketch
+        self._sketch = sketch
         self.bounds = bounds
         self._memo: dict = {}
         self.self_addr = "@" + self.tc.name
-        self.extra: dict[str, object] = {}  # e.g. the adversarial player
+
+    @cached_property
+    def sketch(self):
+        """Expanded on first use: the compiled safety leaves never read it."""
+        return self._sketch.map_exprs(lambda e: expand_quants(e, self.bounds))
 
     def _cached(self, key, make):
         if key not in self._memo:
             self._memo[key] = make()
         return self._memo[key]
-
-    def ex(self, e: Expr) -> Expr:
-        return expand_quants(e, self.bounds)
-
-    def theta(self, state: str):
-        return self._cached(("theta", state), lambda: tuple(
-            self.ex(e) for e in self.sketch.theta(state)))
-
-    def goal(self, state: str):
-        g = self.sketch.goal_at(state)
-        return self._cached(("goal", state), lambda: None if g is None else tuple(
-            self.ex(e) for e in g))
-
-    def rank(self, state: str):
-        cases = self.sketch.rank.get(state)
-        return self._cached(("rank", state), lambda: None if cases is None else tuple(
-            (tuple(self.ex(x) for x in c.exprs),
-             None if c.cond is None else self.ex(c.cond))
-            for c in cases))
-
-    def witness(self, state: str):
-        w = self.sketch.witness.get(state)
-        return self._cached(("witness", state),
-                            lambda: None if w is None else self.ex(w))
-
-    def conclusion(self):
-        return self._cached(("conclusion",), lambda: tuple(
-            self.ex(e) for e in self.vc.conclusion))
 
     # -- boxed-instance evaluation --
 
@@ -329,6 +303,8 @@ class _Ctx:
                 ienv[v.name] = MapVal(d, v.default)
             else:
                 ienv[v.name] = zero_value(v.typ, v.default)
+        if "__player" in env:
+            ienv["__player"] = env["__player"]
         creator = env.get("creator", "P0")
         owner = env.get("owner", creator)
         remaining = env.get("__remaining",
@@ -337,30 +313,19 @@ class _Ctx:
                              self.self_addr, remaining)
 
     def all_true(self, exprs, inst, bindings=None) -> bool:
-        b = dict(self.extra)
-        if bindings:
-            b.update(bindings)
+        b = bindings or {}
         for e in exprs:
             if eval_expr(e, inst, b) is not True:
                 return False
         return True
 
-    def ev(self, expr, inst, bindings=None):
-        b = dict(self.extra)
-        if bindings:
-            b.update(bindings)
-        return eval_expr(expr, inst, b)
-
     def rank_of(self, state: str, inst) -> tuple | None:
-        cases = self.rank(state)
-        if cases is None:
-            return None
-        for exprs, cond in cases:
-            if cond is not None and self.ev(cond, inst) is not True:
+        for case in self.sketch.rank.get(state, ()):
+            if case.cond is not None and eval_expr(case.cond, inst, {}) is not True:
                 continue
             vals = []
-            for x in exprs:
-                v = self.ev(x, inst)
+            for x in case.exprs:
+                v = eval_expr(x, inst, {})
                 if v is UNDEFINED or not isinstance(v, int) or v < 0:
                     return None
                 vals.append(v)
@@ -403,7 +368,7 @@ class _Ctx:
             for combo in itertools.product(*doms):
                 bindings = dict(zip(names, combo))
                 if witness is not None and \
-                        self.ev(witness, inst, bindings) is not True:
+                        eval_expr(witness, inst, bindings) is not True:
                     continue
                 if not enabled(t, inst, bindings):
                     continue
@@ -457,7 +422,9 @@ def _check_initiality(cx: _Ctx, env: dict):
         inst = init_instance(cx.tc, cx.self_addr, args, creator)
     except Undef:
         return None  # no such initial state
-    if not cx.all_true(cx.conclusion(), inst):
+    if "__player" in env:
+        inst.env["__player"] = env["__player"]
+    if not cx.all_true(cx.vc.conclusion, inst):
         return "assertion fails at the initial state"
     return None
 
@@ -478,14 +445,14 @@ def _check_inductive(cx: _Ctx, env: dict):
     post = _vc_step(cx, cx.build_instance(cx.vc.state, env), env)
     if post is None:
         return None
-    if not cx.all_true(cx.conclusion(), post):
+    if not cx.all_true(cx.vc.conclusion, post):
         return "assertion is not preserved"
     return None
 
 
 def _check_sufficiency(cx: _Ctx, env: dict):
     inst = cx.build_instance(cx.vc.state, env)
-    if not cx.all_true(cx.conclusion(), inst):
+    if not cx.all_true(cx.vc.conclusion, inst):
         return "reject predicate holds at an invariant state"
     return None
 
@@ -499,7 +466,7 @@ def _check_rank_defined(cx: _Ctx, env: dict):
 
 def _check_enabledness(cx: _Ctx, env: dict):
     inst = cx.build_instance(cx.vc.state, env)
-    wit = cx.witness(cx.vc.state)
+    wit = cx.sketch.witness.get(cx.vc.state)
     # without a witness an input transition's existential cannot be
     # discharged: only tau moves count then
     for t, sender, step_b in cx.moves(inst, None if wit is not None else (),
@@ -513,10 +480,10 @@ def _check_enabledness(cx: _Ctx, env: dict):
 
 
 def _progress_ok(cx: _Ctx, target: str, post, pre_rank) -> bool:
-    goal = cx.goal(target)
+    goal = cx.sketch.goal_at(target)
     if goal is not None and cx.all_true(goal, post):
         return True
-    if not cx.all_true(cx.theta(target), post):
+    if not cx.all_true(cx.sketch.theta(target), post):
         return False
     post_rank = cx.rank_of(target, post)
     return post_rank is not None and post_rank < pre_rank
@@ -543,7 +510,7 @@ def _check_player_move(cx: _Ctx, env: dict):
         return "rank is undefined"
     # tau moves belong to the Opponent (the contract)
     for t, _, step_b in cx.moves(inst, (x,), taus=False,
-                                 witness=cx.witness(cx.vc.state)):
+                                 witness=cx.sketch.witness.get(cx.vc.state)):
         posts = (cx.run_inner(t, inst, step_b, x, delta, cx.progress_slice(t))
                  for delta in cx.deltas())
         if all(post is not None and _progress_ok(cx, t.target, post, pre_rank)
@@ -725,6 +692,8 @@ def _preserved(vc: VC) -> bool:
 
 
 def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
+    vc = dc_replace(vc, conclusion=tuple(
+        expand_quants(e, bounds) for e in vc.conclusion))
     cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
     tc = vc.tc
     scalars: list = []
@@ -739,8 +708,9 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
         for pname, ptyp in tc.params:
             add_scalar(pname, scalar_domain(ptyp, bounds, cx.self_addr), ptyp)
         add_scalar("creator", bounds.actor_values(), None)
-        hyp = [] if tc.where is None else \
-            split_conjuncts(expand_quants(tc.where, bounds))
+        if "__player" in reads_of(vc.conclusion):
+            add_scalar("__player", bounds.actor_values(), ADDRESS)
+        hyp = [] if tc.where is None else split_conjuncts(tc.where)
         return _Problem(vc, cx, scalars, {}, hyp,
                         [name for name, _, _ in scalars])
 
@@ -787,9 +757,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
             post_reads |= reads_of(vc.sketch.reads_at(vc.target))
         if post_reads & set(_timer_vars(tc)):
             add_scalar("__delta", tuple(range(1, bounds.delta_max + 1)))
-    player = vc.sketch.player
-    if vc.kind in ("PlayerMove", "OpponentTotal") or (
-            player is not None and player in reads):
+    if vc.kind in ("PlayerMove", "OpponentTotal") or "__player" in reads:
         add_scalar("__player", bounds.actor_values(), ADDRESS)
 
     if tc.issues and tc.issue_limit is not None and any(
@@ -798,17 +766,15 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
         add_scalar("__remaining",
                    tuple(range(0, min(tc.issue_limit, bounds.nat_max) + 1)))
 
-    # hypothesis: expand quantifiers, split conjunctions, substitute the
-    # player, then add the constructor constraint restricted to read vars
+    # hypothesis: expand quantifiers, split conjunctions, then add the
+    # constructor constraint restricted to read vars
     names = {n for n, _, _ in scalars}
-    subst = {player: "__player"} if player and "__player" in names else {}
     hyp: list[Expr] = []
     for e in vc.hypothesis:
-        e2 = subst_expr(e, subst) if subst else e
-        hyp.extend(split_conjuncts(expand_quants(e2, bounds)))
-    hyp.extend(expand_quants(h, bounds) for h in _definedness_hints(vc))
+        hyp.extend(split_conjuncts(expand_quants(e, bounds)))
+    hyp.extend(_definedness_hints(vc))
     if tc.where is not None:
-        for w in split_conjuncts(expand_quants(tc.where, bounds)):
+        for w in split_conjuncts(tc.where):
             if free_vars(w) <= names | set(maps):
                 hyp.append(w)
 
@@ -927,23 +893,13 @@ def _make_check(vc: VC, cx: _Ctx, comp: Compiler):
 
 def _interpreted_check(vc: VC, cx: _Ctx):
     """Leaf obligation through the runtime evaluator: env -> message or
-    None. The sketch's player name reads the `__player` variable."""
-    check_fn = _CHECKS[vc.kind]
-    player_name = vc.sketch.player
-
-    def interpreted(env):
-        if "__player" in env and player_name:
-            env = dict(env)
-            env[player_name] = env["__player"]
-            cx.extra = {player_name: env["__player"]}
-        return check_fn(cx, env)
-
-    return interpreted
+    None."""
+    return lambda env: _CHECKS[vc.kind](cx, env)
 
 
 def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
     if vc.kind == "Sufficiency":
-        concl = comp.predicate(list(cx.conclusion()))
+        concl = comp.predicate(list(cx.vc.conclusion))
 
         def check_suff(E):
             try:
@@ -954,7 +910,7 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
         return check_suff
 
     if vc.kind == "RankDefined":
-        rank_fn = comp.rank(cx.rank(vc.state))
+        rank_fn = comp.rank(cx.sketch.rank.get(vc.state))
 
         def check_rd(E):
             return None if rank_fn(E) is not None else "rank is undefined"
@@ -966,7 +922,7 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
     rel = comp.relation(() if vc.is_time else vc.action, sender_key)
 
     if vc.kind == "Inductiveness":
-        concl = comp.predicate(list(cx.conclusion()))
+        concl = comp.predicate(list(cx.vc.conclusion))
 
         def check_ind(E):
             E2 = rel(E)
@@ -980,11 +936,11 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
 
     assert vc.kind == "RankDecrease"
     target = vc.target
-    rank_src = comp.rank(cx.rank(vc.state))
-    rank_tgt = comp.rank(cx.rank(target))
-    goal_tgt = cx.goal(target)
+    rank_src = comp.rank(cx.sketch.rank.get(vc.state))
+    rank_tgt = comp.rank(cx.sketch.rank.get(target))
+    goal_tgt = cx.sketch.goal_at(target)
     goal_fn = None if goal_tgt is None else comp.predicate(list(goal_tgt))
-    theta_fn = comp.predicate(list(cx.theta(target)))
+    theta_fn = comp.predicate(list(cx.sketch.theta(target)))
 
     def check_dec(E):
         pre = rank_src(E)
@@ -1189,8 +1145,7 @@ def _runtime_hypothesis(prob: _Problem):
     evaluator, on the instance built from env with the binders boxed."""
     vc, cx = prob.vc, prob.cx
     own = {} if vc.transition is None else vc.transition.binders
-    binders = [(name, typ) for name, _, typ in prob.scalars
-               if name in own or name == "__player"]
+    binders = [(name, typ) for name, _, typ in prob.scalars if name in own]
 
     def holds(exprs, env) -> bool:
         inst = cx.build_instance(vc.state, env)

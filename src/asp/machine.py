@@ -492,9 +492,15 @@ def receptions(tc: TypedContract, inst: InstanceState,
     """(t, inst', outputs, logs) for each normalized transition that the
     letter enables at the instance (the taus when it is None) and whose
     action is defined, in transition order."""
-    sender = None if letter is None else letter.sender
+    return defined_steps(tc, inst, enabled_transitions(tc, inst, letter, normalized=True),
+                         None if letter is None else letter.sender)
+
+
+def defined_steps(tc: TypedContract, inst: InstanceState, enabled_pairs, sender):
+    """(t, inst', outputs, logs) for each enabled (t, bindings) whose
+    action is defined at the instance, in order."""
     out = []
-    for t, b in enabled_transitions(tc, inst, letter, normalized=True):
+    for t, b in enabled_pairs:
         res = step_instance(tc, inst, t, b, sender)
         if res is not UNDEFINED:
             out.append((t, *res))

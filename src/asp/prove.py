@@ -130,10 +130,10 @@ class FiniteModel:
     def key(self, inst) -> str:
         return inst.snapshot()
 
-    def is_goal(self, inst) -> bool:
-        """The goal holds at the instance (for the player in `cx.extra`)."""
-        g = self.cx.goal(inst.skeleton)
-        return g is not None and self.cx.all_true(g, inst)
+    def is_goal(self, inst, bindings=None) -> bool:
+        """The goal holds at the instance (under `bindings`: the player)."""
+        g = self.cx.sketch.goal_at(inst.skeleton)
+        return g is not None and self.cx.all_true(g, inst, bindings)
 
     def _clamp(self, inst):
         """Saturating finitization: numeric values stick at the bound so
@@ -275,13 +275,11 @@ def game_solve(program: TypedProgram, sketch: ProofSketch,
     goal, or one of x's moves wins, or a tau/time move exists and every
     Opponent move wins."""
     model = FiniteModel(program, sketch, bounds, params, creator)
-    cx = model.cx
     states, moves = model.explore(state_limit)
 
     for x in bounds.actor_values():
-        cx.extra = {sketch.player: x}
-        goal = {k for k, inst in states.items() if model.is_goal(inst)}
-        cx.extra = {}
+        goal = {k for k, inst in states.items()
+                if model.is_goal(inst, {"__player": x})}
 
         def wins(k, won):
             if k in goal:

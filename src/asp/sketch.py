@@ -23,16 +23,13 @@ Surface forms:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ast_nodes import ADDRESS, Expr
 from .diagnostics import Pos, SketchError
 from .lexer import tokenize
 from .parser import TokenStream, parse_expr
-from .typecheck import ExprChecker, TypedContract, TypedProgram
-
-TRUE_DEFAULT = "true"
-FALSE_DEFAULT = "false"
+from .typecheck import ExprChecker, TypedContract, TypedProgram, subst_expr
 
 
 @dataclass(frozen=True)
@@ -45,8 +42,8 @@ class RankCase:
 @dataclass
 class ProofSketch:
     """A proof sketch of any of the three rules, in one shape. Safety
-    sketches leave the ranked fields empty (no goal, rank, witness or
-    player); reachability sketches have no player."""
+    sketches leave the ranked fields empty (no goal, rank or witness). An
+    adversarial sketch's expressions read its player as `__player`."""
     name: str
     contract: str
     kind: str  # safety | reachability | adversarial
@@ -54,7 +51,6 @@ class ProofSketch:
     always: tuple[Expr, ...] = ()
     reject: Expr | None = None  # safety: enables Sufficiency checks
     rank_len: int = 0
-    player: str | None = None
     goal: dict[str, tuple[Expr, ...]] = field(default_factory=dict)
     rank: dict[str, tuple[RankCase, ...]] = field(default_factory=dict)
     witness: dict[str, Expr] = field(default_factory=dict)
@@ -77,6 +73,20 @@ class ProofSketch:
             if case.cond is not None:
                 out.append(case.cond)
         return out
+
+    def map_exprs(self, f) -> "ProofSketch":
+        """The sketch with f applied to each of its expressions."""
+        def each(d):
+            return {k: tuple(map(f, v)) for k, v in d.items()}
+
+        def opt(e):
+            return None if e is None else f(e)
+        return replace(
+            self, at=each(self.at), always=tuple(map(f, self.always)),
+            reject=opt(self.reject), goal=each(self.goal),
+            rank={k: tuple(RankCase(tuple(map(f, c.exprs)), opt(c.cond), c.pos)
+                           for c in v) for k, v in self.rank.items()},
+            witness={k: f(v) for k, v in self.witness.items()})
 
 
 def _witness_scope(tc: TypedContract, state: str) -> dict:
@@ -263,6 +273,8 @@ def _parse_ranked(ts: TokenStream, kind: str, name: str, rank_len: int,
         section = ts.ident()
         ts.expect("=")
         if section == "player":
+            if kind == "reachability":
+                raise SketchError("a reachability sketch has no player", ts.peek().pos)
             player = ts.ident()
             if player in tc.state_scope() or player in ("none", "log"):
                 raise SketchError(f"player name {player!r} shadows an existing name")
@@ -282,11 +294,12 @@ def _parse_ranked(ts: TokenStream, kind: str, name: str, rank_len: int,
         raise SketchError(f"{kind} sketch {name!r} has no goal")
     if rank is None:
         raise SketchError(f"{kind} sketch {name!r} has no rank")
+    sketch = ProofSketch(name, tc.name, kind, invariant or {}, rank_len=rank_len,
+                         goal=goal, rank=rank, witness=witness or {})
     if kind == "reachability":
-        player = None  # a reachability proof has no game
-    elif player is None:
+        return sketch
+    if player is None:
         raise SketchError(f"adversarial sketch {name!r} names no player")
-    return ProofSketch(name, tc.name, kind, invariant or {}, rank_len=rank_len,
-                       player=player, goal=goal, rank=rank,
-                       witness=witness or {})
+    # every proof route reads the player as this one reserved name
+    return sketch.map_exprs(lambda e: subst_expr(e, {player: "__player"}))
 

@@ -423,13 +423,11 @@ def emit_smtlib(vc: VC) -> SmtScript:
         env[v.name] = em.declare_var(v.name, v.typ)
         if v.typ.kind == "map" and v.name in em.membership:
             env[v.name + "!has"] = f"v_{_sanitize(v.name)}_has"
-    if vc.transition is not None and vc.transition.input is not None:
-        t = vc.transition
-        env[t.sender_var] = em.declare_var(t.sender_var, ADDRESS)
-        em.asserts.append(
-            f"(assert (distinct {env[t.sender_var]} {em.addr('none')}))")
-        for name, typ in zip(t.input.params, t.param_types):
-            env[name] = em.declare_var(name, typ)
+    t = vc.transition
+    for name, typ in ({} if t is None else t.binders).items():
+        env[name] = em.declare_var(name, typ)
+        if name == t.sender_var:
+            em.asserts.append(f"(assert (distinct {env[name]} {em.addr('none')}))")
 
     # hypothesis (theta, guards, constructor constraint, ambient axioms)
     hyp_terms = []

@@ -48,9 +48,6 @@ class VC:
     conclusion: tuple[Expr, ...] = ()  # post-state conjuncts (kind-dependent)
     action: tuple[Stmt, ...] = ()  # sliced action actually executed
 
-    def label(self) -> str:
-        return self.name
-
     @property
     def target(self) -> str:
         """The state after the VC's step: the transition's target, or the

@@ -1,0 +1,92 @@
+"""Per-VC results of the criterion-9 pairs, pinned in engine_pins.json.
+
+The file holds, per route ("engine", "oracle"), bounds and criterion-9
+pair, the route's result on each VC in VC order: status, the `checked`
+count of a valid VC, and a counterexample's valuation as (key, value)
+pairs in the order the route assigned them, with its message.
+
+    python tests/pins.py
+
+run from the repository root, recomputes every pin, rewrites
+engine_pins.json and prints each entry that changed as `old -> new`.
+"""
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+
+from conftest import CRITERION_9_PAIRS, load, typed  # noqa: E402
+
+from asp.discharge import (  # noqa: E402
+    Counterexample, DomainBounds, Valid, discharge_bounded, discharge_naive,
+)
+from asp.sketch import parse_proof_sketch  # noqa: E402
+from asp.vcgen import generate_vcs  # noqa: E402
+
+PINS_FILE = HERE / "engine_pins.json"
+ROUTES = {"engine": discharge_bounded, "oracle": discharge_naive}
+# the bounds each route is pinned at
+PINNED = {"engine": ("addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2"),
+          "oracle": ("addr=2,nat=1,timer=2",)}
+
+
+def results(route: str, contract: str, proof: str, bounds: str) -> list[dict]:
+    """The route's result on each VC of the pair, in the pinned form."""
+    prog = typed(contract)
+    out = []
+    for vc in generate_vcs(prog, parse_proof_sketch(load(proof), prog)):
+        r = ROUTES[route](vc, DomainBounds.parse(bounds))
+        cex = isinstance(r, Counterexample)
+        out.append({"vc": vc.name, "status": r.status,
+                    "checked": r.checked if isinstance(r, Valid) else None,
+                    "counterexample": [list(kv) for kv in r.valuation.items()]
+                    if cex else None,
+                    "message": r.message if cex else None})
+    return out
+
+
+def _dump(obj, depth: int = 0) -> str:
+    """JSON with one VC entry per line."""
+    pad = " " * (depth + 1)
+    if isinstance(obj, dict):
+        items = [f"{pad}{json.dumps(k)}: {_dump(v, depth + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + " " * depth + "}"
+    return "[\n" + ",\n".join(pad + json.dumps(e) for e in obj) + "\n" + " " * depth + "]"
+
+
+def regenerate() -> list[str]:
+    """Rewrite the pins file; the changed entries as `old -> new` lines."""
+    old = json.loads(PINS_FILE.read_text()) if PINS_FILE.exists() else {}
+    new: dict = {}
+    changes = []
+    for route, all_bounds in PINNED.items():
+        for bounds in all_bounds:
+            for contract, proof in CRITERION_9_PAIRS:
+                pair = f"{contract} {proof}"
+                got = results(route, contract, proof, bounds)
+                new.setdefault(route, {}).setdefault(bounds, {})[pair] = got
+                was = {e["vc"]: e for e in
+                       old.get(route, {}).get(bounds, {}).get(pair, [])}
+                for e in got:
+                    before = was.pop(e["vc"], None)
+                    if before != e:
+                        changes.append(f"{route} {bounds} {pair} {e['vc']}: "
+                                       f"{_fields(before, e)}")
+                changes.extend(f"{route} {bounds} {pair} {vc}: {json.dumps(e)} -> none"
+                               for vc, e in was.items())
+    PINS_FILE.write_text(_dump(new) + "\n")
+    return changes
+
+
+def _fields(before, after) -> str:
+    if before is None:
+        return f"none -> {json.dumps(after)}"
+    return ", ".join(f"{k} {json.dumps(before.get(k))} -> {json.dumps(v)}"
+                     for k, v in after.items() if before.get(k) != v)
+
+
+if __name__ == "__main__":
+    for line in regenerate():
+        print(line)

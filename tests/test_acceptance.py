@@ -12,7 +12,7 @@ Budgets and tolerances are pinned here, not configured elsewhere:
   8  every reverted transaction leaves storage hash-identical
   9  corpus VCs export to SMT-LIB; bounded engine agrees with the
      raw-enumeration oracle (and an external solver when configured); the
-     oracle checks 12,314 valuations at 2/2/2 and its counterexamples replay
+     oracle checks 12,206 valuations at 2/2/2 and its counterexamples replay
   10 ghost-erased compile is transaction-for-transaction identical over
      1,000 random transactions
 """
@@ -321,7 +321,7 @@ def test_criterion_9_engine_agreement():
                 pass  # game-rule obligations: bounded engine only
     assert disagreements == 0
     assert emitted >= 25
-    assert oracle_checked == 12_314
+    assert oracle_checked == 12_206
     via = "external solver" if solver else "raw-enumeration oracle"
     ok(9, f"{emitted} VCs exported; engine verdicts agree with the {via}, "
           f"0 disagreements; oracle checked {oracle_checked} valuations")

@@ -127,6 +127,36 @@ def test_prove_invalid_exit_one():
     assert "Choose" in report["failed_obligations"]
 
 
+def test_prove_invariant_naming_the_player(tmp_path):
+    """An invariant that reads the adversarial player proves like the
+    corpus lockout proof: exit 0 with a JSON report, no traceback."""
+    proof = tmp_path / "lockout.aspproof"
+    proof.write_text(load("vending_lockout.aspproof").replace(
+        "@Choose customer != Address.none",
+        "@Choose customer != Address.none\n    @Wait x != Address.none"),
+        encoding="utf-8")
+    r = run_cli("prove", str(CORPUS / "vending_fixed.asp"), "--proof", str(proof),
+                "--bounds", "addr=2,nat=2,timer=2")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["valid"] is True
+
+
+def test_prove_reachability_player_exit_one(tmp_path):
+    """A reachability sketch has no player: a player section is a sketch
+    error, reported as a JSON diagnostic."""
+    proof = tmp_path / "closed.aspproof"
+    proof.write_text(load("auction_closed.aspproof").replace(
+        "goal = {", "player = x\n  goal = {", 1).replace(
+        "@AuctionClosed true", "@AuctionClosed x != Address.none"), encoding="utf-8")
+    r = run_cli("prove", str(CORPUS / "auction.asp"), "--proof", str(proof),
+                "--bounds", "addr=2,nat=2,timer=2")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    diag = json.loads(r.stdout)
+    assert diag["code"] == "SketchError"
+    assert "reachability sketch has no player" in diag["message"]
+
+
 @pytest.mark.parametrize("bounds", ["foo=3", "addr=x", "addr=-1", "addr=0", "addr=3,addr=2"])
 def test_prove_bad_bounds_exit_two(bounds):
     r = run_cli("prove", str(CORPUS / "auction.asp"),

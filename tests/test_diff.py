@@ -10,9 +10,11 @@ from asp.cascade import Rejected, env_input, init_system, time_advance, wake_int
 from asp.diff import _ir_tx_args, _run_script, differential_check, random_items, run_differential
 from asp.interp import Machine, _canon
 from asp.lower import lower
+from asp.machine import InputLetter
 from asp.parser import parse_program
 from asp.script import InputItem, NewItem, instance_index, instantiations, parse_script
 from asp.typecheck import typecheck
+from asp.values import Coin
 from conftest import ROOT, load
 
 AUCTION_NEWS = [NewItem("auction", "SimpleAuction", ("bene", 10), "alice", 0)]
@@ -174,6 +176,21 @@ def test_move_under_absent_map_entry_is_undefined():
     machine = Machine(lower(prog), instantiations(prog, news))
     res = machine.transact("nest", "put", "bob", (1, "bob"))
     assert (res.committed, res.reason) == (False, "UndefinedOp")
+
+
+def test_rejection_names_its_cause():
+    """A receivable message whose action is undefined is told apart from
+    a message with no matching transition."""
+    system, config = init_system(typecheck(parse_program(NEST)),
+                                 [("nest", "Nest", {}, "alice")], 1)
+    for letter, message in (
+            (InputLetter("put", "bob", (Coin(1), "bob")),
+             "'put' is receivable by 'nest' at state 'S', but its action is undefined"),
+            (InputLetter("nope", "bob", ()),
+             "'nope' is not receivable by 'nest' at state 'S'")):
+        with pytest.raises(Rejected) as e:
+            env_input(system, config, 0, letter)
+        assert e.value.message == message
 
 
 @pytest.mark.parametrize("contract,news", SYSTEMS)

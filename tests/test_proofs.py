@@ -1,7 +1,6 @@
 """Proof pipeline: sketches, VC generation, bounded discharge, searches."""
 import itertools
 import json
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +14,8 @@ from asp.prove import check_proof, game_solve, reach_search
 from asp.sketch import parse_proof_sketch
 from asp.typecheck import typecheck
 from asp.vcgen import generate_vcs
-from conftest import CRITERION_9_PAIRS, load, typed
+from conftest import CRITERION_9_PAIRS, load
+from pins import PINNED, PINS_FILE, results
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
 SMALL = DomainBounds(addresses=2, nat_max=2, timer_max=2)
@@ -272,6 +272,55 @@ def test_engine_agrees_on_reachability(auction):
 def test_engine_agrees_on_lockout(vending_fixed):
     sk = parse_proof_sketch(load("vending_lockout.aspproof"), vending_fixed)
     _agree(vending_fixed, sk, SMALL)
+
+
+def _lockout_variant(prog, *edits):
+    """vending_lockout.aspproof with each (old, new) text edit applied."""
+    text = load("vending_lockout.aspproof")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return parse_proof_sketch(text, prog)
+
+
+def test_invariant_naming_the_player(vending_fixed):
+    """An invariant conjunct over the player changes no verdict: Initiality
+    and the compiled inductiveness leaves bind it like every other route."""
+    want = [r.status for r in _agree(
+        vending_fixed, _lockout_variant(vending_fixed), SMALL)[0]]
+    sk = _lockout_variant(vending_fixed, (
+        "@Choose customer != Address.none",
+        "@Choose customer != Address.none\n    @Wait x != Address.none"))
+    fast, slow = _agree(vending_fixed, sk, SMALL)
+    assert [r.status for r in fast] == [r.status for r in slow] == want
+
+
+def test_player_named_like_a_binder():
+    """The player `x` and the pay sender binder `x` are two names: the
+    guard `x != owner` reads the sender on both routes."""
+    prog = typecheck(parse_program(load("vending_fixed.asp").replace(
+        "| x??pay(c) -> Choose", "| x??pay(c) when x != owner -> Choose")))
+    sk = _lockout_variant(prog, (
+        "@Choose customer != Address.none",
+        "@Choose customer != Address.none && customer != owner"))
+    fast, slow = _agree(prog, sk, SMALL)
+    i = [r.vc for r in fast].index("inductive[VendingMachine.pay@Wait#0]")
+    assert fast[i].status == slow[i].status == "valid"
+
+
+def test_game_goal_naming_the_player(vending_fixed):
+    """A goal over the player is read with each actor as the player."""
+    sk = _lockout_variant(vending_fixed,
+                          ("@Wait true", "@Wait true\n    @Choose customer == x"))
+    g = game_solve(vending_fixed, sk, SMALL, {})
+    assert (g.ok, g.states) == (True, 27)
+
+
+def test_reachability_player_rejected(auction):
+    text = load("auction_closed.aspproof").replace(
+        "goal = {", "player = x\n  goal = {", 1)
+    with pytest.raises(SketchError, match="reachability sketch has no player"):
+        parse_proof_sketch(text, auction)
 
 
 SEQS = """
@@ -573,38 +622,33 @@ def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
                 discharge_bounded(vc, SMALL)
 
 
-# -- engine results pinned per VC ---------------------------------------------
+# -- engine and oracle results pinned per VC ----------------------------------
 
-# engine_pins.json holds, per bounds and criterion-9 pair, the engine's
-# result on each VC in VC order, as `_engine_results` gives it: status,
-# the leaves of a valid VC, and a counterexample's valuation as (key,
-# value) pairs in the order the engine assigned them, with its message.
-ENGINE_PINS = json.loads((Path(__file__).parent / "engine_pins.json").read_text())
+# engine_pins.json pins each criterion-9 VC's result on both routes (see
+# pins.py, which regenerates it).
+PINS = json.loads(PINS_FILE.read_text())
 
 
-def _engine_results(prog, sketch, bounds):
-    out = []
-    for vc in generate_vcs(prog, sketch):
-        r = discharge_bounded(vc, bounds)
-        cex = isinstance(r, Counterexample)
-        out.append({"vc": vc.name, "status": r.status,
-                    "checked": r.checked if isinstance(r, Valid) else None,
-                    "counterexample": [list(kv) for kv in r.valuation.items()]
-                    if cex else None,
-                    "message": r.message if cex else None})
-    return out
+def _assert_pinned(route, bounds):
+    for contract, proof in CRITERION_9_PAIRS:
+        got = results(route, contract, proof, bounds)
+        for g, want in zip(got, PINS[route][bounds][f"{contract} {proof}"],
+                           strict=True):
+            assert g == want, (contract, proof)
 
 
-@pytest.mark.parametrize("bounds", ["addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2"])
+@pytest.mark.parametrize("bounds", PINNED["engine"])
 def test_engine_results_pinned(bounds):
     """Every criterion-9 VC keeps its engine result, down to the key order
     of a counterexample."""
-    for contract, proof in CRITERION_9_PAIRS:
-        prog = typed(contract)
-        got = _engine_results(prog, parse_proof_sketch(load(proof), prog),
-                              DomainBounds.parse(bounds))
-        for g, want in zip(got, ENGINE_PINS[bounds][f"{contract} {proof}"], strict=True):
-            assert g == want, (contract, proof)
+    _assert_pinned("engine", bounds)
+
+
+@pytest.mark.parametrize("bounds", PINNED["oracle"])
+def test_oracle_results_pinned(bounds):
+    """Every criterion-9 VC keeps its oracle result: its `checked` count
+    and the key order of a counterexample."""
+    _assert_pinned("oracle", bounds)
 
 
 # -- liveness answers pinned --------------------------------------------------
@@ -614,10 +658,10 @@ def test_engine_results_pinned(bounds):
 # and slices through the runtime evaluator; a change there shows here.
 LIVENESS = {
     ("auction.asp", "auction_closed.aspproof"): (272, []),
-    ("vending_fixed.asp", "vending_lockout.aspproof"): (155, [
+    ("vending_fixed.asp", "vending_lockout.aspproof"): (101, [
         "opponent_total[VendingMachine.Choose]",
         "player_move[VendingMachine.Deliver]"]),
-    ("vending_machine.asp", "vending_lockout_original.aspproof"): (119, [
+    ("vending_machine.asp", "vending_lockout_original.aspproof"): (65, [
         "opponent_total[VendingMachine.Choose]",
         "opponent_total[VendingMachine.Halt]",
         "player_move[VendingMachine.Choose]",
