@@ -11,11 +11,12 @@ the game-rule obligations) use the runtime evaluator on both routes.
 The engine's hot loop touches hundreds of thousands of valuations, so
 hypothesis conjuncts, their equality-forcing targets, transition
 relations, ranks and conclusions are compiled once per discharge into
-generated Python functions over a flat "exploded" environment:
+generated Python functions over an "exploded" environment of values in
+their flat form (`values.flat`, the form the IR interpreter stores too):
 
     scalars            E["maxBid"]        (coins are plain ints here)
     map entries        E[("bidded", k)]   (ABSENT marks a missing key)
-    timers             (code, remaining)  code: 0 off, 1 active, 2 fired
+    timers             (state, remaining) state: "off", "active" or "fired"
     tokens             (kind | None, amount)
     sequences, tuples  tuples of element values
 
@@ -41,8 +42,6 @@ from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Sen
 from .values import Undef
 
 ABSENT = object()  # absent map entry (shared with discharge)
-
-T_OFF, T_ACTIVE, T_FIRED = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ def _nsub(a, b):
 
 
 def _tval(t):
-    if t[0] != T_ACTIVE:
+    if t[0] != "active":
         raise Undef("Timer.value on a non-active timer")
     return t[1]
 
@@ -86,17 +85,17 @@ def _sget(s, i):
 
 
 def _tset(t, k):
-    if t[0] != T_OFF:
+    if t[0] != "off":
         raise Undef("Timer.set on a non-off timer")
     if k <= 0:
         raise Undef("Timer.set requires a positive duration")
-    return (T_ACTIVE, k)
+    return ("active", k)
 
 
 def _tick1(t, d):
-    if t[0] != T_ACTIVE:
+    if t[0] != "active":
         return t
-    return (T_ACTIVE, t[1] - d) if t[1] > d else (T_FIRED, 0)
+    return ("active", t[1] - d) if t[1] > d else ("fired", 0)
 
 
 def _xref(E, m, k, default, keys, zero):
@@ -144,6 +143,8 @@ PRELUDE = {
 # operators that are not Python's own; the connectives stay strict
 _BINOPS = {"&&": "({} & {})", "||": "({} | {})", "==>": "((not {}) | {})",
            "/": "_div({}, {})", "%": "_mod({}, {})", "-nat": "_nsub({}, {})"}
+_TIMER_TESTS = {("Timer", "is_off"): "off", ("Timer", "is_active"): "active",
+                ("Timer", "has_fired"): "fired"}
 
 
 class CannotCompile(Exception):
@@ -232,12 +233,8 @@ class Compiler:
             return self.expr(e.args[0], env)  # coins are plain ints
         if key == ("Token", "value"):
             return f"({self.expr(e.args[0], env)})[1]"
-        if key == ("Timer", "is_off"):
-            return f"(({self.expr(e.args[0], env)})[0] == {T_OFF})"
-        if key == ("Timer", "is_active"):
-            return f"(({self.expr(e.args[0], env)})[0] == {T_ACTIVE})"
-        if key == ("Timer", "has_fired"):
-            return f"(({self.expr(e.args[0], env)})[0] == {T_FIRED})"
+        if key in _TIMER_TESTS:
+            return f"(({self.expr(e.args[0], env)})[0] == {_TIMER_TESTS[key]!r})"
         if key == ("Timer", "value"):
             return f"_tval({self.expr(e.args[0], env)})"
         if key in (("Map", "get"), ("Map", "ref")):
@@ -378,7 +375,7 @@ class Compiler:
             return
         if key == ("Timer", "reset"):
             t = s.args[0].name
-            body.append(f"{indent}{env}[{t!r}] = ({T_OFF}, 0)")
+            body.append(f"{indent}{env}[{t!r}] = ('off', 0)")
             return
         if key == ("Map", "set"):
             m, _, keys = self._map_args(s.args[0])

@@ -1,10 +1,11 @@
 """Differential testing: the compiled-form interpreter against the cascade
 semantics.
 
-For every transaction: a committed transaction must be an accepted cascade
-with the same abstracted post-state and the same emitted letters; a
-reverted transaction must correspond to a rejected cascade, except that
-reverts for Overflow are the permitted inclusion gap (ideal arithmetic
+For every transaction: a committed transaction must be an accepted cascade,
+and the target's storage and emitted letters must be the flat form
+(values.flat) of the cascade's post-state and letters; a reverted
+transaction must correspond to a rejected cascade, except that reverts
+for Overflow are the permitted inclusion gap (ideal arithmetic
 defines steps the bounded target cannot take). Anything else is a
 divergence and is reported with a reproduction script.
 """
@@ -18,14 +19,14 @@ from .cascade import (
     Config, FixedPolicy, Rejected, env_input, init_system, time_advance,
     wake_internal,
 )
-from .interp import Machine, TxResult
+from .diagnostics import ScriptError
+from .interp import Machine
 from .lower import lower
-from .machine import InputLetter
 from .script import (
-    AdvanceItem, InputItem, NewItem, check_item, instance_index, instantiations,
+    AdvanceItem, InputItem, NewItem, check_item, input_target, instantiations,
 )
 from .typecheck import TypedProgram
-from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal
+from .values import ADDR_NONE, Coin, flat, zero_value
 
 
 @dataclass
@@ -65,54 +66,15 @@ class DiffReport:
 
 
 # ---------------------------------------------------------------------------
-# State abstraction: bounded IR storage vs abstract instance
+# Comparison: IR storage and letters against the flat form of the cascade's
 # ---------------------------------------------------------------------------
-
-
-def _abstract_eq(typ, iv, av) -> bool:
-    """IR value (bounded representation) vs abstract runtime value."""
-    k = typ.kind
-    if k in ("int", "nat", "bool", "address"):
-        return iv == av
-    if k == "coin":
-        return isinstance(av, Coin) and av.value == iv
-    if k == "token":
-        return isinstance(av, Tok) and (av.kind, av.value) == (iv[0], iv[1])
-    if k == "timer":
-        return isinstance(av, Timer) and (av.state, av.k) == (iv[0], iv[1])
-    if k == "map":
-        if not isinstance(av, MapVal):
-            return False
-        keys = set(iv) | set(av.d)
-        for key in keys:
-            a = av.d.get(key)
-            i = iv.get(key)
-            if a is None or i is None:
-                # one side materialized a default entry the other did not
-                from .values import zero_value
-                if a is None:
-                    a = av.default if av.default is not None else zero_value(typ.args[1])
-                if i is None:
-                    from .interp import _zero
-                    i = _zero(typ.args[1])
-                    vi_default = av.default
-                    if vi_default is not None:
-                        i = vi_default
-            if not _abstract_eq(typ.args[1], i, a):
-                return False
-        return True
-    if k == "seq":
-        return isinstance(av, SeqVal) and len(av.items) == len(iv) and all(
-            _abstract_eq(typ.args[0], i, a) for i, a in zip(iv, av.items))
-    if k == "tuple":
-        return isinstance(av, TupVal) and all(
-            _abstract_eq(t, i, a) for t, i, a in zip(typ.args, iv, av.items))
-    raise ValueError(k)
 
 
 def compare_states(program: TypedProgram, machine: Machine,
                    config: Config) -> str | None:
-    """None if every instance matches under the value abstraction."""
+    """None if every instance's storage is the flat form of its cascade
+    state. A map entry present on one side only is a mismatch: `Map.in`
+    can tell it apart from an absent one."""
     for idx, inst in enumerate(config.states):
         name = inst.self_addr
         st = machine.storages[name]
@@ -124,7 +86,7 @@ def compare_states(program: TypedProgram, machine: Machine,
         for v in tc.vars.values():
             if v.ghost:
                 continue  # ghosts are not compiled
-            if not _abstract_eq(v.typ, st.vars[v.name], inst.env[v.name]):
+            if st.vars[v.name] != flat(inst.env[v.name]):
                 return (f"{name}.{v.name}: {st.vars[v.name]!r} != "
                         f"{inst.env[v.name]!r}")
         if st.remaining != inst.token_remaining:
@@ -137,51 +99,15 @@ def _letters_of_trace(events) -> list[tuple]:
     for ev in events:
         if ev.rule == "EnvOutput":
             out.append(("send", ev.letter.msg, ev.letter.dest,
-                        _abstract_args(ev.letter.args)))
+                        tuple(map(flat, ev.letter.args))))
         for log in ev.logs:
-            out.append(("log", log.msg, log.dest, _abstract_args(log.args)))
-    return out
-
-
-def _abstract_args(args) -> tuple:
-    out = []
-    for a in args:
-        if isinstance(a, Coin):
-            out.append(("coin", a.value))
-        elif isinstance(a, Tok):
-            out.append(("token", a.kind, a.value))
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def _letters_of_tx(program: TypedProgram, res: TxResult) -> list[tuple]:
-    out = []
-    for l in res.letters:
-        sig = program.msg_universe.get(l.msg, ())
-        tagged = []
-        for a, t in zip(l.args, sig):
-            if t.kind == "coin":
-                tagged.append(("coin", a))
-            elif t.kind == "token":
-                tagged.append(("token", a[0], a[1]))
-            else:
-                tagged.append(a)
-        kind = "log" if l.kind == "log" else "send"
-        out.append((kind, l.msg, l.dest, tuple(tagged)))
+            out.append(("log", log.msg, log.dest, tuple(map(flat, log.args))))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Driving one script on both sides
 # ---------------------------------------------------------------------------
-
-
-def _ir_tx_args(letter: InputLetter) -> tuple:
-    """A letter's arguments as the IR takes them: coins and tokens unboxed."""
-    return tuple(a.value if isinstance(a, Coin) else
-                 (a.kind, a.value) if isinstance(a, Tok) else a
-                 for a in letter.args)
 
 
 def run_differential(program: TypedProgram, news: list[NewItem], items: list,
@@ -220,8 +146,7 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
             letter = item.letter
             try:
                 new_config, events = env_input(
-                    system, config, instance_index(system, item.instance, item.line),
-                    letter)
+                    system, config, input_target(system, item), letter)
             except Rejected:
                 accepted = False
             else:
@@ -230,7 +155,7 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
             if atomicity_log is not None:
                 pre_hash = machine.storage_hash()
             res = machine.transact(item.instance, item.msg,
-                                   letter.sender, _ir_tx_args(letter))
+                                   letter.sender, tuple(map(flat, letter.args)))
             if res.committed:
                 report.committed += 1
                 if not accepted:
@@ -240,7 +165,7 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
                     config = new_config
                     mismatch = compare_states(program, machine, config)
                     want = _letters_of_trace(events)
-                    got = _letters_of_tx(program, res)
+                    got = [(l.kind, l.msg, l.dest, l.args) for l in res.letters]
                     if mismatch:
                         found = ("state-mismatch", mismatch)
                     elif want != got:
@@ -307,6 +232,8 @@ def random_items(program: TypedProgram, news: list[NewItem], rng: random.Random,
         has_timers = has_timers or tc.has_timers()
         for msg in tc.msg_sigs:
             targets.append((n.name, msg, tc.msg_sigs[msg], n.creator))
+    if not targets:
+        raise ScriptError("no instance receives a message: there is nothing to send")
     items: list = []
     for i in range(length):
         if has_timers and rng.random() < 0.15:
@@ -317,8 +244,6 @@ def random_items(program: TypedProgram, news: list[NewItem], rng: random.Random,
         for t in sig:
             if t.kind == "coin":
                 args.append(Coin(rng.randint(0, coin_max)))
-            elif t.kind == "token":
-                args.append(Tok(None, 0))
             elif t.kind in ("int", "nat"):
                 args.append(rng.randint(0, coin_max))
             elif t.kind == "bool":
@@ -326,7 +251,7 @@ def random_items(program: TypedProgram, news: list[NewItem], rng: random.Random,
             elif t.kind == "address":
                 args.append(rng.choice(addr_pool))
             else:
-                args.append(Coin(0))
+                args.append(zero_value(t))
         sender = rng.choice(actors + [creator])
         items.append(InputItem(name, msg, tuple(args), sender, i,
                                expect_reject=False))

@@ -7,17 +7,19 @@ Validity means no valuation satisfies hypothesis && relation && !conclusion.
 
 Each verdict has two independent routes:
 
-- the engine (discharge_bounded), a pruning DFS over an unboxed
-  environment: a hypothesis conjunct (quantifiers pre-expanded) is checked
-  again only once the key it blocked on is assigned (Chaff's lazy
-  watches), an equality with a single unknown forces its value, variables
-  only the hypothesis reads get one witness per prefix (the conjuncts
-  over them alone are solved once per VC), and the leaf obligations run
-  as code generated by the compile module, as do pruning and forcing;
+- the engine (discharge_bounded), a pruning DFS over an environment of
+  flat values (values.flat): a hypothesis conjunct (quantifiers
+  pre-expanded) is checked again only once the key it blocked on is
+  assigned (Chaff's lazy watches), an equality with a single unknown
+  forces its value, variables only the hypothesis reads get one witness
+  per prefix (the conjuncts over them alone are solved once per VC), and
+  the leaf obligations run as code generated by the compile module, as
+  do pruning and forcing;
 - the raw-enumeration oracle (discharge_naive) and counterexample replay,
   which evaluate hypothesis conjuncts and leaf obligations with the
-  runtime evaluator over boxed instances, without propagation. They share
-  the engine's finitization (`_finitize`) but never its compiled code.
+  runtime evaluator over instances of boxed values (values.boxed),
+  without propagation. They share the engine's finitization (`_finitize`)
+  but never its compiled code.
 
 Leaf obligations outside the compiled fragment (initiality, the game-rule
 obligations, whose inner searches are tiny) use the runtime evaluator on
@@ -35,17 +37,14 @@ from .ast_nodes import (
     ADDRESS, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Send, Var,
     children, map_children, membership_maps, stmt_exprs, walk_stmts,
 )
-from .compile import ABSENT, CannotCompile, Compiler, T_ACTIVE, T_FIRED, T_OFF
+from .compile import ABSENT, CannotCompile, Compiler
 from .machine import (
     InstanceState, UNDEFINED, advance_instance, enabled, eval_expr,
     has_active_timer, init_instance, step_instance,
 )
 from .typecheck import TypedTransition, free_vars, lvalue_root, stmt_written_roots
-from .values import ADDR_NONE, Coin, MapVal, SeqVal, Timer, Tok, TupVal, Undef
+from .values import ADDR_NONE, Undef, boxed, zero_value
 from .vcgen import VC, progress_slice, reads_of, slice_action, time_guard
-
-_TCODE = {"off": T_OFF, "active": T_ACTIVE, "fired": T_FIRED}
-_TSTATE = {v: k for k, v in _TCODE.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ DischargeResult = Valid | Counterexample | Unknown
 
 
 # ---------------------------------------------------------------------------
-# Domain bounds (unboxed value domains)
+# Domain bounds (value domains in the flat form, values.flat)
 # ---------------------------------------------------------------------------
 
 
@@ -119,8 +118,8 @@ class DomainBounds:
         return tuple(range(0, self.nat_max + 1))
 
     def timer_values(self):
-        return ((T_OFF, 0), (T_FIRED, 0)) + tuple(
-            (T_ACTIVE, k) for k in range(1, self.timer_max + 1))
+        return (("off", 0), ("fired", 0)) + tuple(
+            ("active", k) for k in range(1, self.timer_max + 1))
 
     def coin_values(self):
         return tuple(range(0, self.nat_max + 1))
@@ -183,26 +182,6 @@ def scalar_domain(typ: SemType, bounds: DomainBounds, issuer: str = "@issuer"):
     raise Unfinitizable(f"cannot finitize {typ}")
 
 
-def box_value(typ: SemType, v):
-    """Unboxed engine value -> runtime value."""
-    if v is ABSENT:
-        return ABSENT
-    k = typ.kind
-    if k in ("int", "nat", "bool", "address"):
-        return v
-    if k == "coin":
-        return Coin(v)
-    if k == "token":
-        return Tok(v[0], v[1])
-    if k == "timer":
-        return Timer(_TSTATE[v[0]], v[1])
-    if k == "tuple":
-        return TupVal([box_value(a, x) for a, x in zip(typ.args, v)])
-    if k == "seq":
-        return SeqVal([box_value(typ.args[0], x) for x in v])
-    raise Unfinitizable(f"cannot box {typ}")
-
-
 # ---------------------------------------------------------------------------
 # Quantifier expansion
 # ---------------------------------------------------------------------------
@@ -245,7 +224,7 @@ class MapSpec:
     typ: SemType
     keys: tuple
     values: tuple  # may include ABSENT
-    default: object  # unboxed
+    default: object  # a scalar literal, the same in flat and boxed form
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +262,6 @@ class _Ctx:
     # -- boxed-instance evaluation --
 
     def build_instance(self, state: str, env: dict) -> InstanceState:
-        from .values import zero_value
         ienv = {}
         map_entries: dict[str, dict] = {}
         for key, val in env.items():
@@ -291,16 +269,15 @@ class _Ctx:
                 map_entries.setdefault(key[0], {})[key[1]] = val
         for pname, ptyp in self.tc.params:
             if pname in env:
-                ienv[pname] = box_value(ptyp, env[pname])
+                ienv[pname] = boxed(ptyp, env[pname])
             else:
                 ienv[pname] = zero_value(ptyp)
         for v in self.tc.vars.values():
             if v.name in env:
-                ienv[v.name] = box_value(v.typ, env[v.name])
+                ienv[v.name] = boxed(v.typ, env[v.name])
             elif v.name in map_entries:
-                d = {k: box_value(v.typ.args[1], x)
-                     for k, x in map_entries[v.name].items() if x is not ABSENT}
-                ienv[v.name] = MapVal(d, v.default)
+                ienv[v.name] = boxed(v.typ, {k: x for k, x in map_entries[v.name].items()
+                                             if x is not ABSENT}, v.default)
             else:
                 ienv[v.name] = zero_value(v.typ, v.default)
         if "__player" in env:
@@ -345,7 +322,7 @@ class _Ctx:
                     doms.append(self.bounds.actor_values())
                 else:
                     doms.append(tuple(
-                        box_value(typ, v) for v in
+                        boxed(typ, v) for v in
                         scalar_domain(typ, self.bounds, self.self_addr)))
             return names, doms
         return self._cached(("binders", id(t)), make)
@@ -414,9 +391,9 @@ def _check_initiality(cx: _Ctx, env: dict):
     args = {}
     for p, ptyp in cx.tc.params:
         if p in env:
-            args[p] = box_value(ptyp, env[p])
+            args[p] = boxed(ptyp, env[p])
         else:
-            args[p] = box_value(ptyp, scalar_domain(ptyp, cx.bounds)[-1])
+            args[p] = boxed(ptyp, scalar_domain(ptyp, cx.bounds)[-1])
     creator = env.get("creator", "P0")
     try:
         inst = init_instance(cx.tc, cx.self_addr, args, creator)
@@ -436,7 +413,7 @@ def _vc_step(cx: _Ctx, inst, env: dict):
     if vc.is_time:
         return advance_instance(inst, env.get("__delta", 1))
     t = vc.transition
-    bindings = {name: box_value(typ, env[name]) for name, typ in t.binders.items()}
+    bindings = {name: boxed(typ, env[name]) for name, typ in t.binders.items()}
     return cx.run_inner(t, inst, t.action_view(bindings), bindings.get(t.sender_var),
                         env.get("__delta"), vc.action)
 
@@ -1149,7 +1126,7 @@ def _runtime_hypothesis(prob: _Problem):
 
     def holds(exprs, env) -> bool:
         inst = cx.build_instance(vc.state, env)
-        b = {name: box_value(typ, env[name]) for name, typ in binders if name in env}
+        b = {name: boxed(typ, env[name]) for name, typ in binders if name in env}
         return all(eval_expr(e, inst, b) is True for e in exprs)
 
     return holds

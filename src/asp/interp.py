@@ -14,9 +14,12 @@ semantics where such a transition simply does not exist. Overflow and
 reentrancy breaches are hard: the abstract semantics has no such notion,
 so the defensive code cancels the transaction.
 
-Stored values are never changed in place: a write into a map, sequence or
-tuple stores an updated container in its slot, so a snapshot copies each
-storage's variable dict and shares the values.
+Storage holds each value in its flat form (values.flat), the form the
+discharge engine's valuations use: a coin is its amount, a token
+(kind, amount), a timer (state, k), a sequence or tuple a tuple, a map a
+dict. Stored values are never changed in place: a write into a map,
+sequence or tuple stores an updated container in its slot, so a snapshot
+copies each storage's variable dict and shares the values.
 
 This module deliberately reimplements evaluation over its own storage
 representation; the abstract machine in machine.py is the independent
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .lower import ContractIR, SystemIR
+from .values import ADDR_NONE, flat, zero_value
 
 REASONS = ("GuardFailed", "DefensiveCheckFailed", "Overflow", "UndefinedOp",
            "ReentrancyLimit")
@@ -72,37 +76,18 @@ class Storage:
                        self.counter, self.ledger, self.remaining)
 
 
-def _zero(typ):
-    k = typ.kind
-    if k in ("int", "nat", "coin", "token"):
-        return 0 if k != "token" else (None, 0)
-    if k == "bool":
-        return False
-    if k == "address":
-        return "none"
-    if k == "timer":
-        return ("off", 0)
-    if k == "map":
-        return {}
-    if k == "seq":
-        return []
-    if k == "tuple":
-        return [_zero(a) for a in typ.args]
-    raise ValueError(k)
-
-
 def init_storage(ir: ContractIR, addr: str, args: dict, creator: str,
                  word_bits: int) -> Storage:
     st = Storage(ir.name, addr, ir.initial, {}, creator, creator,
                  remaining=ir.issue_limit if ir.issues else None)
     for pname, _ in ir.params:
-        st.vars[pname] = args[pname]
+        st.vars[pname] = flat(args[pname])
     ev = _Eval(None, st, {}, word_bits)
     for v in ir.vars.values():
         if v.init is not None:
             st.vars[v.name] = ev.eval(v.init)
         else:
-            st.vars[v.name] = _zero(v.typ)
+            st.vars[v.name] = flat(zero_value(v.typ))
     return st
 
 
@@ -226,7 +211,7 @@ class _Eval:
     def _builtin(self, e: Builtin):
         key = (e.ns, e.op)
         if key == ("Address", "none"):
-            return "none"
+            return ADDR_NONE
         if key == ("Address", "self"):
             return self.st.addr
         args = [self.eval(a) for a in e.args]
@@ -482,12 +467,10 @@ class Machine:
                                letters, pending=pending)
                     self.storages[addr].state = arm.target
                     for kind, msg, dest, out_args in pending:
-                        if kind == "log":
-                            letters.append(Letter("log", msg, addr, out_args))
-                        elif dest in self.storages:
+                        if kind == "send" and dest in self.storages:
                             self._call(dest, msg, addr, out_args, letters)
                         else:
-                            letters.append(Letter("send", msg, dest, out_args))
+                            letters.append(Letter(kind, msg, dest, out_args))
                     self._conservation(ir, self.storages[addr])
                     progressed = True
                     break
@@ -603,13 +586,13 @@ class Machine:
             return
         if key == ("Seq", "append"):
             name = s.args[0].name
-            st.vars[name] = st.vars[name] + [ev.eval(s.args[1])]
+            st.vars[name] = (*st.vars[name], ev.eval(s.args[1]))
             return
         if key == ("Address", "change_owner"):
             if sender is None or sender != st.owner:
                 raise CallFailed("UndefinedOp", "change_owner not by the owner")
             new = ev.eval(s.args[0])
-            if new == "none":
+            if new == ADDR_NONE:
                 raise CallFailed("UndefinedOp", "owner cannot become none")
             st.owner = new
             return
@@ -617,7 +600,7 @@ class Machine:
 
     def _send(self, ir, st, binds, s: Send, letters, pending=None):
         ev = _Eval(ir, st, binds, self.system.word_bits)
-        dest = st.addr if s.dest is None else ev.eval(s.dest)
+        dest = ADDR_NONE if s.dest is None else ev.eval(s.dest)
         out_args = []
         coin_out = 0
         for a, kind in zip(s.args, s.kinds, strict=True):
@@ -681,7 +664,7 @@ def _slot(ir, st, binds, ev, a: Expr, materialize: str | None = None) -> _SlotRe
     else:
         i = a.args[1].value
     return _SlotRef(lambda: base.read()[i],
-                    lambda v: base.write(base.read()[:i] + [v] + base.read()[i + 1:]))
+                    lambda v: base.write((*base.read()[:i], v, *base.read()[i + 1:])))
 
 
 def _check_store(ev: _Eval, typ, v):
@@ -715,6 +698,6 @@ def storage_coin_total(ir: ContractIR, st: Storage) -> int:
 def _canon(v):
     if isinstance(v, dict):
         return sorted((repr(k), _canon(x)) for k, x in v.items())
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, tuple):
         return [_canon(x) for x in v]
     return repr(v)

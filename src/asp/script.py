@@ -9,7 +9,8 @@ Directives:
     assert <expr>            # instance variables as <instance>.<var>
 
 Literals: numbers, true/false, none, bare names (addresses), coin(<n>),
-and token(<issuer>, <n>). Blank lines and // comments are ignored. An
+and token(<issuer>, <n>); an input's literals must have the types of its
+message's parameters. Blank lines and // comments are ignored. An
 expect-reject marker must directly precede an input or advance.
 
 `check_item` says what an item means, and both `asp simulate`
@@ -33,7 +34,7 @@ from .lexer import tokenize
 from .machine import InputLetter, InstanceState, eval_expr
 from .parser import TokenStream, parse_expr
 from .typecheck import TypedProgram
-from .values import ADDR_NONE, Coin, Tok
+from .values import ADDR_NONE, Coin, Tok, has_type
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,20 @@ def _fail(item, message: str) -> NoReturn:
     raise ScriptError(f"line {item.line}: {message}", Pos(item.line, 1))
 
 
+def input_target(system: System, item: InputItem) -> int:
+    """The index of the instance an input names, once its literals are
+    checked against the message's parameter types. An undeclared message
+    or a wrong number of arguments is left to the cascade, which rejects
+    the input."""
+    idx = instance_index(system, item.instance, item.line)
+    sig = system.contract_of(idx).msg_sigs.get(item.msg, ())
+    if len(sig) == len(item.args):
+        for i, (v, t) in enumerate(zip(item.args, sig), start=1):
+            if not has_type(v, t):
+                _fail(item, f"argument {i} of {item.msg!r} is {v!r}, expected {t}")
+    return idx
+
+
 def check_item(item, system: System, config: Config):
     """The meaning of a script item the cascade did not reject, on the
     configuration it leaves: an assertion must hold there, and an input
@@ -286,8 +301,7 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
         try:
             if isinstance(item, InputItem):
                 config, events = env_input(
-                    system, config, instance_index(system, item.instance, item.line),
-                    item.letter)
+                    system, config, input_target(system, item), item.letter)
             elif isinstance(item, AdvanceItem):
                 config, ev = time_advance(system, config, item.delta)
                 config, events = wake_internal(system, config)

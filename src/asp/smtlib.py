@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps, stmt_exprs
 from .diagnostics import UsageError
 from .typecheck import TypedContract
-from .vcgen import VC, time_guard
+from .vcgen import VC, reads_of, time_guard
 
 
 class EmitUnsupported(Exception):
@@ -394,6 +394,15 @@ def emit_smtlib(vc: VC) -> SmtScript:
     from .ast_nodes import ADDRESS
     env["owner"] = em.declare_var("owner", ADDRESS)
     env["creator"] = em.declare_var("creator", ADDRESS)
+    # the adversarial player, some actor, wherever the VC reads it
+    read = list(pool)
+    if kind in ("RankDefined", "RankDecrease"):
+        read += vc.sketch.reads_at(vc.state)
+    if kind == "RankDecrease":
+        read += vc.sketch.reads_at(vc.target)
+    if "__player" in reads_of(read):
+        env["__player"] = em.declare_var("__player", ADDRESS)
+        em.asserts.append(f"(assert (distinct {env['__player']} {em.addr('none')}))")
 
     if kind == "Initiality":
         # the initial state is computed, not free: variables take their

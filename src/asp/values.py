@@ -128,6 +128,65 @@ def zero_value(t: SemType, default=None):
 
 
 # ---------------------------------------------------------------------------
+# The flat form, held by the discharge engine's valuations and the IR
+# interpreter's storage: a coin is its amount, a token (kind, amount), a
+# timer (state, k), a sequence or tuple a tuple, a map a dict of entries
+# ---------------------------------------------------------------------------
+
+
+def flat(v):
+    """The flat form of a runtime value; runtime values are tagged, so no
+    type is needed."""
+    if isinstance(v, Coin):
+        return v.value
+    if isinstance(v, Tok):
+        return (v.kind, v.value)
+    if isinstance(v, Timer):
+        return (v.state, v.k)
+    if isinstance(v, MapVal):
+        return {k: flat(x) for k, x in v.d.items()}
+    if isinstance(v, _Items):
+        return tuple(map(flat, v.items))
+    return v
+
+
+def boxed(t: SemType, x, default=None):
+    """The runtime value of type t whose flat form is x; `default` is a
+    map's declared default."""
+    k = t.kind
+    if k == "coin":
+        return Coin(x)
+    if k == "token":
+        return Tok(*x)
+    if k == "timer":
+        return Timer(*x)
+    if k == "map":
+        return MapVal({key: boxed(t.args[1], v) for key, v in x.items()}, default)
+    if k == "seq":
+        return SeqVal([boxed(t.args[0], v) for v in x])
+    if k == "tuple":
+        return TupVal([boxed(a, v) for a, v in zip(t.args, x)])
+    return x
+
+
+def has_type(v, t: SemType) -> bool:
+    """Whether the runtime value v is a value of type t."""
+    k = t.kind
+    if k in ("int", "nat"):
+        return type(v) is int and (k == "int" or v >= 0)
+    if k == "map":
+        return isinstance(v, MapVal) and all(
+            has_type(key, t.args[0]) and has_type(x, t.args[1]) for key, x in v.d.items())
+    if k == "seq":
+        return isinstance(v, SeqVal) and all(has_type(x, t.args[0]) for x in v.items)
+    if k == "tuple":
+        return isinstance(v, TupVal) and len(v.items) == len(t.args) and all(
+            map(has_type, v.items, t.args))
+    return type(v) is {"bool": bool, "address": str, "coin": Coin, "token": Tok,
+                       "timer": Timer}[k]
+
+
+# ---------------------------------------------------------------------------
 # Coin / token primitives (value level; lvalue plumbing lives in machine.py)
 # ---------------------------------------------------------------------------
 

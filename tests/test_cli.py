@@ -81,6 +81,64 @@ def test_script_failure_exit_one(command, body, line, tmp_path):
     assert (diag["code"], diag["line"], diag["file"]) == ("ScriptError", line, str(script))
 
 
+PING = """
+contract Ping() {
+  msg poke(nat);
+  var n: nat;
+  initial S;
+  state S:
+  | a??poke(k) -> S { n = k; log!!poked(k); }
+}
+
+contract Quiet() {
+  var n: nat;
+  initial S;
+  state S:
+  | -> S { n = 1; }
+}
+"""
+
+
+def _ping_cli(command, script, tmp_path, *flags):
+    (tmp_path / "ping.asp").write_text(PING, encoding="utf-8")
+    (tmp_path / "ping.aspscript").write_text(script, encoding="utf-8")
+    return run_cli(command, str(tmp_path / "ping.asp"), "--script",
+                   str(tmp_path / "ping.aspscript"), "--out", str(tmp_path), *flags)
+
+
+def test_diff_log_send_clean_exit_zero(tmp_path):
+    """A log send is the same letter on both routes: dest `none`, and its
+    arguments."""
+    r = _ping_cli("diff", "new p = Ping() by alice\ninput p poke(3) from bob\n", tmp_path)
+    assert r.returncode == 0, r.stdout
+    assert json.loads(r.stdout)["status"] == "ok"
+
+
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+@pytest.mark.parametrize("literal", ["coin(3)", "true"])
+def test_ill_typed_literal_exit_one(command, literal, tmp_path):
+    """An input literal of the wrong type for its parameter is a
+    ScriptError at its line in both commands."""
+    r = _ping_cli(command, f"new p = Ping() by alice\ninput p poke({literal}) from bob\n",
+                  tmp_path)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"]) == ("ScriptError", 2)
+    assert "expected nat" in diag["message"]
+
+
+@pytest.mark.parametrize("script", ["", "new q = Quiet() by alice\n"],
+                         ids=["no-instance", "no-message"])
+def test_diff_trials_nothing_to_send_exit_one(script, tmp_path):
+    r = _ping_cli("diff", script, tmp_path, "--trials", "3")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    diag = json.loads(r.stdout)
+    assert diag["code"] == "ScriptError"
+    assert "nothing to send" in diag["message"]
+
+
 def test_compile_writes_only_into_out(tmp_path):
     out = tmp_path / "artifacts"
     r = run_cli("compile", str(CORPUS / "auction.asp"),

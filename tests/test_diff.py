@@ -7,14 +7,16 @@ import pytest
 import asp.diff
 import asp.machine
 from asp.cascade import Rejected, env_input, init_system, time_advance, wake_internal
-from asp.diff import _ir_tx_args, _run_script, differential_check, random_items, run_differential
+from asp.diff import (
+    _run_script, compare_states, differential_check, random_items, run_differential,
+)
 from asp.interp import Machine, _canon
 from asp.lower import lower
 from asp.machine import InputLetter
 from asp.parser import parse_program
 from asp.script import InputItem, NewItem, instance_index, instantiations, parse_script
 from asp.typecheck import typecheck
-from asp.values import Coin
+from asp.values import Coin, flat
 from conftest import ROOT, load
 
 AUCTION_NEWS = [NewItem("auction", "SimpleAuction", ("bene", 10), "alice", 0)]
@@ -130,6 +132,29 @@ def test_send_drains_tuple_ref_argument():
     assert report.committed > 0
 
 
+TUP = """
+contract Tup() {
+  msg put(tuple[nat, bool]), push(nat);
+  var p: tuple[nat, bool];
+  var s: seq[nat];
+  initial S;
+  state S:
+  | a??put(x) -> S { p = x; }
+  | a??push(k) -> S { Seq.append(s, k); }
+}
+"""
+
+
+def test_container_parameter_is_fuzzed():
+    """A random script passes a container parameter its zero value, and
+    sequences and tuples are stored as tuples on the target."""
+    prog = typecheck(parse_program(TUP))
+    report = differential_check(prog, [NewItem("t", "Tup", (), "own", 0)],
+                                R=1, word_bits=256, trials=10, seed=1)
+    assert report.clean, report.to_json()
+    assert report.committed > 0
+
+
 TAKE = """
 contract Bank() {
   msg take;
@@ -176,6 +201,24 @@ def test_move_under_absent_map_entry_is_undefined():
     machine = Machine(lower(prog), instantiations(prog, news))
     res = machine.transact("nest", "put", "bob", (1, "bob"))
     assert (res.committed, res.reason) == (False, "UndefinedOp")
+
+
+@pytest.mark.parametrize("side", ["target", "cascade"])
+def test_entry_on_one_side_is_a_state_mismatch(etherstore, side):
+    """Storage must be the flat form of the cascade state: a default map
+    entry present on one side only is a mismatch, since `Map.in` tells it
+    apart from an absent entry."""
+    insts = instantiations(etherstore, ATTACK_NEWS)
+    system, config = init_system(etherstore, insts, 1)
+    machine = Machine(lower(etherstore), insts)
+    assert compare_states(etherstore, machine, config) is None
+    if side == "target":
+        st = machine.storages["estore"]
+        st.vars["bal"] = {**st.vars["bal"], "bob": 0}
+    else:
+        env = config.states[0].env
+        env["bal"] = env["bal"].put("bob", 0)
+    assert compare_states(etherstore, machine, config).startswith("estore.bal: ")
 
 
 def test_rejection_names_its_cause():
@@ -239,7 +282,7 @@ def test_steps_leave_their_inputs_unchanged(contract, news, monkeypatch):
             snapshot = machine._snapshot()
             seen = {name: _canon(st.vars) for name, st in snapshot.items()}
             res = machine.transact(item.instance, item.msg, item.sender,
-                                   _ir_tx_args(item.letter))
+                                   tuple(map(flat, item.letter.args)))
             if res.committed:
                 committed += 1
                 assert {name: _canon(st.vars) for name, st in snapshot.items()} == seen

@@ -2,8 +2,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asp.ast_nodes import Lit, Var, map_children
+from asp.ast_nodes import Lit, SemType, Var, map_children
 from asp.compile import ABSENT, Compiler
+from asp.discharge import DomainBounds, scalar_domain
 from asp.machine import (
     InputLetter, InstanceState, UNDEFINED, advance_instance, enabled_transitions,
     eval_expr, init_instance, step_instance,
@@ -11,7 +12,8 @@ from asp.machine import (
 from asp.parser import parse_expression, parse_program
 from asp.typecheck import typecheck
 from asp.values import (
-    Coin, MapVal, Timer, Tok, Undef, timer_advance, timer_reset, timer_set,
+    Coin, MapVal, Timer, Tok, Undef, boxed, flat, has_type, timer_advance,
+    timer_reset, timer_set, zero_value,
 )
 from conftest import load
 
@@ -420,3 +422,37 @@ contract Owned() {
     from asp.values import ADDR_NONE
     b["next"] = ADDR_NONE
     assert step_instance(tc, inst2, t, b, "bob") is UNDEFINED
+
+
+# -- the flat form ---------------------------------------------------------
+
+
+def _t(kind, *args):
+    return SemType(kind, args)
+
+
+FINITIZABLE = [_t("int"), _t("nat"), _t("bool"), _t("address"), _t("coin"),
+               _t("token"), _t("timer"), _t("tuple", _t("coin"), _t("timer")),
+               _t("seq", _t("token")), _t("seq", _t("tuple", _t("nat"), _t("bool")))]
+
+
+@pytest.mark.parametrize("t", FINITIZABLE, ids=str)
+def test_flat_and_boxed_are_inverse(t):
+    """Every value of the engine's domains is the flat form of one runtime
+    value of its type, the zero value's among them."""
+    dom = scalar_domain(t, DomainBounds(2, 2, 2))
+    assert flat(zero_value(t)) in dom
+    for x in dom:
+        v = boxed(t, x)
+        assert has_type(v, t)
+        assert flat(v) == x
+        assert boxed(t, flat(v)) == v
+
+
+def test_flat_map_keeps_entries_only():
+    t = _t("map", _t("address"), _t("tuple", _t("coin"), _t("timer")))
+    x = {"P0": (3, ("active", 2)), "P1": (0, ("off", 0))}
+    v = boxed(t, x, default=None)
+    assert v == MapVal({"P0": boxed(t.args[1], x["P0"]), "P1": boxed(t.args[1], x["P1"])})
+    assert flat(v) == x and has_type(v, t)
+    assert flat(zero_value(t)) == {}

@@ -84,6 +84,30 @@ safety vacuous {
         assert isinstance(discharge_bounded(vc, BOUNDS), Valid)  # vacuous
 
 
+def test_vc_reading_the_player_exports(vending_fixed):
+    """A VC that reads the adversarial player declares it as an address
+    other than none; the others are emitted as before."""
+    sk = parse_proof_sketch(load("vending_lockout.aspproof").replace(
+        "@Choose customer != Address.none",
+        "@Choose customer != Address.none\n    @Wait x != Address.none"), vending_fixed)
+    reading = []
+    for vc in generate_vcs(vending_fixed, sk):
+        try:
+            text = emit_smtlib(vc).text
+        except EmitUnsupported:
+            continue
+        if "v___player" in text:
+            assert sexp_balanced(text)
+            assert "(assert (distinct v___player addr_none))" in text
+            reading.append(vc.name)
+    assert reading == [
+        "initiality[VendingMachine.Wait]",
+        "inductive[VendingMachine.pay@Wait#0]",
+        "inductive[VendingMachine.cancel@Choose#2]",
+        "inductive[VendingMachine.tau@Deliver#3]",
+        "rank_defined[VendingMachine.Wait]"]
+
+
 def _solver():
     return os.environ.get("ASP_SOLVER") or shutil.which("z3") or shutil.which("cvc5")
 
