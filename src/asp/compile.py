@@ -155,14 +155,16 @@ class CannotCompile(Exception):
 
 class Compiler:
     """Compiles expressions/statements against a contract's variable layout.
-    map_meta gives (unboxed default, keyset constant name) per map variable."""
+    `maps` gives (flat default, key set) per map variable."""
 
-    def __init__(self, map_meta: dict[str, tuple], self_addr: str,
+    def __init__(self, maps: dict[str, tuple], self_addr: str,
                  timer_vars: tuple[str, ...]):
-        self.map_meta = map_meta  # name -> (default, keyset const name)
         self.self_addr = self_addr
         self.timer_vars = timer_vars
         self.consts: dict[str, object] = {}
+        # name -> (default, keyset const name)
+        self.map_meta = {name: (default, self.const(frozenset(keys)))
+                         for name, (default, keys) in maps.items()}
         # walrus locals, never reused: a read in the value of a Map.set
         # must not rebind the key it writes
         self.temps = itertools.count()

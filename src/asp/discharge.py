@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace as dc_replace
 from functools import cached_property
 
 from .ast_nodes import (
-    ADDRESS, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Send, Var,
+    Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Var,
     children, map_children, membership_maps, stmt_exprs, walk_stmts,
 )
 from .compile import ABSENT, CannotCompile, Compiler
@@ -42,9 +42,9 @@ from .machine import (
     InstanceState, UNDEFINED, advance_instance, enabled, eval_expr,
     has_active_timer, init_instance, step_instance,
 )
-from .typecheck import TypedTransition, free_vars, lvalue_root, stmt_written_roots
+from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
 from .values import ADDR_NONE, Undef, boxed, zero_value
-from .vcgen import VC, progress_slice, reads_of, slice_action, time_guard
+from .vcgen import VC, progress_slice, slice_action, time_guard
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +187,6 @@ def scalar_domain(typ: SemType, bounds: DomainBounds, issuer: str = "@issuer"):
 # ---------------------------------------------------------------------------
 
 
-def _subst_value(e: Expr, name: str, value) -> Expr:
-    if isinstance(e, Var):
-        return Lit(value) if e.name == name else e
-    if isinstance(e, Quant) and e.var == name:
-        return e
-    return map_children(e, lambda c: _subst_value(c, name, value))
-
-
 def expand_quants(e: Expr, bounds: DomainBounds) -> Expr:
     """Replace bounded quantifiers by finite conjunctions/disjunctions.
     Only scalar-comparable types quantify, so substituted values are plain
@@ -202,7 +194,7 @@ def expand_quants(e: Expr, bounds: DomainBounds) -> Expr:
     e = map_children(e, lambda c: expand_quants(c, bounds))
     if not isinstance(e, Quant):
         return e
-    parts = [_subst_value(e.body, e.var, v) for v in scalar_domain(e.typ, bounds)]
+    parts = [subst_expr(e.body, {e.var: Lit(v)}) for v in scalar_domain(e.typ, bounds)]
     if not parts:
         return Lit(e.kind == "forall")
     op = "&&" if e.kind == "forall" else "||"
@@ -221,7 +213,6 @@ def split_conjuncts(e: Expr) -> list[Expr]:
 @dataclass
 class MapSpec:
     name: str
-    typ: SemType
     keys: tuple
     values: tuple  # may include ABSENT
     default: object  # a scalar literal, the same in flat and boxed form
@@ -563,7 +554,7 @@ class _Problem:
     conjuncts (quantifiers expanded) and enumeration order."""
     vc: VC
     cx: _Ctx
-    scalars: list  # (name, values, SemType | None)
+    scalars: dict  # name -> values
     maps: dict[str, MapSpec]
     hypothesis: list[Expr]
     order: list
@@ -572,22 +563,10 @@ class _Problem:
     @cached_property
     def domains(self) -> dict:
         """Key -> values, for every scalar and map entry."""
-        out = {name: values for name, values, _ in self.scalars}
+        out = dict(self.scalars)
         for m in self.maps.values():
             out.update(((m.name, k), m.values) for k in m.keys)
         return out
-
-
-def _action_writes(stmts) -> set[str]:
-    out: set[str] = set()
-    for s in walk_stmts(stmts):
-        if isinstance(s, Send):
-            out |= {lvalue_root(a)
-                    for a, kind in zip(s.args, s.kinds, strict=True) if kind}
-        elif isinstance(s, OpStmt) and (s.ns, s.op) == ("Address", "change_owner"):
-            out.add("owner")
-        out |= stmt_written_roots(s)
-    return out
 
 
 def _uses_self(e: Expr) -> bool:
@@ -603,16 +582,11 @@ def _definedness_hints(vc: VC) -> list[Expr]:
     hints: list[Expr] = []
     written: set[str] = set()
     for s in vc.action:
-        if isinstance(s, OpStmt) and (s.ns, s.op) == ("Timer", "set"):
-            t = s.args[0]
-            if isinstance(t, Var) and t.name not in written:
-                hints.append(Builtin("Timer", "is_off", (t,)))
-        try:
-            written |= stmt_written_roots(s)
-        except KeyError:
-            break
         if not isinstance(s, OpStmt):
             break  # conditionals etc.: stop hoisting
+        if (s.ns, s.op) == ("Timer", "set") and s.args[0].name not in written:
+            hints.append(Builtin("Timer", "is_off", (s.args[0],)))
+        written |= writes_of((s,))
     return hints
 
 
@@ -643,16 +617,12 @@ def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
             pool.append(time_guard(vc.tc))
     for action in actions:
         pool.extend(stmt_exprs(action))
-        if "owner" in _action_writes(action):
+        if "owner" in writes_of(action):
             pool.append(Var("owner"))  # change_owner compares it with the sender
     if vc.kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
         for st in states:
             pool.extend(vc.sketch.reads_at(st))
     return pool
-
-
-def _timer_vars(tc) -> tuple[str, ...]:
-    return tuple(v.name for v in tc.vars.values() if v.typ.kind == "timer")
 
 
 def _preserved(vc: VC) -> bool:
@@ -661,9 +631,7 @@ def _preserved(vc: VC) -> bool:
     ticks) holds outright."""
     if vc.kind != "Inductiveness":
         return False
-    writes = _action_writes(vc.action)
-    if vc.tc.has_timers():
-        writes |= set(_timer_vars(vc.tc))
+    writes = writes_of(vc.action) | set(vc.tc.timers)
     return not (reads_of(vc.conclusion) & writes) and \
         set(vc.conclusion) <= set(vc.hypothesis)
 
@@ -673,23 +641,19 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
         expand_quants(e, bounds) for e in vc.conclusion))
     cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
     tc = vc.tc
-    scalars: list = []
+    scalars: dict = {}
     maps: dict[str, MapSpec] = {}
-
-    def add_scalar(name, values, typ=None):
-        scalars.append((name, tuple(values), typ))
 
     if vc.kind == "Initiality":
         # the initial state is computed from the parameters; nothing else
         # is free in this obligation
         for pname, ptyp in tc.params:
-            add_scalar(pname, scalar_domain(ptyp, bounds, cx.self_addr), ptyp)
-        add_scalar("creator", bounds.actor_values(), None)
+            scalars[pname] = scalar_domain(ptyp, bounds, cx.self_addr)
+        scalars["creator"] = bounds.actor_values()
         if "__player" in reads_of(vc.conclusion):
-            add_scalar("__player", bounds.actor_values(), ADDRESS)
+            scalars["__player"] = bounds.actor_values()
         hyp = [] if tc.where is None else split_conjuncts(tc.where)
-        return _Problem(vc, cx, scalars, {}, hyp,
-                        [name for name, _, _ in scalars])
+        return _Problem(vc, cx, scalars, {}, hyp, list(scalars))
 
     pool = _vc_expr_pool(vc, cx)
     reads = reads_of(pool)
@@ -699,7 +663,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
 
     for pname, ptyp in tc.params:
         if pname in reads:
-            add_scalar(pname, scalar_domain(ptyp, bounds, cx.self_addr), ptyp)
+            scalars[pname] = scalar_domain(ptyp, bounds, cx.self_addr)
     for v in tc.vars.values():
         if v.name not in reads or v.name in own_binders or v.synthetic:
             continue
@@ -712,47 +676,44 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
                 entry_values = tuple(val_dom)  # absence == default here
             else:
                 entry_values = (ABSENT,) + tuple(val_dom)
-            maps[v.name] = MapSpec(v.name, v.typ, tuple(key_dom), entry_values,
-                                   v.default)
+            maps[v.name] = MapSpec(v.name, tuple(key_dom), entry_values, v.default)
         else:
-            add_scalar(v.name, scalar_domain(v.typ, bounds, cx.self_addr), v.typ)
+            scalars[v.name] = scalar_domain(v.typ, bounds, cx.self_addr)
     for name, typ in own_binders.items():
         if name == vc.transition.sender_var:
-            add_scalar(name, bounds.actor_values(), ADDRESS)
+            scalars[name] = bounds.actor_values()
         else:
-            add_scalar(name, scalar_domain(typ, bounds, cx.self_addr), typ)
+            scalars[name] = scalar_domain(typ, bounds, cx.self_addr)
     if "owner" in reads:
-        add_scalar("owner", bounds.actor_values(), ADDRESS)
+        scalars["owner"] = bounds.actor_values()
     if "creator" in reads:
-        add_scalar("creator", bounds.actor_values(), ADDRESS)
+        scalars["creator"] = bounds.actor_values()
     if uses_self:
-        add_scalar("__self", (cx.self_addr,), ADDRESS)
+        scalars["__self"] = (cx.self_addr,)
 
-    if tc.has_timers() and (vc.transition is not None or vc.is_time):
+    if tc.timers and (vc.transition is not None or vc.is_time):
         post_reads = reads_of(vc.conclusion)
         if vc.kind == "RankDecrease":
             post_reads |= reads_of(vc.sketch.reads_at(vc.target))
-        if post_reads & set(_timer_vars(tc)):
-            add_scalar("__delta", tuple(range(1, bounds.delta_max + 1)))
+        if post_reads & set(tc.timers):
+            scalars["__delta"] = tuple(range(1, bounds.delta_max + 1))
     if vc.kind in ("PlayerMove", "OpponentTotal") or "__player" in reads:
-        add_scalar("__player", bounds.actor_values(), ADDRESS)
+        scalars["__player"] = bounds.actor_values()
 
     if tc.issues and tc.issue_limit is not None and any(
             isinstance(s, OpStmt) and s.ns == "Token" and s.op in ("issue", "burn")
             for s in walk_stmts(vc.action)):
-        add_scalar("__remaining",
-                   tuple(range(0, min(tc.issue_limit, bounds.nat_max) + 1)))
+        scalars["__remaining"] = tuple(range(0, min(tc.issue_limit, bounds.nat_max) + 1))
 
     # hypothesis: expand quantifiers, split conjunctions, then add the
     # constructor constraint restricted to read vars
-    names = {n for n, _, _ in scalars}
     hyp: list[Expr] = []
     for e in vc.hypothesis:
         hyp.extend(split_conjuncts(expand_quants(e, bounds)))
     hyp.extend(_definedness_hints(vc))
     if tc.where is not None:
         for w in split_conjuncts(tc.where):
-            if free_vars(w) <= names | set(maps):
+            if free_vars(w) <= scalars.keys() | maps.keys():
                 hyp.append(w)
 
     # Variables no leaf obligation reads only constrain the hypothesis:
@@ -761,7 +722,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
     leaf_reads = _leaf_reads(vc)
     order: list = []
     deferred: list = []
-    for name, _, _ in scalars:
+    for name in scalars:
         if leaf_reads is None or name in leaf_reads or name in own_binders \
                 or name.startswith("__"):
             order.append(name)
@@ -781,7 +742,7 @@ def _leaf_reads(vc: VC):
         return None
     # writes count as reads: e.g. change_owner compares sender and owner
     out = reads_of(vc.conclusion) | reads_of(stmt_exprs(vc.action)) | \
-        _action_writes(vc.action)
+        writes_of(vc.action)
     if vc.kind == "RankDefined":
         out |= reads_of(vc.sketch.reads_at(vc.state, theta=False))
     elif vc.kind == "RankDecrease":
@@ -805,10 +766,8 @@ class _Conjunct:
 
 def _compile(prob: _Problem):
     """(compiled hypothesis conjuncts, leaf check) of a problem."""
-    comp = Compiler({m.name: (m.default, "") for m in prob.maps.values()},
-                    prob.cx.self_addr, _timer_vars(prob.vc.tc))
-    for m in prob.maps.values():
-        comp.map_meta[m.name] = (m.default, comp.const(frozenset(m.keys)))
+    comp = Compiler({m.name: (m.default, m.keys) for m in prob.maps.values()},
+                    prob.cx.self_addr, prob.vc.tc.timers)
     conjuncts = [_compile_conjunct(comp, prob.maps, e) for e in prob.hypothesis]
     return conjuncts, _make_check(prob.vc, prob.cx, comp)
 
@@ -956,12 +915,13 @@ def _json_value(v):
     return v
 
 
+def _json_name(key) -> str:
+    """A scalar's name, or `m[k]` for the entry k of map m."""
+    return f"{key[0]}[{key[1]}]" if isinstance(key, tuple) else str(key)
+
+
 def _json_valuation(env: dict) -> dict:
-    out = {}
-    for key, v in env.items():
-        name = f"{key[0]}[{key[1]}]" if isinstance(key, tuple) else str(key)
-        out[name] = _json_value(v)
-    return out
+    return {_json_name(key): _json_value(v) for key, v in env.items()}
 
 
 def _pending(pending: list, env: dict) -> list | None:
@@ -1122,7 +1082,7 @@ def _runtime_hypothesis(prob: _Problem):
     evaluator, on the instance built from env with the binders boxed."""
     vc, cx = prob.vc, prob.cx
     own = {} if vc.transition is None else vc.transition.binders
-    binders = [(name, typ) for name, _, typ in prob.scalars if name in own]
+    binders = [(name, typ) for name, typ in own.items() if name in prob.scalars]
 
     def holds(exprs, env) -> bool:
         inst = cx.build_instance(vc.state, env)
@@ -1198,23 +1158,19 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
     hypothesis and leaf check. True if the violation reproduces."""
     prob = _finitize(vc, bounds)
     env: dict = {}
-    for key, values, _ in prob.scalars:
-        if str(key) in cex.valuation:
-            env[key] = _value_from_json(cex.valuation[str(key)], values)
-    for m in prob.maps.values():
-        for k in m.keys:
-            name = f"{m.name}[{k}]"
-            if name in cex.valuation:
-                v = cex.valuation[name]
-                env[(m.name, k)] = ABSENT if v is None else \
-                    _value_from_json(v, m.values)
+    for key, values in prob.domains.items():
+        name = _json_name(key)
+        if name in cex.valuation:
+            env[key] = _value_from_json(cex.valuation[name], values)
     if not _runtime_hypothesis(prob)(prob.hypothesis, env):
         return False
     return _interpreted_check(vc, prob.cx)(env) is not None
 
 
 def _value_from_json(j, domain):
+    """The value of the domain that reads back as j (null: an absent map
+    entry)."""
     for v in domain:
-        if v is not ABSENT and _json_value(v) == j:
+        if _json_value(v) == j:
             return v
     raise ValueError(f"value {j!r} not in domain")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .ast_nodes import ADDRESS, Expr
+from .ast_nodes import ADDRESS, Expr, Var
 from .diagnostics import Pos, SketchError
 from .lexer import tokenize
 from .parser import TokenStream, parse_expr
@@ -301,5 +301,5 @@ def _parse_ranked(ts: TokenStream, kind: str, name: str, rank_len: int,
     if player is None:
         raise SketchError(f"adversarial sketch {name!r} names no player")
     # every proof route reads the player as this one reserved name
-    return sketch.map_exprs(lambda e: subst_expr(e, {player: "__player"}))
+    return sketch.map_exprs(lambda e: subst_expr(e, {player: Var("__player")}))
 

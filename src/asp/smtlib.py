@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps, stmt_exprs
 from .diagnostics import UsageError
-from .typecheck import TypedContract
-from .vcgen import VC, reads_of, time_guard
+from .typecheck import TypedContract, reads_of
+from .vcgen import VC, time_guard
 
 
 class EmitUnsupported(Exception):

@@ -16,6 +16,11 @@ of nat subtraction visible to the evaluators without re-typing at run time.
 Every container access -- Map.get/in/ref, Seq.get/ref, Tuple.get/ref and
 the Map/Seq/Tuple.set statements -- is typed by one rule,
 ExprChecker.access, and keeps the base and index that rule checked.
+
+What code reads and writes is one rule: the role table _STMT_OPS gives the
+role of each operand of each statement operation, from which the operand
+checks and writes_of are derived; free_vars/reads_of give what expressions
+read. Ghost discipline, normalization and the proof modules all use them.
 """
 from __future__ import annotations
 
@@ -42,23 +47,6 @@ _EXPR_BUILTINS = {
     ("Timer", "has_fired"): (("timer",), BOOL),
     ("Timer", "value"): (("timer",), NAT),
     ("Seq", "len"): (("seq",), NAT),
-}
-
-# statement builtins: (ns, op) -> (arity, indexes of written lvalue args)
-_STMT_BUILTINS = {
-    ("Coin", "move"): (3, (0, 2)),
-    ("Coin", "moveall"): (2, (0, 1)),
-    ("Token", "issue"): (2, (1,)),
-    ("Token", "burn"): (2, (0,)),
-    ("Token", "move"): (3, (0, 2)),
-    ("Token", "moveall"): (2, (0, 1)),
-    ("Timer", "set"): (2, (0,)),
-    ("Timer", "reset"): (1, (0,)),
-    ("Map", "set"): (3, (0,)),
-    ("Seq", "set"): (3, (0,)),
-    ("Seq", "append"): (2, (0,)),
-    ("Tuple", "set"): (3, (0,)),
-    ("Address", "change_owner"): (1, ()),
 }
 
 
@@ -157,8 +145,14 @@ class TypedContract:
         pool = self.norm_transitions if normalized else self.transitions
         return [t for t in pool if t.source == state]
 
+    @cached_property
+    def timers(self) -> tuple[str, ...]:
+        """The timer variables in declaration order (stash variables never
+        hold timers)."""
+        return tuple(n for n, v in self.vars.items() if v.typ.kind == "timer")
+
     def has_timers(self) -> bool:
-        return any(v.typ.kind == "timer" for v in self.vars.values())
+        return bool(self.timers)
 
 
 @dataclass
@@ -331,12 +325,30 @@ def lvalue_root(e: Expr) -> str:
     return e.name
 
 
-def expr_reads(e: Expr, names: frozenset[str]) -> bool:
-    if isinstance(e, Var):
-        return e.name in names
-    if isinstance(e, Quant):
-        names = names - {e.var}
-    return any(expr_reads(c, names) for c in children(e))
+# ---------------------------------------------------------------------------
+# What code reads and writes
+# ---------------------------------------------------------------------------
+
+# statement operations: (ns, op) -> the role of each operand. A coin,
+# token, timer or container operand is a location the operation writes;
+# an amount or duration is numeric, an address an address; an index and a
+# value follow the container access rule (ExprChecker.access).
+_STMT_OPS = {
+    ("Coin", "move"): ("coin", "amount", "coin"),
+    ("Coin", "moveall"): ("coin", "coin"),
+    ("Token", "issue"): ("amount", "token"),
+    ("Token", "burn"): ("token", "amount"),
+    ("Token", "move"): ("token", "amount", "token"),
+    ("Token", "moveall"): ("token", "token"),
+    ("Timer", "set"): ("timer", "duration"),
+    ("Timer", "reset"): ("timer",),
+    ("Map", "set"): ("container", "index", "value"),
+    ("Seq", "set"): ("container", "index", "value"),
+    ("Seq", "append"): ("container", "value"),
+    ("Tuple", "set"): ("container", "index", "value"),
+    ("Address", "change_owner"): ("address",),
+}
+_WRITTEN = ("coin", "token", "timer", "container")
 
 
 def free_vars(e: Expr) -> set[str]:
@@ -348,6 +360,43 @@ def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Quant):
         out.discard(e.var)
     return out
+
+
+def reads_of(exprs) -> set[str]:
+    """The free variables of the expressions."""
+    out: set[str] = set()
+    for e in exprs:
+        out |= free_vars(e)
+    return out
+
+
+def writes_of(stmts) -> set[str]:
+    """The roots of what the statements write: assignment targets, the
+    written operands of operations (and `owner` under
+    Address.change_owner), and the coins and tokens that sends drain."""
+    out: set[str] = set()
+    for s in walk_stmts(stmts):
+        if isinstance(s, Assign):
+            out.add(s.target)
+        elif isinstance(s, Send):
+            out.update(lvalue_root(a) for a, kind in zip(s.args, s.kinds, strict=True)
+                       if kind)
+        elif isinstance(s, OpStmt):
+            out.update(lvalue_root(a) for a, role in zip(s.args, _STMT_OPS[(s.ns, s.op)])
+                       if role in _WRITTEN)
+            if s.op == "change_owner":
+                out.add("owner")
+    return out
+
+
+def subst_expr(e: Expr, sub: dict[str, Expr]) -> Expr:
+    """e with each free occurrence of a name in `sub` replaced by its
+    expression."""
+    if isinstance(e, Var):
+        return sub.get(e.name, e)
+    if isinstance(e, Quant) and e.var in sub:
+        sub = {k: v for k, v in sub.items() if k != e.var}
+    return map_children(e, lambda c: subst_expr(c, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +589,14 @@ def _check_transition(tc: TypedContract, tr: Transition, idx: int) -> TypedTrans
     checker = ExprChecker(scope)
     when = None
     if tr.when is not None:
-        if expr_reads(tr.when, ghost):
+        if free_vars(tr.when) & ghost:
             err("GhostLeak", "ghost state used in a transition guard", tr.pos)
         wt, when = checker.check(tr.when)
         if wt.kind != "bool":
             err("TypeError", "when guard must be bool", tr.pos)
     access = None
     if tr.access is not None:
-        if expr_reads(tr.access[1], ghost):
+        if free_vars(tr.access[1]) & ghost:
             err("GhostLeak", "ghost state used in an access guard", tr.pos)
         at, ax = checker.check(tr.access[1])
         if at.kind != "address":
@@ -621,67 +670,17 @@ def _check_stmt(tc: TypedContract, s: Stmt, scope: dict[str, SemType]) -> Stmt:
 
 
 def _check_opstmt(tc: TypedContract, s: OpStmt, scope) -> Stmt:
-    key = (s.ns, s.op)
-    if key not in _STMT_BUILTINS:
-        err("TypeError", f"{s.ns}.{s.op} is not a statement", s.pos)
-    arity, _ = _STMT_BUILTINS[key]
-    if len(s.args) != arity:
-        err("TypeError", f"{s.ns}.{s.op} takes {arity} argument(s)", s.pos)
-    ref_checker = ExprChecker(scope, allow_ref=True)
+    what = f"{s.ns}.{s.op}"
+    roles = _STMT_OPS.get((s.ns, s.op))
+    if roles is None:
+        err("TypeError", f"{what} is not a statement", s.pos)
+    if len(s.args) != len(roles):
+        err("TypeError", f"{what} takes {len(roles)} argument(s)", s.pos)
+    if s.op in ("issue", "burn") and not tc.issues:
+        err("TypeError",
+            f"contract {tc.name} does not issue tokens ({s.op} unavailable)", s.pos)
     plain = ExprChecker(scope)
-    args = list(s.args)
-
-    def resource(i: int, kind: str):
-        a = s.args[i]
-        if not is_lvalue(a):
-            err("RefRequired",
-                f"{s.ns}.{s.op} operand must be a variable or a Map/Seq/Tuple ref "
-                f"(container copies cannot be moved)", s.pos)
-        at, a2 = ref_checker.check(a)
-        if at.kind != kind:
-            err("TypeError", f"{s.ns}.{s.op} operand has type {at}, expected {kind}", s.pos)
-        args[i] = a2
-
-    def numeric(i: int, what: str):
-        at, a2 = plain.check(s.args[i])
-        if not _numeric(at):
-            err("TypeError", f"{what} must be numeric", s.pos)
-        args[i] = a2
-
-    if s.ns == "Coin":
-        resource(0, "coin")
-        if s.op == "move":
-            numeric(1, "Coin.move amount")
-            resource(2, "coin")
-        else:
-            resource(1, "coin")
-        return replace(s, args=tuple(args))
-    if s.ns == "Token":
-        if s.op in ("issue", "burn") and not tc.issues:
-            err("TypeError",
-                f"contract {tc.name} does not issue tokens ({s.op} unavailable)", s.pos)
-        if s.op == "issue":
-            numeric(0, "Token.issue amount")
-            resource(1, "token")
-        elif s.op == "burn":
-            resource(0, "token")
-            numeric(1, "Token.burn amount")
-        elif s.op == "move":
-            resource(0, "token")
-            numeric(1, "Token.move amount")
-            resource(2, "token")
-        else:
-            resource(0, "token")
-            resource(1, "token")
-        return replace(s, args=tuple(args))
-    if s.ns == "Timer":
-        a = s.args[0]
-        if not isinstance(a, Var) or plain.infer(a).kind != "timer":
-            err("TypeError", f"Timer.{s.op} applies to a timer variable", s.pos)
-        if s.op == "set":
-            numeric(1, "Timer.set duration")
-        return replace(s, args=tuple(args))
-    if s.op in ("set", "append"):
+    if roles[0] == "container":
         if s.op == "set":
             et, container, index = plain.access(s, s.args[0], s.args[1])
             head = (container, index)
@@ -691,34 +690,40 @@ def _check_opstmt(tc: TypedContract, s: OpStmt, scope) -> Stmt:
                 err("TypeError", f"Seq.append applies to a seq, got {ct}", s.pos)
             et, head = ct.args[0], (container,)
         if not isinstance(s.args[0], Var):
-            err("TypeError", f"{s.ns}.{s.op} applies to a variable", s.pos)
+            err("TypeError", f"{what} applies to a variable", s.pos)
         if contains_resource(et):
             err("RefRequired",
                 f"coin/token entries change only through moves on {s.ns}.ref", s.pos)
         vt, v = plain.check(s.args[-1])
         if not assignable(et, vt):
-            err("TypeError", f"{s.ns}.{s.op} value has type {vt}, expected {et}", s.pos)
+            err("TypeError", f"{what} value has type {vt}, expected {et}", s.pos)
         return replace(s, args=(*head, v))
-    if key == ("Address", "change_owner"):
-        at, a = plain.check(s.args[0])
-        if at.kind != "address":
-            err("TypeError", "Address.change_owner takes an address", s.pos)
-        return replace(s, args=(a,))
-    raise AssertionError(key)
+    args = []
+    for a, role in zip(s.args, roles):
+        if role in ("coin", "token"):
+            if not is_lvalue(a):
+                err("RefRequired",
+                    f"{what} operand must be a variable or a Map/Seq/Tuple ref "
+                    f"(container copies cannot be moved)", s.pos)
+            at, a = ExprChecker(scope, allow_ref=True).check(a)
+            if at.kind != role:
+                err("TypeError", f"{what} operand has type {at}, expected {role}", s.pos)
+        elif role == "timer":
+            if not isinstance(a, Var) or plain.infer(a).kind != "timer":
+                err("TypeError", f"{what} applies to a timer variable", s.pos)
+        else:
+            at, a = plain.check(a)
+            if role == "address" and at.kind != "address":
+                err("TypeError", f"{what} takes an address", s.pos)
+            if role != "address" and not _numeric(at):
+                err("TypeError", f"{what} {role} must be numeric", s.pos)
+        args.append(a)
+    return replace(s, args=tuple(args))
 
 
 # ---------------------------------------------------------------------------
 # Ghost discipline
 # ---------------------------------------------------------------------------
-
-
-def stmt_written_roots(s: Stmt) -> set[str]:
-    if isinstance(s, Assign):
-        return {s.target}
-    if isinstance(s, OpStmt):
-        _, written = _STMT_BUILTINS[(s.ns, s.op)]
-        return {lvalue_root(s.args[i]) for i in written if is_lvalue(s.args[i])}
-    return set()
 
 
 def stmt_is_ghost(s: Stmt, ghost: frozenset[str]) -> bool:
@@ -728,7 +733,7 @@ def stmt_is_ghost(s: Stmt, ghost: frozenset[str]) -> bool:
         return bool(branches) and all(stmt_is_ghost(b, ghost) for b in branches)
     if isinstance(s, Send):
         return False
-    roots = stmt_written_roots(s)
+    roots = writes_of((s,))
     return bool(roots) and roots <= ghost
 
 
@@ -736,30 +741,23 @@ def _check_ghost_discipline(t: TypedTransition, ghost: frozenset[str]):
     def check(stmts):
         for s in stmts:
             if isinstance(s, If):
-                if not stmt_is_ghost(s, ghost) and expr_reads(s.cond, ghost):
+                if not stmt_is_ghost(s, ghost) and free_vars(s.cond) & ghost:
                     err("GhostLeak",
                         "ghost state controls a branch with non-ghost effects", s.pos)
                 check(s.then)
                 check(s.els)
                 continue
+            reads = reads_of(stmt_exprs((s,))) & ghost
             if isinstance(s, Send):
-                reads = ([s.dest] if s.dest is not None else []) + list(s.args)
-                for e in reads:
-                    if expr_reads(e, ghost):
-                        err("GhostLeak", "ghost state flows into a message", s.pos)
+                if reads:
+                    err("GhostLeak", "ghost state flows into a message", s.pos)
                 continue
             if stmt_is_ghost(s, ghost):
                 continue  # ghost updates may read anything
-            exprs: list[Expr] = []
-            if isinstance(s, Assign):
-                exprs = [s.value]
-            elif isinstance(s, OpStmt):
-                if stmt_written_roots(s) & ghost:
-                    err("GhostLeak", "operation mixes ghost and non-ghost targets", s.pos)
-                exprs = list(s.args)
-            for e in exprs:
-                if expr_reads(e, ghost):
-                    err("GhostLeak", "ghost state flows into non-ghost state", s.pos)
+            if isinstance(s, OpStmt) and writes_of((s,)) & ghost:
+                err("GhostLeak", "operation mixes ghost and non-ghost targets", s.pos)
+            if reads:
+                err("GhostLeak", "ghost state flows into non-ghost state", s.pos)
 
     check(t.action)
 
@@ -828,22 +826,13 @@ def _check_sends(tc: TypedContract, universe, origin):
 
 
 # ---------------------------------------------------------------------------
-# Substitution (for normalization stashes)
+# Normalization into the at-most-one-output form
 # ---------------------------------------------------------------------------
 
 
-def subst_expr(e: Expr, sub: dict[str, str]) -> Expr:
-    if isinstance(e, Var):
-        return Var(sub.get(e.name, e.name), e.pos)
-    if isinstance(e, Quant):
-        sub = {k: v for k, v in sub.items() if k != e.var}
-    return map_children(e, lambda c: subst_expr(c, sub))
-
-
-def subst_stmt(s: Stmt, sub: dict[str, str]) -> Stmt:
+def subst_stmt(s: Stmt, sub: dict[str, Expr]) -> Stmt:
     if isinstance(s, Assign):
-        return replace(s, target=sub.get(s.target, s.target),
-                       value=subst_expr(s.value, sub))
+        return replace(s, value=subst_expr(s.value, sub))
     if isinstance(s, OpStmt):
         return replace(s, args=tuple(subst_expr(a, sub) for a in s.args))
     if isinstance(s, Send):
@@ -860,10 +849,6 @@ def _contains_send(s: Stmt) -> bool:
     return any(isinstance(b, Send) and not b.is_log for b in walk_stmts((s,)))
 
 
-def _stmts_read(stmts, names: frozenset[str]) -> bool:
-    return any(expr_reads(e, names) for e in stmt_exprs(stmts))
-
-
 def _max_sends(stmts) -> int:
     """Maximum number of non-log sends over the paths of stmts."""
     n = 0
@@ -873,11 +858,6 @@ def _max_sends(stmts) -> int:
         elif isinstance(s, If):
             n += max(_max_sends(s.then), _max_sends(s.els))
     return n
-
-
-# ---------------------------------------------------------------------------
-# Normalization into the at-most-one-output form
-# ---------------------------------------------------------------------------
 
 
 def _normalize_contract(tc: TypedContract):
@@ -951,13 +931,14 @@ def _normalize_contract(tc: TypedContract):
             while rest and not (isinstance(rest[0], Send) and not rest[0].is_log) \
                     and not (isinstance(rest[0], If) and _contains_send(rest[0])):
                 head.append(rest.pop(0))
-            sub: dict[str, str] = {}
+            sub: dict[str, Expr] = {}
+            rest_reads = reads_of(stmt_exprs(rest))
             for bname, btyp in t.action_view(t.binders).items():
-                if not _stmts_read(rest, frozenset({bname})):
+                if bname not in rest_reads:
                     continue
                 stash = f"__{base}_{bname}"
                 stash_vars[stash] = VarInfo(stash, btyp, synthetic=True)
-                sub[bname] = stash
+                sub[bname] = Var(stash)
                 if btyp.kind == "coin":
                     head.append(OpStmt("Coin", "moveall", (Var(bname), Var(stash)), t.pos))
                 elif btyp.kind == "token":

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ast_nodes import Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, stmt_exprs
+from .ast_nodes import (
+    Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, stmt_exprs,
+)
 from .diagnostics import SketchError
 from .sketch import ProofSketch
-from .typecheck import TypedContract, TypedProgram, TypedTransition, free_vars
-
-TIME = "time"  # relation tag for the implicit time transition
+from .typecheck import TypedContract, TypedProgram, TypedTransition, reads_of, writes_of
 
 
 @dataclass
@@ -79,10 +79,9 @@ def _not_goal(goal_conjs) -> tuple[Expr, ...]:
 
 def time_guard(tc: TypedContract) -> Expr:
     """Some timer is active (the time transition's enabling condition)."""
-    timers = [v.name for v in tc.vars.values() if v.typ.kind == "timer"]
-    if not timers:
+    if not tc.timers:
         return Lit(False)
-    parts = [Builtin("Timer", "is_active", (Var(n),)) for n in timers]
+    parts = [Builtin("Timer", "is_active", (Var(n),)) for n in tc.timers]
     out = parts[0]
     for p in parts[1:]:
         out = Binop("||", out, p)
@@ -120,15 +119,7 @@ def _expr_total(e: Expr, tc: TypedContract) -> bool:
     return False
 
 
-def _stmt_reads(s: Stmt) -> set[str]:
-    out: set[str] = set()
-    for e in stmt_exprs((s,)):
-        out |= free_vars(e)
-    return out
-
-
 def _stmt_total(s: Stmt, tc: TypedContract) -> bool:
-    from .ast_nodes import Assign
     if isinstance(s, Assign):
         return _expr_total(s.value, tc)
     if isinstance(s, OpStmt) and (s.ns, s.op) == ("Map", "set"):
@@ -140,33 +131,21 @@ def slice_action(t: TypedTransition, needed: set[str], tc: TypedContract):
     """Backward slice: drop total statements whose writes cannot reach the
     conclusion. Dropping a partial statement would weaken the relation's
     definedness constraint, so those are always kept."""
-    from .ast_nodes import Assign
-    from .typecheck import stmt_written_roots
-
     kept: list[Stmt] = []
     need = set(needed)
     for s in reversed(t.action):
         if isinstance(s, (If, Send)):
             kept.append(s)
-            need |= _stmt_reads(s)
+            need |= reads_of(stmt_exprs((s,)))
             continue
-        writes = stmt_written_roots(s)
-        if writes & need or not _stmt_total(s, tc):
+        if writes_of((s,)) & need or not _stmt_total(s, tc):
             if isinstance(s, Assign):
                 need.discard(s.target)
             kept.append(s)
-            need |= _stmt_reads(s)
+            need |= reads_of(stmt_exprs((s,)))
         # else: dead and total: dropped
     kept.reverse()
     return tuple(kept), need
-
-
-def reads_of(exprs) -> set[str]:
-    """The free variables of the expressions."""
-    out: set[str] = set()
-    for e in exprs:
-        out |= free_vars(e)
-    return out
 
 
 def progress_slice(t: TypedTransition, sketch: ProofSketch, tc: TypedContract):

@@ -559,6 +559,17 @@ contract Bank() {
 BANK_ONES = "safety ones { always forall c: address : Map.in(c, bal) ==> " \
     "Coin.value(Map.get(bal, c)) == 1 }"
 
+DRAIN = """
+contract Drain() {
+  msg give(coin), pay;
+  var c: coin;
+  initial S;
+  state S:
+  | x??give(k) -> S { Coin.moveall(k, c); }
+  | x??pay -> S { x!!got(c); }
+}
+"""
+
 MINT = """
 contract Mint() issues Token(3) {
   msg go(address, nat);
@@ -606,8 +617,14 @@ def _no_interpreter(*args, **kwargs):
     # a send of an absent entry is undefined: a counterexample that reaches
     # T holds the sender's entry, so it replays
     (TAKE, "safety never { @T false }", ["valid", "counterexample"]),
+    # change_owner writes owner and a send drains its coin argument: both
+    # relations write what the conclusion reads, so neither VC is preserved
+    (HAND, "safety same { always owner == creator }", ["valid", "counterexample"]),
+    (DRAIN, "safety held { always Coin.value(c) >= 1 }",
+     ["counterexample", "valid", "counterexample"]),
 ], ids=["change_owner", "coin_move_aliased", "coin_move", "token_issue",
-        "token_move", "token_moveall", "token_burn", "timer_reset", "send_map_ref"])
+        "token_move", "token_moveall", "token_burn", "timer_reset", "send_map_ref",
+        "change_owner_writes_owner", "send_drains"])
 def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
     """Each statement operation of the compiled relation runs in an
     inductiveness leaf, and the engine agrees with the oracle on it; the

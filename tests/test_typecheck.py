@@ -276,6 +276,57 @@ def test_access_base_is_annotated(stmt):
     assert [o for e in stmt_exprs(action) for o in binops(e)] == ["-nat"]
 
 
+# -- statement operations: one role table --------------------------------------
+
+OPS = """
+contract Ops() issues Token(3) {
+  msg go(address, nat);
+  var c: coin;
+  var k: token;
+  var t: timer;
+  var n: nat;
+  var m: map[address, nat];
+  var s: seq[nat];
+  var tp: tuple[nat, bool];
+  initial A;
+  state A:
+  | x??go(y, z) -> A {
+    %s
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("stmt, code, message", [
+    ("Coin.move(c, true, c);", "TypeError", "Coin.move amount must be numeric"),
+    ("Coin.moveall(c, n);", "TypeError", "Coin.moveall operand has type nat, expected coin"),
+    ("Token.issue(1, Map.get(m, x));", "RefRequired",
+     "Token.issue operand must be a variable or a Map/Seq/Tuple ref "
+     "(container copies cannot be moved)"),
+    ("Token.burn(c, 1);", "TypeError", "Token.burn operand has type coin, expected token"),
+    ("Token.move(k, y, k);", "TypeError", "Token.move amount must be numeric"),
+    ("Token.moveall(k, 1);", "RefRequired",
+     "Token.moveall operand must be a variable or a Map/Seq/Tuple ref "
+     "(container copies cannot be moved)"),
+    ("Timer.set(t, y);", "TypeError", "Timer.set duration must be numeric"),
+    ("Timer.reset(n);", "TypeError", "Timer.reset applies to a timer variable"),
+    ("Map.set(m, x, true);", "TypeError", "Map.set value has type bool, expected nat"),
+    ("Seq.set(s, y, 1);", "TypeError", "Seq.set index has type address, expected int or nat"),
+    ("Seq.append(s, y);", "TypeError", "Seq.append value has type address, expected nat"),
+    ("Tuple.set(tp, 1, 1);", "TypeError", "Tuple.set value has type nat, expected bool"),
+    ("Address.change_owner(n);", "TypeError", "Address.change_owner takes an address"),
+    ("Coin.value(c);", "TypeError", "Coin.value is not a statement"),
+    ("Coin.move(c, 1);", "TypeError", "Coin.move takes 3 argument(s)"),
+])
+def test_operation_operand_roles(stmt, code, message):
+    """Each statement operation checks its operands by their roles: a
+    written coin, token or timer location, a numeric amount or duration,
+    an address, or a container index and value. The error points at the
+    statement."""
+    e = expect_error(OPS % stmt, code)
+    assert (e.code, e.pos.line, e.pos.col, e.message) == (code, 14, 5, message)
+
+
 # -- normalization ----------------------------------------------------------
 
 
