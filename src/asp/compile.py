@@ -39,63 +39,23 @@ from __future__ import annotations
 import itertools
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
-from .values import Undef
+from .values import (
+    Undef, coin_cut, div, issue_supply, mod, nat_sub, seq_get, timer_read, timer_start,
+    timer_tick, token_burn, token_cut, token_merge,
+)
 
 ABSENT = object()  # absent map entry (shared with discharge)
 
 
 # ---------------------------------------------------------------------------
-# Prelude helpers referenced by generated code
+# Prelude referenced by generated code. The partial operations on flat
+# values are values' shared ones, which the IR interpreter runs too; only
+# the map-entry read for move operands is the engine's own.
 # ---------------------------------------------------------------------------
 
 
 def _u(msg):
     raise Undef(msg)
-
-
-def _div(a, b):
-    if b == 0:
-        raise Undef("division by zero")
-    return a // b
-
-
-def _mod(a, b):
-    if b == 0:
-        raise Undef("modulo by zero")
-    return a % b
-
-
-def _nsub(a, b):
-    r = a - b
-    if r < 0:
-        raise Undef("nat subtraction below zero")
-    return r
-
-
-def _tval(t):
-    if t[0] != "active":
-        raise Undef("Timer.value on a non-active timer")
-    return t[1]
-
-
-def _sget(s, i):
-    if not (0 <= i < len(s)):
-        raise Undef("sequence index out of bounds")
-    return s[i]
-
-
-def _tset(t, k):
-    if t[0] != "off":
-        raise Undef("Timer.set on a non-off timer")
-    if k <= 0:
-        raise Undef("Timer.set requires a positive duration")
-    return ("active", k)
-
-
-def _tick1(t, d):
-    if t[0] != "active":
-        return t
-    return ("active", t[1] - d) if t[1] > d else ("fired", 0)
 
 
 def _xref(E, m, k, default, keys, zero):
@@ -109,33 +69,12 @@ def _xref(E, m, k, default, keys, zero):
     return v
 
 
-def _ckmove(src, k):
-    if k < 0 or src < k:
-        raise Undef("coin move exceeds source value")
-    return src - k
-
-
-def _tokmerge(dst, kind, amount):
-    if amount == 0:
-        return dst
-    if dst[1] == 0:
-        return (kind, amount)
-    if dst[0] != kind:
-        raise Undef("mixing token kinds")
-    return (dst[0], dst[1] + amount)
-
-
-def _tokcut(src, k):
-    if k < 0 or src[1] < k:
-        raise Undef("token move exceeds source value")
-    return (src[0] if src[1] > k else None, src[1] - k)
-
-
 PRELUDE = {
-    "_u": _u, "_div": _div, "_mod": _mod, "_nsub": _nsub,
-    "_tval": _tval, "_sget": _sget, "_tset": _tset, "_tick1": _tick1,
+    "_u": _u, "_div": div, "_mod": mod, "_nsub": nat_sub,
+    "_tval": timer_read, "_sget": seq_get, "_tset": timer_start, "_tick1": timer_tick,
     "_xref": _xref,
-    "_ckmove": _ckmove, "_tokmerge": _tokmerge, "_tokcut": _tokcut,
+    "_ckmove": coin_cut, "_tokmerge": token_merge, "_tokcut": token_cut,
+    "_tokburn": token_burn, "_issue": issue_supply,
     "ABSENT": ABSENT, "Undef": Undef,
 }
 
@@ -354,21 +293,14 @@ class Compiler:
             dr, dw = self._lvalue_slots(s.args[1], env, "token")
             tmp = f"_p{len(body)}"
             body.append(f"{indent}{tmp} = {n}")
-            body.append(f"{indent}if {tmp} < 0: _u('negative issue')")
-            body.append(f"{indent}if '__remaining' in {env}:")
-            body.append(f"{indent}    if {tmp} > {env}['__remaining']: _u('supply exhausted')")
-            body.append(f"{indent}    {env}['__remaining'] -= {tmp}")
+            body.append(f"{indent}_s = _issue({tmp}, {env}.get('__remaining'))")
+            body.append(f"{indent}if _s is not None: {env}['__remaining'] = _s")
             body.append(f"{indent}" + dw(f"_tokmerge({dr}, {self.self_addr!r}, {tmp})"))
             return
         if key == ("Token", "burn"):
             sr, sw = self._lvalue_slots(s.args[0], env, "token")
             k = self.expr(s.args[1], env)
-            tmp = f"_p{len(body)}"
-            body.append(f"{indent}{tmp} = {sr}")
-            body.append(f"{indent}_k = {k}")
-            body.append(f"{indent}if _k < 0 or {tmp}[1] < _k: _u('burn exceeds holdings')")
-            body.append(f"{indent}if _k > 0 and {tmp}[0] != {self.self_addr!r}: _u('foreign token')")
-            body.append(f"{indent}" + sw(f"({tmp}[0] if {tmp}[1] > _k else None, {tmp}[1] - _k)"))
+            body.append(f"{indent}" + sw(f"_tokburn({sr}, {k}, {self.self_addr!r})"))
             return
         if key == ("Timer", "set"):
             assert isinstance(s.args[0], Var)

@@ -10,7 +10,8 @@ is restored bit-for-bit).
 Within a tau closure, a callee refusing a message (no arm, guard false, or
 an undefined operation in its dispatch arm) is a soft failure: the calling
 tau arm rolls back and alternatives are tried, mirroring the abstract
-semantics where such a transition simply does not exist. Overflow and
+semantics where such a transition simply does not exist. An undefined
+operation raises Undef and reverts with UndefinedOp. Overflow and
 reentrancy breaches are hard: the abstract semantics has no such notion,
 so the defensive code cancels the transaction.
 
@@ -21,9 +22,12 @@ dict. Stored values are never changed in place: a write into a map,
 sequence or tuple stores an updated container in its slot, so a snapshot
 copies each storage's variable dict and shares the values.
 
-This module deliberately reimplements evaluation over its own storage
-representation; the abstract machine in machine.py is the independent
-oracle the differential tests compare against.
+The partial operations on flat values are values' shared ones, which the
+engine's generated code runs too; this module's own are the expression
+walk, arm matching and the word-width checks applied after each shared
+operation. The abstract machine in machine.py, with values' boxed
+operations, is the independent oracle the differential tests compare
+against.
 """
 from __future__ import annotations
 
@@ -33,7 +37,10 @@ from dataclasses import dataclass, field
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .lower import ContractIR, SystemIR
-from .values import ADDR_NONE, flat, zero_value
+from .values import (
+    ADDR_NONE, Undef, coin_cut, div, flat, issue_supply, mod, nat_sub, seq_get,
+    timer_read, timer_start, timer_tick, token_burn, token_cut, token_merge, zero_value,
+)
 
 REASONS = ("GuardFailed", "DefensiveCheckFailed", "Overflow", "UndefinedOp",
            "ReentrancyLimit")
@@ -49,13 +56,11 @@ class TxRevert(Exception):
 
 
 class CallFailed(Exception):
-    """Soft failure of a callee's dispatch: the corresponding abstract
-    transition does not exist; the caller tries alternatives."""
+    """Soft failure of a callee's dispatch: no arm takes the message, so
+    the corresponding abstract transition does not exist; the caller tries
+    alternatives."""
 
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"{reason}: {detail}")
-        self.reason = reason
-        self.detail = detail
+    reason = "GuardFailed"
 
 
 @dataclass
@@ -114,6 +119,13 @@ class TxResult:
         return self.status == "committed"
 
 
+_FAILURES = (CallFailed, TxRevert, Undef)
+
+
+def _reverted(e: Exception) -> TxResult:
+    return TxResult("reverted", "UndefinedOp" if isinstance(e, Undef) else e.reason)
+
+
 # ---------------------------------------------------------------------------
 # Bounded evaluation
 # ---------------------------------------------------------------------------
@@ -133,7 +145,7 @@ class _Eval:
         if n > self.umax:
             raise TxRevert("Overflow", f"value {n} exceeds the word size")
         if n < 0:
-            raise CallFailed("UndefinedOp", "negative natural")
+            raise Undef("negative natural")
         return n
 
     def check_signed(self, n: int) -> int:
@@ -152,7 +164,7 @@ class _Eval:
             if e.name == "creator":
                 return self.st.creator
             if e.name not in self.st.vars:
-                raise CallFailed("UndefinedOp", f"unknown name {e.name}")
+                raise Undef(f"unknown name {e.name}")
             return self.st.vars[e.name]
         if isinstance(e, Unop):
             v = self.eval(e.operand)
@@ -184,20 +196,18 @@ class _Eval:
             if op == "-":
                 return self._range(l - r)
             if op == "-nat":
-                if l < r:
-                    raise CallFailed("UndefinedOp", "nat subtraction below zero")
-                return l - r
+                return nat_sub(l, r)
             if op == "*":
                 return self._range(l * r)
-            if op in ("/", "%"):
-                if r == 0:
-                    raise CallFailed("UndefinedOp", "division by zero")
-                return l // r if op == "/" else l % r
+            if op == "/":
+                return div(l, r)
+            if op == "%":
+                return mod(l, r)
             raise ValueError(op)
         if isinstance(e, Builtin):
             return self._builtin(e)
         if isinstance(e, Quant):
-            raise CallFailed("UndefinedOp", "quantifier in executable code")
+            raise Undef("quantifier in executable code")
         raise ValueError(e)
 
     def _range(self, n: int) -> int:
@@ -226,36 +236,24 @@ class _Eval:
         if key == ("Timer", "has_fired"):
             return args[0][0] == "fired"
         if key == ("Timer", "value"):
-            if args[0][0] != "active":
-                raise CallFailed("UndefinedOp", "Timer.value on non-active timer")
-            return args[0][1]
+            return timer_read(args[0])
         if key in (("Map", "get"), ("Map", "ref")):
             m, k = args
             if k in m:
                 return m[k]
-            d = self._default_of(e.args[0])
+            d = _default(self.ir, e.args[0])
             if d is None:
-                raise CallFailed("UndefinedOp", "missing map entry")
+                raise Undef("missing map entry")
             return d
         if key == ("Map", "in"):
             return args[0] in args[1]
         if key in (("Seq", "get"), ("Seq", "ref")):
-            s, i = args
-            if not (0 <= i < len(s)):
-                raise CallFailed("UndefinedOp", "sequence index out of bounds")
-            return s[i]
+            return seq_get(*args)
         if key == ("Seq", "len"):
             return len(args[0])
         if key in (("Tuple", "get"), ("Tuple", "ref")):
             return args[0][args[1]]
         raise ValueError(key)
-
-    def _default_of(self, map_expr: Expr):
-        if isinstance(map_expr, Var) and self.ir is not None:
-            vi = self.ir.vars.get(map_expr.name)
-            if vi is not None and vi.default is not None:
-                return vi.default
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,30 +307,21 @@ class Machine:
         letters: list[Letter] = []
         try:
             self._call(target, msg, sender, args, letters)
-        except CallFailed as e:
+        except _FAILURES as e:
             self._restore(snapshot)
-            return TxResult("reverted", e.reason)
-        except TxRevert as e:
-            self._restore(snapshot)
-            return TxResult("reverted", e.reason)
+            return _reverted(e)
         return TxResult("committed", letters=letters)
 
     def advance(self, delta: int) -> bool:
         """Timer advance between transactions; False if no timer is active."""
         if delta < 1:
             return False
-        timers = []
-        for name, st in self.storages.items():
-            ir = self.ir_of(name)
-            for v in ir.vars.values():
-                if v.typ.kind == "timer":
-                    timers.append((st, v.name))
+        timers = [(st, v.name) for name, st in self.storages.items()
+                  for v in self.ir_of(name).vars.values() if v.typ.kind == "timer"]
         if not any(st.vars[n][0] == "active" for st, n in timers):
             return False
         for st, n in timers:
-            state, k = st.vars[n]
-            if state == "active":
-                st.vars[n] = ("active", k - delta) if k > delta else ("fired", 0)
+            st.vars[n] = timer_tick(st.vars[n], delta)
         return True
 
     def wake(self) -> list[TxResult]:
@@ -340,19 +329,14 @@ class Machine:
         pseudo-transaction per instance (mirrors the cascade harness)."""
         results = []
         for name in self.order:
-            ir = self.ir_of(name)
-            st = self.storages[name]
-            if not self._some_tau_enabled(ir, st):
-                continue
             snapshot = self._snapshot()
             letters: list[Letter] = []
             try:
-                self._tau_closure(name, letters)
-            except (CallFailed, TxRevert) as e:
+                if self._tau_closure(name, letters):
+                    results.append(TxResult("committed", letters=letters))
+            except _FAILURES as e:
                 self._restore(snapshot)
-                results.append(TxResult("reverted", e.reason))
-                continue
-            results.append(TxResult("committed", letters=letters))
+                results.append(_reverted(e))
         return results
 
     def storage_hash(self) -> str:
@@ -365,20 +349,10 @@ class Machine:
 
     # -- internals --
 
-    def _some_tau_enabled(self, ir: ContractIR, st: Storage) -> bool:
-        for arm in ir.taus.get(st.state, ()):
-            try:
-                ev = _Eval(ir, st, {}, self.system.word_bits)
-                if arm.when is None or ev.eval(arm.when) is True:
-                    return True
-            except (CallFailed, TxRevert):
-                continue
-        return False
-
     def _call(self, target: str, msg: str, sender: str, args: tuple,
               letters: list):
         if target not in self.storages:
-            raise CallFailed("GuardFailed", f"no contract at {target}")
+            raise CallFailed(f"no contract at {target}")
         ir = self.ir_of(target)
         st = self.storages[target]
         if st.counter > self.system.reentrancy_limit:
@@ -387,7 +361,7 @@ class Machine:
         st.counter += 1
         try:
             arms = [a for a in ir.methods.get(msg, ()) if a.state == st.state]
-            err = CallFailed("GuardFailed", f"{msg} not receivable at {st.state}")
+            err = CallFailed(f"{msg} not receivable at {st.state}")
             for arm in arms:
                 ev = _Eval(ir, st, {}, self.system.word_bits)
                 binds = {}
@@ -411,16 +385,13 @@ class Machine:
                             continue
                         if kind == "notby" and sender == v:
                             continue
-                except CallFailed:
+                except Undef:
                     continue  # guard undefined: arm not enabled
                 # credit incoming coins before running the body
                 incoming = sum(a for a, t in zip(args, arm.param_types)
                                if t.kind == "coin")
                 st.ledger = ev.check_unsigned(st.ledger + incoming)
-                try:
-                    self._exec(ir, st, binds, sender, arm.body, letters)
-                except CallFailed as e2:
-                    raise CallFailed("UndefinedOp", e2.detail) from None
+                self._exec(ir, st, binds, sender, arm.body, letters)
                 # defensive: received resources fully transferred
                 for name, t in zip(arm.params, arm.param_types):
                     if t.kind == "coin" and binds.get(name, 0) != 0:
@@ -437,23 +408,19 @@ class Machine:
         finally:
             st.counter -= 1
 
-    def _tau_closure(self, addr: str, letters: list):
-        """Repeat internal transitions until none is enabled; a tau arm
-        whose send is refused rolls back and the next arm is tried."""
+    def _tau_closure(self, addr: str, letters: list) -> bool:
+        """Repeat internal transitions until none is enabled, and return
+        whether any ran; a tau arm whose body is undefined or whose send is
+        refused rolls back and the next arm is tried."""
         ir = self.ir_of(addr)
-        steps = 0
-        while True:
-            steps += 1
-            if steps > 10_000:
-                raise TxRevert("DefensiveCheckFailed", "tau closure diverges")
+        for steps in range(10_000):
             st = self.storages[addr]
-            progressed = False
             for arm in ir.taus.get(st.state, ()):
                 ev = _Eval(ir, st, {}, self.system.word_bits)
                 try:
                     if arm.when is not None and ev.eval(arm.when) is not True:
                         continue
-                except CallFailed:
+                except Undef:
                     continue
                 snapshot = self._snapshot()
                 marker = len(letters)
@@ -472,14 +439,13 @@ class Machine:
                         else:
                             letters.append(Letter(kind, msg, dest, out_args))
                     self._conservation(ir, self.storages[addr])
-                    progressed = True
                     break
-                except CallFailed:
+                except (CallFailed, Undef):
                     self._restore(snapshot)
                     del letters[marker:]
-                    continue
-            if not progressed:
-                return
+            else:
+                return steps > 0
+        raise TxRevert("DefensiveCheckFailed", "tau closure diverges")
 
     def _conservation(self, ir: ContractIR, st: Storage):
         total = storage_coin_total(ir, st)
@@ -496,11 +462,8 @@ class Machine:
     def _stmt(self, ir, st, binds, sender, s: Stmt, letters, pending=None):
         ev = _Eval(ir, st, binds, self.system.word_bits)
         if isinstance(s, Assign):
-            v = ev.eval(s.value)
             vi = ir.vars.get(s.target)
-            if vi is not None:
-                v = _check_store(ev, vi.typ, v)
-            st.vars[s.target] = v
+            st.vars[s.target] = _check_store(ev, vi and vi.typ, ev.eval(s.value))
             return
         if isinstance(s, If):
             branch = s.then if ev.eval(s.cond) is True else s.els
@@ -514,86 +477,58 @@ class Machine:
         if key in (("Coin", "move"), ("Coin", "moveall")):
             src = _slot(ir, st, binds, ev, s.args[0], "coin")
             amount = ev.eval(s.args[1]) if s.op == "move" else src.read()
-            if amount < 0 or src.read() < amount:
-                raise CallFailed("UndefinedOp", "insufficient coin value")
-            src.write(src.read() - amount)
-            dst = _slot(ir, st, binds, ev, s.args[2 if s.op == "move" else 1], "coin")
+            src.write(coin_cut(src.read(), amount))
+            dst = _slot(ir, st, binds, ev, s.args[-1], "coin")
             dst.write(ev.check_unsigned(dst.read() + amount))
             return
         if key in (("Token", "move"), ("Token", "moveall")):
             src = _slot(ir, st, binds, ev, s.args[0], "token")
-            kind, held = src.read()
-            amount = ev.eval(s.args[1]) if s.op == "move" else held
-            if amount < 0 or held < amount:
-                raise CallFailed("UndefinedOp", "insufficient token value")
-            src.write((kind if held > amount else None, held - amount))
-            dst = _slot(ir, st, binds, ev, s.args[2 if s.op == "move" else 1], "token")
-            dkind, dheld = dst.read()
-            if amount:
-                if dheld and dkind != kind:
-                    raise CallFailed("UndefinedOp", "mixing token kinds")
-                dst.write((kind, ev.check_unsigned(dheld + amount)))
+            moved = src.read()
+            amount = ev.eval(s.args[1]) if s.op == "move" else moved[1]
+            src.write(token_cut(moved, amount))
+            _merge(ev, _slot(ir, st, binds, ev, s.args[-1], "token"), moved[0], amount)
             return
         if key == ("Token", "issue"):
             n = ev.eval(s.args[0])
-            if n < 0:
-                raise CallFailed("UndefinedOp", "negative issue")
-            if st.remaining is not None:
-                if n > st.remaining:
-                    raise CallFailed("UndefinedOp", "token supply exhausted")
-                st.remaining -= n
-            dst = _slot(ir, st, binds, ev, s.args[1], "token")
-            dkind, dheld = dst.read()
-            if n:
-                if dheld and dkind != st.addr:
-                    raise CallFailed("UndefinedOp", "mixing token kinds")
-                dst.write((st.addr, ev.check_unsigned(dheld + n)))
+            st.remaining = issue_supply(n, st.remaining)
+            _merge(ev, _slot(ir, st, binds, ev, s.args[1], "token"), st.addr, n)
             return
         if key == ("Token", "burn"):
             src = _slot(ir, st, binds, ev, s.args[0], "token")
-            kind, held = src.read()
-            n = ev.eval(s.args[1])
-            if n < 0 or held < n:
-                raise CallFailed("UndefinedOp", "insufficient tokens to burn")
-            if n > 0 and kind != st.addr:
-                raise CallFailed("UndefinedOp", "burning a foreign token")
-            src.write((kind if held > n else None, held - n))
+            src.write(token_burn(src.read(), ev.eval(s.args[1]), st.addr))
             return
         if key == ("Timer", "set"):
             name = s.args[0].name
-            cur = st.vars[name]
-            if cur[0] != "off":
-                raise CallFailed("UndefinedOp", "Timer.set on a running timer")
             k = ev.eval(s.args[1])
-            if k <= 0:
-                raise CallFailed("UndefinedOp", "non-positive timer duration")
-            st.vars[name] = ("active", ev.check_unsigned(k))
+            started = timer_start(st.vars[name], k)
+            ev.check_unsigned(k)
+            st.vars[name] = started
             return
         if key == ("Timer", "reset"):
             st.vars[s.args[0].name] = ("off", 0)
             return
         if key == ("Map", "set"):
-            name = s.args[0].name
-            v = ev.eval(s.args[2])
-            vi = ir.vars.get(name)
-            if vi is not None:
-                v = _check_store(ev, vi.typ.args[1], v)
-            st.vars[name] = {**st.vars[name], ev.eval(s.args[1]): v}
+            slot = _slot(ir, st, binds, ev, s.args[0])
+            k = ev.eval(s.args[1])
+            v = _check_store(ev, _elem_type(ir, s.args[0]), ev.eval(s.args[2]))
+            slot.write({**slot.read(), k: v})
             return
         if key in (("Seq", "set"), ("Tuple", "set")):
-            slot = _slot(ir, st, binds, ev, Builtin(s.ns, "ref", s.args[:2]))
-            slot.write(ev.eval(s.args[2]))
+            ref = Builtin(s.ns, "ref", s.args[:2])
+            slot = _slot(ir, st, binds, ev, ref)
+            slot.write(_check_store(ev, _loc_type(ir, ref), ev.eval(s.args[2])))
             return
         if key == ("Seq", "append"):
-            name = s.args[0].name
-            st.vars[name] = (*st.vars[name], ev.eval(s.args[1]))
+            slot = _slot(ir, st, binds, ev, s.args[0])
+            v = _check_store(ev, _elem_type(ir, s.args[0]), ev.eval(s.args[1]))
+            slot.write((*slot.read(), v))
             return
         if key == ("Address", "change_owner"):
             if sender is None or sender != st.owner:
-                raise CallFailed("UndefinedOp", "change_owner not by the owner")
+                raise Undef("change_owner not by the owner")
             new = ev.eval(s.args[0])
             if new == ADDR_NONE:
-                raise CallFailed("UndefinedOp", "owner cannot become none")
+                raise Undef("owner cannot become none")
             st.owner = new
             return
         raise ValueError(key)
@@ -648,28 +583,55 @@ def _slot(ir, st, binds, ev, a: Expr, materialize: str | None = None) -> _SlotRe
     if a.ns == "Map":
         k = ev.eval(a.args[1])
         if k not in base.read():
-            vi = ir.vars.get(a.args[0].name) if isinstance(a.args[0], Var) else None
-            if vi is not None and vi.default is not None:
-                base.write({**base.read(), k: vi.default})
+            if (d := _default(ir, a.args[0])) is not None:
+                base.write({**base.read(), k: d})
             elif materialize is not None:
                 base.write({**base.read(), k: (None, 0) if materialize == "token" else 0})
             else:
-                raise CallFailed("UndefinedOp", "missing map entry")
+                raise Undef("missing map entry")
         return _SlotRef(lambda: base.read()[k],
                         lambda v: base.write({**base.read(), k: v}))
     if a.ns == "Seq":
         i = ev.eval(a.args[1])
-        if not (0 <= i < len(base.read())):
-            raise CallFailed("UndefinedOp", "sequence index out of bounds")
+        seq_get(base.read(), i)  # undefined out of bounds
     else:
         i = a.args[1].value
     return _SlotRef(lambda: base.read()[i],
                     lambda v: base.write((*base.read()[:i], v, *base.read()[i + 1:])))
 
 
+def _default(ir: ContractIR | None, m: Expr):
+    """The declared default of a map variable, or None."""
+    vi = ir.vars.get(m.name) if ir is not None and isinstance(m, Var) else None
+    return vi and vi.default
+
+
+def _merge(ev: _Eval, dst: _SlotRef, kind, amount: int):
+    """Add `amount` tokens of `kind` to the slot dst, within the word."""
+    kind, held = token_merge(dst.read(), kind, amount)
+    dst.write((kind, ev.check_unsigned(held)))
+
+
+def _loc_type(ir: ContractIR, e: Expr):
+    """The declared type of a storage location; None under a binder."""
+    if isinstance(e, Var):
+        vi = ir.vars.get(e.name)
+        return vi and vi.typ
+    t = _loc_type(ir, e.args[0])
+    return t and t.args[e.args[1].value if e.ns == "Tuple" else -1]
+
+
+def _elem_type(ir: ContractIR, container: Expr):
+    """The declared type of a map's values or a sequence's elements."""
+    t = _loc_type(ir, container)
+    return t and t.args[-1]
+
+
 def _check_store(ev: _Eval, typ, v):
     """Declared-width check at store sites: ints fit the signed word,
-    nats/coins the unsigned word."""
+    nats/coins the unsigned word; nothing under a binder (typ None)."""
+    if typ is None:
+        return v
     if typ.kind == "int":
         return ev.check_signed(v)
     if typ.kind in ("nat", "coin"):

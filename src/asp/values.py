@@ -130,7 +130,11 @@ def zero_value(t: SemType, default=None):
 # ---------------------------------------------------------------------------
 # The flat form, held by the discharge engine's valuations and the IR
 # interpreter's storage: a coin is its amount, a token (kind, amount), a
-# timer (state, k), a sequence or tuple a tuple, a map a dict of entries
+# timer (state, k), a sequence or tuple a tuple, a map a dict of entries.
+# Its partial operations below are shared by the engine's generated code
+# (compile.PRELUDE) and the IR interpreter, and raise Undef where the boxed
+# rules further down (and machine's moves) do. The oracle and the cascade
+# run the boxed rules, so each fast route keeps an independent reference.
 # ---------------------------------------------------------------------------
 
 
@@ -184,6 +188,80 @@ def has_type(v, t: SemType) -> bool:
             map(has_type, v.items, t.args))
     return type(v) is {"bool": bool, "address": str, "coin": Coin, "token": Tok,
                        "timer": Timer}[k]
+
+
+def nat_sub(a: int, b: int) -> int:
+    if a < b:
+        raise Undef("nat subtraction below zero")
+    return a - b
+
+
+def div(a: int, b: int) -> int:
+    if b == 0:
+        raise Undef("division by zero")
+    return a // b
+
+
+def mod(a: int, b: int) -> int:
+    if b == 0:
+        raise Undef("modulo by zero")
+    return a % b
+
+
+def seq_get(s: tuple, i: int):
+    if not (0 <= i < len(s)):
+        raise Undef("sequence index out of bounds")
+    return s[i]
+
+
+def timer_read(t: tuple) -> int:  # Timer.value
+    if t[0] != "active":
+        raise Undef("Timer.value on a non-active timer")
+    return t[1]
+
+
+def timer_start(t: tuple, k: int) -> tuple:  # Timer.set
+    if t[0] != "off" or k <= 0:
+        raise Undef("Timer.set on a running timer or for a non-positive duration")
+    return ("active", k)
+
+
+def timer_tick(t: tuple, d: int) -> tuple:
+    """A timer d units later: fired iff d >= its remaining units."""
+    if t[0] != "active":
+        return t
+    return ("active", t[1] - d) if t[1] > d else ("fired", 0)
+
+
+def coin_cut(src: int, k: int) -> int:
+    """The source of a move of k, after the move."""
+    if k < 0 or src < k:
+        raise Undef("move exceeds source value")
+    return src - k
+
+
+def token_cut(src: tuple, k: int) -> tuple:
+    return (src[0] if src[1] > k else None, coin_cut(src[1], k))
+
+
+def token_merge(dst: tuple, kind, amount: int) -> tuple:
+    """dst after adding `amount` tokens of `kind`, refusing kind mixes."""
+    if amount and dst[1] and dst[0] != kind:
+        raise Undef("mixing token kinds")
+    return (kind, dst[1] + amount) if amount else dst
+
+
+def token_burn(src: tuple, k: int, issuer: str) -> tuple:
+    if k > 0 and src[0] != issuer:
+        raise Undef("burning a foreign token")
+    return token_cut(src, k)
+
+
+def issue_supply(n: int, remaining: int | None) -> int | None:
+    """The token supply left after issuing n; None is unlimited."""
+    if n < 0 or remaining is not None and n > remaining:
+        raise Undef("negative issue or supply exhausted")
+    return None if remaining is None else remaining - n
 
 
 # ---------------------------------------------------------------------------

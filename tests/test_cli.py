@@ -128,6 +128,25 @@ def test_ill_typed_literal_exit_one(command, literal, tmp_path):
     assert "expected nat" in diag["message"]
 
 
+def test_diff_trials_container_parameter_exit_zero(tmp_path):
+    """`Map.set` and `Seq.append` on a message parameter run on the IR."""
+    (tmp_path / "put.asp").write_text("""
+contract Put() {
+  msg put(map[address, nat]), app(seq[nat]);
+  var n: nat;
+  initial S;
+  state S:
+  | a??put(m) -> S { Map.set(m, a, 1); n = Map.get(m, a); }
+  | a??app(q) -> S { Seq.append(q, 3); n = Seq.len(q); }
+}
+""", encoding="utf-8")
+    (tmp_path / "put.aspscript").write_text("new p = Put() by alice\n", encoding="utf-8")
+    r = run_cli("diff", str(tmp_path / "put.asp"), "--script", str(tmp_path / "put.aspscript"),
+                "--out", str(tmp_path), "--trials", "3")
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout)["divergences"] == 0
+
+
 @pytest.mark.parametrize("script", ["", "new q = Quiet() by alice\n"],
                          ids=["no-instance", "no-message"])
 def test_diff_trials_nothing_to_send_exit_one(script, tmp_path):

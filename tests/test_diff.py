@@ -155,6 +155,58 @@ def test_container_parameter_is_fuzzed():
     assert report.committed > 0
 
 
+PUT = """
+contract Put() {
+  msg put(map[address, nat]), app(seq[nat]);
+  var n: nat;
+  initial S;
+  state S:
+  | a??put(m) -> S { Map.set(m, a, 1); n = Map.get(m, a); }
+  | a??app(q) -> S { Seq.append(q, 3); n = Seq.len(q); }
+}
+"""
+
+
+def test_container_operation_on_parameter():
+    """`Map.set` and `Seq.append` on a message parameter write the binder
+    on the target as on the cascade."""
+    prog = typecheck(parse_program(PUT))
+    report = differential_check(prog, [NewItem("p", "Put", (), "alice", 0)],
+                                R=1, word_bits=256, trials=50, seed=1)
+    assert report.clean, report.to_json()
+    assert report.committed > 0
+
+
+WIDE = """
+contract Wide() {
+  msg app(int), tup(int), asg(int);
+  var s: seq[int];
+  var p: tuple[int, nat];
+  var x: int;
+  initial S;
+  state S:
+  | a??app(k) -> S { Seq.append(s, k + k); }
+  | a??tup(k) -> S { Tuple.set(p, 0, k + k); }
+  | a??asg(k) -> S { x = k + k; }
+}
+"""
+
+
+def test_element_store_checks_declared_width():
+    """A store into a sequence or tuple element is checked against the
+    element's declared type, as an assignment is: 200 fits the 8-bit
+    word's operation bound but not a signed 8-bit `int`."""
+    prog = typecheck(parse_program(WIDE))
+    news, items = parse_script("new w = Wide() by alice\n" + "".join(
+        f"input w {m}(100) from bob\n" for m in ("app", "tup", "asg")))
+    report = run_differential(prog, news, items, R=1, word_bits=8)
+    assert (report.overflow_gaps, report.divergences) == (3, []), report.to_json()
+    machine = Machine(lower(prog, word_bits=8), instantiations(prog, news))
+    for msg in ("app", "tup", "asg"):
+        res = machine.transact("w", msg, "bob", (100,))
+        assert (res.committed, res.reason) == (False, "Overflow")
+
+
 TAKE = """
 contract Bank() {
   msg take;

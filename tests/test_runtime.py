@@ -2,18 +2,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asp.ast_nodes import Lit, SemType, Var, map_children
+from asp.ast_nodes import Lit, OpStmt, SemType, Var, map_children
 from asp.compile import ABSENT, Compiler
 from asp.discharge import DomainBounds, scalar_domain
 from asp.machine import (
-    InputLetter, InstanceState, UNDEFINED, advance_instance, enabled_transitions,
-    eval_expr, init_instance, step_instance,
+    InputLetter, InstanceState, StepContext, UNDEFINED, _eval, _exec_stmt, advance_instance,
+    enabled_transitions, eval_expr, init_instance, step_instance,
 )
 from asp.parser import parse_expression, parse_program
 from asp.typecheck import typecheck
 from asp.values import (
-    Coin, MapVal, Timer, Tok, Undef, boxed, flat, has_type, timer_advance,
-    timer_reset, timer_set, zero_value,
+    TIMER_FIRED, TIMER_OFF, Coin, MapVal, SeqVal, Timer, Tok, Undef, arith, boxed, coin_cut,
+    div, flat, has_type, issue_supply, merge_tokens, mod, nat_sub, seq_get, timer_advance,
+    timer_read, timer_reset, timer_set, timer_start, timer_tick, timer_value, token_burn,
+    token_cut, token_merge, zero_value,
 )
 from conftest import load
 
@@ -456,3 +458,69 @@ def test_flat_map_keeps_entries_only():
     assert v == MapVal({"P0": boxed(t.args[1], x["P0"]), "P1": boxed(t.args[1], x["P1"])})
     assert flat(v) == x and has_type(v, t)
     assert flat(zero_value(t)) == {}
+
+
+# -- the shared flat operations against the boxed rules -----------------------
+
+AMOUNTS = range(-1, 4)
+TOKENS = [Tok(kind, n) for kind in (None, "A", "B") for n in AMOUNTS]
+TIMERS = [TIMER_OFF, TIMER_FIRED] + [Timer("active", k) for k in (1, 2, 3)]
+SEQS = [SeqVal([7, 8][:n]) for n in range(3)]
+
+
+def _agree(flat_op, boxed_op, *args):
+    """flat(boxed_op(args)) == flat_op(flat(args)), or both are undefined."""
+    try:
+        want = flat(boxed_op(*args))
+    except Undef:
+        with pytest.raises(Undef):
+            flat_op(*map(flat, args))
+        return
+    assert flat_op(*map(flat, args)) == want, args
+
+
+def _machine_stmt(ns, op, env, remaining=None):
+    """Machine's rule for `ns.op` on variables holding env's values, in
+    order, at an instance of issuer "A"."""
+    inst = InstanceState("C", "S", dict(env), "A", "A", "A", remaining)
+    _exec_stmt(OpStmt(ns, op, tuple(map(Var, env))), StepContext(inst, {}, None))
+    return inst
+
+
+def _issued(n, remaining, dst):
+    inst = _machine_stmt("Token", "issue", {"n": n, "dst": dst}, remaining)
+    return inst.token_remaining, flat(inst.env["dst"])
+
+
+def test_flat_ops_agree_with_boxed():
+    """The partial operations the engine's generated code and the IR
+    interpreter share are defined, and agree, exactly where the oracle's
+    and the cascade's boxed rules are."""
+    for a in AMOUNTS:
+        for b in AMOUNTS:
+            _agree(nat_sub, lambda x, y: arith("-", x, y, nat=True), a, b)
+            _agree(div, lambda x, y: arith("/", x, y, nat=False), a, b)
+            _agree(mod, lambda x, y: arith("%", x, y, nat=False), a, b)
+            _agree(coin_cut, lambda c, k: _machine_stmt(
+                "Coin", "move", {"src": c, "k": k, "dst": Coin(0)}).env["src"], Coin(a), b)
+    get = parse_expression("Seq.get(s, i)")
+    for s in SEQS:
+        for i in range(-1, 3):
+            _agree(seq_get, lambda x, j: _eval(get, None, {"s": x, "i": j}), s, i)
+    for t in TIMERS:
+        _agree(timer_read, timer_value, t)
+        for k in AMOUNTS:
+            _agree(timer_start, timer_set, t, k)
+        for d in range(1, 5):
+            _agree(timer_tick, timer_advance, t, d)
+    for tok in TOKENS:
+        for k in AMOUNTS:
+            _agree(token_cut, lambda x, n: _machine_stmt(
+                "Token", "move", {"src": x, "k": n, "dst": Tok(None, 0)}).env["src"], tok, k)
+            _agree(lambda x, n: token_burn(x, n, "A"), lambda x, n: _machine_stmt(
+                "Token", "burn", {"src": x, "k": n}).env["src"], tok, k)
+            for kind in (None, "A", "B"):
+                _agree(token_merge, merge_tokens, tok, kind, k)
+            for r in (None, *range(4)):
+                _agree(lambda n, rem, dst: (issue_supply(n, rem), token_merge(dst, "A", n)),
+                       _issued, k, r, tok)
