@@ -28,7 +28,8 @@ from asp.vcgen import generate_vcs  # noqa: E402
 PINS_FILE = HERE / "engine_pins.json"
 ROUTES = {"engine": discharge_bounded, "oracle": discharge_naive}
 # the bounds each route is pinned at
-PINNED = {"engine": ("addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2"),
+PINNED = {"engine": ("addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2",
+                      "addr=3,nat=4,timer=4"),
           "oracle": ("addr=2,nat=1,timer=2",)}
 
 
