@@ -14,12 +14,19 @@ Each verdict has two independent routes:
   forces its value, variables only the hypothesis reads get one witness
   per prefix (the conjuncts over them alone are solved once per VC), and
   the leaf obligations run as code generated by the compile module, as
-  do pruning and forcing;
+  do pruning and forcing. Under a compiled leaf the actors that nothing
+  holds yet are interchangeable (the scalarset symmetry of Ip & Dill, in
+  the least-number form of finite model finders): a node tries only the
+  first of them, and the others, which come after it in domain order,
+  cannot hold the first counterexample (see `_search`). So the engine
+  answers as the full search would, and a Valid's `checked` counts the
+  leaves of the reduced search;
 - the raw-enumeration oracle (discharge_naive) and counterexample replay,
   which evaluate hypothesis conjuncts and leaf obligations with the
   runtime evaluator over instances of boxed values (values.boxed),
-  without propagation. They share the engine's finitization (`_finitize`)
-  but never its compiled code.
+  without propagation and without the symmetry cut, so the oracle's
+  `checked` stays the size of the raw product. They share the engine's
+  finitization (`_finitize`) but never its compiled code.
 
 Leaf obligations outside the compiled fragment (initiality, the game-rule
 obligations, whose inner searches are tiny) use the runtime evaluator on
@@ -765,11 +772,12 @@ class _Conjunct:
 
 
 def _compile(prob: _Problem):
-    """(compiled hypothesis conjuncts, leaf check) of a problem."""
+    """(compiled hypothesis conjuncts, leaf check, whether the leaf check
+    is compiled) of a problem."""
     comp = Compiler({m.name: (m.default, m.keys) for m in prob.maps.values()},
                     prob.cx.self_addr, prob.vc.tc.timers)
     conjuncts = [_compile_conjunct(comp, prob.maps, e) for e in prob.hypothesis]
-    return conjuncts, _make_check(prob.vc, prob.cx, comp)
+    return (conjuncts, *_make_check(prob.vc, prob.cx, comp))
 
 
 def _compile_conjunct(comp: Compiler, maps: dict[str, MapSpec],
@@ -817,14 +825,14 @@ def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
 
 
 def _make_check(vc: VC, cx: _Ctx, comp: Compiler):
-    """Leaf obligation: compiled for the flat high-volume kinds, the
-    runtime evaluator otherwise."""
+    """(leaf obligation, whether it is compiled): compiled for the flat
+    high-volume kinds, the runtime evaluator otherwise."""
     if vc.kind in _COMPILED_KINDS:
         try:
-            return _compiled_check(vc, cx, comp)
+            return _compiled_check(vc, cx, comp), True
         except CannotCompile:
             pass
-    return _interpreted_check(vc, cx)
+    return _interpreted_check(vc, cx), False
 
 
 def _interpreted_check(vc: VC, cx: _Ctx):
@@ -976,18 +984,55 @@ def _forced(force: tuple, env: dict):
     return None, blocked
 
 
+def _actors_in(x, actors) -> set:
+    """The actors of `actors` in a value or a map-entry key (nested tuples
+    included), or among an expression's literals."""
+    if isinstance(x, Expr):
+        parts = (x.value,) if isinstance(x, Lit) else children(x)
+    elif isinstance(x, tuple):
+        parts = x
+    else:
+        return {x} if x in actors else set()
+    return set().union(*(_actors_in(p, actors) for p in parts))
+
+
+def _narrow(free: tuple, gone) -> tuple:
+    """free without the actors in gone; () once at most one is left, since
+    a single free actor has no twin to stand for."""
+    if not gone:
+        return free
+    left = tuple(a for a in free if a not in gone)
+    return left if len(left) > 1 else ()
+
+
 def _search(name: str, order: list, boundary: int, domains: dict,
-            conjuncts, check):
+            conjuncts, check, free: tuple = ()):
     """The engine's DFS over `order`: (Counterexample | None, leaves).
     Before `boundary` it enumerates every valuation, forcing the first
     pending conjunct (in hypothesis order) whose force hits; from there on
     only hypothesis-only variables remain, and an existential search,
     which does not force, looks for one witness per prefix. Each complete
-    valuation (one per prefix past the boundary) is a leaf for `check`."""
+    valuation (one per prefix past the boundary) is a leaf for `check`.
+
+    `free` holds the actors the VC does not name (`_free_actors`), in
+    domain order. One stays free at a node while neither the env (a key
+    or a value) nor the key being enumerated holds it. The node tries
+    every value but the free actors, and of those only the first: for a
+    later one b, swapping it with that first one a fixes the env, the key,
+    every domain, the hypothesis and the leaf, so b's subtree holds a
+    counterexample (or, past the boundary, a witness) iff a's does. As a
+    comes first in domain order, the search returns the same first
+    counterexample and witness as without the cut; only `leaves` drops."""
     n = len(order)
     leaves = 0
+    # the free actors that assigning a key, or a value, makes used
+    key_used, value_used = {}, {}
+    if free:
+        key_used = {k: _actors_in(k[1], free) for k in domains if isinstance(k, tuple)}
+        value_used = {v: hit for dom in domains.values() for v in dom
+                      if (hit := _actors_in(v, free))}
 
-    def dfs(env, pending, pos, exists):
+    def dfs(env, pending, pos, exists, free):
         nonlocal leaves
         still = _pending(pending, env)
         if still is None:
@@ -1007,7 +1052,8 @@ def _search(name: str, order: list, boundary: int, domains: dict,
             if value not in domains[key]:
                 return None
             env[key] = value
-            r = dfs(env, still, pos, False)
+            r = dfs(env, still, pos, False, free and _narrow(
+                _narrow(free, key_used.get(key)), value_used.get(value)))
             del env[key]
             return r
         while pos < n and order[pos] in env:
@@ -1022,17 +1068,43 @@ def _search(name: str, order: list, boundary: int, domains: dict,
             return True if exists else None  # True: the witness is found
         key = order[pos]
         inner = exists or pos >= boundary
+        free = free and _narrow(free, key_used.get(key))
+        tried = False  # a free actor, the stand-in for all of them
         for value in domains[key]:
+            if value in free:
+                if tried:
+                    continue
+                tried = True
             env[key] = value
-            r = dfs(env, still, pos + 1, inner)
+            r = dfs(env, still, pos + 1, inner,
+                    free and _narrow(free, value_used.get(value)))
             if r is not None:
                 del env[key]
                 return None if r is True and not exists else r
         del env[key]
         return None
 
-    r = dfs({}, [(c, None, None if c.force else ()) for c in conjuncts], 0, False)
+    r = dfs({}, [(c, None, None if c.force else ()) for c in conjuncts], 0, False,
+            free)
     return r, leaves
+
+
+def _free_actors(vc: VC, prob: _Problem, domains: dict) -> tuple:
+    """The actors the VC does not name, in domain order, when two or more
+    are left (else ()). The VC names an actor that is a literal of one of
+    its expressions before quantifier expansion, or the value of a domain
+    pinned to one value (an independent-tail witness). Every other domain
+    is closed under permuting the actors, and compiled code reads no
+    default actor, so swapping two free actors maps the domains, the
+    compiled hypothesis and the compiled leaf check onto themselves."""
+    actors = prob.cx.bounds.actor_values()
+    named = set()
+    for e in _vc_expr_pool(vc, prob.cx):
+        named |= _actors_in(e, actors)
+    for dom in domains.values():
+        if len(dom) == 1:
+            named |= _actors_in(dom[0], actors)
+    return _narrow(actors, named)
 
 
 def _independent_tail(prob: _Problem, conjuncts: list) -> dict[int, set]:
@@ -1059,7 +1131,7 @@ def discharge_bounded(vc: VC, bounds: DomainBounds) -> DischargeResult:
         return Valid(vc.name, 0)
     try:
         prob = _finitize(vc, bounds)
-        conjuncts, check = _compile(prob)
+        conjuncts, check, compiled = _compile(prob)
         domains = dict(prob.domains)
         tail = _independent_tail(prob, conjuncts)
         if tail:
@@ -1070,8 +1142,10 @@ def discharge_bounded(vc: VC, bounds: DomainBounds) -> DischargeResult:
                 return Valid(vc.name, 0)
             domains.update((k, (v,)) for k, v in witness.items())
             conjuncts = [c for i, c in enumerate(conjuncts) if i not in tail]
+        # an interpreted leaf reads creator as P0 when no key holds it
+        free = _free_actors(vc, prob, domains) if compiled else ()
         r, leaves = _search(vc.name, prob.order, prob.boundary, domains,
-                            conjuncts, check)
+                            conjuncts, check, free)
     except (Unfinitizable, CannotCompile) as e:
         return Unknown(vc.name, str(e))
     return r if r is not None else Valid(vc.name, leaves)

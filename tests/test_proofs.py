@@ -121,6 +121,24 @@ def test_refund_proof_valid(auction, refund_sketch):
     assert rep.valid, rep.to_json()
 
 
+def test_refund_proof_at_four_actors(auction):
+    """The address count is the blow-up axis: at addr=4 the actor symmetry
+    keeps the refund proof to a few seconds."""
+    bounds = DomainBounds(addresses=4, nat_max=4, timer_max=4)
+    rep = check_proof(auction, parse_proof_sketch(load("auction_refunds.aspproof"),
+                                                  auction), bounds)
+    assert rep.valid, rep.to_json()
+    checked = {r.vc.name: r.result.checked for r in rep.results}
+    assert checked["inductive[SimpleAuction.bid@AuctionOpen#1]"] == 75000
+    assert checked["inductive[SimpleAuction.tau@AuctionOpen#2]"] == 18750
+    prog = typecheck(parse_program(load("auction_norefund.asp")))
+    rep = check_proof(prog, parse_proof_sketch(load("auction_refunds.aspproof"), prog),
+                      bounds)
+    cexs = [r for r in rep.results if isinstance(r.result, Counterexample)]
+    assert [r.vc.name for r in cexs] == ["inductive[SimpleAuction.bid@AuctionOpen#1]"]
+    assert replay_counterexample(cexs[0].vc, bounds, cexs[0].result)
+
+
 def test_refund_mutant_counterexample_replays():
     prog = typecheck(parse_program(load("auction_norefund.asp")))
     sk = parse_proof_sketch(load("auction_refunds.aspproof"), prog)
@@ -393,12 +411,13 @@ contract Capped(limit: nat) where limit > %d {
 def test_engine_agrees_on_independent_tail(floor, leaves):
     """Only the `where` clause reads `limit`, so the step's VC solves that
     conjunct once, apart from the search: unsatisfiable at nat=2 it makes
-    the VC Valid with no leaf, as the oracle finds."""
+    the VC Valid with no leaf, as the oracle finds. Satisfiable, the step
+    has one leaf per sender class: P0 stands for both actors."""
     prog = typecheck(parse_program(CAPPED % floor))
     sk = parse_proof_sketch("safety zero { always n == 0 }", prog)
     fast, slow = _agree(prog, sk, SMALL)
     assert [(r.vc, r.checked) for r in fast] == [
-        ("initiality[Capped.A]", leaves), ("inductive[Capped.poke@A#0]", leaves)]
+        ("initiality[Capped.A]", leaves), ("inductive[Capped.poke@A#0]", min(leaves, 1))]
     assert [r.checked for r in slow] == [leaves, leaves]
 
 
@@ -639,6 +658,89 @@ def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
                 discharge_bounded(vc, SMALL)
 
 
+# -- actor symmetry -----------------------------------------------------------
+
+ZED = """
+contract Z() {
+  msg go;
+  var bal: map[address, nat];
+  var z: address;
+  var n: int;
+  initial S;
+  state S:
+  | a??go -> T { }
+  state T:
+}
+"""
+
+ZED_SKETCH = """
+reachability done(1) {
+  goal = { @T true }
+  invariant = { @S Map.get(bal, z) == 2 &&
+                   (forall w: address : w != z ==> Map.get(bal, w) == 0) }
+  rank = { @S | (n - 1)  @T | (0) }
+  witness = { @S a != Address.none }
+}
+"""
+
+FORWARD = """
+contract Fwd() {
+  var to: map[address, address];
+  var n: int;
+  initial S;
+  state S:
+  | when n == 0 -> S { n = 1; }
+}
+"""
+
+# n == 0 and `to` a derangement of the actors
+DERANGED = "safety deranged { always n == 0 && " \
+    "Map.get(to, Address.none) == Address.none && (forall w: address : " \
+    "w != Address.none ==> Map.get(to, w) != w && Map.get(to, w) != Address.none) }"
+
+TWO = """
+contract Two(boss: address, aide: address)
+    where aide != Address.none && boss != aide && boss != Address.none {
+  msg go;
+  var last: address;
+  initial S;
+  state S:
+  | a??go -> S { last = a; }
+}
+"""
+
+
+@pytest.mark.parametrize("source, sketch, bounds, vc, valuation", [
+    # z comes after the entries of bal: P0 and P1 are keys by then, so z
+    # must try both (P2 too at addr=3)
+    (ZED, ZED_SKETCH, "addr=2,nat=2,timer=1", "rank_defined[Z.S]",
+     [["n", 0], ["bal[none]", 0], ["bal[P0]", 0], ["bal[P1]", 2], ["z", "P1"]]),
+    (ZED, ZED_SKETCH, "addr=3,nat=2,timer=1", "rank_defined[Z.S]",
+     [["n", 0], ["bal[none]", 0], ["bal[P0]", 0], ["bal[P1]", 0], ["bal[P2]", 2],
+      ["z", "P2"]]),
+    # to[P0] is enumerated with every actor free, but its key holds P0:
+    # the value P1 is no twin of P0 there
+    (FORWARD, DERANGED, "addr=2,nat=2,timer=1", "inductive[Fwd.tau@S#0]",
+     [["n", 0], ["to[none]", "none"], ["to[P0]", "P1"], ["to[P1]", "P0"]]),
+    (FORWARD, DERANGED, "addr=3,nat=2,timer=1", "inductive[Fwd.tau@S#0]",
+     [["n", 0], ["to[none]", "none"], ["to[P0]", "P1"], ["to[P1]", "P0"],
+      ["to[P2]", "P0"]]),
+    # the `where` clause is an independent tail: its witness pins boss to
+    # P0 and aide to P1
+    (TWO, "safety quiet { always last == Address.none }", "addr=3,nat=2,timer=1",
+     "inductive[Two.go@S#0]",
+     [["last", "none"], ["a", "P0"], ["boss", "P0"], ["aide", "P1"]]),
+], ids=["entry_keys_2", "entry_keys_3", "address_map_2", "address_map_3", "tail_pin"])
+def test_symmetry_keeps_first_counterexample(source, sketch, bounds, vc, valuation):
+    """An enumeration node tries only the first of the actors that neither
+    the env nor the VC holds: the engine agrees with the oracle and returns
+    the counterexample it returned without the cut."""
+    prog = typecheck(parse_program(source))
+    fast, _ = _agree(prog, parse_proof_sketch(sketch, prog), DomainBounds.parse(bounds))
+    got = {r.vc: r for r in fast}[vc]
+    assert [list(kv) for kv in got.valuation.items()] == valuation
+
+
 # -- engine and oracle results pinned per VC ----------------------------------
 
 # engine_pins.json pins each criterion-9 VC's result on both routes (see
@@ -674,11 +776,11 @@ def test_oracle_results_pinned(bounds):
 # each liveness proof at SMALL. The game-rule checks enumerate moves, guards
 # and slices through the runtime evaluator; a change there shows here.
 LIVENESS = {
-    ("auction.asp", "auction_closed.aspproof"): (272, []),
-    ("vending_fixed.asp", "vending_lockout.aspproof"): (101, [
+    ("auction.asp", "auction_closed.aspproof"): (209, []),
+    ("vending_fixed.asp", "vending_lockout.aspproof"): (74, [
         "opponent_total[VendingMachine.Choose]",
         "player_move[VendingMachine.Deliver]"]),
-    ("vending_machine.asp", "vending_lockout_original.aspproof"): (65, [
+    ("vending_machine.asp", "vending_lockout_original.aspproof"): (38, [
         "opponent_total[VendingMachine.Choose]",
         "opponent_total[VendingMachine.Halt]",
         "player_move[VendingMachine.Choose]",
