@@ -214,14 +214,19 @@ def test_token_contract_has_supply_ledger(basic_coin):
     assert "requireSupply(" in text
 
 
-def test_golden_solidity(auction, tmp_path):
-    from conftest import CORPUS
-    golden = CORPUS / "golden" / "SimpleAuction.sol"
-    text = emit_system(lower(auction, 1, 256))["SimpleAuction"]
-    if not golden.exists():  # first run freezes the golden file
-        golden.parent.mkdir(exist_ok=True)
-        golden.write_text(text, encoding="utf-8")
-    assert text == golden.read_text(encoding="utf-8")
+# The Solidity of every contract that diff_fuzz emits, frozen: (source, contract).
+GOLDEN_SOLIDITY = [("auction.asp", "SimpleAuction"),
+                   ("etherstore_attack.asp", "Etherstore"),
+                   ("etherstore_attack.asp", "Attacker"),
+                   ("vending_fixed.asp", "VendingMachine"),
+                   ("basic_coin.asp", "BasicCoin")]
+
+
+@pytest.mark.parametrize("source, name", GOLDEN_SOLIDITY, ids=[n for _, n in GOLDEN_SOLIDITY])
+def test_golden_solidity(source, name):
+    from conftest import CORPUS, typed
+    text = emit_system(lower(typed(source), 1, 256))[name]
+    assert text == (CORPUS / "golden" / f"{name}.sol").read_text(encoding="utf-8")
 
 
 def test_undefined_op_reverts():
