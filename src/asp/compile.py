@@ -253,40 +253,25 @@ class Compiler:
         key = (s.ns, s.op)
         # moves write the source before reading the destination so aliased
         # operands conserve value (mirrors the runtime)
-        if key == ("Coin", "move"):
+        if key in (("Coin", "move"), ("Coin", "moveall")):
             sr, sw = self._lvalue_slots(s.args[0], env, "coin")
-            dr, dw = self._lvalue_slots(s.args[2], env, "coin")
-            k = self.expr(s.args[1], env)
             n = len(body)
+            k = self.expr(s.args[1], env) if s.op == "move" else f"_a{n}"
+            body.append(f"{indent}_a{n} = {sr}")
             body.append(f"{indent}_k{n} = {k}")
-            body.append(f"{indent}" + sw(f"_ckmove({sr}, _k{n})"))
+            body.append(f"{indent}" + sw(f"_ckmove(_a{n}, _k{n})"))
+            dr, dw = self._lvalue_slots(s.args[-1], env, "coin")
             body.append(f"{indent}" + dw(f"{dr} + _k{n}"))
             return
-        if key == ("Coin", "moveall"):
-            sr, sw = self._lvalue_slots(s.args[0], env, "coin")
-            dr, dw = self._lvalue_slots(s.args[1], env, "coin")
-            n = len(body)
-            body.append(f"{indent}_a{n} = {sr}")
-            body.append(f"{indent}" + sw("0"))
-            body.append(f"{indent}" + dw(f"{dr} + _a{n}"))
-            return
-        if key == ("Token", "move"):
+        if key in (("Token", "move"), ("Token", "moveall")):
             sr, sw = self._lvalue_slots(s.args[0], env, "token")
-            dr, dw = self._lvalue_slots(s.args[2], env, "token")
-            k = self.expr(s.args[1], env)
             n = len(body)
+            k = self.expr(s.args[1], env) if s.op == "move" else f"_a{n}[1]"
             body.append(f"{indent}_a{n} = {sr}")
             body.append(f"{indent}_k{n} = {k}")
             body.append(f"{indent}" + sw(f"_tokcut(_a{n}, _k{n})"))
+            dr, dw = self._lvalue_slots(s.args[-1], env, "token")
             body.append(f"{indent}" + dw(f"_tokmerge({dr}, _a{n}[0], _k{n})"))
-            return
-        if key == ("Token", "moveall"):
-            sr, sw = self._lvalue_slots(s.args[0], env, "token")
-            dr, dw = self._lvalue_slots(s.args[1], env, "token")
-            n = len(body)
-            body.append(f"{indent}_a{n} = {sr}")
-            body.append(f"{indent}" + sw("(None, 0)"))
-            body.append(f"{indent}" + dw(f"_tokmerge({dr}, _a{n}[0], _a{n}[1])"))
             return
         if key == ("Token", "issue"):
             n = self.expr(s.args[0], env)

@@ -195,12 +195,10 @@ def _eval_builtin(e: Builtin, inst, b):
         return args[0].state == "fired"
     if key == ("Timer", "value"):
         return timer_value(args[0])
-    if key == ("Map", "get"):
-        return args[0].get(args[1])
+    if key == ("Map", "get") or key == ("Map", "ref"):
+        return args[0].get(args[1])  # read through a ref is a plain get
     if key == ("Map", "in"):
         return args[1].has(args[0])
-    if key == ("Map", "ref"):
-        return args[0].get(args[1])  # read through a ref is a plain get
     if key == ("Seq", "get") or key == ("Seq", "ref"):
         seq, i = args
         if not (0 <= i < len(seq.items)):
@@ -313,22 +311,15 @@ def _exec_stmt(s: Stmt, ctx: StepContext):
     key = (s.ns, s.op)
     # Moves write the source before reading the destination so that a move
     # whose operands alias the same container conserves value.
-    if key == ("Coin", "move"):
+    if key in (("Coin", "move"), ("Coin", "moveall")):
         src = resolve_slot(s.args[0], inst, b, "coin")
-        dst = resolve_slot(s.args[2], inst, b, "coin")
-        k = _eval(s.args[1], inst, b)
-        before = _as_coin(src.read())
-        if k < 0 or before.value < k:
-            raise Undef(f"coin move of {k} from container holding {before.value}")
-        src.write(Coin(before.value - k))
+        have = _as_coin(src.read()).value
+        k = _eval(s.args[1], inst, b) if s.op == "move" else have
+        if k < 0 or have < k:
+            raise Undef(f"coin move of {k} from container holding {have}")
+        src.write(Coin(have - k))
+        dst = resolve_slot(s.args[-1], inst, b, "coin")
         dst.write(Coin(_as_coin(dst.read()).value + k))
-        return
-    if key == ("Coin", "moveall"):
-        src = resolve_slot(s.args[0], inst, b, "coin")
-        dst = resolve_slot(s.args[1], inst, b, "coin")
-        amount = _as_coin(src.read()).value
-        src.write(Coin(0))
-        dst.write(Coin(_as_coin(dst.read()).value + amount))
         return
     if key == ("Token", "issue"):
         n = _eval(s.args[0], inst, b)
@@ -352,22 +343,15 @@ def _exec_stmt(s: Stmt, ctx: StepContext):
             raise Undef("burning tokens of a different issuer")
         src.write(token_burn_value(cur, k))
         return
-    if key == ("Token", "move"):
+    if key in (("Token", "move"), ("Token", "moveall")):
         src = resolve_slot(s.args[0], inst, b, "token")
-        dst = resolve_slot(s.args[2], inst, b, "token")
-        k = _eval(s.args[1], inst, b)
         before = _as_token(src.read())
+        k = _eval(s.args[1], inst, b) if s.op == "move" else before.value
         if k < 0 or before.value < k:
             raise Undef(f"token move of {k} from container holding {before.value}")
         src.write(Tok(before.kind if before.value > k else None, before.value - k))
+        dst = resolve_slot(s.args[-1], inst, b, "token")
         dst.write(merge_tokens(_as_token(dst.read()), before.kind, k))
-        return
-    if key == ("Token", "moveall"):
-        src = resolve_slot(s.args[0], inst, b, "token")
-        dst = resolve_slot(s.args[1], inst, b, "token")
-        before = _as_token(src.read())
-        src.write(Tok(None, 0))
-        dst.write(merge_tokens(_as_token(dst.read()), before.kind, before.value))
         return
     if key == ("Timer", "set"):
         slot = resolve_slot(s.args[0], inst, b)

@@ -271,20 +271,15 @@ class _Emitter:
 
     def _op(self, s: OpStmt, env):
         key = (s.ns, s.op)
-        if key == ("Coin", "move"):
+        if key in (("Coin", "move"), ("Coin", "moveall")):
+            # the source is written before the destination is read
             sr, sw = self._slot(s.args[0], env)
-            k = self.expr(s.args[1], env)
-            self.defined.append(f"(>= {sr} {k})")
-            self.defined.append(f"(>= {k} 0)")
-            sw(f"(- {sr} {k})")
-            dr, dw = self._slot(s.args[2], env)
+            k = self.expr(s.args[1], env) if s.op == "move" else sr
+            if s.op == "move":
+                self.defined += [f"(>= {sr} {k})", f"(>= {k} 0)"]
+            sw(f"(- {sr} {k})" if s.op == "move" else "0")
+            dr, dw = self._slot(s.args[-1], env)
             dw(f"(+ {dr} {k})")
-            return
-        if key == ("Coin", "moveall"):
-            sr, sw = self._slot(s.args[0], env)
-            sw("0")
-            dr, dw = self._slot(s.args[1], env)
-            dw(f"(+ {dr} {sr})")
             return
         if key in (("Token", "move"), ("Token", "moveall"), ("Token", "issue"),
                    ("Token", "burn")):

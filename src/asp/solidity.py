@@ -129,11 +129,11 @@ class _Gen:
         assert isinstance(s, OpStmt)
         key = (s.ns, s.op)
         a = [self.expr(x) for x in s.args]
-        if key == ("Coin", "move"):
-            self.w(ind, f"require({a[0]} >= {a[1]}, \"insufficient coins\");")
+        if key in (("Coin", "move"), ("Token", "move")):
+            self.w(ind, f"require({a[0]} >= {a[1]}, \"insufficient {s.ns.lower()}s\");")
             self.w(ind, f"{a[0]} -= {a[1]};")
             self.w(ind, f"{a[2]} += {a[1]};")
-        elif key == ("Coin", "moveall"):
+        elif key in (("Coin", "moveall"), ("Token", "moveall")):
             self.w(ind, f"{a[1]} += {a[0]};")
             self.w(ind, f"{a[0]} = 0;")
         elif key == ("Token", "issue"):
@@ -142,13 +142,6 @@ class _Gen:
         elif key == ("Token", "burn"):
             self.w(ind, f"require({a[0]} >= {a[1]}, \"insufficient tokens\");")
             self.w(ind, f"{a[0]} -= {a[1]};")
-        elif key == ("Token", "move"):
-            self.w(ind, f"require({a[0]} >= {a[1]}, \"insufficient tokens\");")
-            self.w(ind, f"{a[0]} -= {a[1]};")
-            self.w(ind, f"{a[2]} += {a[1]};")
-        elif key == ("Token", "moveall"):
-            self.w(ind, f"{a[1]} += {a[0]};")
-            self.w(ind, f"{a[0]} = 0;")
         elif key == ("Timer", "set"):
             self.w(ind, f"timerSet({a[0]}, {a[1]});")
         elif key == ("Timer", "reset"):
