@@ -272,8 +272,8 @@ class ScriptResult:
 
 def instantiations(program: TypedProgram, news: list[NewItem]):
     """(name, contract, args, creator) of each `new` line, for
-    init_system; a ScriptError for an unknown contract or a wrong number
-    of arguments."""
+    init_system; a ScriptError for an unknown contract, a wrong number of
+    arguments or a literal of the wrong type."""
     out = []
     for n in news:
         if n.contract not in program.contracts:
@@ -282,6 +282,9 @@ def instantiations(program: TypedProgram, news: list[NewItem]):
         if len(n.args) != len(tc.params):
             raise ScriptError(
                 f"{n.contract} takes {len(tc.params)} argument(s)", Pos(n.line, 1))
+        for i, ((_, t), v) in enumerate(zip(tc.params, n.args), start=1):
+            if not has_type(v, t):
+                _fail(n, f"argument {i} of {n.contract!r} is {v!r}, expected {t}")
         args = {pname: v for (pname, _), v in zip(tc.params, n.args)}
         out.append((n.name, n.contract, args, n.creator))
     return out

@@ -99,8 +99,8 @@ contract Quiet() {
 """
 
 
-def _ping_cli(command, script, tmp_path, *flags):
-    (tmp_path / "ping.asp").write_text(PING, encoding="utf-8")
+def _ping_cli(command, script, tmp_path, *flags, source=PING):
+    (tmp_path / "ping.asp").write_text(source, encoding="utf-8")
     (tmp_path / "ping.aspscript").write_text(script, encoding="utf-8")
     return run_cli(command, str(tmp_path / "ping.asp"), "--script",
                    str(tmp_path / "ping.aspscript"), "--out", str(tmp_path), *flags)
@@ -126,6 +126,32 @@ def test_ill_typed_literal_exit_one(command, literal, tmp_path):
     diag = json.loads(r.stdout)
     assert (diag["code"], diag["line"]) == ("ScriptError", 2)
     assert "expected nat" in diag["message"]
+
+
+DEPLOY = """
+contract D(n: nat) {
+  msg go(nat);
+  var x: nat;
+  initial S;
+  state S:
+  | a??go(k) -> S { x = n + k; }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+@pytest.mark.parametrize("literal", ["alice", "true"])
+def test_ill_typed_new_literal_exit_one(command, literal, tmp_path):
+    """A `new` literal of the wrong type for its contract parameter is a
+    ScriptError at the `new` line in both commands: an address is not
+    added to a nat, and `true` is not the number 1."""
+    r = _ping_cli(command, f"new d = D({literal}) by bob\ninput d go(1) from alice\n"
+                  "assert d.x == 2\n", tmp_path, source=DEPLOY)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"]) == ("ScriptError", 1)
+    assert "argument 1 of 'D'" in diag["message"] and "expected nat" in diag["message"]
 
 
 def test_diff_trials_container_parameter_exit_zero(tmp_path):
