@@ -17,9 +17,9 @@ from __future__ import annotations
 import subprocess
 from dataclasses import dataclass
 
-from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps, stmt_exprs
+from .ast_nodes import ADDRESS, Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps, stmt_exprs
 from .diagnostics import UsageError
-from .typecheck import TypedContract, reads_of
+from .typecheck import ExprChecker, TypedContract, reads_of
 from .vcgen import VC, time_guard
 
 
@@ -340,14 +340,19 @@ class _Emitter:
         raise EmitUnsupported(f"initial term for {v.typ}")
 
     def rank_defined(self, cases, env) -> str:
+        """The first matching case exists and its int-typed components are
+        not below zero (a nat component never is where it is defined)."""
         if not cases:
             return "false"
+        checker = ExprChecker({**self.tc.state_scope(), "__player": ADDRESS}, allow_quant=True)
         conds = []
         prior: list[str] = []
         for case in cases:
             c = "true" if case.cond is None else self.expr(case.cond, env)
-            guard = c if not prior else f"(and {' '.join(f'(not {p})' for p in prior)} {c})"
-            conds.append(guard)
+            nonneg = [f"(>= {self.expr(x, env)} 0)" for x in case.exprs
+                      if checker.infer(x).kind == "int"]
+            guard = " ".join([f"(not {p})" for p in prior] + [c] + nonneg)
+            conds.append(f"(and {guard})" if prior or nonneg else c)
             prior.append(c)
         return f"(or {' '.join(conds)})" if len(conds) > 1 else conds[0]
 
@@ -386,7 +391,6 @@ def emit_smtlib(vc: VC) -> SmtScript:
     env: dict[str, str] = {}
     for pname, ptyp in tc.params:
         env[pname] = em.declare_var(pname, ptyp)
-    from .ast_nodes import ADDRESS
     env["owner"] = em.declare_var("owner", ADDRESS)
     env["creator"] = em.declare_var("creator", ADDRESS)
     # the adversarial player, some actor, wherever the VC reads it
