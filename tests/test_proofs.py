@@ -522,22 +522,111 @@ contract Neg() {
 """
 
 
-def test_engine_agrees_on_negative_rank_component():
-    """A rank with a component below zero is undefined on both routes: at
-    x == 0 the rank (x - 3) has no value."""
-    prog = typecheck(parse_program(NEG))
-    sk = parse_proof_sketch("""
+NEG_DONE = """
 reachability done(1) {
   goal = { @B true }
   invariant = { }
   rank = { @A | (x - 3)  @B | (0) }
   witness = { @A a != Address.none }
 }
-""", prog)
+"""
+
+
+def test_engine_agrees_on_negative_rank_component():
+    """A rank with a component below zero is undefined on both routes: at
+    x == 0 the rank (x - 3) has no value."""
+    prog = typecheck(parse_program(NEG))
+    sk = parse_proof_sketch(NEG_DONE, prog)
     fast, _ = _agree(prog, sk, SMALL)
     assert [(r.vc, r.status) for r in fast if r.status != "valid"] == [
         ("rank_defined[Neg.A]", "counterexample"),
         ("rank_decrease[Neg.go@A#0]", "counterexample")]
+
+
+# Three proofs whose verdict a fault in code both routes share would flip:
+# the leaf checks of PlayerMove and OpponentTotal (which the engine takes
+# from the oracle) and vcgen's action slicing. Engine and oracle agree on
+# each; the comments name the fault each verdict catches.
+STEPS = """
+contract P() {
+  msg go;
+  var t: timer;
+  initial S;
+  state S:
+  | a??go -> T { }
+  state T:
+  | a??go -> U { }
+  state U:
+}
+"""
+
+STEPS_WIN = """
+adversarial win(1) {
+  player = x
+  goal = { @U true }
+  invariant = { @S Timer.is_active(t) && Timer.value(t) >= 2 }
+  rank = { @S | (2)  @T | (1) if Timer.is_active(t)  @U | (0) }
+  witness = { @S a == x }
+}
+"""
+
+POKE = """
+contract Q() {
+  msg poke;
+  var t: timer;
+  initial S;
+  state S:
+  | a??poke -> V { }
+  state V:
+}
+"""
+
+POKE_WAIT = """
+adversarial wait(1) {
+  player = x
+  goal = { @S Timer.has_fired(t) }
+  invariant = { @S Timer.is_active(t) || Timer.has_fired(t) }
+  rank = { @S | (Timer.value(t)) if Timer.is_active(t) }
+}
+"""
+
+TIMER_READ = """
+contract Tv() {
+  msg go;
+  var t: timer;
+  var x: nat;
+  var done: bool;
+  initial S;
+  state S:
+  | a??go -> S { x = Timer.value(t); done = true; }
+}
+"""
+
+
+@pytest.mark.parametrize("source, sketch, bounds, vc, status, message", [
+    # the player's go must make progress for every time delta: after a delta
+    # of 2 the timer has fired and T has no rank (`any` for `all` says valid)
+    (STEPS, STEPS_WIN, DomainBounds(2, 1, 2), "player_move[P.S]",
+     "counterexample", "no Player move makes progress"),
+    # another agent's poke leaves the goal and the ranked states (skipping
+    # the other agents' inputs says valid)
+    (POKE, POKE_WAIT, DomainBounds(2, 1, 2), "opponent_total[Q.S]",
+     "counterexample", "opponent move poke@S#0 escapes the proof"),
+    # Timer.value of an off timer is undefined, so go cannot run with t off;
+    # slicing must keep the partial statement even though x is not read
+    # (a slice that drops it says counterexample)
+    (TIMER_READ, "safety s { always !done || !Timer.is_off(t) }", SMALL,
+     "inductive[Tv.go@S#0]", "valid", None),
+], ids=["player_move_every_delta", "opponent_total_other_agents",
+        "slice_keeps_partial_statement"])
+def test_verdict_of_shared_proof_rule(source, sketch, bounds, vc, status, message):
+    """The pinned verdict, on which engine and oracle agree; a fault in the
+    rule both routes share changes it on both."""
+    prog = typecheck(parse_program(source))
+    fast, _ = _agree(prog, parse_proof_sketch(sketch, prog), bounds)
+    r = {x.vc: x for x in fast}[vc]
+    assert (r.status, r.message if isinstance(r, Counterexample) else None) == \
+        (status, message)
 
 
 TAKE = """

@@ -108,6 +108,20 @@ def test_vc_reading_the_player_exports(vending_fixed):
         "rank_defined[VendingMachine.Wait]"]
 
 
+def test_rank_defined_requires_int_components_nonnegative():
+    """A rank component of type int must be >= 0 where the rank is
+    defined, as on both proof routes: at x == 0 the rank (x - 3) of `Neg`
+    has no value, so rank_defined[Neg.A] is satisfiable there."""
+    from test_proofs import NEG, NEG_DONE
+    prog = typecheck(parse_program(NEG))
+    vcs = {vc.name: vc for vc in generate_vcs(prog, parse_proof_sketch(NEG_DONE, prog))}
+    text = emit_smtlib(vcs["rank_defined[Neg.A]"]).text
+    assert "(assert (not true))" not in text
+    assert "(assert (not (and true (>= (- v_x 3) 0))))" in text
+    # the literal rank at B is a nat: no side condition
+    assert "(assert (not true))" in emit_smtlib(vcs["rank_defined[Neg.B]"]).text
+
+
 def _solver():
     return os.environ.get("ASP_SOLVER") or shutil.which("z3") or shutil.which("cvc5")
 
