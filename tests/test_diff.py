@@ -255,6 +255,35 @@ def test_move_under_absent_map_entry_is_undefined():
     assert (res.committed, res.reason) == (False, "UndefinedOp")
 
 
+KEYED = """
+contract K() {
+  msg give(coin);
+  var c: coin;
+  var bal: map[nat, coin];
+  initial S;
+  state S:
+  | x??give(k) -> T { Coin.moveall(k, c); }
+  state T:
+  | -> U { Coin.moveall(c, Map.ref(bal, Coin.value(c))); }
+  state U:
+}
+"""
+
+
+def test_move_destination_is_resolved_after_the_source_is_written():
+    """A move writes its source before it resolves its destination, on
+    both routes: the key Coin.value(c) reads the emptied c, so the coins
+    land in bal[0]."""
+    prog = typecheck(parse_program(KEYED))
+    news, items = parse_script(
+        "new k = K() by alice\ninput k give(coin(2)) from bob\nassert k @U\n")
+    report = run_differential(prog, news, items, R=1, word_bits=256)
+    assert report.clean and report.committed == 1, report.to_json()
+    machine = Machine(lower(prog), instantiations(prog, news))
+    machine.transact("k", "give", "bob", (2,))
+    assert machine.storages["k"].vars["bal"] == {0: 2}
+
+
 @pytest.mark.parametrize("side", ["target", "cascade"])
 def test_entry_on_one_side_is_a_state_mismatch(etherstore, side):
     """Storage must be the flat form of the cascade state: a default map

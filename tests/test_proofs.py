@@ -15,6 +15,7 @@ from asp.sketch import parse_proof_sketch
 from asp.typecheck import typecheck
 from asp.vcgen import generate_vcs
 from conftest import CRITERION_9_PAIRS, load
+from test_diff import KEYED
 from pins import PINNED, PINS_FILE, results
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
@@ -730,9 +731,11 @@ def _no_interpreter(*args, **kwargs):
     (HAND, "safety same { always owner == creator }", ["valid", "counterexample"]),
     (DRAIN, "safety held { always Coin.value(c) >= 1 }",
      ["counterexample", "valid", "counterexample"]),
+    # the destination key reads the source, which the move has emptied
+    (KEYED, "safety s { always !Map.in(2, bal) }", ["valid", "valid", "valid"]),
 ], ids=["change_owner", "coin_move_aliased", "coin_move", "token_issue",
         "token_move", "token_moveall", "token_burn", "timer_reset", "send_map_ref",
-        "change_owner_writes_owner", "send_drains"])
+        "change_owner_writes_owner", "send_drains", "coin_moveall_keyed_by_source"])
 def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
     """Each statement operation of the compiled relation runs in an
     inductiveness leaf, and the engine agrees with the oracle on it; the
