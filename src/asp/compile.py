@@ -190,13 +190,13 @@ class Compiler:
             return f"({self.expr(e.args[0], env)})[{self.expr(e.args[1], env)}]"
         raise CannotCompile(f"{e.ns}.{e.op}")
 
-    def predicate(self, exprs, env: str = "E"):
+    def predicate(self, exprs):
         """Conjunction of exprs as a callable E -> bool (Undef propagates)."""
         if not exprs:
             return lambda E: True
-        parts = [self.expr(e, env) for e in exprs]
+        parts = [self.expr(e) for e in exprs]
         return self.function(
-            f"def _f({env}):\n    return " + " and ".join(f"({p} is True)" for p in parts))
+            "def _f(E):\n    return " + " and ".join(f"({p} is True)" for p in parts))
 
     def value(self, e: Expr):
         """The value of e as a callable E -> value (Undef propagates)."""

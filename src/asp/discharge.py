@@ -51,7 +51,7 @@ from .machine import (
 )
 from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
 from .values import ADDR_NONE, Undef, boxed, zero_value
-from .vcgen import VC, progress_slice, slice_action, time_guard
+from .vcgen import VC, progress_slice, slice_action
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ class DomainBounds:
     def coin_values(self):
         return tuple(range(0, self.nat_max + 1))
 
-    def token_values(self, issuer: str = "@issuer"):
+    def token_values(self, issuer: str):
         return ((None, 0),) + tuple(
             (issuer, v) for v in range(1, self.nat_max + 1))
 
@@ -164,7 +164,7 @@ class Unfinitizable(Exception):
     pass
 
 
-def scalar_domain(typ: SemType, bounds: DomainBounds, issuer: str = "@issuer"):
+def scalar_domain(typ: SemType, bounds: DomainBounds, issuer: str | None):
     if typ.kind in ("int", "nat"):
         return bounds.int_values()
     if typ.kind == "bool":
@@ -201,7 +201,7 @@ def expand_quants(e: Expr, bounds: DomainBounds) -> Expr:
     e = map_children(e, lambda c: expand_quants(c, bounds))
     if not isinstance(e, Quant):
         return e
-    parts = [subst_expr(e.body, {e.var: Lit(v)}) for v in scalar_domain(e.typ, bounds)]
+    parts = [subst_expr(e.body, {e.var: Lit(v)}) for v in scalar_domain(e.typ, bounds, None)]
     if not parts:
         return Lit(e.kind == "forall")
     op = "&&" if e.kind == "forall" else "||"
@@ -386,15 +386,9 @@ class _Ctx:
 
 
 def _check_initiality(cx: _Ctx, env: dict):
-    args = {}
-    for p, ptyp in cx.tc.params:
-        if p in env:
-            args[p] = boxed(ptyp, env[p])
-        else:
-            args[p] = boxed(ptyp, scalar_domain(ptyp, cx.bounds)[-1])
-    creator = env.get("creator", "P0")
+    args = {p: boxed(ptyp, env[p]) for p, ptyp in cx.tc.params}
     try:
-        inst = init_instance(cx.tc, cx.self_addr, args, creator)
+        inst = init_instance(cx.tc, cx.self_addr, args, env["creator"])
     except Undef:
         return None  # no such initial state
     if "__player" in env:
@@ -597,41 +591,6 @@ def _definedness_hints(vc: VC) -> list[Expr]:
     return hints
 
 
-def _vc_expr_pool(vc: VC, cx: _Ctx) -> list[Expr]:
-    """Every expression whose free variables the context must cover."""
-    pool = list(vc.hypothesis) + list(vc.conclusion)
-    if vc.tc.where is not None:
-        pool.append(vc.tc.where)
-    states: set[str] = set()
-    actions = []
-    if vc.state:
-        states.add(vc.state)
-    if vc.transition is not None:
-        states.add(vc.transition.target)
-        actions.append(vc.action)
-    if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
-        for t in vc.tc.transitions_from(vc.state):
-            pool.extend(t.guards)
-            if vc.kind == "Enabledness":
-                actions.append(cx.defined_slice(t))
-            else:
-                actions.append(cx.progress_slice(t))
-                states.add(t.target)
-        w = vc.sketch.witness.get(vc.state)
-        if w is not None:
-            pool.append(w)
-        if vc.tc.has_timers():
-            pool.append(time_guard(vc.tc))
-    for action in actions:
-        pool.extend(stmt_exprs(action))
-        if "owner" in writes_of(action):
-            pool.append(Var("owner"))  # change_owner compares it with the sender
-    if vc.kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
-        for st in states:
-            pool.extend(vc.sketch.reads_at(st))
-    return pool
-
-
 def _preserved(vc: VC) -> bool:
     """An inductiveness obligation whose conclusion conjuncts are all
     hypothesis conjuncts over variables the relation never writes (nor
@@ -644,6 +603,10 @@ def _preserved(vc: VC) -> bool:
 
 
 def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
+    # expanding the conclusion changes none of the names, maps and
+    # Address.self uses that these read
+    pool = vc.reads
+    reads = reads_of(pool)
     vc = dc_replace(vc, conclusion=tuple(
         expand_quants(e, bounds) for e in vc.conclusion))
     cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
@@ -657,13 +620,11 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
         for pname, ptyp in tc.params:
             scalars[pname] = scalar_domain(ptyp, bounds, cx.self_addr)
         scalars["creator"] = bounds.actor_values()
-        if "__player" in reads_of(vc.conclusion):
+        if "__player" in reads:
             scalars["__player"] = bounds.actor_values()
         hyp = [] if tc.where is None else split_conjuncts(tc.where)
         return _Problem(vc, cx, scalars, {}, hyp, list(scalars))
 
-    pool = _vc_expr_pool(vc, cx)
-    reads = reads_of(pool)
     own_binders = {} if vc.transition is None else vc.transition.binders
     map_in_names = membership_maps(pool)
     uses_self = any(_uses_self(e) for e in pool)
@@ -1099,7 +1060,7 @@ def _free_actors(vc: VC, prob: _Problem, domains: dict) -> tuple:
     compiled hypothesis and the compiled leaf check onto themselves."""
     actors = prob.cx.bounds.actor_values()
     named = set()
-    for e in _vc_expr_pool(vc, prob.cx):
+    for e in vc.reads:
         named |= _actors_in(e, actors)
     for dom in domains.values():
         if len(dom) == 1:

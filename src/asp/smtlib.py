@@ -17,7 +17,7 @@ from __future__ import annotations
 import subprocess
 from dataclasses import dataclass
 
-from .ast_nodes import ADDRESS, Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps, stmt_exprs
+from .ast_nodes import ADDRESS, Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps
 from .diagnostics import UsageError
 from .typecheck import ExprChecker, TypedContract, reads_of
 from .vcgen import VC, time_guard
@@ -36,6 +36,14 @@ class SmtScript:
 
 def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "_" else "_" for ch in name)
+
+
+def _and(terms) -> str:
+    """The conjunction of SMT terms; `true` for none, as the Core theory's
+    `and` takes at least two arguments."""
+    if not terms:
+        return "true"
+    return terms[0] if len(terms) == 1 else f"(and {' '.join(terms)})"
 
 
 class _Emitter:
@@ -88,8 +96,8 @@ class _Emitter:
             return f"(Array {self.sort_of(typ.args[0])} {self.sort_of(typ.args[1])})"
         raise EmitUnsupported(f"no SMT sort for {typ}")
 
-    def declare_var(self, name: str, typ, suffix: str = "") -> str:
-        sym = f"v_{_sanitize(name)}{suffix}"
+    def declare_var(self, name: str, typ) -> str:
+        sym = f"v_{_sanitize(name)}"
         if sym in self._declared:
             return sym
         k = typ.kind
@@ -209,14 +217,7 @@ class _Emitter:
         v = self.tc.vars.get(name)
         if v is None or v.default is None:
             return None
-        d = v.default
-        if isinstance(d, bool):
-            return "true" if d else "false"
-        if isinstance(d, int):
-            return str(d) if d >= 0 else f"(- {-d})"
-        if isinstance(d, str):
-            return self.addr(d)
-        raise EmitUnsupported("non-scalar map default")
+        return self.expr(Lit(v.default), {})
 
     # -- symbolic execution of a loop-free action --
 
@@ -351,8 +352,7 @@ class _Emitter:
             c = "true" if case.cond is None else self.expr(case.cond, env)
             nonneg = [f"(>= {self.expr(x, env)} 0)" for x in case.exprs
                       if checker.infer(x).kind == "int"]
-            guard = " ".join([f"(not {p})" for p in prior] + [c] + nonneg)
-            conds.append(f"(and {guard})" if prior or nonneg else c)
+            conds.append(_and([f"(not {p})" for p in prior] + [c] + nonneg))
             prior.append(c)
         return f"(or {' '.join(conds)})" if len(conds) > 1 else conds[0]
 
@@ -376,7 +376,10 @@ class _Emitter:
 
 def emit_smtlib(vc: VC) -> SmtScript:
     """Emit one VC as an SMT-LIB 2 script; (check-sat) answering unsat
-    establishes the obligation."""
+    establishes the obligation. Every kind has one shape: after the
+    context, (assert (not (and REQUIRED... (=> CONDS CONCL(post))...)))
+    with one term per path of the step, then the hypothesis, then the
+    definedness conditions."""
     em = _Emitter(vc)
     tc = vc.tc
     kind = vc.kind
@@ -384,9 +387,7 @@ def emit_smtlib(vc: VC) -> SmtScript:
         raise EmitUnsupported(
             f"{kind} obligations embed existential transition search; use "
             f"the bounded engine")
-
-    pool = list(vc.hypothesis) + list(vc.conclusion)
-    em.membership = membership_maps(pool + stmt_exprs(vc.action))
+    em.membership = membership_maps(vc.reads)
 
     env: dict[str, str] = {}
     for pname, ptyp in tc.params:
@@ -394,15 +395,12 @@ def emit_smtlib(vc: VC) -> SmtScript:
     env["owner"] = em.declare_var("owner", ADDRESS)
     env["creator"] = em.declare_var("creator", ADDRESS)
     # the adversarial player, some actor, wherever the VC reads it
-    read = list(pool)
-    if kind in ("RankDefined", "RankDecrease"):
-        read += vc.sketch.reads_at(vc.state)
-    if kind == "RankDecrease":
-        read += vc.sketch.reads_at(vc.target)
-    if "__player" in reads_of(read):
+    if "__player" in reads_of(vc.reads):
         env["__player"] = em.declare_var("__player", ADDRESS)
         em.asserts.append(f"(assert (distinct {env['__player']} {em.addr('none')}))")
 
+    hyp: list[str] = []  # theta, guards, constructor constraint
+    paths = [([], env)]  # (path conditions, post-state env) per path
     if kind == "Initiality":
         # the initial state is computed, not free: variables take their
         # declared zero values / initializers symbolically
@@ -418,106 +416,69 @@ def emit_smtlib(vc: VC) -> SmtScript:
             em.asserts.append(f"(assert {em.expr(tc.where, env)})")
         em.asserts.append(
             f"(assert (distinct {env['creator']} {em.addr('none')}))")
-        concl = [em.expr(e, env) for e in vc.conclusion]
-        body = f"(and {' '.join(concl)})" if len(concl) != 1 else concl[0]
-        em.asserts.append(f"(assert (not {body}))")
-        for d in em.defined:
-            em.asserts.append(f"(assert {d})")
-        return _finish(em, vc)
+    else:
+        for v in tc.vars.values():
+            if v.synthetic:
+                continue
+            env[v.name] = em.declare_var(v.name, v.typ)
+            if v.typ.kind == "map" and v.name in em.membership:
+                env[v.name + "!has"] = f"v_{_sanitize(v.name)}_has"
+        t = vc.transition
+        for name, typ in ({} if t is None else t.binders).items():
+            env[name] = em.declare_var(name, typ)
+            if name == t.sender_var:
+                em.asserts.append(f"(assert (distinct {env[name]} {em.addr('none')}))")
+        if tc.where is not None:
+            hyp.append(em.expr(tc.where, env))
+        hyp += [em.expr(h, env) for h in vc.hypothesis]
+        em.asserts.append(f"(assert (distinct {env['owner']} {em.addr('none')}))")
+        em.asserts.append(f"(assert (distinct {env['creator']} {em.addr('none')}))")
+        if vc.is_time or t is not None:
+            # the step, composed with a tick of delta >= 1 units
+            delta = None
+            if tc.has_timers():
+                delta = em.fresh("delta")
+                em.declare(delta, "Int")
+                em.asserts.append(f"(assert (>= {delta} 1))")
+            paths = list(em.exec_action(list(vc.action), dict(env), []))
+            for _, post in paths:
+                if delta is not None:
+                    em.tick(post, delta)
+        if vc.is_time:
+            hyp.append(em.expr(time_guard(tc), env))
 
-    for v in tc.vars.values():
-        if v.synthetic:
-            continue
-        env[v.name] = em.declare_var(v.name, v.typ)
-        if v.typ.kind == "map" and v.name in em.membership:
-            env[v.name + "!has"] = f"v_{_sanitize(v.name)}_has"
-    t = vc.transition
-    for name, typ in ({} if t is None else t.binders).items():
-        env[name] = em.declare_var(name, typ)
-        if name == t.sender_var:
-            em.asserts.append(f"(assert (distinct {env[name]} {em.addr('none')}))")
-
-    # hypothesis (theta, guards, constructor constraint, ambient axioms)
-    hyp_terms = []
-    if tc.where is not None:
-        hyp_terms.append(em.expr(tc.where, env))
-    for h in vc.hypothesis:
-        hyp_terms.append(em.expr(h, env))
-    em.asserts.append(f"(assert (distinct {env['owner']} {em.addr('none')}))")
-    em.asserts.append(f"(assert (distinct {env['creator']} {em.addr('none')}))")
-
-    # relation
-    needs_delta = tc.has_timers() and (vc.transition is not None or vc.is_time)
-    delta = None
-    if needs_delta:
-        delta = em.fresh("delta")
-        em.declare(delta, "Int")
-        em.asserts.append(f"(assert (>= {delta} 1))")
-
-    paths = []
-    if vc.is_time or vc.transition is not None:
-        base_env = dict(env)
-        action = vc.action if vc.transition is not None else ()
-        for conds, post in em.exec_action(list(action), base_env, []):
-            if delta is not None:
-                em.tick(post, delta)
-            paths.append((conds, post))
-    if vc.is_time:
-        hyp_terms.append(em.expr(time_guard(tc), env))
-
-    # conclusion per kind
-    if kind in ("Inductiveness", "Sufficiency"):
-        negs = []
-        for conds, post in (paths or [([], dict(env))]):
-            target_env = post if kind == "Inductiveness" else env
-            concl = [em.expr(e, target_env) for e in vc.conclusion]
-            body = f"(and {' '.join(concl)})" if len(concl) != 1 else concl[0]
-            if not concl:
-                body = "true"
-            if conds:
-                body = f"(=> (and {' '.join(conds)}) {body})"
-            negs.append(body)
-        whole = f"(and {' '.join(negs)})" if len(negs) != 1 else negs[0]
-        em.asserts.append(f"(assert (not {whole}))")
-    elif kind == "RankDefined":
-        cases = vc.sketch.rank.get(vc.state, ())
-        em.asserts.append(f"(assert (not {em.rank_defined(cases, env)}))")
-    elif kind == "RankDecrease":
-        target = vc.state if vc.is_time else vc.transition.target
+    terms: list[str] = []  # REQUIRED, then one term per path
+    if kind == "RankDecrease":
         pre_cases = vc.sketch.rank.get(vc.state, ())
-        post_cases = vc.sketch.rank.get(target, ())
         if not pre_cases:
             raise EmitUnsupported("no rank at the source state")
         pre = [em.rank_component(pre_cases, i, env)
                for i in range(vc.sketch.rank_len)]
-        hyp_terms.append(em.rank_defined(pre_cases, env))
-        oks = []
-        for conds, post in paths:
-            parts = []
-            goal = vc.sketch.goal_at(target)
-            if goal is not None:
-                g = [em.expr(e, post) for e in goal]
-                parts.append(f"(and {' '.join(g)})" if len(g) != 1 else g[0])
-            theta = [em.expr(e, post) for e in vc.sketch.theta(target)]
-            ranked = em.rank_defined(post_cases, post)
-            post_rank = [em.rank_component(post_cases, i, post)
-                         for i in range(vc.sketch.rank_len)]
-            dec = em.lex_less(post_rank, pre)
-            both = " ".join(theta + [ranked, dec])
-            parts.append(f"(and {both})")
-            ok = f"(or {' '.join(parts)})" if len(parts) > 1 else parts[0]
-            if conds:
-                ok = f"(=> (and {' '.join(conds)}) {ok})"
-            oks.append(ok)
-        whole = f"(and {' '.join(oks)})" if len(oks) != 1 else oks[0]
-        em.asserts.append(f"(assert (not {whole}))")
-    else:
-        raise EmitUnsupported(kind)
+        terms.append(em.rank_defined(pre_cases, env))  # both routes require it
 
-    for h in hyp_terms:
-        em.asserts.append(f"(assert {h})")
-    for d in em.defined:
-        em.asserts.append(f"(assert {d})")
+    def concl(post) -> str:
+        if kind == "RankDefined":
+            return em.rank_defined(vc.sketch.rank.get(vc.state, ()), post)
+        if kind != "RankDecrease":
+            return _and([em.expr(e, post) for e in vc.conclusion])
+        # the goal holds after the step, or theta does and the rank is
+        # defined and strictly below the pre-state's
+        target = vc.target
+        goal = vc.sketch.goal_at(target)
+        parts = [] if goal is None else [_and([em.expr(e, post) for e in goal])]
+        theta = [em.expr(e, post) for e in vc.sketch.theta(target)]
+        post_cases = vc.sketch.rank.get(target, ())
+        ranked = em.rank_defined(post_cases, post)
+        post_rank = [em.rank_component(post_cases, i, post)
+                     for i in range(vc.sketch.rank_len)]
+        parts.append(_and(theta + [ranked, em.lex_less(post_rank, pre)]))
+        return f"(or {' '.join(parts)})" if len(parts) > 1 else parts[0]
+
+    for conds, post in paths:
+        c = concl(post)
+        terms.append(f"(=> {_and(conds)} {c})" if conds else c)
+    em.asserts.append(f"(assert (not {_and(terms)}))")
+    em.asserts.extend(f"(assert {h})" for h in hyp + em.defined)
     return _finish(em, vc)
 
 

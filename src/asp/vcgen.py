@@ -21,6 +21,7 @@ Rule-to-VC map:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ast_nodes import (
     Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, stmt_exprs,
@@ -53,6 +54,45 @@ class VC:
         """The state after the VC's step: the transition's target, or the
         VC's own state for the time transition."""
         return self.state if self.is_time else self.transition.target
+
+    @cached_property
+    def reads(self) -> tuple[Expr, ...]:
+        """Every expression the obligation reads: hypothesis, conclusion,
+        the constructor constraint, its action (or, for a state's
+        obligation, each move's guards and slice, the witness and the time
+        guard) and what the proof reads at the states it visits. The one
+        rule for what finitization enumerates, which actors a VC names and
+        which maps the SMT-LIB export tracks membership of."""
+        tc = self.tc
+        pool = list(self.hypothesis) + list(self.conclusion)
+        if tc.where is not None:
+            pool.append(tc.where)
+        states: set[str] = {self.state} if self.state else set()
+        actions = []
+        if self.transition is not None:
+            states.add(self.transition.target)
+            actions.append(self.action)
+        if self.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
+            for t in tc.transitions_from(self.state):
+                pool.extend(t.guards)
+                if self.kind == "Enabledness":
+                    actions.append(slice_action(t, set(), tc)[0])
+                else:
+                    actions.append(progress_slice(t, self.sketch, tc))
+                    states.add(t.target)
+            w = self.sketch.witness.get(self.state)
+            if w is not None:
+                pool.append(w)
+            if tc.has_timers():
+                pool.append(time_guard(tc))
+        for action in actions:
+            pool.extend(stmt_exprs(action))
+            if "owner" in writes_of(action):
+                pool.append(Var("owner"))  # change_owner compares it with the sender
+        if self.kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
+            for st in states:
+                pool.extend(self.sketch.reads_at(st))
+        return tuple(pool)
 
 
 def _neg(e: Expr) -> Expr:

@@ -8,9 +8,11 @@ from asp.cascade import (
     FixedPolicy, RandomPolicy, Rejected, env_input, init_system, time_advance,
     wake_internal, system_coin_total,
 )
-from asp.machine import InputLetter
+from asp.machine import UNDEFINED, InputLetter, enabled_transitions, step_instance
 from asp.script import parse_script, run_script_text
-from asp.values import Coin
+from asp.parser import parse_program
+from asp.typecheck import typecheck
+from asp.values import Coin, Tok
 from asp.diagnostics import ScriptError
 from conftest import load
 
@@ -270,6 +272,51 @@ def test_normalization_preserves_traces(auction):
     hand = run_script_text(pre, script, R=1)
     assert [e.to_json() for e in auto.events] == \
         [e.to_json() for e in hand.events]
+
+
+COND = """
+contract Cond() {
+  msg go(bool, nat), fwd(token);
+  var n: nat;
+  var last: address;
+  initial S;
+  state S:
+  | a??go(b, k) -> S
+    { n = k; if b then a!!ping(k) else { a!!pong; last!!pong; }; n = n + 1; }
+  | a??fwd(t) -> S { last = a; a!!ping(n); a!!got(t); }
+}
+"""
+
+
+def test_normalized_chain_steps_as_its_source_transition():
+    """A source transition with a conditional send, and one whose token
+    binder is stashed across two sends, run on the machine in one step
+    and through the cascade as their normalized chains: the variables, the
+    state and the letters to the environment, in order, agree."""
+    prog = typecheck(parse_program(COND))
+    tc = prog.contract("Cond")
+    rng = random.Random(7)
+    for _ in range(300):
+        system, config = init_system(prog, [("c", "Cond", {}, "alice")], 1)
+        inst = config.states[0]
+        for _ in range(6):
+            if rng.random() < 0.5:
+                args = (rng.random() < 0.5, rng.randint(0, 3))
+            else:
+                k = rng.randint(0, 3)
+                args = (Tok("mint" if k else None, k),)
+            letter = InputLetter("go" if len(args) == 2 else "fwd",
+                                 rng.choice(["alice", "bob"]), args)
+            (t, b), = enabled_transitions(tc, inst, letter)
+            res = step_instance(tc, inst, t, b, letter.sender)
+            assert res is not UNDEFINED
+            inst, outputs, _ = res
+            config, events = env_input(system, config, 0, letter)
+            got = config.states[0]
+            assert got.skeleton == inst.skeleton
+            assert {x: v for x, v in got.env.items() if not tc.vars[x].synthetic} == \
+                {x: v for x, v in inst.env.items() if not tc.vars[x].synthetic}
+            assert [ev.letter for ev in events if ev.rule == "EnvOutput"] == list(outputs)
 
 
 def test_seed_varies_only_tau_choices():

@@ -84,20 +84,43 @@ def test_divergence_report_carries_reproduction(etherstore):
     assert d.script[-1] == d.item
 
 
+def _tracing():
+    """The benchmark's `perfbench.tracing` module."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        import perfbench.tracing
+    finally:
+        sys.path.remove(str(ROOT))
+    return perfbench.tracing
+
+
+def test_tracer_wraps_and_restores_every_entry_point():
+    """Every entry point the traced benchmark wraps exists: `install`
+    wraps the function found there, and `uninstall` puts it back."""
+    tracing = _tracing()
+    targets = [tracing._owner(module, attr) for _, module, attr, _ in tracing.ENTRY_POINTS]
+    before = [getattr(owner, name) for owner, name in targets]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (owner, name), fn in zip(targets, before):
+            assert getattr(owner, name).__wrapped__ is fn, f"{owner.__name__}.{name}"
+    finally:
+        tracer.uninstall()
+    for (owner, name), fn in zip(targets, before):
+        assert getattr(owner, name) is fn, f"{owner.__name__}.{name}"
+
+
 def test_traced_differential_run_counts_the_cascade(auction):
     """The benchmark's traced run wraps the cascade steps where the
     differential runner calls them, as attributes of asp.diff. A runner
     that reached the cascade another way would leave its counters at 0."""
-    sys.path.insert(0, str(ROOT))
-    try:
-        from perfbench.tracing import ENTRY_POINTS, Tracer, _owner
-    finally:
-        sys.path.remove(str(ROOT))
-    tracer = Tracer()
+    tracing = _tracing()
+    tracer = tracing.Tracer()
     try:
         tracer.install()
-        for _, module, attr, _ in ENTRY_POINTS:
-            owner, name = _owner(module, attr)
+        for _, module, attr, _ in tracing.ENTRY_POINTS:
+            owner, name = tracing._owner(module, attr)
             assert hasattr(getattr(owner, name), "__wrapped__"), f"{module}.{attr}"
         tracer.begin_pass(0)
         asp.diff.differential_check(auction, AUCTION_NEWS, R=1, word_bits=256,
@@ -205,6 +228,48 @@ def test_element_store_checks_declared_width():
     for msg in ("app", "tup", "asg"):
         res = machine.transact("w", msg, "bob", (100,))
         assert (res.committed, res.reason) == (False, "Overflow")
+
+
+OPS = """
+contract Ops() issues Token(6) {
+  msg mint(nat), burn(nat), hand(address), arm(nat), read, calc(nat, int);
+  var pot: token;
+  var t: timer;
+  var n: nat;
+  var z: int;
+  var ok: bool;
+  initial S;
+  state S:
+  | a??mint(k) -> S { Token.issue(k, pot); }
+  | a??burn(k) -> S { Token.burn(pot, k); }
+  | a??hand(b) -> S { Address.change_owner(b); }
+  | a??arm(k) -> S { Timer.reset(t); Timer.set(t, k); }
+  | a??read -> S { n = Timer.value(t); Timer.reset(t); }
+  | a??calc(k, j) when k < 3 || j <= 2 -> S {
+      n = k * 3 % (k + 1) - 1; z = j - k; ok = k == 2 ==> j < 0; }
+}
+"""
+
+
+@pytest.mark.parametrize("word_bits", [256, 8])
+def test_operations_agree_with_the_cascade(word_bits, monkeypatch):
+    """Token burn, change_owner, timer reset and value, nat and int
+    subtraction, `*`, `%`, comparisons and the boolean connectives commit
+    on the IR interpreter as on the cascade."""
+    prog = typecheck(parse_program(OPS))
+    committed = set()
+    transact = Machine.transact
+
+    def spy(self, instance, msg, *args):
+        res = transact(self, instance, msg, *args)
+        if res.committed:
+            committed.add(msg)
+        return res
+    monkeypatch.setattr(Machine, "transact", spy)
+    report = differential_check(prog, [NewItem("o", "Ops", (), "own", 0)],
+                                R=1, word_bits=word_bits, trials=60, seed=1)
+    assert report.clean and report.overflow_gaps == 0, report.to_json()
+    assert committed == {"mint", "burn", "hand", "arm", "read", "calc"}
 
 
 TAKE = """

@@ -630,6 +630,72 @@ def test_verdict_of_shared_proof_rule(source, sketch, bounds, vc, status, messag
         (status, message)
 
 
+# Leaf branches that no corpus proof reaches, on both routes: a step that
+# leaves theta (UP) or, with a division, makes it undefined (and is itself
+# undefined at k == 0), a state where no transition is enabled (GATE), and
+# a valid and a refuted sufficiency (CNT).
+UP = """
+contract Up() {
+  msg go%s;
+  var x: nat;
+  var y: nat;
+  initial A;
+  state A:
+  | a??go%s -> A { %s x = x + 1; }
+}
+"""
+
+GATE = """
+contract Gate() {
+  msg go;
+  var open: bool;
+  initial A;
+  state A:
+  | a??go when open -> B { }
+  state B:
+}
+"""
+
+CNT = """
+contract Cnt() {
+  msg inc;
+  var x: nat;
+  initial A;
+  state A:
+  | a??inc -> B { x = x + 1; }
+  state B:
+  | a??inc when x < 2 -> B { x = x + 1; }
+}
+"""
+
+
+def _up_rank(theta):
+    return "reachability up(1) { goal = { } invariant = { @A %s } " \
+        "rank = { @A | (3 - x) } witness = { @A true } }" % theta
+
+
+@pytest.mark.parametrize("source, sketch, bounds, refuted", [
+    (UP % ("", "", ""), _up_rank("x <= 2"), DomainBounds(2, 3, 1),
+     {"rank_decrease[Up.go@A#0]": "rank does not decrease strictly"}),
+    (UP % ("(nat)", "(k)", "y = 6 / k;"), _up_rank("4 / (3 - x) >= 1"),
+     DomainBounds(2, 3, 1),
+     {"rank_decrease[Up.go@A#0]": "rank does not decrease strictly"}),
+    (GATE, "reachability done(1) { goal = { @B true } invariant = { } "
+     "rank = { @A | (1)  @B | (0) } witness = { @A a != Address.none } }",
+     DomainBounds(2, 1, 1),
+     {"enabled[Gate.A]": "no transition is enabled"}),
+    (CNT, "safety low { @A x == 0  @B x <= 2  reject = x == 2 }", SMALL,
+     {"sufficiency[Cnt.B]": "reject predicate holds at an invariant state"}),
+], ids=["rank_decrease_leaves_theta", "rank_decrease_theta_undefined",
+        "enabledness_none_enabled", "sufficiency"])
+def test_engine_agrees_on_leaf_branch(source, sketch, bounds, refuted):
+    """Engine and oracle agree on each VC, the refuted ones being exactly
+    those pinned, with their message on both routes."""
+    prog = typecheck(parse_program(source))
+    for results in _agree(prog, parse_proof_sketch(sketch, prog), bounds):
+        assert {r.vc: r.message for r in results if r.status != "valid"} == refuted
+
+
 TAKE = """
 contract Bank() {
   msg take;

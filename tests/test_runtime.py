@@ -442,7 +442,7 @@ FINITIZABLE = [_t("int"), _t("nat"), _t("bool"), _t("address"), _t("coin"),
 def test_flat_and_boxed_are_inverse(t):
     """Every value of the engine's domains is the flat form of one runtime
     value of its type, the zero value's among them."""
-    dom = scalar_domain(t, DomainBounds(2, 2, 2))
+    dom = scalar_domain(t, DomainBounds(2, 2, 2), "@issuer")
     assert flat(zero_value(t)) in dom
     for x in dom:
         v = boxed(t, x)

@@ -1,5 +1,6 @@
 """SMT-LIB export: structure, determinism, and (optional) solver agreement."""
 import os
+import re
 import shutil
 import tempfile
 
@@ -11,7 +12,7 @@ from asp.sketch import parse_proof_sketch
 from asp.smtlib import EmitUnsupported, emit_smtlib, run_solver
 from asp.typecheck import typecheck
 from asp.vcgen import generate_vcs
-from conftest import load
+from conftest import CRITERION_9_PAIRS, load
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
 
@@ -120,6 +121,97 @@ def test_rank_defined_requires_int_components_nonnegative():
     assert "(assert (not (and true (>= (- v_x 3) 0))))" in text
     # the literal rank at B is a nat: no side condition
     assert "(assert (not true))" in emit_smtlib(vcs["rank_defined[Neg.B]"]).text
+
+
+def _sexp(text: str):
+    """The s-expressions of a script, as nested lists of tokens."""
+    stack: list[list] = [[]]
+    for tok in re.findall(r"\(|\)|[^\s()]+", text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    return stack[0]
+
+
+def _short_connectives(e) -> list:
+    """The `and`/`or` applications in e with fewer than two arguments."""
+    if not isinstance(e, list):
+        return []
+    own = [e] if e and e[0] in ("and", "or") and len(e) < 3 else []
+    return own + [x for c in e for x in _short_connectives(c)]
+
+
+def test_connectives_take_two_arguments():
+    """The Core theory's `and` and `or` take at least two arguments: an
+    empty conclusion is `true`, not `(and )`."""
+    checked = 0
+    for contract, proof in CRITERION_9_PAIRS:
+        prog = typecheck(parse_program(load(contract)))
+        for vc in generate_vcs(prog, parse_proof_sketch(load(proof), prog)):
+            try:
+                text = emit_smtlib(vc).text
+            except EmitUnsupported:
+                continue
+            assert _short_connectives(_sexp(text)) == [], vc.name
+            checked += 1
+    assert checked == 42
+
+
+CLUB = """
+contract Club() {
+  msg join, go;
+  var seen: map[address, nat];
+  var n: nat;
+  initial A;
+  state A:
+  | a??join -> A { Map.set(seen, a, 1); }
+  | a??go -> B { n = n + 1; }
+  state B:
+}
+"""
+
+CLUB_DONE = """
+reachability done(1) {
+  goal = { @B true }
+  invariant = { }
+  rank = { @A | (1) if Map.in(creator, seen)  | (2)  @B | (0) }
+  witness = { @A a != Address.none }
+}
+"""
+
+
+def test_membership_read_by_the_rank_is_declared():
+    """Only the rank reads Map.in: every script that selects from the
+    membership array of `seen` declares it."""
+    prog = typecheck(parse_program(CLUB))
+    using = []
+    for vc in generate_vcs(prog, parse_proof_sketch(CLUB_DONE, prog)):
+        try:
+            text = emit_smtlib(vc).text
+        except EmitUnsupported:
+            continue
+        used = set(re.findall(r"\bv_\w+_has\b", text))
+        assert used == set(re.findall(r"\(declare-const (v_\w+_has) ", text)), vc.name
+        if used:
+            using.append(vc.name)
+    assert using == ["rank_defined[Club.A]", "rank_decrease[Club.join@A#0]",
+                     "rank_decrease[Club.go@A#1]"]
+
+
+def test_rank_decrease_requires_the_pre_state_rank():
+    """Both proof routes refute a step from a state whose rank is
+    undefined, so the script negates the pre-state rank's definedness
+    with the conclusion instead of assuming it."""
+    from test_proofs import NEG, NEG_DONE
+    prog = typecheck(parse_program(NEG))
+    vcs = {vc.name: vc for vc in generate_vcs(prog, parse_proof_sketch(NEG_DONE, prog))}
+    text = emit_smtlib(vcs["rank_decrease[Neg.go@A#0]"]).text
+    assert "(assert (and true (>= (- v_x 3) 0)))" not in text
+    assert "(assert (not (and (and true (>= (- v_x 3) 0)) (or true " in text
 
 
 def _solver():
