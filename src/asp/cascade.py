@@ -223,7 +223,7 @@ def env_input(system: System, config: Config, target: int,
     inst = config.states[target]
     tc = system.contract_of(target)
     # the receptions, keeping the enabled pairs for the diagnostic
-    enabled_pairs = enabled_transitions(tc, inst, letter, normalized=True)
+    enabled_pairs = enabled_transitions(tc, inst, letter)
     steps = defined_steps(tc, inst, enabled_pairs, letter.sender)
     if not steps:
         where = f"by {system.names[target]!r} at state {inst.skeleton!r}"

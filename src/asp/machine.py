@@ -435,19 +435,19 @@ def enabled(t: TypedTransition, inst, bindings) -> bool:
 
 
 def enabled_transitions(tc: TypedContract, inst: InstanceState,
-                        letter: InputLetter | None = None,
-                        normalized: bool = False):
-    """Transitions enabled at the instance for the given input letter
-    (None: internal/tau transitions), with their bindings."""
+                        letter: InputLetter | None = None):
+    """Normalized transitions enabled at the instance for the given input
+    letter (None: internal/tau transitions), with their bindings."""
     out = []
-    for t in tc.transitions_from(inst.skeleton, normalized):
-        if letter is None:
-            if t.input is None and enabled(t, inst, {}):
+    if letter is None:
+        for t in tc.reception_table.get((inst.skeleton, None), ()):
+            if enabled(t, inst, {}):
                 out.append((t, {}))
-        else:
-            b = match_input(t, inst, letter)
-            if b is not None:
-                out.append((t, b))
+        return out
+    for t in tc.reception_table.get((inst.skeleton, letter.msg), ()):
+        b = match_input(t, inst, letter)
+        if b is not None:
+            out.append((t, b))
     return out
 
 
@@ -476,7 +476,7 @@ def receptions(tc: TypedContract, inst: InstanceState,
     """(t, inst', outputs, logs) for each normalized transition that the
     letter enables at the instance (the taus when it is None) and whose
     action is defined, in transition order."""
-    return defined_steps(tc, inst, enabled_transitions(tc, inst, letter, normalized=True),
+    return defined_steps(tc, inst, enabled_transitions(tc, inst, letter),
                          None if letter is None else letter.sender)
 
 

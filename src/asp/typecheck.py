@@ -141,9 +141,18 @@ class TypedContract:
     def ghost_names(self) -> frozenset[str]:
         return frozenset(n for n, v in self.vars.items() if v.ghost)
 
-    def transitions_from(self, state: str, normalized: bool = False):
-        pool = self.norm_transitions if normalized else self.transitions
-        return [t for t in pool if t.source == state]
+    def transitions_from(self, state: str):
+        return [t for t in self.transitions if t.source == state]
+
+    @cached_property
+    def reception_table(self) -> dict[tuple[str, str | None], tuple[TypedTransition, ...]]:
+        """(state, msg) -> the normalized transitions from that state that
+        receive msg, in transition order; (state, None) gives its taus.
+        A key that nothing receives is absent."""
+        table: dict[tuple[str, str | None], list[TypedTransition]] = {}
+        for t in self.norm_transitions:
+            table.setdefault((t.source, t.msg), []).append(t)
+        return {k: tuple(ts) for k, ts in table.items()}
 
     @cached_property
     def timers(self) -> tuple[str, ...]:

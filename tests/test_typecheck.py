@@ -5,7 +5,7 @@ from asp.ast_nodes import Binop, children, stmt_exprs
 from asp.diagnostics import TypecheckError
 from asp.parser import parse_program
 from asp.typecheck import erase_ghosts, typecheck
-from conftest import load
+from conftest import CORPUS, load
 
 
 def check(src: str):
@@ -374,6 +374,38 @@ contract C() {
     tc = prog.contract("C")
     assert len(tc.norm_transitions) == 2
     assert len(tc.norm_states) == 3
+
+
+ALTERNATIVES = """
+contract Alt() {
+  msg go(nat);
+  var n: nat;
+  initial S;
+  state S:
+  | a??go(k) when k > 1 -> S { n = 1; }
+  | a??go(k) -> S { n = 2; }
+  | when n == 1 -> T { n = 3; }
+  | when n == 2 -> T { }
+  state T:
+}
+"""
+
+
+@pytest.mark.parametrize("path", [*sorted(CORPUS.glob("*.asp")), None],
+                         ids=lambda p: p.name if p else "alternatives")
+def test_reception_table_lists_receivers_in_order(path):
+    """The reception table's entry for (state, msg) is every normalized
+    transition from that state receiving msg, in transition order, and
+    for (state, None) every tau from it; on every corpus contract, and on
+    one with two arms for a message and two taus at one state."""
+    prog = check(path.read_text(encoding="utf-8") if path else ALTERNATIVES)
+    for tc in prog.contracts.values():
+        for state in tc.norm_states:
+            for msg in (None, *prog.msg_universe):
+                want = [t for t in tc.norm_transitions if t.source == state
+                        and (t.input is None if msg is None
+                             else t.input is not None and t.msg == msg)]
+                assert list(tc.reception_table.get((state, msg), ())) == want, (state, msg)
 
 
 # -- ghost erasure -----------------------------------------------------------
