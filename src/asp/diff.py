@@ -8,6 +8,13 @@ transaction must correspond to a rejected cascade, except that reverts
 for Overflow are the permitted inclusion gap (ideal arithmetic
 defines steps the bounded target cannot take). Anything else is a
 divergence and is reported with a reproduction script.
+
+A check has one start: the cascade system, its initial configuration and
+the target machine at its initial storages, built once. Each script runs
+on a fork of that machine, over copies of its storages, and from the
+shared configuration as it is. Sharing it is safe because every cascade
+step (step_instance, advance_instance) clones an instance before writing
+it and runtime values are immutable, so no script changes the start.
 """
 from __future__ import annotations
 
@@ -16,12 +23,12 @@ import random
 from dataclasses import dataclass, field
 
 from .cascade import (
-    Config, FixedPolicy, Rejected, env_input, init_system, time_advance,
+    Config, FixedPolicy, Rejected, System, env_input, init_system, time_advance,
     wake_internal,
 )
-from .diagnostics import ScriptError
-from .interp import Machine
-from .lower import lower
+from .diagnostics import Pos, ScriptError
+from .interp import Machine, TxRevert
+from .lower import SystemIR, lower
 from .script import (
     AdvanceItem, InputItem, NewItem, check_item, input_target, instantiations,
 )
@@ -116,33 +123,55 @@ def run_differential(program: TypedProgram, news: list[NewItem], items: list,
                      atomicity_log: list | None = None) -> DiffReport:
     """Run one script against both semantics, recording divergences; its
     items are checked on the cascade side by `script.check_item`."""
-    return _run_script(program, lower(program, R, word_bits),
-                       instantiations(program, news), items, R, report,
-                       atomicity_log)
+    return _run_script(program, _start(program, lower(program, R, word_bits), news, R),
+                       items, report, atomicity_log)
 
 
-def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
-                R: int, report: DiffReport | None,
-                atomicity_log: list | None) -> DiffReport:
-    """run_differential on an already lowered system and checked
-    instantiations. The run ends at its first divergence: past it, the
-    two sides no longer start from the same state."""
-    report = report or DiffReport()
+def _start(program: TypedProgram, system_ir: SystemIR, news: list[NewItem],
+           R: int) -> tuple[System, Config, Machine]:
+    """What every script of a check starts from: the cascade system, its
+    initial configuration and a target machine at its initial storages.
+    A ScriptError at the `new` line of an instance that the cascade
+    accepts but the target cannot deploy."""
+    insts = instantiations(program, news)
     system, config = init_system(program, insts, R, FixedPolicy())
-    machine = Machine(system_ir, insts)
-    script_so_far: list[dict] = []
+    machine = Machine(system_ir, [])
+    for n, inst in zip(news, insts):
+        try:
+            machine.deploy(*inst)
+        except TxRevert as e:
+            raise ScriptError(f"the target cannot deploy {n.name!r} with "
+                              f"{system_ir.word_bits}-bit words: {e}",
+                              Pos(n.line, 1)) from None
+    return system, config, machine
+
+
+def _describe(item) -> dict:
+    """An input or advance item as a divergence report shows it."""
+    if isinstance(item, InputItem):
+        return {"input": item.instance, "msg": item.msg,
+                "args": [repr(a) for a in item.args], "from": item.sender}
+    return {"advance": item.delta}
+
+
+def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
+                items: list, report: DiffReport | None,
+                atomicity_log: list | None) -> DiffReport:
+    """run_differential from a start that _start built, on a fork of its
+    machine. The run ends at its first divergence: past it, the two sides
+    no longer start from the same state."""
+    report = report or DiffReport()
+    system, config, machine = start
+    machine = machine.fork()
     report.trials += 1
 
-    for item in items:
+    for pos, item in enumerate(items):
         if not isinstance(item, (InputItem, AdvanceItem)):
             check_item(item, system, config)  # an assertion, on the cascade
             continue
         report.items += 1
         found = None  # (kind, detail) of a divergence at this item
         if isinstance(item, InputItem):
-            desc = {"input": item.instance, "msg": item.msg,
-                    "args": [repr(a) for a in item.args], "from": item.sender}
-            script_so_far.append(desc)
             letter = item.letter
             try:
                 new_config, events = env_input(
@@ -184,8 +213,6 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
                              f"reverted with {res.reason} but the cascade "
                              f"accepts the input")
         else:
-            desc = {"advance": item.delta}
-            script_so_far.append(desc)
             try:
                 new_config, ev = time_advance(system, config, item.delta)
             except Rejected:
@@ -209,7 +236,9 @@ def _run_script(program: TypedProgram, system_ir, insts: list, items: list,
                 elif mismatch:
                     found = ("state-mismatch", mismatch)
         if found:
-            report.divergences.append(Divergence(desc, *found, list(script_so_far)))
+            script = [_describe(i) for i in items[:pos + 1]
+                      if isinstance(i, (InputItem, AdvanceItem))]
+            report.divergences.append(Divergence(script[-1], *found, script))
             return report
     return report
 
@@ -266,9 +295,8 @@ def differential_check(program: TypedProgram, news: list[NewItem], R: int,
     report = DiffReport()
     rng = random.Random(seed)
     cap = min(coin_max, (1 << word_bits) - 1)
-    insts = instantiations(program, news)
-    system_ir = lower(program, R, word_bits)
+    start = _start(program, lower(program, R, word_bits), news, R)
     for _ in range(trials):
         items = random_items(program, news, rng, length, cap)
-        _run_script(program, system_ir, insts, items, R, report, atomicity_log)
+        _run_script(program, start, items, report, atomicity_log)
     return report

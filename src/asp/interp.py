@@ -5,7 +5,9 @@ sends run as synchronous calls into other contracts; every arithmetic
 result is range-checked against the configured word size. Any overflow,
 failed dispatch, failed defensive check, undefined operation, or
 reentrancy-limit breach reverts the whole transaction atomically (storage
-is restored bit-for-bit).
+is restored bit-for-bit). Dispatch -- the no-contract and reentrancy checks
+and the arms' guards -- writes nothing, so a transaction is snapshotted only
+once an arm is chosen, and one that reverts at dispatch needs no restore.
 
 Within a tau closure, a callee refusing a message (no arm, guard false, or
 an undefined operation in its dispatch arm) is a soft failure: the calling
@@ -31,9 +33,11 @@ against.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .lower import ContractIR, SystemIR
@@ -131,15 +135,19 @@ def _reverted(e: Exception) -> TxResult:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _word_bounds(word_bits: int) -> tuple[int, int, int]:
+    """The unsigned maximum, signed minimum and signed maximum of a word."""
+    return (1 << word_bits) - 1, -(1 << (word_bits - 1)), (1 << (word_bits - 1)) - 1
+
+
 class _Eval:
     def __init__(self, ir: ContractIR | None, st: Storage, binds: dict,
                  word_bits: int):
         self.ir = ir
         self.st = st
         self.binds = binds
-        self.umax = (1 << word_bits) - 1
-        self.imin = -(1 << (word_bits - 1))
-        self.imax = (1 << (word_bits - 1)) - 1
+        self.umax, self.imin, self.imax = _word_bounds(word_bits)
 
     def check_unsigned(self, n: int) -> int:
         if n > self.umax:
@@ -269,15 +277,32 @@ class Machine:
         self.system = system
         self.storages: dict[str, Storage] = {}
         self.order: list[str] = []
-        for name, cname, args, creator in instantiations:
-            ir = system.contracts[cname]
-            st = init_storage(ir, name, args, creator, system.word_bits)
-            if ir.where is not None:
-                ok = _Eval(ir, st, {}, system.word_bits).eval(ir.where)
-                if ok is not True:
-                    raise TxRevert("GuardFailed", "constructor constraint")
-            self.storages[name] = st
-            self.order.append(name)
+        # per contract, the variables whose type holds a coin
+        self.coin_vars = {cname: tuple(v for v in ir.vars.values() if _holds_coin(v.typ))
+                          for cname, ir in system.contracts.items()}
+        for inst in instantiations:
+            self.deploy(*inst)
+
+    def deploy(self, name: str, cname: str, args: dict, creator: str):
+        """Add instance `name` of contract `cname` at its initial storage;
+        TxRevert if an initializer overflows the word or the constructor
+        constraint does not hold."""
+        ir = self.system.contracts[cname]
+        st = init_storage(ir, name, args, creator, self.system.word_bits)
+        if ir.where is not None:
+            ok = _Eval(ir, st, {}, self.system.word_bits).eval(ir.where)
+            if ok is not True:
+                raise TxRevert("GuardFailed", "constructor constraint")
+        self.storages[name] = st
+        self.order.append(name)
+
+    def fork(self) -> "Machine":
+        """A machine over copies of this one's storages, the copies a
+        snapshot makes: transactions on either leave the other as it is."""
+        twin = copy.copy(self)
+        twin.storages = self._snapshot()
+        twin.order = list(self.order)
+        return twin
 
     def ir_of(self, addr: str) -> ContractIR:
         return self.system.contracts[self.storages[addr].contract]
@@ -302,11 +327,16 @@ class Machine:
 
     def transact(self, target: str, msg: str, sender: str, args: tuple) -> TxResult:
         """Run one externally invoked method to completion; commit on
-        success, restore storage on any failure."""
+        success, restore storage on any failure. Dispatch writes nothing,
+        so a transaction that no arm takes reverts without a snapshot."""
+        try:
+            chosen = self._select(target, msg, sender, args)
+        except _FAILURES as e:
+            return _reverted(e)
         snapshot = self._snapshot()
         letters: list[Letter] = []
         try:
-            self._call(target, msg, sender, args, letters)
+            self._run_arm(chosen, sender, args, letters)
         except _FAILURES as e:
             self._restore(snapshot)
             return _reverted(e)
@@ -351,6 +381,13 @@ class Machine:
 
     def _call(self, target: str, msg: str, sender: str, args: tuple,
               letters: list):
+        self._run_arm(self._select(target, msg, sender, args), sender, args, letters)
+
+    def _select(self, target: str, msg: str, sender: str, args: tuple):
+        """Dispatch: the first arm of target's method for msg whose guards
+        hold at its current state, as (target, ir, storage, arm, bindings).
+        Writes nothing. CallFailed if no arm takes the message; TxRevert
+        past the reentrancy limit or when a guard overflows."""
         if target not in self.storages:
             raise CallFailed(f"no contract at {target}")
         ir = self.ir_of(target)
@@ -358,53 +395,59 @@ class Machine:
         if st.counter > self.system.reentrancy_limit:
             raise TxRevert("ReentrancyLimit",
                            f"{target} already has {st.counter} active entries")
+        for arm in ir.methods.get(msg, ()):
+            if arm.state != st.state:
+                continue
+            binds = {}
+            if arm.sender_match is not None:
+                ev = _Eval(ir, st, binds, self.system.word_bits)
+                if ev.eval(Var(arm.sender_match)) != sender:
+                    continue
+            if arm.sender_bind is not None:
+                binds[arm.sender_bind] = sender
+            if len(args) != len(arm.params):
+                continue
+            for name, value in zip(arm.params, args):
+                binds[name] = value
+            ev = _Eval(ir, st, binds, self.system.word_bits)
+            try:
+                if arm.when is not None and ev.eval(arm.when) is not True:
+                    continue
+                if arm.access is not None:
+                    kind, e = arm.access
+                    v = ev.eval(e)
+                    if kind == "by" and sender != v:
+                        continue
+                    if kind == "notby" and sender == v:
+                        continue
+            except Undef:
+                continue  # guard undefined: arm not enabled
+            return target, ir, st, arm, binds
+        raise CallFailed(f"{msg} not receivable at {st.state}")
+
+    def _run_arm(self, chosen, sender: str, args: tuple, letters: list):
+        """Run the arm _select chose: its body, its defensive checks and
+        the tau closure after it."""
+        target, ir, st, arm, binds = chosen
         st.counter += 1
         try:
-            arms = [a for a in ir.methods.get(msg, ()) if a.state == st.state]
-            err = CallFailed(f"{msg} not receivable at {st.state}")
-            for arm in arms:
-                ev = _Eval(ir, st, {}, self.system.word_bits)
-                binds = {}
-                if arm.sender_match is not None:
-                    if ev.eval(Var(arm.sender_match)) != sender:
-                        continue
-                if arm.sender_bind is not None:
-                    binds[arm.sender_bind] = sender
-                if len(args) != len(arm.params):
-                    continue
-                for name, value in zip(arm.params, args):
-                    binds[name] = value
-                ev = _Eval(ir, st, binds, self.system.word_bits)
-                try:
-                    if arm.when is not None and ev.eval(arm.when) is not True:
-                        continue
-                    if arm.access is not None:
-                        kind, e = arm.access
-                        v = ev.eval(e)
-                        if kind == "by" and sender != v:
-                            continue
-                        if kind == "notby" and sender == v:
-                            continue
-                except Undef:
-                    continue  # guard undefined: arm not enabled
-                # credit incoming coins before running the body
-                incoming = sum(a for a, t in zip(args, arm.param_types)
-                               if t.kind == "coin")
-                st.ledger = ev.check_unsigned(st.ledger + incoming)
-                self._exec(ir, st, binds, sender, arm.body, letters)
-                # defensive: received resources fully transferred
-                for name, t in zip(arm.params, arm.param_types):
-                    if t.kind == "coin" and binds.get(name, 0) != 0:
-                        raise TxRevert("DefensiveCheckFailed",
-                                       f"coin binder {name} not drained")
-                    if t.kind == "token" and binds.get(name, (None, 0))[1] != 0:
-                        raise TxRevert("DefensiveCheckFailed",
-                                       f"token binder {name} not drained")
-                st.state = arm.target
-                self._tau_closure(target, letters)
-                self._conservation(ir, st)
-                return
-            raise err
+            # credit incoming coins before running the body
+            incoming = sum(a for a, t in zip(args, arm.param_types)
+                           if t.kind == "coin")
+            ev = _Eval(ir, st, binds, self.system.word_bits)
+            st.ledger = ev.check_unsigned(st.ledger + incoming)
+            self._exec(ir, st, binds, sender, arm.body, letters)
+            # defensive: received resources fully transferred
+            for name, t in zip(arm.params, arm.param_types):
+                if t.kind == "coin" and binds.get(name, 0) != 0:
+                    raise TxRevert("DefensiveCheckFailed",
+                                   f"coin binder {name} not drained")
+                if t.kind == "token" and binds.get(name, (None, 0))[1] != 0:
+                    raise TxRevert("DefensiveCheckFailed",
+                                   f"token binder {name} not drained")
+            st.state = arm.target
+            self._tau_closure(target, letters)
+            self._conservation(ir, st)
         finally:
             st.counter -= 1
 
@@ -448,7 +491,7 @@ class Machine:
         raise TxRevert("DefensiveCheckFailed", "tau closure diverges")
 
     def _conservation(self, ir: ContractIR, st: Storage):
-        total = storage_coin_total(ir, st)
+        total = sum(_coins_in(v.typ, st.vars[v.name]) for v in self.coin_vars[ir.name])
         if total != st.ledger:
             raise TxRevert("DefensiveCheckFailed",
                            f"coin ledger {st.ledger} != holdings {total}")
@@ -653,8 +696,8 @@ def _coins_in(typ, v) -> int:
     return 0
 
 
-def storage_coin_total(ir: ContractIR, st: Storage) -> int:
-    return sum(_coins_in(v.typ, st.vars[v.name]) for v in ir.vars.values())
+def _holds_coin(typ) -> bool:
+    return typ.kind == "coin" or any(_holds_coin(a) for a in typ.args)
 
 
 def _canon(v):

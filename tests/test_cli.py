@@ -184,6 +184,45 @@ def test_diff_trials_nothing_to_send_exit_one(script, tmp_path):
     assert "nothing to send" in diag["message"]
 
 
+UNDEPLOYABLE = {
+    "initializer": ("""
+contract V() {
+  msg poke;
+  var y: nat := 200 + 100;
+  initial S;
+  state S:
+  | a??poke -> S { y = y + 1; }
+}
+""", "new v = V() by alice\n", "'v'"),
+    "constraint": ("""
+contract W(x: nat) where x + 200 > 0 {
+  msg poke;
+  var y: nat;
+  initial S;
+  state S:
+  | a??poke -> S { y = x; }
+}
+""", "new w = W(100) by alice\n", "'w'"),
+}
+
+
+@pytest.mark.parametrize("trials", ["0", "2"])
+@pytest.mark.parametrize("case", sorted(UNDEPLOYABLE))
+def test_diff_undeployable_instance_exit_one(case, trials, tmp_path):
+    """An instance the cascade deploys but the target cannot, because 300
+    overflows an 8-bit word in an initializer or in the constructor
+    constraint, is a ScriptError at its `new` line, with and without
+    random trials."""
+    source, script, name = UNDEPLOYABLE[case]
+    r = _ping_cli("diff", script, tmp_path, "--word-bits", "8", "--trials", trials,
+                  source=source)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"]) == ("ScriptError", 1)
+    assert f"cannot deploy {name} with 8-bit words: Overflow" in diag["message"]
+
+
 def test_compile_writes_only_into_out(tmp_path):
     out = tmp_path / "artifacts"
     r = run_cli("compile", str(CORPUS / "auction.asp"),

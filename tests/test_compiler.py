@@ -244,3 +244,52 @@ contract Div() {
     assert m.storages["d"].vars["out"] == 3
     res = m.transact("d", "calc", "al", (6, 0))
     assert res.status == "reverted" and res.reason == "UndefinedOp"
+
+
+GATE = """
+contract Gate(peer: address) {
+  msg set(nat), poke(nat), ask, go;
+  var n: nat;
+  var m: nat;
+  initial S;
+  state S:
+  | a??set(k) -> S { n = k; m = k + k; }
+  | a??poke(k) when k + 200 > 0 -> S { n = k; }
+  | a??go -> Calling { }
+  state Calling:
+  | -> S { peer!!ask; }
+  | -> Done { n = 7; }
+  state Done:
+  | a??ask -> Done { }
+}
+"""
+
+
+def test_dispatch_revert_writes_nothing(monkeypatch):
+    """A transaction that no arm takes, or whose guard overflows, reverts
+    at dispatch with its reason, before any snapshot, and leaves storage
+    as it was; one that reverts after its arm is chosen is rolled back."""
+    m = Machine(lower(typecheck(parse_program(GATE)), 1, 8),
+                [("g", "Gate", {"peer": "h"}, "al"), ("h", "Gate", {"peer": "g"}, "al")])
+    snapshots = []
+    snapshot = Machine._snapshot
+    monkeypatch.setattr(Machine, "_snapshot", lambda self: snapshots.append(1) or snapshot(self))
+    pre = m.storage_hash()
+    for msg, args, reason in (("ask", (), "GuardFailed"), ("poke", (100,), "Overflow")):
+        res = m.transact("g", msg, "bob", args)
+        assert (res.status, res.reason) == ("reverted", reason)
+        assert m.storage_hash() == pre and not snapshots
+    res = m.transact("g", "set", "bob", (200,))  # writes n, then overflows
+    assert (res.status, res.reason) == ("reverted", "Overflow")
+    assert m.storage_hash() == pre and snapshots
+
+
+def test_refused_tau_send_tries_the_next_tau_arm():
+    """A nested call that no arm of the callee takes fails softly inside
+    the tau closure: the sending tau arm rolls back and the next is run."""
+    m = Machine(lower(typecheck(parse_program(GATE)), 1, 256),
+                [("g", "Gate", {"peer": "h"}, "al"), ("h", "Gate", {"peer": "g"}, "al")])
+    res = m.transact("g", "go", "bob", ())
+    assert res.committed and res.letters == []
+    g, h = m.storages["g"], m.storages["h"]
+    assert (g.state, g.vars["n"], h.state) == ("Done", 7, "S")

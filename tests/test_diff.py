@@ -8,7 +8,8 @@ import asp.diff
 import asp.machine
 from asp.cascade import Rejected, env_input, init_system, time_advance, wake_internal
 from asp.diff import (
-    _run_script, compare_states, differential_check, random_items, run_differential,
+    DiffReport, _run_script, _start, compare_states, differential_check, random_items,
+    run_differential,
 )
 from asp.interp import Machine, _canon
 from asp.lower import lower
@@ -74,8 +75,8 @@ def test_divergence_report_carries_reproduction(etherstore):
     The run ends there: the script's assertions, which would now be checked
     on a cascade the target did not follow, are not reached."""
     news, items = parse_script(load("etherstore_attack.aspscript"))
-    report = _run_script(etherstore, lower(etherstore, 0, 256),
-                         instantiations(etherstore, news), items, 1, None, None)
+    report = _run_script(etherstore, _start(etherstore, lower(etherstore, 0, 256), news, 1),
+                         items, None, None)
     [d] = report.divergences
     assert d.kind == "reverted-but-accepted"
     assert "ReentrancyLimit" in d.detail
@@ -198,6 +199,38 @@ def test_container_operation_on_parameter():
                                 R=1, word_bits=256, trials=50, seed=1)
     assert report.clean, report.to_json()
     assert report.committed > 0
+
+
+@pytest.mark.parametrize("word_bits", [256, 8])
+@pytest.mark.parametrize("contract,news", SYSTEMS)
+def test_shared_start_reports_as_a_fresh_start(contract, news, word_bits, monkeypatch):
+    """differential_check runs every script from one start: its report is
+    the merged report of run_differential, which sets up again for each
+    script, on the same scripts, and the start's initial configuration
+    reads the same after the run as before it."""
+    prog = typecheck(parse_program(load(contract)))
+    coin_max = 9 if word_bits == 256 else 120
+    starts = []
+    start = asp.diff._start
+
+    def recorded(*args):
+        first = start(*args)
+        starts.append((first, [inst.snapshot() for inst in first[1].states]))
+        return first
+
+    monkeypatch.setattr(asp.diff, "_start", recorded)
+    shared = differential_check(prog, news, R=1, word_bits=word_bits, trials=30,
+                                seed=11, coin_max=coin_max)
+    [((_, config, _), before)] = starts
+    assert [inst.snapshot() for inst in config.states] == before
+    rng = random.Random(11)
+    merged = DiffReport()
+    for _ in range(30):
+        items = random_items(prog, news, rng, 12, min(coin_max, (1 << word_bits) - 1))
+        run_differential(prog, news, items, 1, word_bits, report=merged)
+    assert len(starts) == 1 + 30
+    assert shared.to_json() == merged.to_json()
+    assert shared.committed and shared.reverted
 
 
 WIDE = """
