@@ -207,7 +207,6 @@ def cmd_prove(args) -> int:
     prog = _load_program(args.contracts, args)
     from .prove import check_proof
     from .sketch import parse_proof_sketch
-    from .smtlib import EmitUnsupported, emit_smtlib
     text = _read_text(args.proof)
     try:
         bounds = DomainBounds.parse(str(_config_value(args, "bounds", "")))
@@ -222,11 +221,7 @@ def cmd_prove(args) -> int:
         print(e.diagnostic(str(Path(args.proof))).to_json())
         return EXIT_FAIL
     if args.smt_out:
-        for r in report.results:
-            try:
-                script = emit_smtlib(r.vc)
-            except EmitUnsupported:
-                continue
+        for _, script in _exported(report):
             _write_out(args, script.filename, script.text)
     if solver:
         _solver_pass(args, report, solver, timeout_ms)
@@ -234,18 +229,26 @@ def cmd_prove(args) -> int:
     return EXIT_OK if report.valid else EXIT_FAIL
 
 
+def _exported(report):
+    """(result, SMT-LIB script) for each VC of the report that exports,
+    in VC order."""
+    from .smtlib import EmitUnsupported, emit_smtlib
+    for r in report.results:
+        try:
+            script = emit_smtlib(r.vc)
+        except EmitUnsupported:
+            continue
+        yield r, script
+
+
 def _solver_pass(args, report, solver, timeout_ms):
     """Run the external solver on each exportable VC and compare its
     answer with the bounded verdict the report already holds."""
     import tempfile
 
-    from .smtlib import EmitUnsupported, emit_smtlib, run_solver
+    from .smtlib import run_solver
     with tempfile.TemporaryDirectory() as tmp:
-        for i, r in enumerate(report.results):
-            try:
-                script = emit_smtlib(r.vc)
-            except EmitUnsupported:
-                continue
+        for i, (r, script) in enumerate(_exported(report)):
             path = Path(tmp) / f"{i}.smt2"
             path.write_text(script.text, encoding="utf-8")
             verdict = run_solver(solver, str(path), timeout_ms)

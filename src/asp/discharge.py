@@ -30,14 +30,17 @@ Each verdict has two independent routes:
 
 Leaf obligations outside the compiled fragment (initiality, the game-rule
 obligations, whose inner searches are tiny) use the runtime evaluator on
-both routes. The game-rule checks enumerate a state's moves with
-`_Ctx.moves`, the same enumerator the state searches of the prove module
-use, so guards, binder domains and action slices are described once.
+both routes. A step of the proof model, the time self-loop included, is a
+transition that vcgen built and sliced, so no check here special-cases
+time or slices an action. The game-rule checks enumerate the VC's `moves`
+with `_Ctx.moves`, the same enumerator the state searches of the prove
+module run on the full steps, so guards and binder domains are described
+once.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from .ast_nodes import (
@@ -46,12 +49,12 @@ from .ast_nodes import (
 )
 from .compile import ABSENT, CannotCompile, Compiler
 from .machine import (
-    InstanceState, UNDEFINED, advance_instance, enabled, eval_expr,
-    has_active_timer, init_instance, step_instance,
+    InstanceState, UNDEFINED, advance_instance, enabled, eval_expr, init_instance,
+    step_instance,
 )
 from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
 from .values import ADDR_NONE, Undef, boxed, zero_value
-from .vcgen import VC, progress_slice, slice_action
+from .vcgen import VC
 
 
 # ---------------------------------------------------------------------------
@@ -110,30 +113,11 @@ class DomainBounds:
             if n < least:
                 raise ValueError(f"bound {f.name} must be at least {least}, got {n}")
 
-    @property
-    def delta_max(self) -> int:
-        return self.timer_max + 1
-
     def address_values(self):
         return (ADDR_NONE,) + self.actor_values()
 
     def actor_values(self):
         return tuple(f"P{i}" for i in range(self.addresses))
-
-    def int_values(self):
-        # state/ghost accounting in the corpus is non-negative; documented
-        return tuple(range(0, self.nat_max + 1))
-
-    def timer_values(self):
-        return (("off", 0), ("fired", 0)) + tuple(
-            ("active", k) for k in range(1, self.timer_max + 1))
-
-    def coin_values(self):
-        return tuple(range(0, self.nat_max + 1))
-
-    def token_values(self, issuer: str):
-        return ((None, 0),) + tuple(
-            (issuer, v) for v in range(1, self.nat_max + 1))
 
     @staticmethod
     def parse(text: str) -> "DomainBounds":
@@ -165,18 +149,21 @@ class Unfinitizable(Exception):
 
 
 def scalar_domain(typ: SemType, bounds: DomainBounds, issuer: str | None):
-    if typ.kind in ("int", "nat"):
-        return bounds.int_values()
+    """The flat values of a type at the bounds; a token is the contract's
+    own (`issuer`) or the empty one."""
+    amounts = tuple(range(0, bounds.nat_max + 1))
+    if typ.kind in ("int", "nat", "coin"):
+        # state/ghost accounting in the corpus is non-negative; documented
+        return amounts
     if typ.kind == "bool":
         return (False, True)
     if typ.kind == "address":
         return bounds.address_values()
-    if typ.kind == "coin":
-        return bounds.coin_values()
     if typ.kind == "token":
-        return bounds.token_values(issuer)
+        return ((None, 0),) + tuple((issuer, v) for v in amounts[1:])
     if typ.kind == "timer":
-        return bounds.timer_values()
+        return (("off", 0), ("fired", 0)) + tuple(
+            ("active", k) for k in range(1, bounds.timer_max + 1))
     if typ.kind == "tuple":
         parts = [scalar_domain(a, bounds, issuer) for a in typ.args]
         return tuple(tuple(c) for c in itertools.product(*parts))
@@ -233,8 +220,8 @@ class MapSpec:
 
 class _Ctx:
     """Holds the sketch with its quantifiers expanded at the bounds and
-    caches, per transition, the boxed binder domains and action slices;
-    evaluates them through the runtime evaluator over boxed instances.
+    caches, per transition, the boxed binder domains; evaluates steps and
+    sketch pieces through the runtime evaluator over boxed instances.
     `moves` is the one enumeration of a state's moves. The VC (its
     conclusion expanded too) is needed only by the leaf checks; the state
     searches work from the sketch alone."""
@@ -244,18 +231,13 @@ class _Ctx:
         self.tc = tc
         self._sketch = sketch
         self.bounds = bounds
-        self._memo: dict = {}
+        self._binders: dict[str, tuple] = {}  # label -> binder_domains
         self.self_addr = "@" + self.tc.name
 
     @cached_property
     def sketch(self):
         """Expanded on first use: the compiled safety leaves never read it."""
         return self._sketch.map_exprs(lambda e: expand_quants(e, self.bounds))
-
-    def _cached(self, key, make):
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
 
     # -- boxed-instance evaluation --
 
@@ -312,7 +294,8 @@ class _Ctx:
     def binder_domains(self, t: TypedTransition):
         """Names and boxed domains of t's binders; the sender ranges over
         the actors."""
-        def make():
+        key = t.label()
+        if key not in self._binders:
             names, doms = [], []
             for name, typ in t.binders.items():
                 names.append(name)
@@ -322,16 +305,16 @@ class _Ctx:
                     doms.append(tuple(
                         boxed(typ, v) for v in
                         scalar_domain(typ, self.bounds, self.self_addr)))
-            return names, doms
-        return self._cached(("binders", id(t)), make)
+            self._binders[key] = names, doms
+        return self._binders[key]
 
-    def moves(self, inst, senders=None, taus: bool = True, witness=None):
-        """(t, sender, step bindings) for each move from inst whose guards
-        pass, in transition and binder order: the tau moves when `taus`,
-        and the input moves from `senders` (every actor when None) whose
-        binders satisfy `witness`, when one is given. A matched sender is
-        one of the guards."""
-        for t in self.tc.transitions_from(inst.skeleton):
+    def moves(self, inst, steps, senders=None, taus: bool = True, witness=None):
+        """(t, sender, step bindings) for each of the steps from inst whose
+        guards pass, in step and binder order: the taus (the time
+        self-loop among them) when `taus`, and the input moves from
+        `senders` (every actor when None) whose binders satisfy `witness`,
+        when one is given. A matched sender is one of the guards."""
+        for t in steps:
             if t.input is None:
                 if taus and enabled(t, inst, {}):
                     yield t, None, {}
@@ -349,14 +332,10 @@ class _Ctx:
                     continue
                 yield t, bindings[t.sender_var], t.action_view(bindings)
 
-    def time_enabled(self, inst) -> bool:
-        """Whether the time transition can fire: some timer is active."""
-        return self.tc.has_timers() and has_active_timer(inst)
-
-    def run_inner(self, t: TypedTransition, inst, bindings, sender, delta,
-                  action=None):
-        pseudo = t if action is None else dc_replace(t, action=action)
-        res = step_instance(self.tc, inst, pseudo, bindings, sender)
+    def run_inner(self, t: TypedTransition, inst, bindings, sender, delta):
+        """The post-state of step t from inst, ticked by delta unless it
+        is None; None when t's action is undefined there."""
+        res = step_instance(self.tc, inst, t, bindings, sender)
         if res is UNDEFINED:
             return None
         post = res[0]
@@ -365,19 +344,11 @@ class _Ctx:
         return post
 
     def deltas(self):
+        """The ticks a step composes with: 1 to one past the timer bound
+        (a step then fires every active timer), or None without timers."""
         if self.tc.has_timers():
-            return tuple(range(1, self.bounds.delta_max + 1))
+            return tuple(range(1, self.bounds.timer_max + 2))
         return (None,)
-
-    def defined_slice(self, t: TypedTransition):
-        """t's action sliced to what its definedness needs."""
-        return self._cached(("defined", id(t)),
-                            lambda: slice_action(t, set(), self.tc)[0])
-
-    def progress_slice(self, t: TypedTransition):
-        """t's action sliced to what the proof reads at its target."""
-        return self._cached(("progress", id(t)),
-                            lambda: progress_slice(t, self.sketch, self.tc))
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +372,10 @@ def _check_initiality(cx: _Ctx, env: dict):
 def _vc_step(cx: _Ctx, inst, env: dict):
     """The post-state of the VC's step from inst under env, None when the
     step is not a transition at this valuation."""
-    vc = cx.vc
-    if vc.is_time:
-        return advance_instance(inst, env.get("__delta", 1))
-    t = vc.transition
+    t = cx.vc.transition
     bindings = {name: boxed(typ, env[name]) for name, typ in t.binders.items()}
     return cx.run_inner(t, inst, t.action_view(bindings), bindings.get(t.sender_var),
-                        env.get("__delta"), vc.action)
+                        env.get("__delta"))
 
 
 def _check_inductive(cx: _Ctx, env: dict):
@@ -438,13 +406,10 @@ def _check_enabledness(cx: _Ctx, env: dict):
     wit = cx.sketch.witness.get(cx.vc.state)
     # without a witness an input transition's existential cannot be
     # discharged: only tau moves count then
-    for t, sender, step_b in cx.moves(inst, None if wit is not None else (),
-                                      witness=wit):
-        if cx.run_inner(t, inst, step_b, sender, None,
-                        cx.defined_slice(t)) is not None:
+    for t, sender, step_b in cx.moves(inst, cx.vc.moves,
+                                      None if wit is not None else (), witness=wit):
+        if cx.run_inner(t, inst, step_b, sender, None) is not None:
             return None
-    if cx.time_enabled(inst):
-        return None
     return "no transition is enabled"
 
 
@@ -478,10 +443,9 @@ def _check_player_move(cx: _Ctx, env: dict):
     if pre_rank is None:
         return "rank is undefined"
     # tau moves belong to the Opponent (the contract)
-    for t, _, step_b in cx.moves(inst, (x,), taus=False,
+    for t, _, step_b in cx.moves(inst, cx.vc.moves, (x,), taus=False,
                                  witness=cx.sketch.witness.get(cx.vc.state)):
-        posts = (cx.run_inner(t, inst, step_b, x, delta, cx.progress_slice(t))
-                 for delta in cx.deltas())
+        posts = (cx.run_inner(t, inst, step_b, x, delta) for delta in cx.deltas())
         if all(post is not None and _progress_ok(cx, t.target, post, pre_rank)
                for post in posts):
             return None
@@ -494,38 +458,27 @@ def _check_opponent_total(cx: _Ctx, env: dict):
     pre_rank = cx.rank_of(cx.vc.state, inst)
     if pre_rank is None:
         return "rank is undefined"
-    # (a) an opponent move is guaranteed: only the contract's own tau
-    # transitions and the time transition are inevitable (other agents may
-    # simply never act).
-    taus = list(cx.moves(inst, ()))
-    time_on = cx.time_enabled(inst)
-    if not time_on and all(
-            cx.run_inner(t, inst, {}, None, None, cx.defined_slice(t)) is None
-            for t, _, _ in taus):
+    # (a) an opponent move is guaranteed: only the contract's own taus
+    # (the time self-loop among them) are inevitable (other agents may
+    # simply never act). A slice keeps every partial statement, so it is
+    # defined exactly where the full action is.
+    taus = list(cx.moves(inst, cx.vc.moves, ()))
+    if all(cx.run_inner(t, inst, {}, None, None) is None for t, _, _ in taus):
         return "no Opponent transition is guaranteed"
 
-    # (b) every opponent move (tau, time, other agents' inputs) stays in
-    # theta and strictly decreases the rank, or lands in the goal.
+    # (b) every opponent move (taus, other agents' inputs) stays in theta
+    # and strictly decreases the rank, or lands in the goal.
     def escape(moves):
         for t, sender, step_b in moves:
             for delta in cx.deltas():
-                post = cx.run_inner(t, inst, step_b, sender, delta,
-                                    cx.progress_slice(t))
+                post = cx.run_inner(t, inst, step_b, sender, delta)
                 if post is not None and \
                         not _progress_ok(cx, t.target, post, pre_rank):
                     return f"opponent move {t.label()} escapes the proof"
         return None
 
-    msg = escape(taus)
-    if msg is not None:
-        return msg
-    if time_on:
-        for delta in cx.deltas():
-            post = advance_instance(inst, delta)
-            if not _progress_ok(cx, cx.vc.state, post, pre_rank):
-                return "time transition escapes the proof"
     others = tuple(a for a in cx.bounds.actor_values() if a != x)
-    return escape(cx.moves(inst, others, taus=False))
+    return escape(taus) or escape(cx.moves(inst, cx.vc.moves, others, taus=False))
 
 
 _CHECKS = {
@@ -607,7 +560,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
     # Address.self uses that these read
     pool = vc.reads
     reads = reads_of(pool)
-    vc = dc_replace(vc, conclusion=tuple(
+    vc = replace(vc, conclusion=tuple(
         expand_quants(e, bounds) for e in vc.conclusion))
     cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
     tc = vc.tc
@@ -659,12 +612,12 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
     if uses_self:
         scalars["__self"] = (cx.self_addr,)
 
-    if tc.timers and (vc.transition is not None or vc.is_time):
+    if tc.timers and vc.transition is not None:
         post_reads = reads_of(vc.conclusion)
         if vc.kind == "RankDecrease":
             post_reads |= reads_of(vc.sketch.reads_at(vc.target))
         if post_reads & set(tc.timers):
-            scalars["__delta"] = tuple(range(1, bounds.delta_max + 1))
+            scalars["__delta"] = cx.deltas()
     if vc.kind in ("PlayerMove", "OpponentTotal") or "__player" in reads:
         scalars["__player"] = bounds.actor_values()
 
@@ -802,16 +755,24 @@ def _interpreted_check(vc: VC, cx: _Ctx):
     return lambda env: _CHECKS[vc.kind](cx, env)
 
 
+def _holds(pred, E) -> bool:
+    """Whether a compiled predicate holds at E; an undefined one does not,
+    as under the runtime evaluator."""
+    try:
+        return pred(E) is True
+    except Undef:
+        return False
+
+
 def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
+    """The leaf obligation as compiled code: env -> message or None, with
+    the interpreted check's message for each failure."""
     if vc.kind == "Sufficiency":
         concl = comp.predicate(list(cx.vc.conclusion))
 
         def check_suff(E):
-            try:
-                return None if concl(E) is True else \
-                    "reject predicate holds at an invariant state"
-            except Undef:
-                return "reject predicate is undefined at an invariant state"
+            return None if _holds(concl, E) else \
+                "reject predicate holds at an invariant state"
         return check_suff
 
     if vc.kind == "RankDefined":
@@ -824,19 +785,15 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
     sender_key = None
     if vc.transition is not None and vc.transition.input is not None:
         sender_key = vc.transition.sender_var
-    rel = comp.relation(() if vc.is_time else vc.action, sender_key)
+    rel = comp.relation(vc.action, sender_key)
 
     if vc.kind == "Inductiveness":
         concl = comp.predicate(list(cx.vc.conclusion))
 
         def check_ind(E):
             E2 = rel(E)
-            if E2 is None:
-                return None
-            try:
-                return None if concl(E2) is True else "assertion is not preserved"
-            except Undef:
-                return "assertion is undefined after the step"
+            return None if E2 is None or _holds(concl, E2) else \
+                "assertion is not preserved"
         return check_ind
 
     assert vc.kind == "RankDecrease"
@@ -852,19 +809,9 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
         if pre is None:
             return "rank is undefined at the source state"
         E2 = rel(E)
-        if E2 is None:
+        if E2 is None or goal_fn is not None and _holds(goal_fn, E2):
             return None
-        try:
-            if goal_fn is not None and goal_fn(E2) is True:
-                return None
-        except Undef:
-            pass
-        try:
-            if theta_fn(E2) is not True:
-                return "rank does not decrease strictly"
-        except Undef:
-            return "rank does not decrease strictly"
-        post = rank_tgt(E2)
+        post = rank_tgt(E2) if _holds(theta_fn, E2) else None
         if post is None or not post < pre:
             return "rank does not decrease strictly"
         return None

@@ -356,16 +356,21 @@ class Machine:
 
     def wake(self) -> list[TxResult]:
         """Run tau closures enabled by a timer advance, one committed
-        pseudo-transaction per instance (mirrors the cascade harness)."""
+        pseudo-transaction per instance (mirrors the cascade harness). An
+        instance with no enabled tau arm is skipped before its snapshot."""
         results = []
         for name in self.order:
-            snapshot = self._snapshot()
+            snapshot = None  # none while only guards have run
             letters: list[Letter] = []
             try:
+                if next(self._enabled_taus(name), None) is None:
+                    continue
+                snapshot = self._snapshot()
                 if self._tau_closure(name, letters):
                     results.append(TxResult("committed", letters=letters))
             except _FAILURES as e:
-                self._restore(snapshot)
+                if snapshot is not None:
+                    self._restore(snapshot)
                 results.append(_reverted(e))
         return results
 
@@ -451,20 +456,28 @@ class Machine:
         finally:
             st.counter -= 1
 
+    def _enabled_taus(self, addr: str):
+        """The tau arms at addr's current state whose guard holds, in
+        order, each tested when the one before it is passed over; an
+        undefined guard does not hold."""
+        ir = self.ir_of(addr)
+        st = self.storages[addr]
+        for arm in ir.taus.get(st.state, ()):
+            try:
+                if arm.when is not None and \
+                        _Eval(ir, st, {}, self.system.word_bits).eval(arm.when) is not True:
+                    continue
+            except Undef:
+                continue
+            yield arm
+
     def _tau_closure(self, addr: str, letters: list) -> bool:
         """Repeat internal transitions until none is enabled, and return
         whether any ran; a tau arm whose body is undefined or whose send is
         refused rolls back and the next arm is tried."""
         ir = self.ir_of(addr)
         for steps in range(10_000):
-            st = self.storages[addr]
-            for arm in ir.taus.get(st.state, ()):
-                ev = _Eval(ir, st, {}, self.system.word_bits)
-                try:
-                    if arm.when is not None and ev.eval(arm.when) is not True:
-                        continue
-                except Undef:
-                    continue
+            for arm in self._enabled_taus(addr):
                 snapshot = self._snapshot()
                 marker = len(letters)
                 try:

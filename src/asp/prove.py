@@ -1,12 +1,12 @@
 """Proof checking: generate the rule's VCs, discharge each, aggregate.
 
 Also hosts two independent oracles over the finitized single-instance
-model (the same model the VCs quantify over: contract transitions compose
-with a >=1 timer tick; `time` self-loops when a timer is active). Their
-moves come from `_Ctx.moves`, the enumerator of the game-rule checks, run
-on full actions rather than slices. Both explore the model once
-(`FiniteModel.explore`) and then solve a reachability game by one least
-fixpoint (`least_fixpoint`):
+model (the same model the VCs quantify over: the steps of
+`vcgen.steps_from`, the `time` self-loop among them, each composed with a
+>=1 timer tick). Their moves come from `_Ctx.moves`, the enumerator of the
+game-rule checks, run on full actions rather than slices. Both explore the
+model once (`FiniteModel.explore`) and then solve a reachability game by
+one least fixpoint (`least_fixpoint`):
 
   reach_search  - every maximal path reaches the goal (no dead ends, no
                   goal-avoiding cycles): goal states absorb, and a state
@@ -25,10 +25,9 @@ from .discharge import (
     Counterexample, DischargeResult, DomainBounds, Unknown, Valid, _Ctx,
     discharge_bounded,
 )
-from .machine import advance_instance
 from .sketch import ProofSketch
 from .typecheck import TypedProgram
-from .vcgen import VC, generate_vcs
+from .vcgen import VC, generate_vcs, steps_from
 
 
 @dataclass
@@ -124,6 +123,7 @@ class FiniteModel:
         self.tc = program.contract(sketch.contract)
         self.bounds = bounds
         self.cx = _Ctx(self.tc, sketch, bounds)
+        self.steps = {s: steps_from(self.tc, s) for s in self.tc.source_states}
         self.initial = init_instance(self.tc, "@" + sketch.contract, params,
                                      creator)
 
@@ -136,9 +136,14 @@ class FiniteModel:
         return g is not None and self.cx.all_true(g, inst, bindings)
 
     def _clamp(self, inst):
-        """Saturating finitization: numeric values stick at the bound so
-        the explored state space stays finite. Exact whenever guards and
-        assertions only compare values below the bound (the corpus)."""
+        """Saturating finitization: numbers stick at +-nat_max, and coin
+        and token amounts at nat_max, so the explored state space stays
+        finite. It is exact only along paths whose values stay within the
+        bound; past it, a successor is a saturated state that the contract
+        need not reach. The valid `auction.asp` has 24 of its 198 reachable
+        states at 3/3/3 violating the refund invariant when clamped, and
+        none unclamped, so a search answer is no claim about a clamped
+        state."""
         from .values import Coin, MapVal, Tok
         n = self.bounds.nat_max
 
@@ -161,20 +166,17 @@ class FiniteModel:
 
     def successors(self, inst):
         """(kind, sender, post) for every finitized move: inputs over
-        bounded binder domains, taus, each composed with every tick; plus
-        the pure time transition. The moves are those of the proof
+        bounded binder domains and taus (the time self-loop among them),
+        each composed with every tick. The moves are those of the proof
         obligations (`_Ctx.moves`), run on the full action."""
         cx = self.cx
         out = []
-        for t, sender, step_b in cx.moves(inst):
+        for t, sender, step_b in cx.moves(inst, self.steps[inst.skeleton]):
             kind = "tau" if t.input is None else "input"
             for delta in cx.deltas():
                 post = cx.run_inner(t, inst, step_b, sender, delta)
                 if post is not None:
                     out.append((kind, sender, self._clamp(post)))
-        if cx.time_enabled(inst):
-            for delta in cx.deltas():
-                out.append(("time", None, advance_instance(inst, delta)))
         return out
 
     def explore(self, state_limit: int, absorbing=lambda inst: False):

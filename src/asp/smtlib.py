@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .ast_nodes import ADDRESS, Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Unop, Var, membership_maps
 from .diagnostics import UsageError
 from .typecheck import ExprChecker, TypedContract, reads_of
-from .vcgen import VC, time_guard
+from .vcgen import VC
 
 
 class EmitUnsupported(Exception):
@@ -433,19 +433,17 @@ def emit_smtlib(vc: VC) -> SmtScript:
         hyp += [em.expr(h, env) for h in vc.hypothesis]
         em.asserts.append(f"(assert (distinct {env['owner']} {em.addr('none')}))")
         em.asserts.append(f"(assert (distinct {env['creator']} {em.addr('none')}))")
-        if vc.is_time or t is not None:
+        if t is not None:
             # the step, composed with a tick of delta >= 1 units
             delta = None
             if tc.has_timers():
                 delta = em.fresh("delta")
                 em.declare(delta, "Int")
                 em.asserts.append(f"(assert (>= {delta} 1))")
-            paths = list(em.exec_action(list(vc.action), dict(env), []))
+            paths = list(em.exec_action(list(t.action), dict(env), []))
             for _, post in paths:
                 if delta is not None:
                     em.tick(post, delta)
-        if vc.is_time:
-            hyp.append(em.expr(time_guard(tc), env))
 
     terms: list[str] = []  # REQUIRED, then one term per path
     if kind == "RankDecrease":
@@ -499,8 +497,6 @@ def _finish(em: _Emitter, vc: VC) -> SmtScript:
     lines.append("(check-sat)")
     if vc.transition is not None:
         trans = vc.transition.label()
-    elif vc.is_time:
-        trans = f"time_{vc.state}"
     elif vc.state is not None:
         trans = vc.state
     else:

@@ -78,8 +78,11 @@ class TypedTransition:
     action: tuple[Stmt, ...]
     idx: int  # textual order within the contract
     pos: Pos = NOPOS
+    is_time: bool = False  # the proof model's time self-loop (vcgen.time_step)
 
     def label(self) -> str:
+        if self.is_time:
+            return f"time@{self.source}"
         if self.msg:
             return f"{self.msg}@{self.source}#{self.idx}"
         return f"tau@{self.source}#{self.idx}"

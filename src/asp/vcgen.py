@@ -2,17 +2,21 @@
 
 Proofs work over SOURCE transitions: each transition's action is one atomic
 relation (the checker builds one obligation per contract transition, so
-compiler-introduced intermediate states never appear in proofs). The proof
-model additionally composes every transition with an implicit >=1-unit
-timer tick, and adds a self-loop `time` transition enabled whenever some
-timer is active: timers measure block progress, which advances whenever any
-transaction runs and on its own between transactions.
+compiler-introduced intermediate states never appear in proofs). In a
+contract with timers the proof model adds, per state, a `time` self-loop
+(`time_step`): a tau with no action, enabled whenever some timer is active.
+Every step composes with an implicit >=1-unit timer tick: timers measure
+block progress, which advances whenever any transaction runs and on its own
+between transactions. Each step of the model is a TypedTransition
+(`steps_from`), and the obligations carry them sliced: a VC's `transition`
+is its step with the action sliced to what the conclusion reads, and a
+state obligation's `moves` are the state's steps, sliced once.
 
 Rule-to-VC map:
-  safety         Initiality, Inductiveness (per transition + time),
+  safety         Initiality, Inductiveness (per step),
                  Sufficiency (only with a `reject =` clause)
   reachability   Initiality, RankDefined, Enabledness (per state),
-                 RankDecrease (per transition + time)
+                 RankDecrease (per step)
   adversarial    Initiality, Inductiveness (invariance), RankDefined,
                  and per state the PlayerMove / OpponentTotal alternatives
                  (a state's progress obligation holds if either does, or if
@@ -20,7 +24,7 @@ Rule-to-VC map:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .ast_nodes import (
@@ -31,11 +35,16 @@ from .sketch import ProofSketch
 from .typecheck import TypedContract, TypedProgram, TypedTransition, reads_of, writes_of
 
 
+# the obligations on a state's moves
+_MOVE_KINDS = ("Enabledness", "PlayerMove", "OpponentTotal")
+
+
 @dataclass
 class VC:
-    """One proof obligation: hypothesis over the pre-state, a relation
-    (one source transition, the time transition, or none), and a
-    kind-specific conclusion."""
+    """One proof obligation: hypothesis over the pre-state, a step of the
+    proof model (a source transition or a state's time self-loop, its
+    action sliced to what the obligation reads; none for an obligation on
+    a state alone), and a kind-specific conclusion."""
 
     name: str
     kind: str  # Initiality | Inductiveness | Sufficiency | RankDefined |
@@ -43,52 +52,56 @@ class VC:
     tc: TypedContract
     sketch: ProofSketch
     state: str | None  # pre-state skeleton (None: initial-state obligation)
-    transition: TypedTransition | None = None
-    is_time: bool = False
+    transition: TypedTransition | None = None  # the sliced step
     hypothesis: tuple[Expr, ...] = ()  # conjuncts over the pre-state
     conclusion: tuple[Expr, ...] = ()  # post-state conjuncts (kind-dependent)
-    action: tuple[Stmt, ...] = ()  # sliced action actually executed
+
+    @property
+    def action(self) -> tuple[Stmt, ...]:
+        """The sliced action the step executes."""
+        return () if self.transition is None else self.transition.action
 
     @property
     def target(self) -> str:
-        """The state after the VC's step: the transition's target, or the
-        VC's own state for the time transition."""
-        return self.state if self.is_time else self.transition.target
+        """The state after the VC's step."""
+        return self.transition.target
+
+    @cached_property
+    def moves(self) -> tuple[TypedTransition, ...]:
+        """A state obligation's moves: the steps from its state, each
+        sliced to what its definedness needs (Enabledness) or to what the
+        proof reads at its target (PlayerMove, OpponentTotal)."""
+        if self.kind not in _MOVE_KINDS:
+            return ()
+        steps = steps_from(self.tc, self.state)
+        if self.kind == "Enabledness":
+            return tuple(sliced(t, set(), self.tc) for t in steps)
+        return tuple(progress_slice(t, self.sketch, self.tc) for t in steps)
 
     @cached_property
     def reads(self) -> tuple[Expr, ...]:
         """Every expression the obligation reads: hypothesis, conclusion,
-        the constructor constraint, its action (or, for a state's
-        obligation, each move's guards and slice, the witness and the time
-        guard) and what the proof reads at the states it visits. The one
-        rule for what finitization enumerates, which actors a VC names and
-        which maps the SMT-LIB export tracks membership of."""
-        tc = self.tc
+        the constructor constraint, its step's action (or, for a state's
+        obligation, each move's guards and action, and the witness) and
+        what the proof reads at the states it visits. The one rule for
+        what finitization enumerates, which actors a VC names and which
+        maps the SMT-LIB export tracks membership of."""
         pool = list(self.hypothesis) + list(self.conclusion)
-        if tc.where is not None:
-            pool.append(tc.where)
+        if self.tc.where is not None:
+            pool.append(self.tc.where)
         states: set[str] = {self.state} if self.state else set()
-        actions = []
+        steps = list(self.moves)
         if self.transition is not None:
-            states.add(self.transition.target)
-            actions.append(self.action)
-        if self.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
-            for t in tc.transitions_from(self.state):
-                pool.extend(t.guards)
-                if self.kind == "Enabledness":
-                    actions.append(slice_action(t, set(), tc)[0])
-                else:
-                    actions.append(progress_slice(t, self.sketch, tc))
-                    states.add(t.target)
-            w = self.sketch.witness.get(self.state)
-            if w is not None:
-                pool.append(w)
-            if tc.has_timers():
-                pool.append(time_guard(tc))
-        for action in actions:
-            pool.extend(stmt_exprs(action))
-            if "owner" in writes_of(action):
+            steps.append(self.transition)
+        for t in steps:
+            states.add(t.target)
+            pool.extend(t.guards)
+            pool.extend(stmt_exprs(t.action))
+            if "owner" in writes_of(t.action):
                 pool.append(Var("owner"))  # change_owner compares it with the sender
+        w = self.sketch.witness.get(self.state)
+        if w is not None and self.kind in _MOVE_KINDS:
+            pool.append(w)
         if self.kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
             for st in states:
                 pool.extend(self.sketch.reads_at(st))
@@ -119,13 +132,28 @@ def _not_goal(goal_conjs) -> tuple[Expr, ...]:
 
 def time_guard(tc: TypedContract) -> Expr:
     """Some timer is active (the time transition's enabling condition)."""
-    if not tc.timers:
-        return Lit(False)
     parts = [Builtin("Timer", "is_active", (Var(n),)) for n in tc.timers]
     out = parts[0]
     for p in parts[1:]:
         out = Binop("||", out, p)
     return out
+
+
+def time_step(tc: TypedContract, state: str) -> TypedTransition:
+    """The time self-loop at a state of a contract with timers: a tau
+    with no action, enabled while some timer is active. Like every step
+    of the model it composes with a tick."""
+    return TypedTransition(
+        source=state, target=state, input=None, msg=None, sender_fresh=False,
+        sender_var="", param_types=(), when=time_guard(tc), access=None, action=(),
+        idx=-1, is_time=True)
+
+
+def steps_from(tc: TypedContract, state: str) -> list[TypedTransition]:
+    """The steps of the proof model from a state: its transitions in
+    order, then its time self-loop when the contract has timers."""
+    steps = tc.transitions_from(state)
+    return steps + [time_step(tc, state)] if tc.has_timers() else steps
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +195,11 @@ def _stmt_total(s: Stmt, tc: TypedContract) -> bool:
     return False
 
 
-def slice_action(t: TypedTransition, needed: set[str], tc: TypedContract):
-    """Backward slice: drop total statements whose writes cannot reach the
-    conclusion. Dropping a partial statement would weaken the relation's
-    definedness constraint, so those are always kept."""
+def sliced(t: TypedTransition, needed: set[str], tc: TypedContract) -> TypedTransition:
+    """t with its action backward-sliced to what `needed` reads: total
+    statements whose writes cannot reach it are dropped. Dropping a
+    partial statement would weaken the relation's definedness
+    constraint, so those are always kept."""
     kept: list[Stmt] = []
     need = set(needed)
     for s in reversed(t.action):
@@ -185,13 +214,13 @@ def slice_action(t: TypedTransition, needed: set[str], tc: TypedContract):
             need |= reads_of(stmt_exprs((s,)))
         # else: dead and total: dropped
     kept.reverse()
-    return tuple(kept), need
+    return replace(t, action=tuple(kept))
 
 
 def progress_slice(t: TypedTransition, sketch: ProofSketch, tc: TypedContract):
-    """t's action sliced to what the proof reads at its target: theta, the
-    goal and the rank."""
-    return slice_action(t, reads_of(sketch.reads_at(t.target)), tc)[0]
+    """t sliced to what the proof reads at its target: theta, the goal and
+    the rank."""
+    return sliced(t, reads_of(sketch.reads_at(t.target)), tc)
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +237,22 @@ def _initiality_vc(tc: TypedContract, sketch: ProofSketch) -> VC:
 
 
 def _invariance_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
-    """theta holds initially and is preserved by every transition and by
-    the time transition: an invariant of the whole contract."""
+    """theta holds initially and is preserved by every step of the model:
+    an invariant of the whole contract. The transitions come first, then
+    the time self-loops."""
     vcs = [_initiality_vc(tc, sketch)]
-    for t in tc.transitions:
+    steps = list(tc.transitions)
+    if tc.has_timers():
+        steps += [time_step(tc, state) for state in tc.source_states]
+    for t in steps:
         theta_post = sketch.theta(t.target)
-        action, _ = slice_action(t, reads_of(theta_post), tc)
         vcs.append(VC(
             name=f"inductive[{tc.name}.{t.label()}]",
             kind="Inductiveness", tc=tc, sketch=sketch, state=t.source,
-            transition=t,
+            transition=sliced(t, reads_of(theta_post), tc),
             hypothesis=sketch.theta(t.source) + t.guards,
             conclusion=theta_post,
-            action=action,
         ))
-    if tc.has_timers():
-        for state in tc.source_states:
-            vcs.append(VC(
-                name=f"inductive[{tc.name}.time@{state}]",
-                kind="Inductiveness", tc=tc, sketch=sketch, state=state,
-                is_time=True,
-                hypothesis=sketch.theta(state) + (time_guard(tc),),
-                conclusion=sketch.theta(state),
-            ))
     return vcs
 
 
@@ -278,20 +300,12 @@ def gen_reachability_vcs(tc: TypedContract, sketch: ProofSketch) -> list[VC]:
             kind="Enabledness", tc=tc, sketch=sketch, state=state,
             hypothesis=pending,
         ))
-        for t in tc.transitions_from(state):
+        for t in steps_from(tc, state):
             vcs.append(VC(
                 name=f"rank_decrease[{tc.name}.{t.label()}]",
                 kind="RankDecrease", tc=tc, sketch=sketch, state=state,
-                transition=t,
+                transition=progress_slice(t, sketch, tc),
                 hypothesis=pending + t.guards,
-                action=progress_slice(t, sketch, tc),
-            ))
-        if tc.has_timers():
-            vcs.append(VC(
-                name=f"rank_decrease[{tc.name}.time@{state}]",
-                kind="RankDecrease", tc=tc, sketch=sketch, state=state,
-                is_time=True,
-                hypothesis=pending + (time_guard(tc),),
             ))
     return vcs
 

@@ -284,6 +284,44 @@ def test_dispatch_revert_writes_nothing(monkeypatch):
     assert m.storage_hash() == pre and snapshots
 
 
+CLOCK = """
+contract Clock() {
+  msg arm(nat);
+  var t: timer;
+  var k: int;
+  initial S;
+  state S:
+  | a??arm(d) -> S { Timer.set(t, d); }
+  | when Timer.has_fired(t) -> Rung { }
+  | when Timer.value(t) * k > 0 -> S { }
+  state Rung:
+}
+"""
+
+
+def test_wake_snapshots_only_an_instance_with_an_enabled_tau(monkeypatch):
+    """`wake` runs the tau closure of each instance; one whose tau guards
+    are all false or undefined is passed over without a snapshot, and one
+    whose guard overflows reverts without one."""
+    m = Machine(lower(typecheck(parse_program(CLOCK)), 1, 8),
+                [("c", "Clock", {}, "al"), ("d", "Clock", {}, "al")])
+    snapshots = []
+    snapshot = Machine._snapshot
+    monkeypatch.setattr(Machine, "_snapshot", lambda self: snapshots.append(1) or snapshot(self))
+    assert m.wake() == [] and not snapshots  # both timers off
+    assert m.transact("c", "arm", "bob", (2,)).committed and m.advance(3)
+    snapshots.clear()
+    res = m.wake()  # c has fired; d is passed over
+    assert [r.status for r in res] == ["committed"] and len(snapshots) == 2
+    assert (m.storages["c"].state, m.storages["d"].state) == ("Rung", "S")
+    d = m.storages["d"]
+    d.vars["t"], d.vars["k"] = ("active", 50), 100
+    snapshots.clear()
+    res = m.wake()  # d's value guard overflows at 8 bits
+    assert [(r.status, r.reason) for r in res] == [("reverted", "Overflow")]
+    assert not snapshots
+
+
 def test_refused_tau_send_tries_the_next_tau_arm():
     """A nested call that no arm of the callee takes fails softly inside
     the tau closure: the sending tau arm rolls back and the next is run."""

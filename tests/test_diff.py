@@ -284,12 +284,41 @@ contract Ops() issues Token(6) {
 """
 
 
-@pytest.mark.parametrize("word_bits", [256, 8])
-def test_operations_agree_with_the_cascade(word_bits, monkeypatch):
-    """Token burn, change_owner, timer reset and value, nat and int
-    subtraction, `*`, `%`, comparisons and the boolean connectives commit
-    on the IR interpreter as on the cascade."""
-    prog = typecheck(parse_program(OPS))
+READS = """
+contract Rd() issues Token(6) {
+  msg add(int), get(nat), put, flip, mint(nat), arm(nat), look, who;
+  var s: seq[int];
+  var p: tuple[int, bool];
+  var pot: token;
+  var t: timer;
+  var n: int;
+  var w: address;
+  var ok: bool;
+  initial S;
+  state S:
+  | a??add(k) -> S { Seq.append(s, k); Tuple.set(p, 0, k); }
+  | a??get(i) -> S { n = Seq.get(s, i) + Tuple.get(p, 0); }
+  | a??put -> S { Seq.set(s, 1, Seq.get(s, 0)); }
+  | a??flip -> S { Tuple.set(p, 1, !Tuple.get(p, 1)); }
+  | a??mint(k) -> S { Token.issue(k, pot); }
+  | a??arm(k) -> S { Timer.reset(t); Timer.set(t, k); }
+  | a??look -> S { n = Token.value(pot); ok = Timer.is_off(t); }
+  | a??who -> S { w = Address.self; ok = creator == a; }
+}
+"""
+
+
+@pytest.mark.parametrize("source, word_bits", [
+    pytest.param(OPS, 256, id="256"), pytest.param(OPS, 8, id="8"),
+    pytest.param(READS, 256, id="reads-256"), pytest.param(READS, 8, id="reads-8"),
+])
+def test_operations_agree_with_the_cascade(source, word_bits, monkeypatch):
+    """Every message commits on the IR interpreter as on the cascade. OPS:
+    token burn, change_owner, timer reset and value, nat and int
+    subtraction, `*`, `%`, comparisons and the boolean connectives. READS:
+    sequence and tuple reads and element writes, `Token.value`,
+    `Timer.is_off`, `Address.self` and `creator`."""
+    prog = typecheck(parse_program(source))
     committed = set()
     transact = Machine.transact
 
@@ -299,10 +328,11 @@ def test_operations_agree_with_the_cascade(word_bits, monkeypatch):
             committed.add(msg)
         return res
     monkeypatch.setattr(Machine, "transact", spy)
-    report = differential_check(prog, [NewItem("o", "Ops", (), "own", 0)],
+    tc = next(iter(prog.contracts.values()))
+    report = differential_check(prog, [NewItem("o", tc.name, (), "own", 0)],
                                 R=1, word_bits=word_bits, trials=60, seed=1)
     assert report.clean and report.overflow_gaps == 0, report.to_json()
-    assert committed == {"mint", "burn", "hand", "arm", "read", "calc"}
+    assert committed == set(tc.msg_sigs)
 
 
 TAKE = """

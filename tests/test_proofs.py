@@ -544,7 +544,7 @@ def test_engine_agrees_on_negative_rank_component():
         ("rank_decrease[Neg.go@A#0]", "counterexample")]
 
 
-# Three proofs whose verdict a fault in code both routes share would flip:
+# Four proofs whose verdict a fault in code both routes share would flip:
 # the leaf checks of PlayerMove and OpponentTotal (which the engine takes
 # from the oracle) and vcgen's action slicing. Engine and oracle agree on
 # each; the comments name the fault each verdict catches.
@@ -603,6 +603,28 @@ contract Tv() {
 }
 """
 
+ARMED = """
+contract Tm() {
+  msg arm, go;
+  var t: timer;
+  initial S;
+  state S:
+  | a??arm when Timer.is_off(t) -> S { Timer.set(t, 2); }
+  | a??go -> G { }
+  state G:
+}
+"""
+
+ARMED_ESCAPE = """
+adversarial a(1) {
+  player = x
+  goal = { @G true }
+  invariant = { @S Timer.is_active(t) }
+  rank = { @S | (1)  @G | (0) }
+  witness = { @S a == x }
+}
+"""
+
 
 @pytest.mark.parametrize("source, sketch, bounds, vc, status, message", [
     # the player's go must make progress for every time delta: after a delta
@@ -618,8 +640,12 @@ contract Tv() {
     # (a slice that drops it says counterexample)
     (TIMER_READ, "safety s { always !done || !Timer.is_off(t) }", SMALL,
      "inductive[Tv.go@S#0]", "valid", None),
+    # time is an Opponent move: a tick from t = active(1) fires the timer
+    # and leaves theta at S (skipping the time step says valid)
+    (ARMED, ARMED_ESCAPE, DomainBounds(2, 1, 2), "opponent_total[Tm.S]",
+     "counterexample", "opponent move time@S escapes the proof"),
 ], ids=["player_move_every_delta", "opponent_total_other_agents",
-        "slice_keeps_partial_statement"])
+        "slice_keeps_partial_statement", "opponent_total_time_step"])
 def test_verdict_of_shared_proof_rule(source, sketch, bounds, vc, status, message):
     """The pinned verdict, on which engine and oracle agree; a fault in the
     rule both routes share changes it on both."""
@@ -632,8 +658,9 @@ def test_verdict_of_shared_proof_rule(source, sketch, bounds, vc, status, messag
 
 # Leaf branches that no corpus proof reaches, on both routes: a step that
 # leaves theta (UP) or, with a division, makes it undefined (and is itself
-# undefined at k == 0), a state where no transition is enabled (GATE), and
-# a valid and a refuted sufficiency (CNT).
+# undefined at k == 0), a state where no transition is enabled (GATE), a
+# valid and a refuted sufficiency (CNT), and an assertion or a reject
+# predicate that is undefined (ZERO), which fails as a false one does.
 UP = """
 contract Up() {
   msg go%s;
@@ -669,6 +696,17 @@ contract Cnt() {
 """
 
 
+ZERO = """
+contract C() {
+  msg go;
+  var x: nat := 1;
+  initial S;
+  state S:
+  | a??go -> S { x = 0; }
+}
+"""
+
+
 def _up_rank(theta):
     return "reachability up(1) { goal = { } invariant = { @A %s } " \
         "rank = { @A | (3 - x) } witness = { @A true } }" % theta
@@ -686,8 +724,13 @@ def _up_rank(theta):
      {"enabled[Gate.A]": "no transition is enabled"}),
     (CNT, "safety low { @A x == 0  @B x <= 2  reject = x == 2 }", SMALL,
      {"sufficiency[Cnt.B]": "reject predicate holds at an invariant state"}),
+    (ZERO, "safety s { always 4 / x >= 1 }", DomainBounds(2, 2, 1),
+     {"inductive[C.go@S#0]": "assertion is not preserved"}),
+    (ZERO, "safety s { always x >= 0  reject = 4 / x == 0 }", DomainBounds(2, 2, 1),
+     {"sufficiency[C.S]": "reject predicate holds at an invariant state"}),
 ], ids=["rank_decrease_leaves_theta", "rank_decrease_theta_undefined",
-        "enabledness_none_enabled", "sufficiency"])
+        "enabledness_none_enabled", "sufficiency", "assertion_undefined_after_step",
+        "reject_undefined"])
 def test_engine_agrees_on_leaf_branch(source, sketch, bounds, refuted):
     """Engine and oracle agree on each VC, the refuted ones being exactly
     those pinned, with their message on both routes."""
