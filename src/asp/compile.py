@@ -5,8 +5,8 @@ Proof verdicts come from two independent routes. The engine prunes,
 propagates and checks its high-volume leaves with the code generated
 here; its oracle (raw enumeration) and counterexample replay evaluate
 everything with the runtime evaluator (machine.eval_expr over boxed
-instances). Leaf obligations outside the compiled fragment (initiality,
-the game-rule obligations) use the runtime evaluator on both routes.
+instances). Only the Initiality leaf and a leaf outside the compiled
+fragment (`CannotCompile`) use the runtime evaluator on both routes.
 
 The engine's hot loop touches hundreds of thousands of valuations, so
 hypothesis conjuncts, their equality-forcing targets, transition
@@ -333,23 +333,23 @@ class Compiler:
         return self.function("\n".join(body), name="_rel")
 
     def rank(self, cases):
-        """Compile rank cases (sketch `RankCase`s) into E -> tuple|None;
-        a rank with a component below zero is undefined."""
+        """Compile rank cases (sketch `RankCase`s) into E -> tuple|None:
+        the first case whose condition is true (an undefined condition
+        skips its case) gives the rank, which is undefined when a
+        component is undefined or below zero."""
         if cases is None:
             return lambda E: None
-        lines = ["def _rank(E):", "    try:"]
+        lines = ["def _rank(E):"]
         for case in cases:
             tup = ", ".join(self.expr(x) for x in case.exprs)
-            ret = f"return _t if min(_t := ({tup},)) >= 0 else None"
+            ret = ["try:", f"    return _t if min(_t := ({tup},)) >= 0 else None",
+                   "except Undef:", "    return None"]
             if case.cond is None:
-                lines.append(f"        {ret}")
+                lines.extend("    " + line for line in ret)
                 break
-            lines.append(f"        if ({self.expr(case.cond)}) is True:")
-            lines.append(f"            {ret}")
-        else:
-            lines.append("        return None")
-        lines.append("    except Undef:")
-        lines.append("        return None")
+            lines.extend(["    try:", f"        _k = ({self.expr(case.cond)}) is True",
+                          "    except Undef:", "        _k = False", "    if _k:"])
+            lines.extend("        " + line for line in ret)
         lines.append("    return None")
         return self.function("\n".join(lines), name="_rank")
 

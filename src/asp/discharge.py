@@ -28,14 +28,16 @@ Each verdict has two independent routes:
   `checked` stays the size of the raw product. They share the engine's
   finitization (`_finitize`) but never its compiled code.
 
-Leaf obligations outside the compiled fragment (initiality, the game-rule
-obligations, whose inner searches are tiny) use the runtime evaluator on
-both routes. A step of the proof model, the time self-loop included, is a
-transition that vcgen built and sliced, so no check here special-cases
-time or slices an action. The game-rule checks enumerate the VC's `moves`
-with `_Ctx.moves`, the same enumerator the state searches of the prove
-module run on the full steps, so guards and binder domains are described
-once.
+Only Initiality, whose problem has no map layout for the compiler, and a
+leaf outside the compiled fragment (`CannotCompile`, e.g. a `Tuple.ref`
+or `Seq.ref` drain) use the runtime evaluator on the engine route too. A step
+of the proof model, the time self-loop included, is a transition that
+vcgen built and sliced, so no check here special-cases time or slices an
+action. The interpreted move checks (Enabledness, PlayerMove,
+OpponentTotal) enumerate the VC's `moves` with `_Ctx.moves`, the same
+enumerator the state searches of the prove module run on the full steps;
+their compiled twins (`_CompiledMoves`) enumerate the same steps, binders
+and domains in the same order over the flat env.
 """
 from __future__ import annotations
 
@@ -352,7 +354,7 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# Interpreted leaf checks (game obligations, oracle, replay)
+# Interpreted leaf checks (oracle, replay, the engine's Initiality)
 # ---------------------------------------------------------------------------
 
 
@@ -491,9 +493,6 @@ _CHECKS = {
     "PlayerMove": _check_player_move,
     "OpponentTotal": _check_opponent_total,
 }
-
-# boxed instances are expensive; these high-volume kinds get compiled checks
-_COMPILED_KINDS = ("Inductiveness", "Sufficiency", "RankDefined", "RankDecrease")
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +738,11 @@ def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
 
 
 def _make_check(vc: VC, cx: _Ctx, comp: Compiler):
-    """(leaf obligation, whether it is compiled): compiled for the flat
-    high-volume kinds, the runtime evaluator otherwise."""
-    if vc.kind in _COMPILED_KINDS:
+    """(leaf obligation, whether it is compiled): compiled for every kind
+    but Initiality, whose problem has no map layout for the compiler; the
+    runtime evaluator for it and for a leaf outside the compiled
+    fragment."""
+    if vc.kind != "Initiality":
         try:
             return _compiled_check(vc, cx, comp), True
         except CannotCompile:
@@ -782,10 +783,12 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
             return None if rank_fn(E) is not None else "rank is undefined"
         return check_rd
 
-    sender_key = None
-    if vc.transition is not None and vc.transition.input is not None:
-        sender_key = vc.transition.sender_var
-    rel = comp.relation(vc.action, sender_key)
+    if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
+        cm = _CompiledMoves(vc, cx, comp)
+        return {"Enabledness": cm.enabledness, "PlayerMove": cm.player_move,
+                "OpponentTotal": cm.opponent_total}[vc.kind]
+
+    rel = comp.relation(vc.action, vc.transition.sender_var)
 
     if vc.kind == "Inductiveness":
         concl = comp.predicate(list(cx.vc.conclusion))
@@ -816,6 +819,135 @@ def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
             return "rank does not decrease strictly"
         return None
     return check_dec
+
+
+def _witnessed(pred, E) -> bool:
+    """Whether a witness holds at E. One that is undefined, or names a
+    binder of another move (a name E lacks), does not: the runtime
+    evaluator reads that name as undefined and skips the move."""
+    try:
+        return pred(E) is True
+    except (Undef, KeyError):
+        return False
+
+
+@dataclass(frozen=True)
+class _Move:
+    """A step of a state obligation's moves, compiled: its binder names
+    and flat domains (the sender over the actors), guards and relation."""
+    t: TypedTransition
+    names: tuple
+    doms: tuple
+    guards: object
+    rel: object
+
+
+class _CompiledMoves:
+    """The leaf checks of Enabledness, PlayerMove and OpponentTotal as
+    compiled code over the flat env, each with its interpreted twin's
+    messages and order. Built once per VC: each step of `VC.moves`, the
+    state's witness and, for the game rules, the source rank and per
+    target state the goal, theta and rank that `check_dec` reads too."""
+
+    def __init__(self, vc: VC, cx: _Ctx, comp: Compiler):
+        self.actors = cx.bounds.actor_values()
+        self.deltas = cx.deltas()
+        self.remaining = vc.tc.issue_limit if vc.tc.issues else None
+        wit = cx.sketch.witness.get(vc.state)
+        self.witness = None if wit is None else comp.predicate((wit,))
+        self.steps = [_Move(t, tuple(t.binders), tuple(
+            self.actors if name == t.sender_var
+            else scalar_domain(typ, cx.bounds, cx.self_addr)
+            for name, typ in t.binders.items()),
+            comp.predicate(t.guards), comp.relation(t.action, t.sender_var))
+            for t in vc.moves]
+        if vc.kind == "Enabledness":
+            return
+        self.rank = comp.rank(cx.sketch.rank.get(vc.state))
+        self.targets = {}
+        for target in dict.fromkeys(t.target for t in vc.moves):
+            goal = cx.sketch.goal_at(target)
+            self.targets[target] = (
+                None if goal is None else comp.predicate(list(goal)),
+                comp.predicate(list(cx.sketch.theta(target))),
+                comp.rank(cx.sketch.rank.get(target)))
+
+    def moves(self, E, senders=None, taus: bool = True, witness=None):
+        """(move, env) for each step from E whose guards hold, in step and
+        binder order, as `_Ctx.moves`: the taus when `taus`, and the input
+        moves from `senders` (every actor when None) whose binders satisfy
+        `witness`, when one is given. Each env is a fresh copy of E with
+        the move's binders bound."""
+        for m in self.steps:
+            if m.t.input is None:
+                if taus and _holds(m.guards, E):
+                    yield m, dict(E)
+                continue
+            doms = m.doms
+            if senders is not None:
+                doms = [tuple(a for a in d if a in senders)
+                        if n == m.t.sender_var else d for n, d in zip(m.names, doms)]
+            for combo in itertools.product(*doms):
+                E2 = dict(E)
+                E2.update(zip(m.names, combo))
+                if witness is not None and not _witnessed(witness, E2):
+                    continue
+                if _holds(m.guards, E2):
+                    yield m, E2
+
+    def post(self, m: _Move, E2: dict, delta):
+        """The env after move m from E2, ticked by delta unless it is
+        None; None when the move's action is undefined there. The supply
+        left to issue is the contract's limit unless a key holds it, as on
+        the boxed instance."""
+        E2["__delta"] = delta
+        E2.setdefault("__remaining", self.remaining)
+        return m.rel(E2)
+
+    def progress(self, target: str, post: dict, pre_rank: tuple) -> bool:
+        """`_progress_ok` on the flat env: the goal holds at the target,
+        or theta holds and the rank strictly decreases."""
+        goal, theta, rank = self.targets[target]
+        if goal is not None and _holds(goal, post):
+            return True
+        if not _holds(theta, post):
+            return False
+        post_rank = rank(post)
+        return post_rank is not None and post_rank < pre_rank
+
+    def enabledness(self, E):
+        senders = None if self.witness is not None else ()
+        for m, E2 in self.moves(E, senders, witness=self.witness):
+            if self.post(m, E2, None) is not None:
+                return None
+        return "no transition is enabled"
+
+    def player_move(self, E):
+        x = E["__player"]
+        pre_rank = self.rank(E)
+        if pre_rank is None:
+            return "rank is undefined"
+        for m, E2 in self.moves(E, (x,), taus=False, witness=self.witness):
+            if all(post is not None and self.progress(m.t.target, post, pre_rank)
+                   for post in (self.post(m, E2, d) for d in self.deltas)):
+                return None
+        return "no Player move makes progress"
+
+    def opponent_total(self, E):
+        x = E["__player"]
+        pre_rank = self.rank(E)
+        if pre_rank is None:
+            return "rank is undefined"
+        taus = list(self.moves(E, ()))
+        if all(self.post(m, E2, None) is None for m, E2 in taus):
+            return "no Opponent transition is guaranteed"
+        others = tuple(a for a in self.actors if a != x)
+        for m, E2 in itertools.chain(taus, self.moves(E, others, taus=False)):
+            for delta in self.deltas:
+                post = self.post(m, E2, delta)
+                if post is not None and not self.progress(m.t.target, post, pre_rank):
+                    return f"opponent move {m.t.label()} escapes the proof"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -1003,8 +1135,20 @@ def _free_actors(vc: VC, prob: _Problem, domains: dict) -> tuple:
     its expressions before quantifier expansion, or the value of a domain
     pinned to one value (an independent-tail witness). Every other domain
     is closed under permuting the actors, and compiled code reads no
-    default actor, so swapping two free actors maps the domains, the
-    compiled hypothesis and the compiled leaf check onto themselves."""
+    default actor (`creator` and `owner`, which the boxed side defaults to
+    P0, are read only when they are keys), so swapping two free actors
+    maps the domains and the compiled hypothesis onto themselves.
+
+    It maps each compiled leaf check onto itself too. Inductiveness,
+    Sufficiency, RankDefined and RankDecrease read the env alone. The
+    move obligations (`_CompiledMoves`) also enumerate moves: the sender
+    over all actors, every other address binder over `none` and the
+    actors, and for OpponentTotal the other actors, all actors but the
+    value of the key `__player`. A swap of two actors that the env does
+    not hold maps each of these sets, and so each step's binder combos,
+    onto itself. Each check asks whether some or every combo of a step
+    passes, step by step, and a failure's message names at most the step,
+    which the swap fixes; so its answer is the same."""
     actors = prob.cx.bounds.actor_values()
     named = set()
     for e in vc.reads:

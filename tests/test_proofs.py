@@ -6,15 +6,15 @@ import pytest
 
 from asp.diagnostics import SketchError
 from asp.discharge import (
-    Counterexample, DomainBounds, Valid, discharge_bounded, discharge_naive,
-    replay_counterexample,
+    Counterexample, DomainBounds, Valid, _compile, _finitize, discharge_bounded,
+    discharge_naive, replay_counterexample,
 )
 from asp.parser import parse_program
 from asp.prove import check_proof, game_solve, reach_search
 from asp.sketch import parse_proof_sketch
 from asp.typecheck import typecheck
 from asp.vcgen import generate_vcs
-from conftest import CRITERION_9_PAIRS, load
+from conftest import CRITERION_9_PAIRS, load, typed
 from test_diff import KEYED
 from pins import PINNED, PINS_FILE, results
 
@@ -544,10 +544,10 @@ def test_engine_agrees_on_negative_rank_component():
         ("rank_decrease[Neg.go@A#0]", "counterexample")]
 
 
-# Four proofs whose verdict a fault in code both routes share would flip:
-# the leaf checks of PlayerMove and OpponentTotal (which the engine takes
-# from the oracle) and vcgen's action slicing. Engine and oracle agree on
-# each; the comments name the fault each verdict catches.
+# Four proofs whose verdict a fault in the leaf checks of PlayerMove and
+# OpponentTotal (the oracle's or the engine's compiled twin) or in vcgen's
+# action slicing, which both routes read, would flip. Engine and oracle
+# agree on each; the comments name the fault each verdict catches.
 STEPS = """
 contract P() {
   msg go;
@@ -647,8 +647,9 @@ adversarial a(1) {
 ], ids=["player_move_every_delta", "opponent_total_other_agents",
         "slice_keeps_partial_statement", "opponent_total_time_step"])
 def test_verdict_of_shared_proof_rule(source, sketch, bounds, vc, status, message):
-    """The pinned verdict, on which engine and oracle agree; a fault in the
-    rule both routes share changes it on both."""
+    """The pinned verdict, on which engine and oracle agree; a fault in one
+    route's leaf check splits them, and one in the slicing both routes read
+    changes it on both."""
     prog = typecheck(parse_program(source))
     fast, _ = _agree(prog, parse_proof_sketch(sketch, prog), bounds)
     r = {x.vc: x for x in fast}[vc]
@@ -707,6 +708,48 @@ contract C() {
 """
 
 
+# a rank case whose condition is undefined (at x == 0) is skipped, as
+# under the runtime evaluator: the next case ranks A
+PARTIAL_CASE = """
+contract C() {
+  msg go;
+  var x: nat := 1;
+  initial A;
+  state A:
+  | a??go -> B { x = x + 1; }
+  state B:
+}
+"""
+
+# the witness names n, which stop binds and go does not: for go it is
+# undefined, so go is no witness move even where it is enabled (k == 2)
+OTHER_BINDER = """
+contract W() {
+  msg go, stop(nat);
+  var k: nat;
+  initial S;
+  state S:
+  | a??go when k > 0 -> S { k = k - 1; }
+  | b??stop(n) when n > k -> G { }
+  state G:
+}
+"""
+
+
+# issuing 4 exceeds the supply of 3 that a move starts from on both
+# routes, so the witness move is undefined
+CAPPED_ISSUE = """
+contract Cap() issues Token(3) {
+  msg go(nat);
+  var pot: token;
+  initial A;
+  state A:
+  | x??go(n) -> B { Token.issue(n, pot); }
+  state B:
+}
+"""
+
+
 def _up_rank(theta):
     return "reachability up(1) { goal = { } invariant = { @A %s } " \
         "rank = { @A | (3 - x) } witness = { @A true } }" % theta
@@ -728,9 +771,20 @@ def _up_rank(theta):
      {"inductive[C.go@S#0]": "assertion is not preserved"}),
     (ZERO, "safety s { always x >= 0  reject = 4 / x == 0 }", DomainBounds(2, 2, 1),
      {"sufficiency[C.S]": "reject predicate holds at an invariant state"}),
+    (PARTIAL_CASE, "reachability r(1) { goal = { @B true } "
+     "rank = { @A | (1) if 4 / x == 1 | (2)  @B | (0) } "
+     "witness = { @A a != Address.none } }", DomainBounds(2, 2, 1), {}),
+    (OTHER_BINDER, "reachability r(1) { goal = { @G true } "
+     "rank = { @S | (1)  @G | (0) } witness = { @S n > k } }", DomainBounds(2, 2, 1),
+     {"enabled[W.S]": "no transition is enabled",
+      "rank_decrease[W.go@S#0]": "rank does not decrease strictly"}),
+    (CAPPED_ISSUE, "reachability r(1) { goal = { @B true } "
+     "rank = { @A | (1)  @B | (0) } witness = { @A n > 3 } }", DomainBounds(2, 4, 1),
+     {"enabled[Cap.A]": "no transition is enabled"}),
 ], ids=["rank_decrease_leaves_theta", "rank_decrease_theta_undefined",
         "enabledness_none_enabled", "sufficiency", "assertion_undefined_after_step",
-        "reject_undefined"])
+        "reject_undefined", "rank_case_condition_undefined",
+        "witness_names_another_binder", "move_issues_beyond_supply"])
 def test_engine_agrees_on_leaf_branch(source, sketch, bounds, refuted):
     """Engine and oracle agree on each VC, the refuted ones being exactly
     those pinned, with their message on both routes."""
@@ -971,17 +1025,52 @@ def test_oracle_results_pinned(bounds):
     _assert_pinned("oracle", bounds)
 
 
+# -- the move obligations at the proof bounds ---------------------------------
+
+MOVE_KINDS = ("Enabledness", "PlayerMove", "OpponentTotal")
+
+
+def _corpus_vcs(kinds):
+    for contract, proof in CRITERION_9_PAIRS:
+        prog = typed(contract)
+        yield from (vc for vc in generate_vcs(prog, parse_proof_sketch(load(proof), prog))
+                    if vc.kind in kinds)
+
+
+def test_move_obligations_agree_at_proof_bounds():
+    """At 3/4/4 the engine and the oracle give each corpus Initiality,
+    Enabledness, PlayerMove and OpponentTotal VC the same status, and a
+    refuted one the same valuation and message."""
+    def answer(r):
+        cex = isinstance(r, Counterexample)
+        return r.status, r.valuation if cex else None, r.message if cex else None
+
+    vcs = list(_corpus_vcs(("Initiality",) + MOVE_KINDS))
+    assert len(vcs) == 22
+    for vc in vcs:
+        assert answer(discharge_bounded(vc, BOUNDS)) == \
+            answer(discharge_naive(vc, BOUNDS)), vc.name
+
+
+@pytest.mark.parametrize("bounds", PINNED["engine"])
+def test_move_obligations_compiled(bounds):
+    """Every corpus move obligation checks its leaves with compiled code."""
+    for vc in _corpus_vcs(MOVE_KINDS):
+        assert _compile(_finitize(vc, DomainBounds.parse(bounds)))[2], vc.name
+
+
 # -- liveness answers pinned --------------------------------------------------
 
 # The engine's total leaf count over the valid VCs and the failing VCs of
-# each liveness proof at SMALL. The game-rule checks enumerate moves, guards
-# and slices through the runtime evaluator; a change there shows here.
+# each liveness proof at SMALL. The move obligations' compiled checks
+# enumerate moves, guards and slices, under the actor-symmetry cut; a
+# change there shows here.
 LIVENESS = {
-    ("auction.asp", "auction_closed.aspproof"): (209, []),
-    ("vending_fixed.asp", "vending_lockout.aspproof"): (74, [
+    ("auction.asp", "auction_closed.aspproof"): (151, []),
+    ("vending_fixed.asp", "vending_lockout.aspproof"): (53, [
         "opponent_total[VendingMachine.Choose]",
         "player_move[VendingMachine.Deliver]"]),
-    ("vending_machine.asp", "vending_lockout_original.aspproof"): (38, [
+    ("vending_machine.asp", "vending_lockout_original.aspproof"): (35, [
         "opponent_total[VendingMachine.Choose]",
         "opponent_total[VendingMachine.Halt]",
         "player_move[VendingMachine.Choose]",
