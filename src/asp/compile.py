@@ -94,12 +94,16 @@ class CannotCompile(Exception):
 
 class Compiler:
     """Compiles expressions/statements against a contract's variable layout.
-    `maps` gives (flat default, key set) per map variable."""
+    `maps` gives (flat default, key set) per map variable, and `timer_vars`
+    the timers a relation ticks. `code_cache`, when given, maps each source
+    to its code object, so that compilers sharing it compile a source once;
+    each function still gets a namespace of its own."""
 
     def __init__(self, maps: dict[str, tuple], self_addr: str,
-                 timer_vars: tuple[str, ...]):
+                 timer_vars: tuple[str, ...], code_cache: dict | None = None):
         self.self_addr = self_addr
         self.timer_vars = timer_vars
+        self.code_cache = code_cache
         self.consts: dict[str, object] = {}
         # name -> (default, keyset const name)
         self.map_meta = {name: (default, self.const(frozenset(keys)))
@@ -356,7 +360,12 @@ class Compiler:
     def function(self, source: str, name: str = "_f"):
         ns = dict(PRELUDE)
         ns.update(self.consts)
-        exec(source, ns)  # generated from the checked AST only
+        code = source
+        if self.code_cache is not None:
+            code = self.code_cache.get(source)
+            if code is None:
+                code = self.code_cache[source] = compile(source, "<string>", "exec")
+        exec(code, ns)  # generated from the checked AST only
         fn = ns[name]
         fn._source = source
         return fn

@@ -47,7 +47,7 @@ from functools import cached_property
 
 from .ast_nodes import (
     Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Var,
-    children, map_children, membership_maps, stmt_exprs, walk_stmts,
+    children, map_children, membership_maps, stmt_exprs,
 )
 from .compile import ABSENT, CannotCompile, Compiler
 from .machine import (
@@ -620,9 +620,7 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
     if vc.kind in ("PlayerMove", "OpponentTotal") or "__player" in reads:
         scalars["__player"] = bounds.actor_values()
 
-    if tc.issues and tc.issue_limit is not None and any(
-            isinstance(s, OpStmt) and s.ns == "Token" and s.op in ("issue", "burn")
-            for s in walk_stmts(vc.action)):
+    if tc.issues and tc.issue_limit is not None and "__remaining" in reads:
         scalars["__remaining"] = tuple(range(0, min(tc.issue_limit, bounds.nat_max) + 1))
 
     # hypothesis: expand quantifiers, split conjunctions, then add the
@@ -684,11 +682,15 @@ class _Conjunct:
     force: tuple | None  # (guards, targets) for _forced, if an equality
 
 
-def _compile(prob: _Problem):
+def _compile(prob: _Problem, code_cache: dict | None = None):
     """(compiled hypothesis conjuncts, leaf check, whether the leaf check
-    is compiled) of a problem."""
+    is compiled) of a problem. A relation ticks only the timers that the
+    problem enumerates: the others stay as the boxed instance has them,
+    off, which a tick leaves alone."""
     comp = Compiler({m.name: (m.default, m.keys) for m in prob.maps.values()},
-                    prob.cx.self_addr, prob.vc.tc.timers)
+                    prob.cx.self_addr,
+                    tuple(t for t in prob.vc.tc.timers if t in prob.domains),
+                    code_cache)
     conjuncts = [_compile_conjunct(comp, prob.maps, e) for e in prob.hypothesis]
     return (conjuncts, *_make_check(prob.vc, prob.cx, comp))
 
@@ -1175,15 +1177,18 @@ def _independent_tail(prob: _Problem, conjuncts: list) -> dict[int, set]:
         tail = keep
 
 
-def discharge_bounded(vc: VC, bounds: DomainBounds) -> DischargeResult:
+def discharge_bounded(vc: VC, bounds: DomainBounds,
+                      code_cache: dict | None = None) -> DischargeResult:
     """Exhaustively enumerate the finitized context; Valid iff no valuation
     satisfies hypothesis && relation && !conclusion. The independent tail
-    is solved once, first, and its witness pins its variables."""
+    is solved once, first, and its witness pins its variables. Calls that
+    share a `code_cache` (source -> code object) compile each generated
+    source once."""
     if _preserved(vc):
         return Valid(vc.name, 0)
     try:
         prob = _finitize(vc, bounds)
-        conjuncts, check, compiled = _compile(prob)
+        conjuncts, check, compiled = _compile(prob, code_cache)
         domains = dict(prob.domains)
         tail = _independent_tail(prob, conjuncts)
         if tail:

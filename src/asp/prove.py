@@ -25,8 +25,10 @@ from .discharge import (
     Counterexample, DischargeResult, DomainBounds, Unknown, Valid, _Ctx,
     discharge_bounded,
 )
+from .machine import advance_instance, init_instance
 from .sketch import ProofSketch
 from .typecheck import TypedProgram
+from .values import Coin, MapVal, Tok
 from .vcgen import VC, generate_vcs, steps_from
 
 
@@ -89,13 +91,15 @@ def check_proof(program: TypedProgram, sketch: ProofSketch,
     """Generate the rule-appropriate VC set and discharge every VC with the
     bounded engine. For adversarial proofs, a state's progress obligation
     holds if its goal covers it or either the PlayerMove or OpponentTotal
-    group is valid; everything else must be valid outright."""
+    group is valid; everything else must be valid outright. The VCs share
+    one code cache, so a generated source is compiled once per call."""
     vcs = generate_vcs(program, sketch)
     report = ProofReport(sketch.name, sketch.contract, sketch.kind)
     by_state: dict[str, dict[str, VCResult]] = {}
+    code_cache: dict = {}
     for vc in vcs:
         t0 = _time.perf_counter()
-        res = discharge_bounded(vc, bounds)
+        res = discharge_bounded(vc, bounds, code_cache)
         ms = (_time.perf_counter() - t0) * 1000
         r = VCResult(vc, res, ms)
         report.results.append(r)
@@ -115,11 +119,11 @@ def check_proof(program: TypedProgram, sketch: ProofSketch,
 
 class FiniteModel:
     """All transitions of one finitized instance of the sketch's contract.
-    States are canonical snapshots; moves carry (kind, sender, successor)."""
+    A state is keyed by a hashable tuple (`key`) and numbered by discovery
+    (`explore`); a move carries (kind, sender, successor number)."""
 
     def __init__(self, program: TypedProgram, sketch: ProofSketch,
                  bounds: DomainBounds, params: dict, creator: str = "P0"):
-        from .machine import init_instance
         self.tc = program.contract(sketch.contract)
         self.bounds = bounds
         self.cx = _Ctx(self.tc, sketch, bounds)
@@ -127,8 +131,14 @@ class FiniteModel:
         self.initial = init_instance(self.tc, "@" + sketch.contract, params,
                                      creator)
 
-    def key(self, inst) -> str:
-        return inst.snapshot()
+    @staticmethod
+    def key(inst) -> tuple:
+        """What tells two instances of the model apart, as `snapshot`
+        does: the contract, creator and self address are fixed, and a
+        step neither adds nor reorders env names, so the values in env
+        order stand for the names."""
+        return (inst.skeleton, inst.owner, inst.token_remaining,
+                tuple(inst.env.values()))
 
     def is_goal(self, inst, bindings=None) -> bool:
         """The goal holds at the instance (under `bindings`: the player)."""
@@ -136,72 +146,93 @@ class FiniteModel:
         return g is not None and self.cx.all_true(g, inst, bindings)
 
     def _clamp(self, inst):
-        """Saturating finitization: numbers stick at +-nat_max, and coin
-        and token amounts at nat_max, so the explored state space stays
-        finite. It is exact only along paths whose values stay within the
-        bound; past it, a successor is a saturated state that the contract
-        need not reach. The valid `auction.asp` has 24 of its 198 reachable
-        states at 3/3/3 violating the refund invariant when clamped, and
-        none unclamped, so a search answer is no claim about a clamped
-        state."""
-        from .values import Coin, MapVal, Tok
+        """Saturating finitization, in place on a step's fresh result:
+        numbers stick at +-nat_max, and coin and token amounts at nat_max,
+        so the explored state space stays finite. Only an out-of-range
+        value (or a map holding one) is replaced; timers never are, so
+        clamping commutes with the tick. It is exact only along paths
+        whose values stay within the bound; past it, a successor is a
+        saturated state that the contract need not reach. The valid
+        `auction.asp` has 24 of its 198 reachable states at 3/3/3
+        violating the refund invariant when clamped, and none unclamped,
+        so a search answer is no claim about a clamped state."""
         n = self.bounds.nat_max
-
-        def cl(v):
-            if isinstance(v, bool):
-                return v
-            if isinstance(v, int):
-                return max(-n, min(n, v))
-            if isinstance(v, Coin):
-                return Coin(min(v.value, n))
-            if isinstance(v, Tok):
-                return Tok(v.kind, min(v.value, n))
-            if isinstance(v, MapVal):
-                return MapVal({k: cl(x) for k, x in v.d.items()}, v.default)
-            return v
-
-        for k in inst.env:
-            inst.env[k] = cl(inst.env[k])
+        env = inst.env
+        for k, v in env.items():
+            c = _saturate(v, n)
+            if c is not v:
+                env[k] = c
         return inst
 
     def successors(self, inst):
         """(kind, sender, post) for every finitized move: inputs over
         bounded binder domains and taus (the time self-loop among them),
         each composed with every tick. The moves are those of the proof
-        obligations (`_Ctx.moves`), run on the full action."""
+        obligations (`_Ctx.moves`), run on the full action: one step per
+        move, clamped, then one tick per delta, since whether a step is
+        defined does not depend on the tick that follows it."""
         cx = self.cx
+        deltas = cx.deltas()
         out = []
         for t, sender, step_b in cx.moves(inst, self.steps[inst.skeleton]):
+            post = cx.run_inner(t, inst, step_b, sender, None)
+            if post is None:
+                continue
+            post = self._clamp(post)
             kind = "tau" if t.input is None else "input"
-            for delta in cx.deltas():
-                post = cx.run_inner(t, inst, step_b, sender, delta)
-                if post is not None:
-                    out.append((kind, sender, self._clamp(post)))
+            out.extend((kind, sender, post if d is None else advance_instance(post, d))
+                       for d in deltas)
         return out
 
     def explore(self, state_limit: int, absorbing=lambda inst: False):
-        """The reachable states in discovery order, keyed by snapshot, and
-        each state's moves as (kind, sender, successor key). Absorbing
-        states are not expanded; their moves are None."""
-        k0 = self.key(self.initial)
-        states = {k0: self.initial}
-        moves: dict[str, list | None] = {}
-        frontier = [(k0, self.initial)]
+        """(states, moves): the reachable states in discovery order, and
+        for the state numbered i, moves[i] lists its moves as (kind,
+        sender, successor number). States are expanded last discovered
+        first. Absorbing states are not expanded; their moves are None."""
+        states = [self.initial]
+        index = {self.key(self.initial): 0}
+        moves: list[list | None] = [None]
+        frontier = [0]
         while frontier:
-            k, inst = frontier.pop()
+            i = frontier.pop()
+            inst = states[i]
             if absorbing(inst):
-                moves[k] = None
                 continue
-            moves[k] = []
+            out = moves[i] = []
             for kind, sender, post in self.successors(inst):
                 pk = self.key(post)
-                moves[k].append((kind, sender, pk))
-                if pk not in states:
+                j = index.get(pk)
+                if j is None:
                     if len(states) > state_limit:
                         raise StateLimit(len(states))
-                    states[pk] = post
-                    frontier.append((pk, post))
+                    j = index[pk] = len(states)
+                    states.append(post)
+                    moves.append(None)
+                    frontier.append(j)
+                out.append((kind, sender, j))
         return states, moves
+
+
+def _saturate(v, n: int):
+    """v with every number beyond +-n, and every coin or token amount
+    beyond n, cut to the bound; v itself when nothing is."""
+    tv = type(v)
+    if tv is int:
+        return max(-n, min(n, v))  # v itself when in range
+    if tv is Coin:
+        return v if v.value <= n else Coin(n)
+    if tv is Tok:
+        return v if v.value <= n else Tok(v.kind, n)
+    if tv is MapVal:
+        d = None
+        for k, x in v.d.items():
+            c = _saturate(x, n)
+            if c is not x:
+                if d is None:
+                    d = dict(v.d)
+                d[k] = c
+        return v if d is None else MapVal(d, v.default)
+    return v
 
 
 class StateLimit(RuntimeError):
@@ -212,16 +243,17 @@ class StateLimit(RuntimeError):
         self.states = states
 
 
-def least_fixpoint(states, wins) -> set[str]:
-    """The least set W of states such that every state k with wins(k, W)
-    is in W: the attractor of a reachability game (Thomas, STACS 1995)."""
-    won: set[str] = set()
+def least_fixpoint(n: int, wins) -> list[bool]:
+    """won[i] for the least set W of the states 0..n-1 such that every
+    state i with wins(i, won) is in W: the attractor of a reachability
+    game (Thomas, STACS 1995)."""
+    won = [False] * n
     changed = True
     while changed:
         changed = False
-        for k in states:
-            if k not in won and wins(k, won):
-                won.add(k)
+        for i in range(n):
+            if not won[i] and wins(i, won):
+                won[i] = True
                 changed = True
     return won
 
@@ -246,12 +278,12 @@ def reach_search(program: TypedProgram, sketch, bounds: DomainBounds,
         states, moves = model.explore(state_limit, model.is_goal)
     except StateLimit as e:
         return SearchReport(False, e.states, "state limit hit")
-    won = least_fixpoint(states, lambda k, won: moves[k] is None or (
-        bool(moves[k]) and all(pk in won for _, _, pk in moves[k])))
-    lost = [k for k in states if k not in won]
+    won = least_fixpoint(len(states), lambda i, won: moves[i] is None or (
+        bool(moves[i]) and all(won[j] for _, _, j in moves[i])))
+    lost = [i for i in range(len(states)) if not won[i]]
     if not lost:
         return SearchReport(True, len(states))
-    dead = [k for k in lost if not moves[k]]
+    dead = [i for i in lost if not moves[i]]
     if dead:
         return SearchReport(False, len(states), "reachable dead end before the goal",
                             states[dead[0]].skeleton)
@@ -279,21 +311,20 @@ def game_solve(program: TypedProgram, sketch: ProofSketch,
     model = FiniteModel(program, sketch, bounds, params, creator)
     states, moves = model.explore(state_limit)
 
+    forced = [any(kind != "input" for kind, _, _ in ms) for ms in moves]
     for x in bounds.actor_values():
-        goal = {k for k, inst in states.items()
-                if model.is_goal(inst, {"__player": x})}
+        goal = [model.is_goal(inst, {"__player": x}) for inst in states]
+        player = [[j for kind, s, j in ms if kind == "input" and s == x]
+                  for ms in moves]
+        opponent = [[j for kind, s, j in ms if kind != "input" or s != x]
+                    for ms in moves]
 
-        def wins(k, won):
-            if k in goal:
-                return True
-            player = [pk for kind, s, pk in moves[k] if kind == "input" and s == x]
-            opponent = [pk for kind, s, pk in moves[k] if kind != "input" or s != x]
-            forced = any(kind != "input" for kind, _, _ in moves[k])
-            return any(pk in won for pk in player) or \
-                (forced and all(pk in won for pk in opponent))
+        def wins(i, won):
+            return goal[i] or any(won[j] for j in player[i]) or \
+                (forced[i] and all(won[j] for j in opponent[i]))
 
-        won = least_fixpoint(states, wins)
-        for k, inst in states.items():
-            if k not in won:
+        won = least_fixpoint(len(states), wins)
+        for i, inst in enumerate(states):
+            if not won[i]:
                 return GameReport(False, len(states), inst.skeleton, x)
     return GameReport(True, len(states))

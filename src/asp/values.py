@@ -6,7 +6,8 @@ callers surface as the Undefined outcome (never as a crash).
 
 Values are never changed in place: an update of a map, sequence or tuple
 returns a new container, so states, letters and bindings share values
-without copying them.
+without copying them, and every value hashes consistently with its
+equality.
 
 The distinguished address ADDR_NONE ("none") names no one. Contract
 instances use their instance name as self address.
@@ -72,6 +73,9 @@ class MapVal:
     def __eq__(self, other):
         return isinstance(other, MapVal) and self.d == other.d and self.default == other.default
 
+    def __hash__(self):
+        return hash((frozenset(self.d.items()), self.default))
+
     def __repr__(self):
         return f"MapVal({self.d!r}, default={self.default!r})"
 
@@ -90,6 +94,9 @@ class _Items:
 
     def __eq__(self, other):
         return type(other) is type(self) and self.items == other.items
+
+    def __hash__(self):
+        return hash((type(self), tuple(self.items)))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.items!r})"

@@ -29,6 +29,7 @@ from functools import cached_property
 
 from .ast_nodes import (
     Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, stmt_exprs,
+    walk_stmts,
 )
 from .diagnostics import SketchError
 from .sketch import ProofSketch
@@ -83,9 +84,11 @@ class VC:
         """Every expression the obligation reads: hypothesis, conclusion,
         the constructor constraint, its step's action (or, for a state's
         obligation, each move's guards and action, and the witness) and
-        what the proof reads at the states it visits. The one rule for
-        what finitization enumerates, which actors a VC names and which
-        maps the SMT-LIB export tracks membership of."""
+        what the proof reads at the states it visits, and `__remaining`,
+        the token supply left to issue, when one of the steps issues or
+        burns. The one rule for what finitization enumerates, which actors
+        a VC names and which maps the SMT-LIB export tracks membership
+        of."""
         pool = list(self.hypothesis) + list(self.conclusion)
         if self.tc.where is not None:
             pool.append(self.tc.where)
@@ -99,6 +102,9 @@ class VC:
             pool.extend(stmt_exprs(t.action))
             if "owner" in writes_of(t.action):
                 pool.append(Var("owner"))  # change_owner compares it with the sender
+            if any(isinstance(s, OpStmt) and s.ns == "Token" and s.op in ("issue", "burn")
+                   for s in walk_stmts(t.action)):
+                pool.append(Var("__remaining"))
         w = self.sketch.witness.get(self.state)
         if w is not None and self.kind in _MOVE_KINDS:
             pool.append(w)

@@ -1,9 +1,13 @@
-"""Per-VC results of the criterion-9 pairs, pinned in engine_pins.json.
+"""Per-VC results of the criterion-9 pairs, and the answers of the
+benchmark's state searches, pinned in engine_pins.json.
 
 The file holds, per route ("engine", "oracle"), bounds and criterion-9
 pair, the route's result on each VC in VC order: status, the `checked`
 count of a valid VC, and a counterexample's valuation as (key, value)
-pairs in the order the route assigned them, with its message.
+pairs in the order the route assigned them, with its message. Under
+"searches" it holds, per bounds, the report of each search in `SEARCHES`:
+`ok`, the number of states explored, and the reason and witness state of
+a failed reachability search or the losing state and player of a game.
 
     python tests/pins.py
 
@@ -12,6 +16,7 @@ engine_pins.json and prints each entry that changed as `old -> new`.
 """
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -22,6 +27,7 @@ from conftest import CRITERION_9_PAIRS, load, typed  # noqa: E402
 from asp.discharge import (  # noqa: E402
     Counterexample, DomainBounds, Valid, discharge_bounded, discharge_naive,
 )
+from asp.prove import game_solve, reach_search  # noqa: E402
 from asp.sketch import parse_proof_sketch  # noqa: E402
 from asp.vcgen import generate_vcs  # noqa: E402
 
@@ -31,20 +37,44 @@ ROUTES = {"engine": discharge_bounded, "oracle": discharge_naive}
 PINNED = {"engine": ("addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2",
                       "addr=3,nat=4,timer=4"),
           "oracle": ("addr=2,nat=1,timer=2",)}
+# the state searches the benchmark runs: label -> (search, contract, proof,
+# parameters, creator)
+SEARCHES = {
+    "reach.auction_closed": (reach_search, "auction.asp", "auction_closed.aspproof",
+                             {"beneficiary": "P0", "bidding_time": 3}, "P1"),
+    "game.vending_fixed": (game_solve, "vending_fixed.asp", "vending_lockout.aspproof",
+                           {}, "P0"),
+    "game.vending_machine": (game_solve, "vending_machine.asp",
+                             "vending_lockout_original.aspproof", {}, "P0"),
+}
+SEARCH_BOUNDS = ("addr=2,nat=2,timer=2", "addr=3,nat=4,timer=4")
+
+
+def pinned_form(r) -> dict:
+    """A discharge result in the pinned form."""
+    cex = isinstance(r, Counterexample)
+    return {"vc": r.vc, "status": r.status,
+            "checked": r.checked if isinstance(r, Valid) else None,
+            "counterexample": [list(kv) for kv in r.valuation.items()]
+            if cex else None,
+            "message": r.message if cex else None}
 
 
 def results(route: str, contract: str, proof: str, bounds: str) -> list[dict]:
     """The route's result on each VC of the pair, in the pinned form."""
     prog = typed(contract)
+    return [pinned_form(ROUTES[route](vc, DomainBounds.parse(bounds)))
+            for vc in generate_vcs(prog, parse_proof_sketch(load(proof), prog))]
+
+
+def search_results(bounds: str) -> list[dict]:
+    """Each search's report at the bounds, in the pinned form."""
     out = []
-    for vc in generate_vcs(prog, parse_proof_sketch(load(proof), prog)):
-        r = ROUTES[route](vc, DomainBounds.parse(bounds))
-        cex = isinstance(r, Counterexample)
-        out.append({"vc": vc.name, "status": r.status,
-                    "checked": r.checked if isinstance(r, Valid) else None,
-                    "counterexample": [list(kv) for kv in r.valuation.items()]
-                    if cex else None,
-                    "message": r.message if cex else None})
+    for label, (search, contract, proof, params, creator) in SEARCHES.items():
+        prog = typed(contract)
+        rep = search(prog, parse_proof_sketch(load(proof), prog),
+                     DomainBounds.parse(bounds), params, creator)
+        out.append({"search": label, **asdict(rep)})
     return out
 
 
@@ -77,6 +107,15 @@ def regenerate() -> list[str]:
                                        f"{_fields(before, e)}")
                 changes.extend(f"{route} {bounds} {pair} {vc}: {json.dumps(e)} -> none"
                                for vc, e in was.items())
+    for bounds in SEARCH_BOUNDS:
+        got = new.setdefault("searches", {})[bounds] = search_results(bounds)
+        was = {e["search"]: e for e in old.get("searches", {}).get(bounds, [])}
+        for e in got:
+            before = was.pop(e["search"], None)
+            if before != e:
+                changes.append(f"searches {bounds} {e['search']}: {_fields(before, e)}")
+        changes.extend(f"searches {bounds} {label}: {json.dumps(e)} -> none"
+                       for label, e in was.items())
     PINS_FILE.write_text(_dump(new) + "\n")
     return changes
 

@@ -283,6 +283,31 @@ def test_prove_invariant_naming_the_player(tmp_path):
     assert json.loads(r.stdout)["valid"] is True
 
 
+def test_prove_unread_timer_reports(tmp_path):
+    """A step that sets one timer of a contract with two, under a sketch
+    that reads only the set one, gets a JSON report with its
+    counterexample, not a traceback."""
+    (tmp_path / "t2.asp").write_text("""
+contract T2() {
+  msg go;
+  var t: timer;
+  var u: timer;
+  initial S;
+  state S:
+  | a??go when Timer.is_off(t) -> S { Timer.set(t, 2); }
+}
+""", encoding="utf-8")
+    (tmp_path / "t2.aspproof").write_text(
+        "safety s { always !Timer.has_fired(t) }", encoding="utf-8")
+    r = run_cli("prove", str(tmp_path / "t2.asp"), "--proof", str(tmp_path / "t2.aspproof"),
+                "--bounds", "addr=2,nat=1,timer=2")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    vcs = {v["name"]: v for v in json.loads(r.stdout)["vcs"]}
+    assert vcs["inductive[T2.go@S#0]"]["counterexample"] == {
+        "t": ["off", 0], "a": "P0", "__delta": 2}
+
+
 def test_prove_reachability_player_exit_one(tmp_path):
     """A reachability sketch has no player: a player section is a sketch
     error, reported as a JSON diagnostic."""

@@ -10,13 +10,17 @@ from asp.discharge import (
     discharge_naive, replay_counterexample,
 )
 from asp.parser import parse_program
-from asp.prove import check_proof, game_solve, reach_search
+from asp import compile as codegen
+from asp.prove import FiniteModel, check_proof, game_solve, reach_search
 from asp.sketch import parse_proof_sketch
 from asp.typecheck import typecheck
+from asp.values import Coin, MapVal, SeqVal, TupVal
 from asp.vcgen import generate_vcs
 from conftest import CRITERION_9_PAIRS, load, typed
 from test_diff import KEYED
-from pins import PINNED, PINS_FILE, results
+from pins import (
+    PINNED, PINS_FILE, SEARCH_BOUNDS, SEARCHES, pinned_form, results, search_results,
+)
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
 SMALL = DomainBounds(addresses=2, nat_max=2, timer_max=2)
@@ -750,6 +754,36 @@ contract Cap() issues Token(3) {
 """
 
 
+# a timer that no expression of the VC reads is not enumerated, so the
+# engine's relation must not tick it (it raised KeyError: 'u')
+UNREAD_TIMER = """
+contract T2() {
+  msg go;
+  var t: timer;
+  var u: timer;
+  initial S;
+  state S:
+  | a??go when Timer.is_off(t) -> S { Timer.set(t, 2); }
+}
+"""
+
+# the witness move issues 1 from a supply of 3: once the supply is spent
+# it is undefined, and stop is no witness move, so A has no enabled move
+SPENT_SUPPLY = """
+contract Cap() issues Token(3) {
+  msg go(nat), stop;
+  var pot: token;
+  initial A;
+  state A:
+  | x??go(n) -> A { Token.issue(n, pot); }
+  | x??stop -> B { }
+  state B:
+}
+"""
+SPENT_SUPPLY_SKETCH = "reachability r(1) { goal = { @B true } " \
+    "rank = { @A | (1)  @B | (0) } witness = { @A n == 1 } }"
+
+
 def _up_rank(theta):
     return "reachability up(1) { goal = { } invariant = { @A %s } " \
         "rank = { @A | (3 - x) } witness = { @A true } }" % theta
@@ -781,16 +815,33 @@ def _up_rank(theta):
     (CAPPED_ISSUE, "reachability r(1) { goal = { @B true } "
      "rank = { @A | (1)  @B | (0) } witness = { @A n > 3 } }", DomainBounds(2, 4, 1),
      {"enabled[Cap.A]": "no transition is enabled"}),
+    (UNREAD_TIMER, "safety s { always !Timer.has_fired(t) }", DomainBounds(2, 1, 2),
+     {"inductive[T2.go@S#0]": "assertion is not preserved",
+      "inductive[T2.time@S]": "assertion is not preserved"}),
+    (SPENT_SUPPLY, SPENT_SUPPLY_SKETCH, DomainBounds(2, 4, 1),
+     {"enabled[Cap.A]": "no transition is enabled",
+      "rank_decrease[Cap.go@A#0]": "rank does not decrease strictly"}),
 ], ids=["rank_decrease_leaves_theta", "rank_decrease_theta_undefined",
         "enabledness_none_enabled", "sufficiency", "assertion_undefined_after_step",
         "reject_undefined", "rank_case_condition_undefined",
-        "witness_names_another_binder", "move_issues_beyond_supply"])
+        "witness_names_another_binder", "move_issues_beyond_supply",
+        "relation_with_unread_timer", "move_after_supply_spent"])
 def test_engine_agrees_on_leaf_branch(source, sketch, bounds, refuted):
     """Engine and oracle agree on each VC, the refuted ones being exactly
     those pinned, with their message on both routes."""
     prog = typecheck(parse_program(source))
     for results in _agree(prog, parse_proof_sketch(sketch, prog), bounds):
         assert {r.vc: r.message for r in results if r.status != "valid"} == refuted
+
+
+def test_enabledness_refuted_once_supply_spent():
+    """Both routes refute the Enabledness of a state whose witness move
+    issues tokens where the supply left to issue is spent."""
+    prog = typecheck(parse_program(SPENT_SUPPLY))
+    for results in _agree(prog, parse_proof_sketch(SPENT_SUPPLY_SKETCH, prog),
+                          DomainBounds(2, 4, 1)):
+        got = {r.vc: r for r in results}["enabled[Cap.A]"]
+        assert got.valuation == {"pot": [None, 0], "__remaining": 0}
 
 
 TAKE = """
@@ -1023,6 +1074,88 @@ def test_oracle_results_pinned(bounds):
     """Every criterion-9 VC keeps its oracle result: its `checked` count
     and the key order of a counterexample."""
     _assert_pinned("oracle", bounds)
+
+
+@pytest.mark.parametrize("bounds", SEARCH_BOUNDS)
+def test_search_answers_pinned(bounds):
+    """Each of the benchmark's searches keeps its answer, its named state
+    and the number of states it explores."""
+    assert search_results(bounds) == PINS["searches"][bounds]
+
+
+# -- one code cache per proof check -------------------------------------------
+
+
+def test_code_cache_scoped_to_one_proof_check(monkeypatch):
+    """Within one `check_proof` each distinct generated source is compiled
+    once; the next `check_proof` compiles them again, and its results are
+    the pinned ones."""
+    sources, compiled = [], []
+    function, compile_ = codegen.Compiler.function, compile
+
+    def counting_function(self, source, name="_f"):
+        sources.append(source)
+        return function(self, source, name)
+
+    def counting_compile(source, *args):
+        compiled.append(source)
+        return compile_(source, *args)
+
+    monkeypatch.setattr(codegen.Compiler, "function", counting_function)
+    monkeypatch.setattr(codegen, "compile", counting_compile, raising=False)
+    bounds = "addr=2,nat=2,timer=2"
+    for contract, proof in CRITERION_9_PAIRS:
+        prog = typed(contract)
+        sk = parse_proof_sketch(load(proof), prog)
+        for _ in range(2):
+            sources.clear()
+            compiled.clear()
+            rep = check_proof(prog, sk, DomainBounds.parse(bounds))
+            assert sorted(compiled) == sorted(set(sources)), (contract, proof)
+            assert len(sources) > len(compiled)
+            assert [pinned_form(r.result) for r in rep.results] == \
+                PINS["engine"][bounds][f"{contract} {proof}"]
+
+
+# -- the search's state key ---------------------------------------------------
+
+
+@pytest.mark.parametrize("label", SEARCHES)
+def test_state_key_tells_states_apart_as_snapshot(label):
+    """The explored states have distinct snapshots, and every move names
+    the state whose snapshot is that of its recomputed post: the tuple key
+    is neither coarser nor finer than `snapshot()`."""
+    search, contract, proof, params, creator = SEARCHES[label]
+    prog = typed(contract)
+    model = FiniteModel(prog, parse_proof_sketch(load(proof), prog), SMALL, params,
+                        creator)
+    states, moves = model.explore(
+        10_000, model.is_goal if search is reach_search else lambda inst: False)
+    snaps = [inst.snapshot() for inst in states]
+    assert len(set(snaps)) == len(snaps)
+    for inst, ms in zip(states, moves):
+        if ms is not None:
+            assert [(kind, sender, post.snapshot())
+                    for kind, sender, post in model.successors(inst)] == \
+                [(kind, sender, snaps[j]) for kind, sender, j in ms]
+
+
+def test_container_values_hash_with_equality():
+    """Equal maps, sequences and tuples hash equal whatever their dict
+    order; a map's default and a container's kind take part in equality."""
+    a = MapVal({"P0": Coin(1), "P1": SeqVal([TupVal([1, True])])})
+    b = MapVal({"P1": SeqVal([TupVal([1, True])]), "P0": Coin(1)})
+    assert a == b and hash(a) == hash(b)
+    assert MapVal({}).put("P0", 2).put("P1", 3) == MapVal({"P1": 3, "P0": 2})
+    assert hash(MapVal({}).put("P0", 2).put("P1", 3)) == hash(MapVal({"P1": 3, "P0": 2}))
+    assert MapVal({"P0": 1}, 0) != MapVal({"P0": 1}, None)
+    assert MapVal({"P0": 1}, 0) != MapVal({"P0": 1}, 1)
+    assert MapVal({"P0": 0}, 0) != MapVal({}, 0)
+    assert SeqVal([1, 2]) == SeqVal([1, 2]) and hash(SeqVal([1, 2])) == hash(SeqVal([1, 2]))
+    assert SeqVal([1, 2]) != TupVal([1, 2]) and SeqVal([1, 2]) != SeqVal([2, 1])
+    assert TupVal([a, 0]).put(1, 5) == TupVal([b, 5])
+    assert hash(TupVal([a, 0]).put(1, 5)) == hash(TupVal([b, 5]))
+    assert len({a, b, MapVal({"P0": Coin(1)})}) == 2
 
 
 # -- the move obligations at the proof bounds ---------------------------------
