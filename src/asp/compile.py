@@ -95,12 +95,12 @@ class CannotCompile(Exception):
 class Compiler:
     """Compiles expressions/statements against a contract's variable layout.
     `maps` gives (flat default, key set) per map variable, and `timer_vars`
-    the timers a relation ticks. `code_cache`, when given, maps each source
-    to its code object, so that compilers sharing it compile a source once;
-    each function still gets a namespace of its own."""
+    the timers a relation ticks. `code_cache` maps each source to its code
+    object, so that compilers sharing it compile a source once; each
+    function still gets a namespace of its own."""
 
     def __init__(self, maps: dict[str, tuple], self_addr: str,
-                 timer_vars: tuple[str, ...], code_cache: dict | None = None):
+                 timer_vars: tuple[str, ...], code_cache: dict):
         self.self_addr = self_addr
         self.timer_vars = timer_vars
         self.code_cache = code_cache
@@ -360,11 +360,9 @@ class Compiler:
     def function(self, source: str, name: str = "_f"):
         ns = dict(PRELUDE)
         ns.update(self.consts)
-        code = source
-        if self.code_cache is not None:
-            code = self.code_cache.get(source)
-            if code is None:
-                code = self.code_cache[source] = compile(source, "<string>", "exec")
+        code = self.code_cache.get(source)
+        if code is None:
+            code = self.code_cache[source] = compile(source, "<string>", "exec")
         exec(code, ns)  # generated from the checked AST only
         fn = ns[name]
         fn._source = source

@@ -682,7 +682,7 @@ class _Conjunct:
     force: tuple | None  # (guards, targets) for _forced, if an equality
 
 
-def _compile(prob: _Problem, code_cache: dict | None = None):
+def _compile(prob: _Problem, code_cache: dict):
     """(compiled hypothesis conjuncts, leaf check, whether the leaf check
     is compiled) of a problem. A relation ticks only the timers that the
     problem enumerates: the others stay as the boxed instance has them,
@@ -1183,9 +1183,10 @@ def discharge_bounded(vc: VC, bounds: DomainBounds,
     satisfies hypothesis && relation && !conclusion. The independent tail
     is solved once, first, and its witness pins its variables. Calls that
     share a `code_cache` (source -> code object) compile each generated
-    source once."""
+    source once; without one, the call has a cache of its own."""
     if _preserved(vc):
         return Valid(vc.name, 0)
+    code_cache = {} if code_cache is None else code_cache
     try:
         prob = _finitize(vc, bounds)
         conjuncts, check, compiled = _compile(prob, code_cache)

@@ -1189,7 +1189,7 @@ def test_move_obligations_agree_at_proof_bounds():
 def test_move_obligations_compiled(bounds):
     """Every corpus move obligation checks its leaves with compiled code."""
     for vc in _corpus_vcs(MOVE_KINDS):
-        assert _compile(_finitize(vc, DomainBounds.parse(bounds)))[2], vc.name
+        assert _compile(_finitize(vc, DomainBounds.parse(bounds)), {})[2], vc.name
 
 
 # -- liveness answers pinned --------------------------------------------------

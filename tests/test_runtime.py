@@ -83,7 +83,7 @@ def test_compiled_and_runtime_agree_on_definedness(src):
     """The engine's compiled code and the runtime evaluator give the same
     value, or both find the expression undefined."""
     e = _literal_keys(parse_expression(src))
-    comp = Compiler({}, "P0", ())
+    comp = Compiler({}, "P0", (), {})
     keys = comp.const(frozenset(("none", "P0", "P1")))
     comp.map_meta.update(m=(None, keys), d=(0, keys))
     E = {"x": 4, "k": "P7", "j": "P1"}
