@@ -2,11 +2,11 @@
 the bounded discharge engine.
 
 Proof verdicts come from two independent routes. The engine prunes,
-propagates and checks its high-volume leaves with the code generated
-here; its oracle (raw enumeration) and counterexample replay evaluate
-everything with the runtime evaluator (machine.eval_expr over boxed
-instances). Only the Initiality leaf and a leaf outside the compiled
-fragment (`CannotCompile`) use the runtime evaluator on both routes.
+propagates and checks every leaf with the code generated here; its
+oracle (raw enumeration) and counterexample replay evaluate everything
+with the runtime evaluator (machine.eval_expr over boxed instances). A
+VC with a construct outside the compiled fragment (`CannotCompile`) is
+Unknown on the engine route.
 
 The engine's hot loop touches hundreds of thousands of valuations, so
 hypothesis conjuncts, their equality-forcing targets, transition
@@ -50,7 +50,7 @@ ABSENT = object()  # absent map entry (shared with discharge)
 # ---------------------------------------------------------------------------
 # Prelude referenced by generated code. The partial operations on flat
 # values are values' shared ones, which the IR interpreter runs too; only
-# the map-entry read for move operands is the engine's own.
+# the entry write `_sput` is the engine's own.
 # ---------------------------------------------------------------------------
 
 
@@ -58,21 +58,16 @@ def _u(msg):
     raise Undef(msg)
 
 
-def _xref(E, m, k, default, keys, zero):
-    """Read a map entry for a move operand, materializing the default or an
-    empty container for absent keys."""
-    if k not in keys:
-        raise Undef("map key outside the bounded domain")
-    v = E[(m, k)]
-    if v is ABSENT:
-        return default if default is not None else zero
-    return v
+def _sput(s: tuple, i: int, v) -> tuple:
+    """The sequence or tuple s with entry i replaced by v."""
+    seq_get(s, i)  # undefined out of bounds
+    return s[:i] + (v,) + s[i + 1:]
 
 
 PRELUDE = {
     "_u": _u, "_div": div, "_mod": mod, "_nsub": nat_sub,
-    "_tval": timer_read, "_sget": seq_get, "_tset": timer_start, "_tick1": timer_tick,
-    "_xref": _xref,
+    "_tval": timer_read, "_sget": seq_get, "_sput": _sput, "_tset": timer_start,
+    "_tick1": timer_tick,
     "_ckmove": coin_cut, "_tokmerge": token_merge, "_tokcut": token_cut,
     "_tokburn": token_burn, "_issue": issue_supply,
     "ABSENT": ABSENT, "Undef": Undef,
@@ -87,9 +82,9 @@ _TIMER_TESTS = {("Timer", "is_off"): "off", ("Timer", "is_active"): "active",
 
 
 class CannotCompile(Exception):
-    """Construct outside the compiled fragment: a leaf obligation falls
-    back to the runtime evaluator; a hypothesis conjunct makes the VC
-    Unknown."""
+    """Construct outside the compiled fragment: the VC whose hypothesis or
+    leaf obligation holds it is Unknown; no leaf falls back to the runtime
+    evaluator."""
 
 
 class Compiler:
@@ -188,9 +183,9 @@ class Compiler:
             return self._map_in(e.args[1], e.args[0], env)
         if key == ("Seq", "len"):
             return f"len({self.expr(e.args[0], env)})"
-        if key == ("Seq", "get"):
+        if key in (("Seq", "get"), ("Seq", "ref")):
             return f"_sget({self.expr(e.args[0], env)}, {self.expr(e.args[1], env)})"
-        if key == ("Tuple", "get"):
+        if key in (("Tuple", "get"), ("Tuple", "ref")):
             return f"({self.expr(e.args[0], env)})[{self.expr(e.args[1], env)}]"
         raise CannotCompile(f"{e.ns}.{e.op}")
 
@@ -208,20 +203,38 @@ class Compiler:
 
     # -- statements (the transition relation) --
 
-    def _lvalue_slots(self, e: Expr, env: str, kind: str):
-        """(read_code, write_fn) for coin/token move operands."""
+    def _let(self, body: list[str], indent: str, code: str) -> str:
+        """Bind code's value to a fresh local; its name."""
+        name = f"_t{next(self.temps)}"
+        body.append(f"{indent}{name} = {code}")
+        return name
+
+    def slot(self, body: list[str], e: Expr, env: str, indent: str, zero=None):
+        """(read code, write) of the lvalue e, in the shape of
+        `interp._slot` and `machine.resolve_slot`: a variable, an entry of
+        a map variable, or a `Seq.ref`/`Tuple.ref` over a slot, nested to
+        any depth. Its keys and indices are bound once, here; an entry is
+        read and written through its container's slot. An absent map entry
+        reads as the map's default, else as `zero` (the empty coin or
+        token of the entry a move writes; no entry under it), else is
+        undefined."""
         if isinstance(e, Var):
-            read = f"{env}[{e.name!r}]"
-            write = lambda val: f"{env}[{e.name!r}] = {val}"
-            return read, write
-        if isinstance(e, Builtin) and e.op == "ref" and e.ns == "Map":
+            loc = f"{env}[{e.name!r}]"
+            return loc, lambda v: f"{loc} = {v}"
+        if not (isinstance(e, Builtin) and e.op == "ref"):
+            raise CannotCompile(f"not a location: {e!r}")
+        if e.ns == "Map":
             m, default, keys = self._map_args(e.args[0])
-            k = self.expr(e.args[1], env)
-            zero = "0" if kind == "coin" else "(None, 0)"
-            read = f"_xref({env}, {m!r}, {k}, {default!r}, {keys}, {zero})"
-            write = lambda val, m=m, k=k: f"{env}[({m!r}, {k})] = {val}"
-            return read, write
-        raise CannotCompile("sequence/tuple refs in compiled relations")
+            k = self._let(body, indent, self.expr(e.args[1], env))
+            body.append(f"{indent}if {k} not in {keys}: _u('map key outside the bounded domain')")
+            loc = f"{env}[({m!r}, {k})]"
+            absent = repr(default) if default is not None else zero or "_u('map has no entry')"
+            v = f"_r{next(self.temps)}"
+            return (f"({v} if ({v} := {loc}) is not ABSENT else {absent})",
+                    lambda x: f"{loc} = {x}")
+        read, write = self.slot(body, e.args[0], env, indent)
+        i = self._let(body, indent, self.expr(e.args[1], env))
+        return f"_sget({read}, {i})", lambda x: write(f"_sput({read}, {i}, {x})")
 
     def stmts(self, body: list[str], stmts, env: str, indent: str):
         for s in stmts:
@@ -242,78 +255,66 @@ class Compiler:
                 self.stmts(body, s.els, env, indent + "    ")
             return
         if isinstance(s, Send):
-            # argument evaluation keeps the definedness constraint (a send
-            # of an absent map entry is undefined); coin and token
-            # arguments are drained into the letter
-            for a, kind in zip(s.args, s.kinds, strict=True):
-                body.append(f"{indent}_ = {self.expr(a, env)}")
-                if kind is not None:
-                    _, write = self._lvalue_slots(a, env, kind)
-                    body.append(f"{indent}" + write("0" if kind == "coin" else "(None, 0)"))
+            # the destination and every argument must be defined (a send
+            # of an absent map entry is not); coin and token arguments are
+            # drained into the letter
             if s.dest is not None:
                 body.append(f"{indent}_ = {self.expr(s.dest, env)}")
+            for a, kind in zip(s.args, s.kinds, strict=True):
+                if kind is None:
+                    body.append(f"{indent}_ = {self.expr(a, env)}")
+                    continue
+                read, write = self.slot(body, a, env, indent)
+                body.append(f"{indent}_ = {read}")
+                body.append(indent + write("0" if kind == "coin" else "(None, 0)"))
             return
         assert isinstance(s, OpStmt)
         key = (s.ns, s.op)
-        # moves write the source before reading the destination so aliased
-        # operands conserve value (mirrors the runtime)
-        if key in (("Coin", "move"), ("Coin", "moveall")):
-            sr, sw = self._lvalue_slots(s.args[0], env, "coin")
-            n = len(body)
-            k = self.expr(s.args[1], env) if s.op == "move" else f"_a{n}"
-            body.append(f"{indent}_a{n} = {sr}")
-            body.append(f"{indent}_k{n} = {k}")
-            body.append(f"{indent}" + sw(f"_ckmove(_a{n}, _k{n})"))
-            dr, dw = self._lvalue_slots(s.args[-1], env, "coin")
-            body.append(f"{indent}" + dw(f"{dr} + _k{n}"))
-            return
-        if key in (("Token", "move"), ("Token", "moveall")):
-            sr, sw = self._lvalue_slots(s.args[0], env, "token")
-            n = len(body)
-            k = self.expr(s.args[1], env) if s.op == "move" else f"_a{n}[1]"
-            body.append(f"{indent}_a{n} = {sr}")
-            body.append(f"{indent}_k{n} = {k}")
-            body.append(f"{indent}" + sw(f"_tokcut(_a{n}, _k{n})"))
-            dr, dw = self._lvalue_slots(s.args[-1], env, "token")
-            body.append(f"{indent}" + dw(f"_tokmerge({dr}, _a{n}[0], _k{n})"))
+        zero = "0" if s.ns == "Coin" else "(None, 0)"
+        # moves write the source before resolving the destination so
+        # aliased operands conserve value (mirrors the runtime)
+        if s.op in ("move", "moveall"):
+            coin = s.ns == "Coin"
+            read, write = self.slot(body, s.args[0], env, indent, zero)
+            a = self._let(body, indent, read)
+            k = self._let(body, indent, self.expr(s.args[1], env) if s.op == "move"
+                          else a if coin else f"{a}[1]")
+            body.append(indent + write(f"_ckmove({a}, {k})" if coin else f"_tokcut({a}, {k})"))
+            read, write = self.slot(body, s.args[-1], env, indent, zero)
+            body.append(indent + write(f"{read} + {k}" if coin
+                                       else f"_tokmerge({read}, {a}[0], {k})"))
             return
         if key == ("Token", "issue"):
-            n = self.expr(s.args[0], env)
-            dr, dw = self._lvalue_slots(s.args[1], env, "token")
-            tmp = f"_p{len(body)}"
-            body.append(f"{indent}{tmp} = {n}")
-            body.append(f"{indent}_s = _issue({tmp}, {env}.get('__remaining'))")
+            n = self._let(body, indent, self.expr(s.args[0], env))
+            body.append(f"{indent}_s = _issue({n}, {env}.get('__remaining'))")
             body.append(f"{indent}if _s is not None: {env}['__remaining'] = _s")
-            body.append(f"{indent}" + dw(f"_tokmerge({dr}, {self.self_addr!r}, {tmp})"))
+            read, write = self.slot(body, s.args[1], env, indent, zero)
+            body.append(indent + write(f"_tokmerge({read}, {self.self_addr!r}, {n})"))
             return
         if key == ("Token", "burn"):
-            sr, sw = self._lvalue_slots(s.args[0], env, "token")
-            k = self.expr(s.args[1], env)
-            body.append(f"{indent}" + sw(f"_tokburn({sr}, {k}, {self.self_addr!r})"))
+            read, write = self.slot(body, s.args[0], env, indent, zero)
+            body.append(indent + write(
+                f"_tokburn({read}, {self.expr(s.args[1], env)}, {self.self_addr!r})"))
             return
-        if key == ("Timer", "set"):
-            assert isinstance(s.args[0], Var)
-            t = s.args[0].name
-            body.append(f"{indent}{env}[{t!r}] = _tset({env}[{t!r}], {self.expr(s.args[1], env)})")
+        if s.ns == "Timer":
+            read, write = self.slot(body, s.args[0], env, indent)
+            body.append(indent + write("('off', 0)" if s.op == "reset"
+                                       else f"_tset({read}, {self.expr(s.args[1], env)})"))
             return
-        if key == ("Timer", "reset"):
-            t = s.args[0].name
-            body.append(f"{indent}{env}[{t!r}] = ('off', 0)")
+        if s.op == "set":  # Map.set, Seq.set, Tuple.set: write the entry
+            _, write = self.slot(body, Builtin(s.ns, "ref", s.args[:2]), env, indent)
+            body.append(indent + write(self.expr(s.args[2], env)))
             return
-        if key == ("Map", "set"):
-            m, _, keys = self._map_args(s.args[0])
-            k = self.expr(s.args[1], env)
-            v = self.expr(s.args[2], env)
-            body.append(f"{indent}_k = {k}")
-            body.append(f"{indent}if _k not in {keys}: _u('map key outside bounded domain')")
-            body.append(f"{indent}{env}[({m!r}, _k)] = {v}")
+        if key == ("Seq", "append"):
+            read, write = self.slot(body, s.args[0], env, indent)
+            body.append(indent + write(f"{read} + ({self.expr(s.args[1], env)},)"))
             return
         if key == ("Address", "change_owner"):
             body.append(f"{indent}if {env}.get('__sender') != {env}.get('owner'): "
                         f"_u('change_owner not by owner')")
-            body.append(f"{indent}_k = {self.expr(s.args[0], env)}")
-            body.append(f"{indent}if _k == 'none': _u('owner cannot become none')")
-            body.append(f"{indent}{env}['owner'] = _k")
+            k = self._let(body, indent, self.expr(s.args[0], env))
+            body.append(f"{indent}if {k} == 'none': _u('owner cannot become none')")
+            body.append(f"{indent}{env}['owner'] = {k}")
             return
         raise CannotCompile(f"{s.ns}.{s.op}")
 

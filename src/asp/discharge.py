@@ -13,9 +13,9 @@ Each verdict has two independent routes:
   assigned (Chaff's lazy watches), an equality with a single unknown
   forces its value, variables only the hypothesis reads get one witness
   per prefix (the conjuncts over them alone are solved once per VC), and
-  the leaf obligations run as code generated by the compile module, as
-  do pruning and forcing. Under a compiled leaf the actors that nothing
-  holds yet are interchangeable (the scalarset symmetry of Ip & Dill, in
+  every leaf obligation runs as code generated by the compile module
+  (`_Leaf`), as do pruning and forcing. The actors that nothing holds yet
+  are interchangeable (the scalarset symmetry of Ip & Dill, in
   the least-number form of finite model finders): a node tries only the
   first of them, and the others, which come after it in domain order,
   cannot hold the first counterexample (see `_search`). So the engine
@@ -28,16 +28,15 @@ Each verdict has two independent routes:
   `checked` stays the size of the raw product. They share the engine's
   finitization (`_finitize`) but never its compiled code.
 
-Only Initiality, whose problem has no map layout for the compiler, and a
-leaf outside the compiled fragment (`CannotCompile`, e.g. a `Tuple.ref`
-or `Seq.ref` drain) use the runtime evaluator on the engine route too. A step
-of the proof model, the time self-loop included, is a transition that
-vcgen built and sliced, so no check here special-cases time or slices an
-action. The interpreted move checks (Enabledness, PlayerMove,
-OpponentTotal) enumerate the VC's `moves` with `_Ctx.moves`, the same
-enumerator the state searches of the prove module run on the full steps;
-their compiled twins (`_CompiledMoves`) enumerate the same steps, binders
-and domains in the same order over the flat env.
+No engine leaf falls back to the runtime evaluator: a VC outside the
+compiled fragment (`CannotCompile`) is Unknown. A step of the proof
+model, the time self-loop included, is a transition that vcgen built and
+sliced, so no check here special-cases time or slices an action. The
+interpreted move checks (Enabledness, PlayerMove, OpponentTotal)
+enumerate the VC's `moves` with `_Ctx.moves`, the same enumerator the
+state searches of the prove module run on the full steps; their compiled
+twins (`_Leaf.moves`) enumerate the same steps, binders and domains in
+the same order over the flat env.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from .ast_nodes import (
-    Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Var,
+    Assign, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Var,
     children, map_children, membership_maps, stmt_exprs,
 )
 from .compile import ABSENT, CannotCompile, Compiler
@@ -55,7 +54,7 @@ from .machine import (
     step_instance,
 )
 from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
-from .values import ADDR_NONE, Undef, boxed, zero_value
+from .values import ADDR_NONE, Undef, boxed, flat, zero_value
 from .vcgen import VC
 
 
@@ -354,7 +353,7 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# Interpreted leaf checks (oracle, replay, the engine's Initiality)
+# Interpreted leaf checks (oracle and replay)
 # ---------------------------------------------------------------------------
 
 
@@ -566,23 +565,13 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
     scalars: dict = {}
     maps: dict[str, MapSpec] = {}
 
-    if vc.kind == "Initiality":
-        # the initial state is computed from the parameters; nothing else
-        # is free in this obligation
-        for pname, ptyp in tc.params:
-            scalars[pname] = scalar_domain(ptyp, bounds, cx.self_addr)
-        scalars["creator"] = bounds.actor_values()
-        if "__player" in reads:
-            scalars["__player"] = bounds.actor_values()
-        hyp = [] if tc.where is None else split_conjuncts(tc.where)
-        return _Problem(vc, cx, scalars, {}, hyp, list(scalars))
-
     own_binders = {} if vc.transition is None else vc.transition.binders
     map_in_names = membership_maps(pool)
     uses_self = any(_uses_self(e) for e in pool)
+    initiality = vc.kind == "Initiality"
 
     for pname, ptyp in tc.params:
-        if pname in reads:
+        if pname in reads or initiality:
             scalars[pname] = scalar_domain(ptyp, bounds, cx.self_addr)
     for v in tc.vars.values():
         if v.name not in reads or v.name in own_binders or v.synthetic:
@@ -597,8 +586,17 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
             else:
                 entry_values = (ABSENT,) + tuple(val_dom)
             maps[v.name] = MapSpec(v.name, tuple(key_dom), entry_values, v.default)
-        else:
+        elif not initiality:
             scalars[v.name] = scalar_domain(v.typ, bounds, cx.self_addr)
+    if initiality:
+        # the initial state is computed from the parameters and the
+        # creator; the maps the obligation reads are laid out (every entry
+        # starts absent) but not enumerated
+        scalars["creator"] = bounds.actor_values()
+        if "__player" in reads:
+            scalars["__player"] = bounds.actor_values()
+        hyp = [] if tc.where is None else split_conjuncts(tc.where)
+        return _Problem(vc, cx, scalars, maps, hyp, list(scalars))
     for name, typ in own_binders.items():
         if name == vc.transition.sender_var:
             scalars[name] = bounds.actor_values()
@@ -683,16 +681,15 @@ class _Conjunct:
 
 
 def _compile(prob: _Problem, code_cache: dict):
-    """(compiled hypothesis conjuncts, leaf check, whether the leaf check
-    is compiled) of a problem. A relation ticks only the timers that the
-    problem enumerates: the others stay as the boxed instance has them,
-    off, which a tick leaves alone."""
+    """(compiled hypothesis conjuncts, leaf check) of a problem. A relation
+    ticks only the timers that the problem enumerates: the others stay as
+    the boxed instance has them, off, which a tick leaves alone."""
     comp = Compiler({m.name: (m.default, m.keys) for m in prob.maps.values()},
                     prob.cx.self_addr,
                     tuple(t for t in prob.vc.tc.timers if t in prob.domains),
                     code_cache)
     conjuncts = [_compile_conjunct(comp, prob.maps, e) for e in prob.hypothesis]
-    return (conjuncts, *_make_check(prob.vc, prob.cx, comp))
+    return conjuncts, _Leaf(prob, comp).check
 
 
 def _compile_conjunct(comp: Compiler, maps: dict[str, MapSpec],
@@ -739,25 +736,6 @@ def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
     return None
 
 
-def _make_check(vc: VC, cx: _Ctx, comp: Compiler):
-    """(leaf obligation, whether it is compiled): compiled for every kind
-    but Initiality, whose problem has no map layout for the compiler; the
-    runtime evaluator for it and for a leaf outside the compiled
-    fragment."""
-    if vc.kind != "Initiality":
-        try:
-            return _compiled_check(vc, cx, comp), True
-        except CannotCompile:
-            pass
-    return _interpreted_check(vc, cx), False
-
-
-def _interpreted_check(vc: VC, cx: _Ctx):
-    """Leaf obligation through the runtime evaluator: env -> message or
-    None."""
-    return lambda env: _CHECKS[vc.kind](cx, env)
-
-
 def _holds(pred, E) -> bool:
     """Whether a compiled predicate holds at E; an undefined one does not,
     as under the runtime evaluator."""
@@ -765,62 +743,6 @@ def _holds(pred, E) -> bool:
         return pred(E) is True
     except Undef:
         return False
-
-
-def _compiled_check(vc: VC, cx: _Ctx, comp: Compiler):
-    """The leaf obligation as compiled code: env -> message or None, with
-    the interpreted check's message for each failure."""
-    if vc.kind == "Sufficiency":
-        concl = comp.predicate(list(cx.vc.conclusion))
-
-        def check_suff(E):
-            return None if _holds(concl, E) else \
-                "reject predicate holds at an invariant state"
-        return check_suff
-
-    if vc.kind == "RankDefined":
-        rank_fn = comp.rank(cx.sketch.rank.get(vc.state))
-
-        def check_rd(E):
-            return None if rank_fn(E) is not None else "rank is undefined"
-        return check_rd
-
-    if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
-        cm = _CompiledMoves(vc, cx, comp)
-        return {"Enabledness": cm.enabledness, "PlayerMove": cm.player_move,
-                "OpponentTotal": cm.opponent_total}[vc.kind]
-
-    rel = comp.relation(vc.action, vc.transition.sender_var)
-
-    if vc.kind == "Inductiveness":
-        concl = comp.predicate(list(cx.vc.conclusion))
-
-        def check_ind(E):
-            E2 = rel(E)
-            return None if E2 is None or _holds(concl, E2) else \
-                "assertion is not preserved"
-        return check_ind
-
-    assert vc.kind == "RankDecrease"
-    target = vc.target
-    rank_src = comp.rank(cx.sketch.rank.get(vc.state))
-    rank_tgt = comp.rank(cx.sketch.rank.get(target))
-    goal_tgt = cx.sketch.goal_at(target)
-    goal_fn = None if goal_tgt is None else comp.predicate(list(goal_tgt))
-    theta_fn = comp.predicate(list(cx.sketch.theta(target)))
-
-    def check_dec(E):
-        pre = rank_src(E)
-        if pre is None:
-            return "rank is undefined at the source state"
-        E2 = rel(E)
-        if E2 is None or goal_fn is not None and _holds(goal_fn, E2):
-            return None
-        post = rank_tgt(E2) if _holds(theta_fn, E2) else None
-        if post is None or not post < pre:
-            return "rank does not decrease strictly"
-        return None
-    return check_dec
 
 
 def _witnessed(pred, E) -> bool:
@@ -844,35 +766,89 @@ class _Move:
     rel: object
 
 
-class _CompiledMoves:
-    """The leaf checks of Enabledness, PlayerMove and OpponentTotal as
-    compiled code over the flat env, each with its interpreted twin's
-    messages and order. Built once per VC: each step of `VC.moves`, the
-    state's witness and, for the game rules, the source rank and per
-    target state the goal, theta and rank that `check_dec` reads too."""
+class _Leaf:
+    """The leaf obligation of a VC as code generated over the flat env:
+    `check`, env -> message or None, is the method named as its runtime
+    twin in `_CHECKS`, with that twin's messages and order. Built once per
+    VC from what its kind reads: Initiality the initializers as a relation
+    from the zero state, the state obligations each step of `VC.moves` and
+    the state's witness, and the ranked kinds the source rank and, per
+    target state, the goal, theta and rank."""
 
-    def __init__(self, vc: VC, cx: _Ctx, comp: Compiler):
+    _METHODS = {"Initiality": "initiality", "Inductiveness": "inductive",
+                "Sufficiency": "sufficiency", "RankDefined": "rank_defined",
+                "Enabledness": "enabledness", "RankDecrease": "rank_decrease",
+                "PlayerMove": "player_move", "OpponentTotal": "opponent_total"}
+
+    def __init__(self, prob: _Problem, comp: Compiler):
+        vc, cx = prob.vc, prob.cx
+        kind = vc.kind
+        self.check = getattr(self, self._METHODS[kind])
         self.actors = cx.bounds.actor_values()
         self.deltas = cx.deltas()
         self.remaining = vc.tc.issue_limit if vc.tc.issues else None
-        wit = cx.sketch.witness.get(vc.state)
-        self.witness = None if wit is None else comp.predicate((wit,))
-        self.steps = [_Move(t, tuple(t.binders), tuple(
-            self.actors if name == t.sender_var
-            else scalar_domain(typ, cx.bounds, cx.self_addr)
-            for name, typ in t.binders.items()),
-            comp.predicate(t.guards), comp.relation(t.action, t.sender_var))
-            for t in vc.moves]
-        if vc.kind == "Enabledness":
-            return
-        self.rank = comp.rank(cx.sketch.rank.get(vc.state))
-        self.targets = {}
-        for target in dict.fromkeys(t.target for t in vc.moves):
-            goal = cx.sketch.goal_at(target)
-            self.targets[target] = (
-                None if goal is None else comp.predicate(list(goal)),
-                comp.predicate(list(cx.sketch.theta(target))),
-                comp.rank(cx.sketch.rank.get(target)))
+        if kind in ("Initiality", "Inductiveness", "Sufficiency"):
+            self.concl = comp.predicate(vc.conclusion)
+        if kind == "Initiality":
+            # init_instance's state: every variable zero, every map empty,
+            # the creator as owner and the full supply; the initializers
+            # read only the parameters, owner and creator (init_scope)
+            self.start = {v.name: flat(zero_value(v.typ)) for v in vc.tc.vars.values()
+                          if v.typ.kind != "map"}
+            self.start.update((k, ABSENT) for k in prob.domains if isinstance(k, tuple))
+            self.start["__remaining"] = self.remaining
+            self.rel = comp.relation([Assign(v.name, v.init) for v in vc.tc.vars.values()
+                                      if v.init is not None], None)
+        if kind in ("Inductiveness", "RankDecrease"):
+            self.target = vc.target  # RankDecrease's
+            self.rel = comp.relation(vc.action, vc.transition.sender_var)
+        if kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
+            wit = cx.sketch.witness.get(vc.state)
+            self.witness = None if wit is None else comp.predicate((wit,))
+            self.steps = [_Move(t, tuple(t.binders), tuple(
+                self.actors if name == t.sender_var
+                else scalar_domain(typ, cx.bounds, cx.self_addr)
+                for name, typ in t.binders.items()),
+                comp.predicate(t.guards), comp.relation(t.action, t.sender_var))
+                for t in vc.moves]
+        if kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
+            self.rank = comp.rank(cx.sketch.rank.get(vc.state))
+        if kind in ("RankDecrease", "PlayerMove", "OpponentTotal"):
+            self.targets = {}
+            for target in dict.fromkeys([vc.target] if kind == "RankDecrease"
+                                        else [t.target for t in vc.moves]):
+                goal = cx.sketch.goal_at(target)
+                self.targets[target] = (
+                    None if goal is None else comp.predicate(list(goal)),
+                    comp.predicate(list(cx.sketch.theta(target))),
+                    comp.rank(cx.sketch.rank.get(target)))
+
+    def initiality(self, E):
+        post = self.rel({**self.start, **E, "owner": E["creator"]})
+        if post is None or _holds(self.concl, post):
+            return None  # no such initial state, or the assertion holds
+        return "assertion fails at the initial state"
+
+    def inductive(self, E):
+        post = self.rel(E)
+        return None if post is None or _holds(self.concl, post) else \
+            "assertion is not preserved"
+
+    def sufficiency(self, E):
+        return None if _holds(self.concl, E) else \
+            "reject predicate holds at an invariant state"
+
+    def rank_defined(self, E):
+        return None if self.rank(E) is not None else "rank is undefined"
+
+    def rank_decrease(self, E):
+        pre_rank = self.rank(E)
+        if pre_rank is None:
+            return "rank is undefined at the source state"
+        post = self.rel(E)
+        if post is None or self.progress(self.target, post, pre_rank):
+            return None
+        return "rank does not decrease strictly"
 
     def moves(self, E, senders=None, taus: bool = True, witness=None):
         """(move, env) for each step from E whose guards hold, in step and
@@ -1141,9 +1117,14 @@ def _free_actors(vc: VC, prob: _Problem, domains: dict) -> tuple:
     P0, are read only when they are keys), so swapping two free actors
     maps the domains and the compiled hypothesis onto themselves.
 
-    It maps each compiled leaf check onto itself too. Inductiveness,
-    Sufficiency, RankDefined and RankDecrease read the env alone. The
-    move obligations (`_CompiledMoves`) also enumerate moves: the sender
+    It maps each leaf check (`_Leaf`) onto itself too. Inductiveness,
+    Sufficiency, RankDefined and RankDecrease read the env alone.
+    Initiality runs the initializers from a start state that is fixed but
+    for `owner`, a copy of the key `creator` (no actor is a default here),
+    and whose map entries cover every key; the initializers read only the
+    parameters, `owner` and `creator` (typecheck's `init_scope`), and
+    contract code has no actor literal. The move obligations also
+    enumerate moves: the sender
     over all actors, every other address binder over `none` and the
     actors, and for OpponentTotal the other actors, all actors but the
     value of the key `__player`. A swap of two actors that the env does
@@ -1189,7 +1170,7 @@ def discharge_bounded(vc: VC, bounds: DomainBounds,
     code_cache = {} if code_cache is None else code_cache
     try:
         prob = _finitize(vc, bounds)
-        conjuncts, check, compiled = _compile(prob, code_cache)
+        conjuncts, check = _compile(prob, code_cache)
         domains = dict(prob.domains)
         tail = _independent_tail(prob, conjuncts)
         if tail:
@@ -1200,10 +1181,8 @@ def discharge_bounded(vc: VC, bounds: DomainBounds,
                 return Valid(vc.name, 0)
             domains.update((k, (v,)) for k, v in witness.items())
             conjuncts = [c for i, c in enumerate(conjuncts) if i not in tail]
-        # an interpreted leaf reads creator as P0 when no key holds it
-        free = _free_actors(vc, prob, domains) if compiled else ()
         r, leaves = _search(vc.name, prob.order, prob.boundary, domains,
-                            conjuncts, check, free)
+                            conjuncts, check, _free_actors(vc, prob, domains))
     except (Unfinitizable, CannotCompile) as e:
         return Unknown(vc.name, str(e))
     return r if r is not None else Valid(vc.name, leaves)
@@ -1254,7 +1233,7 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
     try:
         prob = _finitize(vc, bounds)
         hyp = _runtime_hypothesis(prob)
-        leaf = _interpreted_check(vc, prob.cx)
+        leaf = _CHECKS[vc.kind]
         at = _hypothesis_schedule(prob)
         keys = prob.order
         domains = [prob.domains[k] for k in keys]
@@ -1267,7 +1246,7 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
                 return None
             if d == len(keys):
                 checked += 1
-                msg = leaf(env)
+                msg = leaf(prob.cx, env)
                 return None if msg is None else \
                     Counterexample(vc.name, _json_valuation(env), msg)
             for value in domains[d]:
@@ -1296,7 +1275,7 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
             env[key] = _value_from_json(cex.valuation[name], values)
     if not _runtime_hypothesis(prob)(prob.hypothesis, env):
         return False
-    return _interpreted_check(vc, prob.cx)(env) is not None
+    return _CHECKS[vc.kind](prob.cx, env) is not None
 
 
 def _value_from_json(j, domain):

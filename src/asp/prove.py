@@ -28,7 +28,7 @@ from .discharge import (
 from .machine import advance_instance, init_instance
 from .sketch import ProofSketch
 from .typecheck import TypedProgram
-from .values import Coin, MapVal, Tok
+from .values import Coin, MapVal, Timer, Tok
 from .vcgen import VC, generate_vcs, steps_from
 
 
@@ -167,10 +167,13 @@ class FiniteModel:
     def successors(self, inst):
         """(kind, sender, post) for every finitized move: inputs over
         bounded binder domains and taus (the time self-loop among them),
-        each composed with every tick. The moves are those of the proof
-        obligations (`_Ctx.moves`), run on the full action: one step per
-        move, clamped, then one tick per delta, since whether a step is
-        defined does not depend on the tick that follows it."""
+        each composed with every tick that gives a distinct instance. The
+        moves are those of the proof obligations (`_Ctx.moves`), run on
+        the full action: one step per move, clamped, then ticked, since
+        whether a step is defined does not depend on the tick that follows
+        it. A tick leaves a step with no active timer as it is, and every
+        tick of at least the longest active timer's units fires them all,
+        so the ticks past that one repeat it."""
         cx = self.cx
         deltas = cx.deltas()
         out = []
@@ -180,8 +183,12 @@ class FiniteModel:
                 continue
             post = self._clamp(post)
             kind = "tau" if t.input is None else "input"
-            out.extend((kind, sender, post if d is None else advance_instance(post, d))
-                       for d in deltas)
+            longest = max((v.k for v in post.env.values()
+                           if type(v) is Timer and v.state == "active"), default=0)
+            if longest:
+                out.extend((kind, sender, advance_instance(post, d)) for d in deltas[:longest])
+            else:
+                out.append((kind, sender, post))
         return out
 
     def explore(self, state_limit: int, absorbing=lambda inst: False):

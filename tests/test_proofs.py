@@ -6,9 +6,10 @@ import pytest
 
 from asp.diagnostics import SketchError
 from asp.discharge import (
-    Counterexample, DomainBounds, Valid, _compile, _finitize, discharge_bounded,
+    _CHECKS, Counterexample, DomainBounds, Valid, discharge_bounded,
     discharge_naive, replay_counterexample,
 )
+from asp.machine import advance_instance
 from asp.parser import parse_program
 from asp import compile as codegen
 from asp.prove import FiniteModel, check_proof, game_solve, reach_search
@@ -416,13 +417,15 @@ contract Capped(limit: nat) where limit > %d {
 def test_engine_agrees_on_independent_tail(floor, leaves):
     """Only the `where` clause reads `limit`, so the step's VC solves that
     conjunct once, apart from the search: unsatisfiable at nat=2 it makes
-    the VC Valid with no leaf, as the oracle finds. Satisfiable, the step
-    has one leaf per sender class: P0 stands for both actors."""
+    the VC Valid with no leaf, as the oracle finds. Satisfiable, each VC
+    has one engine leaf per creator or sender class, where the oracle has
+    `leaves`: P0 stands for both actors."""
     prog = typecheck(parse_program(CAPPED % floor))
     sk = parse_proof_sketch("safety zero { always n == 0 }", prog)
     fast, slow = _agree(prog, sk, SMALL)
     assert [(r.vc, r.checked) for r in fast] == [
-        ("initiality[Capped.A]", leaves), ("inductive[Capped.poke@A#0]", min(leaves, 1))]
+        ("initiality[Capped.A]", min(leaves, 1)),
+        ("inductive[Capped.poke@A#0]", min(leaves, 1))]
     assert [r.checked for r in slow] == [leaves, leaves]
 
 
@@ -916,8 +919,61 @@ contract Tick() {
 """
 
 
+SQ = """
+contract Sq() {
+  msg go(nat, nat);
+  var s: seq[nat];
+  var p: tuple[nat, bool];
+  var b: bool;
+  initial A;
+  state A:
+  | x??go(i, n) -> A { %s }
+}
+"""
+
+CELLS = """
+contract Cells() {
+  msg go(nat);
+  var s: seq[coin];
+  var p: tuple[coin, nat];
+  var c: coin;
+  initial A;
+  state A:
+  | x??go(i) -> A { %s }
+}
+"""
+
+NEST = """
+contract Nest() {
+  msg give(coin), take;
+  var m: map[address, tuple[coin, nat]];
+  var c: coin;
+  initial A;
+  state A:
+  | x??give(k) -> A { Coin.moveall(k, Tuple.ref(Map.ref(m, x), 0)); }
+  | x??take -> A { Coin.moveall(Tuple.ref(Map.ref(m, x), 0), c); }
+}
+"""
+
+INI = """
+contract Ini(k: nat, heir: address) {
+  msg go;
+  var n: nat := 4 / k;
+  var who: address := creator;
+  var next: address := heir;
+  var bal: map[address, nat] default 0;
+  initial A;
+  state A:
+  | x??go -> A { }
+}
+"""
+
+
 def _no_interpreter(*args, **kwargs):
-    raise AssertionError("the engine fell back to the interpreted leaf check")
+    raise AssertionError("the engine ran a runtime-evaluator leaf check")
+
+
+NO_CHECKS = {kind: _no_interpreter for kind in _CHECKS}
 
 
 @pytest.mark.parametrize("source, sketch, statuses", [
@@ -947,21 +1003,58 @@ def _no_interpreter(*args, **kwargs):
      ["counterexample", "valid", "counterexample"]),
     # the destination key reads the source, which the move has emptied
     (KEYED, "safety s { always !Map.in(2, bal) }", ["valid", "valid", "valid"]),
+    # sequence and tuple writes, read back through the entry they wrote
+    (SQ % "Seq.set(s, i, n); b = Seq.get(s, 0) == 2;", "safety b { always !b }",
+     ["valid", "counterexample"]),
+    (SQ % "Seq.append(s, n); b = Seq.get(s, Seq.len(s) - 1) != n;",
+     "safety b { always !b }", ["valid", "valid"]),
+    (SQ % "Tuple.set(p, 0, n); Tuple.set(p, 1, n == 0);",
+     "safety t { always Tuple.get(p, 1) ==> Tuple.get(p, 0) == 0 }", ["valid", "valid"]),
+    # moves and drains through Seq.ref and Tuple.ref; a drained entry
+    # moves nothing after it
+    (CELLS % "Coin.moveall(Seq.ref(s, i), c);", "safety c { always Coin.value(c) <= 1 }",
+     ["valid", "counterexample"]),
+    (CELLS % "Coin.move(Tuple.ref(p, 0), i, c);", "safety c { always Coin.value(c) <= 1 }",
+     ["valid", "counterexample"]),
+    (CELLS % "x!!got(Seq.ref(s, i)); Coin.moveall(Seq.ref(s, i), c);",
+     "safety c { always Coin.value(c) == 0 }", ["valid", "valid"]),
+    (CELLS % "x!!got(Tuple.ref(p, 0)); Coin.moveall(Tuple.ref(p, 0), c);",
+     "safety c { always Coin.value(c) == 0 }", ["valid", "valid"]),
+    # an entry under the one a move writes is not materialized
+    (NEST, "safety c { always Coin.value(c) == 0 }", ["valid", "valid", "counterexample"]),
+    (NEST, "safety none { always forall a: address : !Map.in(a, m) }",
+     ["valid", "valid", "valid"]),
+    # Initiality's relation: the initializers from the zero state, with
+    # the creator as owner and every map empty. An address parameter can
+    # hold P0, and then the creator is enumerated over P1 too.
+    (INI, "safety s { always who == owner && who == creator && next == heir }",
+     ["valid", "valid"]),
+    (INI, "safety s { always next != creator }", ["counterexample", "valid"]),
+    # k == 0 leaves n undefined: no initial state, so nothing to refute
+    (INI, "safety s { always n * k == 4 || n * k == 3 || n * k == 2 }",
+     ["valid", "valid"]),
+    (INI, "safety s { always n == 4 }", ["counterexample", "valid"]),
+    (INI, "safety s { always forall a: address : !Map.in(a, bal) && Map.get(bal, a) == 0 }",
+     ["valid", "valid"]),
 ], ids=["change_owner", "coin_move_aliased", "coin_move", "token_issue",
         "token_move", "token_moveall", "token_burn", "timer_reset", "send_map_ref",
-        "change_owner_writes_owner", "send_drains", "coin_moveall_keyed_by_source"])
+        "change_owner_writes_owner", "send_drains", "coin_moveall_keyed_by_source",
+        "seq_set", "seq_append", "tuple_set", "seq_ref_move", "tuple_ref_move",
+        "seq_ref_drain", "tuple_ref_drain", "nested_ref_move", "nested_ref_not_materialized",
+        "initializers_read_creator", "initializer_reads_parameter", "initializer_undefined",
+        "initializer_value", "initial_maps_empty"])
 def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
     """Each statement operation of the compiled relation runs in an
-    inductiveness leaf, and the engine agrees with the oracle on it; the
-    engine checks those leaves with compiled code, not the interpreter."""
+    inductiveness leaf, and the initializers in the initiality leaf; the
+    engine agrees with the oracle on them, and checks every leaf with
+    compiled code, never with `_CHECKS`."""
     prog = typecheck(parse_program(source))
     sk = parse_proof_sketch(sketch, prog)
     assert [r.status for r in _agree(prog, sk, SMALL)[0]] == statuses
-    for vc in generate_vcs(prog, sk):
-        if vc.kind == "Inductiveness":
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr("asp.discharge._interpreted_check", _no_interpreter)
-                discharge_bounded(vc, SMALL)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("asp.discharge._CHECKS", NO_CHECKS)
+        for vc in generate_vcs(prog, sk):
+            discharge_bounded(vc, SMALL)
 
 
 # -- actor symmetry -----------------------------------------------------------
@@ -1140,6 +1233,35 @@ def test_state_key_tells_states_apart_as_snapshot(label):
                 [(kind, sender, snaps[j]) for kind, sender, j in ms]
 
 
+@pytest.mark.parametrize("label, total", [
+    ("reach.auction_closed", 95), ("game.vending_fixed", 390), ("game.vending_machine", 245)])
+def test_successors_tick_to_distinct_instances(label, total):
+    """A step's result is ticked only by the deltas that give distinct
+    instances (none without an active timer, else up to the longest active
+    timer's units), so at 3/4/4 the model has `total` moves; as a set, a
+    state's moves are those of ticking each result by every delta."""
+    search, contract, proof, params, creator = SEARCHES[label]
+    prog = typed(contract)
+    model = FiniteModel(prog, parse_proof_sketch(load(proof), prog), BOUNDS, params,
+                        creator)
+    states, moves = model.explore(
+        10_000, model.is_goal if search is reach_search else lambda inst: False)
+    assert sum(len(ms) for ms in moves if ms is not None) == total
+    cx = model.cx
+    for inst, ms in zip(states, moves):
+        if ms is None:
+            continue
+        every = set()
+        for t, sender, b in cx.moves(inst, model.steps[inst.skeleton]):
+            post = cx.run_inner(t, inst, b, sender, None)
+            if post is not None:
+                post = model._clamp(post)
+                every |= {("tau" if t.input is None else "input", sender,
+                           model.key(post if d is None else advance_instance(post, d)))
+                          for d in cx.deltas()}
+        assert {(kind, sender, model.key(states[j])) for kind, sender, j in ms} == every
+
+
 def test_container_values_hash_with_equality():
     """Equal maps, sequences and tuples hash equal whatever their dict
     order; a map's default and a container's kind take part in equality."""
@@ -1186,24 +1308,32 @@ def test_move_obligations_agree_at_proof_bounds():
 
 
 @pytest.mark.parametrize("bounds", PINNED["engine"])
-def test_move_obligations_compiled(bounds):
-    """Every corpus move obligation checks its leaves with compiled code."""
-    for vc in _corpus_vcs(MOVE_KINDS):
-        assert _compile(_finitize(vc, DomainBounds.parse(bounds)), {})[2], vc.name
+def test_engine_runs_no_runtime_evaluator(bounds, monkeypatch):
+    """Every corpus VC, of every kind, gives its pinned engine result with
+    the runtime evaluator's leaf checks and entry points patched to raise:
+    the engine route runs generated code only."""
+    monkeypatch.setattr("asp.discharge._CHECKS", NO_CHECKS)
+    for name in ("eval_expr", "step_instance", "init_instance"):
+        monkeypatch.setattr(f"asp.discharge.{name}", _no_interpreter)
+    for contract, proof in CRITERION_9_PAIRS:
+        prog = typed(contract)
+        vcs = generate_vcs(prog, parse_proof_sketch(load(proof), prog))
+        assert [pinned_form(discharge_bounded(vc, DomainBounds.parse(bounds)))
+                for vc in vcs] == PINS["engine"][bounds][f"{contract} {proof}"]
 
 
 # -- liveness answers pinned --------------------------------------------------
 
 # The engine's total leaf count over the valid VCs and the failing VCs of
 # each liveness proof at SMALL. The move obligations' compiled checks
-# enumerate moves, guards and slices, under the actor-symmetry cut; a
-# change there shows here.
+# enumerate moves, guards and slices, and every leaf, Initiality's
+# included, runs under the actor-symmetry cut; a change there shows here.
 LIVENESS = {
-    ("auction.asp", "auction_closed.aspproof"): (151, []),
-    ("vending_fixed.asp", "vending_lockout.aspproof"): (53, [
+    ("auction.asp", "auction_closed.aspproof"): (147, []),
+    ("vending_fixed.asp", "vending_lockout.aspproof"): (52, [
         "opponent_total[VendingMachine.Choose]",
         "player_move[VendingMachine.Deliver]"]),
-    ("vending_machine.asp", "vending_lockout_original.aspproof"): (35, [
+    ("vending_machine.asp", "vending_lockout_original.aspproof"): (34, [
         "opponent_total[VendingMachine.Choose]",
         "opponent_total[VendingMachine.Halt]",
         "player_move[VendingMachine.Choose]",
