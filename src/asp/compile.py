@@ -22,7 +22,9 @@ their flat form (`values.flat`, the form the IR interpreter stores too):
 
 Missing dict keys mean "not yet assigned" and surface as KeyError, which
 the enumeration uses to defer conjuncts; genuinely undefined operations
-raise Undef.
+raise Undef. A map entry whose key lies outside the bounded key domain is
+never enumerated: it is absent until a relation writes it, as the runtime
+evaluator writes any key, and it is read with `E.get`.
 
 This code runs at every node and leaf of the search, so map reads and
 connectives are emitted inline, not as prelude calls. A map read is a
@@ -40,11 +42,9 @@ import itertools
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .values import (
-    Undef, coin_cut, div, issue_supply, mod, nat_sub, seq_get, timer_read, timer_start,
-    timer_tick, token_burn, token_cut, token_merge,
+    ABSENT, Undef, coin_cut, div, issue_supply, mod, nat_sub, seq_get, timer_read,
+    timer_start, timer_tick, token_burn, token_cut, token_merge,
 )
-
-ABSENT = object()  # absent map entry (shared with discharge)
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +140,28 @@ class Compiler:
         return base.name, default, keyset_name
 
     def _map_read(self, base: Expr, key: Expr, env: str) -> str:
-        """Inline Map.get/Map.ref of base[key]; for a literal key, `key in
-        keys` is resolved here."""
+        """Inline Map.get/Map.ref of base[key]."""
         m, default, keys = self._map_args(base)
-        outside = "_u('map key outside the bounded domain')" if default is None else repr(default)
         absent = "_u('map has no entry')" if default is None else repr(default)
         v = f"_r{next(self.temps)}"
-        if isinstance(key, Lit):
-            if key.value not in self.consts[keys]:
-                return outside
-            return f"({v} if ({v} := {env}[{(m, key.value)!r}]) is not ABSENT else {absent})"
-        k = f"_r{next(self.temps)}"
-        return (f"(({v} if ({v} := {env}[({m!r}, {k})]) is not ABSENT else {absent})"
-                f" if ({k} := {self.expr(key, env)}) in {keys} else {outside})")
+        return f"({v} if ({v} := {self._entry(m, keys, key, env)}) is not ABSENT else {absent})"
 
     def _map_in(self, base: Expr, key: Expr, env: str) -> str:
         m, _, keys = self._map_args(base)
+        return f"({self._entry(m, keys, key, env)} is not ABSENT)"
+
+    def _entry(self, m: str, keys: str, key: Expr, env: str) -> str:
+        """The entry of map m under key, ABSENT when it has none. A key in
+        the bounded domain reads E[(m, k)], so a pending entry raises
+        KeyError; one outside it has an entry only where the relation
+        wrote one. For a literal key, `key in keys` is resolved here."""
         if isinstance(key, Lit):
-            if key.value not in self.consts[keys]:
-                return "False"
-            return f"({env}[{(m, key.value)!r}] is not ABSENT)"
+            mk = (m, key.value)
+            return f"{env}[{mk!r}]" if key.value in self.consts[keys] else \
+                f"{env}.get({mk!r}, ABSENT)"
         k = f"_r{next(self.temps)}"
-        return f"(({k} := {self.expr(key, env)}) in {keys} and {env}[({m!r}, {k})] is not ABSENT)"
+        return (f"({env}[({m!r}, {k})] if ({k} := {self.expr(key, env)}) in {keys}"
+                f" else {env}.get(({m!r}, {k}), ABSENT))")
 
     def _builtin(self, e: Builtin, env: str) -> str:
         key = (e.ns, e.op)
@@ -214,10 +214,10 @@ class Compiler:
         `interp._slot` and `machine.resolve_slot`: a variable, an entry of
         a map variable, or a `Seq.ref`/`Tuple.ref` over a slot, nested to
         any depth. Its keys and indices are bound once, here; an entry is
-        read and written through its container's slot. An absent map entry
-        reads as the map's default, else as `zero` (the empty coin or
-        token of the entry a move writes; no entry under it), else is
-        undefined."""
+        read and written through its container's slot, whatever its key.
+        An absent map entry reads as the map's default, else as `zero` (the
+        empty coin or token of the entry a move writes; no entry under it),
+        else is undefined."""
         if isinstance(e, Var):
             loc = f"{env}[{e.name!r}]"
             return loc, lambda v: f"{loc} = {v}"
@@ -226,11 +226,11 @@ class Compiler:
         if e.ns == "Map":
             m, default, keys = self._map_args(e.args[0])
             k = self._let(body, indent, self.expr(e.args[1], env))
-            body.append(f"{indent}if {k} not in {keys}: _u('map key outside the bounded domain')")
             loc = f"{env}[({m!r}, {k})]"
+            entry = f"({loc} if {k} in {keys} else {env}.get(({m!r}, {k}), ABSENT))"
             absent = repr(default) if default is not None else zero or "_u('map has no entry')"
             v = f"_r{next(self.temps)}"
-            return (f"({v} if ({v} := {loc}) is not ABSENT else {absent})",
+            return (f"({v} if ({v} := {entry}) is not ABSENT else {absent})",
                     lambda x: f"{loc} = {x}")
         read, write = self.slot(body, e.args[0], env, indent)
         i = self._let(body, indent, self.expr(e.args[1], env))

@@ -5,38 +5,39 @@ small enumerated set (plus `none`), nats 0..N, timers Off/Fired/Active(k<=N),
 maps become one enumeration variable per key over the bounded key set.
 Validity means no valuation satisfies hypothesis && relation && !conclusion.
 
-Each verdict has two independent routes:
+`_finitize` derives each VC's finite problem once (`_Problem`), and both
+routes of a verdict read it:
 
-- the engine (discharge_bounded), a pruning DFS over an environment of
-  flat values (values.flat): a hypothesis conjunct (quantifiers
-  pre-expanded) is checked again only once the key it blocked on is
-  assigned (Chaff's lazy watches), an equality with a single unknown
-  forces its value, variables only the hypothesis reads get one witness
-  per prefix (the conjuncts over them alone are solved once per VC), and
-  every leaf obligation runs as code generated by the compile module
-  (`_Leaf`), as do pruning and forcing. The actors that nothing holds yet
-  are interchangeable (the scalarset symmetry of Ip & Dill, in
-  the least-number form of finite model finders): a node tries only the
-  first of them, and the others, which come after it in domain order,
-  cannot hold the first counterexample (see `_search`). So the engine
-  answers as the full search would, and a Valid's `checked` counts the
-  leaves of the reduced search;
-- the raw-enumeration oracle (discharge_naive) and counterexample replay,
-  which evaluate hypothesis conjuncts and leaf obligations with the
-  runtime evaluator over instances of boxed values (values.boxed),
-  without propagation and without the symmetry cut, so the oracle's
-  `checked` stays the size of the raw product. They share the engine's
-  finitization (`_finitize`) but never its compiled code.
+- the engine (discharge_bounded) reads the problem alone. It is a pruning
+  DFS over an environment of flat values (values.flat): a hypothesis
+  conjunct is checked again only once the key it blocked on is assigned
+  (Chaff's lazy watches), an equality with a single unknown forces its
+  value, variables only the hypothesis reads get one witness per prefix
+  (the conjuncts over them alone are solved once per VC), and pruning,
+  forcing and every leaf obligation (`_Leaf`) run as code generated by the
+  compile module. The actors that nothing holds yet are interchangeable
+  (the scalarset symmetry of Ip & Dill, in the least-number form of finite
+  model finders): a node tries only the first of them, which cannot change
+  the first counterexample (see `_search`), so a Valid's `checked` counts
+  the leaves of the reduced search;
+- the raw-enumeration oracle (discharge_naive) and counterexample replay
+  build a `_Ctx` from the problem and evaluate hypothesis conjuncts and
+  leaf obligations with the runtime evaluator over instances of boxed
+  values (values.boxed), without propagation, symmetry cut or compiled
+  code, so the oracle's `checked` stays the size of the raw product.
 
-No engine leaf falls back to the runtime evaluator: a VC outside the
-compiled fragment (`CannotCompile`) is Unknown. A step of the proof
-model, the time self-loop included, is a transition that vcgen built and
-sliced, so no check here special-cases time or slices an action. The
-interpreted move checks (Enabledness, PlayerMove, OpponentTotal)
-enumerate the VC's `moves` with `_Ctx.moves`, the same enumerator the
-state searches of the prove module run on the full steps; their compiled
-twins (`_Leaf.moves`) enumerate the same steps, binders and domains in
-the same order over the flat env.
+A VC outside the compiled fragment (`CannotCompile`) is Unknown: no engine
+leaf falls back to the runtime evaluator. A step of the proof model, the
+time self-loop included, is a transition that vcgen built and sliced, so
+no check here special-cases time or slices an action. The move checks
+(Enabledness, PlayerMove, OpponentTotal) enumerate the VC's `moves` in
+step and binder order over the binder domains of `flat_binder_domains`:
+the oracle's with `_Ctx.moves`, which boxes them and which the state
+searches of the prove module run on the full steps, and the engine's with
+`_Leaf.moves` over the flat env.
+
+The module holds, in this order, what both routes read, the oracle, and
+the engine.
 """
 from __future__ import annotations
 
@@ -48,13 +49,13 @@ from .ast_nodes import (
     Assign, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Var,
     children, map_children, membership_maps, stmt_exprs,
 )
-from .compile import ABSENT, CannotCompile, Compiler
+from .compile import CannotCompile, Compiler
 from .machine import (
     InstanceState, UNDEFINED, advance_instance, enabled, eval_expr, init_instance,
     step_instance,
 )
 from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
-from .values import ADDR_NONE, Undef, boxed, flat, zero_value
+from .values import ABSENT, ADDR_NONE, Undef, boxed, flat, zero_value
 from .vcgen import VC
 
 
@@ -92,7 +93,8 @@ DischargeResult = Valid | Counterexample | Unknown
 
 
 # ---------------------------------------------------------------------------
-# Domain bounds (value domains in the flat form, values.flat)
+# Domain bounds, value domains in the flat form (values.flat), and
+# quantifier expansion
 # ---------------------------------------------------------------------------
 
 
@@ -177,11 +179,6 @@ def scalar_domain(typ: SemType, bounds: DomainBounds, issuer: str | None):
     raise Unfinitizable(f"cannot finitize {typ}")
 
 
-# ---------------------------------------------------------------------------
-# Quantifier expansion
-# ---------------------------------------------------------------------------
-
-
 def expand_quants(e: Expr, bounds: DomainBounds) -> Expr:
     """Replace bounded quantifiers by finite conjunctions/disjunctions.
     Only scalar-comparable types quantify, so substituted values are plain
@@ -205,40 +202,235 @@ def split_conjuncts(e: Expr) -> list[Expr]:
     return [e]
 
 
+# ---------------------------------------------------------------------------
+# Finitization: the problem of a VC, which both routes read
+# ---------------------------------------------------------------------------
+
+
+def flat_binder_domains(t: TypedTransition, bounds: DomainBounds, self_addr: str) -> dict:
+    """Name -> flat domain of each of t's binders, in binder order: the
+    sender ranges over the actors, every other binder over its type."""
+    return {name: bounds.actor_values() if name == t.sender_var
+            else scalar_domain(typ, bounds, self_addr)
+            for name, typ in t.binders.items()}
+
+
+def tick_deltas(tc, bounds: DomainBounds) -> tuple:
+    """The ticks a step composes with: 1 to one past the timer bound (a
+    step then fires every active timer), or (None,) without timers."""
+    return tuple(range(1, bounds.timer_max + 2)) if tc.has_timers() else (None,)
+
+
 @dataclass
-class MapSpec:
-    name: str
-    keys: tuple
-    values: tuple  # may include ABSENT
-    default: object  # a scalar literal, the same in flat and boxed form
+class _Problem:
+    """A VC over finite domains, derived once per VC by `_finitize`; the
+    engine reads it alone, and the oracle builds its `_Ctx` from it.
+    `domains` maps each key, a scalar name or a map entry `(map, key)`, to
+    its flat values, and `layout` each map the VC reads to its (default,
+    key domain). Only `order` is enumerated, and the keys from `boundary`
+    on are read by the hypothesis (quantifiers expanded) alone."""
+    vc: VC  # its conclusion expanded
+    bounds: DomainBounds
+    self_addr: str
+    deltas: tuple  # the ticks a step composes with (tick_deltas)
+    remaining: int | None  # the supply left to issue, unless a key holds it
+    domains: dict
+    layout: dict[str, tuple]
+    hypothesis: list[Expr]
+    order: list
+    boundary: int
+
+    @cached_property
+    def sketch(self):
+        """The sketch with its quantifiers expanded, on first use: the
+        compiled safety leaves never read it."""
+        return self.vc.sketch.map_exprs(lambda e: expand_quants(e, self.bounds))
+
+
+def _uses_self(e: Expr) -> bool:
+    if isinstance(e, Builtin) and (e.ns, e.op) == ("Address", "self"):
+        return True
+    return any(_uses_self(c) for c in children(e))
+
+
+def _definedness_hints(vc: VC) -> list[Expr]:
+    """Guards implied by the relation's definedness, hoisted into the
+    hypothesis to prune before the leaf: e.g. Timer.set on the unmodified
+    timer requires it to be Off. Pure pruning aid; never changes verdicts."""
+    hints: list[Expr] = []
+    written: set[str] = set()
+    for s in vc.action:
+        if not isinstance(s, OpStmt):
+            break  # conditionals etc.: stop hoisting
+        if (s.ns, s.op) == ("Timer", "set") and s.args[0].name not in written:
+            hints.append(Builtin("Timer", "is_off", (s.args[0],)))
+        written |= writes_of((s,))
+    return hints
+
+
+def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
+    # expanding the conclusion changes none of the names, maps and
+    # Address.self uses that these read
+    pool = vc.reads
+    reads = reads_of(pool)
+    vc = replace(vc, conclusion=tuple(
+        expand_quants(e, bounds) for e in vc.conclusion))
+    tc = vc.tc
+    self_addr = "@" + tc.name
+    deltas = tick_deltas(tc, bounds)
+    scalars: dict = {}
+    layout: dict[str, tuple] = {}
+    entries: dict = {}  # (map, key) -> values
+
+    own_binders = {} if vc.transition is None else vc.transition.binders
+    map_in_names = membership_maps(pool)
+    uses_self = any(_uses_self(e) for e in pool)
+    initiality = vc.kind == "Initiality"
+
+    for pname, ptyp in tc.params:
+        if pname in reads or initiality:
+            scalars[pname] = scalar_domain(ptyp, bounds, self_addr)
+    for v in tc.vars.values():
+        if v.name not in reads or v.name in own_binders or v.synthetic:
+            continue
+        if v.typ.kind == "map":
+            key_dom = scalar_domain(v.typ.args[0], bounds, self_addr)
+            if uses_self and v.typ.args[0].kind == "address":
+                key_dom += (self_addr,)  # Address.self can be a key
+            val_dom = scalar_domain(v.typ.args[1], bounds, self_addr)
+            if v.default is not None and v.name not in map_in_names:
+                entry_values = tuple(val_dom)  # absence == default here
+            else:
+                entry_values = (ABSENT,) + tuple(val_dom)
+            layout[v.name] = (v.default, tuple(key_dom))
+            entries.update(((v.name, k), entry_values) for k in key_dom)
+        elif not initiality:
+            scalars[v.name] = scalar_domain(v.typ, bounds, self_addr)
+
+    def problem(hypothesis, order, boundary):
+        return _Problem(vc, bounds, self_addr, deltas, tc.issue_limit if tc.issues else None,
+                        {**scalars, **entries}, layout, hypothesis, order, boundary)
+
+    if initiality:
+        # the initial state is computed from the parameters and the
+        # creator; the maps the obligation reads are laid out (every entry
+        # starts absent) but not enumerated
+        scalars["creator"] = bounds.actor_values()
+        if "__player" in reads:
+            scalars["__player"] = bounds.actor_values()
+        return problem([] if tc.where is None else split_conjuncts(tc.where),
+                       list(scalars), len(scalars))
+    if vc.transition is not None:
+        scalars.update(flat_binder_domains(vc.transition, bounds, self_addr))
+    if "owner" in reads:
+        scalars["owner"] = bounds.actor_values()
+    if "creator" in reads:
+        scalars["creator"] = bounds.actor_values()
+    if uses_self:
+        scalars["__self"] = (self_addr,)
+
+    if tc.timers and vc.transition is not None:
+        post_reads = reads_of(vc.conclusion)
+        if vc.kind == "RankDecrease":
+            post_reads |= reads_of(vc.sketch.reads_at(vc.target))
+        if post_reads & set(tc.timers):
+            scalars["__delta"] = deltas
+    if vc.kind in ("PlayerMove", "OpponentTotal") or "__player" in reads:
+        scalars["__player"] = bounds.actor_values()
+
+    if tc.issues and tc.issue_limit is not None and "__remaining" in reads:
+        scalars["__remaining"] = tuple(range(0, min(tc.issue_limit, bounds.nat_max) + 1))
+
+    # hypothesis: expand quantifiers, split conjunctions, then add the
+    # constructor constraint restricted to read vars
+    hyp: list[Expr] = []
+    for e in vc.hypothesis:
+        hyp.extend(split_conjuncts(expand_quants(e, bounds)))
+    hyp.extend(_definedness_hints(vc))
+    if tc.where is not None:
+        for w in split_conjuncts(tc.where):
+            if free_vars(w) <= scalars.keys() | layout.keys():
+                hyp.append(w)
+
+    # Variables no leaf obligation reads only constrain the hypothesis:
+    # they are deferred behind `boundary` and resolved by a satisfiability
+    # probe instead of full enumeration.
+    leaf_reads = _leaf_reads(vc)
+    order: list = []
+    deferred: list = []
+    for name in scalars:
+        if leaf_reads is None or name in leaf_reads or name in own_binders \
+                or name.startswith("__"):
+            order.append(name)
+        else:
+            deferred.append(name)
+    order.extend(entries)
+    boundary = len(order)
+    order.extend(deferred)
+    return problem(hyp, order, boundary)
+
+
+def _leaf_reads(vc: VC):
+    """Variables the leaf obligation can read; None means everything.
+    RankDefined leaves out theta, which only constrains the hypothesis."""
+    if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal", "Initiality"):
+        return None
+    # writes count as reads: e.g. change_owner compares sender and owner
+    out = reads_of(vc.conclusion) | reads_of(stmt_exprs(vc.action)) | \
+        writes_of(vc.action)
+    if vc.kind == "RankDefined":
+        out |= reads_of(vc.sketch.reads_at(vc.state, theta=False))
+    elif vc.kind == "RankDecrease":
+        for st in {vc.state, vc.target}:
+            out |= reads_of(vc.sketch.reads_at(st))
+    return out
+
+
+def _json_value(v):
+    if v is ABSENT or v is None:
+        return None
+    if isinstance(v, tuple):
+        return list(v)
+    return v
+
+
+def _json_name(key) -> str:
+    """A scalar's name, or `m[k]` for the entry k of map m."""
+    return f"{key[0]}[{key[1]}]" if isinstance(key, tuple) else str(key)
+
+
+def _json_valuation(env: dict) -> dict:
+    return {_json_name(key): _json_value(v) for key, v in env.items()}
+
+
+def _value_from_json(j, domain):
+    """The value of the domain that reads back as j (null: an absent map
+    entry)."""
+    for v in domain:
+        if _json_value(v) == j:
+            return v
+    raise ValueError(f"value {j!r} not in domain")
 
 
 # ---------------------------------------------------------------------------
-# The proof model, interpreted: expanded sketch pieces and the moves of a
-# state, shared by the leaf checks and the state searches
+# The oracle: the proof model, interpreted over boxed instances
 # ---------------------------------------------------------------------------
 
 
 class _Ctx:
-    """Holds the sketch with its quantifiers expanded at the bounds and
-    caches, per transition, the boxed binder domains; evaluates steps and
-    sketch pieces through the runtime evaluator over boxed instances.
-    `moves` is the one enumeration of a state's moves. The VC (its
-    conclusion expanded too) is needed only by the leaf checks; the state
-    searches work from the sketch alone."""
+    """The runtime evaluator's side of the proof model: it builds boxed
+    instances from flat valuations and evaluates steps and sketch pieces
+    on them through the runtime evaluator. `moves` is the one enumeration
+    of a state's moves, which the oracle's leaf checks (`_CHECKS`) and the
+    state searches of `prove.FiniteModel` run; it caches, per transition,
+    the boxed binder domains. The oracle and replay build it from a VC's
+    problem, the searches from the contract and the bounds."""
 
-    def __init__(self, tc, sketch, bounds: DomainBounds, vc: VC | None = None):
-        self.vc = vc
+    def __init__(self, tc, bounds: DomainBounds, self_addr: str):
         self.tc = tc
-        self._sketch = sketch
         self.bounds = bounds
+        self.self_addr = self_addr
         self._binders: dict[str, tuple] = {}  # label -> binder_domains
-        self.self_addr = "@" + self.tc.name
-
-    @cached_property
-    def sketch(self):
-        """Expanded on first use: the compiled safety leaves never read it."""
-        return self._sketch.map_exprs(lambda e: expand_quants(e, self.bounds))
 
     # -- boxed-instance evaluation --
 
@@ -249,10 +441,7 @@ class _Ctx:
             if isinstance(key, tuple):
                 map_entries.setdefault(key[0], {})[key[1]] = val
         for pname, ptyp in self.tc.params:
-            if pname in env:
-                ienv[pname] = boxed(ptyp, env[pname])
-            else:
-                ienv[pname] = zero_value(ptyp)
+            ienv[pname] = boxed(ptyp, env[pname]) if pname in env else zero_value(ptyp)
         for v in self.tc.vars.values():
             if v.name in env:
                 ienv[v.name] = boxed(v.typ, env[v.name])
@@ -277,36 +466,16 @@ class _Ctx:
                 return False
         return True
 
-    def rank_of(self, state: str, inst) -> tuple | None:
-        for case in self.sketch.rank.get(state, ()):
-            if case.cond is not None and eval_expr(case.cond, inst, {}) is not True:
-                continue
-            vals = []
-            for x in case.exprs:
-                v = eval_expr(x, inst, {})
-                if v is UNDEFINED or not isinstance(v, int) or v < 0:
-                    return None
-                vals.append(v)
-            return tuple(vals)
-        return None
-
     # -- the moves of a state --
 
     def binder_domains(self, t: TypedTransition):
-        """Names and boxed domains of t's binders; the sender ranges over
-        the actors."""
+        """Names and boxed domains of t's binders: `flat_binder_domains`,
+        boxed."""
         key = t.label()
         if key not in self._binders:
-            names, doms = [], []
-            for name, typ in t.binders.items():
-                names.append(name)
-                if name == t.sender_var:
-                    doms.append(self.bounds.actor_values())
-                else:
-                    doms.append(tuple(
-                        boxed(typ, v) for v in
-                        scalar_domain(typ, self.bounds, self.self_addr)))
-            self._binders[key] = names, doms
+            doms = flat_binder_domains(t, self.bounds, self.self_addr)
+            self._binders[key] = list(doms), [
+                tuple(boxed(t.binders[name], v) for v in dom) for name, dom in doms.items()]
         return self._binders[key]
 
     def moves(self, inst, steps, senders=None, taus: bool = True, witness=None):
@@ -344,126 +513,136 @@ class _Ctx:
             post = advance_instance(post, delta)
         return post
 
-    def deltas(self):
-        """The ticks a step composes with: 1 to one past the timer bound
-        (a step then fires every active timer), or None without timers."""
-        if self.tc.has_timers():
-            return tuple(range(1, self.bounds.timer_max + 2))
-        return (None,)
 
-
-# ---------------------------------------------------------------------------
-# Interpreted leaf checks (oracle and replay)
-# ---------------------------------------------------------------------------
-
-
-def _check_initiality(cx: _Ctx, env: dict):
-    args = {p: boxed(ptyp, env[p]) for p, ptyp in cx.tc.params}
+# the oracle's leaf checks: (problem, context, env) -> message or None
+def _check_initiality(prob: _Problem, cx: _Ctx, env: dict):
+    tc = prob.vc.tc
+    args = {p: boxed(ptyp, env[p]) for p, ptyp in tc.params}
     try:
-        inst = init_instance(cx.tc, cx.self_addr, args, env["creator"])
+        inst = init_instance(tc, prob.self_addr, args, env["creator"])
     except Undef:
         return None  # no such initial state
     if "__player" in env:
         inst.env["__player"] = env["__player"]
-    if not cx.all_true(cx.vc.conclusion, inst):
+    if not cx.all_true(prob.vc.conclusion, inst):
         return "assertion fails at the initial state"
     return None
 
 
-def _vc_step(cx: _Ctx, inst, env: dict):
+def _vc_step(prob: _Problem, cx: _Ctx, inst, env: dict):
     """The post-state of the VC's step from inst under env, None when the
     step is not a transition at this valuation."""
-    t = cx.vc.transition
+    t = prob.vc.transition
     bindings = {name: boxed(typ, env[name]) for name, typ in t.binders.items()}
     return cx.run_inner(t, inst, t.action_view(bindings), bindings.get(t.sender_var),
                         env.get("__delta"))
 
 
-def _check_inductive(cx: _Ctx, env: dict):
-    post = _vc_step(cx, cx.build_instance(cx.vc.state, env), env)
+def _check_inductive(prob: _Problem, cx: _Ctx, env: dict):
+    post = _vc_step(prob, cx, cx.build_instance(prob.vc.state, env), env)
     if post is None:
         return None
-    if not cx.all_true(cx.vc.conclusion, post):
+    if not cx.all_true(prob.vc.conclusion, post):
         return "assertion is not preserved"
     return None
 
 
-def _check_sufficiency(cx: _Ctx, env: dict):
-    inst = cx.build_instance(cx.vc.state, env)
-    if not cx.all_true(cx.vc.conclusion, inst):
+def _check_sufficiency(prob: _Problem, cx: _Ctx, env: dict):
+    inst = cx.build_instance(prob.vc.state, env)
+    if not cx.all_true(prob.vc.conclusion, inst):
         return "reject predicate holds at an invariant state"
     return None
 
 
-def _check_rank_defined(cx: _Ctx, env: dict):
-    inst = cx.build_instance(cx.vc.state, env)
-    if cx.rank_of(cx.vc.state, inst) is None:
+def _rank_of(prob: _Problem, state: str, inst) -> tuple | None:
+    """The rank of inst at state: the first case whose condition is true
+    gives it, undefined (None) when a component is undefined or below
+    zero."""
+    for case in prob.sketch.rank.get(state, ()):
+        if case.cond is not None and eval_expr(case.cond, inst, {}) is not True:
+            continue
+        vals = []
+        for x in case.exprs:
+            v = eval_expr(x, inst, {})
+            if v is UNDEFINED or not isinstance(v, int) or v < 0:
+                return None
+            vals.append(v)
+        return tuple(vals)
+    return None
+
+
+def _check_rank_defined(prob: _Problem, cx: _Ctx, env: dict):
+    inst = cx.build_instance(prob.vc.state, env)
+    if _rank_of(prob, prob.vc.state, inst) is None:
         return "rank is undefined"
     return None
 
 
-def _check_enabledness(cx: _Ctx, env: dict):
-    inst = cx.build_instance(cx.vc.state, env)
-    wit = cx.sketch.witness.get(cx.vc.state)
+def _check_enabledness(prob: _Problem, cx: _Ctx, env: dict):
+    vc = prob.vc
+    inst = cx.build_instance(vc.state, env)
+    wit = prob.sketch.witness.get(vc.state)
     # without a witness an input transition's existential cannot be
     # discharged: only tau moves count then
-    for t, sender, step_b in cx.moves(inst, cx.vc.moves,
+    for t, sender, step_b in cx.moves(inst, vc.moves,
                                       None if wit is not None else (), witness=wit):
         if cx.run_inner(t, inst, step_b, sender, None) is not None:
             return None
     return "no transition is enabled"
 
 
-def _progress_ok(cx: _Ctx, target: str, post, pre_rank) -> bool:
-    goal = cx.sketch.goal_at(target)
+def _progress_ok(prob: _Problem, cx: _Ctx, target: str, post, pre_rank) -> bool:
+    goal = prob.sketch.goal_at(target)
     if goal is not None and cx.all_true(goal, post):
         return True
-    if not cx.all_true(cx.sketch.theta(target), post):
+    if not cx.all_true(prob.sketch.theta(target), post):
         return False
-    post_rank = cx.rank_of(target, post)
+    post_rank = _rank_of(prob, target, post)
     return post_rank is not None and post_rank < pre_rank
 
 
-def _check_rank_decrease(cx: _Ctx, env: dict):
-    inst = cx.build_instance(cx.vc.state, env)
-    pre_rank = cx.rank_of(cx.vc.state, inst)
+def _check_rank_decrease(prob: _Problem, cx: _Ctx, env: dict):
+    inst = cx.build_instance(prob.vc.state, env)
+    pre_rank = _rank_of(prob, prob.vc.state, inst)
     if pre_rank is None:
         return "rank is undefined at the source state"
-    post = _vc_step(cx, inst, env)
+    post = _vc_step(prob, cx, inst, env)
     if post is None:
         return None
-    if not _progress_ok(cx, cx.vc.target, post, pre_rank):
+    if not _progress_ok(prob, cx, prob.vc.target, post, pre_rank):
         return "rank does not decrease strictly"
     return None
 
 
-def _check_player_move(cx: _Ctx, env: dict):
+def _check_player_move(prob: _Problem, cx: _Ctx, env: dict):
+    vc = prob.vc
     x = env["__player"]
-    inst = cx.build_instance(cx.vc.state, env)
-    pre_rank = cx.rank_of(cx.vc.state, inst)
+    inst = cx.build_instance(vc.state, env)
+    pre_rank = _rank_of(prob, vc.state, inst)
     if pre_rank is None:
         return "rank is undefined"
     # tau moves belong to the Opponent (the contract)
-    for t, _, step_b in cx.moves(inst, cx.vc.moves, (x,), taus=False,
-                                 witness=cx.sketch.witness.get(cx.vc.state)):
-        posts = (cx.run_inner(t, inst, step_b, x, delta) for delta in cx.deltas())
-        if all(post is not None and _progress_ok(cx, t.target, post, pre_rank)
+    for t, _, step_b in cx.moves(inst, vc.moves, (x,), taus=False,
+                                 witness=prob.sketch.witness.get(vc.state)):
+        posts = (cx.run_inner(t, inst, step_b, x, delta) for delta in prob.deltas)
+        if all(post is not None and _progress_ok(prob, cx, t.target, post, pre_rank)
                for post in posts):
             return None
     return "no Player move makes progress"
 
 
-def _check_opponent_total(cx: _Ctx, env: dict):
+def _check_opponent_total(prob: _Problem, cx: _Ctx, env: dict):
+    vc = prob.vc
     x = env["__player"]
-    inst = cx.build_instance(cx.vc.state, env)
-    pre_rank = cx.rank_of(cx.vc.state, inst)
+    inst = cx.build_instance(vc.state, env)
+    pre_rank = _rank_of(prob, vc.state, inst)
     if pre_rank is None:
         return "rank is undefined"
     # (a) an opponent move is guaranteed: only the contract's own taus
     # (the time self-loop among them) are inevitable (other agents may
     # simply never act). A slice keeps every partial statement, so it is
     # defined exactly where the full action is.
-    taus = list(cx.moves(inst, cx.vc.moves, ()))
+    taus = list(cx.moves(inst, vc.moves, ()))
     if all(cx.run_inner(t, inst, {}, None, None) is None for t, _, _ in taus):
         return "no Opponent transition is guaranteed"
 
@@ -471,15 +650,15 @@ def _check_opponent_total(cx: _Ctx, env: dict):
     # and strictly decreases the rank, or lands in the goal.
     def escape(moves):
         for t, sender, step_b in moves:
-            for delta in cx.deltas():
+            for delta in prob.deltas:
                 post = cx.run_inner(t, inst, step_b, sender, delta)
                 if post is not None and \
-                        not _progress_ok(cx, t.target, post, pre_rank):
+                        not _progress_ok(prob, cx, t.target, post, pre_rank):
                     return f"opponent move {t.label()} escapes the proof"
         return None
 
-    others = tuple(a for a in cx.bounds.actor_values() if a != x)
-    return escape(taus) or escape(cx.moves(inst, cx.vc.moves, others, taus=False))
+    others = tuple(a for a in prob.bounds.actor_values() if a != x)
+    return escape(taus) or escape(cx.moves(inst, vc.moves, others, taus=False))
 
 
 _CHECKS = {
@@ -494,181 +673,100 @@ _CHECKS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Finitization: the context of a VC, shared by the engine, the oracle and
-# replay
-# ---------------------------------------------------------------------------
+def _runtime_hypothesis(prob: _Problem, cx: _Ctx):
+    """(exprs, env) -> True iff every expr holds under the runtime
+    evaluator, on the instance built from env with the binders boxed."""
+    vc = prob.vc
+    own = {} if vc.transition is None else vc.transition.binders
+    binders = [(name, typ) for name, typ in own.items() if name in prob.domains]
+
+    def holds(exprs, env) -> bool:
+        inst = cx.build_instance(vc.state, env)
+        b = {name: boxed(typ, env[name]) for name, typ in binders if name in env}
+        return all(eval_expr(e, inst, b) is True for e in exprs)
+
+    return holds
 
 
-@dataclass
-class _Problem:
-    """A VC over finite domains: its context variables, hypothesis
-    conjuncts (quantifiers expanded) and enumeration order."""
-    vc: VC
-    cx: _Ctx
-    scalars: dict  # name -> values
-    maps: dict[str, MapSpec]
-    hypothesis: list[Expr]
-    order: list
-    boundary: int = 10**9  # index where hypothesis-only variables start
-
-    @cached_property
-    def domains(self) -> dict:
-        """Key -> values, for every scalar and map entry."""
-        out = dict(self.scalars)
-        for m in self.maps.values():
-            out.update(((m.name, k), m.values) for k in m.keys)
-        return out
-
-
-def _uses_self(e: Expr) -> bool:
-    if isinstance(e, Builtin) and (e.ns, e.op) == ("Address", "self"):
-        return True
-    return any(_uses_self(c) for c in children(e))
-
-
-def _definedness_hints(vc: VC) -> list[Expr]:
-    """Guards implied by the relation's definedness, hoisted into the
-    hypothesis to prune before the leaf: e.g. Timer.set on the unmodified
-    timer requires it to be Off. Pure pruning aid; never changes verdicts."""
-    hints: list[Expr] = []
-    written: set[str] = set()
-    for s in vc.action:
-        if not isinstance(s, OpStmt):
-            break  # conditionals etc.: stop hoisting
-        if (s.ns, s.op) == ("Timer", "set") and s.args[0].name not in written:
-            hints.append(Builtin("Timer", "is_off", (s.args[0],)))
-        written |= writes_of((s,))
-    return hints
-
-
-def _preserved(vc: VC) -> bool:
-    """An inductiveness obligation whose conclusion conjuncts are all
-    hypothesis conjuncts over variables the relation never writes (nor
-    ticks) holds outright."""
-    if vc.kind != "Inductiveness":
-        return False
-    writes = writes_of(vc.action) | set(vc.tc.timers)
-    return not (reads_of(vc.conclusion) & writes) and \
-        set(vc.conclusion) <= set(vc.hypothesis)
-
-
-def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
-    # expanding the conclusion changes none of the names, maps and
-    # Address.self uses that these read
-    pool = vc.reads
-    reads = reads_of(pool)
-    vc = replace(vc, conclusion=tuple(
-        expand_quants(e, bounds) for e in vc.conclusion))
-    cx = _Ctx(vc.tc, vc.sketch, bounds, vc)
-    tc = vc.tc
-    scalars: dict = {}
-    maps: dict[str, MapSpec] = {}
-
-    own_binders = {} if vc.transition is None else vc.transition.binders
-    map_in_names = membership_maps(pool)
-    uses_self = any(_uses_self(e) for e in pool)
-    initiality = vc.kind == "Initiality"
-
-    for pname, ptyp in tc.params:
-        if pname in reads or initiality:
-            scalars[pname] = scalar_domain(ptyp, bounds, cx.self_addr)
-    for v in tc.vars.values():
-        if v.name not in reads or v.name in own_binders or v.synthetic:
-            continue
-        if v.typ.kind == "map":
-            key_dom = scalar_domain(v.typ.args[0], bounds, cx.self_addr)
-            if uses_self and v.typ.args[0].kind == "address":
-                key_dom += (cx.self_addr,)  # Address.self can be a key
-            val_dom = scalar_domain(v.typ.args[1], bounds, cx.self_addr)
-            if v.default is not None and v.name not in map_in_names:
-                entry_values = tuple(val_dom)  # absence == default here
+def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
+    """For each enumeration depth d, the hypothesis conjuncts whose reads
+    are all among the first d keys of the order. A conjunct reads its free
+    variables, every entry of the maps among them, and `__self` when it
+    uses Address.self."""
+    index = {key: i for i, key in enumerate(prob.order)}
+    at: list[list[Expr]] = [[] for _ in range(len(prob.order) + 1)]
+    for e in prob.hypothesis:
+        reads: set = set()
+        for name in free_vars(e):
+            if name in prob.layout:
+                reads.update((name, k) for k in prob.layout[name][1])
             else:
-                entry_values = (ABSENT,) + tuple(val_dom)
-            maps[v.name] = MapSpec(v.name, tuple(key_dom), entry_values, v.default)
-        elif not initiality:
-            scalars[v.name] = scalar_domain(v.typ, bounds, cx.self_addr)
-    if initiality:
-        # the initial state is computed from the parameters and the
-        # creator; the maps the obligation reads are laid out (every entry
-        # starts absent) but not enumerated
-        scalars["creator"] = bounds.actor_values()
-        if "__player" in reads:
-            scalars["__player"] = bounds.actor_values()
-        hyp = [] if tc.where is None else split_conjuncts(tc.where)
-        return _Problem(vc, cx, scalars, maps, hyp, list(scalars))
-    for name, typ in own_binders.items():
-        if name == vc.transition.sender_var:
-            scalars[name] = bounds.actor_values()
-        else:
-            scalars[name] = scalar_domain(typ, bounds, cx.self_addr)
-    if "owner" in reads:
-        scalars["owner"] = bounds.actor_values()
-    if "creator" in reads:
-        scalars["creator"] = bounds.actor_values()
-    if uses_self:
-        scalars["__self"] = (cx.self_addr,)
-
-    if tc.timers and vc.transition is not None:
-        post_reads = reads_of(vc.conclusion)
-        if vc.kind == "RankDecrease":
-            post_reads |= reads_of(vc.sketch.reads_at(vc.target))
-        if post_reads & set(tc.timers):
-            scalars["__delta"] = cx.deltas()
-    if vc.kind in ("PlayerMove", "OpponentTotal") or "__player" in reads:
-        scalars["__player"] = bounds.actor_values()
-
-    if tc.issues and tc.issue_limit is not None and "__remaining" in reads:
-        scalars["__remaining"] = tuple(range(0, min(tc.issue_limit, bounds.nat_max) + 1))
-
-    # hypothesis: expand quantifiers, split conjunctions, then add the
-    # constructor constraint restricted to read vars
-    hyp: list[Expr] = []
-    for e in vc.hypothesis:
-        hyp.extend(split_conjuncts(expand_quants(e, bounds)))
-    hyp.extend(_definedness_hints(vc))
-    if tc.where is not None:
-        for w in split_conjuncts(tc.where):
-            if free_vars(w) <= scalars.keys() | maps.keys():
-                hyp.append(w)
-
-    # Variables no leaf obligation reads only constrain the hypothesis:
-    # they are deferred behind `boundary` and resolved by a satisfiability
-    # probe instead of full enumeration.
-    leaf_reads = _leaf_reads(vc)
-    order: list = []
-    deferred: list = []
-    for name in scalars:
-        if leaf_reads is None or name in leaf_reads or name in own_binders \
-                or name.startswith("__"):
-            order.append(name)
-        else:
-            deferred.append(name)
-    for m in maps.values():
-        order.extend((m.name, k) for k in m.keys)
-    boundary = len(order)
-    order.extend(deferred)
-    return _Problem(vc, cx, scalars, maps, hyp, order, boundary)
+                reads.add(name)
+        if _uses_self(e):
+            reads.add("__self")
+        at[max((index[r] + 1 for r in reads), default=0)].append(e)
+    return at
 
 
-def _leaf_reads(vc: VC):
-    """Variables the leaf obligation can read; None means everything.
-    RankDefined leaves out theta, which only constrains the hypothesis."""
-    if vc.kind in ("Enabledness", "PlayerMove", "OpponentTotal", "Initiality"):
-        return None
-    # writes count as reads: e.g. change_owner compares sender and owner
-    out = reads_of(vc.conclusion) | reads_of(stmt_exprs(vc.action)) | \
-        writes_of(vc.action)
-    if vc.kind == "RankDefined":
-        out |= reads_of(vc.sketch.reads_at(vc.state, theta=False))
-    elif vc.kind == "RankDecrease":
-        for st in {vc.state, vc.target}:
-            out |= reads_of(vc.sketch.reads_at(st))
-    return out
+def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
+    """Raw-enumeration oracle: no propagation and no compiled code; the
+    runtime evaluator checks each hypothesis conjunct once, at the first
+    enumeration prefix that binds all its reads, and every leaf. Prefix
+    filtering drops only valuations the full product would reject, so the
+    `checked` count and the first counterexample are those of the raw
+    product in the engine's variable order."""
+    try:
+        prob = _finitize(vc, bounds)
+        cx = _Ctx(prob.vc.tc, prob.bounds, prob.self_addr)
+        hyp = _runtime_hypothesis(prob, cx)
+        leaf = _CHECKS[vc.kind]
+        at = _hypothesis_schedule(prob)
+        keys = prob.order
+        domains = [prob.domains[k] for k in keys]
+        env: dict = {}
+        checked = 0
+
+        def enumerate_from(d: int):
+            nonlocal checked
+            if at[d] and not hyp(at[d], env):
+                return None
+            if d == len(keys):
+                checked += 1
+                msg = leaf(prob, cx, env)
+                return None if msg is None else \
+                    Counterexample(vc.name, _json_valuation(env), msg)
+            for value in domains[d]:
+                env[keys[d]] = value
+                r = enumerate_from(d + 1)
+                if r is not None:
+                    return r
+            env.pop(keys[d], None)
+            return None
+
+        r = enumerate_from(0)
+    except Unfinitizable as e:
+        return Unknown(vc.name, str(e))
+    return r if r is not None else Valid(vc.name, checked)
+
+
+def replay_counterexample(vc: VC, bounds: DomainBounds,
+                          cex: Counterexample) -> bool:
+    """Re-run a counterexample valuation through the runtime evaluator:
+    hypothesis and leaf check. True if the violation reproduces."""
+    prob = _finitize(vc, bounds)
+    cx = _Ctx(prob.vc.tc, prob.bounds, prob.self_addr)
+    env: dict = {}
+    for key, values in prob.domains.items():
+        name = _json_name(key)
+        if name in cex.valuation:
+            env[key] = _value_from_json(cex.valuation[name], values)
+    if not _runtime_hypothesis(prob, cx)(prob.hypothesis, env):
+        return False
+    return _CHECKS[vc.kind](prob, cx, env) is not None
 
 
 # ---------------------------------------------------------------------------
-# The engine's compiled forms of a problem
+# The engine: compiled forms of a problem, and the search
 # ---------------------------------------------------------------------------
 
 
@@ -684,15 +782,14 @@ def _compile(prob: _Problem, code_cache: dict):
     """(compiled hypothesis conjuncts, leaf check) of a problem. A relation
     ticks only the timers that the problem enumerates: the others stay as
     the boxed instance has them, off, which a tick leaves alone."""
-    comp = Compiler({m.name: (m.default, m.keys) for m in prob.maps.values()},
-                    prob.cx.self_addr,
+    comp = Compiler(prob.layout, prob.self_addr,
                     tuple(t for t in prob.vc.tc.timers if t in prob.domains),
                     code_cache)
-    conjuncts = [_compile_conjunct(comp, prob.maps, e) for e in prob.hypothesis]
+    conjuncts = [_compile_conjunct(comp, prob.layout, e) for e in prob.hypothesis]
     return conjuncts, _Leaf(prob, comp).check
 
 
-def _compile_conjunct(comp: Compiler, maps: dict[str, MapSpec],
+def _compile_conjunct(comp: Compiler, layout: dict[str, tuple],
                       e: Expr) -> _Conjunct:
     """Compile a conjunct and, when it is a chain of `==>` guards ending in
     an `==`, its unit propagation: each side that names a variable or a
@@ -705,23 +802,23 @@ def _compile_conjunct(comp: Compiler, maps: dict[str, MapSpec],
     targets = []
     if isinstance(body, Binop) and body.op == "==":
         for a, b in ((body.left, body.right), (body.right, body.left)):
-            target = _target(comp, maps, a)
+            target = _target(comp, layout, a)
             if target is not None:
                 targets.append((target, comp.value(b)))
     force = (tuple(guards), tuple(targets)) if targets else None
     return _Conjunct(comp.predicate((e,)), force)
 
 
-def _target(comp: Compiler, maps: dict[str, MapSpec], e: Expr):
+def _target(comp: Compiler, layout: dict[str, tuple], e: Expr):
     """E -> the unassigned variable or in-domain map entry that e names,
     or None; KeyError/Undef while its key is pending or undefined."""
     if isinstance(e, Var):
         name = e.name
         return lambda E: None if name in E else name
     if isinstance(e, Builtin) and (e.ns, e.op) in (("Map", "get"), ("Map", "ref")) \
-            and isinstance(e.args[0], Var) and e.args[0].name in maps:
+            and isinstance(e.args[0], Var) and e.args[0].name in layout:
         m = e.args[0].name
-        keys = maps[m].keys
+        keys = layout[m][1]
         if isinstance(e.args[1], Lit):  # (m, k) and `k in keys` known here
             mk = (m, e.args[1].value)
             if mk[1] not in keys:
@@ -757,11 +854,10 @@ def _witnessed(pred, E) -> bool:
 
 @dataclass(frozen=True)
 class _Move:
-    """A step of a state obligation's moves, compiled: its binder names
-    and flat domains (the sender over the actors), guards and relation."""
+    """A step of a state obligation's moves, compiled: its binders' flat
+    domains (`flat_binder_domains`), guards and relation."""
     t: TypedTransition
-    names: tuple
-    doms: tuple
+    doms: dict
     guards: object
     rel: object
 
@@ -781,12 +877,12 @@ class _Leaf:
                 "PlayerMove": "player_move", "OpponentTotal": "opponent_total"}
 
     def __init__(self, prob: _Problem, comp: Compiler):
-        vc, cx = prob.vc, prob.cx
+        vc = prob.vc
         kind = vc.kind
         self.check = getattr(self, self._METHODS[kind])
-        self.actors = cx.bounds.actor_values()
-        self.deltas = cx.deltas()
-        self.remaining = vc.tc.issue_limit if vc.tc.issues else None
+        self.actors = prob.bounds.actor_values()
+        self.deltas = prob.deltas
+        self.remaining = prob.remaining
         if kind in ("Initiality", "Inductiveness", "Sufficiency"):
             self.concl = comp.predicate(vc.conclusion)
         if kind == "Initiality":
@@ -803,25 +899,22 @@ class _Leaf:
             self.target = vc.target  # RankDecrease's
             self.rel = comp.relation(vc.action, vc.transition.sender_var)
         if kind in ("Enabledness", "PlayerMove", "OpponentTotal"):
-            wit = cx.sketch.witness.get(vc.state)
+            wit = prob.sketch.witness.get(vc.state)
             self.witness = None if wit is None else comp.predicate((wit,))
-            self.steps = [_Move(t, tuple(t.binders), tuple(
-                self.actors if name == t.sender_var
-                else scalar_domain(typ, cx.bounds, cx.self_addr)
-                for name, typ in t.binders.items()),
-                comp.predicate(t.guards), comp.relation(t.action, t.sender_var))
-                for t in vc.moves]
+            self.steps = [_Move(t, flat_binder_domains(t, prob.bounds, prob.self_addr),
+                                comp.predicate(t.guards), comp.relation(t.action, t.sender_var))
+                          for t in vc.moves]
         if kind in ("RankDefined", "RankDecrease", "PlayerMove", "OpponentTotal"):
-            self.rank = comp.rank(cx.sketch.rank.get(vc.state))
+            self.rank = comp.rank(prob.sketch.rank.get(vc.state))
         if kind in ("RankDecrease", "PlayerMove", "OpponentTotal"):
             self.targets = {}
             for target in dict.fromkeys([vc.target] if kind == "RankDecrease"
                                         else [t.target for t in vc.moves]):
-                goal = cx.sketch.goal_at(target)
+                goal = prob.sketch.goal_at(target)
                 self.targets[target] = (
                     None if goal is None else comp.predicate(list(goal)),
-                    comp.predicate(list(cx.sketch.theta(target))),
-                    comp.rank(cx.sketch.rank.get(target)))
+                    comp.predicate(list(prob.sketch.theta(target))),
+                    comp.rank(prob.sketch.rank.get(target)))
 
     def initiality(self, E):
         post = self.rel({**self.start, **E, "owner": E["creator"]})
@@ -861,13 +954,13 @@ class _Leaf:
                 if taus and _holds(m.guards, E):
                     yield m, dict(E)
                 continue
-            doms = m.doms
+            doms = m.doms.values()
             if senders is not None:
                 doms = [tuple(a for a in d if a in senders)
-                        if n == m.t.sender_var else d for n, d in zip(m.names, doms)]
+                        if n == m.t.sender_var else d for n, d in m.doms.items()]
             for combo in itertools.product(*doms):
                 E2 = dict(E)
-                E2.update(zip(m.names, combo))
+                E2.update(zip(m.doms, combo))
                 if witness is not None and not _witnessed(witness, E2):
                     continue
                 if _holds(m.guards, E2):
@@ -928,27 +1021,6 @@ class _Leaf:
         return None
 
 
-# ---------------------------------------------------------------------------
-# The engine
-# ---------------------------------------------------------------------------
-
-
-def _json_value(v):
-    if v is ABSENT or v is None:
-        return None
-    if isinstance(v, tuple):
-        return list(v)
-    return v
-
-
-def _json_name(key) -> str:
-    """A scalar's name, or `m[k]` for the entry k of map m."""
-    return f"{key[0]}[{key[1]}]" if isinstance(key, tuple) else str(key)
-
-
-def _json_valuation(env: dict) -> dict:
-    return {_json_name(key): _json_value(v) for key, v in env.items()}
-
 
 def _pending(pending: list, env: dict) -> list | None:
     """The entries (conjunct, blocked, watch) still waiting on unassigned
@@ -956,8 +1028,9 @@ def _pending(pending: list, env: dict) -> list | None:
     the key the conjunct's last `holds` raised KeyError on (None: never
     evaluated); `watch` holds the keys its last failed force did (None:
     try again; empty: it cannot force on this path). Compiled code reads
-    the env only through E[key], and along a path the env only grows, so
-    only an entry whose key is now assigned can change."""
+    an enumerated key only through E[key] (E.get reads only map entries
+    outside the key domain, which no path assigns), and along a path the
+    env only grows, so only an entry whose key is now assigned can change."""
     still = []
     for entry in pending:
         key = entry[1]
@@ -1132,7 +1205,7 @@ def _free_actors(vc: VC, prob: _Problem, domains: dict) -> tuple:
     onto itself. Each check asks whether some or every combo of a step
     passes, step by step, and a failure's message names at most the step,
     which the swap fixes; so its answer is the same."""
-    actors = prob.cx.bounds.actor_values()
+    actors = prob.bounds.actor_values()
     named = set()
     for e in vc.reads:
         named |= _actors_in(e, actors)
@@ -1156,6 +1229,18 @@ def _independent_tail(prob: _Problem, conjuncts: list) -> dict[int, set]:
         if keep == tail:
             return tail
         tail = keep
+
+
+
+def _preserved(vc: VC) -> bool:
+    """An inductiveness obligation whose conclusion conjuncts are all
+    hypothesis conjuncts over variables the relation never writes (nor
+    ticks) holds outright."""
+    if vc.kind != "Inductiveness":
+        return False
+    writes = writes_of(vc.action) | set(vc.tc.timers)
+    return not (reads_of(vc.conclusion) & writes) and \
+        set(vc.conclusion) <= set(vc.hypothesis)
 
 
 def discharge_bounded(vc: VC, bounds: DomainBounds,
@@ -1186,102 +1271,3 @@ def discharge_bounded(vc: VC, bounds: DomainBounds,
     except (Unfinitizable, CannotCompile) as e:
         return Unknown(vc.name, str(e))
     return r if r is not None else Valid(vc.name, leaves)
-
-
-def _runtime_hypothesis(prob: _Problem):
-    """(exprs, env) -> True iff every expr holds under the runtime
-    evaluator, on the instance built from env with the binders boxed."""
-    vc, cx = prob.vc, prob.cx
-    own = {} if vc.transition is None else vc.transition.binders
-    binders = [(name, typ) for name, typ in own.items() if name in prob.scalars]
-
-    def holds(exprs, env) -> bool:
-        inst = cx.build_instance(vc.state, env)
-        b = {name: boxed(typ, env[name]) for name, typ in binders if name in env}
-        return all(eval_expr(e, inst, b) is True for e in exprs)
-
-    return holds
-
-
-def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
-    """For each enumeration depth d, the hypothesis conjuncts whose reads
-    are all among the first d keys of the order. A conjunct reads its free
-    variables, every entry of the maps among them, and `__self` when it
-    uses Address.self."""
-    index = {key: i for i, key in enumerate(prob.order)}
-    at: list[list[Expr]] = [[] for _ in range(len(prob.order) + 1)]
-    for e in prob.hypothesis:
-        reads: set = set()
-        for name in free_vars(e):
-            if name in prob.maps:
-                reads.update((name, k) for k in prob.maps[name].keys)
-            else:
-                reads.add(name)
-        if _uses_self(e):
-            reads.add("__self")
-        at[max((index[r] + 1 for r in reads), default=0)].append(e)
-    return at
-
-
-def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
-    """Raw-enumeration oracle: no propagation and no compiled code; the
-    runtime evaluator checks each hypothesis conjunct once, at the first
-    enumeration prefix that binds all its reads, and every leaf. Prefix
-    filtering drops only valuations the full product would reject, so the
-    `checked` count and the first counterexample are those of the raw
-    product in the engine's variable order."""
-    try:
-        prob = _finitize(vc, bounds)
-        hyp = _runtime_hypothesis(prob)
-        leaf = _CHECKS[vc.kind]
-        at = _hypothesis_schedule(prob)
-        keys = prob.order
-        domains = [prob.domains[k] for k in keys]
-        env: dict = {}
-        checked = 0
-
-        def enumerate_from(d: int):
-            nonlocal checked
-            if at[d] and not hyp(at[d], env):
-                return None
-            if d == len(keys):
-                checked += 1
-                msg = leaf(prob.cx, env)
-                return None if msg is None else \
-                    Counterexample(vc.name, _json_valuation(env), msg)
-            for value in domains[d]:
-                env[keys[d]] = value
-                r = enumerate_from(d + 1)
-                if r is not None:
-                    return r
-            env.pop(keys[d], None)
-            return None
-
-        r = enumerate_from(0)
-    except Unfinitizable as e:
-        return Unknown(vc.name, str(e))
-    return r if r is not None else Valid(vc.name, checked)
-
-
-def replay_counterexample(vc: VC, bounds: DomainBounds,
-                          cex: Counterexample) -> bool:
-    """Re-run a counterexample valuation through the runtime evaluator:
-    hypothesis and leaf check. True if the violation reproduces."""
-    prob = _finitize(vc, bounds)
-    env: dict = {}
-    for key, values in prob.domains.items():
-        name = _json_name(key)
-        if name in cex.valuation:
-            env[key] = _value_from_json(cex.valuation[name], values)
-    if not _runtime_hypothesis(prob)(prob.hypothesis, env):
-        return False
-    return _CHECKS[vc.kind](prob.cx, env) is not None
-
-
-def _value_from_json(j, domain):
-    """The value of the domain that reads back as j (null: an absent map
-    entry)."""
-    for v in domain:
-        if _json_value(v) == j:
-            return v
-    raise ValueError(f"value {j!r} not in domain")

@@ -87,7 +87,8 @@ class InstanceState:
         return sum(token_content(v) for v in self.env.values())
 
     def snapshot(self):
-        """Hashable-ish canonical view (for search and golden tests)."""
+        """A canonical JSON view of the instance, which tests compare; the
+        state searches key an instance by `prove.FiniteModel.key`."""
         from .values import to_json
         import json
         return json.dumps(

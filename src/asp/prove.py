@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .discharge import (
     Counterexample, DischargeResult, DomainBounds, Unknown, Valid, _Ctx,
-    discharge_bounded,
+    discharge_bounded, expand_quants, tick_deltas,
 )
 from .machine import advance_instance, init_instance
 from .sketch import ProofSketch
@@ -126,10 +126,11 @@ class FiniteModel:
                  bounds: DomainBounds, params: dict, creator: str = "P0"):
         self.tc = program.contract(sketch.contract)
         self.bounds = bounds
-        self.cx = _Ctx(self.tc, sketch, bounds)
+        self.sketch = sketch.map_exprs(lambda e: expand_quants(e, bounds))
+        self.deltas = tick_deltas(self.tc, bounds)
+        self.cx = _Ctx(self.tc, bounds, "@" + self.tc.name)
         self.steps = {s: steps_from(self.tc, s) for s in self.tc.source_states}
-        self.initial = init_instance(self.tc, "@" + sketch.contract, params,
-                                     creator)
+        self.initial = init_instance(self.tc, self.cx.self_addr, params, creator)
 
     @staticmethod
     def key(inst) -> tuple:
@@ -142,7 +143,7 @@ class FiniteModel:
 
     def is_goal(self, inst, bindings=None) -> bool:
         """The goal holds at the instance (under `bindings`: the player)."""
-        g = self.cx.sketch.goal_at(inst.skeleton)
+        g = self.sketch.goal_at(inst.skeleton)
         return g is not None and self.cx.all_true(g, inst, bindings)
 
     def _clamp(self, inst):
@@ -174,8 +175,7 @@ class FiniteModel:
         it. A tick leaves a step with no active timer as it is, and every
         tick of at least the longest active timer's units fires them all,
         so the ticks past that one repeat it."""
-        cx = self.cx
-        deltas = cx.deltas()
+        cx, deltas = self.cx, self.deltas
         out = []
         for t, sender, step_b in cx.moves(inst, self.steps[inst.skeleton]):
             post = cx.run_inner(t, inst, step_b, sender, None)
@@ -191,11 +191,12 @@ class FiniteModel:
                 out.append((kind, sender, post))
         return out
 
-    def explore(self, state_limit: int, absorbing=lambda inst: False):
+    def explore(self, absorbing=lambda inst: False):
         """(states, moves): the reachable states in discovery order, and
         for the state numbered i, moves[i] lists its moves as (kind,
         sender, successor number). States are expanded last discovered
-        first. Absorbing states are not expanded; their moves are None."""
+        first. Absorbing states are not expanded; their moves are None.
+        Raises StateLimit past `STATE_LIMIT` states."""
         states = [self.initial]
         index = {self.key(self.initial): 0}
         moves: list[list | None] = [None]
@@ -210,7 +211,7 @@ class FiniteModel:
                 pk = self.key(post)
                 j = index.get(pk)
                 if j is None:
-                    if len(states) > state_limit:
+                    if len(states) > STATE_LIMIT:
                         raise StateLimit(len(states))
                     j = index[pk] = len(states)
                     states.append(post)
@@ -242,8 +243,11 @@ def _saturate(v, n: int):
     return v
 
 
+STATE_LIMIT = 200_000
+
+
 class StateLimit(RuntimeError):
-    """The finitized model has more states than the search allows."""
+    """The finitized model has more states than `STATE_LIMIT` allows."""
 
     def __init__(self, states: int):
         super().__init__(f"state limit hit at {states} states")
@@ -274,15 +278,15 @@ class SearchReport:
 
 
 def reach_search(program: TypedProgram, sketch, bounds: DomainBounds,
-                 params: dict, creator: str = "P0",
-                 state_limit: int = 200_000) -> SearchReport:
+                 params: dict, creator: str = "P0") -> SearchReport:
     """Explicit-state confirmation of a reachability claim: every maximal
     path from the initial state reaches the goal. Fails on a reachable dead
-    end or a goal-avoiding cycle. Goal states absorb; a state wins when it
-    is a goal, or it has a move and every move wins."""
+    end or a goal-avoiding cycle, or past `STATE_LIMIT` states. Goal states
+    absorb; a state wins when it is a goal, or it has a move and every move
+    wins."""
     model = FiniteModel(program, sketch, bounds, params, creator)
     try:
-        states, moves = model.explore(state_limit, model.is_goal)
+        states, moves = model.explore(model.is_goal)
     except StateLimit as e:
         return SearchReport(False, e.states, "state limit hit")
     won = least_fixpoint(len(states), lambda i, won: moves[i] is None or (
@@ -307,16 +311,19 @@ class GameReport:
 
 
 def game_solve(program: TypedProgram, sketch: ProofSketch,
-               bounds: DomainBounds, params: dict, creator: str = "P0",
-               state_limit: int = 100_000) -> GameReport:
+               bounds: DomainBounds, params: dict, creator: str = "P0") -> GameReport:
     """Solve the lockout game on the finitized model: for every reachable
     state and every actor x, x must be able to force the goal. Player moves
     are x's own inputs; the Opponent resolves everything else and may stall
     unless a tau/time move is guaranteed. A state wins for x when it is a
     goal, or one of x's moves wins, or a tau/time move exists and every
-    Opponent move wins."""
+    Opponent move wins. Past `STATE_LIMIT` states the game fails with no
+    losing state."""
     model = FiniteModel(program, sketch, bounds, params, creator)
-    states, moves = model.explore(state_limit)
+    try:
+        states, moves = model.explore()
+    except StateLimit as e:
+        return GameReport(False, e.states)
 
     forced = [any(kind != "input" for kind, _, _ in ms) for ms in moves]
     for x in bounds.actor_values():

@@ -145,6 +145,9 @@ def zero_value(t: SemType, default=None):
 # ---------------------------------------------------------------------------
 
 
+ABSENT = object()  # a map entry missing from a flat valuation
+
+
 def flat(v):
     """The flat form of a runtime value; runtime values are tagged, so no
     type is needed."""

@@ -412,6 +412,31 @@ def test_move_destination_is_resolved_after_the_source_is_written():
     assert machine.storages["k"].vars["bal"] == {0: 2}
 
 
+GROW = """
+contract Grow() {
+  msg give(coin);
+  var n: nat;
+  var bal: map[nat, coin];
+  initial A;
+  state A:
+  | x??give(k) -> A { Coin.moveall(k, Map.ref(bal, n + 1)); n = n + 1; }
+}
+"""
+
+
+@pytest.mark.parametrize("word_bits", [256, 8])
+def test_move_into_a_fresh_entry_each_time(word_bits):
+    """Every give moves its coin into the entry one past the count, a key
+    that no earlier give wrote: both routes write each such entry, the
+    semantics the proof engine's relation keeps for a key past its
+    bounded domain."""
+    prog = typecheck(parse_program(GROW))
+    report = differential_check(prog, [NewItem("g", "Grow", (), "own", 0)], R=1,
+                                word_bits=word_bits, trials=200, seed=1)
+    assert report.clean, report.to_json()
+    assert report.items == report.committed == 2400
+
+
 @pytest.mark.parametrize("side", ["target", "cascade"])
 def test_entry_on_one_side_is_a_state_mismatch(etherstore, side):
     """Storage must be the flat form of the cascade state: a default map

@@ -969,6 +969,41 @@ contract Ini(k: nat, heir: address) {
 """
 
 
+# writes into map entries whose key lies past the bounded key domain,
+# computed (GROWN) or literal (FLAGS, COUNTS): the relation writes the entry
+# and the conclusion reads it back, as the runtime evaluator does
+GROWN = """
+contract K() {
+  msg give(coin);
+  var n: nat;
+  var bal: map[nat, coin];
+  initial A;
+  state A:
+  | x??give(k) when n == 2 -> A { Coin.moveall(k, Map.ref(bal, n + 1)); }
+}
+"""
+
+FLAGS = """
+contract L() {
+  msg go;
+  var m: map[nat, bool];
+  initial A;
+  state A:
+  | x??go -> A { Map.set(m, 5, true); }
+}
+"""
+
+COUNTS = """
+contract L2() {
+  msg go;
+  var m: map[nat, nat] default 0;
+  initial A;
+  state A:
+  | x??go -> A { Map.set(m, 5, 1); }
+}
+"""
+
+
 def _no_interpreter(*args, **kwargs):
     raise AssertionError("the engine ran a runtime-evaluator leaf check")
 
@@ -1036,21 +1071,29 @@ NO_CHECKS = {kind: _no_interpreter for kind in _CHECKS}
     (INI, "safety s { always n == 4 }", ["counterexample", "valid"]),
     (INI, "safety s { always forall a: address : !Map.in(a, bal) && Map.get(bal, a) == 0 }",
      ["valid", "valid"]),
+    (GROWN, "safety s { always !Map.in(n + 1, bal) }", ["valid", "counterexample"]),
+    (FLAGS, "safety s { always !Map.in(5, m) }", ["valid", "counterexample"]),
+    (COUNTS, "safety s { always Map.get(m, 5) == 0 }", ["valid", "counterexample"]),
 ], ids=["change_owner", "coin_move_aliased", "coin_move", "token_issue",
         "token_move", "token_moveall", "token_burn", "timer_reset", "send_map_ref",
         "change_owner_writes_owner", "send_drains", "coin_moveall_keyed_by_source",
         "seq_set", "seq_append", "tuple_set", "seq_ref_move", "tuple_ref_move",
         "seq_ref_drain", "tuple_ref_drain", "nested_ref_move", "nested_ref_not_materialized",
         "initializers_read_creator", "initializer_reads_parameter", "initializer_undefined",
-        "initializer_value", "initial_maps_empty"])
+        "initializer_value", "initial_maps_empty", "move_past_key_domain",
+        "set_past_key_domain", "set_past_key_domain_default"])
 def test_engine_agrees_on_compiled_statement(source, sketch, statuses):
     """Each statement operation of the compiled relation runs in an
     inductiveness leaf, and the initializers in the initiality leaf; the
-    engine agrees with the oracle on them, and checks every leaf with
-    compiled code, never with `_CHECKS`."""
+    engine agrees with the oracle on them, down to the counterexample, and
+    checks every leaf with compiled code, never with `_CHECKS`."""
     prog = typecheck(parse_program(source))
     sk = parse_proof_sketch(sketch, prog)
-    assert [r.status for r in _agree(prog, sk, SMALL)[0]] == statuses
+    fast, slow = _agree(prog, sk, SMALL)
+    assert [r.status for r in fast] == statuses
+    for f, o in zip(fast, slow):
+        if isinstance(f, Counterexample):
+            assert (f.valuation, f.message) == (o.valuation, o.message), f.vc
     with pytest.MonkeyPatch.context() as m:
         m.setattr("asp.discharge._CHECKS", NO_CHECKS)
         for vc in generate_vcs(prog, sk):
@@ -1223,7 +1266,7 @@ def test_state_key_tells_states_apart_as_snapshot(label):
     model = FiniteModel(prog, parse_proof_sketch(load(proof), prog), SMALL, params,
                         creator)
     states, moves = model.explore(
-        10_000, model.is_goal if search is reach_search else lambda inst: False)
+        model.is_goal if search is reach_search else lambda inst: False)
     snaps = [inst.snapshot() for inst in states]
     assert len(set(snaps)) == len(snaps)
     for inst, ms in zip(states, moves):
@@ -1245,7 +1288,7 @@ def test_successors_tick_to_distinct_instances(label, total):
     model = FiniteModel(prog, parse_proof_sketch(load(proof), prog), BOUNDS, params,
                         creator)
     states, moves = model.explore(
-        10_000, model.is_goal if search is reach_search else lambda inst: False)
+        model.is_goal if search is reach_search else lambda inst: False)
     assert sum(len(ms) for ms in moves if ms is not None) == total
     cx = model.cx
     for inst, ms in zip(states, moves):
@@ -1258,7 +1301,7 @@ def test_successors_tick_to_distinct_instances(label, total):
                 post = model._clamp(post)
                 every |= {("tau" if t.input is None else "input", sender,
                            model.key(post if d is None else advance_instance(post, d)))
-                          for d in cx.deltas()}
+                          for d in model.deltas}
         assert {(kind, sender, model.key(states[j])) for kind, sender, j in ms} == every
 
 
@@ -1426,3 +1469,19 @@ def test_game_search_confirms_both_verdicts(vending_fixed, vending_original):
     assert not g2.ok
     assert g2.losing_state == "Choose"
     assert g2.states == 30
+
+
+@pytest.mark.parametrize("label, report", [
+    ("reach.auction_closed", {"ok": False, "states": 6, "reason": "state limit hit",
+                              "witness_state": None}),
+    ("game.vending_fixed", {"ok": False, "states": 6, "losing_state": None,
+                            "losing_player": None}),
+])
+def test_search_fails_past_the_state_limit(label, report, monkeypatch):
+    """Either search gives up once the model has more than `STATE_LIMIT`
+    states, with a failed report and no state or player to blame."""
+    search, contract, proof, params, creator = SEARCHES[label]
+    prog = typed(contract)
+    monkeypatch.setattr("asp.prove.STATE_LIMIT", 5)
+    rep = search(prog, parse_proof_sketch(load(proof), prog), SMALL, params, creator)
+    assert vars(rep) == report

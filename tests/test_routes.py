@@ -1,7 +1,9 @@
 """The two routes of a proof verdict, apart in the code: the engine's code
-generator and the runtime evaluator import nothing of each other, and the
+generator and the runtime evaluator import nothing of each other, the
 engine's functions in `discharge` name none of the runtime evaluator's
-entry points, so the engine route runs generated code only."""
+entry points and never the oracle's context, so the engine route runs
+generated code only, and the oracle's functions name none of the engine's
+compiled code or search."""
 import ast
 from pathlib import Path
 
@@ -14,9 +16,15 @@ ENGINE = ("_compile", "_compile_conjunct", "_target", "_holds", "_witnessed", "_
           "_pending", "_forced", "_search", "_free_actors", "_independent_tail",
           "discharge_bounded")
 # what runs the runtime evaluator: the oracle's leaf checks, the evaluator's
-# entry points and the boxed-instance steps of `_Ctx`
+# entry points, the oracle's context and the boxed-instance steps of `_Ctx`
 RUNTIME = {"_CHECKS", "eval_expr", "step_instance", "init_instance", "build_instance",
-           "run_inner"}
+           "run_inner", "_Ctx", "cx"}
+# the functions and classes of discharge that only the oracle and replay
+# run, besides the leaf checks `_check_*`
+ORACLE = ("_Ctx", "_vc_step", "_rank_of", "_progress_ok", "_runtime_hypothesis",
+          "_hypothesis_schedule", "discharge_naive", "replay_counterexample")
+# the engine's compiled code and search
+COMPILED = {"Compiler", "_compile", "_Leaf", "_search", "_pending", "_forced"}
 
 
 def _tree(module: str) -> ast.Module:
@@ -47,14 +55,31 @@ def test_route_modules_import_apart(module, banned):
     assert not _imports(module) & banned
 
 
-def test_engine_names_no_runtime_evaluator():
-    defs = {node.name: node for node in _tree("discharge").body
+def _definitions(module: str) -> dict:
+    return {node.name: node for node in _tree(module).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _named(node) -> set[str]:
+    """The names and attributes a definition reads anywhere in its body."""
+    named = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            named.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            named.add(n.attr)
+    return named
+
+
+def test_engine_names_no_runtime_evaluator():
+    defs = _definitions("discharge")
     for name in ENGINE:
-        named = set()
-        for node in ast.walk(defs[name]):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-        assert not named & RUNTIME, (name, named & RUNTIME)
+        assert not _named(defs[name]) & RUNTIME, (name, _named(defs[name]) & RUNTIME)
+
+
+def test_oracle_names_no_compiled_code():
+    defs = _definitions("discharge")
+    checks = [name for name in defs if name.startswith("_check_")]
+    assert len(checks) == 8
+    for name in (*ORACLE, *checks):
+        assert not _named(defs[name]) & COMPILED, (name, _named(defs[name]) & COMPILED)
