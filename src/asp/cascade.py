@@ -37,6 +37,9 @@ class CascadeLimit(AspError):
     code = "CascadeLimit"
 
 
+STEP_LIMIT = 10_000  # the most steps one cascade runs before CascadeLimit
+
+
 @dataclass(frozen=True)
 class Config:
     states: tuple[InstanceState, ...]
@@ -97,7 +100,6 @@ class System:
     contracts: tuple[TypedContract, ...]
     R: int
     policy: ChoicePolicy = field(default_factory=FixedPolicy)
-    step_limit: int = 10_000
 
     def index_of_addr(self, addr: str) -> int | None:
         try:
@@ -111,8 +113,7 @@ class System:
 
 def init_system(program: TypedProgram,
                 instantiations: list[tuple[str, str, dict, str]],
-                R: int, policy: ChoicePolicy | None = None,
-                step_limit: int = 10_000) -> tuple[System, Config]:
+                R: int, policy: ChoicePolicy | None = None) -> tuple[System, Config]:
     """instantiations: (instance name, contract name, args, creator addr).
     Instance names double as self addresses and must be unique."""
     names: list[str] = []
@@ -135,8 +136,7 @@ def init_system(program: TypedProgram,
         names.append(name)
         contracts.append(tc)
         states.append(inst)
-    sys = System(program, tuple(names), tuple(contracts), R,
-                 policy or FixedPolicy(), step_limit)
+    sys = System(program, tuple(names), tuple(contracts), R, policy or FixedPolicy())
     return sys, Config(tuple(states))
 
 
@@ -204,9 +204,8 @@ def run_cascade(system: System, config: Config) -> tuple[Config, list[TraceEvent
     """Drive cascade_step until quiescence (bounded by the step ceiling)."""
     events: list[TraceEvent] = []
     while not config.quiescent:
-        if len(events) > system.step_limit:
-            raise CascadeLimit(
-                f"cascade exceeded {system.step_limit} steps without quiescing")
+        if len(events) > STEP_LIMIT:
+            raise CascadeLimit(f"cascade exceeded {STEP_LIMIT} steps without quiescing")
         config, ev = cascade_step(system, config)
         events.append(ev)
     return config, events

@@ -184,16 +184,16 @@ def _ir_dump(system) -> str:
     from .pretty import fmt_expr, fmt_stmt
 
     def arm(a) -> dict:
-        return {"target": a.target, "label": a.label,
+        return {"target": a.target, "label": a.label(),
                 "when": fmt_expr(a.when) if a.when is not None else None,
-                "body": [l for s in a.body for l in fmt_stmt(s, "")]}
+                "body": [l for s in a.action for l in fmt_stmt(s, "")]}
 
     data = {}
     for name, ir in system.contracts.items():
         data[name] = {
             "states": list(ir.states),
             "initial": ir.initial,
-            "methods": {msg: [{"state": a.state, **arm(a)} for a in arms]
+            "methods": {msg: [{"state": a.source, **arm(a)} for a in arms]
                         for msg, arms in ir.methods.items()},
             "taus": {state: [arm(a) for a in arms]
                      for state, arms in ir.taus.items() if arms},

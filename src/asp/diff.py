@@ -102,13 +102,15 @@ def compare_states(program: TypedProgram, machine: Machine,
 
 
 def _letters_of_trace(events) -> list[tuple]:
+    """The letters of cascade events in the target's order: each event's
+    logs, then its send to the environment."""
     out = []
     for ev in events:
+        for log in ev.logs:
+            out.append(("log", log.msg, log.dest, tuple(map(flat, log.args))))
         if ev.rule == "EnvOutput":
             out.append(("send", ev.letter.msg, ev.letter.dest,
                         tuple(map(flat, ev.letter.args))))
-        for log in ev.logs:
-            out.append(("log", log.msg, log.dest, tuple(map(flat, log.args))))
     return out
 
 

@@ -401,18 +401,17 @@ class Machine:
             raise TxRevert("ReentrancyLimit",
                            f"{target} already has {st.counter} active entries")
         for arm in ir.methods.get(msg, ()):
-            if arm.state != st.state:
+            if arm.source != st.state:
                 continue
             binds = {}
-            if arm.sender_match is not None:
-                ev = _Eval(ir, st, binds, self.system.word_bits)
-                if ev.eval(Var(arm.sender_match)) != sender:
-                    continue
-            if arm.sender_bind is not None:
-                binds[arm.sender_bind] = sender
-            if len(args) != len(arm.params):
+            if arm.sender_fresh:
+                binds[arm.input.sender] = sender
+            elif _Eval(ir, st, binds, self.system.word_bits).eval(
+                    Var(arm.input.sender)) != sender:
                 continue
-            for name, value in zip(arm.params, args):
+            if len(args) != len(arm.input.params):
+                continue
+            for name, value in zip(arm.input.params, args):
                 binds[name] = value
             ev = _Eval(ir, st, binds, self.system.word_bits)
             try:
@@ -441,9 +440,9 @@ class Machine:
                            if t.kind == "coin")
             ev = _Eval(ir, st, binds, self.system.word_bits)
             st.ledger = ev.check_unsigned(st.ledger + incoming)
-            self._exec(ir, st, binds, sender, arm.body, letters)
+            self._exec(ir, st, binds, sender, arm.action, letters)
             # defensive: received resources fully transferred
-            for name, t in zip(arm.params, arm.param_types):
+            for name, t in zip(arm.input.params, arm.param_types):
                 if t.kind == "coin" and binds.get(name, 0) != 0:
                     raise TxRevert("DefensiveCheckFailed",
                                    f"coin binder {name} not drained")
@@ -481,19 +480,20 @@ class Machine:
                 snapshot = self._snapshot()
                 marker = len(letters)
                 try:
-                    # run the whole body first, move to the target state,
-                    # and only then perform the send: re-entering callers
-                    # observe the sender's post-transition state, exactly
-                    # as the synchronized-push rule prescribes
+                    # run the whole body first (its logs included), move
+                    # to the target state, and only then perform the send:
+                    # re-entering callers observe the sender's
+                    # post-transition state, exactly as the
+                    # synchronized-push rule prescribes
                     pending: list = []
-                    self._exec(ir, self.storages[addr], {}, None, arm.body,
+                    self._exec(ir, self.storages[addr], {}, None, arm.action,
                                letters, pending=pending)
                     self.storages[addr].state = arm.target
-                    for kind, msg, dest, out_args in pending:
-                        if kind == "send" and dest in self.storages:
-                            self._call(dest, msg, addr, out_args, letters)
+                    for letter in pending:
+                        if letter.dest in self.storages:
+                            self._call(letter.dest, letter.msg, addr, letter.args, letters)
                         else:
-                            letters.append(Letter(kind, msg, dest, out_args))
+                            letters.append(letter)
                     self._conservation(ir, self.storages[addr])
                     break
                 except (CallFailed, Undef):
@@ -605,11 +605,11 @@ class Machine:
                 coin_out += v
             out_args.append(v)
         st.ledger -= coin_out
-        letter = ("log" if s.dest is None else "send", s.msg, dest, tuple(out_args))
-        if pending is not None:
-            pending.append(letter)
-        else:  # normalized dispatch arms hold only log sends
-            letters.append(Letter(*letter))
+        letter = Letter("log" if s.dest is None else "send", s.msg, dest, tuple(out_args))
+        if s.dest is not None and pending is not None:
+            pending.append(letter)  # a tau arm's send runs after its body
+        else:  # a log; normalized dispatch arms send nothing else
+            letters.append(letter)
 
 
 class _SlotRef:

@@ -26,8 +26,8 @@ from typing import NoReturn
 
 from .ast_nodes import Builtin, Expr, Quant, Var, map_children
 from .cascade import (
-    ChoicePolicy, Config, Rejected, System, TraceEvent, env_input,
-    init_system, time_advance, wake_internal,
+    CascadeLimit, ChoicePolicy, Config, Rejected, System, TraceEvent,
+    env_input, init_system, time_advance, wake_internal,
 )
 from .diagnostics import Pos, ScriptError
 from .lexer import tokenize
@@ -291,13 +291,12 @@ def instantiations(program: TypedProgram, news: list[NewItem]):
 
 
 def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
-               policy: ChoicePolicy | None = None,
-               step_limit: int = 10_000) -> ScriptResult:
+               policy: ChoicePolicy | None = None) -> ScriptResult:
     """Deterministic replay under the given policy. Aborts with a
     position-tagged ScriptError where `check_item` does, and on the first
-    item the cascade rejects that is not marked expect-reject."""
-    system, config = init_system(program, instantiations(program, news), R,
-                                 policy, step_limit)
+    item the cascade rejects that is not marked expect-reject, or whose
+    cascade does not quiesce."""
+    system, config = init_system(program, instantiations(program, news), R, policy)
     result = ScriptResult(system, config)
     for item in items:
         events = []
@@ -313,6 +312,8 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
             if not item.expect_reject:
                 _fail(item, e.message)
             continue
+        except CascadeLimit as e:
+            _fail(item, e.message)
         check_item(item, system, config)
         result.events.extend(events)
     result.config = config
@@ -320,7 +321,6 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
 
 
 def run_script_text(program: TypedProgram, text: str, R: int,
-                    policy: ChoicePolicy | None = None,
-                    step_limit: int = 10_000) -> ScriptResult:
+                    policy: ChoicePolicy | None = None) -> ScriptResult:
     news, items = parse_script(text)
-    return run_script(program, news, items, R, policy, step_limit)
+    return run_script(program, news, items, R, policy)

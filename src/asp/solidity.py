@@ -301,13 +301,14 @@ def emit_solidity(ir: ContractIR, R: int,
         if payable:
             w(2, "coinLedger += msg.value;")
         for arm in arms:
-            cond = [f"skeleton == State.{arm.state}"]
-            if arm.sender_match is not None:
-                cond.append(f"payable(msg.sender) == {g.expr(Var(arm.sender_match))}")
+            sender = arm.input.sender
+            cond = [f"skeleton == State.{arm.source}"]
+            if not arm.sender_fresh:
+                cond.append(f"payable(msg.sender) == {g.expr(Var(sender))}")
             w(2, f"if ({' && '.join(cond)}) {{")
-            if arm.sender_bind is not None:
-                w(3, f"address payable {_ident(arm.sender_bind)} = payable(msg.sender);")
-            for i, (p, t) in enumerate(zip(arm.params, arm.param_types)):
+            if arm.sender_fresh:
+                w(3, f"address payable {_ident(sender)} = payable(msg.sender);")
+            for i, (p, t) in enumerate(zip(arm.input.params, arm.param_types)):
                 if t.kind == "coin":
                     w(3, f"uint256 {_ident(p)} = msg.value;")
                 else:
@@ -323,9 +324,9 @@ def emit_solidity(ir: ContractIR, R: int,
             if guards:
                 w(3, f"if ({' && '.join(guards)}) {{")
                 body_ind = 4
-            for s in arm.body:
+            for s in arm.action:
                 g.stmt(s, body_ind)
-            for p, t in zip(arm.params, arm.param_types):
+            for p, t in zip(arm.input.params, arm.param_types):
                 if t.kind == "coin":
                     w(body_ind, f"require({_ident(p)} == 0, \"coins not banked\");")
             w(body_ind, f"skeleton = State.{arm.target};")
@@ -348,7 +349,7 @@ def emit_solidity(ir: ContractIR, R: int,
             if arm.when is not None:
                 cond.append(g.expr(arm.when))
             w(3, f"if ({' && '.join(cond)}) {{")
-            for s in arm.body:
+            for s in arm.action:
                 g.stmt(s, 4)
             w(4, f"skeleton = State.{arm.target};")
             w(4, "progressed = true;")
@@ -366,7 +367,7 @@ def emit_solidity(ir: ContractIR, R: int,
 
 def _collect_logs(ir: ContractIR):
     arms = [a for group in (*ir.methods.values(), *ir.taus.values()) for a in group]
-    return {(s.msg, len(s.args)) for a in arms for s in walk_stmts(a.body)
+    return {(s.msg, len(s.args)) for a in arms for s in walk_stmts(a.action)
             if isinstance(s, Send) and s.dest is None}
 
 

@@ -66,17 +66,20 @@ class VarInfo:
 
 @dataclass(frozen=True)
 class TypedTransition:
+    """One step from the typechecker to the IR: a source transition, a
+    normalized one (a dispatch or tau arm of the IR) or the proof model's
+    time step. A tau leaves every input-side field at its default."""
     source: str
     target: str
-    input: InputGuard | None
-    msg: str | None
-    sender_fresh: bool  # True: sender name binds; False: equality match
-    sender_var: str  # canonical sender name for proof existentials ("" if tau)
-    param_types: tuple[SemType, ...]
-    when: Expr | None
-    access: tuple[str, Expr] | None
-    action: tuple[Stmt, ...]
-    idx: int  # textual order within the contract
+    input: InputGuard | None = None
+    msg: str | None = None
+    sender_fresh: bool = False  # True: sender name binds; False: equality match
+    sender_var: str = ""  # canonical sender name for proof existentials ("" if tau)
+    param_types: tuple[SemType, ...] = ()
+    when: Expr | None = None
+    access: tuple[str, Expr] | None = None
+    action: tuple[Stmt, ...] = ()
+    idx: int = 0  # textual order within the contract
     pos: Pos = NOPOS
     is_time: bool = False  # the proof model's time self-loop (vcgen.time_step)
 
@@ -121,7 +124,6 @@ class TypedTransition:
 @dataclass
 class TypedContract:
     name: str
-    decl: ContractDecl
     params: tuple[tuple[str, SemType], ...]
     where: Expr | None
     issues: bool
@@ -519,7 +521,7 @@ def _check_contract(decl: ContractDecl, msg_universe, msg_origin) -> TypedContra
         err("UnknownState", f"initial state {decl.initial!r} is not declared", decl.pos)
 
     tc = TypedContract(
-        name=decl.name, decl=decl, params=decl.params, where=where,
+        name=decl.name, params=decl.params, where=where,
         issues=decl.issues, issue_limit=issue_limit, msg_sigs=msg_sigs,
         vars=vars_, initial=decl.initial, source_states=tuple(state_names),
         transitions=(),
@@ -873,30 +875,22 @@ def _max_sends(stmts) -> int:
 
 
 def _normalize_contract(tc: TypedContract):
+    """Split each transition into normalized ones, each built from its
+    source transition: the input head keeps the input guard, and every
+    further hop is a tau of the same source."""
     norm: list[TypedTransition] = []
     fresh_states: list[str] = []
-    counter = [0]
-    nidx = [0]
     stash_vars: dict[str, VarInfo] = {}
 
     def fresh_state(base: str) -> str:
-        counter[0] += 1
-        name = f"{base}__step{counter[0]}"
+        name = f"{base}__step{len(fresh_states) + 1}"
         fresh_states.append(name)
         return name
 
-    def emit(source, target, *, input_=None, msg=None, sender_fresh=False,
-             sender_var="", param_types=(), when=None, access=None,
-             stmts=(), pos=NOPOS):
-        norm.append(TypedTransition(
-            source=source, target=target, input=input_, msg=msg,
-            sender_fresh=sender_fresh, sender_var=sender_var,
-            param_types=tuple(param_types), when=when, access=access,
-            action=tuple(stmts), idx=nidx[0], pos=pos,
-        ))
-        nidx[0] += 1
+    def emit(t: TypedTransition, **changes):
+        norm.append(replace(t, idx=len(norm), **changes))
 
-    def emit_chain(source, when, stmts, target, base, pos):
+    def emit_chain(tau, source, when, stmts, base):
         cur: list[Stmt] = []
         sent = False
         rest = list(stmts)
@@ -905,33 +899,27 @@ def _normalize_contract(tc: TypedContract):
             if isinstance(s, If) and _contains_send(s):
                 if cur or when is not None:
                     hop = fresh_state(base)
-                    emit(source, hop, when=when, stmts=cur, pos=pos)
+                    emit(tau, source=source, target=hop, when=when, action=tuple(cur))
                 else:
                     hop = source
                 neg = Unop("!", s.cond, s.pos)
-                emit_chain(hop, s.cond, list(s.then) + rest, target, base, pos)
-                emit_chain(hop, neg, list(s.els) + rest, target, base, pos)
+                emit_chain(tau, hop, s.cond, list(s.then) + rest, base)
+                emit_chain(tau, hop, neg, list(s.els) + rest, base)
                 return
             if isinstance(s, Send) and not s.is_log and sent:
                 hop = fresh_state(base)
-                emit(source, hop, when=when, stmts=cur, pos=pos)
+                emit(tau, source=source, target=hop, when=when, action=tuple(cur))
                 source, when, cur, sent = hop, None, [s], True
                 continue
             if isinstance(s, Send) and not s.is_log:
                 sent = True
             cur.append(s)
-        emit(source, target, when=when, stmts=cur, pos=pos)
+        emit(tau, source=source, when=when, action=tuple(cur))
 
     for t in tc.transitions:
         total = _max_sends(t.action)
-        if t.input is None and total <= 1:
-            emit(t.source, t.target, when=t.when, stmts=t.action, pos=t.pos)
-            continue
-        if t.input is not None and total == 0:
-            emit(t.source, t.target, input_=t.input, msg=t.msg,
-                 sender_fresh=t.sender_fresh, sender_var=t.sender_var,
-                 param_types=t.param_types, when=t.when, access=t.access,
-                 stmts=t.action, pos=t.pos)
+        if total == 0 or (t.input is None and total == 1):
+            emit(t)
             continue
 
         base = f"{t.source}_{t.msg or 'tau'}{t.idx}"
@@ -959,13 +947,10 @@ def _normalize_contract(tc: TypedContract):
                     head.append(Assign(stash, Var(bname), t.pos))
             rest = [subst_stmt(s, sub) for s in rest]
             hop = fresh_state(base)
-            emit(t.source, hop, input_=t.input, msg=t.msg,
-                 sender_fresh=t.sender_fresh, sender_var=t.sender_var,
-                 param_types=t.param_types, when=t.when, access=t.access,
-                 stmts=head, pos=t.pos)
-            emit_chain(hop, None, rest, t.target, base, t.pos)
+            emit(t, target=hop, action=tuple(head))
+            emit_chain(TypedTransition(t.source, t.target, pos=t.pos), hop, None, rest, base)
         else:
-            emit_chain(t.source, t.when, list(t.action), t.target, base, t.pos)
+            emit_chain(t, t.source, t.when, t.action, base)
 
     tc.vars.update(stash_vars)
     tc.norm_states = tc.source_states + tuple(fresh_states)

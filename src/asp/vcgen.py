@@ -149,10 +149,7 @@ def time_step(tc: TypedContract, state: str) -> TypedTransition:
     """The time self-loop at a state of a contract with timers: a tau
     with no action, enabled while some timer is active. Like every step
     of the model it composes with a tick."""
-    return TypedTransition(
-        source=state, target=state, input=None, msg=None, sender_fresh=False,
-        sender_var="", param_types=(), when=time_guard(tc), access=None, action=(),
-        idx=-1, is_time=True)
+    return TypedTransition(state, state, when=time_guard(tc), is_time=True)
 
 
 def steps_from(tc: TypedContract, state: str) -> list[TypedTransition]:

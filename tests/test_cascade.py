@@ -350,7 +350,7 @@ contract Flaky() {
     assert outcomes == {1, 2}  # both branches are reachable across seeds
 
 
-def test_step_ceiling_aborts_divergent_cascade():
+def test_step_ceiling_aborts_divergent_cascade(monkeypatch):
     from asp.cascade import CascadeLimit
     from asp.parser import parse_program
     from asp.typecheck import typecheck
@@ -364,8 +364,8 @@ contract Spinner() {
   | when true -> B { }
 }
 """))
-    system, config = init_system(prog, [("s", "Spinner", {}, "al")], 1,
-                                 step_limit=500)
+    monkeypatch.setattr("asp.cascade.STEP_LIMIT", 500)
+    system, config = init_system(prog, [("s", "Spinner", {}, "al")], 1)
     with pytest.raises(CascadeLimit):
         env_input(system, config, 0, InputLetter("kick", "al", ()))
 

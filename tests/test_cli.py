@@ -128,6 +128,29 @@ def test_ill_typed_literal_exit_one(command, literal, tmp_path):
     assert "expected nat" in diag["message"]
 
 
+SPINNER = """
+contract Spinner() {
+  msg kick;
+  initial A;
+  state A:
+  | x??kick -> B { }
+  state B:
+  | when true -> B { }
+}
+"""
+
+
+def test_simulate_runaway_cascade_at_its_line(tmp_path):
+    """A cascade that never quiesces is a ScriptError at the line of the
+    item that started it."""
+    r = _ping_cli("simulate", "new s = Spinner() by alice\ninput s kick from bob\n",
+                  tmp_path, source=SPINNER)
+    assert r.returncode == 1
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"]) == ("ScriptError", 2)
+    assert "cascade exceeded" in diag["message"]
+
+
 DEPLOY = """
 contract D(n: nat) {
   msg go(nat);

@@ -1,4 +1,6 @@
 """Defensive compilation: lowering shape, bounded interpretation, emission."""
+from pathlib import Path
+
 import pytest
 
 from asp.interp import Machine
@@ -7,6 +9,7 @@ from asp.parser import parse_program
 from asp.solidity import emit_solidity, emit_system
 from asp.typecheck import typecheck
 from conftest import load
+from goldens import GOLDEN, SOURCES, outputs
 
 ATTACK_NEWS = [("estore", "Etherstore", {}, "deployer"),
                ("attacker", "Attacker", {"estore": "estore"}, "mallory")]
@@ -25,21 +28,21 @@ def auction_machine(prog, R=1, word_bits=256, bt=10):
 def test_auction_lowering_shape(auction):
     ir = lower(auction, 1, 256).contracts["SimpleAuction"]
     assert set(ir.methods) == {"start", "bid"}
-    assert [a.state for a in ir.methods["bid"]] == ["AuctionOpen"]
-    assert [a.state for a in ir.methods["start"]] == ["StartAuction"]
+    assert [a.source for a in ir.methods["bid"]] == ["AuctionOpen"]
+    assert [a.source for a in ir.methods["start"]] == ["StartAuction"]
     # ghosts are not compiled
     assert "bidded" not in ir.vars and "refunded" not in ir.vars
     from asp.ast_nodes import OpStmt
     for arms in ir.methods.values():
         for arm in arms:
-            for s in arm.body:
+            for s in arm.action:
                 assert not (isinstance(s, OpStmt) and s.ns == "Map"
                             and "bidded" in repr(s))
 
 
 def test_tau_arms_follow_textual_order(etherstore):
     ir = lower(etherstore, 1, 256).contracts["Etherstore"]
-    assert [a.state for arms in ir.taus.values() for a in arms] == [
+    assert [a.source for arms in ir.taus.values() for a in arms] == [
         "WithdrawRequested", "ResetBalance", "GaveWithdrawal"]
 
 
@@ -227,6 +230,12 @@ def test_golden_solidity(source, name):
     from conftest import CORPUS, typed
     text = emit_system(lower(typed(source), 1, 256))[name]
     assert text == (CORPUS / "golden" / f"{name}.sol").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[Path(s).stem for s in SOURCES])
+def test_golden_ir_dump(source):
+    name = f"{Path(source).stem}.ir.json"
+    assert outputs(source)[name] == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_undefined_op_reverts():

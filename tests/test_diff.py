@@ -521,3 +521,46 @@ def test_steps_leave_their_inputs_unchanged(contract, news, monkeypatch):
                 committed += 1
                 assert {name: _canon(st.vars) for name, st in snapshot.items()} == seen
     assert stepped and committed
+
+
+LOGGED_SEND = """
+contract P(q: address) {
+  msg poke(nat);
+  var n: nat;
+  initial S;
+  state S:
+  | a??poke(k) -> T { n = k; log!!poked(k); }
+  state T:
+  | -> S { log!!before(n); DEST!!ping(n); log!!after(n); }
+}
+
+contract Q() {
+  msg ping(nat);
+  var m: nat;
+  initial A;
+  state A:
+  | b??ping(k) -> B { m = k; log!!got(k); }
+  state B:
+  | -> A { log!!back(m); }
+}
+"""
+
+
+@pytest.mark.parametrize("dest, letters", [
+    ("creator", [("log", "poked"), ("log", "before"), ("log", "after"),
+                 ("send", "ping")]),
+    ("q", [("log", "poked"), ("log", "before"), ("log", "after"), ("log", "got"),
+           ("log", "back")]),
+], ids=["external", "internal"])
+def test_tau_arm_logs_come_before_its_send(dest, letters):
+    """A tau arm that logs around its send emits its logs first, then
+    the send's letters, on both routes: the cascade's event carries the
+    arm's logs with its send, and a synchronized push carries all of the
+    caller's logs before the callee's."""
+    prog = typecheck(parse_program(LOGGED_SEND.replace("DEST", dest)))
+    news, items = parse_script(
+        "new q = Q() by alice\nnew p = P(q) by alice\ninput p poke(3) from bob\n")
+    report = run_differential(prog, news, items, R=1, word_bits=256)
+    assert report.clean and report.committed == 1, report.to_json()
+    res = Machine(lower(prog), instantiations(prog, news)).transact("p", "poke", "bob", (3,))
+    assert [(l.kind, l.msg) for l in res.letters] == letters

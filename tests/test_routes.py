@@ -3,7 +3,8 @@ generator and the runtime evaluator import nothing of each other, the
 engine's functions in `discharge` name none of the runtime evaluator's
 entry points and never the oracle's context, so the engine route runs
 generated code only, and the oracle's functions name none of the engine's
-compiled code or search."""
+compiled code or search. The IR interpreter, the independent side of the
+differential route, matches its arms by itself."""
 import ast
 from pathlib import Path
 
@@ -25,6 +26,10 @@ ORACLE = ("_Ctx", "_vc_step", "_rank_of", "_progress_ok", "_runtime_hypothesis",
           "_hypothesis_schedule", "discharge_naive", "replay_counterexample")
 # the engine's compiled code and search
 COMPILED = {"Compiler", "_compile", "_Leaf", "_search", "_pending", "_forced"}
+# the cascade's rules for what a transition binds, when it is enabled and
+# which transitions take an input
+CASCADE_MATCHING = {"guards", "binders", "action_view", "enabled", "match_input",
+                    "receptions"}
 
 
 def _tree(module: str) -> ast.Module:
@@ -83,3 +88,11 @@ def test_oracle_names_no_compiled_code():
     assert len(checks) == 8
     for name in (*ORACLE, *checks):
         assert not _named(defs[name]) & COMPILED, (name, _named(defs[name]) & COMPILED)
+
+
+@pytest.mark.parametrize("module", ["interp", "lower"])
+def test_ir_keeps_its_own_arm_matching(module):
+    """The IR's arms are transitions, but the IR interpreter and the
+    lowering name none of the cascade's matching rules."""
+    named = _named(_tree(module))
+    assert not named & CASCADE_MATCHING, named & CASCADE_MATCHING
