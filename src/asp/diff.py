@@ -23,8 +23,8 @@ import random
 from dataclasses import dataclass, field
 
 from .cascade import (
-    Config, FixedPolicy, Rejected, System, env_input, init_system, time_advance,
-    wake_internal,
+    CascadeLimit, Config, FixedPolicy, Rejected, System, env_input, init_system,
+    time_advance, wake_internal,
 )
 from .diagnostics import Pos, ScriptError
 from .interp import Machine, TxRevert
@@ -178,8 +178,8 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
             try:
                 new_config, events = env_input(
                     system, config, input_target(system, item), letter)
-            except Rejected:
-                accepted = False
+            except (Rejected, CascadeLimit):
+                accepted = False  # a cascade that never quiesces accepts nothing
             else:
                 accepted = True
                 check_item(item, system, new_config)

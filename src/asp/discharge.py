@@ -23,8 +23,9 @@ routes of a verdict read it:
 - the raw-enumeration oracle (discharge_naive) and counterexample replay
   build a `_Ctx` from the problem and evaluate hypothesis conjuncts and
   leaf obligations with the runtime evaluator over instances of boxed
-  values (values.boxed), without propagation, symmetry cut or compiled
-  code, so the oracle's `checked` stays the size of the raw product.
+  values (values.boxed; the oracle keeps one per enumeration depth),
+  without propagation, symmetry cut or compiled code, so the oracle's
+  `checked` stays the size of the raw product.
 
 A VC outside the compiled fragment (`CannotCompile`) is Unknown: no engine
 leaf falls back to the runtime evaluator. A step of the proof model, the
@@ -424,40 +425,67 @@ class _Ctx:
     of a state's moves, which the oracle's leaf checks (`_CHECKS`) and the
     state searches of `prove.FiniteModel` run; it caches, per transition,
     the boxed binder domains. The oracle and replay build it from a VC's
-    problem, the searches from the contract and the bounds."""
+    problem (`of`), the searches from the contract and the bounds."""
 
-    def __init__(self, tc, bounds: DomainBounds, self_addr: str):
+    def __init__(self, tc, bounds: DomainBounds, self_addr: str,
+                 binders: dict | None = None, owner_key: bool = False):
         self.tc = tc
         self.bounds = bounds
         self.self_addr = self_addr
+        self.binders = binders or {}  # the VC's step binders and their types
+        self.owner_key = owner_key  # whether `owner` is enumerated
+        self.types = {**dict(tc.params), **{v.name: v.typ for v in tc.vars.values()}}
         self._binders: dict[str, tuple] = {}  # label -> binder_domains
+
+    @classmethod
+    def of(cls, prob: _Problem) -> "_Ctx":
+        """The context of a VC's problem."""
+        t = prob.vc.transition
+        return cls(prob.vc.tc, prob.bounds, prob.self_addr,
+                   {} if t is None else t.binders, "owner" in prob.domains)
 
     # -- boxed-instance evaluation --
 
-    def build_instance(self, state: str, env: dict) -> InstanceState:
-        ienv = {}
-        map_entries: dict[str, dict] = {}
-        for key, val in env.items():
-            if isinstance(key, tuple):
-                map_entries.setdefault(key[0], {})[key[1]] = val
-        for pname, ptyp in self.tc.params:
-            ienv[pname] = boxed(ptyp, env[pname]) if pname in env else zero_value(ptyp)
-        for v in self.tc.vars.values():
-            if v.name in env:
-                ienv[v.name] = boxed(v.typ, env[v.name])
-            elif v.name in map_entries:
-                ienv[v.name] = boxed(v.typ, {k: x for k, x in map_entries[v.name].items()
-                                             if x is not ABSENT}, v.default)
-            else:
-                ienv[v.name] = zero_value(v.typ, v.default)
-        if "__player" in env:
-            ienv["__player"] = env["__player"]
-        creator = env.get("creator", "P0")
-        owner = env.get("owner", creator)
-        remaining = env.get("__remaining",
-                            self.tc.issue_limit if self.tc.issues else None)
-        return InstanceState(self.tc.name, state, ienv, creator, owner,
-                             self.self_addr, remaining)
+    def bind_key(self, inst: InstanceState, bindings: dict, key, value) -> None:
+        """Put one flat key of a valuation into inst or bindings, the one
+        rule for both: a binder of the VC's step goes into the bindings, a
+        parameter or variable is boxed by its type, a map entry is put into
+        its map unless ABSENT, `creator` also sets `owner` unless `owner` is
+        enumerated, `owner`, `__remaining` and `__player` set their fields,
+        and `__self` and `__delta` set nothing."""
+        if isinstance(key, tuple):
+            if value is not ABSENT:
+                m, k = key
+                inst.env[m] = inst.env[m].put(k, boxed(self.types[m].args[1], value))
+        elif key in self.binders:
+            bindings[key] = boxed(self.binders[key], value)
+        elif key in self.types:
+            inst.env[key] = boxed(self.types[key], value)
+        elif key == "creator":
+            inst.creator = value
+            if not self.owner_key:
+                inst.owner = value
+        elif key == "owner":
+            inst.owner = value
+        elif key == "__remaining":
+            inst.token_remaining = value
+        elif key == "__player":
+            inst.env[key] = value
+
+    def build_instance(self, state: str, env: dict, bindings: dict | None = None
+                       ) -> InstanceState:
+        """The zero instance at state (parameters and variables at their
+        zero values, `P0` the creator and owner, the whole supply left) with
+        `bind_key` folded over env; the step's binders go into `bindings`."""
+        tc = self.tc
+        ienv = {p: zero_value(t) for p, t in tc.params}
+        ienv.update((v.name, zero_value(v.typ, v.default)) for v in tc.vars.values())
+        inst = InstanceState(tc.name, state, ienv, "P0", "P0", self.self_addr,
+                             tc.issue_limit if tc.issues else None)
+        bindings = {} if bindings is None else bindings
+        for key, value in env.items():
+            self.bind_key(inst, bindings, key, value)
+        return inst
 
     def all_true(self, exprs, inst, bindings=None) -> bool:
         b = bindings or {}
@@ -514,8 +542,9 @@ class _Ctx:
         return post
 
 
-# the oracle's leaf checks: (problem, context, env) -> message or None
-def _check_initiality(prob: _Problem, cx: _Ctx, env: dict):
+# the oracle's leaf checks: (problem, context, env, the instance that env
+# builds) -> message or None
+def _check_initiality(prob: _Problem, cx: _Ctx, env: dict, inst):
     tc = prob.vc.tc
     args = {p: boxed(ptyp, env[p]) for p, ptyp in tc.params}
     try:
@@ -538,8 +567,8 @@ def _vc_step(prob: _Problem, cx: _Ctx, inst, env: dict):
                         env.get("__delta"))
 
 
-def _check_inductive(prob: _Problem, cx: _Ctx, env: dict):
-    post = _vc_step(prob, cx, cx.build_instance(prob.vc.state, env), env)
+def _check_inductive(prob: _Problem, cx: _Ctx, env: dict, inst):
+    post = _vc_step(prob, cx, inst, env)
     if post is None:
         return None
     if not cx.all_true(prob.vc.conclusion, post):
@@ -547,8 +576,7 @@ def _check_inductive(prob: _Problem, cx: _Ctx, env: dict):
     return None
 
 
-def _check_sufficiency(prob: _Problem, cx: _Ctx, env: dict):
-    inst = cx.build_instance(prob.vc.state, env)
+def _check_sufficiency(prob: _Problem, cx: _Ctx, env: dict, inst):
     if not cx.all_true(prob.vc.conclusion, inst):
         return "reject predicate holds at an invariant state"
     return None
@@ -571,16 +599,14 @@ def _rank_of(prob: _Problem, state: str, inst) -> tuple | None:
     return None
 
 
-def _check_rank_defined(prob: _Problem, cx: _Ctx, env: dict):
-    inst = cx.build_instance(prob.vc.state, env)
+def _check_rank_defined(prob: _Problem, cx: _Ctx, env: dict, inst):
     if _rank_of(prob, prob.vc.state, inst) is None:
         return "rank is undefined"
     return None
 
 
-def _check_enabledness(prob: _Problem, cx: _Ctx, env: dict):
+def _check_enabledness(prob: _Problem, cx: _Ctx, env: dict, inst):
     vc = prob.vc
-    inst = cx.build_instance(vc.state, env)
     wit = prob.sketch.witness.get(vc.state)
     # without a witness an input transition's existential cannot be
     # discharged: only tau moves count then
@@ -601,8 +627,7 @@ def _progress_ok(prob: _Problem, cx: _Ctx, target: str, post, pre_rank) -> bool:
     return post_rank is not None and post_rank < pre_rank
 
 
-def _check_rank_decrease(prob: _Problem, cx: _Ctx, env: dict):
-    inst = cx.build_instance(prob.vc.state, env)
+def _check_rank_decrease(prob: _Problem, cx: _Ctx, env: dict, inst):
     pre_rank = _rank_of(prob, prob.vc.state, inst)
     if pre_rank is None:
         return "rank is undefined at the source state"
@@ -614,10 +639,9 @@ def _check_rank_decrease(prob: _Problem, cx: _Ctx, env: dict):
     return None
 
 
-def _check_player_move(prob: _Problem, cx: _Ctx, env: dict):
+def _check_player_move(prob: _Problem, cx: _Ctx, env: dict, inst):
     vc = prob.vc
     x = env["__player"]
-    inst = cx.build_instance(vc.state, env)
     pre_rank = _rank_of(prob, vc.state, inst)
     if pre_rank is None:
         return "rank is undefined"
@@ -631,10 +655,9 @@ def _check_player_move(prob: _Problem, cx: _Ctx, env: dict):
     return "no Player move makes progress"
 
 
-def _check_opponent_total(prob: _Problem, cx: _Ctx, env: dict):
+def _check_opponent_total(prob: _Problem, cx: _Ctx, env: dict, inst):
     vc = prob.vc
     x = env["__player"]
-    inst = cx.build_instance(vc.state, env)
     pre_rank = _rank_of(prob, vc.state, inst)
     if pre_rank is None:
         return "rank is undefined"
@@ -673,52 +696,51 @@ _CHECKS = {
 }
 
 
-def _runtime_hypothesis(prob: _Problem, cx: _Ctx):
-    """(exprs, env) -> True iff every expr holds under the runtime
-    evaluator, on the instance built from env with the binders boxed."""
-    vc = prob.vc
-    own = {} if vc.transition is None else vc.transition.binders
-    binders = [(name, typ) for name, typ in own.items() if name in prob.domains]
-
-    def holds(exprs, env) -> bool:
-        inst = cx.build_instance(vc.state, env)
-        b = {name: boxed(typ, env[name]) for name, typ in binders if name in env}
-        return all(eval_expr(e, inst, b) is True for e in exprs)
-
-    return holds
-
-
 def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
     """For each enumeration depth d, the hypothesis conjuncts whose reads
-    are all among the first d keys of the order. A conjunct reads its free
-    variables, every entry of the maps among them, and `__self` when it
-    uses Address.self."""
+    are all among the first d keys of the order, so that each conjunct is
+    checked once, as soon as what it reads is bound (Korat's pruning by the
+    fields a predicate read). A conjunct reads its free variables, and
+    `__self` when it uses Address.self. Of a map m, `Map.get`/`Map.ref(m,
+    k)` and `Map.in(k, m)` with k a literal read the entry (m, k) alone, and
+    nothing when k is outside the key domain; any other mention of m reads
+    every entry."""
     index = {key: i for i, key in enumerate(prob.order)}
+
+    def reads(e: Expr) -> set:
+        if isinstance(e, Builtin) and e.ns == "Map" and e.op in ("get", "ref", "in"):
+            k, m = e.args if e.op == "in" else e.args[::-1]
+            if isinstance(m, Var) and m.name in prob.layout and isinstance(k, Lit):
+                return {(m.name, k.value)} & index.keys()
+        if isinstance(e, Var):
+            return {(e.name, k) for k in prob.layout[e.name][1]} \
+                if e.name in prob.layout else {e.name}
+        out = set().union(*map(reads, children(e)))
+        if isinstance(e, Quant):
+            out.discard(e.var)
+        return out
+
     at: list[list[Expr]] = [[] for _ in range(len(prob.order) + 1)]
     for e in prob.hypothesis:
-        reads: set = set()
-        for name in free_vars(e):
-            if name in prob.layout:
-                reads.update((name, k) for k in prob.layout[name][1])
-            else:
-                reads.add(name)
-        if _uses_self(e):
-            reads.add("__self")
-        at[max((index[r] + 1 for r in reads), default=0)].append(e)
+        r = reads(e) | ({"__self"} if _uses_self(e) else set())
+        at[max((index[key] + 1 for key in r), default=0)].append(e)
     return at
 
 
 def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
-    """Raw-enumeration oracle: no propagation and no compiled code; the
-    runtime evaluator checks each hypothesis conjunct once, at the first
-    enumeration prefix that binds all its reads, and every leaf. Prefix
-    filtering drops only valuations the full product would reject, so the
-    `checked` count and the first counterexample are those of the raw
-    product in the engine's variable order."""
+    """Raw-enumeration oracle: no propagation and no compiled code. It
+    enumerates the problem's order depth by depth and keeps one boxed
+    instance and bindings per depth, its parent's clone with the new key
+    bound (`_Ctx.bind_key`). The runtime evaluator checks each hypothesis
+    conjunct once, on the pair of the first depth that binds all its reads
+    (`_hypothesis_schedule`), and each leaf check (`_CHECKS`) runs on the
+    last depth's instance. Prefix filtering drops only valuations the full
+    product would reject, so the `checked` count and the first
+    counterexample are those of the raw product in the engine's variable
+    order."""
     try:
         prob = _finitize(vc, bounds)
-        cx = _Ctx(prob.vc.tc, prob.bounds, prob.self_addr)
-        hyp = _runtime_hypothesis(prob, cx)
+        cx = _Ctx.of(prob)
         leaf = _CHECKS[vc.kind]
         at = _hypothesis_schedule(prob)
         keys = prob.order
@@ -726,24 +748,27 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
         env: dict = {}
         checked = 0
 
-        def enumerate_from(d: int):
+        def enumerate_from(d: int, inst: InstanceState, bindings: dict):
             nonlocal checked
-            if at[d] and not hyp(at[d], env):
+            if at[d] and not cx.all_true(at[d], inst, bindings):
                 return None
             if d == len(keys):
                 checked += 1
-                msg = leaf(prob, cx, env)
+                msg = leaf(prob, cx, env, inst)
                 return None if msg is None else \
                     Counterexample(vc.name, _json_valuation(env), msg)
+            key = keys[d]
             for value in domains[d]:
-                env[keys[d]] = value
-                r = enumerate_from(d + 1)
+                env[key] = value
+                child, child_b = inst.clone(), dict(bindings)
+                cx.bind_key(child, child_b, key, value)
+                r = enumerate_from(d + 1, child, child_b)
                 if r is not None:
                     return r
-            env.pop(keys[d], None)
+            env.pop(key, None)
             return None
 
-        r = enumerate_from(0)
+        r = enumerate_from(0, cx.build_instance(vc.state, {}), {})
     except Unfinitizable as e:
         return Unknown(vc.name, str(e))
     return r if r is not None else Valid(vc.name, checked)
@@ -754,15 +779,17 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
     """Re-run a counterexample valuation through the runtime evaluator:
     hypothesis and leaf check. True if the violation reproduces."""
     prob = _finitize(vc, bounds)
-    cx = _Ctx(prob.vc.tc, prob.bounds, prob.self_addr)
+    cx = _Ctx.of(prob)
     env: dict = {}
     for key, values in prob.domains.items():
         name = _json_name(key)
         if name in cex.valuation:
             env[key] = _value_from_json(cex.valuation[name], values)
-    if not _runtime_hypothesis(prob, cx)(prob.hypothesis, env):
+    bindings: dict = {}
+    inst = cx.build_instance(vc.state, env, bindings)
+    if not cx.all_true(prob.hypothesis, inst, bindings):
         return False
-    return _CHECKS[vc.kind](prob, cx, env) is not None
+    return _CHECKS[vc.kind](prob, cx, env, inst) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ ROUTES = {"engine": discharge_bounded, "oracle": discharge_naive}
 # the bounds each route is pinned at
 PINNED = {"engine": ("addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2",
                       "addr=3,nat=4,timer=4"),
-          "oracle": ("addr=2,nat=1,timer=2",)}
+          "oracle": ("addr=2,nat=1,timer=2", "addr=2,nat=2,timer=2")}
 # the state searches the benchmark runs: label -> (search, contract, proof,
 # parameters, creator)
 SEARCHES = {

@@ -1,5 +1,7 @@
 """Differential testing of the compiled interpreter against the cascade."""
+import json
 import random
+import subprocess
 import sys
 
 import pytest
@@ -564,3 +566,33 @@ def test_tau_arm_logs_come_before_its_send(dest, letters):
     assert report.clean and report.committed == 1, report.to_json()
     res = Machine(lower(prog), instantiations(prog, news)).transact("p", "poke", "bob", (3,))
     assert [(l.kind, l.msg) for l in res.letters] == letters
+
+
+SPINNER = """
+contract Spinner() {
+  msg kick;
+  initial A;
+  state A:
+  | x??kick -> B { }
+  state B:
+  | when true -> B { }
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("--trials", "3")], ids=["script", "trials"])
+def test_runaway_cascade_is_a_rejection(flags, tmp_path):
+    """An input whose cascade never quiesces is not accepted, and the
+    target reverts it (its tau closure diverges): `asp diff`, with a fixed
+    script or with random trials, reports no divergence."""
+    (tmp_path / "spin.asp").write_text(SPINNER, encoding="utf-8")
+    (tmp_path / "spin.aspscript").write_text(
+        "new s = Spinner() by alice\ninput s kick from bob\n", encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, "-m", "asp.cli", "diff", str(tmp_path / "spin.asp"), "--script",
+         str(tmp_path / "spin.aspscript"), "--out", str(tmp_path), *flags],
+        capture_output=True, text=True, cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
+    assert r.returncode == 0, r.stdout
+    out = json.loads(r.stdout)
+    assert (out["status"], out["divergences"]) == ("ok", 0)

@@ -1,13 +1,15 @@
 """Proof pipeline: sketches, VC generation, bounded discharge, searches."""
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
+from asp.ast_nodes import Binop, Builtin, Lit, Var
 from asp.diagnostics import SketchError
 from asp.discharge import (
-    _CHECKS, Counterexample, DomainBounds, Valid, discharge_bounded,
-    discharge_naive, replay_counterexample,
+    _CHECKS, Counterexample, DomainBounds, Valid, _finitize, _hypothesis_schedule,
+    discharge_bounded, discharge_naive, replay_counterexample,
 )
 from asp.machine import advance_instance
 from asp.parser import parse_program
@@ -1210,6 +1212,87 @@ def test_oracle_results_pinned(bounds):
     """Every criterion-9 VC keeps its oracle result: its `checked` count
     and the key order of a counterexample."""
     _assert_pinned("oracle", bounds)
+
+
+# -- the oracle's instance per depth and its schedule -------------------------
+
+
+def _oracle_leaves(monkeypatch, prog, sketch, bounds) -> int:
+    """Run the oracle on each VC of the sketch with every leaf check
+    wrapped: the instance a leaf gets is the one its valuation builds, its
+    creator is the enumerated one (P0 otherwise) and its owner the
+    enumerated one (the creator otherwise). The number of leaves."""
+    leaves = 0
+
+    def wrap(check):
+        def checked(prob, cx, env, inst):
+            nonlocal leaves
+            leaves += 1
+            want = cx.build_instance(prob.vc.state, env)
+            view = lambda i: (i.snapshot(), i.creator, i.owner, i.token_remaining)
+            assert view(inst) == view(want), (prob.vc.name, env)
+            creator = env.get("creator", "P0")
+            assert (inst.creator, inst.owner) == (creator, env.get("owner", creator))
+            return check(prob, cx, env, inst)
+        return checked
+
+    monkeypatch.setattr("asp.discharge._CHECKS", {k: wrap(c) for k, c in _CHECKS.items()})
+    for vc in generate_vcs(prog, sketch):
+        discharge_naive(vc, bounds)
+    return leaves
+
+
+@pytest.mark.parametrize("contract, proof", CRITERION_9_PAIRS)
+def test_oracle_leaf_gets_the_instance_its_valuation_builds(contract, proof, monkeypatch):
+    """The oracle's leaf runs on the instance of the last depth, a clone
+    of its parent's with one key bound: the same as building it from the
+    whole valuation."""
+    prog = typed(contract)
+    assert _oracle_leaves(monkeypatch, prog, parse_proof_sketch(load(proof), prog),
+                          DomainBounds.parse("addr=2,nat=1,timer=2"))
+
+
+@pytest.mark.parametrize("source, sketch, keys", [
+    # binding the creator leaves an enumerated owner as it is
+    (HAND, "safety same { always owner == creator }", {"owner", "creator"}),
+    # an entry is absent below a prefix under which it was present
+    (FLAGS, "safety s { always Map.in(1, m) || !Map.in(1, m) }", {("m", 0), ("m", 1)}),
+], ids=["owner_and_creator", "absent_entries"])
+def test_oracle_leaf_instance_on_small_systems(source, sketch, keys, monkeypatch):
+    """The leaf instance is the one the valuation builds where a VC
+    enumerates both owner and creator, and where map entries are absent."""
+    prog = typecheck(parse_program(source))
+    sk = parse_proof_sketch(sketch, prog)
+    assert keys <= _finitize(generate_vcs(prog, sk)[1], SMALL).domains.keys()
+    assert _oracle_leaves(monkeypatch, prog, sk, SMALL)
+
+
+def _depth(prob, e) -> int:
+    """The depth at which the oracle checks the conjunct e alone."""
+    [at] = [d for d, conjuncts in enumerate(_hypothesis_schedule(
+        replace(prob, hypothesis=[e]))) if conjuncts]
+    return at
+
+
+def test_hypothesis_schedule_reads_single_entries(refund_sketch, auction):
+    """A conjunct that reads a map entry by a literal key is checked once
+    that entry is bound; by a variable key, once the map's last entry is;
+    by a literal outside the key domain, it reads no entry."""
+    vc = next(v for v in generate_vcs(auction, refund_sketch)
+              if v.name == "inductive[SimpleAuction.start@StartAuction#0]")
+    prob = _finitize(vc, DomainBounds.parse("addr=2,nat=1,timer=2"))
+    index = {key: i for i, key in enumerate(prob.order)}
+    get = lambda m, k: Binop("==", Builtin("Map", "get", (Var(m), k)), Lit(0))
+    assert _depth(prob, get("refunded", Lit("P0"))) == index["refunded", "P0"] + 1
+    assert _depth(prob, Builtin("Map", "in", (Lit("P1"), Var("bidded")))) == \
+        index["bidded", "P1"] + 1
+    last = max(index["refunded", k] for k in prob.layout["refunded"][1])
+    assert _depth(prob, get("refunded", Var("a"))) == max(last, index["a"]) + 1
+    assert _depth(prob, Builtin("Map", "ref", (Var("refunded"), Var("maxBidder")))) == \
+        max(last, index["maxBidder"]) + 1
+    assert _depth(prob, get("refunded", Lit("P7"))) == 0
+    assert _depth(prob, Binop("&&", get("bidded", Lit("P7")),
+                              Binop(">", Var("maxBid"), Lit(0)))) == index["maxBid"] + 1
 
 
 @pytest.mark.parametrize("bounds", SEARCH_BOUNDS)

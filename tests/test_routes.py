@@ -19,11 +19,11 @@ ENGINE = ("_compile", "_compile_conjunct", "_target", "_holds", "_witnessed", "_
 # what runs the runtime evaluator: the oracle's leaf checks, the evaluator's
 # entry points, the oracle's context and the boxed-instance steps of `_Ctx`
 RUNTIME = {"_CHECKS", "eval_expr", "step_instance", "init_instance", "build_instance",
-           "run_inner", "_Ctx", "cx"}
+           "bind_key", "run_inner", "_Ctx", "cx"}
 # the functions and classes of discharge that only the oracle and replay
 # run, besides the leaf checks `_check_*`
-ORACLE = ("_Ctx", "_vc_step", "_rank_of", "_progress_ok", "_runtime_hypothesis",
-          "_hypothesis_schedule", "discharge_naive", "replay_counterexample")
+ORACLE = ("_Ctx", "_vc_step", "_rank_of", "_progress_ok", "_hypothesis_schedule",
+          "discharge_naive", "replay_counterexample")
 # the engine's compiled code and search
 COMPILED = {"Compiler", "_compile", "_Leaf", "_search", "_pending", "_forced"}
 # the cascade's rules for what a transition binds, when it is enabled and
