@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import AspError
 from .machine import (
@@ -70,36 +70,12 @@ class TraceEvent:
         })
 
 
-class ChoicePolicy:
-    """Resolves nondeterminism among simultaneously available moves."""
-
-    def pick(self, options: list):
-        raise NotImplementedError
-
-
-class FixedPolicy(ChoicePolicy):
-    """Deterministic default: local tau moves before synchronized pushes
-    before environment outputs; textually first transition within a class."""
-
-    def pick(self, options):
-        return options[0]
-
-
-class RandomPolicy(ChoicePolicy):
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-
-    def pick(self, options):
-        return self.rng.choice(options)
-
-
 @dataclass
 class System:
-    program: TypedProgram
     names: tuple[str, ...]  # instance names; also their addresses
     contracts: tuple[TypedContract, ...]
     R: int
-    policy: ChoicePolicy = field(default_factory=FixedPolicy)
+    rng: random.Random | None = None
 
     def index_of_addr(self, addr: str) -> int | None:
         try:
@@ -107,13 +83,17 @@ class System:
         except ValueError:
             return None
 
-    def contract_of(self, idx: int) -> TypedContract:
-        return self.contracts[idx]
+    def pick(self, options: list):
+        """The move that runs among simultaneously enabled ones: a draw
+        from `rng`, or without one the first (local tau moves before
+        synchronized pushes before environment outputs; textually first
+        transition within a class)."""
+        return options[0] if self.rng is None else self.rng.choice(options)
 
 
 def init_system(program: TypedProgram,
                 instantiations: list[tuple[str, str, dict, str]],
-                R: int, policy: ChoicePolicy | None = None) -> tuple[System, Config]:
+                R: int, rng: random.Random | None = None) -> tuple[System, Config]:
     """instantiations: (instance name, contract name, args, creator addr).
     Instance names double as self addresses and must be unique."""
     names: list[str] = []
@@ -136,7 +116,7 @@ def init_system(program: TypedProgram,
         names.append(name)
         contracts.append(tc)
         states.append(inst)
-    sys = System(program, tuple(names), tuple(contracts), R, policy or FixedPolicy())
+    sys = System(tuple(names), tuple(contracts), R, rng)
     return sys, Config(tuple(states))
 
 
@@ -151,7 +131,7 @@ def _candidates(system: System, config: Config):
     """Enabled configuration moves for the top-of-stack contract."""
     k = config.stack[0]
     inst = config.states[k]
-    tc = system.contract_of(k)
+    tc = system.contracts[k]
     out = []
     for t, inst2, outputs, logs in receptions(tc, inst, None):
         assert len(outputs) <= 1, "normalization guarantees at most one output"
@@ -167,7 +147,7 @@ def _candidates(system: System, config: Config):
         # have a matching, defined input transition at its current state.
         if config.stack.count(l) > system.R:
             continue
-        steps = receptions(system.contract_of(l), config.states[l],
+        steps = receptions(system.contracts[l], config.states[l],
                            letter.matching(sender=inst.self_addr))
         if steps:
             out.append(("SyncPush", t, inst2, letter, logs, (l, steps)))
@@ -185,12 +165,12 @@ def cascade_step(system: System, config: Config) -> tuple[Config, TraceEvent]:
     if not options:
         ev = TraceEvent("Pop", k, None, config.stack[1:])
         return Config(config.states, config.stack[1:]), ev
-    rule, t, inst2, letter, logs, sync = system.policy.pick(options)
+    rule, t, inst2, letter, logs, sync = system.pick(options)
     states = list(config.states)
     states[k] = inst2
     if rule == "SyncPush":
         l, steps = sync
-        _, rinst, routs, rlogs = system.policy.pick(steps)
+        _, rinst, routs, rlogs = system.pick(steps)
         assert not routs, "normalized input transitions emit nothing"
         states[l] = rinst
         stack = (l,) + config.stack
@@ -220,7 +200,7 @@ def env_input(system: System, config: Config, target: int,
     if not config.quiescent:
         raise ValueError("environment input on a non-quiescent configuration")
     inst = config.states[target]
-    tc = system.contract_of(target)
+    tc = system.contracts[target]
     # the receptions, keeping the enabled pairs for the diagnostic
     enabled_pairs = enabled_transitions(tc, inst, letter)
     steps = defined_steps(tc, inst, enabled_pairs, letter.sender)
@@ -230,7 +210,7 @@ def env_input(system: System, config: Config, target: int,
             raise Rejected(f"{letter.msg!r} is receivable {where}, "
                            f"but its action is undefined")
         raise Rejected(f"{letter.msg!r} is not receivable {where}")
-    _, inst2, outs, logs = system.policy.pick(steps)
+    _, inst2, outs, logs = system.pick(steps)
     assert not outs
     states = list(config.states)
     states[target] = inst2
@@ -261,7 +241,7 @@ def wake_internal(system: System, config: Config) -> tuple[Config, list[TraceEve
     e.g. a timeout transition waiting on Timer.has_fired)."""
     events: list[TraceEvent] = []
     for idx in range(len(config.states)):
-        if receptions(system.contract_of(idx), config.states[idx], None):
+        if receptions(system.contracts[idx], config.states[idx], None):
             config, evs = run_cascade(system, Config(config.states, (idx,)))
             events.extend(evs)
     return config, events

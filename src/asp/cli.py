@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cascade import FixedPolicy, RandomPolicy
 from .diagnostics import AspError, InputError, UsageError
 from .discharge import DomainBounds
 from .parser import parse_program
@@ -147,10 +147,10 @@ def cmd_simulate(args) -> int:
     from .script import run_script_text
     text = _read_text(args.script)
     seed = _int_option(args, "seed", None)
-    policy = RandomPolicy(seed) if seed is not None else FixedPolicy()
+    rng = random.Random(seed) if seed is not None else None
     R = _int_option(args, "reentrancy_limit", 1, least=0)
     try:
-        result = run_script_text(prog, text, R, policy)
+        result = run_script_text(prog, text, R, rng)
     except AspError as e:
         return _script_failure(args, e)
     trace_lines = [e.to_json() for e in result.events]

@@ -365,6 +365,4 @@ class Compiler:
         if code is None:
             code = self.code_cache[source] = compile(source, "<string>", "exec")
         exec(code, ns)  # generated from the checked AST only
-        fn = ns[name]
-        fn._source = source
-        return fn
+        return ns[name]

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cascade import (
-    CascadeLimit, Config, FixedPolicy, Rejected, System, env_input, init_system,
+    CascadeLimit, Config, Rejected, System, env_input, init_system,
     time_advance, wake_internal,
 )
 from .diagnostics import Pos, ScriptError
@@ -114,6 +114,20 @@ def _letters_of_trace(events) -> list[tuple]:
     return out
 
 
+def _mismatch(program: TypedProgram, machine: Machine, config: Config,
+              events, results) -> tuple[str, str] | None:
+    """A state-mismatch or letter-mismatch between the cascade, at config
+    after events, and the target after its transactions' results."""
+    mismatch = compare_states(program, machine, config)
+    if mismatch:
+        return ("state-mismatch", mismatch)
+    want = _letters_of_trace(events)
+    got = [(l.kind, l.msg, l.dest, l.args) for r in results for l in r.letters]
+    if want != got:
+        return ("letter-mismatch", f"cascade emitted {want}, target emitted {got}")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Driving one script on both sides
 # ---------------------------------------------------------------------------
@@ -136,7 +150,7 @@ def _start(program: TypedProgram, system_ir: SystemIR, news: list[NewItem],
     A ScriptError at the `new` line of an instance that the cascade
     accepts but the target cannot deploy."""
     insts = instantiations(program, news)
-    system, config = init_system(program, insts, R, FixedPolicy())
+    system, config = init_system(program, insts, R)
     machine = Machine(system_ir, [])
     for n, inst in zip(news, insts):
         try:
@@ -161,7 +175,14 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
                 atomicity_log: list | None) -> DiffReport:
     """run_differential from a start that _start built, on a fork of its
     machine. The run ends at its first divergence: past it, the two sides
-    no longer start from the same state."""
+    no longer start from the same state.
+
+    A cascade that never quiesces takes nothing. An input whose cascade
+    runs away is a rejection, which the target's revert matches. The
+    wake after an advance that runs away is not taken: the run goes on
+    from the configuration the tick left, and a target wake that reverts
+    agrees. With several instances, the wakes of the others are lost with
+    it, so one that the target commits is a state-mismatch at that item."""
     report = report or DiffReport()
     system, config, machine = start
     machine = machine.fork()
@@ -194,14 +215,7 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
                              "transaction committed but the cascade rejects it")
                 else:
                     config = new_config
-                    mismatch = compare_states(program, machine, config)
-                    want = _letters_of_trace(events)
-                    got = [(l.kind, l.msg, l.dest, l.args) for l in res.letters]
-                    if mismatch:
-                        found = ("state-mismatch", mismatch)
-                    elif want != got:
-                        found = ("letter-mismatch",
-                                 f"cascade emitted {want}, target emitted {got}")
+                    found = _mismatch(program, machine, config, events, [res])
             else:
                 report.reverted += 1
                 if atomicity_log is not None:
@@ -228,15 +242,19 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
                          f"cascade={'ok' if cascade_ok else 'rejected'} "
                          f"target={'ok' if ir_ok else 'rejected'}")
             elif cascade_ok:
-                new_config, _wake_events = wake_internal(system, new_config)
-                bad = [r for r in machine.wake() if not r.committed
+                try:
+                    config, events = wake_internal(system, new_config)
+                except CascadeLimit:  # a wake that never quiesces is not taken
+                    config, events = new_config, None
+                results = machine.wake()
+                if events is None:  # and a target wake that reverts agrees
+                    events, results = [], [r for r in results if r.committed]
+                bad = [r for r in results if not r.committed
                        and r.reason != "Overflow"]
-                config = new_config
-                mismatch = compare_states(program, machine, config)
                 if bad:
                     found = ("wake-failure", f"timer wake-up reverted: {bad[0].reason}")
-                elif mismatch:
-                    found = ("state-mismatch", mismatch)
+                else:
+                    found = _mismatch(program, machine, config, events, results)
         if found:
             script = [_describe(i) for i in items[:pos + 1]
                       if isinstance(i, (InputItem, AdvanceItem))]

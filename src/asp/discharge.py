@@ -327,8 +327,6 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
         scalars["owner"] = bounds.actor_values()
     if "creator" in reads:
         scalars["creator"] = bounds.actor_values()
-    if uses_self:
-        scalars["__self"] = (self_addr,)
 
     if tc.timers and vc.transition is not None:
         post_reads = reads_of(vc.conclusion)
@@ -452,7 +450,7 @@ class _Ctx:
         parameter or variable is boxed by its type, a map entry is put into
         its map unless ABSENT, `creator` also sets `owner` unless `owner` is
         enumerated, `owner`, `__remaining` and `__player` set their fields,
-        and `__self` and `__delta` set nothing."""
+        and `__delta` sets nothing."""
         if isinstance(key, tuple):
             if value is not ABSENT:
                 m, k = key
@@ -700,11 +698,10 @@ def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
     """For each enumeration depth d, the hypothesis conjuncts whose reads
     are all among the first d keys of the order, so that each conjunct is
     checked once, as soon as what it reads is bound (Korat's pruning by the
-    fields a predicate read). A conjunct reads its free variables, and
-    `__self` when it uses Address.self. Of a map m, `Map.get`/`Map.ref(m,
-    k)` and `Map.in(k, m)` with k a literal read the entry (m, k) alone, and
-    nothing when k is outside the key domain; any other mention of m reads
-    every entry."""
+    fields a predicate read). A conjunct reads its free variables. Of a map
+    m, `Map.get`/`Map.ref(m, k)` and `Map.in(k, m)` with k a literal read
+    the entry (m, k) alone, and nothing when k is outside the key domain;
+    any other mention of m reads every entry."""
     index = {key: i for i, key in enumerate(prob.order)}
 
     def reads(e: Expr) -> set:
@@ -715,15 +712,11 @@ def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
         if isinstance(e, Var):
             return {(e.name, k) for k in prob.layout[e.name][1]} \
                 if e.name in prob.layout else {e.name}
-        out = set().union(*map(reads, children(e)))
-        if isinstance(e, Quant):
-            out.discard(e.var)
-        return out
+        return set().union(*map(reads, children(e)))
 
     at: list[list[Expr]] = [[] for _ in range(len(prob.order) + 1)]
     for e in prob.hypothesis:
-        r = reads(e) | ({"__self"} if _uses_self(e) else set())
-        at[max((index[key] + 1 for key in r), default=0)].append(e)
+        at[max((index[key] + 1 for key in reads(e)), default=0)].append(e)
     return at
 
 

@@ -21,12 +21,13 @@ cascade rejects; `asp diff` compares that with the target's revert.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import NoReturn
 
 from .ast_nodes import Builtin, Expr, Quant, Var, map_children
 from .cascade import (
-    CascadeLimit, ChoicePolicy, Config, Rejected, System, TraceEvent,
+    CascadeLimit, Config, Rejected, System, TraceEvent,
     env_input, init_system, time_advance, wake_internal,
 )
 from .diagnostics import Pos, ScriptError
@@ -235,7 +236,7 @@ def input_target(system: System, item: InputItem) -> int:
     or a wrong number of arguments is left to the cascade, which rejects
     the input."""
     idx = instance_index(system, item.instance, item.line)
-    sig = system.contract_of(idx).msg_sigs.get(item.msg, ())
+    sig = system.contracts[idx].msg_sigs.get(item.msg, ())
     if len(sig) == len(item.args):
         for i, (v, t) in enumerate(zip(item.args, sig), start=1):
             if not has_type(v, t):
@@ -291,12 +292,12 @@ def instantiations(program: TypedProgram, news: list[NewItem]):
 
 
 def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
-               policy: ChoicePolicy | None = None) -> ScriptResult:
-    """Deterministic replay under the given policy. Aborts with a
-    position-tagged ScriptError where `check_item` does, and on the first
-    item the cascade rejects that is not marked expect-reject, or whose
-    cascade does not quiesce."""
-    system, config = init_system(program, instantiations(program, news), R, policy)
+               rng: random.Random | None = None) -> ScriptResult:
+    """Replay, choosing among enabled moves with `rng` (see `System.pick`).
+    Aborts with a position-tagged ScriptError where `check_item` does, and
+    on the first item the cascade rejects that is not marked expect-reject,
+    or whose cascade does not quiesce."""
+    system, config = init_system(program, instantiations(program, news), R, rng)
     result = ScriptResult(system, config)
     for item in items:
         events = []
@@ -321,6 +322,6 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
 
 
 def run_script_text(program: TypedProgram, text: str, R: int,
-                    policy: ChoicePolicy | None = None) -> ScriptResult:
+                    rng: random.Random | None = None) -> ScriptResult:
     news, items = parse_script(text)
-    return run_script(program, news, items, R, policy)
+    return run_script(program, news, items, R, rng)

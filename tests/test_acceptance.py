@@ -94,7 +94,7 @@ def _fuzz_systems(R):
 
 
 def _random_letter(rng, system, target):
-    tc = system.contract_of(target)
+    tc = system.contracts[target]
     msg = rng.choice(list(tc.msg_sigs))
     args = tuple(
         Coin(rng.randint(0, 9)) if t.kind == "coin"

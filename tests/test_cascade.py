@@ -5,8 +5,8 @@ import random
 import pytest
 
 from asp.cascade import (
-    FixedPolicy, RandomPolicy, Rejected, env_input, init_system, time_advance,
-    wake_internal, system_coin_total,
+    Rejected, env_input, init_system, time_advance, wake_internal,
+    system_coin_total,
 )
 from asp.machine import UNDEFINED, InputLetter, match_input, step_instance
 from asp.script import parse_script, run_script_text
@@ -20,11 +20,11 @@ APPENDIX_RULES = ["EnvInput", "SyncPush", "Pop", "SyncPush", "SyncPush",
                   "Pop", "LocalTau", "LocalTau", "Pop", "Pop"]
 
 
-def attack_system(etherstore, R=1, policy=None):
+def attack_system(etherstore, R=1, rng=None):
     return init_system(etherstore, [
         ("estore", "Etherstore", {}, "deployer"),
         ("attacker", "Attacker", {"estore": "estore"}, "mallory"),
-    ], R, policy)
+    ], R, rng)
 
 
 def test_reentrancy_trace_rule_sequence(etherstore):
@@ -190,7 +190,7 @@ def test_empty_script(auction):
 
 def test_determinism_same_seed(etherstore):
     def trace(seed):
-        system, config = attack_system(etherstore, policy=RandomPolicy(seed))
+        system, config = attack_system(etherstore, rng=random.Random(seed))
         _, events = env_input(system, config, 1,
                               InputLetter("send", "mallory", (Coin(7),)))
         return [e.to_json() for e in events]
@@ -216,7 +216,7 @@ def fuzz_once(etherstore, auction, seed, R):
     steps = 0
     for _ in range(rng.randint(1, 15)):
         target = rng.randrange(len(system.names))
-        tc = system.contract_of(target)
+        tc = system.contracts[target]
         msg = rng.choice(list(tc.msg_sigs))
         args = tuple(Coin(rng.randint(0, 9)) if t.kind == "coin"
                      else rng.randint(0, 9) if t.kind in ("int", "nat")
@@ -341,7 +341,7 @@ contract Flaky() {
     outcomes = set()
     for seed in range(12):
         system, config = init_system(prog, [("f", "Flaky", {}, "al")], 1,
-                                     RandomPolicy(seed))
+                                     random.Random(seed))
         config, events = env_input(system, config, 0,
                                    InputLetter("go", "al", ()))
         assert config.states[0].skeleton == "C"

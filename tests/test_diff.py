@@ -1,4 +1,5 @@
 """Differential testing of the compiled interpreter against the cascade."""
+import dataclasses
 import json
 import random
 import subprocess
@@ -37,6 +38,20 @@ def test_replayed_happy_path(auction):
     report = run_differential(auction, news, items, R=1, word_bits=256)
     assert report.clean, report.to_json()
     assert report.committed >= 4
+
+
+def test_wake_letters_are_compared(auction, monkeypatch):
+    """The letters of a timer wake are compared: the auction's close sends
+    its payment to the beneficiary, so a target wake that drops its
+    letters is a letter-mismatch at the advance."""
+    wake = Machine.wake
+    monkeypatch.setattr(Machine, "wake", lambda self: [
+        dataclasses.replace(r, letters=[]) for r in wake(self)])
+    news, items = parse_script(load("auction_happy.aspscript"))
+    report = run_differential(auction, news, items, R=1, word_bits=256)
+    [d] = report.divergences
+    assert (d.kind, d.item) == ("letter-mismatch", {"advance": 10}), report.to_json()
+    assert "winner" in d.detail
 
 
 def test_attack_scenario_matches(etherstore):
@@ -580,19 +595,77 @@ contract Spinner() {
 """
 
 
-@pytest.mark.parametrize("flags", [(), ("--trials", "3")], ids=["script", "trials"])
-def test_runaway_cascade_is_a_rejection(flags, tmp_path):
-    """An input whose cascade never quiesces is not accepted, and the
-    target reverts it (its tau closure diverges): `asp diff`, with a fixed
-    script or with random trials, reports no divergence."""
-    (tmp_path / "spin.asp").write_text(SPINNER, encoding="utf-8")
-    (tmp_path / "spin.aspscript").write_text(
-        "new s = Spinner() by alice\ninput s kick from bob\n", encoding="utf-8")
+def _asp_diff_is_clean(tmp_path, contract: str, script: str, flags):
+    """`asp diff` on the contract and script exits 0 with no divergence."""
+    (tmp_path / "c.asp").write_text(contract, encoding="utf-8")
+    (tmp_path / "c.aspscript").write_text(script, encoding="utf-8")
     r = subprocess.run(
-        [sys.executable, "-m", "asp.cli", "diff", str(tmp_path / "spin.asp"), "--script",
-         str(tmp_path / "spin.aspscript"), "--out", str(tmp_path), *flags],
+        [sys.executable, "-m", "asp.cli", "diff", str(tmp_path / "c.asp"), "--script",
+         str(tmp_path / "c.aspscript"), "--out", str(tmp_path), *flags],
         capture_output=True, text=True, cwd=ROOT,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
     assert r.returncode == 0, r.stdout
     out = json.loads(r.stdout)
     assert (out["status"], out["divergences"]) == ("ok", 0)
+
+
+@pytest.mark.parametrize("flags", [(), ("--trials", "3")], ids=["script", "trials"])
+def test_runaway_cascade_is_a_rejection(flags, tmp_path):
+    """An input whose cascade never quiesces is not accepted, and the
+    target reverts it (its tau closure diverges): `asp diff`, with a fixed
+    script or with random trials, reports no divergence."""
+    _asp_diff_is_clean(tmp_path, SPINNER,
+                       "new s = Spinner() by alice\ninput s kick from bob\n", flags)
+
+
+BRANCHING_SEND = """
+contract Br() {
+  msg go(nat);
+  var n: nat;
+  initial A;
+  state A:
+  | a??go(k) -> B { n = k; }
+  state B:
+  | when n > 0 -> A
+    { n = n - 1;
+      if n > 2 then { owner!!big(n); owner!!twice(n) } else { owner!!small(n) } }
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("--trials", "200")], ids=["script", "trials"])
+def test_hop_before_a_branching_send(flags, tmp_path):
+    """A tau with a statement before a branch that sends hops to a fresh
+    state, where the branches split; the then-branch's second send hops
+    again. The IR holds those taus, and `asp diff` finds both routes
+    agree on them."""
+    taus = lower(typecheck(parse_program(BRANCHING_SEND))).contracts["Br"].taus
+    assert [(t.source, t.target) for arms in taus.values() for t in arms] == [
+        ("B", "B_tau1__step1"), ("B_tau1__step1", "B_tau1__step2"),
+        ("B_tau1__step1", "A"), ("B_tau1__step2", "A")]
+    _asp_diff_is_clean(tmp_path, BRANCHING_SEND, "new b = Br() by alice\n"
+                       "input b go(5) from bob\ninput b go(3) from bob\n", flags)
+
+
+TIMER_SPINNER = """
+contract TSpin() {
+  msg kick;
+  var t: timer;
+  initial A;
+  state A:
+  | x??kick -> B { Timer.set(t, 1); }
+  state B:
+  | when Timer.has_fired(t) -> B { }
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("--trials", "5")], ids=["script", "trials"])
+def test_runaway_wake_is_not_taken(flags, tmp_path):
+    """A timer wake whose cascade never quiesces is not taken: the run
+    goes on from the configuration the tick left, and the target's wake,
+    whose tau closure diverges, reverts. `asp diff` reports no divergence
+    where it used to abort with CascadeLimit at line 0."""
+    _asp_diff_is_clean(tmp_path, TIMER_SPINNER,
+                       "new s = TSpin() by alice\ninput s kick from bob\nadvance 2\n",
+                       flags)

@@ -214,6 +214,30 @@ def test_rank_decrease_requires_the_pre_state_rank():
     assert "(assert (not (and (and true (>= (- v_x 3) 0)) (or true " in text
 
 
+DN = """
+contract Dn() {
+  msg go;
+  var x: nat;
+  initial A;
+  state A:
+  | a??go -> A { if x > 2 then { x = x - 1; } else { x = x + 1; } }
+}
+"""
+
+
+def test_branching_action_has_one_term_per_path():
+    """An `if` in an action splits the inductiveness script's negated
+    conclusion into one (=> COND CONCL) term per path, each over its
+    path's post-state."""
+    prog = typecheck(parse_program(DN))
+    sk = parse_proof_sketch("safety bounded {\n  always x <= 3\n  @A true\n}\n", prog)
+    vcs = {vc.name: vc for vc in generate_vcs(prog, sk)}
+    vc = vcs["inductive[Dn.go@A#0]"]
+    assert isinstance(discharge_bounded(vc, BOUNDS), Valid)
+    assert ("(assert (not (and (=> (> v_x 2) (and (<= (- v_x 1) 3) true)) "
+            "(=> (not (> v_x 2)) (and (<= (+ v_x 1) 3) true)))))") in emit_smtlib(vc).text
+
+
 def _solver():
     return os.environ.get("ASP_SOLVER") or shutil.which("z3") or shutil.which("cvc5")
 
