@@ -33,8 +33,12 @@ class WhereClauseViolated(AspError):
 
 
 class CascadeLimit(AspError):
-    """Step ceiling exceeded (the semantics admits unbounded tau suffixes)."""
+    """Step ceiling exceeded (the semantics admits unbounded tau suffixes).
+    From wake_internal it carries the configuration and events of the
+    wakes that quiesced."""
     code = "CascadeLimit"
+    config: Config | None = None
+    events: tuple = ()
 
 
 STEP_LIMIT = 10_000  # the most steps one cascade runs before CascadeLimit
@@ -238,12 +242,22 @@ def time_advance(system: System, config: Config, delta: int) -> tuple[Config, Tr
 def wake_internal(system: System, config: Config) -> tuple[Config, list[TraceEvent]]:
     """Run cascades for instances left with enabled internal moves (this
     only happens right after a time advance fires a timer at quiescence,
-    e.g. a timeout transition waiting on Timer.has_fired)."""
+    e.g. a timeout transition waiting on Timer.has_fired). Each instance's
+    wake is its own cascade: one that never quiesces is not taken, the
+    others are, and the first CascadeLimit is then raised with them."""
     events: list[TraceEvent] = []
+    runaway = None
     for idx in range(len(config.states)):
         if receptions(system.contracts[idx], config.states[idx], None):
-            config, evs = run_cascade(system, Config(config.states, (idx,)))
+            try:
+                config, evs = run_cascade(system, Config(config.states, (idx,)))
+            except CascadeLimit as e:
+                runaway = runaway or e
+                continue
             events.extend(evs)
+    if runaway is not None:
+        runaway.config, runaway.events = config, tuple(events)
+        raise runaway
     return config, events
 
 

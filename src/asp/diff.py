@@ -178,11 +178,10 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
     no longer start from the same state.
 
     A cascade that never quiesces takes nothing. An input whose cascade
-    runs away is a rejection, which the target's revert matches. The
-    wake after an advance that runs away is not taken: the run goes on
-    from the configuration the tick left, and a target wake that reverts
-    agrees. With several instances, the wakes of the others are lost with
-    it, so one that the target commits is a state-mismatch at that item."""
+    runs away is a rejection, which the target's revert matches. An
+    instance's wake after an advance that runs away is not taken, and the
+    target's wake of it, which reverts, agrees: the run goes on from the
+    wakes of the other instances."""
     report = report or DiffReport()
     system, config, machine = start
     machine = machine.fork()
@@ -242,13 +241,12 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
                          f"cascade={'ok' if cascade_ok else 'rejected'} "
                          f"target={'ok' if ir_ok else 'rejected'}")
             elif cascade_ok:
+                results = machine.wake()
                 try:
                     config, events = wake_internal(system, new_config)
-                except CascadeLimit:  # a wake that never quiesces is not taken
-                    config, events = new_config, None
-                results = machine.wake()
-                if events is None:  # and a target wake that reverts agrees
-                    events, results = [], [r for r in results if r.committed]
+                except CascadeLimit as e:  # a wake that never quiesces is not taken
+                    config, events = e.config, e.events
+                    results = [r for r in results if r.committed]  # nor on the target
                 bad = [r for r in results if not r.committed
                        and r.reason != "Overflow"]
                 if bad:

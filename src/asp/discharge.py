@@ -52,7 +52,7 @@ from .ast_nodes import (
 )
 from .compile import CannotCompile, Compiler
 from .machine import (
-    InstanceState, UNDEFINED, advance_instance, enabled, eval_expr, init_instance,
+    InstanceState, UNDEFINED, advance_instance, all_true, enabled, eval_expr, init_instance,
     step_instance,
 )
 from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
@@ -485,13 +485,6 @@ class _Ctx:
             self.bind_key(inst, bindings, key, value)
         return inst
 
-    def all_true(self, exprs, inst, bindings=None) -> bool:
-        b = bindings or {}
-        for e in exprs:
-            if eval_expr(e, inst, b) is not True:
-                return False
-        return True
-
     # -- the moves of a state --
 
     def binder_domains(self, t: TypedTransition):
@@ -551,7 +544,7 @@ def _check_initiality(prob: _Problem, cx: _Ctx, env: dict, inst):
         return None  # no such initial state
     if "__player" in env:
         inst.env["__player"] = env["__player"]
-    if not cx.all_true(prob.vc.conclusion, inst):
+    if not all_true(prob.vc.conclusion, inst, {}):
         return "assertion fails at the initial state"
     return None
 
@@ -569,13 +562,13 @@ def _check_inductive(prob: _Problem, cx: _Ctx, env: dict, inst):
     post = _vc_step(prob, cx, inst, env)
     if post is None:
         return None
-    if not cx.all_true(prob.vc.conclusion, post):
+    if not all_true(prob.vc.conclusion, post, {}):
         return "assertion is not preserved"
     return None
 
 
 def _check_sufficiency(prob: _Problem, cx: _Ctx, env: dict, inst):
-    if not cx.all_true(prob.vc.conclusion, inst):
+    if not all_true(prob.vc.conclusion, inst, {}):
         return "reject predicate holds at an invariant state"
     return None
 
@@ -617,9 +610,9 @@ def _check_enabledness(prob: _Problem, cx: _Ctx, env: dict, inst):
 
 def _progress_ok(prob: _Problem, cx: _Ctx, target: str, post, pre_rank) -> bool:
     goal = prob.sketch.goal_at(target)
-    if goal is not None and cx.all_true(goal, post):
+    if goal is not None and all_true(goal, post, {}):
         return True
-    if not cx.all_true(prob.sketch.theta(target), post):
+    if not all_true(prob.sketch.theta(target), post, {}):
         return False
     post_rank = _rank_of(prob, target, post)
     return post_rank is not None and post_rank < pre_rank
@@ -743,7 +736,7 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
 
         def enumerate_from(d: int, inst: InstanceState, bindings: dict):
             nonlocal checked
-            if at[d] and not cx.all_true(at[d], inst, bindings):
+            if at[d] and not all_true(at[d], inst, bindings):
                 return None
             if d == len(keys):
                 checked += 1
@@ -780,7 +773,7 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
             env[key] = _value_from_json(cex.valuation[name], values)
     bindings: dict = {}
     inst = cx.build_instance(vc.state, env, bindings)
-    if not cx.all_true(prob.hypothesis, inst, bindings):
+    if not all_true(prob.hypothesis, inst, bindings):
         return False
     return _CHECKS[vc.kind](prob, cx, env, inst) is not None
 

@@ -6,17 +6,25 @@ atomically over mathematical semantics. If any operation is undefined the
 step is not a transition of the system: callers receive UNDEFINED and the
 input instance is unchanged. Sends transfer the entire value of coin/token
 arguments, zeroing their source containers.
+
+The evaluator walks the AST through dispatch tables (`_EVAL` by node
+class, `_BINOPS` by operator, `_BUILTINS`, `_OPS` by `(ns, op)`, `_STMTS`
+by statement class); a missing entry is a TypeError. Both operands of a
+binary operator are evaluated, left first, so the connectives are strict.
+A name is a binding, else `owner`, `creator`, a variable, else undefined.
 """
 from __future__ import annotations
 
+import json
+import operator
 from dataclasses import dataclass, field
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .typecheck import TypedContract, TypedTransition, is_lvalue
 from .values import (
-    ADDR_NONE, Coin, SeqVal, Tok, Timer, Undef, arith, merge_tokens,
-    timer_advance, timer_reset, timer_set, timer_value, token_burn_value,
-    zero_value,
+    ADDR_NONE, Coin, SeqVal, Tok, Timer, Undef, arith, coin_content, merge_tokens,
+    timer_advance, timer_reset, timer_set, timer_value, to_json, token_burn_value,
+    token_content, zero_value,
 )
 
 
@@ -40,7 +48,6 @@ class InputLetter:
     args: tuple
 
     def to_json(self):
-        from .values import to_json
         return {"kind": "input", "msg": self.msg, "sender": self.sender,
                 "args": [to_json(a) for a in self.args]}
 
@@ -56,7 +63,6 @@ class OutputLetter:
         return InputLetter(self.msg, sender, self.args)
 
     def to_json(self):
-        from .values import to_json
         return {"kind": "output", "msg": self.msg, "dest": self.dest,
                 "args": [to_json(a) for a in self.args]}
 
@@ -79,18 +85,14 @@ class InstanceState:
         )
 
     def coin_total(self) -> int:
-        from .values import coin_content
         return sum(coin_content(v) for v in self.env.values())
 
     def token_total(self) -> int:
-        from .values import token_content
         return sum(token_content(v) for v in self.env.values())
 
     def snapshot(self):
         """A canonical JSON view of the instance, which tests compare; the
         state searches key an instance by `prove.FiniteModel.key`."""
-        from .values import to_json
-        import json
         return json.dumps(
             {"skeleton": self.skeleton, "owner": self.owner,
              "env": {k: to_json(v) for k, v in sorted(self.env.items())},
@@ -103,9 +105,7 @@ def init_instance(tc: TypedContract, self_addr: str, args: dict[str, object],
     """Fresh instance: parameters bound, coins empty, timers off, maps
     empty with their declared defaults. The where clause is checked by
     the system constructor, not here."""
-    env: dict[str, object] = {}
-    for pname, _ptyp in tc.params:
-        env[pname] = args[pname]
+    env = {pname: args[pname] for pname, _ptyp in tc.params}
     inst = InstanceState(tc.name, tc.initial, env, creator, creator, self_addr,
                          tc.issue_limit if tc.issues else None)
     for v in tc.vars.values():
@@ -129,87 +129,108 @@ def eval_expr(e: Expr, inst: InstanceState, bindings: dict[str, object]):
         return UNDEFINED
 
 
+def all_true(exprs, inst: InstanceState, bindings: dict[str, object]) -> bool:
+    """Whether every expression is True; an undefined one does not hold."""
+    try:
+        for e in exprs:
+            if _eval(e, inst, bindings) is not True:
+                return False
+    except Undef:
+        return False
+    return True
+
+
+class _Table(dict):
+    """A dispatch table; a key it lacks is a TypeError."""
+
+    def __missing__(self, key):
+        raise TypeError(f"no rule for {key!r}")
+
+
 def _eval(e: Expr, inst: InstanceState, b: dict[str, object]):
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        if e.name in b:
-            return b[e.name]
-        if e.name == "owner":
-            return inst.owner
-        if e.name == "creator":
-            return inst.creator
-        if e.name not in inst.env:
-            raise Undef(f"unknown name {e.name!r}")
-        return inst.env[e.name]
-    if isinstance(e, Unop):
-        v = _eval(e.operand, inst, b)
-        return (not v) if e.op == "!" else -v
-    if isinstance(e, Binop):
-        l = _eval(e.left, inst, b)
-        r = _eval(e.right, inst, b)
-        op = e.op
-        if op == "&&":
-            return l and r
-        if op == "||":
-            return l or r
-        if op == "==>":
-            return (not l) or r
-        if op == "==":
-            return l == r
-        if op == "!=":
-            return l != r
-        if op == "<":
-            return l < r
-        if op == "<=":
-            return l <= r
-        if op == ">":
-            return l > r
-        if op == ">=":
-            return l >= r
-        if op == "-nat":
-            return arith("-", l, r, nat=True)
-        return arith(op, l, r, nat=False)
-    if isinstance(e, Builtin):
-        return _eval_builtin(e, inst, b)
-    if isinstance(e, Quant):
-        raise Undef("quantifiers are not evaluated by the runtime")
-    raise TypeError(f"unknown expr {e!r}")
+    return _EVAL[type(e)](e, inst, b)
+
+
+def _eval_var(e: Var, inst, b):
+    name = e.name
+    if name in b:
+        return b[name]
+    if name == "owner":
+        return inst.owner
+    if name == "creator":
+        return inst.creator
+    if name not in inst.env:
+        raise Undef(f"unknown name {name!r}")
+    return inst.env[name]
+
+
+def _eval_unop(e: Unop, inst, b):
+    v = _eval(e.operand, inst, b)
+    return (not v) if e.op == "!" else -v
+
+
+def _eval_binop(e: Binop, inst, b):
+    """Both operands, left first, each dispatched here to spare a frame."""
+    l, r = e.left, e.right
+    return _BINOPS[e.op](_EVAL[type(l)](l, inst, b), _EVAL[type(r)](r, inst, b))
+
+
+def _eval_quant(e: Quant, inst, b):
+    raise Undef("quantifiers are not evaluated by the runtime")
 
 
 def _eval_builtin(e: Builtin, inst, b):
-    key = (e.ns, e.op)
-    if key == ("Address", "none"):
-        return ADDR_NONE
-    if key == ("Address", "self"):
-        return inst.self_addr
-    args = [_eval(a, inst, b) for a in e.args]
-    if key == ("Coin", "value"):
-        return args[0].value
-    if key == ("Token", "value"):
-        return args[0].value
-    if key == ("Timer", "is_off"):
-        return args[0].state == "off"
-    if key == ("Timer", "is_active"):
-        return args[0].state == "active"
-    if key == ("Timer", "has_fired"):
-        return args[0].state == "fired"
-    if key == ("Timer", "value"):
-        return timer_value(args[0])
-    if key == ("Map", "get") or key == ("Map", "ref"):
-        return args[0].get(args[1])  # read through a ref is a plain get
-    if key == ("Map", "in"):
-        return args[1].has(args[0])
-    if key == ("Seq", "get") or key == ("Seq", "ref"):
-        seq, i = args
-        if not (0 <= i < len(seq.items)):
-            raise Undef(f"sequence index {i} out of bounds")
-        return seq.items[i]
-    if key == ("Seq", "len"):
-        return len(args[0].items)
-    if key == ("Tuple", "get") or key == ("Tuple", "ref"):
-        return args[0].items[args[1]]
-    raise TypeError(f"unknown builtin {e.ns}.{e.op}")
+    return _BUILTINS[e.ns, e.op](e.args, inst, b)
+
+
+def _map_in(args, inst, b):
+    key = _eval(args[0], inst, b)
+    return _eval(args[1], inst, b).has(key)
+
+
+def _seq_get(args, inst, b):
+    seq, i = _eval(args[0], inst, b), _eval(args[1], inst, b)
+    if not (0 <= i < len(seq.items)):
+        raise Undef(f"sequence index {i} out of bounds")
+    return seq.items[i]
+
+
+def _map_get(args, inst, b):  # a read through a ref is a plain get
+    m, k = args
+    return _EVAL[type(m)](m, inst, b).get(_EVAL[type(k)](k, inst, b))
+
+
+def _tuple_get(args, inst, b):
+    return _eval(args[0], inst, b).items[_eval(args[1], inst, b)]
+
+
+_EVAL = _Table({
+    Lit: lambda e, inst, b: e.value, Var: _eval_var, Unop: _eval_unop,
+    Binop: _eval_binop, Builtin: _eval_builtin, Quant: _eval_quant,
+})
+_BINOPS = _Table({
+    "&&": lambda l, r: l and r, "||": lambda l, r: l or r,
+    "==>": lambda l, r: (not l) or r,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "+": lambda l, r: arith("+", l, r, False), "-": lambda l, r: arith("-", l, r, False),
+    "*": lambda l, r: arith("*", l, r, False), "/": lambda l, r: arith("/", l, r, False),
+    "%": lambda l, r: arith("%", l, r, False), "-nat": lambda l, r: arith("-", l, r, True),
+})
+_BUILTINS = _Table({
+    ("Address", "none"): lambda args, inst, b: ADDR_NONE,
+    ("Address", "self"): lambda args, inst, b: inst.self_addr,
+    ("Coin", "value"): lambda args, inst, b: _eval(args[0], inst, b).value,
+    ("Token", "value"): lambda args, inst, b: _eval(args[0], inst, b).value,
+    ("Timer", "is_off"): lambda args, inst, b: _eval(args[0], inst, b).state == "off",
+    ("Timer", "is_active"): lambda args, inst, b: _eval(args[0], inst, b).state == "active",
+    ("Timer", "has_fired"): lambda args, inst, b: _eval(args[0], inst, b).state == "fired",
+    ("Timer", "value"): lambda args, inst, b: timer_value(_eval(args[0], inst, b)),
+    ("Map", "get"): _map_get, ("Map", "ref"): _map_get, ("Map", "in"): _map_in,
+    ("Seq", "get"): _seq_get, ("Seq", "ref"): _seq_get,
+    ("Seq", "len"): lambda args, inst, b: len(_eval(args[0], inst, b).items),
+    ("Tuple", "get"): _tuple_get, ("Tuple", "ref"): _tuple_get,
+})
 
 
 # ---------------------------------------------------------------------------
@@ -283,108 +304,114 @@ class StepContext:
     logs: list[OutputLetter] = field(default_factory=list)
 
 
-def _as_coin(v) -> Coin:
-    if isinstance(v, Coin):
+def _as(kind: type, v):
+    if isinstance(v, kind):
         return v
-    raise Undef("expected a coin container")
-
-
-def _as_token(v) -> Tok:
-    if isinstance(v, Tok):
-        return v
-    raise Undef("expected a token container")
+    raise Undef(f"expected a {kind.__name__} container")
 
 
 def _exec_stmt(s: Stmt, ctx: StepContext):
-    inst, b = ctx.inst, ctx.bindings
-    if isinstance(s, Assign):
-        inst.env[s.target] = _eval(s.value, inst, b)
-        return
-    if isinstance(s, If):
-        branch = s.then if _eval(s.cond, inst, b) else s.els
-        for t in branch:
-            _exec_stmt(t, ctx)
-        return
-    if isinstance(s, Send):
-        _exec_send(s, ctx)
-        return
-    assert isinstance(s, OpStmt)
-    key = (s.ns, s.op)
-    # Moves write the source before reading the destination so that a move
-    # whose operands alias the same container conserves value.
-    if key in (("Coin", "move"), ("Coin", "moveall")):
-        src = resolve_slot(s.args[0], inst, b, "coin")
-        have = _as_coin(src.read()).value
-        k = _eval(s.args[1], inst, b) if s.op == "move" else have
-        if k < 0 or have < k:
-            raise Undef(f"coin move of {k} from container holding {have}")
-        src.write(Coin(have - k))
-        dst = resolve_slot(s.args[-1], inst, b, "coin")
-        dst.write(Coin(_as_coin(dst.read()).value + k))
-        return
-    if key == ("Token", "issue"):
-        n = _eval(s.args[0], inst, b)
-        if n < 0:
-            raise Undef("negative issue amount")
-        if inst.token_remaining is not None:
-            if n > inst.token_remaining:
-                raise Undef(
-                    f"issuing {n} tokens but only {inst.token_remaining} remain")
-            inst.token_remaining -= n
-        dst = resolve_slot(s.args[1], inst, b, "token")
-        cur = _as_token(dst.read())
-        merged = merge_tokens(cur, inst.self_addr, n)
-        dst.write(merged)
-        return
-    if key == ("Token", "burn"):
-        src = resolve_slot(s.args[0], inst, b, "token")
-        k = _eval(s.args[1], inst, b)
-        cur = _as_token(src.read())
-        if k > 0 and cur.kind != inst.self_addr:
-            raise Undef("burning tokens of a different issuer")
-        src.write(token_burn_value(cur, k))
-        return
-    if key in (("Token", "move"), ("Token", "moveall")):
-        src = resolve_slot(s.args[0], inst, b, "token")
-        before = _as_token(src.read())
-        k = _eval(s.args[1], inst, b) if s.op == "move" else before.value
-        if k < 0 or before.value < k:
-            raise Undef(f"token move of {k} from container holding {before.value}")
-        src.write(Tok(before.kind if before.value > k else None, before.value - k))
-        dst = resolve_slot(s.args[-1], inst, b, "token")
-        dst.write(merge_tokens(_as_token(dst.read()), before.kind, k))
-        return
-    if key == ("Timer", "set"):
-        slot = resolve_slot(s.args[0], inst, b)
-        k = _eval(s.args[1], inst, b)
-        slot.write(timer_set(slot.read(), k))
-        return
-    if key == ("Timer", "reset"):
-        slot = resolve_slot(s.args[0], inst, b)
-        slot.write(timer_reset(slot.read()))
-        return
-    if key == ("Map", "set"):
-        slot = resolve_slot(s.args[0], inst, b)
-        k = _eval(s.args[1], inst, b)
-        slot.write(slot.read().put(k, _eval(s.args[2], inst, b)))
-        return
-    if key in (("Seq", "set"), ("Tuple", "set")):
-        slot = resolve_slot(Builtin(s.ns, "ref", s.args[:2]), inst, b)
-        slot.write(_eval(s.args[2], inst, b))
-        return
-    if key == ("Seq", "append"):
-        slot = resolve_slot(s.args[0], inst, b)
-        slot.write(SeqVal(slot.read().items + [_eval(s.args[1], inst, b)]))
-        return
-    if key == ("Address", "change_owner"):
-        if ctx.sender is None or ctx.sender != inst.owner:
-            raise Undef("change_owner requires a message from the current owner")
-        new = _eval(s.args[0], inst, b)
-        if new == ADDR_NONE:
-            raise Undef("cannot transfer ownership to Address.none")
-        inst.owner = new
-        return
-    raise TypeError(f"unknown op {s.ns}.{s.op}")
+    _STMTS[type(s)](s, ctx)
+
+
+def _exec_assign(s: Assign, ctx: StepContext):
+    ctx.inst.env[s.target] = _eval(s.value, ctx.inst, ctx.bindings)
+
+
+def _exec_if(s: If, ctx: StepContext):
+    for t in (s.then if _eval(s.cond, ctx.inst, ctx.bindings) else s.els):
+        _exec_stmt(t, ctx)
+
+
+# Moves write the source before reading the destination so that a move
+# whose operands alias the same container conserves value.
+def _coin_move(s: OpStmt, inst, b, sender):
+    src = resolve_slot(s.args[0], inst, b, "coin")
+    have = _as(Coin, src.read()).value
+    k = _eval(s.args[1], inst, b) if s.op == "move" else have
+    if k < 0 or have < k:
+        raise Undef(f"coin move of {k} from container holding {have}")
+    src.write(Coin(have - k))
+    dst = resolve_slot(s.args[-1], inst, b, "coin")
+    dst.write(Coin(_as(Coin, dst.read()).value + k))
+
+
+def _token_issue(s: OpStmt, inst, b, sender):
+    n = _eval(s.args[0], inst, b)
+    if n < 0:
+        raise Undef("negative issue amount")
+    if inst.token_remaining is not None:
+        if n > inst.token_remaining:
+            raise Undef(f"issuing {n} tokens but only {inst.token_remaining} remain")
+        inst.token_remaining -= n
+    dst = resolve_slot(s.args[1], inst, b, "token")
+    dst.write(merge_tokens(_as(Tok, dst.read()), inst.self_addr, n))
+
+
+def _token_burn(s: OpStmt, inst, b, sender):
+    src = resolve_slot(s.args[0], inst, b, "token")
+    k = _eval(s.args[1], inst, b)
+    cur = _as(Tok, src.read())
+    if k > 0 and cur.kind != inst.self_addr:
+        raise Undef("burning tokens of a different issuer")
+    src.write(token_burn_value(cur, k))
+
+
+def _token_move(s: OpStmt, inst, b, sender):
+    src = resolve_slot(s.args[0], inst, b, "token")
+    before = _as(Tok, src.read())
+    k = _eval(s.args[1], inst, b) if s.op == "move" else before.value
+    if k < 0 or before.value < k:
+        raise Undef(f"token move of {k} from container holding {before.value}")
+    src.write(Tok(before.kind if before.value > k else None, before.value - k))
+    dst = resolve_slot(s.args[-1], inst, b, "token")
+    dst.write(merge_tokens(_as(Tok, dst.read()), before.kind, k))
+
+
+def _timer_set(s: OpStmt, inst, b, sender):
+    slot = resolve_slot(s.args[0], inst, b)
+    k = _eval(s.args[1], inst, b)
+    slot.write(timer_set(slot.read(), k))
+
+
+def _timer_reset(s: OpStmt, inst, b, sender):
+    slot = resolve_slot(s.args[0], inst, b)
+    slot.write(timer_reset(slot.read()))
+
+
+def _map_set(s: OpStmt, inst, b, sender):
+    slot = resolve_slot(s.args[0], inst, b)
+    k = _eval(s.args[1], inst, b)
+    slot.write(slot.read().put(k, _eval(s.args[2], inst, b)))
+
+
+def _entry_set(s: OpStmt, inst, b, sender):
+    slot = resolve_slot(Builtin(s.ns, "ref", s.args[:2]), inst, b)
+    slot.write(_eval(s.args[2], inst, b))
+
+
+def _seq_append(s: OpStmt, inst, b, sender):
+    slot = resolve_slot(s.args[0], inst, b)
+    slot.write(SeqVal(slot.read().items + [_eval(s.args[1], inst, b)]))
+
+
+def _change_owner(s: OpStmt, inst, b, sender):
+    if sender is None or sender != inst.owner:
+        raise Undef("change_owner requires a message from the current owner")
+    new = _eval(s.args[0], inst, b)
+    if new == ADDR_NONE:
+        raise Undef("cannot transfer ownership to Address.none")
+    inst.owner = new
+
+
+_OPS = _Table({
+    ("Coin", "move"): _coin_move, ("Coin", "moveall"): _coin_move,
+    ("Token", "issue"): _token_issue, ("Token", "burn"): _token_burn,
+    ("Token", "move"): _token_move, ("Token", "moveall"): _token_move,
+    ("Timer", "set"): _timer_set, ("Timer", "reset"): _timer_reset,
+    ("Map", "set"): _map_set, ("Seq", "set"): _entry_set, ("Tuple", "set"): _entry_set,
+    ("Seq", "append"): _seq_append, ("Address", "change_owner"): _change_owner,
+})
 
 
 def _exec_send(s: Send, ctx: StepContext):
@@ -411,6 +438,12 @@ def _exec_send(s: Send, ctx: StepContext):
         ctx.outputs.append(letter)
 
 
+_STMTS = _Table({
+    Assign: _exec_assign, If: _exec_if, Send: _exec_send,
+    OpStmt: lambda s, ctx: _OPS[s.ns, s.op](s, ctx.inst, ctx.bindings, ctx.sender),
+})
+
+
 # ---------------------------------------------------------------------------
 # Guards and stepping
 # ---------------------------------------------------------------------------
@@ -429,10 +462,7 @@ def match_input(t: TypedTransition, inst: InstanceState, letter: InputLetter):
 
 def enabled(t: TypedTransition, inst, bindings) -> bool:
     """Whether t's guards all hold; an undefined guard does not enable."""
-    try:
-        return all(_eval(g, inst, bindings) is True for g in t.guards)
-    except Undef:
-        return False
+    return all_true(t.guards, inst, bindings)
 
 
 def enabled_transitions(tc: TypedContract, inst: InstanceState,

@@ -25,7 +25,7 @@ from .discharge import (
     Counterexample, DischargeResult, DomainBounds, Unknown, Valid, _Ctx,
     discharge_bounded, expand_quants, tick_deltas,
 )
-from .machine import advance_instance, init_instance
+from .machine import advance_instance, all_true, init_instance
 from .sketch import ProofSketch
 from .typecheck import TypedProgram
 from .values import Coin, MapVal, Timer, Tok
@@ -144,7 +144,7 @@ class FiniteModel:
     def is_goal(self, inst, bindings=None) -> bool:
         """The goal holds at the instance (under `bindings`: the player)."""
         g = self.sketch.goal_at(inst.skeleton)
-        return g is not None and self.cx.all_true(g, inst, bindings)
+        return g is not None and all_true(g, inst, bindings or {})
 
     def _clamp(self, inst):
         """Saturating finitization, in place on a step's fresh result:

@@ -595,15 +595,20 @@ contract Spinner() {
 """
 
 
-def _asp_diff_is_clean(tmp_path, contract: str, script: str, flags):
-    """`asp diff` on the contract and script exits 0 with no divergence."""
+def _asp(command: str, tmp_path, contract: str, script: str, flags=()):
+    """`asp COMMAND` on the contract and script."""
     (tmp_path / "c.asp").write_text(contract, encoding="utf-8")
     (tmp_path / "c.aspscript").write_text(script, encoding="utf-8")
-    r = subprocess.run(
-        [sys.executable, "-m", "asp.cli", "diff", str(tmp_path / "c.asp"), "--script",
+    return subprocess.run(
+        [sys.executable, "-m", "asp.cli", command, str(tmp_path / "c.asp"), "--script",
          str(tmp_path / "c.aspscript"), "--out", str(tmp_path), *flags],
         capture_output=True, text=True, cwd=ROOT,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
+
+
+def _asp_diff_is_clean(tmp_path, contract: str, script: str, flags):
+    """`asp diff` on the contract and script exits 0 with no divergence."""
+    r = _asp("diff", tmp_path, contract, script, flags)
     assert r.returncode == 0, r.stdout
     out = json.loads(r.stdout)
     assert (out["status"], out["divergences"]) == ("ok", 0)
@@ -669,3 +674,37 @@ def test_runaway_wake_is_not_taken(flags, tmp_path):
     _asp_diff_is_clean(tmp_path, TIMER_SPINNER,
                        "new s = TSpin() by alice\ninput s kick from bob\nadvance 2\n",
                        flags)
+
+
+WAKER_AND_SPINNER = TIMER_SPINNER + """
+contract Waker() {
+  msg kick;
+  var t: timer;
+  initial A;
+  state A:
+  | x??kick -> B { Timer.set(t, 1); }
+  state B:
+  | when Timer.has_fired(t) -> C { }
+  state C:
+}
+"""
+WAKE_BOTH = ("new w = Waker() by alice\nnew s = TSpin() by alice\n"
+             "input w kick from bob\ninput s kick from bob\nadvance 2\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--trials", "5")], ids=["script", "trials"])
+def test_runaway_wake_keeps_the_other_wakes(flags, tmp_path):
+    """Each instance's wake is its own cascade, as on the target: the wake
+    of `w`, deployed before the runaway `s`, is taken, and `asp diff`
+    reports no state-mismatch on `w`."""
+    _asp_diff_is_clean(tmp_path, WAKER_AND_SPINNER, WAKE_BOTH, flags)
+
+
+def test_simulate_reports_the_runaway_wake_at_its_line(tmp_path):
+    """`asp simulate` still rejects the script at the advance whose wake
+    runs away."""
+    r = _asp("simulate", tmp_path, WAKER_AND_SPINNER, WAKE_BOTH)
+    assert r.returncode == 1
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"]) == ("ScriptError", 5)
+    assert "cascade exceeded" in diag["message"]

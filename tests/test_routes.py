@@ -4,11 +4,15 @@ engine's functions in `discharge` name none of the runtime evaluator's
 entry points and never the oracle's context, so the engine route runs
 generated code only, and the oracle's functions name none of the engine's
 compiled code or search. The IR interpreter, the independent side of the
-differential route, matches its arms by itself."""
+differential route, matches its arms by itself, and the runtime evaluator
+names none of the flat-form operations that the engine's code runs."""
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from asp.compile import PRELUDE
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "asp"
 
@@ -18,8 +22,8 @@ ENGINE = ("_compile", "_compile_conjunct", "_target", "_holds", "_witnessed", "_
           "discharge_bounded")
 # what runs the runtime evaluator: the oracle's leaf checks, the evaluator's
 # entry points, the oracle's context and the boxed-instance steps of `_Ctx`
-RUNTIME = {"_CHECKS", "eval_expr", "step_instance", "init_instance", "build_instance",
-           "bind_key", "run_inner", "_Ctx", "cx"}
+RUNTIME = {"_CHECKS", "eval_expr", "all_true", "step_instance", "init_instance",
+           "build_instance", "bind_key", "run_inner", "_Ctx", "cx"}
 # the functions and classes of discharge that only the oracle and replay
 # run, besides the leaf checks `_check_*`
 ORACLE = ("_Ctx", "_vc_step", "_rank_of", "_progress_ok", "_hypothesis_schedule",
@@ -30,6 +34,13 @@ COMPILED = {"Compiler", "_compile", "_Leaf", "_search", "_pending", "_forced"}
 # which transitions take an input
 CASCADE_MATCHING = {"guards", "binders", "action_view", "enabled", "match_input",
                     "receptions"}
+# the operations on the flat form that the engine's generated code and the
+# IR interpreter run, apart from the boxed rules of the runtime evaluator
+FLAT_OPS = ({name for name, f in PRELUDE.items() if inspect.isfunction(f)}
+            | {f.__name__ for f in PRELUDE.values() if inspect.isfunction(f)}
+            | {"nat_sub", "div", "mod", "seq_get", "coin_cut", "token_cut", "token_merge",
+               "token_burn", "timer_read", "timer_start", "timer_tick", "issue_supply",
+               "flat", "boxed"})
 
 
 def _tree(module: str) -> ast.Module:
@@ -96,3 +107,15 @@ def test_ir_keeps_its_own_arm_matching(module):
     lowering name none of the cascade's matching rules."""
     named = _named(_tree(module))
     assert not named & CASCADE_MATCHING, named & CASCADE_MATCHING
+
+
+def test_runtime_evaluator_runs_no_flat_ops():
+    """The runtime evaluator, the oracle's and the cascade's side, names
+    none of the flat-form operations and generates no code."""
+    tree = _tree("machine")
+    named = _named(tree) | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                            for a in n.names}
+    assert not named & FLAT_OPS, named & FLAT_OPS
+    calls = {n.func.id for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert not calls & {"exec", "eval", "compile"}

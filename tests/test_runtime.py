@@ -2,15 +2,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asp.ast_nodes import Lit, OpStmt, SemType, Var, map_children
+from asp import ast_nodes
+from asp.ast_nodes import Binop, Builtin, Lit, OpStmt, Quant, SemType, Var, map_children
 from asp.compile import ABSENT, Compiler
 from asp.discharge import DomainBounds, scalar_domain
 from asp.machine import (
-    InputLetter, InstanceState, StepContext, UNDEFINED, _eval, _exec_stmt, advance_instance,
-    enabled_transitions, eval_expr, init_instance, step_instance,
+    _BINOPS, _BUILTINS, _EVAL, _OPS, _STMTS, InputLetter, InstanceState, StepContext, UNDEFINED,
+    _eval, _exec_stmt, advance_instance, enabled_transitions, eval_expr, init_instance,
+    step_instance,
 )
 from asp.parser import parse_expression, parse_program
-from asp.typecheck import typecheck
+from asp.pretty import _PREC
+from asp.typecheck import _EXPR_BUILTINS, _STMT_OPS, typecheck
 from asp.values import (
     TIMER_FIRED, TIMER_OFF, Coin, MapVal, SeqVal, Timer, Tok, Undef, arith, boxed, coin_cut,
     div, flat, has_type, issue_supply, merge_tokens, mod, nat_sub, seq_get, timer_advance,
@@ -57,6 +60,41 @@ def test_strict_connectives(auction):
     _, inst = auction_instance(auction)
     assert ev(auction, inst, "false && 1 / 0 == 0") is UNDEFINED
     assert ev(auction, inst, "true || 1 / 0 == 0") is UNDEFINED
+
+
+def _subclasses(base) -> set:
+    return {c for c in vars(ast_nodes).values()
+            if isinstance(c, type) and issubclass(c, base) and c is not base}
+
+
+def test_dispatch_tables_cover_the_language():
+    """The evaluator's tables have a rule for every node class, operator,
+    builtin and statement operation that the typechecker admits."""
+    assert _subclasses(ast_nodes.Expr) <= set(_EVAL)
+    assert _subclasses(ast_nodes.Stmt) <= set(_STMTS)
+    assert set(_PREC) <= set(_BINOPS)
+    accesses = {("Map", "get"), ("Map", "ref"), ("Map", "in"), ("Seq", "get"), ("Seq", "ref"),
+                ("Tuple", "get"), ("Tuple", "ref"), ("Address", "none"), ("Address", "self")}
+    assert set(_EXPR_BUILTINS) | accesses <= set(_BUILTINS)
+    assert set(_STMT_OPS) <= set(_OPS)
+
+
+def test_evaluator_errors_and_lookup_order():
+    """An unknown node class, operator, builtin or statement operation is a
+    TypeError; a quantifier is undefined; a name is a binding, then
+    `owner`, then `creator`, then a variable; the connectives are strict."""
+    inst = InstanceState("C", "S", {"owner": "Z", "creator": "Z", "x": 1}, "A", "O", "A")
+    for bad in (Builtin("Foo", "bar"), Binop("^", Lit(1), Lit(2)), object()):
+        with pytest.raises(TypeError):
+            _eval(bad, inst, {})
+    with pytest.raises(TypeError):
+        _exec_stmt(OpStmt("Foo", "bar", ()), StepContext(inst, {}, None))
+    with pytest.raises(Undef):
+        _eval(Quant("forall", "a", SemType("address"), Lit(True)), inst, {})
+    assert _eval(Var("owner"), inst, {"owner": "B"}) == "B"
+    assert [_eval(Var(n), inst, {}) for n in ("owner", "creator", "x")] == ["O", "A", 1]
+    assert eval_expr(Var("y"), inst, {}) is UNDEFINED
+    assert eval_expr(parse_expression("1 / 0 && true"), inst, {}) is UNDEFINED
 
 
 def _literal_keys(e):
