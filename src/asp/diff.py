@@ -180,8 +180,9 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
     A cascade that never quiesces takes nothing. An input whose cascade
     runs away is a rejection, which the target's revert matches. An
     instance's wake after an advance that runs away is not taken, and the
-    target's wake of it, which reverts, agrees: the run goes on from the
-    wakes of the other instances."""
+    target's wake of it, which reverts with DefensiveCheckFailed (its tau
+    closure diverges), agrees: the run goes on from the wakes of the other
+    instances, and their reverts are still wake-failures."""
     report = report or DiffReport()
     system, config, machine = start
     machine = machine.fork()
@@ -246,7 +247,8 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
                     config, events = wake_internal(system, new_config)
                 except CascadeLimit as e:  # a wake that never quiesces is not taken
                     config, events = e.config, e.events
-                    results = [r for r in results if r.committed]  # nor on the target
+                    # nor on the target, whose tau closure diverges
+                    results = [r for r in results if r.reason != "DefensiveCheckFailed"]
                 bad = [r for r in results if not r.committed
                        and r.reason != "Overflow"]
                 if bad:

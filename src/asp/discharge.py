@@ -52,7 +52,7 @@ from .ast_nodes import (
 )
 from .compile import CannotCompile, Compiler
 from .machine import (
-    InstanceState, UNDEFINED, advance_instance, all_true, enabled, eval_expr, init_instance,
+    InstanceState, UNDEFINED, advance_instance, all_true, eval_expr, init_instance,
     step_instance,
 )
 from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
@@ -505,7 +505,7 @@ class _Ctx:
         when one is given. A matched sender is one of the guards."""
         for t in steps:
             if t.input is None:
-                if taus and enabled(t, inst, {}):
+                if taus and all_true(t.guards, inst, {}):
                     yield t, None, {}
                 continue
             names, doms = self.binder_domains(t)
@@ -517,7 +517,7 @@ class _Ctx:
                 if witness is not None and \
                         eval_expr(witness, inst, bindings) is not True:
                     continue
-                if not enabled(t, inst, bindings):
+                if not all_true(t.guards, inst, bindings):
                     continue
                 yield t, bindings[t.sender_var], t.action_view(bindings)
 

@@ -15,16 +15,15 @@ A name is a binding, else `owner`, `creator`, a variable, else undefined.
 """
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .typecheck import TypedContract, TypedTransition, is_lvalue
 from .values import (
-    ADDR_NONE, Coin, SeqVal, Tok, Timer, Undef, arith, coin_content, merge_tokens,
-    timer_advance, timer_reset, timer_set, timer_value, to_json, token_burn_value,
-    token_content, zero_value,
+    ADDR_NONE, Coin, SeqVal, Tok, Timer, Undef, arith, merge_tokens,
+    timer_advance, timer_reset, timer_set, timer_value, token_burn_value,
+    zero_value,
 )
 
 
@@ -48,6 +47,7 @@ class InputLetter:
     args: tuple
 
     def to_json(self):
+        from .values import to_json
         return {"kind": "input", "msg": self.msg, "sender": self.sender,
                 "args": [to_json(a) for a in self.args]}
 
@@ -63,6 +63,7 @@ class OutputLetter:
         return InputLetter(self.msg, sender, self.args)
 
     def to_json(self):
+        from .values import to_json
         return {"kind": "output", "msg": self.msg, "dest": self.dest,
                 "args": [to_json(a) for a in self.args]}
 
@@ -85,14 +86,18 @@ class InstanceState:
         )
 
     def coin_total(self) -> int:
+        from .values import coin_content
         return sum(coin_content(v) for v in self.env.values())
 
     def token_total(self) -> int:
+        from .values import token_content
         return sum(token_content(v) for v in self.env.values())
 
     def snapshot(self):
         """A canonical JSON view of the instance, which tests compare; the
         state searches key an instance by `prove.FiniteModel.key`."""
+        from .values import to_json
+        import json
         return json.dumps(
             {"skeleton": self.skeleton, "owner": self.owner,
              "env": {k: to_json(v) for k, v in sorted(self.env.items())},
@@ -105,7 +110,9 @@ def init_instance(tc: TypedContract, self_addr: str, args: dict[str, object],
     """Fresh instance: parameters bound, coins empty, timers off, maps
     empty with their declared defaults. The where clause is checked by
     the system constructor, not here."""
-    env = {pname: args[pname] for pname, _ptyp in tc.params}
+    env: dict[str, object] = {}
+    for pname, _ptyp in tc.params:
+        env[pname] = args[pname]
     inst = InstanceState(tc.name, tc.initial, env, creator, creator, self_addr,
                          tc.issue_limit if tc.issues else None)
     for v in tc.vars.values():
@@ -179,10 +186,6 @@ def _eval_quant(e: Quant, inst, b):
     raise Undef("quantifiers are not evaluated by the runtime")
 
 
-def _eval_builtin(e: Builtin, inst, b):
-    return _BUILTINS[e.ns, e.op](e.args, inst, b)
-
-
 def _map_in(args, inst, b):
     key = _eval(args[0], inst, b)
     return _eval(args[1], inst, b).has(key)
@@ -206,16 +209,16 @@ def _tuple_get(args, inst, b):
 
 _EVAL = _Table({
     Lit: lambda e, inst, b: e.value, Var: _eval_var, Unop: _eval_unop,
-    Binop: _eval_binop, Builtin: _eval_builtin, Quant: _eval_quant,
+    Binop: _eval_binop, Quant: _eval_quant,
+    Builtin: lambda e, inst, b: _BUILTINS[e.ns, e.op](e.args, inst, b),
 })
 _BINOPS = _Table({
     "&&": lambda l, r: l and r, "||": lambda l, r: l or r,
     "==>": lambda l, r: (not l) or r,
     "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
     ">": operator.gt, ">=": operator.ge,
-    "+": lambda l, r: arith("+", l, r, False), "-": lambda l, r: arith("-", l, r, False),
-    "*": lambda l, r: arith("*", l, r, False), "/": lambda l, r: arith("/", l, r, False),
-    "%": lambda l, r: arith("%", l, r, False), "-nat": lambda l, r: arith("-", l, r, True),
+    **{op: (lambda l, r, op=op: arith(op, l, r, False)) for op in ("+", "-", "*", "/", "%")},
+    "-nat": lambda l, r: arith("-", l, r, True),
 })
 _BUILTINS = _Table({
     ("Address", "none"): lambda args, inst, b: ADDR_NONE,
@@ -304,10 +307,16 @@ class StepContext:
     logs: list[OutputLetter] = field(default_factory=list)
 
 
-def _as(kind: type, v):
-    if isinstance(v, kind):
+def _as_coin(v) -> Coin:
+    if isinstance(v, Coin):
         return v
-    raise Undef(f"expected a {kind.__name__} container")
+    raise Undef("expected a coin container")
+
+
+def _as_token(v) -> Tok:
+    if isinstance(v, Tok):
+        return v
+    raise Undef("expected a token container")
 
 
 def _exec_stmt(s: Stmt, ctx: StepContext):
@@ -327,13 +336,13 @@ def _exec_if(s: If, ctx: StepContext):
 # whose operands alias the same container conserves value.
 def _coin_move(s: OpStmt, inst, b, sender):
     src = resolve_slot(s.args[0], inst, b, "coin")
-    have = _as(Coin, src.read()).value
+    have = _as_coin(src.read()).value
     k = _eval(s.args[1], inst, b) if s.op == "move" else have
     if k < 0 or have < k:
         raise Undef(f"coin move of {k} from container holding {have}")
     src.write(Coin(have - k))
     dst = resolve_slot(s.args[-1], inst, b, "coin")
-    dst.write(Coin(_as(Coin, dst.read()).value + k))
+    dst.write(Coin(_as_coin(dst.read()).value + k))
 
 
 def _token_issue(s: OpStmt, inst, b, sender):
@@ -345,13 +354,15 @@ def _token_issue(s: OpStmt, inst, b, sender):
             raise Undef(f"issuing {n} tokens but only {inst.token_remaining} remain")
         inst.token_remaining -= n
     dst = resolve_slot(s.args[1], inst, b, "token")
-    dst.write(merge_tokens(_as(Tok, dst.read()), inst.self_addr, n))
+    cur = _as_token(dst.read())
+    merged = merge_tokens(cur, inst.self_addr, n)
+    dst.write(merged)
 
 
 def _token_burn(s: OpStmt, inst, b, sender):
     src = resolve_slot(s.args[0], inst, b, "token")
     k = _eval(s.args[1], inst, b)
-    cur = _as(Tok, src.read())
+    cur = _as_token(src.read())
     if k > 0 and cur.kind != inst.self_addr:
         raise Undef("burning tokens of a different issuer")
     src.write(token_burn_value(cur, k))
@@ -359,13 +370,13 @@ def _token_burn(s: OpStmt, inst, b, sender):
 
 def _token_move(s: OpStmt, inst, b, sender):
     src = resolve_slot(s.args[0], inst, b, "token")
-    before = _as(Tok, src.read())
+    before = _as_token(src.read())
     k = _eval(s.args[1], inst, b) if s.op == "move" else before.value
     if k < 0 or before.value < k:
         raise Undef(f"token move of {k} from container holding {before.value}")
     src.write(Tok(before.kind if before.value > k else None, before.value - k))
     dst = resolve_slot(s.args[-1], inst, b, "token")
-    dst.write(merge_tokens(_as(Tok, dst.read()), before.kind, k))
+    dst.write(merge_tokens(_as_token(dst.read()), before.kind, k))
 
 
 def _timer_set(s: OpStmt, inst, b, sender):
@@ -457,12 +468,7 @@ def match_input(t: TypedTransition, inst: InstanceState, letter: InputLetter):
     if len(letter.args) != len(t.param_types):
         return None
     bindings = dict(zip(t.binders, (letter.sender, *letter.args)))
-    return t.action_view(bindings) if enabled(t, inst, bindings) else None
-
-
-def enabled(t: TypedTransition, inst, bindings) -> bool:
-    """Whether t's guards all hold; an undefined guard does not enable."""
-    return all_true(t.guards, inst, bindings)
+    return t.action_view(bindings) if all_true(t.guards, inst, bindings) else None
 
 
 def enabled_transitions(tc: TypedContract, inst: InstanceState,
@@ -472,7 +478,7 @@ def enabled_transitions(tc: TypedContract, inst: InstanceState,
     out = []
     if letter is None:
         for t in tc.reception_table.get((inst.skeleton, None), ()):
-            if enabled(t, inst, {}):
+            if all_true(t.guards, inst, {}):
                 out.append((t, {}))
         return out
     for t in tc.reception_table.get((inst.skeleton, letter.msg), ()):

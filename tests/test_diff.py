@@ -700,6 +700,22 @@ def test_runaway_wake_keeps_the_other_wakes(flags, tmp_path):
     _asp_diff_is_clean(tmp_path, WAKER_AND_SPINNER, WAKE_BOTH, flags)
 
 
+def test_runaway_wake_excuses_only_its_own_revert(monkeypatch):
+    """Next to a runaway wake, only the target's revert of it is excused:
+    a wake of another instance that reverts for another reason is still
+    a wake-failure."""
+    wake = Machine.wake
+    monkeypatch.setattr(Machine, "wake", lambda self: [
+        dataclasses.replace(r, status="reverted", reason="UndefinedOp")
+        if r.committed else r for r in wake(self)])
+    news, items = parse_script(WAKE_BOTH)
+    report = run_differential(typecheck(parse_program(WAKER_AND_SPINNER)),
+                              news, items, R=1, word_bits=256)
+    [d] = report.divergences
+    assert (d.kind, d.item) == ("wake-failure", {"advance": 2}), report.to_json()
+    assert "UndefinedOp" in d.detail
+
+
 def test_simulate_reports_the_runaway_wake_at_its_line(tmp_path):
     """`asp simulate` still rejects the script at the advance whose wake
     runs away."""

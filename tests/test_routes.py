@@ -32,7 +32,7 @@ ORACLE = ("_Ctx", "_vc_step", "_rank_of", "_progress_ok", "_hypothesis_schedule"
 COMPILED = {"Compiler", "_compile", "_Leaf", "_search", "_pending", "_forced"}
 # the cascade's rules for what a transition binds, when it is enabled and
 # which transitions take an input
-CASCADE_MATCHING = {"guards", "binders", "action_view", "enabled", "match_input",
+CASCADE_MATCHING = {"guards", "binders", "action_view", "all_true", "match_input",
                     "receptions"}
 # the operations on the flat form that the engine's generated code and the
 # IR interpreter run, apart from the boxed rules of the runtime evaluator
