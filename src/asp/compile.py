@@ -211,7 +211,7 @@ class Compiler:
 
     def slot(self, body: list[str], e: Expr, env: str, indent: str, zero=None):
         """(read code, write) of the lvalue e, in the shape of
-        `interp._slot` and `machine.resolve_slot`: a variable, an entry of
+        `interp._Builder.slot` and `machine.resolve_slot`: a variable, an entry of
         a map variable, or a `Seq.ref`/`Tuple.ref` over a slot, nested to
         any depth. Its keys and indices are bound once, here; an entry is
         read and written through its container's slot, whatever its key.

@@ -223,13 +223,16 @@ class _Emitter:
 
     def exec_action(self, stmts, env: dict[str, str], path: list[str]):
         """Yields (path_conditions, post_env); definedness side conditions
-        accumulate globally (they join the hypothesis side)."""
+        accumulate globally (they join the hypothesis side), each one raised
+        under a branch as (=> PATH DEF), since only that path evaluates it."""
         if not stmts:
             yield list(path), dict(env)
             return
         s, rest = stmts[0], stmts[1:]
+        mark = len(self.defined)
         if isinstance(s, If):
             cond = self.expr(s.cond, env)
+            self._under(path, mark)
             yield from self.exec_action(list(s.then) + list(rest), dict(env),
                                         path + [cond])
             yield from self.exec_action(list(s.els) + list(rest), dict(env),
@@ -250,7 +253,13 @@ class _Emitter:
             self._op(s, env)
         else:
             raise EmitUnsupported(repr(s))
+        self._under(path, mark)
         yield from self.exec_action(rest, env, path)
+
+    def _under(self, path: list[str], mark: int):
+        """Put the definedness conditions raised since `mark` under path."""
+        if path:
+            self.defined[mark:] = [f"(=> {_and(path)} {d})" for d in self.defined[mark:]]
 
     def _slot(self, a: Expr, env):
         """(read_term, write) for coin/token move operands."""

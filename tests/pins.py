@@ -1,5 +1,6 @@
-"""Per-VC results of the criterion-9 pairs, and the answers of the
-benchmark's state searches, pinned in engine_pins.json.
+"""Per-VC results of the criterion-9 pairs, the answers of the
+benchmark's state searches and the benchmark's differential reports,
+pinned in engine_pins.json.
 
 The file holds, per route ("engine", "oracle"), bounds and criterion-9
 pair, the route's result on each VC in VC order: status, the `checked`
@@ -8,12 +9,16 @@ pairs in the order the route assigned them, with its message. Under
 "searches" it holds, per bounds, the report of each search in `SEARCHES`:
 `ok`, the number of states explored, and the reason and witness state of
 a failed reachability search or the losing state and player of a game.
+Under "diffs" it holds, per system of the benchmark's `DIFF_SYSTEMS`, the
+`DiffReport` of each run in `DIFF_RUNS` (the criterion-7 runs): its
+counts and the sha256 of its `to_json()`.
 
     python tests/pins.py
 
 run from the repository root, recomputes every pin, rewrites
 engine_pins.json and prints each entry that changed as `old -> new`.
 """
+import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -21,9 +26,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent))
 
 from conftest import CRITERION_9_PAIRS, load, typed  # noqa: E402
+from perfbench.workloads import COIN_MAX_8BIT, DIFF_SYSTEMS, R, SCRIPT_LENGTH  # noqa: E402
 
+from asp.diff import differential_check  # noqa: E402
 from asp.discharge import (  # noqa: E402
     Counterexample, DomainBounds, Valid, discharge_bounded, discharge_naive,
 )
@@ -48,6 +56,8 @@ SEARCHES = {
                              "vending_lockout_original.aspproof", {}, "P0"),
 }
 SEARCH_BOUNDS = ("addr=2,nat=2,timer=2", "addr=3,nat=4,timer=4")
+# the differential runs of each system: word bits, trials, seed, coin_max
+DIFF_RUNS = ((256, 1000, 42, 9), (8, 250, 43, COIN_MAX_8BIT))
 
 
 def pinned_form(r) -> dict:
@@ -75,6 +85,27 @@ def search_results(bounds: str) -> list[dict]:
         rep = search(prog, parse_proof_sketch(load(proof), prog),
                      DomainBounds.parse(bounds), params, creator)
         out.append({"search": label, **asdict(rep)})
+    return out
+
+
+def diff_pinned_form(run: tuple, rep) -> dict:
+    """The DiffReport of a run of DIFF_RUNS in the pinned form."""
+    bits, trials, seed, _ = run
+    return {"word_bits": bits, "trials": trials, "seed": seed, "items": rep.items,
+            "committed": rep.committed, "reverted": rep.reverted,
+            "overflow_gaps": rep.overflow_gaps, "divergences": len(rep.divergences),
+            "sha256": hashlib.sha256(rep.to_json().encode()).hexdigest()}
+
+
+def diff_results(contract: str) -> list[dict]:
+    """The system's report of each run in DIFF_RUNS, in the pinned form."""
+    prog, news = typed(contract), list(dict(DIFF_SYSTEMS)[contract])
+    out = []
+    for run in DIFF_RUNS:
+        bits, trials, seed, coin_max = run
+        rep = differential_check(prog, news, R=R, word_bits=bits, trials=trials,
+                                 seed=seed, length=SCRIPT_LENGTH, coin_max=coin_max)
+        out.append(diff_pinned_form(run, rep))
     return out
 
 
@@ -116,6 +147,14 @@ def regenerate() -> list[str]:
                 changes.append(f"searches {bounds} {e['search']}: {_fields(before, e)}")
         changes.extend(f"searches {bounds} {label}: {json.dumps(e)} -> none"
                        for label, e in was.items())
+    for contract, _ in DIFF_SYSTEMS:
+        got = new.setdefault("diffs", {})[contract] = diff_results(contract)
+        was = old.get("diffs", {}).get(contract, [])
+        for i, e in enumerate(got):
+            before = was[i] if i < len(was) else None
+            if before != e:
+                changes.append(f"diffs {contract} word_bits={e['word_bits']}: "
+                               f"{_fields(before, e)}")
     PINS_FILE.write_text(_dump(new) + "\n")
     return changes
 

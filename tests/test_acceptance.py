@@ -38,6 +38,7 @@ from asp.values import Coin
 from asp.vcgen import generate_vcs
 import conftest
 from conftest import CORPUS, CRITERION_9_PAIRS, load, typed
+from pins import DIFF_RUNS, DIFF_SYSTEMS, PINS_FILE, diff_pinned_form
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
 
@@ -253,14 +254,22 @@ def diff_results():
     for contract, news in SYSTEMS:
         prog = typed(contract)
         atomicity: list[bool] = []
-        rep256 = differential_check(prog, news, R=1, word_bits=256,
-                                    trials=1000, seed=42,
-                                    atomicity_log=atomicity)
-        rep8 = differential_check(prog, news, R=1, word_bits=8,
-                                  trials=250, seed=43, coin_max=120,
-                                  atomicity_log=atomicity)
+        rep256, rep8 = (differential_check(prog, news, R=1, word_bits=bits,
+                                           trials=trials, seed=seed, coin_max=coin_max,
+                                           atomicity_log=atomicity)
+                        for bits, trials, seed, coin_max in DIFF_RUNS)
         out[contract] = (rep256, rep8, atomicity)
     return out
+
+
+def test_diff_reports_pinned(diff_results):
+    """The criterion-7 runs are the benchmark's differential runs, and their
+    reports are the pinned ones (pins.py), byte for byte."""
+    assert [(c, list(news)) for c, news in DIFF_SYSTEMS] == SYSTEMS
+    pins = json.loads(PINS_FILE.read_text())["diffs"]
+    for contract, (*reports, _) in diff_results.items():
+        got = [diff_pinned_form(run, rep) for run, rep in zip(DIFF_RUNS, reports, strict=True)]
+        assert got == pins[contract], contract
 
 
 def test_criterion_7_property_one(diff_results):

@@ -1,13 +1,20 @@
 """Defensive compilation: lowering shape, bounded interpretation, emission."""
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from asp.interp import Machine
+from asp import ast_nodes
+from asp.ast_nodes import Assign, Var
+from asp.interp import (
+    _BINOPS, _BUILTINS, _EXPRS, _OPS, _STMTS, _WORD_OPS, Machine, Storage, _Builder,
+)
 from asp.lower import lower
-from asp.parser import parse_program
+from asp.parser import parse_expression, parse_program
+from asp.pretty import _PREC
 from asp.solidity import emit_solidity, emit_system
-from asp.typecheck import typecheck
+from asp.typecheck import _EXPR_BUILTINS, _STMT_OPS, typecheck
+from asp.values import Undef
 from conftest import load
 from goldens import GOLDEN, SOURCES, outputs
 
@@ -340,3 +347,70 @@ def test_refused_tau_send_tries_the_next_tau_arm():
     assert res.committed and res.letters == []
     g, h = m.storages["g"], m.storages["h"]
     assert (g.state, g.vars["n"], h.state) == ("Done", 7, "S")
+
+
+def _subclasses(base) -> set:
+    return {c for c in vars(ast_nodes).values()
+            if isinstance(c, type) and issubclass(c, base) and c is not base}
+
+
+def test_closure_builders_cover_the_language(etherstore):
+    """The IR's closure builders have a rule for every node class,
+    operator, builtin and statement operation that the typechecker admits,
+    and a machine builds its closures once: a fork shares them."""
+    assert _subclasses(ast_nodes.Expr) <= set(_EXPRS)
+    assert _subclasses(ast_nodes.Stmt) <= set(_STMTS)
+    assert set(_PREC) <= set(_BINOPS) | set(_WORD_OPS)
+    accesses = {("Map", "get"), ("Map", "ref"), ("Map", "in"), ("Seq", "get"), ("Seq", "ref"),
+                ("Tuple", "get"), ("Tuple", "ref"), ("Address", "none"), ("Address", "self")}
+    assert set(_EXPR_BUILTINS) | accesses <= set(_BUILTINS)
+    assert set(_STMT_OPS) <= set(_OPS)
+    m = Machine(lower(etherstore, 1, 256), ATTACK_NEWS)
+    assert m.fork().code is m.code
+
+
+PROBE = """
+contract Probe() {
+  msg go, run, lazy, add(nat), neg(nat);
+  var x: nat;
+  var ok: bool;
+  initial A;
+  state A:
+  | a??go when 1 / 0 == 0 && true -> A { }
+  | a??run -> A { ok = 1 / 0 == 0 && true; }
+  | a??lazy -> A { ok = false && x / 0 == 0; }
+  | a??add(n) -> A { ok = n + n > 0; }
+  | a??neg(n) -> A { ok = -n < 0; }
+}
+"""
+
+
+def test_ir_errors_and_lookup_order():
+    """An undefined guard leaves its arm disabled, and an undefined body
+    reverts with UndefinedOp; the connectives are strict; a name is a
+    binding, then `owner`, then `creator`, then a variable, else
+    undefined; `+` and unary minus overflow past the word."""
+    sysir = lower(typecheck(parse_program(PROBE)), 1, 8)
+    m = Machine(sysir, [("p", "Probe", {}, "al")])
+    for msg, args, reason in (("go", (), "GuardFailed"), ("run", (), "UndefinedOp"),
+                              ("lazy", (), "UndefinedOp"), ("add", (200,), "Overflow"),
+                              ("neg", (200,), "Overflow")):
+        res = m.transact("p", msg, "bob", args)
+        assert (res.status, res.reason) == ("reverted", reason), msg
+    assert m.transact("p", "add", "bob", (100,)).committed
+    assert m.transact("p", "neg", "bob", (100,)).committed
+    ir = sysir.contracts["Probe"]
+    bd = _Builder(ir, 8)
+    st = Storage("Probe", "p", "A", {"owner": "Z", "creator": "Z", "x": 1}, "O", "C")
+    assert bd.expr(Var("owner"), frozenset({"owner"}))(st, {"owner": "B"}) == "B"
+    assert [bd.expr(Var(n), frozenset())(st, {}) for n in ("owner", "creator", "x")] \
+        == ["O", "C", 1]
+    with pytest.raises(Undef):
+        bd.expr(Var("y"), frozenset())(st, {})
+    with pytest.raises(Undef):
+        bd.expr(parse_expression("1 / 0 && true"), frozenset())(st, {})
+    # an unknown name in a body reverts the transaction with UndefinedOp
+    [arm] = ir.methods["run"]
+    ir.methods["run"] = [replace(arm, action=(Assign("ok", Var("y")),))]
+    res = Machine(sysir, [("p", "Probe", {}, "al")]).transact("p", "run", "bob", ())
+    assert (res.status, res.reason) == ("reverted", "UndefinedOp")

@@ -4,8 +4,9 @@ engine's functions in `discharge` name none of the runtime evaluator's
 entry points and never the oracle's context, so the engine route runs
 generated code only, and the oracle's functions name none of the engine's
 compiled code or search. The IR interpreter, the independent side of the
-differential route, matches its arms by itself, and the runtime evaluator
-names none of the flat-form operations that the engine's code runs."""
+differential route, matches its arms by itself and generates no code, and
+the runtime evaluator names none of the flat-form operations that the
+engine's code runs."""
 import ast
 import inspect
 from pathlib import Path
@@ -116,6 +117,16 @@ def test_runtime_evaluator_runs_no_flat_ops():
     named = _named(tree) | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                             for a in n.names}
     assert not named & FLAT_OPS, named & FLAT_OPS
-    calls = {n.func.id for n in ast.walk(tree)
-             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-    assert not calls & {"exec", "eval", "compile"}
+    assert not _calls(tree) & {"exec", "eval", "compile"}
+
+
+def test_ir_interpreter_generates_no_code():
+    """The IR interpreter turns its arms into closures, never into source
+    code."""
+    assert not _calls(_tree("interp")) & {"exec", "eval", "compile"}
+
+
+def _calls(tree: ast.Module) -> set[str]:
+    """The plain names a module calls."""
+    return {n.func.id for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}

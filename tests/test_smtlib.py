@@ -238,6 +238,31 @@ def test_branching_action_has_one_term_per_path():
             "(=> (not (> v_x 2)) (and (<= (+ v_x 1) 3) true)))))") in emit_smtlib(vc).text
 
 
+BR2 = """
+contract Br2() {
+  msg go;
+  var x: nat;
+  initial A;
+  state A:
+  | a??go -> A { if x > 2 then { x = x - 5; } else { x = x + 1; } }
+}
+"""
+
+
+def test_definedness_under_a_branch_is_asserted_under_its_path():
+    """Both bounded routes refute Br2's step at x == 1, which takes the
+    else branch. The then branch's definedness, x >= 5, holds only on its
+    path: asserted at top level it would make the script unsat, which
+    reads as Valid."""
+    prog = typecheck(parse_program(BR2))
+    sk = parse_proof_sketch("safety bounded {\n  always x <= 1\n  @A true\n}\n", prog)
+    vc = {vc.name: vc for vc in generate_vcs(prog, sk)}["inductive[Br2.go@A#0]"]
+    assert not isinstance(discharge_bounded(vc, BOUNDS), Valid)
+    text = emit_smtlib(vc).text
+    assert "(assert (>= v_x 5))" not in text
+    assert "(assert (=> (> v_x 2) (>= v_x 5)))" in text
+
+
 def _solver():
     return os.environ.get("ASP_SOLVER") or shutil.which("z3") or shutil.which("cvc5")
 
