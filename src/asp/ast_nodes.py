@@ -7,6 +7,7 @@ the typechecker, which returns wrapped Typed* structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import is_
 
 from .diagnostics import NOPOS, Pos
 
@@ -122,16 +123,23 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 
 def map_children(e: Expr, f) -> Expr:
-    """A copy of e with f applied to each direct subexpression. Walkers
-    that scope quantified names handle Quant themselves before calling."""
+    """e with f applied to each direct subexpression: e itself when f
+    returns every child unchanged (the same object), else a copy that
+    shares the unchanged children. Walkers that scope quantified names
+    handle Quant themselves before calling."""
     if isinstance(e, Unop):
-        return replace(e, operand=f(e.operand))
+        operand = f(e.operand)
+        return e if operand is e.operand else replace(e, operand=operand)
     if isinstance(e, Binop):
-        return replace(e, left=f(e.left), right=f(e.right))
+        left, right = f(e.left), f(e.right)
+        return e if left is e.left and right is e.right else \
+            replace(e, left=left, right=right)
     if isinstance(e, Builtin):
-        return replace(e, args=tuple(f(a) for a in e.args))
+        args = tuple(f(a) for a in e.args)
+        return e if all(map(is_, args, e.args)) else replace(e, args=args)
     if isinstance(e, Quant):
-        return replace(e, body=f(e.body))
+        body = f(e.body)
+        return e if body is e.body else replace(e, body=body)
     return e
 
 

@@ -29,7 +29,11 @@ class Rejected(AspError):
 
 
 class WhereClauseViolated(AspError):
+    """An instantiation that init_system cannot take: its instance name is
+    taken, or its initializers or constructor constraint are undefined or
+    false. `index` is its place among the instantiations."""
     code = "WhereClauseViolated"
+    index: int | None = None
 
 
 class CascadeLimit(AspError):
@@ -103,20 +107,25 @@ def init_system(program: TypedProgram,
     names: list[str] = []
     contracts: list[TypedContract] = []
     states: list[InstanceState] = []
+
+    def violated(message: str) -> WhereClauseViolated:
+        e = WhereClauseViolated(message)
+        e.index = len(names)
+        return e
+
     for name, cname, args, creator in instantiations:
         if name in names:
-            raise WhereClauseViolated(f"duplicate instance name {name!r}")
+            raise violated(f"duplicate instance name {name!r}")
         tc = program.contract(cname)
         try:
             inst = init_instance(tc, name, args, creator)
         except Undef as e:
-            raise WhereClauseViolated(f"initializing {name!r}: {e}")
+            raise violated(f"initializing {name!r}: {e}")
         if tc.where is not None:
             from .machine import eval_expr
             ok = eval_expr(tc.where, inst, {})
             if ok is not True:
-                raise WhereClauseViolated(
-                    f"constructor constraint of {cname} fails for {name!r}")
+                raise violated(f"constructor constraint of {cname} fails for {name!r}")
         names.append(name)
         contracts.append(tc)
         states.append(inst)

@@ -90,15 +90,17 @@ class CannotCompile(Exception):
 class Compiler:
     """Compiles expressions/statements against a contract's variable layout.
     `maps` gives (flat default, key set) per map variable, and `timer_vars`
-    the timers a relation ticks. `code_cache` maps each source to its code
-    object, so that compilers sharing it compile a source once; each
+    the timers a relation ticks. `code` maps each generated source to its
+    code object: the discharge engine passes the one table of a VC's
+    store (`vcgen.Store`), which lives as long as the VCs of one
+    generation, so that their compilers compile a source once. Each
     function still gets a namespace of its own."""
 
     def __init__(self, maps: dict[str, tuple], self_addr: str,
-                 timer_vars: tuple[str, ...], code_cache: dict):
+                 timer_vars: tuple[str, ...], code: dict):
         self.self_addr = self_addr
         self.timer_vars = timer_vars
-        self.code_cache = code_cache
+        self.code = code
         self.consts: dict[str, object] = {}
         # name -> (default, keyset const name)
         self.map_meta = {name: (default, self.const(frozenset(keys)))
@@ -361,8 +363,8 @@ class Compiler:
     def function(self, source: str, name: str = "_f"):
         ns = dict(PRELUDE)
         ns.update(self.consts)
-        code = self.code_cache.get(source)
+        code = self.code.get(source)
         if code is None:
-            code = self.code_cache[source] = compile(source, "<string>", "exec")
+            code = self.code[source] = compile(source, "<string>", "exec")
         exec(code, ns)  # generated from the checked AST only
         return ns[name]

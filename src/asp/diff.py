@@ -23,14 +23,14 @@ import random
 from dataclasses import dataclass, field
 
 from .cascade import (
-    CascadeLimit, Config, Rejected, System, env_input, init_system,
+    CascadeLimit, Config, Rejected, System, WhereClauseViolated, env_input, init_system,
     time_advance, wake_internal,
 )
 from .diagnostics import Pos, ScriptError
 from .interp import Machine, TxRevert
 from .lower import SystemIR, lower
 from .script import (
-    AdvanceItem, InputItem, NewItem, check_item, input_target, instantiations,
+    AdvanceItem, InputItem, NewItem, at_new_line, check_item, input_target, instantiations,
 )
 from .typecheck import TypedProgram
 from .values import ADDR_NONE, Coin, flat, zero_value
@@ -148,9 +148,13 @@ def _start(program: TypedProgram, system_ir: SystemIR, news: list[NewItem],
     """What every script of a check starts from: the cascade system, its
     initial configuration and a target machine at its initial storages.
     A ScriptError at the `new` line of an instance that the cascade
-    accepts but the target cannot deploy."""
+    accepts but the target cannot deploy, and the cascade's refusal of a
+    `new` at its line."""
     insts = instantiations(program, news)
-    system, config = init_system(program, insts, R)
+    try:
+        system, config = init_system(program, insts, R)
+    except WhereClauseViolated as e:
+        raise at_new_line(e, news) from None
     machine = Machine(system_ir, [])
     for n, inst in zip(news, insts):
         try:

@@ -5,8 +5,11 @@ small enumerated set (plus `none`), nats 0..N, timers Off/Fired/Active(k<=N),
 maps become one enumeration variable per key over the bounded key set.
 Validity means no valuation satisfies hypothesis && relation && !conclusion.
 
-`_finitize` derives each VC's finite problem once (`_Problem`), and both
-routes of a verdict read it:
+`_finitize` derives each VC's finite problem (`_Problem`, immutable) once
+per bounds and keeps it on the VC (`_problem`), so the engine, the oracle
+and replay read one problem. The VCs of one generation share a store
+(`vcgen.Store`) of the sketch expanded at each bounds and of the code
+object of each generated source, which is compiled once per generation:
 
 - the engine (discharge_bounded) reads the problem alone. It is a pruning
   DFS over an environment of flat values (values.flat): a hypothesis
@@ -45,6 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from types import MappingProxyType
 
 from .ast_nodes import (
     Assign, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Var,
@@ -222,10 +226,12 @@ def tick_deltas(tc, bounds: DomainBounds) -> tuple:
     return tuple(range(1, bounds.timer_max + 2)) if tc.has_timers() else (None,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Problem:
-    """A VC over finite domains, derived once per VC by `_finitize`; the
-    engine reads it alone, and the oracle builds its `_Ctx` from it.
+    """A VC over finite domains, derived once per VC and bounds by
+    `_finitize` and kept on the VC (`_problem`); the engine reads it
+    alone, and the oracle and replay build their `_Ctx` from it. It is
+    immutable, so that neither route can change what the other reads.
     `domains` maps each key, a scalar name or a map entry `(map, key)`, to
     its flat values, and `layout` each map the VC reads to its (default,
     key domain). Only `order` is enumerated, and the keys from `boundary`
@@ -235,17 +241,30 @@ class _Problem:
     self_addr: str
     deltas: tuple  # the ticks a step composes with (tick_deltas)
     remaining: int | None  # the supply left to issue, unless a key holds it
-    domains: dict
-    layout: dict[str, tuple]
-    hypothesis: list[Expr]
-    order: list
+    domains: MappingProxyType
+    layout: MappingProxyType  # map name -> (default, key domain)
+    hypothesis: tuple[Expr, ...]
+    order: tuple
     boundary: int
 
     @cached_property
     def sketch(self):
         """The sketch with its quantifiers expanded, on first use: the
-        compiled safety leaves never read it."""
-        return self.vc.sketch.map_exprs(lambda e: expand_quants(e, self.bounds))
+        compiled safety leaves never read it. The VCs of a store share
+        one per bounds, since a generation has one sketch."""
+        sketches = self.vc.store.sketches
+        if self.bounds not in sketches:
+            sketches[self.bounds] = self.vc.sketch.map_exprs(
+                lambda e: expand_quants(e, self.bounds))
+        return sketches[self.bounds]
+
+
+def _problem(vc: VC, bounds: DomainBounds) -> _Problem:
+    """The problem of vc at bounds, finitized on first use and kept on the
+    VC: the engine, the oracle and replay read the same one."""
+    if bounds not in vc.problems:
+        vc.problems[bounds] = _finitize(vc, bounds)
+    return vc.problems[bounds]
 
 
 def _uses_self(e: Expr) -> bool:
@@ -310,7 +329,8 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
 
     def problem(hypothesis, order, boundary):
         return _Problem(vc, bounds, self_addr, deltas, tc.issue_limit if tc.issues else None,
-                        {**scalars, **entries}, layout, hypothesis, order, boundary)
+                        MappingProxyType({**scalars, **entries}), MappingProxyType(layout),
+                        tuple(hypothesis), tuple(order), boundary)
 
     if initiality:
         # the initial state is computed from the parameters and the
@@ -319,8 +339,8 @@ def _finitize(vc: VC, bounds: DomainBounds) -> _Problem:
         scalars["creator"] = bounds.actor_values()
         if "__player" in reads:
             scalars["__player"] = bounds.actor_values()
-        return problem([] if tc.where is None else split_conjuncts(tc.where),
-                       list(scalars), len(scalars))
+        return problem(() if tc.where is None else split_conjuncts(tc.where),
+                       scalars, len(scalars))
     if vc.transition is not None:
         scalars.update(flat_binder_domains(vc.transition, bounds, self_addr))
     if "owner" in reads:
@@ -725,7 +745,7 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
     counterexample are those of the raw product in the engine's variable
     order."""
     try:
-        prob = _finitize(vc, bounds)
+        prob = _problem(vc, bounds)
         cx = _Ctx.of(prob)
         leaf = _CHECKS[vc.kind]
         at = _hypothesis_schedule(prob)
@@ -764,7 +784,7 @@ def replay_counterexample(vc: VC, bounds: DomainBounds,
                           cex: Counterexample) -> bool:
     """Re-run a counterexample valuation through the runtime evaluator:
     hypothesis and leaf check. True if the violation reproduces."""
-    prob = _finitize(vc, bounds)
+    prob = _problem(vc, bounds)
     cx = _Ctx.of(prob)
     env: dict = {}
     for key, values in prob.domains.items():
@@ -791,13 +811,14 @@ class _Conjunct:
     force: tuple | None  # (guards, targets) for _forced, if an equality
 
 
-def _compile(prob: _Problem, code_cache: dict):
-    """(compiled hypothesis conjuncts, leaf check) of a problem. A relation
-    ticks only the timers that the problem enumerates: the others stay as
-    the boxed instance has them, off, which a tick leaves alone."""
+def _compile(prob: _Problem):
+    """(compiled hypothesis conjuncts, leaf check) of a problem, with the
+    code objects of the VC's store. A relation ticks only the timers that
+    the problem enumerates: the others stay as the boxed instance has
+    them, off, which a tick leaves alone."""
     comp = Compiler(prob.layout, prob.self_addr,
                     tuple(t for t in prob.vc.tc.timers if t in prob.domains),
-                    code_cache)
+                    prob.vc.store.code)
     conjuncts = [_compile_conjunct(comp, prob.layout, e) for e in prob.hypothesis]
     return conjuncts, _Leaf(prob, comp).check
 
@@ -1256,19 +1277,16 @@ def _preserved(vc: VC) -> bool:
         set(vc.conclusion) <= set(vc.hypothesis)
 
 
-def discharge_bounded(vc: VC, bounds: DomainBounds,
-                      code_cache: dict | None = None) -> DischargeResult:
+def discharge_bounded(vc: VC, bounds: DomainBounds) -> DischargeResult:
     """Exhaustively enumerate the finitized context; Valid iff no valuation
     satisfies hypothesis && relation && !conclusion. The independent tail
-    is solved once, first, and its witness pins its variables. Calls that
-    share a `code_cache` (source -> code object) compile each generated
-    source once; without one, the call has a cache of its own."""
+    is solved once, first, and its witness pins its variables. The VCs of
+    one store compile each generated source once."""
     if _preserved(vc):
         return Valid(vc.name, 0)
-    code_cache = {} if code_cache is None else code_cache
     try:
-        prob = _finitize(vc, bounds)
-        conjuncts, check = _compile(prob, code_cache)
+        prob = _problem(vc, bounds)
+        conjuncts, check = _compile(prob)
         domains = dict(prob.domains)
         tail = _independent_tail(prob, conjuncts)
         if tail:

@@ -92,14 +92,14 @@ def check_proof(program: TypedProgram, sketch: ProofSketch,
     bounded engine. For adversarial proofs, a state's progress obligation
     holds if its goal covers it or either the PlayerMove or OpponentTotal
     group is valid; everything else must be valid outright. The VCs share
-    one code cache, so a generated source is compiled once per call."""
+    the set-up store of their generation (`vcgen.Store`), so a generated
+    source is compiled once per call."""
     vcs = generate_vcs(program, sketch)
     report = ProofReport(sketch.name, sketch.contract, sketch.kind)
     by_state: dict[str, dict[str, VCResult]] = {}
-    code_cache: dict = {}
     for vc in vcs:
         t0 = _time.perf_counter()
-        res = discharge_bounded(vc, bounds, code_cache)
+        res = discharge_bounded(vc, bounds)
         ms = (_time.perf_counter() - t0) * 1000
         r = VCResult(vc, res, ms)
         report.results.append(r)

@@ -27,7 +27,7 @@ from typing import NoReturn
 
 from .ast_nodes import Builtin, Expr, Quant, Var, map_children
 from .cascade import (
-    CascadeLimit, Config, Rejected, System, TraceEvent,
+    CascadeLimit, Config, Rejected, System, TraceEvent, WhereClauseViolated,
     env_input, init_system, time_advance, wake_internal,
 )
 from .diagnostics import Pos, ScriptError
@@ -291,13 +291,23 @@ def instantiations(program: TypedProgram, news: list[NewItem]):
     return out
 
 
+def at_new_line(e: WhereClauseViolated, news: list[NewItem]) -> WhereClauseViolated:
+    """e, from init_system, at the `new` line of the instantiation it
+    names."""
+    return WhereClauseViolated(e.message, Pos(news[e.index].line, 1))
+
+
 def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
                rng: random.Random | None = None) -> ScriptResult:
     """Replay, choosing among enabled moves with `rng` (see `System.pick`).
     Aborts with a position-tagged ScriptError where `check_item` does, and
     on the first item the cascade rejects that is not marked expect-reject,
-    or whose cascade does not quiesce."""
-    system, config = init_system(program, instantiations(program, news), R, rng)
+    or whose cascade does not quiesce; a `new` that init_system refuses is
+    reported at its line."""
+    try:
+        system, config = init_system(program, instantiations(program, news), R, rng)
+    except WhereClauseViolated as e:
+        raise at_new_line(e, news) from None
     result = ScriptResult(system, config)
     for item in items:
         events = []

@@ -24,7 +24,7 @@ Rule-to-VC map:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .ast_nodes import (
@@ -40,12 +40,30 @@ from .typecheck import TypedContract, TypedProgram, TypedTransition, reads_of, w
 _MOVE_KINDS = ("Enabledness", "PlayerMove", "OpponentTotal")
 
 
+@dataclass(eq=False)
+class Store:
+    """The set-up that the VCs of one `generate_vcs` call share, filled on
+    first use by the discharge module: `code`, one code object per
+    generated source (`compile.Compiler`), and `sketches`, the sketch with
+    its quantifiers expanded, per bounds. It lives as long as the VCs that
+    hold it: one proof check, or one generation of a benchmark pass."""
+    code: dict = field(default_factory=dict)
+    sketches: dict = field(default_factory=dict)
+
+
 @dataclass
 class VC:
     """One proof obligation: hypothesis over the pre-state, a step of the
     proof model (a source transition or a state's time self-loop, its
     action sliced to what the obligation reads; none for an obligation on
-    a state alone), and a kind-specific conclusion."""
+    a state alone), and a kind-specific conclusion. `store` is the set-up
+    it shares with the other VCs of its generation; a VC built alone has
+    one of its own, and `dataclasses.replace` keeps it. `problems` holds
+    its own finite problem per bounds, which the engine, the oracle and
+    replay all read; a `replace` copy starts without. It is kept here, not
+    in the store: a problem reaches the store through its VC, so a store
+    holding problems would be a reference cycle, which only the cycle
+    collector frees."""
 
     name: str
     kind: str  # Initiality | Inductiveness | Sufficiency | RankDefined |
@@ -56,6 +74,8 @@ class VC:
     transition: TypedTransition | None = None  # the sliced step
     hypothesis: tuple[Expr, ...] = ()  # conjuncts over the pre-state
     conclusion: tuple[Expr, ...] = ()  # post-state conjuncts (kind-dependent)
+    store: Store = field(default_factory=Store, compare=False, repr=False)
+    problems: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def action(self) -> tuple[Stmt, ...]:
@@ -347,4 +367,9 @@ _GENERATORS = {"safety": gen_safety_vcs, "reachability": gen_reachability_vcs,
 
 
 def generate_vcs(program: TypedProgram, sketch: ProofSketch) -> list[VC]:
-    return _GENERATORS[sketch.kind](program.contract(sketch.contract), sketch)
+    """The VCs of the sketch's rule, all holding one new `Store`."""
+    vcs = _GENERATORS[sketch.kind](program.contract(sketch.contract), sketch)
+    store = Store()
+    for vc in vcs:
+        vc.store = store
+    return vcs

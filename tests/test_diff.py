@@ -280,6 +280,32 @@ def test_element_store_checks_declared_width():
         assert (res.committed, res.reason) == (False, "Overflow")
 
 
+MID_OVERFLOW = """
+contract Mid(k: nat) {
+  msg go, put(nat);
+  var x: nat;
+  initial S;
+  state S:
+  | a??go -> S { x = k + k - k; }
+  | a??put(n) -> S { x = n; }
+}
+"""
+
+
+def test_mid_expression_overflow_is_a_gap():
+    """At 8 bits with k = 200, `k + k - k` overflows in mid-expression
+    though the 200 it stores fits: the target reverts every `go` with
+    Overflow, which the cascade accepts, so each is an overflow gap. The
+    random trials pin that count with no divergence, so the differential
+    route catches a target that drops the word check on `+` (it commits
+    every `go`)."""
+    prog = typecheck(parse_program(MID_OVERFLOW))
+    report = differential_check(prog, [NewItem("m", "Mid", (200,), "alice", 0)],
+                                R=1, word_bits=8, trials=10, seed=5)
+    assert (report.items, report.committed, report.overflow_gaps, report.divergences) == \
+        (120, 70, 50, []), report.to_json()
+
+
 OPS = """
 contract Ops() issues Token(6) {
   msg mint(nat), burn(nat), hand(address), arm(nat), read, calc(nat, int);
@@ -724,3 +750,36 @@ def test_simulate_reports_the_runaway_wake_at_its_line(tmp_path):
     diag = json.loads(r.stdout)
     assert (diag["code"], diag["line"]) == ("ScriptError", 5)
     assert "cascade exceeded" in diag["message"]
+
+
+WHERE_DIVIDES = """
+contract C(x: nat) where 10 / x > 1 {
+  msg go;
+  initial A;
+  state A:
+  | a??go -> A { }
+}
+"""
+REFUSED_NEWS = {
+    "where": ("new c = C(0) by alice\ninput c go() from bob\n", 1,
+              "constructor constraint of C fails for 'c'"),
+    "duplicate": ("new c = C(1) by alice\nnew c = C(1) by bob\ninput c go() from bob\n", 2,
+                  "duplicate instance name 'c'"),
+}
+
+
+@pytest.mark.parametrize("command, flags", [("simulate", ()), ("diff", ()),
+                                            ("diff", ("--trials", "2"))],
+                         ids=["simulate", "diff", "diff-trials"])
+@pytest.mark.parametrize("case", sorted(REFUSED_NEWS))
+def test_refused_new_is_reported_at_its_line(case, command, flags, tmp_path):
+    """A `new` whose constructor constraint fails (here: is undefined) or
+    whose instance name is taken is a WhereClauseViolated at that `new`
+    line, with exit 1."""
+    script, line, message = REFUSED_NEWS[case]
+    r = _asp(command, tmp_path, WHERE_DIVIDES, script, flags)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"], diag["col"]) == ("WhereClauseViolated", line, 1)
+    assert diag["message"] == message

@@ -1,22 +1,23 @@
 """Proof pipeline: sketches, VC generation, bounded discharge, searches."""
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from asp.ast_nodes import Binop, Builtin, Lit, Var
+from asp import discharge
+from asp.ast_nodes import Binop, Builtin, Lit, Quant, SemType, Unop, Var
 from asp.diagnostics import SketchError
 from asp.discharge import (
     _CHECKS, Counterexample, DomainBounds, Valid, _finitize, _hypothesis_schedule,
-    discharge_bounded, discharge_naive, replay_counterexample,
+    discharge_bounded, discharge_naive, expand_quants, replay_counterexample,
 )
 from asp.machine import advance_instance
 from asp.parser import parse_program
 from asp import compile as codegen
 from asp.prove import FiniteModel, check_proof, game_solve, reach_search
 from asp.sketch import parse_proof_sketch
-from asp.typecheck import typecheck
+from asp.typecheck import subst_expr, typecheck
 from asp.values import Coin, MapVal, SeqVal, TupVal
 from asp.vcgen import generate_vcs
 from conftest import CRITERION_9_PAIRS, load, typed
@@ -1302,13 +1303,27 @@ def test_search_answers_pinned(bounds):
     assert search_results(bounds) == PINS["searches"][bounds]
 
 
-# -- one code cache per proof check -------------------------------------------
+# -- one set-up store per generation ------------------------------------------
+
+
+# compiles per generation of each criterion-9 pair at 2/1/2: 122 in all, where
+# a compile cache per VC made 298
+COMPILES_AT_212 = {
+    "auction.asp auction_refunds.aspproof": 35,
+    "auction.asp auction_closed.aspproof": 24,
+    "auction_norefund.asp auction_refunds.aspproof": 35,
+    "vending_fixed.asp vending_lockout.aspproof": 13,
+    "vending_machine.asp vending_lockout_original.aspproof": 15,
+}
 
 
 def test_code_cache_scoped_to_one_proof_check(monkeypatch):
-    """Within one `check_proof` each distinct generated source is compiled
-    once; the next `check_proof` compiles them again, and its results are
-    the pinned ones."""
+    """The VCs of one `generate_vcs` share one store, and each distinct
+    generated source is compiled once per store: within one `check_proof`,
+    and when a generation's VCs are discharged one at a time on both
+    routes, as criterion 9 and the oracle benchmark do. The next
+    generation of the same program and sketch has a store of its own and
+    compiles them again; the results are the pinned ones."""
     sources, compiled = [], []
     function, compile_ = codegen.Compiler.function, compile
 
@@ -1334,6 +1349,83 @@ def test_code_cache_scoped_to_one_proof_check(monkeypatch):
             assert len(sources) > len(compiled)
             assert [pinned_form(r.result) for r in rep.results] == \
                 PINS["engine"][bounds][f"{contract} {proof}"]
+
+    small = DomainBounds.parse("addr=2,nat=1,timer=2")
+    stores, counts = [], {}
+    for contract, proof in CRITERION_9_PAIRS:
+        prog = typed(contract)
+        sk = parse_proof_sketch(load(proof), prog)
+        for _ in range(2):
+            sources.clear()
+            compiled.clear()
+            vcs = generate_vcs(prog, sk)
+            assert all(vc.store is vcs[0].store for vc in vcs)
+            stores.append(vcs[0].store)
+            for vc in vcs:
+                engine = discharge_bounded(vc, small)
+                assert engine.status == discharge_naive(vc, small).status, vc.name
+            assert sorted(compiled) == sorted(set(sources)), (contract, proof)
+            counts.setdefault(f"{contract} {proof}", []).append(len(compiled))
+    assert len(set(map(id, stores))) == len(stores)  # no two generations share one
+    assert counts == {pair: [n, n] for pair, n in COMPILES_AT_212.items()}
+
+
+def test_routes_read_one_immutable_problem(monkeypatch):
+    """The engine, the oracle and replay read one `_Problem` per VC and
+    bounds, kept on the VC. After all three have run it equals a
+    fresh finitization, and it cannot be written to."""
+    read = []
+    compile_, of = discharge._compile, discharge._Ctx.of
+    monkeypatch.setattr(discharge, "_compile", lambda prob: (read.append(prob), compile_(prob))[1])
+    monkeypatch.setattr(discharge._Ctx, "of",
+                        classmethod(lambda cls, prob: (read.append(prob), of(prob))[1]))
+    prog = typed("vending_machine.asp")
+    vcs = generate_vcs(prog, parse_proof_sketch(load("vending_lockout_original.aspproof"), prog))
+    small = DomainBounds.parse("addr=2,nat=1,timer=2")
+    replayed = 0
+    for vc in vcs:
+        read.clear()
+        engine = discharge_bounded(vc, small)
+        oracle = discharge_naive(vc, small)
+        assert engine.status == oracle.status, vc.name
+        if isinstance(engine, Counterexample):
+            assert replay_counterexample(vc, small, engine), vc.name
+            replayed += 1
+        routes = 1 + (not discharge._preserved(vc)) + isinstance(engine, Counterexample)
+        assert len(read) == routes and all(prob is read[0] for prob in read), vc.name
+        assert read[0] == _finitize(vc, small), vc.name
+    assert replayed == 6
+    prob = read[0]
+    with pytest.raises(AttributeError):
+        prob.hypothesis.append(Lit(True))
+    with pytest.raises(TypeError):
+        prob.order[0] = "x"
+    with pytest.raises(TypeError):
+        prob.domains["x"] = (0,)
+    for name in ("hypothesis", "order", "domains"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(prob, name, getattr(prob, name))
+
+
+def test_rewrites_share_unchanged_subtrees():
+    """Quantifier expansion and substitution return a quantifier-free
+    expression without a hit as it is, and below a rewritten node rebuild
+    only the path to it."""
+    bounds = DomainBounds.parse("addr=2,nat=1,timer=2")
+    plain = Binop("&&", Binop(">", Var("maxBid"), Lit(0)),
+                  Builtin("Map", "in", (Var("a"), Var("bidded"))))
+    assert expand_quants(plain, bounds) is plain
+    assert subst_expr(plain, {"b": Lit(1)}) is plain
+    quant = Quant("forall", "x", SemType("bool"), Binop("||", Var("x"), Var("y")))
+    e = Binop("&&", plain, Unop("!", quant))
+    out = expand_quants(e, bounds)
+    assert out == Binop("&&", plain, Unop("!", Binop(
+        "&&", Binop("||", Lit(False), Var("y")), Binop("||", Lit(True), Var("y")))))
+    assert out.left is plain
+    hit = subst_expr(e, {"y": Lit(True)})
+    assert hit.left is plain and hit.right is not e.right
+    assert hit.right.operand.body.left is quant.body.left
+    assert subst_expr(e, {"x": Lit(True)}) is e  # x is bound under the forall
 
 
 # -- the search's state key ---------------------------------------------------

@@ -9,6 +9,7 @@ the runtime evaluator names none of the flat-form operations that the
 engine's code runs."""
 import ast
 import inspect
+import itertools
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,83 @@ def _calls(tree: ast.Module) -> set[str]:
     """The plain names a module calls."""
     return {n.func.id for n in ast.walk(tree)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+# the modules a proof runs; its set-up lives in the store of its VCs
+# (`vcgen.Store`) and dies with them. The read-only tables each binds, which
+# the check below must see.
+PROOF_MODULES = {"discharge": {"_CHECKS", "_METHODS"}, "vcgen": {"_GENERATORS"},
+                 "prove": set(), "compile": {"PRELUDE", "_BINOPS", "_TIMER_TESTS"}}
+_DICT_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__",
+                  "__delitem__"}
+
+
+def _dict_tables(tree: ast.Module) -> set[str]:
+    """The names of the dicts a module binds at its top level or in the
+    body of one of its classes."""
+    def is_dict(value) -> bool:
+        if isinstance(value, ast.Call):
+            f = value.func
+            return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in \
+                {"dict", "defaultdict", "OrderedDict"}
+        return isinstance(value, (ast.Dict, ast.DictComp))
+
+    bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    names = set()
+    for stmt in itertools.chain(*bodies):
+        if isinstance(stmt, ast.Assign) and is_dict(stmt.value):
+            names |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
+                and is_dict(stmt.value) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return names
+
+
+def _written_tables(tree: ast.Module, tables: set[str]) -> set[str]:
+    """The tables that code inside a function or lambda writes: an item
+    store or delete, a mutating method call, or a `global` rebinding. A
+    table is named as a variable or, a class's, as an attribute."""
+    written = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for n in ast.walk(fn):
+            target = None
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+                target = n.value
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr in _DICT_MUTATORS:
+                target = n.func.value
+            elif isinstance(n, ast.Global):
+                written |= set(n.names) & tables
+            name = target.id if isinstance(target, ast.Name) else \
+                target.attr if isinstance(target, ast.Attribute) else None
+            if name in tables:
+                written.add(name)
+    return written
+
+
+def _cache_decorated(tree: ast.Module) -> set[str]:
+    """The functions decorated with `functools.cache` or `lru_cache`."""
+    out = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in fn.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) in \
+                        {"cache", "lru_cache"}:
+                    out.add(fn.name)
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(PROOF_MODULES))
+def test_proof_modules_keep_no_cache(module):
+    """No module of a proof run keeps a cache that outlives the VCs: it
+    binds no dict that a function writes at run time and decorates no
+    function with `functools.cache` or `lru_cache`. Its dispatch tables
+    (and `compile.PRELUDE`) are read-only."""
+    tree = _tree(module)
+    tables = _dict_tables(tree)
+    assert PROOF_MODULES[module] <= tables
+    assert not _written_tables(tree, tables)
+    assert not _cache_decorated(tree)
