@@ -146,16 +146,13 @@ def map_children(e: Expr, f) -> Expr:
 def membership_maps(exprs) -> set[str]:
     """Names of the map variables that some `Map.in` tests."""
     found: set[str] = set()
-
-    def walk(e):
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
         if isinstance(e, Builtin) and (e.ns, e.op) == ("Map", "in") \
                 and isinstance(e.args[1], Var):
             found.add(e.args[1].name)
-        for c in children(e):
-            walk(c)
-
-    for e in exprs:
-        walk(e)
+        stack.extend(children(e))
     return found
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .diagnostics import AspError
 from .machine import (
-    InputLetter, InstanceState, OutputLetter, advance_instance, defined_steps,
+    InputLetter, InstanceState, OutputLetter, advance_instance, all_true, defined_steps,
     enabled_transitions, has_active_timer, init_instance, receptions,
 )
 from .typecheck import TypedContract, TypedProgram
@@ -121,11 +121,8 @@ def init_system(program: TypedProgram,
             inst = init_instance(tc, name, args, creator)
         except Undef as e:
             raise violated(f"initializing {name!r}: {e}")
-        if tc.where is not None:
-            from .machine import eval_expr
-            ok = eval_expr(tc.where, inst, {})
-            if ok is not True:
-                raise violated(f"constructor constraint of {cname} fails for {name!r}")
+        if tc.where is not None and not all_true((tc.where,), inst, {}):
+            raise violated(f"constructor constraint of {cname} fails for {name!r}")
         names.append(name)
         contracts.append(tc)
         states.append(inst)

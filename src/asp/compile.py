@@ -367,4 +367,4 @@ class Compiler:
         if code is None:
             code = self.code[source] = compile(source, "<string>", "exec")
         exec(code, ns)  # generated from the checked AST only
-        return ns[name]
+        return ns.pop(name)  # a function left in its own globals is a cycle

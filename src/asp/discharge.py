@@ -56,8 +56,7 @@ from .ast_nodes import (
 )
 from .compile import CannotCompile, Compiler
 from .machine import (
-    InstanceState, UNDEFINED, advance_instance, all_true, eval_expr, init_instance,
-    step_instance,
+    InstanceState, advance_instance, all_true, eval_expr, init_instance, step_instance,
 )
 from .typecheck import TypedTransition, free_vars, reads_of, subst_expr, writes_of
 from .values import ABSENT, ADDR_NONE, Undef, boxed, flat, zero_value
@@ -545,7 +544,7 @@ class _Ctx:
         """The post-state of step t from inst, ticked by delta unless it
         is None; None when t's action is undefined there."""
         res = step_instance(self.tc, inst, t, bindings, sender)
-        if res is UNDEFINED:
+        if res is None:
             return None
         post = res[0]
         if delta is not None and self.tc.has_timers():
@@ -603,7 +602,7 @@ def _rank_of(prob: _Problem, state: str, inst) -> tuple | None:
         vals = []
         for x in case.exprs:
             v = eval_expr(x, inst, {})
-            if v is UNDEFINED or not isinstance(v, int) or v < 0:
+            if v is None or v < 0:
                 return None
             vals.append(v)
         return tuple(vals)
@@ -716,21 +715,21 @@ def _hypothesis_schedule(prob: _Problem) -> list[list[Expr]]:
     the entry (m, k) alone, and nothing when k is outside the key domain;
     any other mention of m reads every entry."""
     index = {key: i for i, key in enumerate(prob.order)}
-
-    def reads(e: Expr) -> set:
-        if isinstance(e, Builtin) and e.ns == "Map" and e.op in ("get", "ref", "in"):
-            k, m = e.args if e.op == "in" else e.args[::-1]
-            if isinstance(m, Var) and m.name in prob.layout and isinstance(k, Lit):
-                return {(m.name, k.value)} & index.keys()
-        if isinstance(e, Var):
-            return {(e.name, k) for k in prob.layout[e.name][1]} \
-                if e.name in prob.layout else {e.name}
-        return set().union(*map(reads, children(e)))
-
     at: list[list[Expr]] = [[] for _ in range(len(prob.order) + 1)]
     for e in prob.hypothesis:
-        at[max((index[key] + 1 for key in reads(e)), default=0)].append(e)
+        at[max((index[key] + 1 for key in _reads(e, prob.layout, index)), default=0)].append(e)
     return at
+
+
+def _reads(e: Expr, layout, index) -> set:
+    """The keys of `index` that e reads, as `_hypothesis_schedule` says."""
+    if isinstance(e, Builtin) and e.ns == "Map" and e.op in ("get", "ref", "in"):
+        k, m = e.args if e.op == "in" else e.args[::-1]
+        if isinstance(m, Var) and m.name in layout and isinstance(k, Lit):
+            return {(m.name, k.value)} & index.keys()
+    if isinstance(e, Var):
+        return {(e.name, k) for k in layout[e.name][1]} if e.name in layout else {e.name}
+    return set().union(*(_reads(c, layout, index) for c in children(e)))
 
 
 def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
@@ -775,6 +774,7 @@ def discharge_naive(vc: VC, bounds: DomainBounds) -> DischargeResult:
             return None
 
         r = enumerate_from(0, cx.build_instance(vc.state, {}), {})
+        del enumerate_from  # free the self-referencing closure without the collector
     except Unfinitizable as e:
         return Unknown(vc.name, str(e))
     return r if r is not None else Valid(vc.name, checked)
@@ -820,7 +820,8 @@ def _compile(prob: _Problem):
                     tuple(t for t in prob.vc.tc.timers if t in prob.domains),
                     prob.vc.store.code)
     conjuncts = [_compile_conjunct(comp, prob.layout, e) for e in prob.hypothesis]
-    return conjuncts, _Leaf(prob, comp).check
+    leaf = _Leaf(prob, comp)
+    return conjuncts, getattr(leaf, leaf._METHODS[prob.vc.kind])
 
 
 def _compile_conjunct(comp: Compiler, layout: dict[str, tuple],
@@ -898,8 +899,10 @@ class _Move:
 
 class _Leaf:
     """The leaf obligation of a VC as code generated over the flat env:
-    `check`, env -> message or None, is the method named as its runtime
-    twin in `_CHECKS`, with that twin's messages and order. Built once per
+    its check, env -> message or None, is the method named as its runtime
+    twin in `_CHECKS` (`_METHODS`), with that twin's messages and order;
+    `_compile` returns it bound, and the leaf keeps no reference to it, so
+    that freeing a VC's compiled code needs no cycle collector. Built once per
     VC from what its kind reads: Initiality the initializers as a relation
     from the zero state, the state obligations each step of `VC.moves` and
     the state's witness, and the ranked kinds the source rank and, per
@@ -913,7 +916,6 @@ class _Leaf:
     def __init__(self, prob: _Problem, comp: Compiler):
         vc = prob.vc
         kind = vc.kind
-        self.check = getattr(self, self._METHODS[kind])
         self.actors = prob.bounds.actor_values()
         self.deltas = prob.deltas
         self.remaining = prob.remaining
@@ -1211,6 +1213,7 @@ def _search(name: str, order: list, boundary: int, domains: dict,
 
     r = dfs({}, [(c, None, None if c.force else ()) for c in conjuncts], 0, False,
             free)
+    del dfs  # free the self-referencing closure without the collector
     return r, leaves
 
 

@@ -116,10 +116,6 @@ class Letter:
     dest: str
     args: tuple
 
-    def to_json(self):
-        return {"kind": self.kind, "msg": self.msg, "dest": self.dest,
-                "args": [list(a) if isinstance(a, tuple) else a for a in self.args]}
-
 
 @dataclass
 class TxResult:

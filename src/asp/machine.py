@@ -1,9 +1,12 @@
-"""Single contract instance: expression evaluation and the labeled
-transition step.
+"""The reference runtime: expression evaluation and the labeled
+transition step of a single contract instance, over boxed values. It is
+the one home of the reference's partial rules (arithmetic, moves, issue,
+burn, the token merge, the timer operations), which the oracle and the
+cascade run; the fast routes run the flat operations of `values` instead.
 
 A step executes one (normalized or source-level) transition's action
 atomically over mathematical semantics. If any operation is undefined the
-step is not a transition of the system: callers receive UNDEFINED and the
+step is not a transition of the system: callers receive None and the
 input instance is unchanged. Sends transfer the entire value of coin/token
 arguments, zeroing their source containers.
 
@@ -15,29 +18,16 @@ A name is a binding, else `owner`, `creator`, a variable, else undefined.
 """
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass, field
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .typecheck import TypedContract, TypedTransition, is_lvalue
 from .values import (
-    ADDR_NONE, Coin, SeqVal, Tok, Timer, Undef, arith, merge_tokens,
-    timer_advance, timer_reset, timer_set, timer_value, token_burn_value,
-    zero_value,
+    ADDR_NONE, TIMER_FIRED, TIMER_OFF, Coin, SeqVal, Tok, Timer, Undef, coin_content, to_json,
+    token_content, zero_value,
 )
-
-
-class Undefined:
-    """Singleton outcome of an undefined operation."""
-
-    def __repr__(self):
-        return "UNDEFINED"
-
-    def __bool__(self):
-        return False
-
-
-UNDEFINED = Undefined()
 
 
 @dataclass(frozen=True)
@@ -47,7 +37,6 @@ class InputLetter:
     args: tuple
 
     def to_json(self):
-        from .values import to_json
         return {"kind": "input", "msg": self.msg, "sender": self.sender,
                 "args": [to_json(a) for a in self.args]}
 
@@ -63,7 +52,6 @@ class OutputLetter:
         return InputLetter(self.msg, sender, self.args)
 
     def to_json(self):
-        from .values import to_json
         return {"kind": "output", "msg": self.msg, "dest": self.dest,
                 "args": [to_json(a) for a in self.args]}
 
@@ -86,18 +74,14 @@ class InstanceState:
         )
 
     def coin_total(self) -> int:
-        from .values import coin_content
         return sum(coin_content(v) for v in self.env.values())
 
     def token_total(self) -> int:
-        from .values import token_content
         return sum(token_content(v) for v in self.env.values())
 
     def snapshot(self):
         """A canonical JSON view of the instance, which tests compare; the
         state searches key an instance by `prove.FiniteModel.key`."""
-        from .values import to_json
-        import json
         return json.dumps(
             {"skeleton": self.skeleton, "owner": self.owner,
              "env": {k: to_json(v) for k, v in sorted(self.env.items())},
@@ -129,11 +113,12 @@ def init_instance(tc: TypedContract, self_addr: str, args: dict[str, object],
 
 
 def eval_expr(e: Expr, inst: InstanceState, bindings: dict[str, object]):
-    """Public evaluation: returns a value or UNDEFINED."""
+    """The value of e, or None when e is undefined there. No well-typed
+    expression evaluates to None, so None means undefined."""
     try:
         return _eval(e, inst, bindings)
     except Undef:
-        return UNDEFINED
+        return None
 
 
 def all_true(exprs, inst: InstanceState, bindings: dict[str, object]) -> bool:
@@ -207,6 +192,15 @@ def _tuple_get(args, inst, b):
     return _eval(args[0], inst, b).items[_eval(args[1], inst, b)]
 
 
+def _undef(message: str):
+    raise Undef(message)
+
+
+def _timer_value(args, inst, b):
+    t = _eval(args[0], inst, b)
+    return t.k if t.state == "active" else _undef("Timer.value on a timer that is not Active")
+
+
 _EVAL = _Table({
     Lit: lambda e, inst, b: e.value, Var: _eval_var, Unop: _eval_unop,
     Binop: _eval_binop, Quant: _eval_quant,
@@ -217,8 +211,10 @@ _BINOPS = _Table({
     "==>": lambda l, r: (not l) or r,
     "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
     ">": operator.gt, ">=": operator.ge,
-    **{op: (lambda l, r, op=op: arith(op, l, r, False)) for op in ("+", "-", "*", "/", "%")},
-    "-nat": lambda l, r: arith("-", l, r, True),
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda l, r: l // r if r != 0 else _undef("division by zero"),
+    "%": lambda l, r: l % r if r != 0 else _undef("modulo by zero"),
+    "-nat": lambda l, r: l - r if l >= r else _undef(f"nat subtraction {l} - {r} is negative"),
 })
 _BUILTINS = _Table({
     ("Address", "none"): lambda args, inst, b: ADDR_NONE,
@@ -228,7 +224,7 @@ _BUILTINS = _Table({
     ("Timer", "is_off"): lambda args, inst, b: _eval(args[0], inst, b).state == "off",
     ("Timer", "is_active"): lambda args, inst, b: _eval(args[0], inst, b).state == "active",
     ("Timer", "has_fired"): lambda args, inst, b: _eval(args[0], inst, b).state == "fired",
-    ("Timer", "value"): lambda args, inst, b: timer_value(_eval(args[0], inst, b)),
+    ("Timer", "value"): _timer_value,
     ("Map", "get"): _map_get, ("Map", "ref"): _map_get, ("Map", "in"): _map_in,
     ("Seq", "get"): _seq_get, ("Seq", "ref"): _seq_get,
     ("Seq", "len"): lambda args, inst, b: len(_eval(args[0], inst, b).items),
@@ -319,6 +315,17 @@ def _as_token(v) -> Tok:
     raise Undef("expected a token container")
 
 
+def _merge_tokens(dst: Tok, kind: str | None, amount: int) -> Tok:
+    """Add `amount` tokens of `kind` to a container, refusing kind mixes."""
+    if amount == 0:
+        return dst
+    if dst.value == 0:
+        return Tok(kind, amount)
+    if dst.kind != kind:
+        raise Undef(f"mixing token kinds {dst.kind!r} and {kind!r}")
+    return Tok(dst.kind, dst.value + amount)
+
+
 def _exec_stmt(s: Stmt, ctx: StepContext):
     _STMTS[type(s)](s, ctx)
 
@@ -354,9 +361,7 @@ def _token_issue(s: OpStmt, inst, b, sender):
             raise Undef(f"issuing {n} tokens but only {inst.token_remaining} remain")
         inst.token_remaining -= n
     dst = resolve_slot(s.args[1], inst, b, "token")
-    cur = _as_token(dst.read())
-    merged = merge_tokens(cur, inst.self_addr, n)
-    dst.write(merged)
+    dst.write(_merge_tokens(_as_token(dst.read()), inst.self_addr, n))
 
 
 def _token_burn(s: OpStmt, inst, b, sender):
@@ -365,7 +370,11 @@ def _token_burn(s: OpStmt, inst, b, sender):
     cur = _as_token(src.read())
     if k > 0 and cur.kind != inst.self_addr:
         raise Undef("burning tokens of a different issuer")
-    src.write(token_burn_value(cur, k))
+    if k < 0:
+        raise Undef("negative burn amount")
+    if cur.value < k:
+        raise Undef(f"burn of {k} from container holding {cur.value}")
+    src.write(Tok(cur.kind if cur.value > k else None, cur.value - k))
 
 
 def _token_move(s: OpStmt, inst, b, sender):
@@ -376,18 +385,21 @@ def _token_move(s: OpStmt, inst, b, sender):
         raise Undef(f"token move of {k} from container holding {before.value}")
     src.write(Tok(before.kind if before.value > k else None, before.value - k))
     dst = resolve_slot(s.args[-1], inst, b, "token")
-    dst.write(merge_tokens(_as_token(dst.read()), before.kind, k))
+    dst.write(_merge_tokens(_as_token(dst.read()), before.kind, k))
 
 
 def _timer_set(s: OpStmt, inst, b, sender):
     slot = resolve_slot(s.args[0], inst, b)
     k = _eval(s.args[1], inst, b)
-    slot.write(timer_set(slot.read(), k))
+    if slot.read().state != "off":
+        raise Undef("Timer.set on a timer that is not Off")
+    if k <= 0:
+        raise Undef("Timer.set requires a positive duration")
+    slot.write(Timer("active", k))
 
 
 def _timer_reset(s: OpStmt, inst, b, sender):
-    slot = resolve_slot(s.args[0], inst, b)
-    slot.write(timer_reset(slot.read()))
+    resolve_slot(s.args[0], inst, b).write(TIMER_OFF)
 
 
 def _map_set(s: OpStmt, inst, b, sender):
@@ -462,7 +474,7 @@ _STMTS = _Table({
 
 def match_input(t: TypedTransition, inst: InstanceState, letter: InputLetter):
     """Bindings if the input guard matches the letter at this instance,
-    else None. Guards that evaluate to Undefined do not enable."""
+    else None. Guards that are undefined do not enable."""
     if t.input is None or t.msg != letter.msg:
         return None
     if len(letter.args) != len(t.param_types):
@@ -490,8 +502,8 @@ def enabled_transitions(tc: TypedContract, inst: InstanceState,
 
 def step_instance(tc: TypedContract, inst: InstanceState, t: TypedTransition,
                   bindings: dict[str, object], sender: str | None = None):
-    """Execute one transition. Returns (inst', outputs, logs) or UNDEFINED
-    (in which case the input instance is unchanged)."""
+    """Execute one transition: (inst', outputs, logs), or None when its
+    action is undefined (the input instance is then unchanged)."""
     work = inst.clone()
     ctx = StepContext(work, dict(bindings), sender)
     try:
@@ -503,7 +515,7 @@ def step_instance(tc: TypedContract, inst: InstanceState, t: TypedTransition,
             if isinstance(v, (Coin, Tok)) and v.value != 0:
                 raise Undef(f"received {name!r} retains value at end of action")
     except Undef:
-        return UNDEFINED
+        return None
     work.skeleton = t.target
     return work, tuple(ctx.outputs), tuple(ctx.logs)
 
@@ -523,17 +535,19 @@ def defined_steps(tc: TypedContract, inst: InstanceState, enabled_pairs, sender)
     out = []
     for t, b in enabled_pairs:
         res = step_instance(tc, inst, t, b, sender)
-        if res is not UNDEFINED:
+        if res is not None:
             out.append((t, *res))
     return out
 
 
 def advance_instance(inst: InstanceState, delta: int) -> InstanceState:
-    """Advance every timer of the instance by the same delta >= 1."""
+    """Advance every timer of the instance by the same delta >= 1: an
+    active one fires iff delta >= its remaining units; Off and Fired are
+    unchanged."""
     out = inst.clone()
     for k, v in out.env.items():
-        if isinstance(v, Timer):
-            out.env[k] = timer_advance(v, delta)
+        if isinstance(v, Timer) and v.state == "active":
+            out.env[k] = Timer("active", v.k - delta) if v.k > delta else TIMER_FIRED
     return out
 
 

@@ -258,6 +258,8 @@ def check_item(item, system: System, config: Config):
             v = eval_script_expr(item.expr, system, config)
         except ScriptError as e:  # an unknown variable or a quantifier
             _fail(item, e.message)
+        if v is None:
+            _fail(item, "assertion is undefined")
         if v is not True:
             _fail(item, f"assertion evaluated to {v!r}")
     elif item.expect_reject:

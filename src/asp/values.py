@@ -1,8 +1,13 @@
-"""Runtime values for the abstract datatypes, with mathematical arithmetic.
+"""Runtime values for the abstract datatypes: the value types, zero
+values, the flat form and its conversions, and the partial operations on
+the flat form that the two fast routes share.
 
 Integers and naturals are unbounded Python ints; booleans are Python bools;
-addresses are opaque interned strings. Partial operations raise Undef, which
-callers surface as the Undefined outcome (never as a crash).
+addresses are opaque interned strings. A partial operation raises Undef,
+which callers surface as an undefined outcome (never as a crash). The
+boxed rules that the oracle and the cascade run (arithmetic, moves, issue,
+burn, the token merge and the timer operations) are the reference
+runtime's, in `machine`.
 
 Values are never changed in place: an update of a map, sequence or tuple
 returns a new container, so states, letters and bindings share values
@@ -139,9 +144,9 @@ def zero_value(t: SemType, default=None):
 # interpreter's storage: a coin is its amount, a token (kind, amount), a
 # timer (state, k), a sequence or tuple a tuple, a map a dict of entries.
 # Its partial operations below are shared by the engine's generated code
-# (compile.PRELUDE) and the IR interpreter, and raise Undef where the boxed
-# rules further down (and machine's moves) do. The oracle and the cascade
-# run the boxed rules, so each fast route keeps an independent reference.
+# (compile.PRELUDE) and the IR interpreter, and raise Undef where the
+# reference runtime's boxed rules in `machine` do. The oracle and the
+# cascade run those, so each fast route keeps an independent reference.
 # ---------------------------------------------------------------------------
 
 
@@ -272,88 +277,6 @@ def issue_supply(n: int, remaining: int | None) -> int | None:
     if n < 0 or remaining is not None and n > remaining:
         raise Undef("negative issue or supply exhausted")
     return None if remaining is None else remaining - n
-
-
-# ---------------------------------------------------------------------------
-# Coin / token primitives (value level; lvalue plumbing lives in machine.py)
-# ---------------------------------------------------------------------------
-
-
-def merge_tokens(dst: Tok, kind: str | None, amount: int) -> Tok:
-    """Add `amount` tokens of `kind` to a container, refusing kind mixes."""
-    if amount == 0:
-        return dst
-    if dst.value == 0:
-        return Tok(kind, amount)
-    if dst.kind != kind:
-        raise Undef(f"mixing token kinds {dst.kind!r} and {kind!r}")
-    return Tok(dst.kind, dst.value + amount)
-
-
-def token_burn_value(src: Tok, k: int) -> Tok:
-    if k < 0:
-        raise Undef("negative burn amount")
-    if src.value < k:
-        raise Undef(f"burn of {k} from container holding {src.value}")
-    return Tok(src.kind if src.value > k else None, src.value - k)
-
-
-# ---------------------------------------------------------------------------
-# Timers
-# ---------------------------------------------------------------------------
-
-
-def timer_set(t: Timer, k: int) -> Timer:
-    if t.state != "off":
-        raise Undef("Timer.set on a timer that is not Off")
-    if k <= 0:
-        raise Undef("Timer.set requires a positive duration")
-    return Timer("active", k)
-
-
-def timer_reset(t: Timer) -> Timer:
-    return TIMER_OFF
-
-
-def timer_value(t: Timer) -> int:
-    if t.state != "active":
-        raise Undef("Timer.value on a timer that is not Active")
-    return t.k
-
-
-def timer_advance(t: Timer, delta: int) -> Timer:
-    """Fired iff delta >= remaining units; Off and Fired are unchanged."""
-    if t.state != "active":
-        return t
-    if delta >= t.k:
-        return TIMER_FIRED
-    return Timer("active", t.k - delta)
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic (mathematical, partial)
-# ---------------------------------------------------------------------------
-
-
-def arith(op: str, a: int, b: int, nat: bool) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        r = a - b
-        if nat and r < 0:
-            raise Undef(f"nat subtraction {a} - {b} is negative")
-        return r
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise Undef("division by zero")
-        return a // b
-    if op == "%":
-        if b == 0:
-            raise Undef("modulo by zero")
-        return a % b
-    raise ValueError(f"unknown arithmetic op {op}")
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,7 @@ def test_criterion_10_ghost_erasure(auction):
         r2 = m2.transact("auction", msg, sender, args)
         txs += 1
         assert (r1.status, r1.reason) == (r2.status, r2.reason)
-        assert [l.to_json() for l in r1.letters] == [l.to_json() for l in r2.letters]
+        assert r1.letters == r2.letters
         assert m1.storage_hash() == m2.storage_hash()
     ok(10, f"{txs} transactions identical between ghost and ghost-erased "
            f"compiles")

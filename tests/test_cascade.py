@@ -8,7 +8,7 @@ from asp.cascade import (
     Rejected, env_input, init_system, time_advance, wake_internal,
     system_coin_total,
 )
-from asp.machine import UNDEFINED, InputLetter, match_input, step_instance
+from asp.machine import InputLetter, match_input, step_instance
 from asp.script import parse_script, run_script_text
 from asp.parser import parse_program
 from asp.typecheck import typecheck
@@ -310,7 +310,7 @@ def test_normalized_chain_steps_as_its_source_transition():
             (t, b), = [(t, b) for t in tc.transitions_from(inst.skeleton)
                        if (b := match_input(t, inst, letter)) is not None]
             res = step_instance(tc, inst, t, b, letter.sender)
-            assert res is not UNDEFINED
+            assert res is not None
             inst, outputs, _ = res
             config, events = env_input(system, config, 0, letter)
             got = config.states[0]

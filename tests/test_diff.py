@@ -783,3 +783,30 @@ def test_refused_new_is_reported_at_its_line(case, command, flags, tmp_path):
     diag = json.loads(r.stdout)
     assert (diag["code"], diag["line"], diag["col"]) == ("WhereClauseViolated", line, 1)
     assert diag["message"] == message
+
+
+KEEPS_X = """
+contract C(x: nat) {
+  msg go;
+  initial A;
+  state A:
+  | a??go -> A { }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+@pytest.mark.parametrize("assertion, message", [
+    ("10 / c.x == 1", "assertion is undefined"),
+    ("c.x == 1", "assertion evaluated to False"),
+], ids=["undefined", "false"])
+def test_failed_assertion_is_reported_at_its_line(assertion, message, command, tmp_path):
+    """A script assertion that is undefined (here: divides by zero) fails
+    as undefined, and one that is false as false, at its line with exit
+    1, in both runners."""
+    script = f"new c = C(0) by alice\ninput c go() from bob\nassert {assertion}\n"
+    r = _asp(command, tmp_path, KEEPS_X, script)
+    assert r.returncode == 1
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"], diag["col"]) == ("ScriptError", 3, 1)
+    assert diag["message"] == f"line 3: {message}"

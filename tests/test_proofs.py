@@ -1,4 +1,5 @@
 """Proof pipeline: sketches, VC generation, bounded discharge, searches."""
+import gc
 import itertools
 import json
 from dataclasses import FrozenInstanceError, replace
@@ -1368,6 +1369,26 @@ def test_code_cache_scoped_to_one_proof_check(monkeypatch):
             counts.setdefault(f"{contract} {proof}", []).append(len(compiled))
     assert len(set(map(id, stores))) == len(stores)  # no two generations share one
     assert counts == {pair: [n, n] for pair, n in COMPILES_AT_212.items()}
+
+
+def test_discharge_leaves_no_cycles(auction, refund_sketch):
+    """A discharge frees its compiled leaf, context and search state by
+    reference counting alone: with the cycle collector off, discharging
+    every VC of a generation on either route, and checking the proof,
+    leave nothing for it to collect."""
+    vcs = generate_vcs(auction, refund_sketch)
+    small = DomainBounds.parse("addr=2,nat=1,timer=2")
+    gc.collect()
+    gc.disable()
+    try:
+        for route in (discharge_bounded, discharge_naive):
+            for vc in vcs:
+                route(vc, small)
+            assert gc.collect() == 0, route.__name__
+        check_proof(auction, refund_sketch, BOUNDS)
+        assert gc.collect() == 0, "check_proof"
+    finally:
+        gc.enable()
 
 
 def test_routes_read_one_immutable_problem(monkeypatch):

@@ -6,7 +6,8 @@ generated code only, and the oracle's functions name none of the engine's
 compiled code or search. The IR interpreter, the independent side of the
 differential route, matches its arms by itself and generates no code, and
 the runtime evaluator names none of the flat-form operations that the
-engine's code runs."""
+engine's code runs, while every partial operation of `values` is one of
+them: the reference's partial rules live in the runtime evaluator."""
 import ast
 import inspect
 import itertools
@@ -119,6 +120,14 @@ def test_runtime_evaluator_runs_no_flat_ops():
                             for a in n.names}
     assert not named & FLAT_OPS, named & FLAT_OPS
     assert not _calls(tree) & {"exec", "eval", "compile"}
+
+
+def test_values_keeps_only_flat_partial_ops():
+    """Every module-level function of `values` that raises Undef is a
+    flat-form operation; the boxed rules are the runtime evaluator's."""
+    raising = {f.name for f in _tree("values").body if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, ast.Raise) and "Undef" in _named(n) for n in ast.walk(f))}
+    assert raising and raising <= FLAT_OPS, raising - FLAT_OPS
 
 
 def test_ir_interpreter_generates_no_code():

@@ -7,18 +7,17 @@ from asp.ast_nodes import Binop, Builtin, Lit, OpStmt, Quant, SemType, Var, map_
 from asp.compile import ABSENT, Compiler
 from asp.discharge import DomainBounds, scalar_domain
 from asp.machine import (
-    _BINOPS, _BUILTINS, _EVAL, _OPS, _STMTS, InputLetter, InstanceState, StepContext, UNDEFINED,
-    _eval, _exec_stmt, advance_instance, enabled_transitions, eval_expr, init_instance,
-    step_instance,
+    _BINOPS, _BUILTINS, _EVAL, _OPS, _STMTS, InputLetter, InstanceState, StepContext,
+    _eval, _exec_stmt, _merge_tokens, advance_instance, enabled_transitions, eval_expr,
+    init_instance, step_instance,
 )
 from asp.parser import parse_expression, parse_program
 from asp.pretty import _PREC
 from asp.typecheck import _EXPR_BUILTINS, _STMT_OPS, typecheck
 from asp.values import (
-    TIMER_FIRED, TIMER_OFF, Coin, MapVal, SeqVal, Timer, Tok, Undef, arith, boxed, coin_cut,
-    div, flat, has_type, issue_supply, merge_tokens, mod, nat_sub, seq_get, timer_advance,
-    timer_read, timer_reset, timer_set, timer_start, timer_tick, timer_value, token_burn,
-    token_cut, token_merge, zero_value,
+    TIMER_FIRED, TIMER_OFF, Coin, MapVal, SeqVal, Timer, Tok, Undef, boxed, coin_cut, div, flat,
+    has_type, issue_supply, mod, nat_sub, seq_get, timer_read, timer_start, timer_tick,
+    token_burn, token_cut, token_merge, zero_value,
 )
 from conftest import load
 
@@ -37,9 +36,9 @@ def ev(prog, inst, src, **binds):
 
 def test_division_by_zero_undefined(auction):
     tc, inst = auction_instance(auction)
-    assert ev(auction, inst, "7 / 0") is UNDEFINED
+    assert ev(auction, inst, "7 / 0") is None
     assert ev(auction, inst, "7 / 2") == 3
-    assert ev(auction, inst, "7 % 0") is UNDEFINED
+    assert ev(auction, inst, "7 % 0") is None
 
 
 def test_coin_value_accessor(auction):
@@ -51,15 +50,15 @@ def test_sequence_out_of_bounds_undefined(auction):
     from asp.values import SeqVal
     _, inst = auction_instance(auction)
     s = SeqVal([1, 2])
-    assert ev(auction, inst, "Seq.get(s, 3)", s=s) is UNDEFINED
+    assert ev(auction, inst, "Seq.get(s, 3)", s=s) is None
     assert ev(auction, inst, "Seq.get(s, 1)", s=s) == 2
     assert ev(auction, inst, "Seq.len(s)", s=s) == 2
 
 
 def test_strict_connectives(auction):
     _, inst = auction_instance(auction)
-    assert ev(auction, inst, "false && 1 / 0 == 0") is UNDEFINED
-    assert ev(auction, inst, "true || 1 / 0 == 0") is UNDEFINED
+    assert ev(auction, inst, "false && 1 / 0 == 0") is None
+    assert ev(auction, inst, "true || 1 / 0 == 0") is None
 
 
 def _subclasses(base) -> set:
@@ -93,8 +92,8 @@ def test_evaluator_errors_and_lookup_order():
         _eval(Quant("forall", "a", SemType("address"), Lit(True)), inst, {})
     assert _eval(Var("owner"), inst, {"owner": "B"}) == "B"
     assert [_eval(Var(n), inst, {}) for n in ("owner", "creator", "x")] == ["O", "A", 1]
-    assert eval_expr(Var("y"), inst, {}) is UNDEFINED
-    assert eval_expr(parse_expression("1 / 0 && true"), inst, {}) is UNDEFINED
+    assert eval_expr(Var("y"), inst, {}) is None
+    assert eval_expr(parse_expression("1 / 0 && true"), inst, {}) is None
 
 
 def _literal_keys(e):
@@ -130,7 +129,7 @@ def test_compiled_and_runtime_agree_on_definedness(src):
     try:
         compiled = comp.value(e)(E)
     except Undef:
-        compiled = UNDEFINED
+        compiled = None
     inst = InstanceState("Probe", "A", {"x": 4, "m": MapVal({"P0": 3}),
                                         "d": MapVal({"P0": 3}, 0)}, "P0", "P0", "P0")
     runtime = eval_expr(e, inst, {"k": "P7", "j": "P1"})
@@ -177,7 +176,7 @@ def test_coin_move_examples():
     assert (inst3.env["src"], inst3.env["dst"]) == (Coin(6), Coin(4))
     # src=6, move 7: undefined, instance unchanged
     t, binds = enabled_transitions(tc, inst3, InputLetter("move", "a", (7,)))[0]
-    assert step_instance(tc, inst3, t, binds, "a") is UNDEFINED
+    assert step_instance(tc, inst3, t, binds, "a") is None
     assert inst3.env["src"] == Coin(6)
     # move 0: no change
     t, binds = enabled_transitions(tc, inst3, InputLetter("move", "a", (0,)))[0]
@@ -219,7 +218,7 @@ contract T() issues Token(10) {
 }
 """
     inst, res = run_action(src, "grab", [20])
-    assert res is UNDEFINED
+    assert res is None
     inst2, res2 = run_action(src, "grab", [10])
     post, _, _ = res2
     assert post.env["pot"] == Tok("it", 10)
@@ -245,30 +244,31 @@ def test_token_map_transfer_conserves(basic_coin):
 
 
 def test_timer_state_machine():
-    t = timer_set(Timer("off"), 5)
+    t = _set_timer(Timer("off"), 5)
     assert t == Timer("active", 5)
     with pytest.raises(Undef):
-        timer_set(t, 3)  # set requires Off
+        _set_timer(t, 3)  # set requires Off
     with pytest.raises(Undef):
-        timer_set(Timer("off"), 0)  # positive duration
-    fired = timer_advance(t, 5)
+        _set_timer(Timer("off"), 0)  # positive duration
+    fired = _advance(t, 5)
     assert fired == Timer("fired")
     # Fired -> reset -> set(b)
-    assert timer_set(timer_reset(fired), 7) == Timer("active", 7)
+    reset = _machine_stmt("Timer", "reset", {"t": fired}).env["t"]
+    assert _set_timer(reset, 7) == Timer("active", 7)
 
 
 def test_has_fired_predicate(auction):
     _, inst = auction_instance(auction)
     assert ev(auction, inst, "Timer.has_fired(tmr)") is False
     assert ev(auction, inst, "Timer.is_off(tmr)") is True
-    assert ev(auction, inst, "Timer.value(tmr)") is UNDEFINED
+    assert ev(auction, inst, "Timer.value(tmr)") is None
 
 
 @pytest.mark.parametrize("delta", range(1, 7))
 def test_advance_boundary_oracle(delta):
     """Fired iff delta >= k, independently enumerated."""
     t = Timer("active", 5)
-    out = timer_advance(t, delta)
+    out = _advance(t, delta)
     if delta >= 5:
         assert out == Timer("fired")
     else:
@@ -296,7 +296,7 @@ contract TwoTimers() {
 
 def test_timer_monotone_never_reactivates():
     for start in (Timer("off"), Timer("fired")):
-        assert timer_advance(start, 3) == start
+        assert _advance(start, 3) == start
 
 
 # -- guards and enabledness ---------------------------------------------------
@@ -402,7 +402,7 @@ contract R() {{
     enabled = enabled_transitions(tc, inst, letter)
     t, binds = enabled[0]
     res = step_instance(tc, inst, t, binds, "x")
-    if res is UNDEFINED:
+    if res is None:
         assert inst.coin_total() == before  # untouched on undefined steps
         return
     inst2, outputs, _ = res
@@ -436,7 +436,7 @@ contract Seqs() {
     assert inst2.env["xs"].items == [9]
     # out-of-bounds update is undefined and leaves the instance unchanged
     t, b = enabled_transitions(tc, inst2, InputLetter("put", "al", (5, 1)))[0]
-    assert step_instance(tc, inst2, t, b, "al") is UNDEFINED
+    assert step_instance(tc, inst2, t, b, "al") is None
     assert inst2.env["xs"].items == [9]
 
 
@@ -457,11 +457,11 @@ contract Owned() {
     assert inst2.owner == "bob" and inst2.creator == "alice"
     # only the current owner may hand over; never to none
     t, b = enabled_transitions(tc, inst2, InputLetter("handover", "alice", ("eve",)))[0]
-    assert step_instance(tc, inst2, t, b, "alice") is UNDEFINED
+    assert step_instance(tc, inst2, t, b, "alice") is None
     t, b = enabled_transitions(tc, inst2, InputLetter("handover", "bob", ("none",)))[0]
     from asp.values import ADDR_NONE
     b["next"] = ADDR_NONE
-    assert step_instance(tc, inst2, t, b, "bob") is UNDEFINED
+    assert step_instance(tc, inst2, t, b, "bob") is None
 
 
 # -- the flat form ---------------------------------------------------------
@@ -525,6 +525,16 @@ def _machine_stmt(ns, op, env, remaining=None):
     return inst
 
 
+def _set_timer(t, k):
+    """Machine's Timer.set of the timer t for k units."""
+    return _machine_stmt("Timer", "set", {"t": t, "k": k}).env["t"]
+
+
+def _advance(t, delta):
+    """Machine's tick of the timer t by delta."""
+    return advance_instance(InstanceState("C", "S", {"t": t}, "A", "A", "A"), delta).env["t"]
+
+
 def _issued(n, remaining, dst):
     inst = _machine_stmt("Token", "issue", {"n": n, "dst": dst}, remaining)
     return inst.token_remaining, flat(inst.env["dst"])
@@ -536,21 +546,22 @@ def test_flat_ops_agree_with_boxed():
     and the cascade's boxed rules are."""
     for a in AMOUNTS:
         for b in AMOUNTS:
-            _agree(nat_sub, lambda x, y: arith("-", x, y, nat=True), a, b)
-            _agree(div, lambda x, y: arith("/", x, y, nat=False), a, b)
-            _agree(mod, lambda x, y: arith("%", x, y, nat=False), a, b)
+            _agree(nat_sub, _BINOPS["-nat"], a, b)
+            _agree(div, _BINOPS["/"], a, b)
+            _agree(mod, _BINOPS["%"], a, b)
             _agree(coin_cut, lambda c, k: _machine_stmt(
                 "Coin", "move", {"src": c, "k": k, "dst": Coin(0)}).env["src"], Coin(a), b)
     get = parse_expression("Seq.get(s, i)")
     for s in SEQS:
         for i in range(-1, 3):
             _agree(seq_get, lambda x, j: _eval(get, None, {"s": x, "i": j}), s, i)
+    value = parse_expression("Timer.value(t)")
     for t in TIMERS:
-        _agree(timer_read, timer_value, t)
+        _agree(timer_read, lambda x: _eval(value, None, {"t": x}), t)
         for k in AMOUNTS:
-            _agree(timer_start, timer_set, t, k)
+            _agree(timer_start, _set_timer, t, k)
         for d in range(1, 5):
-            _agree(timer_tick, timer_advance, t, d)
+            _agree(timer_tick, _advance, t, d)
     for tok in TOKENS:
         for k in AMOUNTS:
             _agree(token_cut, lambda x, n: _machine_stmt(
@@ -558,7 +569,7 @@ def test_flat_ops_agree_with_boxed():
             _agree(lambda x, n: token_burn(x, n, "A"), lambda x, n: _machine_stmt(
                 "Token", "burn", {"src": x, "k": n}).env["src"], tok, k)
             for kind in (None, "A", "B"):
-                _agree(token_merge, merge_tokens, tok, kind, k)
+                _agree(token_merge, _merge_tokens, tok, kind, k)
             for r in (None, *range(4)):
                 _agree(lambda n, rem, dst: (issue_supply(n, rem), token_merge(dst, "A", n)),
                        _issued, k, r, tok)
