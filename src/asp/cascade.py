@@ -48,7 +48,7 @@ class CascadeLimit(AspError):
 STEP_LIMIT = 10_000  # the most steps one cascade runs before CascadeLimit
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Config:
     states: tuple[InstanceState, ...]
     stack: tuple[int, ...] = ()  # left end is the top
@@ -58,7 +58,7 @@ class Config:
         return not self.stack
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     rule: str  # LocalTau | SyncPush | EnvOutput | Pop | EnvInput | TimeAdvance
     actor: object  # contract index, or "env"

@@ -281,8 +281,16 @@ def cmd_diff(args) -> int:
     return EXIT_OK if report.clean else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through `add_subparsers` each subcommand's parser,
+    whose usage errors are UsageErrors and so JSON diagnostics."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="asp", description=__doc__)
+    ap = _Parser(prog="asp", description=__doc__)
     ap.add_argument("--pretty", action="store_true",
                     help="human-readable output instead of JSON lines")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -335,15 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         args.config = _read_config(Path("asp.config.json"))
         return args.fn(args)
-    except SystemExit as e:
+    except SystemExit as e:  # --help, or a failed load of the contracts
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     except UsageError as e:
         print(e.diagnostic().to_json(), file=sys.stderr)

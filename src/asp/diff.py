@@ -30,7 +30,8 @@ from .diagnostics import Pos, ScriptError
 from .interp import Machine, TxRevert
 from .lower import SystemIR, lower
 from .script import (
-    AdvanceItem, InputItem, NewItem, at_new_line, check_item, input_target, instantiations,
+    AdvanceItem, InputItem, NewItem, at_new_line, check_assertions, check_item, input_target,
+    instantiations,
 )
 from .typecheck import TypedProgram
 from .values import ADDR_NONE, Coin, flat, zero_value
@@ -138,9 +139,11 @@ def run_differential(program: TypedProgram, news: list[NewItem], items: list,
                      report: DiffReport | None = None,
                      atomicity_log: list | None = None) -> DiffReport:
     """Run one script against both semantics, recording divergences; its
-    items are checked on the cascade side by `script.check_item`."""
-    return _run_script(program, _start(program, lower(program, R, word_bits), news, R),
-                       items, report, atomicity_log)
+    assertions are typed before it runs, and its items are checked on the
+    cascade side by `script.check_item`."""
+    start = _start(program, lower(program, R, word_bits), news, R)
+    check_assertions(program, news, items)
+    return _run_script(program, start, items, report, atomicity_log)
 
 
 def _start(program: TypedProgram, system_ir: SystemIR, news: list[NewItem],
@@ -272,27 +275,36 @@ def _run_script(program: TypedProgram, start: tuple[System, Config, Machine],
 # ---------------------------------------------------------------------------
 
 
-def random_items(program: TypedProgram, news: list[NewItem], rng: random.Random,
-                 length: int = 12, coin_max: int = 9) -> list:
-    """Type-driven random message sequence over the instantiated system."""
+def _draw_plan(program: TypedProgram, news: list[NewItem]) -> tuple[list, list, bool]:
+    """What every random script over the system draws from: its targets,
+    each (instance, message, parameter types, senders), the address pool,
+    and whether any instance has a timer to advance."""
     actors = ["alice", "bob", "carol"]
-    instance_names = [n.name for n in news]
-    addr_pool = actors + instance_names + [ADDR_NONE]
+    addr_pool = actors + [n.name for n in news] + [ADDR_NONE]
     targets = []
     has_timers = False
     for n in news:
         tc = program.contract(n.contract)
         has_timers = has_timers or tc.has_timers()
-        for msg in tc.msg_sigs:
-            targets.append((n.name, msg, tc.msg_sigs[msg], n.creator))
+        senders = actors + [n.creator]
+        for msg, sig in tc.msg_sigs.items():
+            targets.append((n.name, msg, sig, senders))
     if not targets:
         raise ScriptError("no instance receives a message: there is nothing to send")
+    return targets, addr_pool, has_timers
+
+
+def random_items(program: TypedProgram, news: list[NewItem], rng: random.Random,
+                 length: int = 12, coin_max: int = 9, plan: tuple | None = None) -> list:
+    """Type-driven random message sequence over the instantiated system.
+    `plan` is `_draw_plan(program, news)`, for a caller that draws many."""
+    targets, addr_pool, has_timers = plan or _draw_plan(program, news)
     items: list = []
     for i in range(length):
         if has_timers and rng.random() < 0.15:
-            items.append(AdvanceItem(rng.randint(1, 6), i, expect_reject=False))
+            items.append(AdvanceItem(rng.randint(1, 6), i))
             continue
-        name, msg, sig, creator = rng.choice(targets)
+        name, msg, sig, senders = rng.choice(targets)
         args = []
         for t in sig:
             if t.kind == "coin":
@@ -305,9 +317,7 @@ def random_items(program: TypedProgram, news: list[NewItem], rng: random.Random,
                 args.append(rng.choice(addr_pool))
             else:
                 args.append(zero_value(t))
-        sender = rng.choice(actors + [creator])
-        items.append(InputItem(name, msg, tuple(args), sender, i,
-                               expect_reject=False))
+        items.append(InputItem(name, msg, tuple(args), rng.choice(senders), i))
     return items
 
 
@@ -320,7 +330,8 @@ def differential_check(program: TypedProgram, news: list[NewItem], R: int,
     rng = random.Random(seed)
     cap = min(coin_max, (1 << word_bits) - 1)
     start = _start(program, lower(program, R, word_bits), news, R)
+    plan = _draw_plan(program, news)
     for _ in range(trials):
-        items = random_items(program, news, rng, length, cap)
+        items = random_items(program, news, rng, length, cap, plan)
         _run_script(program, start, items, report, atomicity_log)
     return report

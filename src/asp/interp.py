@@ -50,7 +50,7 @@ import copy
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast_nodes import Assign, Binop, Builtin, If, Lit, OpStmt, Quant, Send, Unop, Var
 from .lower import ContractIR, SystemIR
@@ -121,7 +121,7 @@ class Letter:
 class TxResult:
     status: str  # "committed" | "reverted"
     reason: str | None = None
-    letters: list = field(default_factory=list)
+    letters: list | tuple = ()  # a committed transaction's, in order
 
     @property
     def committed(self) -> bool:

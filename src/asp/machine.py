@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
 from .typecheck import TypedContract, TypedTransition, is_lvalue
@@ -30,7 +30,7 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InputLetter:
     msg: str
     sender: str
@@ -41,7 +41,7 @@ class InputLetter:
                 "args": [to_json(a) for a in self.args]}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OutputLetter:
     msg: str
     dest: str
@@ -56,7 +56,7 @@ class OutputLetter:
                 "args": [to_json(a) for a in self.args]}
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceState:
     contract: str
     skeleton: str
@@ -294,13 +294,17 @@ def resolve_slot(e: Expr, inst: InstanceState, b: dict[str, object],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class StepContext:
-    inst: InstanceState
-    bindings: dict[str, object]
-    sender: str | None  # input letter sender, for Address.change_owner
-    outputs: list[OutputLetter] = field(default_factory=list)
-    logs: list[OutputLetter] = field(default_factory=list)
+    """One step's working instance and bindings, and the letters it sends."""
+
+    __slots__ = ("inst", "bindings", "sender", "outputs", "logs")
+
+    def __init__(self, inst: InstanceState, bindings: dict[str, object], sender: str | None):
+        self.inst = inst
+        self.bindings = bindings
+        self.sender = sender  # input letter sender, for Address.change_owner
+        self.outputs: list[OutputLetter] = []
+        self.logs: list[OutputLetter] = []
 
 
 def _as_coin(v) -> Coin:

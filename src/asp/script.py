@@ -13,6 +13,7 @@ and token(<issuer>, <n>); an input's literals must have the types of its
 message's parameters. Blank lines and // comments are ignored. An
 expect-reject marker must directly precede an input or advance.
 
+Each `assert <expr>` is typed by `check_assertions` before any item runs.
 `check_item` says what an item means, and both `asp simulate`
 (`run_script`) and `asp diff` (`diff.run_differential`) honour it: a false
 assertion, or an expect-reject item the cascade accepts, is a ScriptError
@@ -25,16 +26,16 @@ import random
 from dataclasses import dataclass, field
 from typing import NoReturn
 
-from .ast_nodes import Builtin, Expr, Quant, Var, map_children
+from .ast_nodes import ADDRESS, BOOL, Builtin, Expr, Quant, SemType, Var, map_children
 from .cascade import (
     CascadeLimit, Config, Rejected, System, TraceEvent, WhereClauseViolated,
     env_input, init_system, time_advance, wake_internal,
 )
-from .diagnostics import Pos, ScriptError
+from .diagnostics import AspError, Pos, ScriptError
 from .lexer import tokenize
 from .machine import InputLetter, InstanceState, eval_expr
 from .parser import TokenStream, parse_expr
-from .typecheck import TypedProgram
+from .typecheck import ExprChecker, TypedProgram, free_vars
 from .values import ADDR_NONE, Coin, Tok, has_type
 
 
@@ -47,7 +48,7 @@ class NewItem:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InputItem:
     instance: str
     msg: str
@@ -61,7 +62,7 @@ class InputItem:
         return InputLetter(self.msg, self.sender, self.args)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdvanceItem:
     delta: int
     line: int
@@ -185,36 +186,71 @@ def parse_script(text: str):
     return news, items
 
 
+def _over_system(e: Expr, names) -> Expr:
+    """An assertion as an expression over the whole system: each
+    `<instance>.<var>` read, an argument-free `Ns.op` other than
+    `Address.none` and `Address.self`, becomes the variable named so. A
+    ScriptError for a quantifier, or a read of an instance not in `names`."""
+    if isinstance(e, Quant):
+        raise ScriptError("quantifiers are not allowed in script assertions")
+    if isinstance(e, Builtin) and not e.args and e.ns != "Address":
+        if e.ns not in names:
+            raise ScriptError(f"unknown instance {e.ns!r}")
+        return Var(f"{e.ns}.{e.op}", e.pos)
+    return map_children(e, lambda x: _over_system(x, names))
+
+
+def check_assertions(program: TypedProgram, news: list[NewItem], items: list):
+    """Type each assertion of a script before any item runs. A bare name
+    is an address; `<instance>.<var>` has the declared type of the
+    instance's variable or parameter, and `.owner`, `.creator` and `.self`
+    are addresses. An unknown instance or variable, or an assertion that
+    is ill-typed or not a bool, is a ScriptError at its line."""
+    scope: dict[str, SemType] = {}
+    for n in news:
+        own = {**program.contract(n.contract).state_scope(), "self": ADDRESS}
+        scope.update({f"{n.name}.{v}": t for v, t in own.items()})
+    names = {n.name for n in news}
+    for item in items:
+        if not isinstance(item, AssertExprItem):
+            continue
+        try:
+            e = _over_system(item.expr, names)
+            bare = {}
+            for name in free_vars(e):
+                inst, dot, var = name.partition(".")
+                if not dot:
+                    bare[name] = ADDRESS
+                elif name not in scope:
+                    raise ScriptError(f"{inst} has no variable {var!r}")
+            t = ExprChecker({**scope, **bare}).infer(e)
+        except AspError as err:
+            _fail(item, err.message)
+        if t != BOOL:
+            _fail(item, f"assertion has type {t}, expected bool")
+
+
 def eval_script_expr(e: Expr, system: System, config: Config):
-    """Evaluate an assertion over the whole system: bare names are
-    addresses, <instance>.<var> reads that instance's variable."""
+    """The value of an assertion that `check_assertions` typed, over the
+    whole system, or None when it is undefined there."""
+    e = _over_system(e, system.names)
     bindings: dict[str, object] = {}
-
-    def rewrite(x: Expr) -> Expr:
-        if isinstance(x, Quant):
-            raise ScriptError("quantifiers are not allowed in script assertions")
-        if isinstance(x, Var):
-            bindings.setdefault(x.name, _address(x.name))
-            return x
-        if isinstance(x, Builtin) and x.ns in system.names and not x.args:
-            inst = config.states[system.index_of_addr(x.ns)]
-            key = f"{x.ns}.{x.op}"
-            if x.op == "owner":
-                bindings[key] = inst.owner
-            elif x.op == "creator":
-                bindings[key] = inst.creator
-            elif x.op == "self":
-                bindings[key] = inst.self_addr
-            elif x.op in inst.env:
-                bindings[key] = inst.env[x.op]
-            else:
-                raise ScriptError(f"{x.ns} has no variable {x.op!r}")
-            return Var(key)
-        return map_children(x, rewrite)
-
-    rewritten = rewrite(e)
+    for name in free_vars(e):
+        inst_name, dot, var = name.partition(".")
+        if not dot:
+            bindings[name] = _address(name)
+            continue
+        inst = config.states[system.index_of_addr(inst_name)]
+        if var == "owner":
+            bindings[name] = inst.owner
+        elif var == "creator":
+            bindings[name] = inst.creator
+        elif var == "self":
+            bindings[name] = inst.self_addr
+        else:
+            bindings[name] = inst.env[var]
     dummy = InstanceState("<script>", "", {}, "env", "env", "env")
-    return eval_expr(rewritten, dummy, bindings)
+    return eval_expr(e, dummy, bindings)
 
 
 def instance_index(system: System, name: str, line: int) -> int:
@@ -254,10 +290,7 @@ def check_item(item, system: System, config: Config):
         if actual != item.state:
             _fail(item, f"{item.instance} is at {actual}, expected {item.state}")
     elif isinstance(item, AssertExprItem):
-        try:
-            v = eval_script_expr(item.expr, system, config)
-        except ScriptError as e:  # an unknown variable or a quantifier
-            _fail(item, e.message)
+        v = eval_script_expr(item.expr, system, config)
         if v is None:
             _fail(item, "assertion is undefined")
         if v is not True:
@@ -310,6 +343,7 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
         system, config = init_system(program, instantiations(program, news), R, rng)
     except WhereClauseViolated as e:
         raise at_new_line(e, news) from None
+    check_assertions(program, news, items)
     result = ScriptResult(system, config)
     for item in items:
         events = []

@@ -81,6 +81,47 @@ def test_script_failure_exit_one(command, body, line, tmp_path):
     assert (diag["code"], diag["line"], diag["file"]) == ("ScriptError", line, str(script))
 
 
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+@pytest.mark.parametrize("assertion, message", [
+    ("b.x == 1", "unknown instance 'b'"),
+    ("get.value(loot) == 5", "unknown operation get.value"),
+    ("Coin.value(bene) == 5", "Coin.value expects coin, got address"),
+    ("Map.get(auction.bidded) == 0", "Map.get takes 2 argument(s)"),
+], ids=["unknown-instance", "unknown-operation", "coin-of-address", "map-get-arity"])
+def test_ill_typed_assertion_exit_one(command, assertion, message, tmp_path, monkeypatch,
+                                      capsys):
+    """An assertion is typed before any item runs: one that names an
+    unknown instance or operation, or gives an operation an argument of
+    the wrong type or number, is a ScriptError at its line in both
+    commands, ahead of the false assertion on the line before it."""
+    from asp.cli import main
+    monkeypatch.chdir(tmp_path)
+    script = tmp_path / "bad.aspscript"
+    script.write_text("new auction = SimpleAuction(bene, 10) by alice\n"
+                      f"assert auction @AuctionClosed\nassert {assertion}\n",
+                      encoding="utf-8")
+    assert main([command, str(CORPUS / "auction.asp"), "--script", str(script)]) == 1
+    diag = json.loads(capsys.readouterr().out)
+    assert (diag["code"], diag["line"]) == ("ScriptError", 3)
+    assert message in diag["message"]
+
+
+def test_well_typed_assertions_pass(tmp_path, monkeypatch):
+    """The scope of an assertion: each instance's variables, ghost ones
+    too, and parameters with their declared types, its owner, creator and
+    self as addresses, and bare names as addresses."""
+    from asp.cli import main
+    monkeypatch.chdir(tmp_path)
+    script = tmp_path / "ok.aspscript"
+    script.write_text("new auction = SimpleAuction(bene, 10) by alice\n"
+                      "assert auction.beneficiary == bene && auction.bidding_time == 10\n"
+                      "assert Map.get(auction.bidded, bob) == 0 && auction.maxBidder == none\n"
+                      "assert auction.owner == alice && auction.creator == alice\n"
+                      "assert auction.self == auction && Timer.is_off(auction.tmr)\n",
+                      encoding="utf-8")
+    assert main(["simulate", str(CORPUS / "auction.asp"), "--script", str(script)]) == 0
+
+
 PING = """
 contract Ping() {
   msg poke(nat);
@@ -379,6 +420,28 @@ def test_bad_integer_option_exit_two(args, tmp_path):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert json.loads(r.stderr)["code"] == "UsageError"
+
+
+@pytest.mark.parametrize("args, message", [
+    ["prove AUCTION --proof PROOF --bogus", "unrecognized arguments: --bogus"],
+    ["prove AUCTION", "the following arguments are required: --proof"],
+    ["bogus AUCTION", "invalid choice: 'bogus'"],
+], ids=["unknown-flag", "missing-proof", "unknown-subcommand"])
+def test_usage_error_is_a_json_diagnostic(args, message):
+    """An error that argparse finds in the command line is one JSON
+    UsageError on stderr, with exit 2."""
+    corpus = {"AUCTION": "auction.asp", "PROOF": "auction_closed.aspproof"}
+    r = run_cli(*(str(CORPUS / corpus[a]) if a in corpus else a for a in args.split()))
+    assert r.returncode == 2
+    diag = json.loads(r.stderr)
+    assert diag["code"] == "UsageError" and message in diag["message"]
+    assert not r.stdout
+
+
+def test_help_prints_usage_exit_zero():
+    r = run_cli("prove", "--help")
+    assert r.returncode == 0
+    assert r.stdout.startswith("usage: asp prove") and not r.stderr
 
 
 @pytest.mark.parametrize("config", ['{"reentrancy_limit": [1]}',

@@ -7,14 +7,17 @@ compiled code or search. The IR interpreter, the independent side of the
 differential route, matches its arms by itself and generates no code, and
 the runtime evaluator names none of the flat-form operations that the
 engine's code runs, while every partial operation of `values` is one of
-them: the reference's partial rules live in the runtime evaluator."""
+them: the reference's partial rules live in the runtime evaluator. The
+runtime values that both runtimes share stay frozen."""
 import ast
+import dataclasses
 import inspect
 import itertools
 from pathlib import Path
 
 import pytest
 
+from asp import values
 from asp.compile import PRELUDE
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "asp"
@@ -128,6 +131,16 @@ def test_values_keeps_only_flat_partial_ops():
     raising = {f.name for f in _tree("values").body if isinstance(f, ast.FunctionDef)
                and any(isinstance(n, ast.Raise) and "Undef" in _named(n) for n in ast.walk(f))}
     assert raising and raising <= FLAT_OPS, raising - FLAT_OPS
+
+
+@pytest.mark.parametrize("name", ["Coin", "Tok", "Timer"])
+def test_shared_values_stay_frozen(name):
+    """An instance's clone shares its values, and a differential check's
+    start configuration shares them across scripts, only because no value
+    ever changes: the records built per step may be mutable, the values
+    not."""
+    cls = getattr(values, name)
+    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
 
 
 def test_ir_interpreter_generates_no_code():
