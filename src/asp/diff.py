@@ -19,8 +19,11 @@ it and runtime values are immutable, so no script changes the start.
 from __future__ import annotations
 
 import json
+import math
+import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 from .cascade import (
     CascadeLimit, Config, Rejected, System, WhereClauseViolated, env_input, init_system,
@@ -142,7 +145,7 @@ def run_differential(program: TypedProgram, news: list[NewItem], items: list,
     assertions are typed before it runs, and its items are checked on the
     cascade side by `script.check_item`."""
     start = _start(program, lower(program, R, word_bits), news, R)
-    check_assertions(program, news, items)
+    items = check_assertions(program, news, items)
     return _run_script(program, start, items, report, atomicity_log)
 
 
@@ -325,13 +328,141 @@ def differential_check(program: TypedProgram, news: list[NewItem], R: int,
                        word_bits: int, trials: int, seed: int = 0,
                        length: int = 12, coin_max: int = 9,
                        atomicity_log: list | None = None) -> DiffReport:
-    """`trials` random scripts compared transaction-for-transaction."""
+    """`trials` random scripts compared transaction-for-transaction.
+
+    The scripts are split into contiguous shares, one per usable CPU
+    (`_usable_cpus`): this process runs the first and a forked child each
+    other one. Every share draws the scripts before its own from its own
+    `random.Random(seed)`, so it runs the scripts a serial loop runs, and
+    the shares are merged in order: the report and `atomicity_log` are
+    those of one serial run. A share whose child sends no result is run
+    here, so a failure is raised as a serial run raises it."""
     report = DiffReport()
-    rng = random.Random(seed)
     cap = min(coin_max, (1 << word_bits) - 1)
     start = _start(program, lower(program, R, word_bits), news, R)
     plan = _draw_plan(program, news)
-    for _ in range(trials):
-        items = random_items(program, news, rng, length, cap, plan)
-        _run_script(program, start, items, report, atomicity_log)
+
+    def run_share(share: range, report: DiffReport, log: list | None):
+        rng = random.Random(seed)
+        for i in range(share.stop):
+            items = random_items(program, news, rng, length, cap, plan)
+            if i >= share.start:
+                _run_script(program, start, items, report, log)
+
+    n = max(1, min(trials, _usable_cpus())) if hasattr(os, "fork") else 1
+    shares = [range(trials * k // n, trials * (k + 1) // n) for k in range(n)]
+    import pickle  # here, not at the top: every set-up imports this module
+    import signal
+
+    def run_child(share):
+        part = (DiffReport(), None if atomicity_log is None else [])
+        run_share(share, *part)
+        return pickle.dumps(part)
+
+    children = []  # (share, pid, read end) of each child not yet collected
+    try:
+        for share in shares[1:]:
+            _fork(run_child, share, children)
+        run_share(shares[0], report, atomicity_log)
+        while children:
+            share, pid, fd = children.pop(0)
+            got = _collect(pid, fd)
+            if got is None:  # no result: run the share here, as a serial run would
+                run_share(share, report, atomicity_log)
+            else:
+                _merge(report, atomicity_log, *pickle.loads(got))
+    finally:  # stop the children of shares not collected, then reap them
+        for _, pid, _ in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        for _, pid, fd in children:
+            _collect(pid, fd)
     return report
+
+
+MAX_SHARES = 4  # every share repeats the draw before it; more were not measured
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, no more than a cgroup CPU quota
+    allows and at most MAX_SHARES, or 1 where the affinity cannot be read."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    return max(1, min(cpus, _cpu_quota(), MAX_SHARES))
+
+
+def _cpu_quota(root: str = "/sys/fs/cgroup") -> float:
+    """The CPUs, rounded up, that the cgroup CPU quota under root allows:
+    cgroup v2's `cpu.max`, or v1's `cpu.cfs_quota_us` over
+    `cpu.cfs_period_us`. Infinite where no quota is set or read."""
+    try:
+        quota, period = Path(root, "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = Path(root, "cpu", "cpu.cfs_quota_us").read_text().strip()
+            period = Path(root, "cpu", "cpu.cfs_period_us").read_text().strip()
+        except OSError:
+            return math.inf
+    if quota in ("max", "-1"):
+        return math.inf
+    return -(-int(quota) // int(period))
+
+
+def _fork(run, share, children: list) -> None:
+    """Append `(share, pid, read end)` for a child that writes `run(share)`,
+    a bytes object, to a pipe and exits 0, or exits 1 having written
+    nothing if run raises; it never returns into the caller. Where no
+    process can be made, append `(share, None, None)`. Signals are held
+    from the fork until the child is on the list, so no interrupt loses it."""
+    import signal
+    r, w = os.pipe()
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        pid = r = None
+    if pid == 0:
+        status = 1
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(run(share))
+            status = 0
+        finally:
+            os._exit(status)
+    children.append((share, pid, r))
+    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+    os.close(w)
+
+
+def _collect(pid: int | None, fd: int | None) -> bytes | None:
+    """What a child from _fork wrote, once it has exited 0, or None. Closes
+    the read end and reaps the child, killing it first if the read is
+    interrupted."""
+    if pid is None:
+        return None
+    import signal
+    data = None
+    try:
+        with open(fd, "rb") as f:
+            data = f.read()
+    finally:
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    return data if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _merge(report: DiffReport, atomicity_log: list | None,
+           part: DiffReport, part_log: list | None) -> None:
+    """Add a later share's report and atomicity entries to the merged ones:
+    every field of a DiffReport adds, the counts as sums and the
+    divergences in order."""
+    for f in fields(part):
+        setattr(report, f.name, getattr(report, f.name) + getattr(part, f.name))
+    if atomicity_log is not None:
+        atomicity_log.extend(part_log)

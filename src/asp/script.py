@@ -13,7 +13,9 @@ and token(<issuer>, <n>); an input's literals must have the types of its
 message's parameters. Blank lines and // comments are ignored. An
 expect-reject marker must directly precede an input or advance.
 
-Each `assert <expr>` is typed by `check_assertions` before any item runs.
+Each `assert <expr>` is typed by `check_assertions` before any item runs,
+and is evaluated in the form the checker returns (so `nat - nat` is
+undefined below zero, as in contract code).
 `check_item` says what an item means, and both `asp simulate`
 (`run_script`) and `asp diff` (`diff.run_differential`) honour it: a false
 assertion, or an expect-reject item the cascade accepts, is a ScriptError
@@ -200,18 +202,22 @@ def _over_system(e: Expr, names) -> Expr:
     return map_children(e, lambda x: _over_system(x, names))
 
 
-def check_assertions(program: TypedProgram, news: list[NewItem], items: list):
+def check_assertions(program: TypedProgram, news: list[NewItem], items: list) -> list:
     """Type each assertion of a script before any item runs. A bare name
     is an address; `<instance>.<var>` has the declared type of the
     instance's variable or parameter, and `.owner`, `.creator` and `.self`
     are addresses. An unknown instance or variable, or an assertion that
-    is ill-typed or not a bool, is a ScriptError at its line."""
+    is ill-typed or not a bool, is a ScriptError at its line. Returns the
+    items with each assertion in the form the checker returns, over the
+    whole system: the form `eval_script_expr` evaluates, in which `nat -
+    nat` is undefined below zero as in contract code."""
     scope: dict[str, SemType] = {}
     for n in news:
         own = {**program.contract(n.contract).state_scope(), "self": ADDRESS}
         scope.update({f"{n.name}.{v}": t for v, t in own.items()})
     names = {n.name for n in news}
-    for item in items:
+    checked = list(items)
+    for i, item in enumerate(items):
         if not isinstance(item, AssertExprItem):
             continue
         try:
@@ -223,17 +229,18 @@ def check_assertions(program: TypedProgram, news: list[NewItem], items: list):
                     bare[name] = ADDRESS
                 elif name not in scope:
                     raise ScriptError(f"{inst} has no variable {var!r}")
-            t = ExprChecker({**scope, **bare}).infer(e)
+            t, e = ExprChecker({**scope, **bare}).check(e)
         except AspError as err:
             _fail(item, err.message)
         if t != BOOL:
             _fail(item, f"assertion has type {t}, expected bool")
+        checked[i] = AssertExprItem(e, item.line)
+    return checked
 
 
 def eval_script_expr(e: Expr, system: System, config: Config):
-    """The value of an assertion that `check_assertions` typed, over the
-    whole system, or None when it is undefined there."""
-    e = _over_system(e, system.names)
+    """The value of an assertion in the form `check_assertions` returns,
+    over the whole system, or None when it is undefined there."""
     bindings: dict[str, object] = {}
     for name in free_vars(e):
         inst_name, dot, var = name.partition(".")
@@ -343,7 +350,7 @@ def run_script(program: TypedProgram, news: list[NewItem], items: list, R: int,
         system, config = init_system(program, instantiations(program, news), R, rng)
     except WhereClauseViolated as e:
         raise at_new_line(e, news) from None
-    check_assertions(program, news, items)
+    items = check_assertions(program, news, items)
     result = ScriptResult(system, config)
     for item in items:
         events = []

@@ -9,7 +9,10 @@ checkout, alternating which side runs first; run.py keeps its default
 seed, and the run length defaults to `run_seconds` of PARENT's
 BENCHMARK.json. It prints each run's `correct` and `failed`, and for each
 metric on the last line of run.py's output every run, each side's median
-and quartiles, and the pairs each side won (a tie counts for neither). A
+and quartiles, and the pairs each side won (a tie counts for neither).
+It prints the same for the median wall time of a pass, `wall_pass_s`
+from the summary line above the last, which no per-CPU speed
+normalization touches, so that a gain from parallel work shows there. A
 metric shows a gain when the change won at least nine tenths of the pairs,
 the medians lie further apart than the parent's quartiles, every change
 run was correct and the change failed no more operations than the parent.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.suite import spread  # noqa: E402
 
 WIN_SHARE = 0.9  # the share of pairs a gain must win
+WALL = "wall_pass_s.p50"  # read from run.py's summary line, not its metrics
 
 
 def _args(argv):
@@ -48,7 +53,8 @@ def _compile(checkout: Path) -> None:
 
 def _run(checkout: Path, args) -> dict:
     """The last line of one run.py run in checkout: `correct`, `failed`
-    and the metrics, name -> value."""
+    and the metrics, name -> value, with the median wall time of a pass
+    from the summary line above it as `wall_pass_s.p50`."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seconds", str(args.seconds), "--trace", str(args.trace)],
@@ -56,9 +62,11 @@ def _run(checkout: Path, args) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"error: run.py in {checkout} exited {done.returncode}:\n"
                          f"{done.stderr.strip()}")
-    out = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"correct": out["correct"], "failed": out["failed"],
-            "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
+    *_, summary, last = done.stdout.strip().splitlines()
+    out = json.loads(last)
+    metrics = {name: m["value"] for name, m in out["metrics"].items()}
+    metrics[WALL] = statistics.median(json.loads(summary)["summary"]["wall_pass_s"])
+    return {"correct": out["correct"], "failed": out["failed"], "metrics": metrics}
 
 
 def verdict(parent: list[float], change: list[float], better: str) -> dict:
@@ -82,6 +90,7 @@ def main(argv=None) -> int:
         args.seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"]
                   for key in ("end_to_end", "per_layer") for m in bench[key]}
+    directions[WALL] = "lower"
     for checkout in sides.values():
         _compile(checkout)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}

@@ -1,6 +1,8 @@
 """Differential testing of the compiled interpreter against the cascade."""
 import dataclasses
 import json
+import math
+import os
 import random
 import subprocess
 import sys
@@ -26,6 +28,14 @@ from conftest import ROOT, load
 AUCTION_NEWS = [NewItem("auction", "SimpleAuction", ("bene", 10), "alice", 0)]
 ATTACK_NEWS = [NewItem("estore", "Etherstore", (), "deployer", 0),
                NewItem("attacker", "Attacker", ("estore",), "mallory", 0)]
+
+
+@pytest.fixture
+def one_share(monkeypatch):
+    """differential_check runs every script in this process, so that a spy
+    that records what the check does sees every script, not only the
+    scripts of the first share."""
+    monkeypatch.setattr(asp.diff, "_usable_cpus", lambda: 1)
 
 
 def test_empty_script_trivially_equivalent(auction):
@@ -129,7 +139,7 @@ def test_tracer_wraps_and_restores_every_entry_point():
         assert getattr(owner, name) is fn, f"{owner.__name__}.{name}"
 
 
-def test_traced_differential_run_counts_the_cascade(auction):
+def test_traced_differential_run_counts_the_cascade(auction, one_share):
     """The benchmark's traced run wraps the cascade steps where the
     differential runner calls them, as attributes of asp.diff. A runner
     that reached the cascade another way would leave its counters at 0."""
@@ -220,7 +230,8 @@ def test_container_operation_on_parameter():
 
 @pytest.mark.parametrize("word_bits", [256, 8])
 @pytest.mark.parametrize("contract,news", SYSTEMS)
-def test_shared_start_reports_as_a_fresh_start(contract, news, word_bits, monkeypatch):
+def test_shared_start_reports_as_a_fresh_start(contract, news, word_bits, monkeypatch,
+                                               one_share):
     """differential_check runs every script from one start: its report is
     the merged report of run_differential, which sets up again for each
     script, on the same scripts, and the start's initial configuration
@@ -249,6 +260,156 @@ def test_shared_start_reports_as_a_fresh_start(contract, news, word_bits, monkey
     assert shared.to_json() == merged.to_json()
     assert shared.committed and shared.reverted
 
+
+def _split_check(monkeypatch, prog, shares, trials, log=None):
+    """The auction's differential_check over `shares` CPUs: its report and
+    atomicity log. Every child has been reaped when it returns or raises."""
+    monkeypatch.setattr(asp.diff, "_usable_cpus", lambda: shares)
+    log = [] if log is None else log
+    try:
+        report = differential_check(prog, AUCTION_NEWS, R=1, word_bits=256,
+                                    trials=trials, seed=3, atomicity_log=log)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return report.to_json(), log
+
+
+@pytest.fixture
+def marked_scripts(monkeypatch):
+    """Each script of a differential_check appends its items to the
+    atomicity log ahead of its entries, so that the log shows which scripts
+    ran and in what order. Before that, `hooks["fail"](pid, mark)` is
+    called with the pid of the process that runs the script and the items
+    it appends."""
+    run = asp.diff._run_script
+    hooks = {"fail": lambda pid, mark: None}
+
+    def marked(program, start, items, report, log):
+        hooks["fail"](os.getpid(), repr(items))
+        log.append(repr(items))
+        return run(program, start, items, report, log)
+
+    monkeypatch.setattr(asp.diff, "_run_script", marked)
+    return hooks
+
+
+@pytest.mark.parametrize("case, trials", [
+    ("clean", 30), ("divergent", 30), ("clean", 1), ("clean", 2)])
+def test_split_report_is_the_serial_report(case, trials, auction, monkeypatch,
+                                           marked_scripts):
+    """Split over 2 or 3 CPUs, a check runs the scripts of a serial run and
+    merges their report and atomicity entries in the serial order. A patch
+    made before the split reaches every share: a target wake that drops
+    its letters diverges in several scripts."""
+    if case == "divergent":
+        wake = Machine.wake
+        monkeypatch.setattr(Machine, "wake", lambda self: [
+            dataclasses.replace(r, letters=[]) for r in wake(self)])
+    serial = _split_check(monkeypatch, auction, 1, trials)
+    report = json.loads(serial[0])
+    assert report["trials"] == trials
+    assert sum(isinstance(x, str) for x in serial[1]) == trials
+    assert len(report["divergences"]) > 1 if case == "divergent" else not report["divergences"]
+    for shares in (2, 3):
+        assert _split_check(monkeypatch, auction, shares, trials) == serial
+
+
+@pytest.mark.parametrize("why", ["exit", "no-fork"])
+def test_share_without_result_is_run_here(why, auction, monkeypatch, marked_scripts):
+    """A child that exits without sending its share's result, or a child
+    that cannot be made, leaves its share to this process, and the report
+    is the serial one."""
+    serial = _split_check(monkeypatch, auction, 1, 30)
+    if why == "exit":
+        here = os.getpid()
+        marked_scripts["fail"] = lambda pid, mark: pid == here or os._exit(3)
+    else:
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert _split_check(monkeypatch, auction, 3, 30) == serial
+
+
+@pytest.mark.parametrize("failing", [25, 2], ids=["child-share", "own-share"])
+def test_failure_is_raised_as_in_a_serial_run(failing, auction, monkeypatch,
+                                              marked_scripts):
+    """A script that raises, in a child's share or in this process's own,
+    raises the serial run's exception after the serial run's atomicity
+    entries, and leaves no child behind."""
+    marks = [x for x in _split_check(monkeypatch, auction, 1, 30)[1] if isinstance(x, str)]
+
+    def fail(pid, mark):
+        if mark == marks[failing]:
+            raise ValueError(f"script {failing} fails")
+    marked_scripts["fail"] = fail
+    outcomes = []
+    for shares in (1, 3):
+        log = []
+        with pytest.raises(ValueError) as e:
+            _split_check(monkeypatch, auction, shares, 30, log)
+        outcomes.append((str(e.value), log))
+    assert outcomes[0][0] == f"script {failing} fails"
+    assert [x for x in outcomes[0][1] if isinstance(x, str)] == marks[:failing]
+    assert outcomes[1] == outcomes[0]
+
+
+
+class _InterruptedRead:
+    """`open` for asp.diff whose read is interrupted, as by Ctrl-C."""
+
+    def __init__(self, fd, mode):
+        self.file = open(fd, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def read(self):
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("where", ["read", "merge"])
+def test_interrupted_collect_leaves_no_child(where, auction, monkeypatch):
+    """An interrupt while this process reads a child's result, or merges
+    it, propagates as it is, and every child, that one and those not yet
+    collected, is stopped and reaped."""
+    if where == "read":
+        monkeypatch.setattr(asp.diff, "open", _InterruptedRead, raising=False)
+    else:
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(asp.diff, "_merge", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _split_check(monkeypatch, auction, 3, 30)
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({}, math.inf),
+    ({"cpu.max": "max 100000\n"}, math.inf),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, math.inf),
+    ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+], ids=["none", "v2-max", "v2-1.5", "v2-0.5", "v1-none", "v1-2"])
+def test_cpu_quota_is_read_from_the_cgroup(files, cpus, tmp_path):
+    """The CPUs a cgroup v2 or v1 quota allows, rounded up; no quota is no
+    limit."""
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert asp.diff._cpu_quota(str(tmp_path)) == cpus
+
+
+def test_shares_stay_within_the_quota_and_the_cap(monkeypatch):
+    """A check makes no more shares than a CPU quota allows, nor more than
+    MAX_SHARES however many CPUs the process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert asp.diff._usable_cpus() == min(asp.diff.MAX_SHARES, asp.diff._cpu_quota())
+    monkeypatch.setattr(asp.diff, "_cpu_quota", lambda: 1)
+    assert asp.diff._usable_cpus() == 1
 
 WIDE = """
 contract Wide() {
@@ -355,7 +516,7 @@ contract Rd() issues Token(6) {
     pytest.param(OPS, 256, id="256"), pytest.param(OPS, 8, id="8"),
     pytest.param(READS, 256, id="reads-256"), pytest.param(READS, 8, id="reads-8"),
 ])
-def test_operations_agree_with_the_cascade(source, word_bits, monkeypatch):
+def test_operations_agree_with_the_cascade(source, word_bits, monkeypatch, one_share):
     """Every message commits on the IR interpreter as on the cascade. OPS:
     token burn, change_owner, timer reset and value, nat and int
     subtraction, `*`, `%`, comparisons and the boolean connectives. READS:
@@ -511,6 +672,20 @@ def test_rejection_names_its_cause():
         with pytest.raises(Rejected) as e:
             env_input(system, config, 0, letter)
         assert e.value.message == message
+
+
+@pytest.mark.parametrize("item, message", [
+    ("input nest put(coin(1), bob) from bob",
+     "line 2: 'put' is receivable by 'nest' at state 'S', but its action is undefined"),
+    ("input nest nope from bob", "line 2: 'nope' is not receivable by 'nest' at state 'S'"),
+], ids=["undefined-action", "not-receivable"])
+def test_simulate_reports_the_rejection_at_its_line(item, message, tmp_path):
+    """`asp simulate` reports an input the cascade rejects at its line, with
+    the rejection's own text."""
+    r = _asp("simulate", tmp_path, NEST, f"new nest = Nest() by alice\n{item}\n")
+    assert r.returncode == 1
+    diag = json.loads(r.stdout)
+    assert (diag["code"], diag["line"], diag["message"]) == ("ScriptError", 2, message)
 
 
 @pytest.mark.parametrize("contract,news", SYSTEMS)
@@ -798,12 +973,15 @@ contract C(x: nat) {
 @pytest.mark.parametrize("command", ["simulate", "diff"])
 @pytest.mark.parametrize("assertion, message", [
     ("10 / c.x == 1", "assertion is undefined"),
+    ("c.x - 1 == 0 - 1", "assertion is undefined"),
     ("c.x == 1", "assertion evaluated to False"),
-], ids=["undefined", "false"])
+    ("c.x + 2 - 1 == 1 && c.x == 1", "assertion evaluated to False"),
+], ids=["undefined", "nat-sub", "false", "nat-sub-defined"])
 def test_failed_assertion_is_reported_at_its_line(assertion, message, command, tmp_path):
-    """A script assertion that is undefined (here: divides by zero) fails
-    as undefined, and one that is false as false, at its line with exit
-    1, in both runners."""
+    """A script assertion that is undefined fails as undefined, and one
+    that is false as false, at its line with exit 1, in both runners. An
+    assertion is evaluated as typed: `nat - nat` below zero is undefined,
+    as in contract code, not a negative int; above zero it is defined."""
     script = f"new c = C(0) by alice\ninput c go() from bob\nassert {assertion}\n"
     r = _asp(command, tmp_path, KEEPS_X, script)
     assert r.returncode == 1
