@@ -7,6 +7,7 @@ the typechecker, which returns wrapped Typed* structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from operator import is_
 
 from .diagnostics import NOPOS, Pos
@@ -107,6 +108,12 @@ class Quant(Expr):
     typ: SemType
     body: Expr
     pos: Pos = field(default=NOPOS, compare=False)
+
+
+def chain(op: str, parts) -> Expr:
+    """The parts joined by a binary operator and nested to the left, as the
+    parser nests `a && b && c`; `parts` is not empty."""
+    return reduce(lambda left, right: Binop(op, left, right), parts)
 
 
 def children(e: Expr) -> tuple[Expr, ...]:

@@ -47,7 +47,8 @@ def _config_value(args, name: str, default):
     env = os.environ.get("ASP_" + name.upper())
     if env is not None:
         return env
-    return args.config.get(name, default)
+    value = args.config.get(name)  # a null value counts as unset
+    return default if value is None else value
 
 
 def _int_option(args, name: str, default, least: int | None = None):

@@ -52,7 +52,7 @@ from types import MappingProxyType
 
 from .ast_nodes import (
     Assign, Binop, Builtin, Expr, Lit, OpStmt, Quant, SemType, Var,
-    children, map_children, membership_maps, stmt_exprs,
+    chain, children, map_children, membership_maps, stmt_exprs,
 )
 from .compile import CannotCompile, Compiler
 from .machine import (
@@ -191,13 +191,7 @@ def expand_quants(e: Expr, bounds: DomainBounds) -> Expr:
     if not isinstance(e, Quant):
         return e
     parts = [subst_expr(e.body, {e.var: Lit(v)}) for v in scalar_domain(e.typ, bounds, None)]
-    if not parts:
-        return Lit(e.kind == "forall")
-    op = "&&" if e.kind == "forall" else "||"
-    out = parts[0]
-    for p in parts[1:]:
-        out = Binop(op, out, p)
-    return out
+    return chain("&&" if e.kind == "forall" else "||", parts)
 
 
 def split_conjuncts(e: Expr) -> list[Expr]:

@@ -52,7 +52,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .ast_nodes import Assign, Binop, Builtin, If, Lit, OpStmt, Quant, Send, Unop, Var
+from .ast_nodes import Assign, Binop, Builtin, If, Lit, OpStmt, Send, Unop, Var
 from .lower import ContractIR, SystemIR
 from .values import (
     ADDR_NONE, Undef, coin_cut, div, flat, issue_supply, mod, nat_sub, seq_get,
@@ -341,13 +341,6 @@ def _binop(bd, e: Binop, scope):
 @_rule(_EXPRS, Builtin)
 def _builtin(bd, e: Builtin, scope):
     return _BUILTINS[e.ns, e.op](bd, e, *(bd.expr(a, scope) for a in e.args))
-
-
-@_rule(_EXPRS, Quant)
-def _quant(bd, e: Quant, scope):
-    def quant(st, b):
-        raise Undef("quantifier in executable code")
-    return quant
 
 
 def _unary(fn):

@@ -13,7 +13,22 @@ from .ast_nodes import (
 from .diagnostics import ParseError
 from .lexer import Token, tokenize
 
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+# The binary operators by level, loosest first, with each level's
+# associativity: "right" nests `a op b op c` to the right, "left" to the
+# left, and a "none" level takes no operand of its own level unless it is
+# parenthesized, so `a < b < c` stops before the second operator.
+LEVELS = (
+    ("right", ("==>",)),
+    ("left", ("||",)),
+    ("left", ("&&",)),
+    ("none", ("==", "!=", "<", "<=", ">", ">=")),
+    ("left", ("+", "-")),
+    ("left", ("*", "/", "%")),
+)
+# operator -> (level, associativity); level 1 binds loosest, and the
+# printer reads 0 as no enclosing operator and len(LEVELS) + 1 as unary.
+BINARY = {op: (level, assoc)
+          for level, (assoc, ops) in enumerate(LEVELS, 1) for op in ops}
 
 
 class TokenStream:
@@ -59,64 +74,39 @@ class TokenStream:
     def ident(self) -> str:
         return self.expect("ident").text
 
+    def comma_list(self, item, closer: str | None = None) -> tuple:
+        """`item ("," item)*`, each item read by `item(self)`; empty when
+        the next token is `closer`, which is left for the caller."""
+        if closer is not None and self.at(closer):
+            return ()
+        out = [item(self)]
+        while self.accept(","):
+            out.append(item(self))
+        return tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
-def parse_expr(ts: TokenStream) -> Expr:
-    return _implication(ts)
-
-
-def _implication(ts) -> Expr:
-    left = _or(ts)
-    if ts.at("==>"):
-        pos = ts.next().pos
-        right = _implication(ts)  # right-associative
-        return Binop("==>", left, right, pos)
-    return left
-
-
-def _or(ts) -> Expr:
-    left = _and(ts)
-    while ts.at("||"):
-        pos = ts.next().pos
-        left = Binop("||", left, _and(ts), pos)
-    return left
-
-
-def _and(ts) -> Expr:
-    left = _cmp(ts)
-    while ts.at("&&"):
-        pos = ts.next().pos
-        left = Binop("&&", left, _cmp(ts), pos)
-    return left
-
-
-def _cmp(ts) -> Expr:
-    left = _add(ts)
-    for op in CMP_OPS:
-        if ts.at(op):
-            pos = ts.next().pos
-            return Binop(op, left, _add(ts), pos)
-    return left
-
-
-def _add(ts) -> Expr:
-    left = _mul(ts)
-    while ts.at("+") or ts.at("-"):
-        tok = ts.next()
-        left = Binop(tok.kind, left, _mul(ts), tok.pos)
-    return left
-
-
-def _mul(ts) -> Expr:
+def parse_expr(ts: TokenStream, lowest: int = 1) -> Expr:
+    """An expression whose binary operators are all of level `lowest` or
+    above, by precedence climbing over LEVELS. After an operator of level
+    L the loop takes only operators of level L or below (below L for a
+    "none" level), so a comparison never takes a comparison as its left
+    operand, even where an enclosing loop would."""
     left = _unary(ts)
-    while ts.at("*") or ts.at("/") or ts.at("%"):
-        tok = ts.next()
-        left = Binop(tok.kind, left, _unary(ts), tok.pos)
-    return left
+    highest = len(LEVELS)
+    while True:
+        tok = ts.peek()
+        level, assoc = BINARY.get(tok.kind, (0, None))
+        if not lowest <= level <= highest:
+            return left
+        ts.next()
+        right = parse_expr(ts, level if assoc == "right" else level + 1)
+        left = Binop(tok.kind, left, right, tok.pos)
+        highest = level - 1 if assoc == "none" else level
 
 
 def _unary(ts) -> Expr:
@@ -127,35 +117,28 @@ def _unary(ts) -> Expr:
 
 
 def _primary(ts) -> Expr:
-    tok = ts.peek()
+    tok = ts.next()
     if tok.kind == "number":
-        ts.next()
         return Lit(int(tok.text), tok.pos)
     if tok.kind == "(":
-        ts.next()
         e = parse_expr(ts)
         ts.expect(")")
         return e
     if tok.kind == "ident":
         if tok.text in ("true", "false"):
-            ts.next()
             return Lit(tok.text == "true", tok.pos)
         if tok.text in ("forall", "exists"):
-            ts.next()
             var = ts.ident()
             ts.expect(":")
             typ = parse_type(ts)
             ts.expect(":")
             body = parse_expr(ts)
             return Quant(tok.text, var, typ, body, tok.pos)
-        ts.next()
-        if ts.at("."):
-            ts.next()
+        if ts.accept("."):
             op = ts.ident()
             args: tuple[Expr, ...] = ()
-            if ts.at("("):
-                ts.next()
-                args = tuple(_expr_list(ts, ")"))
+            if ts.accept("("):
+                args = ts.comma_list(parse_expr, ")")
                 ts.expect(")")
             return Builtin(tok.text, op, args, tok.pos)
         return Var(tok.text, tok.pos)
@@ -163,15 +146,6 @@ def _primary(ts) -> Expr:
         f"expected expression, found {tok.text or tok.kind!r}", tok.pos,
         expected=("expression",),
     )
-
-
-def _expr_list(ts, closer: str) -> list[Expr]:
-    if ts.at(closer):
-        return []
-    out = [parse_expr(ts)]
-    while ts.accept(","):
-        out.append(parse_expr(ts))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +172,9 @@ def parse_type(ts: TokenStream) -> SemType:
         return SemType("seq", (e,))
     if name == "tuple":
         ts.expect("[")
-        items = [parse_type(ts)]
-        while ts.accept(","):
-            items.append(parse_type(ts))
+        items = ts.comma_list(parse_type)
         ts.expect("]")
-        return SemType("tuple", tuple(items))
+        return SemType("tuple", items)
     raise ParseError(f"unknown type {name!r}", tok.pos, expected=PRIM_TYPES)
 
 
@@ -213,31 +185,26 @@ def parse_type(ts: TokenStream) -> SemType:
 
 def parse_stmt(ts: TokenStream) -> Stmt:
     tok = ts.peek()
-    if ts.at_kw("if"):
-        ts.next()
+    if ts.accept("ident", "if"):
         cond = parse_expr(ts)
         ts.expect_kw("then")
         then = _stmt_or_block(ts)
         els: tuple[Stmt, ...] = ()
-        if ts.at_kw("else"):
-            ts.next()
+        if ts.accept("ident", "else"):
             els = _stmt_or_block(ts)
         return If(cond, then, els, tok.pos)
     # Everything else starts as an expression, then dispatches on what
     # follows: "=" assignment, "!!" send, or a bare namespaced operation.
     e = parse_expr(ts)
-    if ts.at("="):
-        ts.next()
+    if ts.accept("="):
         if not isinstance(e, Var):
             raise ParseError("assignment target must be a variable", tok.pos)
         return Assign(e.name, parse_expr(ts), tok.pos)
-    if ts.at("!!"):
-        ts.next()
+    if ts.accept("!!"):
         msg = ts.ident()
         args: tuple[Expr, ...] = ()
-        if ts.at("("):
-            ts.next()
-            args = tuple(_expr_list(ts, ")"))
+        if ts.accept("("):
+            args = ts.comma_list(parse_expr, ")")
             ts.expect(")")
         dest = None if isinstance(e, Var) and e.name == "log" else e
         return Send(dest, msg, args, tok.pos)
@@ -274,30 +241,21 @@ def parse_contract(ts: TokenStream) -> ContractDecl:
     pos = ts.expect_kw("contract").pos
     name = ts.ident()
     ts.expect("(")
-    params: list[tuple[str, SemType]] = []
-    if not ts.at(")"):
-        while True:
-            pname = ts.ident()
-            ts.expect(":")
-            params.append((pname, parse_type(ts)))
-            if not ts.accept(","):
-                break
+    params = ts.comma_list(_param, ")")
     ts.expect(")")
 
     issues = False
     issue_limit: Expr | None = None
     where: Expr | None = None
     while True:
-        if ts.at_kw("issues"):
-            ts.next()
+        if ts.accept("ident", "issues"):
             ts.expect_kw("Token")
             ts.expect("(")
             if not ts.at(")"):
                 issue_limit = parse_expr(ts)
             ts.expect(")")
             issues = True
-        elif ts.at_kw("where"):
-            ts.next()
+        elif ts.accept("ident", "where"):
             where = parse_expr(ts)
         else:
             break
@@ -308,57 +266,17 @@ def parse_contract(ts: TokenStream) -> ContractDecl:
     initial: str | None = None
     states: list[StateDecl] = []
     while not ts.at("}"):
-        if ts.at_kw("msg"):
-            ts.next()
-            while True:
-                mpos = ts.peek().pos
-                mname = ts.ident()
-                mparams: tuple[SemType, ...] = ()
-                if ts.at("("):
-                    ts.next()
-                    ps = [parse_type(ts)]
-                    while ts.accept(","):
-                        ps.append(parse_type(ts))
-                    ts.expect(")")
-                    mparams = tuple(ps)
-                messages.append(MsgSig(mname, mparams, mpos))
-                if not ts.accept(","):
-                    break
+        if ts.accept("ident", "msg"):
+            messages.extend(ts.comma_list(_msg_sig))
             ts.expect(";")
         elif ts.at_kw("var") or (ts.at_kw("ghost") and ts.peek(1).text == "var"):
-            ghost = False
-            if ts.at_kw("ghost"):
-                ts.next()
-                ghost = True
+            ghost = ts.accept("ident", "ghost") is not None
             ts.expect_kw("var")
-            while True:
-                # one group: name (, name)* : type [default lit] [:= expr]
-                group = [(ts.peek().pos, ts.ident())]
-                while ts.at(",") and ts.peek(1).kind == "ident" and \
-                        ts.peek(2).kind == ",":
-                    ts.next()
-                    group.append((ts.peek().pos, ts.ident()))
-                if ts.at(",") and ts.peek(1).kind == "ident" and \
-                        ts.peek(2).kind == ":":
-                    ts.next()
-                    group.append((ts.peek().pos, ts.ident()))
-                ts.expect(":")
-                vtyp = parse_type(ts)
-                default = None
-                init = None
-                if ts.at_kw("default"):
-                    ts.next()
-                    default = _unary(ts)
-                if ts.at(":="):
-                    ts.next()
-                    init = parse_expr(ts)
-                for vpos, vname in group:
-                    vars_.append(VarDecl(vname, vtyp, ghost, default, init, vpos))
-                if not ts.accept(","):
-                    break
+            for group, vtyp, default, init in ts.comma_list(_var_group):
+                vars_.extend(VarDecl(vname, vtyp, ghost, default, init, vpos)
+                             for vpos, vname in group)
             ts.expect(";")
-        elif ts.at_kw("initial"):
-            ts.next()
+        elif ts.accept("ident", "initial"):
             initial = ts.ident()
             ts.expect(";")
         elif ts.at_kw("state"):
@@ -373,9 +291,42 @@ def parse_contract(ts: TokenStream) -> ContractDecl:
     if initial is None:
         raise ParseError(f"contract {name} declares no initial state", pos)
     return ContractDecl(
-        name, tuple(params), where, issues, issue_limit,
+        name, params, where, issues, issue_limit,
         tuple(messages), tuple(vars_), initial, tuple(states), pos,
     )
+
+
+def _param(ts: TokenStream) -> tuple[str, SemType]:
+    name = ts.ident()
+    ts.expect(":")
+    return name, parse_type(ts)
+
+
+def _msg_sig(ts: TokenStream) -> MsgSig:
+    pos = ts.peek().pos
+    name = ts.ident()
+    params: tuple[SemType, ...] = ()
+    if ts.accept("("):
+        params = ts.comma_list(parse_type)
+        ts.expect(")")
+    return MsgSig(name, params, pos)
+
+
+def _var_group(ts: TokenStream):
+    """One group of a var declaration, `name ("," name)* ":" type
+    ["default" literal] [":=" expr]`, as (positioned names, type, default,
+    init). A "," continues the names only when a name and then "," or ":"
+    follow it; otherwise it starts the next group."""
+    group = [(ts.peek().pos, ts.ident())]
+    while ts.at(",") and ts.peek(1).kind == "ident" and \
+            ts.peek(2).kind in (",", ":"):
+        ts.next()
+        group.append((ts.peek().pos, ts.ident()))
+    ts.expect(":")
+    vtyp = parse_type(ts)
+    default = _unary(ts) if ts.accept("ident", "default") else None
+    init = parse_expr(ts) if ts.accept(":=") else None
+    return group, vtyp, default, init
 
 
 def _parse_state(ts: TokenStream) -> StateDecl:
@@ -397,26 +348,17 @@ def _parse_transition(ts: TokenStream, source: str) -> Transition:
         ts.expect("??")
         msg = ts.ident()
         binders: tuple[str, ...] = ()
-        if ts.at("("):
-            ts.next()
-            bs = [ts.ident()]
-            while ts.accept(","):
-                bs.append(ts.ident())
+        if ts.accept("("):
+            binders = ts.comma_list(TokenStream.ident)
             ts.expect(")")
-            binders = tuple(bs)
         input_guard = InputGuard(sender, msg, binders, pos)
     when = None
     access = None
     while True:
-        if ts.at_kw("when"):
-            ts.next()
+        if ts.accept("ident", "when"):
             when = parse_expr(ts)
-        elif ts.at_kw("by"):
-            ts.next()
-            access = ("by", parse_expr(ts))
-        elif ts.at_kw("notby"):
-            ts.next()
-            access = ("notby", parse_expr(ts))
+        elif ts.at_kw("by") or ts.at_kw("notby"):
+            access = (ts.next().text, parse_expr(ts))
         else:
             break
     ts.expect("->")

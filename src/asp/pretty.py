@@ -5,12 +5,11 @@ from .ast_nodes import (
     Assign, Binop, Builtin, ContractDecl, Expr, If, Lit, OpStmt, Program,
     Quant, Send, Stmt, Transition, Unop, Var,
 )
+from .parser import BINARY, LEVELS
 
-_PREC = {
-    "==>": 1, "||": 2, "&&": 3,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "-nat": 5, "*": 6, "/": 6, "%": 6,
-}
+# The parser's levels, and the typechecker's nat subtraction, printed "-".
+_PREC = {**BINARY, "-nat": BINARY["-"]}
+_UNARY = len(LEVELS) + 1
 
 
 def fmt_expr(e: Expr, parent_prec: int = 0) -> str:
@@ -21,15 +20,20 @@ def fmt_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unop):
-        return f"{e.op}{fmt_expr(e.operand, 7)}"
+        operand = fmt_expr(e.operand, _UNARY)
+        # "!!" lexes as a send, so a negated negation keeps a space.
+        return f"{e.op} {operand}" if e.op + operand[0] == "!!" else e.op + operand
     if isinstance(e, Binop):
-        prec = _PREC[e.op]
+        prec, assoc = _PREC[e.op]
         op = "-" if e.op == "-nat" else e.op
-        # Comparison is non-associative; implication is right-associative.
-        lp = prec if e.op != "==>" else prec + 1
-        rp = prec + 1 if e.op != "==>" else prec
+        # An operand is read one level up on the side its level does not
+        # associate to; a "none" level is also parenthesized at its own
+        # level, which includes the right operand of the level below it.
+        lp = prec + (assoc == "right")
+        rp = prec + (assoc != "right")
         s = f"{fmt_expr(e.left, lp)} {op} {fmt_expr(e.right, rp)}"
-        return f"({s})" if prec < parent_prec or prec == 4 and parent_prec == 4 else s
+        own = assoc == "none" and prec == parent_prec
+        return f"({s})" if prec < parent_prec or own else s
     if isinstance(e, Builtin):
         if not e.args:
             return f"{e.ns}.{e.op}"
@@ -48,7 +52,7 @@ def fmt_stmt(s: Stmt, indent: str) -> list[str]:
         args = ", ".join(fmt_expr(a) for a in s.args)
         return [f"{indent}{s.ns}.{s.op}({args});"]
     if isinstance(s, Send):
-        dest = "log" if s.is_log else fmt_expr(s.dest, 7)
+        dest = "log" if s.is_log else fmt_expr(s.dest, _UNARY)
         args = f"({', '.join(fmt_expr(a) for a in s.args)})" if s.args else ""
         return [f"{indent}{dest}!!{s.msg}{args};"]
     if isinstance(s, If):

@@ -118,14 +118,11 @@ def _parse_literal(ts: TokenStream):
 
 
 def _parse_args(ts: TokenStream):
-    args = []
-    if ts.accept("("):
-        if not ts.at(")"):
-            args.append(_parse_literal(ts))
-            while ts.accept(","):
-                args.append(_parse_literal(ts))
-        ts.expect(")")
-    return tuple(args)
+    if not ts.accept("("):
+        return ()
+    args = ts.comma_list(_parse_literal, ")")
+    ts.expect(")")
+    return args
 
 
 def _misplaced_marker(line: int) -> ScriptError:

@@ -158,9 +158,7 @@ def _parse_rank_entries(ts: TokenStream, tc: TypedContract, rank_len: int,
         if state is None:
             raise SketchError("rank case before any @State label", pos)
         ts.expect("(")
-        exprs = [parse_expr(ts)]
-        while ts.accept(","):
-            exprs.append(parse_expr(ts))
+        exprs = ts.comma_list(parse_expr)
         ts.expect(")")
         if len(exprs) != rank_len:
             raise SketchError(

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .ast_nodes import (
-    Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, stmt_exprs,
-    walk_stmts,
+    Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, chain,
+    stmt_exprs, walk_stmts,
 )
 from .diagnostics import SketchError
 from .sketch import ProofSketch
@@ -138,31 +138,17 @@ def _neg(e: Expr) -> Expr:
     return Unop("!", e)
 
 
-def _conj(exprs) -> Expr:
-    exprs = list(exprs)
-    if not exprs:
-        return Lit(True)
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Binop("&&", out, e)
-    return out
-
-
 def _not_goal(goal_conjs) -> tuple[Expr, ...]:
     """Conjuncts expressing that the goal does NOT hold at a state; the
     goal defaults to false, where the negation is vacuous."""
     if goal_conjs is None:
         return ()
-    return (_neg(_conj(goal_conjs)),)
+    return (_neg(chain("&&", goal_conjs)),)
 
 
 def time_guard(tc: TypedContract) -> Expr:
     """Some timer is active (the time transition's enabling condition)."""
-    parts = [Builtin("Timer", "is_active", (Var(n),)) for n in tc.timers]
-    out = parts[0]
-    for p in parts[1:]:
-        out = Binop("||", out, p)
-    return out
+    return chain("||", [Builtin("Timer", "is_active", (Var(n),)) for n in tc.timers])
 
 
 def time_step(tc: TypedContract, state: str) -> TypedTransition:

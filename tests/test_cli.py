@@ -453,6 +453,20 @@ def test_bad_config_value_exit_two(config, tmp_path):
     assert json.loads(r.stderr)["code"] == "UsageError"
 
 
+def test_null_config_value_counts_as_unset(tmp_path, monkeypatch):
+    """A config key set to null takes the option's default, as a missing
+    key does; `"word_bits": null` used to escape `main` as a TypeError."""
+    from asp.cli import main
+    monkeypatch.chdir(tmp_path)
+    config = {"trials": 2, "word_bits": None, "seed": None,
+              "reentrancy_limit": None, "out": None}
+    (tmp_path / "asp.config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["diff", str(CORPUS / "etherstore_attack.asp"),
+                 "--script", str(CORPUS / "etherstore_attack.aspscript")]) == 0
+    report = json.loads((tmp_path / "diff_report.json").read_text())
+    assert report["trials"] == 2
+
+
 def test_compile_unsupported_layout_exit_one(tmp_path):
     """A contract the Solidity back end has no layout for is a diagnostic
     naming the contract and the type, and no .sol file is written."""

@@ -1,10 +1,13 @@
 """Lexing, parsing, printing, and the contract corpus."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from asp.diagnostics import LexError, ParseError
+from asp.ast_nodes import PRIM_TYPES, Binop, Builtin, Lit, Quant, SemType, Unop, Var
+from asp.diagnostics import LexError, ParseError, Pos
 from asp.lexer import tokenize
-from asp.parser import parse_expression, parse_program
-from asp.pretty import fmt_program
+from asp.parser import BINARY, parse_expression, parse_program
+from asp.pretty import fmt_expr, fmt_program
 from conftest import CORPUS, load
 
 
@@ -107,3 +110,100 @@ def test_quantifier_parses():
     e = parse_expression("forall b: address : b != Address.none")
     from asp.ast_nodes import Quant
     assert isinstance(e, Quant) and e.var == "b"
+
+
+def _nested(e) -> str:
+    """e printed with every operation and quantifier parenthesized."""
+    if isinstance(e, Binop):
+        return f"({_nested(e.left)} {e.op} {_nested(e.right)})"
+    if isinstance(e, Unop):
+        return f"{e.op}({_nested(e.operand)})"
+    if isinstance(e, Quant):
+        return f"({e.kind} {e.var}: {e.typ} : {_nested(e.body)})"
+    if isinstance(e, Builtin) and e.args:
+        return f"{e.ns}.{e.op}({', '.join(map(_nested, e.args))})"
+    return fmt_expr(e)
+
+
+@pytest.mark.parametrize("src,nested", [
+    ("a ==> b ==> c", "(a ==> (b ==> c))"),
+    ("a - b - c", "((a - b) - c)"),
+    ("a / b % c * d", "(((a / b) % c) * d)"),
+    ("a || b && c", "(a || (b && c))"),
+    ("a && b || c ==> d", "(((a && b) || c) ==> d)"),
+    ("a ==> b || c && d", "(a ==> (b || (c && d)))"),
+    ("a - b * c + d", "((a - (b * c)) + d)"),
+    ("a < b + 1 && c != d", "((a < (b + 1)) && (c != d))"),
+    ("-a * b == !c", "((-(a) * b) == !(c))"),
+    ("(a < b) < c", "((a < b) < c)"),
+])
+def test_operator_levels_and_associativity(src, nested):
+    assert _nested(parse_expression(src)) == nested
+
+
+@pytest.mark.parametrize("src,op,col", [
+    ("a < b < c", "<", 7), ("a == b != c", "!=", 8),
+    ("x && a >= b == c", "==", 13), ("a ==> b < c + 1 > d", ">", 17),
+])
+def test_comparisons_do_not_chain(src, op, col):
+    """A comparison takes no comparison as its left operand: the second
+    comparison operator is where the expression ends."""
+    with pytest.raises(ParseError) as exc:
+        parse_expression(src)
+    assert (exc.value.message, exc.value.pos, exc.value.expected) == \
+        (f"expected 'eof', found {op!r}", Pos(1, col), ("eof",))
+
+
+_ATOMS = st.one_of(
+    st.integers(0, 300).map(Lit), st.booleans().map(Lit),
+    st.sampled_from(["a", "b", "x"]).map(Var),
+    st.just(Builtin("Address", "none")))
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds(Binop, st.sampled_from(sorted(BINARY)), inner, inner),
+        st.builds(Unop, st.sampled_from(["!", "-"]), inner),
+        st.builds(Builtin, st.just("Coin"), st.just("value"), st.tuples(inner)),
+        st.builds(Builtin, st.just("Map"), st.just("get"), st.tuples(inner, inner)),
+        st.builds(Quant, st.sampled_from(["forall", "exists"]), st.sampled_from(["a", "y"]),
+                  st.sampled_from([SemType("nat"), SemType("address")]), inner))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=12))
+@example(Unop("!", Unop("!", Var("a"))))
+def test_print_parse_round_trip(e):
+    """Every expression over the operators of the table, `!`, unary `-`,
+    literals, builtins and quantifiers parses back from its printed form,
+    and from its fully parenthesized form. A negated negation prints as
+    `! !a`: `!!` is the send token."""
+    assert parse_expression(fmt_expr(e)) == e
+    assert parse_expression(_nested(e)) == e
+
+
+def _contract(body: str) -> str:
+    return f"contract C() {{\n  var x: nat;\n  initial A;\n{body}\n}}"
+
+
+@pytest.mark.parametrize("src,message,pos,expected", [
+    ("a + )", "expected expression, found ')'", Pos(1, 5), ("expression",)),
+    ("contract C(p: money) { initial A; state A: }",
+     "unknown type 'money'", Pos(1, 15), PRIM_TYPES),
+    (_contract("  state A:\n  | -> A { x + 1 = 2; }"),
+     "assignment target must be a variable", Pos(5, 12), ()),
+    (_contract("  state A:\n  | -> A { x + 1; }"),
+     "expression is not a statement", Pos(5, 12), ("=", "!!")),
+    (_contract("  func f;"), "expected contract item, found 'func'", Pos(4, 3),
+     ("msg", "var", "ghost", "initial", "state")),
+    ("\n contract D() { state A: }", "contract D declares no initial state",
+     Pos(2, 2), ()),
+])
+def test_parse_error_sites(src, message, pos, expected):
+    """Each of these ParseErrors keeps its message, position and
+    expected tokens."""
+    parse = parse_expression if src == "a + )" else parse_program
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.message, exc.value.pos, exc.value.expected) == \
+        (message, pos, expected)

@@ -7,18 +7,19 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from asp import discharge
-from asp.ast_nodes import Binop, Builtin, Lit, Quant, SemType, Unop, Var
-from asp.diagnostics import SketchError
+from asp.ast_nodes import PRIM_TYPES, Binop, Builtin, Lit, Quant, SemType, Unop, Var
+from asp.diagnostics import SketchError, TypecheckError
 from asp.discharge import (
     _CHECKS, Counterexample, DomainBounds, Valid, _finitize, _hypothesis_schedule,
     discharge_bounded, discharge_naive, expand_quants, replay_counterexample,
+    scalar_domain,
 )
 from asp.machine import advance_instance
 from asp.parser import parse_program
 from asp import compile as codegen
 from asp.prove import FiniteModel, check_proof, game_solve, reach_search
 from asp.sketch import parse_proof_sketch
-from asp.typecheck import subst_expr, typecheck
+from asp.typecheck import ExprChecker, subst_expr, typecheck
 from asp.values import Coin, MapVal, SeqVal, TupVal
 from asp.vcgen import generate_vcs
 from conftest import CRITERION_9_PAIRS, load, typed
@@ -67,6 +68,35 @@ def test_closed_sketch_shape(closed_sketch):
 def test_empty_sketch_rejected(auction):
     with pytest.raises(SketchError):
         parse_proof_sketch("safety nothing { }", auction)
+
+
+def test_goal_entries_are_never_empty(auction, closed_sketch):
+    """A state's goal entry holds at least one conjunct, and a state with
+    none has no entry, so a negated goal never folds an empty conjunction."""
+    empty = parse_proof_sketch(
+        "reachability r(1) { goal = { } rank = { @StartAuction | (0) } }", auction)
+    assert empty.goal == {} and empty.goal_at("StartAuction") is None
+    two = parse_proof_sketch("reachability r(1) { goal = { @AuctionClosed true "
+                             "@AuctionClosed 1 == 1 } rank = { @StartAuction | (0) } }",
+                             auction)
+    assert len(two.goal["AuctionClosed"]) == 2
+    assert all(closed_sketch.goal.values())
+
+
+def test_quantified_domains_are_never_empty():
+    """Every type a quantifier may range over has a non-empty domain at
+    the least bounds, so quantifier expansion never folds an empty
+    conjunction or disjunction."""
+    least = DomainBounds(addresses=1, nat_max=0, timer_max=0, seq_max=0)
+    quantifiable = []
+    for typ in [SemType(k) for k in PRIM_TYPES] + [SemType("seq", (SemType("nat"),))]:
+        try:
+            ExprChecker({}, allow_quant=True).check(Quant("forall", "v", typ, Lit(True)))
+        except TypecheckError:
+            continue
+        quantifiable.append(typ.kind)
+        assert scalar_domain(typ, least, None)
+    assert sorted(quantifiable) == ["address", "bool", "int", "nat"]
 
 
 def test_unknown_state_label(auction):

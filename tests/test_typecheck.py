@@ -422,3 +422,15 @@ def test_ghost_erasure_well_typed(auction):
     orig_bid = [t for t in auction.contract("SimpleAuction").transitions
                 if t.msg == "bid"][0]
     assert len(bid.action) == len(orig_bid.action) - 2
+
+
+@pytest.mark.parametrize("site", [
+    "when forall b: nat : b == b -> A",
+    "-> A { ok = exists b: bool : b; }",
+])
+def test_quantifier_in_contract_code_rejected(site):
+    """Contract code holds no quantifier, so the IR's closure builders
+    need no rule for one."""
+    err = expect_error("contract C() { msg go; var ok: bool; initial A; "
+                       f"state A: | a??go {site} }}", "TypeError")
+    assert err.message == "quantifiers are not allowed in contract code"
