@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var
+from .ast_nodes import Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Send, Stmt, Unop, Var
 from .values import (
     ABSENT, Undef, coin_cut, div, issue_supply, mod, nat_sub, seq_get, timer_read,
     timer_start, timer_tick, token_burn, token_cut, token_merge,
@@ -131,8 +131,6 @@ class Compiler:
             return f"({l} {e.op} {r})"
         if isinstance(e, Builtin):
             return self._builtin(e, env)
-        if isinstance(e, Quant):
-            raise CannotCompile("quantifier (expand first)")
         raise CannotCompile(repr(e))
 
     def _map_args(self, base: Expr):

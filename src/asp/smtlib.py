@@ -38,6 +38,21 @@ def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "_" else "_" for ch in name)
 
 
+# the sort of each kind but map; a token is its amount (kinds are outside
+# the fragment)
+_SORTS = {"int": "Int", "nat": "Int", "bool": "Bool", "address": "Addr", "coin": "Int",
+          "token": "Int", "timer": "Timer"}
+# the zero term of each kind but address and map
+_ZEROS = {"int": "0", "nat": "0", "coin": "0", "token": "0", "bool": "false", "timer": "T_Off"}
+# operators that SMT-LIB spells otherwise (the rest keep their spelling),
+# with the definedness condition each raises over its operands
+_BINOPS = {"&&": ("and", None), "||": ("or", None), "==>": ("=>", None), "==": ("=", None),
+           "!=": ("distinct", None), "/": ("div", "(distinct {r} 0)"),
+           "%": ("mod", "(distinct {r} 0)"), "-nat": ("-", "(>= {l} {r})")}
+_TIMER_TESTERS = {("Timer", "is_off"): "T_Off", ("Timer", "is_active"): "T_Active",
+                  ("Timer", "has_fired"): "T_Fired"}
+
+
 def _and(terms) -> str:
     """The conjunction of SMT terms; `true` for none, as the Core theory's
     `and` takes at least two arguments."""
@@ -52,7 +67,7 @@ class _Emitter:
         self.tc: TypedContract = vc.tc
         self.decls: list[str] = []
         self.asserts: list[str] = []
-        self.defined: list[str] = []  # definedness side conditions
+        self.defined: list[str] = []  # assumed definedness side conditions
         self.addr_consts: dict[str, str] = {}
         self.membership: set[str] = set()  # maps that need a has-array
         self._declared: set[str] = set()
@@ -79,22 +94,11 @@ class _Emitter:
             self.asserts.append(f"(assert (>= {name} 0))")
 
     def sort_of(self, typ) -> str:
-        k = typ.kind
-        if k in ("int", "nat"):
-            return "Int"
-        if k == "bool":
-            return "Bool"
-        if k == "address":
-            return "Addr"
-        if k == "coin":
-            return "Int"
-        if k == "token":
-            return "Int"  # the amount; kinds are outside the fragment
-        if k == "timer":
-            return "Timer"
-        if k == "map":
+        if typ.kind == "map":
             return f"(Array {self.sort_of(typ.args[0])} {self.sort_of(typ.args[1])})"
-        raise EmitUnsupported(f"no SMT sort for {typ}")
+        if typ.kind not in _SORTS:
+            raise EmitUnsupported(f"no SMT sort for {typ}")
+        return _SORTS[typ.kind]
 
     def declare_var(self, name: str, typ) -> str:
         sym = f"v_{_sanitize(name)}"
@@ -129,43 +133,19 @@ class _Emitter:
             return f"(not {inner})" if e.op == "!" else f"(- {inner})"
         if isinstance(e, Binop):
             l, r = self.expr(e.left, env), self.expr(e.right, env)
-            op = e.op
-            if op == "&&":
-                return f"(and {l} {r})"
-            if op == "||":
-                return f"(or {l} {r})"
-            if op == "==>":
-                return f"(=> {l} {r})"
-            if op == "==":
-                return f"(= {l} {r})"
-            if op == "!=":
-                return f"(distinct {l} {r})"
-            if op == "/":
-                self.defined.append(f"(distinct {r} 0)")
-                return f"(div {l} {r})"
-            if op == "%":
-                self.defined.append(f"(distinct {r} 0)")
-                return f"(mod {l} {r})"
-            if op == "-nat":
-                self.defined.append(f"(>= {l} {r})")
-                return f"(- {l} {r})"
-            if op == "-":
-                return f"(- {l} {r})"
+            op, defined = _BINOPS.get(e.op, (e.op, None))
+            if defined is not None:
+                self.defined.append(defined.format(l=l, r=r))
             return f"({op} {l} {r})"
         if isinstance(e, Builtin):
             return self._builtin(e, env)
         if isinstance(e, Quant):
             sort = self.sort_of(e.typ)
             sym = f"q_{_sanitize(e.var)}"
-            inner = dict(env)
-            inner[e.var] = sym
-            body = self.expr(e.body, inner)
-            side = f"(>= {sym} 0) " if e.typ.kind == "nat" else ""
-            quant = "forall" if e.kind == "forall" else "exists"
-            if side:
-                conn = "=>" if e.kind == "forall" else "and"
-                body = f"({conn} {side.strip()} {body})"
-            return f"({quant} (({sym} {sort})) {body})"
+            body = self.expr(e.body, {**env, e.var: sym})
+            if e.typ.kind == "nat":
+                body = f"({'=>' if e.kind == 'forall' else 'and'} (>= {sym} 0) {body})"
+            return f"({e.kind} (({sym} {sort})) {body})"
         raise EmitUnsupported(repr(e))
 
     def _builtin(self, e: Builtin, env) -> str:
@@ -176,12 +156,8 @@ class _Emitter:
             return self.addr("@self")
         if key in (("Coin", "value"), ("Token", "value")):
             return self.expr(e.args[0], env)
-        if key == ("Timer", "is_off"):
-            return f"((_ is T_Off) {self.expr(e.args[0], env)})"
-        if key == ("Timer", "is_active"):
-            return f"((_ is T_Active) {self.expr(e.args[0], env)})"
-        if key == ("Timer", "has_fired"):
-            return f"((_ is T_Fired) {self.expr(e.args[0], env)})"
+        if key in _TIMER_TESTERS:
+            return f"((_ is {_TIMER_TESTERS[key]}) {self.expr(e.args[0], env)})"
         if key == ("Timer", "value"):
             t = self.expr(e.args[0], env)
             self.defined.append(f"((_ is T_Active) {t})")
@@ -212,6 +188,22 @@ class _Emitter:
             has = env.get(base.name + "!has", f"{m}_has")
             return f"(select {has} {self.expr(e.args[0], env)})"
         raise EmitUnsupported(f"{e.ns}.{e.op}")
+
+    def _translate(self, exprs, env) -> tuple[list[str], list[str]]:
+        """The terms of exprs, and the definedness conditions that
+        translating them raises, which are not assumed."""
+        mark = len(self.defined)
+        terms = [self.expr(e, env) for e in exprs]
+        raised = self.defined[mark:]
+        del self.defined[mark:]
+        return terms, raised
+
+    def holds(self, exprs, env) -> list[str]:
+        """The conjuncts of "every expression holds": the definedness
+        conditions of exprs, then their terms. An undefined expression does
+        not hold (`machine.all_true`), so its conditions are required."""
+        terms, raised = self._translate(exprs, env)
+        return raised + terms
 
     def _map_default(self, name: str):
         v = self.tc.vars.get(name)
@@ -334,45 +326,42 @@ class _Emitter:
         if v.init is not None:
             return self.expr(v.init, env)
         k = v.typ.kind
-        if k in ("int", "nat", "coin", "token"):
-            return "0"
-        if k == "bool":
-            return "false"
         if k == "address":
             return self.addr("none")
-        if k == "timer":
-            return "T_Off"
         if k == "map":
             default = self._map_default(v.name)
-            ks = self.sort_of(v.typ.args[0])
-            vs = self.sort_of(v.typ.args[1])
-            return f"((as const (Array {ks} {vs})) {default if default is not None else '0'})"
-        raise EmitUnsupported(f"initial term for {v.typ}")
+            return f"((as const {self.sort_of(v.typ)}) {default if default is not None else '0'})"
+        if k not in _ZEROS:
+            raise EmitUnsupported(f"initial term for {v.typ}")
+        return _ZEROS[k]
 
     def rank_defined(self, cases, env) -> str:
-        """The first matching case exists and its int-typed components are
-        not below zero (a nat component never is where it is defined)."""
+        """The first case whose condition holds exists, and its components
+        are defined and, where typed int, not below zero."""
         if not cases:
             return "false"
         checker = ExprChecker({**self.tc.state_scope(), "__player": ADDRESS}, allow_quant=True)
         conds = []
         prior: list[str] = []
         for case in cases:
-            c = "true" if case.cond is None else self.expr(case.cond, env)
-            nonneg = [f"(>= {self.expr(x, env)} 0)" for x in case.exprs
+            c = "true" if case.cond is None else _and(self.holds([case.cond], env))
+            vals, defined = self._translate(case.exprs, env)
+            nonneg = [f"(>= {v} 0)" for v, x in zip(vals, case.exprs)
                       if checker.infer(x).kind == "int"]
-            conds.append(_and([f"(not {p})" for p in prior] + [c] + nonneg))
+            conds.append(_and([f"(not {p})" for p in prior] + [c] + defined + nonneg))
             prior.append(c)
         return f"(or {' '.join(conds)})" if len(conds) > 1 else conds[0]
 
     def rank_component(self, cases, i: int, env) -> str:
+        """Component i of the rank. Its definedness is rank_defined's, which
+        every obligation requires beside it."""
         term = "0"
         for case in reversed(cases):
-            val = self.expr(case.exprs[i], env)
+            (val,), _ = self._translate([case.exprs[i]], env)
             if case.cond is None:
                 term = val
             else:
-                term = f"(ite {self.expr(case.cond, env)} {val} {term})"
+                term = f"(ite {_and(self.holds([case.cond], env))} {val} {term})"
         return term
 
     def lex_less(self, post: list[str], pre: list[str]) -> str:
@@ -388,7 +377,8 @@ def emit_smtlib(vc: VC) -> SmtScript:
     establishes the obligation. Every kind has one shape: after the
     context, (assert (not (and REQUIRED... (=> CONDS CONCL(post))...)))
     with one term per path of the step, then the hypothesis, then the
-    definedness conditions."""
+    definedness conditions that the hypothesis and the step raise. A tested
+    term requires its own (`holds`)."""
     em = _Emitter(vc)
     tc = vc.tc
     kind = vc.kind
@@ -467,13 +457,13 @@ def emit_smtlib(vc: VC) -> SmtScript:
         if kind == "RankDefined":
             return em.rank_defined(vc.sketch.rank.get(vc.state, ()), post)
         if kind != "RankDecrease":
-            return _and([em.expr(e, post) for e in vc.conclusion])
+            return _and(em.holds(vc.conclusion, post))
         # the goal holds after the step, or theta does and the rank is
         # defined and strictly below the pre-state's
         target = vc.target
         goal = vc.sketch.goal_at(target)
-        parts = [] if goal is None else [_and([em.expr(e, post) for e in goal])]
-        theta = [em.expr(e, post) for e in vc.sketch.theta(target)]
+        parts = [] if goal is None else [_and(em.holds(goal, post))]
+        theta = em.holds(vc.sketch.theta(target), post)
         post_cases = vc.sketch.rank.get(target, ())
         ranked = em.rank_defined(post_cases, post)
         post_rank = [em.rank_component(post_cases, i, post)

@@ -15,32 +15,27 @@ from .ast_nodes import (
 from .diagnostics import CompileError
 from .lower import ContractIR, SystemIR
 
-_OPMAP = {"&&": "&&", "||": "||", "==": "==", "!=": "!=", "<": "<",
-          "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-", "-nat": "-",
-          "*": "*", "/": "/", "%": "%"}
+# the type of each kind but map and seq, whose types are built from their
+# arguments
+_TYPES = {"int": "int256", "nat": "uint256", "bool": "bool", "address": "address payable",
+          "coin": "uint256",  # balance held by this contract
+          "token": "uint256",  # amount of this system's token kind
+          "timer": "Timer"}
+# operators that Solidity spells otherwise, over their operands' texts;
+# the rest keep their spelling
+_SPELLING = {"-nat": "({} - {})", "==>": "(!{} || {})"}
+_TIMER_PHASES = {("Timer", "is_off"): "Off", ("Timer", "is_active"): "Active",
+                 ("Timer", "has_fired"): "Fired"}
 
 
 def _sol_type(t: SemType) -> str:
-    k = t.kind
-    if k == "int":
-        return "int256"
-    if k == "nat":
-        return "uint256"
-    if k == "bool":
-        return "bool"
-    if k == "address":
-        return "address payable"
-    if k == "coin":
-        return "uint256"  # balance held by this contract
-    if k == "token":
-        return "uint256"  # amount of this system's token kind
-    if k == "timer":
-        return "Timer"
-    if k == "map":
+    if t.kind == "map":
         return f"mapping({_abi_type(t.args[0])} => {_sol_type(t.args[1])})"
-    if k == "seq":
+    if t.kind == "seq":
         return f"{_sol_type(t.args[0])}[]"
-    raise CompileError(f"no Solidity layout for {t}")
+    if t.kind not in _TYPES:
+        raise CompileError(f"no Solidity layout for {t}")
+    return _TYPES[t.kind]
 
 
 def _abi_type(t: SemType) -> str:
@@ -74,7 +69,8 @@ class _Gen:
             return f"(!{self.expr(e.operand)})" if e.op == "!" \
                 else f"(-{self.expr(e.operand)})"
         if isinstance(e, Binop):
-            return f"({self.expr(e.left)} {_OPMAP[e.op]} {self.expr(e.right)})"
+            l, r = self.expr(e.left), self.expr(e.right)
+            return _SPELLING[e.op].format(l, r) if e.op in _SPELLING else f"({l} {e.op} {r})"
         if isinstance(e, Builtin):
             return self._builtin(e)
         raise ValueError(e)
@@ -87,24 +83,16 @@ class _Gen:
             return "payable(address(this))"
         if key in (("Coin", "value"), ("Token", "value")):
             return self.expr(e.args[0])
-        if key == ("Timer", "is_off"):
-            return f"({self.expr(e.args[0])}.phase == TimerPhase.Off)"
-        if key == ("Timer", "is_active"):
-            return f"({self.expr(e.args[0])}.phase == TimerPhase.Active)"
-        if key == ("Timer", "has_fired"):
-            return f"({self.expr(e.args[0])}.phase == TimerPhase.Fired)"
+        if key in _TIMER_PHASES:
+            return f"({self.expr(e.args[0])}.phase == TimerPhase.{_TIMER_PHASES[key]})"
         if key == ("Timer", "value"):
             return f"timerValue({self.expr(e.args[0])})"
-        if key in (("Map", "get"), ("Map", "ref")):
+        if key in (("Map", "get"), ("Map", "ref"), ("Seq", "get"), ("Seq", "ref")):
             return f"{self.expr(e.args[0])}[{self.expr(e.args[1])}]"
         if key == ("Map", "in"):
             return f"{_ident(e.args[1].name)}Has[{self.expr(e.args[0])}]"
-        if key in (("Seq", "get"), ("Seq", "ref")):
-            return f"{self.expr(e.args[0])}[{self.expr(e.args[1])}]"
         if key == ("Seq", "len"):
             return f"{self.expr(e.args[0])}.length"
-        if key in (("Tuple", "get"), ("Tuple", "ref")):
-            return f"{self.expr(e.args[0])}.item{e.args[1].value}"
         raise ValueError(key)
 
     # -- statements --
@@ -154,8 +142,6 @@ class _Gen:
             self.w(ind, f"{a[0]}[{a[1]}] = {a[2]};")
         elif key == ("Seq", "append"):
             self.w(ind, f"{a[0]}.push({a[1]});")
-        elif key == ("Tuple", "set"):
-            self.w(ind, f"{a[0]}.item{s.args[1].value} = {a[2]};")
         elif key == ("Address", "change_owner"):
             self.w(ind, "require(msg.sender == ownerAddr, \"owner only\");")
             self.w(ind, f"ownerAddr = {a[0]};")

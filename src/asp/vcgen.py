@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .ast_nodes import (
-    Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Quant, Send, Stmt, Unop, Var, chain,
+    Assign, Binop, Builtin, Expr, If, Lit, OpStmt, Send, Stmt, Unop, Var, chain,
     stmt_exprs, walk_stmts,
 )
 from .diagnostics import SketchError
@@ -180,8 +180,6 @@ def _expr_total(e: Expr, tc: TypedContract) -> bool:
         if e.op in ("/", "%", "-nat"):
             return False
         return _expr_total(e.left, tc) and _expr_total(e.right, tc)
-    if isinstance(e, Quant):
-        return _expr_total(e.body, tc)
     if isinstance(e, Builtin):
         key = (e.ns, e.op)
         if key in (("Timer", "value"), ("Seq", "get"), ("Seq", "ref"),

@@ -176,6 +176,24 @@ contract Beneficiary(auction: address) {
     assert "emit LogFinal_winner(" in text
 
 
+def test_implication_is_spelled_for_solidity():
+    """Solidity has no `==>`: a guard or a value that reads it is emitted
+    as `(!a || b)`. Emission raised KeyError on it."""
+    prog = typecheck(parse_program("""
+contract Imp() {
+  msg go;
+  var a: bool;
+  var b: bool;
+  initial A;
+  state A:
+  | x??go when a ==> b -> A { a = b ==> a; }
+}
+"""))
+    text = emit_system(lower(prog, 1, 256))["Imp"]
+    assert "if ((!a || b)) {" in text
+    assert "a = (!b || a);" in text
+
+
 def test_send_calls_the_function_the_receiver_declares():
     """A send encodes the receiver's ABI signature: coins travel as
     msg.value and are drained before the call, tokens travel as amounts

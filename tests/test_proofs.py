@@ -821,9 +821,13 @@ SPENT_SUPPLY_SKETCH = "reachability r(1) { goal = { @B true } " \
     "rank = { @A | (1)  @B | (0) } witness = { @A n == 1 } }"
 
 
-def _up_rank(theta):
-    return "reachability up(1) { goal = { } invariant = { @A %s } " \
-        "rank = { @A | (3 - x) } witness = { @A true } }" % theta
+def _up_rank(theta="", goal=""):
+    """Up's sketch: rank (3 - x) at A, and theta and the goal at A where
+    given."""
+    def at(e):
+        return f"@A {e}" if e else ""
+    return f"reachability up(1) {{ goal = {{ {at(goal)} }} invariant = {{ {at(theta)} }} " \
+        "rank = { @A | (3 - x) } witness = { @A true } }"
 
 
 @pytest.mark.parametrize("source, sketch, bounds, refuted", [

@@ -6,13 +6,15 @@ import tempfile
 
 import pytest
 
-from asp.discharge import DomainBounds, Valid, discharge_bounded
+from asp.discharge import DomainBounds, Valid, discharge_bounded, discharge_naive
 from asp.parser import parse_program
 from asp.sketch import parse_proof_sketch
 from asp.smtlib import EmitUnsupported, emit_smtlib, run_solver
 from asp.typecheck import typecheck
 from asp.vcgen import generate_vcs
 from conftest import CRITERION_9_PAIRS, load
+from goldens import GOLDEN, smtlib_digests
+from test_proofs import NEG, NEG_DONE, PARTIAL_CASE, UP, _up_rank
 
 BOUNDS = DomainBounds(addresses=3, nat_max=4, timer_max=4)
 
@@ -113,7 +115,6 @@ def test_rank_defined_requires_int_components_nonnegative():
     """A rank component of type int must be >= 0 where the rank is
     defined, as on both proof routes: at x == 0 the rank (x - 3) of `Neg`
     has no value, so rank_defined[Neg.A] is satisfiable there."""
-    from test_proofs import NEG, NEG_DONE
     prog = typecheck(parse_program(NEG))
     vcs = {vc.name: vc for vc in generate_vcs(prog, parse_proof_sketch(NEG_DONE, prog))}
     text = emit_smtlib(vcs["rank_defined[Neg.A]"]).text
@@ -143,6 +144,12 @@ def _short_connectives(e) -> list:
         return []
     own = [e] if e and e[0] in ("and", "or") and len(e) < 3 else []
     return own + [x for c in e for x in _short_connectives(c)]
+
+
+def test_golden_smtlib_digests():
+    """Every exportable criterion-9 script is byte-identical to its pin in
+    corpus/golden/smtlib.sha256 (`python tests/goldens.py` rewrites it)."""
+    assert smtlib_digests() == (GOLDEN / "smtlib.sha256").read_text(encoding="utf-8")
 
 
 def test_connectives_take_two_arguments():
@@ -206,7 +213,6 @@ def test_rank_decrease_requires_the_pre_state_rank():
     """Both proof routes refute a step from a state whose rank is
     undefined, so the script negates the pre-state rank's definedness
     with the conclusion instead of assuming it."""
-    from test_proofs import NEG, NEG_DONE
     prog = typecheck(parse_program(NEG))
     vcs = {vc.name: vc for vc in generate_vcs(prog, parse_proof_sketch(NEG_DONE, prog))}
     text = emit_smtlib(vcs["rank_decrease[Neg.go@A#0]"]).text
@@ -261,6 +267,94 @@ def test_definedness_under_a_branch_is_asserted_under_its_path():
     text = emit_smtlib(vc).text
     assert "(assert (>= v_x 5))" not in text
     assert "(assert (=> (> v_x 2) (>= v_x 5)))" in text
+
+
+def _vc(source: str, sketch: str, name: str):
+    prog = typecheck(parse_program(source))
+    return {vc.name: vc for vc in generate_vcs(prog, parse_proof_sketch(sketch, prog))}[name]
+
+
+def _negation(text: str) -> str:
+    """The script's `(assert (not ...))` line: what the obligation tests."""
+    return next(line for line in text.splitlines() if line.startswith("(assert (not "))
+
+
+def test_post_state_rank_definedness_is_required():
+    """Both routes refute Up's step at x == 3, where the post-state rank
+    3 - 4 is undefined. Its condition is required inside the negation;
+    asserted as a hypothesis it made the script unsat, which reads as
+    Valid."""
+    vc = _vc(UP % ("", "", ""), _up_rank(), "rank_decrease[Up.go@A#0]")
+    small = DomainBounds(2, 3, 1)
+    for route in (discharge_bounded, discharge_naive):
+        assert route(vc, small).valuation["x"] == 3
+    text = emit_smtlib(vc).text
+    assert "(assert (>= 3 (+ v_x 1)))" not in text
+    assert _negation(text) == ("(assert (not (and (and true (>= 3 v_x)) (and (and true "
+                               "(>= 3 (+ v_x 1))) (< (- 3 (+ v_x 1)) (- 3 v_x))))))")
+
+
+def test_rank_defined_requires_nat_components_defined():
+    """A nat rank component is defined only where its `-nat` is: the rank
+    (3 - x) of `Up` needs x <= 3."""
+    text = emit_smtlib(_vc(UP % ("", "", ""), _up_rank(), "rank_defined[Up.A]")).text
+    assert _negation(text) == "(assert (not (and true (>= 3 v_x))))"
+
+
+def test_undefined_rank_case_condition_is_false():
+    """A rank case whose condition is undefined (4 / x at x == 0) is
+    skipped on both routes, as a false one is: the condition's definedness
+    is part of the case test, in rank_defined and in the rank's `ite`, and
+    is not assumed."""
+    sketch = "reachability r(1) { goal = { @B true } rank = { @A | (1) if 4 / x == 1 | (2) " \
+        " @B | (0) } witness = { @A a != Address.none } }"
+    case = "(and (distinct v_x 0) (= (div 4 v_x) 1))"
+    defined = emit_smtlib(_vc(PARTIAL_CASE, sketch, "rank_defined[C.A]")).text
+    assert _negation(defined) == f"(assert (not (or {case} (and (not {case}) true))))"
+    decrease = emit_smtlib(_vc(PARTIAL_CASE, sketch, "rank_decrease[C.go@A#0]")).text
+    assert f"(ite {case} 1 2)" in _negation(decrease)
+    for text in (defined, decrease):
+        assert "(assert (distinct v_x 0))" not in text
+
+
+@pytest.mark.parametrize("source, sketch, name, tested, assumed", [
+    (UP % ("", "", ""), "safety s { always 4 / (3 - x) >= 1 }", "inductive[Up.go@A#0]",
+     "(and (>= 3 (+ v_x 1)) (distinct (- 3 (+ v_x 1)) 0) (>= (div 4 (- 3 (+ v_x 1))) 1))",
+     ["(>= 3 v_x)", "(distinct (- 3 v_x) 0)"]),
+    (UP % ("(nat)", "(k)", "y = 6 / k;"), _up_rank("4 / (3 - x) >= 1"),
+     "rank_decrease[Up.go@A#0]",
+     "(and (>= 3 (+ v_x 1)) (distinct (- 3 (+ v_x 1)) 0) (>= (div 4 (- 3 (+ v_x 1))) 1) "
+     "(and true (>= 3 (+ v_x 1)))",
+     ["(>= 3 v_x)", "(distinct (- 3 v_x) 0)", "(distinct v_k 0)"]),
+], ids=["conclusion", "theta_at_target"])
+def test_tested_division_requires_its_definedness(source, sketch, name, tested, assumed):
+    """Both routes refute Up's step at x == 2, after which 4 / (3 - x)
+    is undefined. Where the conclusion or theta at the target reads it, its
+    definedness is required inside the negation; that of the hypothesis
+    and of the action (`6 / k`) is assumed."""
+    vc = _vc(source, sketch, name)
+    for route in (discharge_bounded, discharge_naive):
+        assert route(vc, DomainBounds(2, 3, 1)).valuation["x"] == 2
+    text = emit_smtlib(vc).text
+    assert tested in _negation(text)
+    for cond in ("(>= 3 (+ v_x 1))", "(distinct (- 3 (+ v_x 1)) 0)"):
+        assert f"(assert {cond})" not in text
+    for cond in assumed:
+        assert f"(assert {cond})" in text
+
+
+def test_goal_disjunct_does_not_require_the_rank():
+    """With the goal x >= 3 at A, both routes accept Up's step from
+    x == 3, which reaches the goal although the post-state rank 3 - 4 is
+    undefined. The rank's condition is inside the rank's disjunct, not
+    around the disjunction."""
+    vc = _vc(UP % ("", "", ""), _up_rank(goal="x >= 3"), "rank_decrease[Up.go@A#0]")
+    for route in (discharge_bounded, discharge_naive):
+        assert isinstance(route(vc, DomainBounds(2, 3, 1)), Valid)
+    text = emit_smtlib(vc).text
+    assert "(assert (>= 3 (+ v_x 1)))" not in text
+    assert ("(or (>= (+ v_x 1) 3) (and (and true (>= 3 (+ v_x 1))) "
+            "(< (- 3 (+ v_x 1)) (- 3 v_x))))") in _negation(text)
 
 
 def _solver():
