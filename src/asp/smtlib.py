@@ -140,12 +140,19 @@ class _Emitter:
         if isinstance(e, Builtin):
             return self._builtin(e, env)
         if isinstance(e, Quant):
-            sort = self.sort_of(e.typ)
+            # expansion evaluates every instance, so one undefined instance
+            # leaves the quantifier undefined: it raises its body's
+            # conditions closed under its own binder, forall or exists
             sym = f"q_{_sanitize(e.var)}"
-            body = self.expr(e.body, {**env, e.var: sym})
-            if e.typ.kind == "nat":
+            bind = f"(({sym} {self.sort_of(e.typ)}))"
+            body, raised = self._raised(lambda: self.expr(e.body, {**env, e.var: sym}))
+            nat = e.typ.kind == "nat"
+            if raised:
+                d = _and(raised)
+                self.defined.append(f"(forall {bind} {f'(=> (>= {sym} 0) {d})' if nat else d})")
+            if nat:
                 body = f"({'=>' if e.kind == 'forall' else 'and'} (>= {sym} 0) {body})"
-            return f"({e.kind} (({sym} {sort})) {body})"
+            return f"({e.kind} {bind} {body})"
         raise EmitUnsupported(repr(e))
 
     def _builtin(self, e: Builtin, env) -> str:
@@ -162,47 +169,42 @@ class _Emitter:
             t = self.expr(e.args[0], env)
             self.defined.append(f"((_ is T_Active) {t})")
             return f"(t_rem {t})"
-        if key in (("Map", "get"), ("Map", "ref")):
-            base = e.args[0]
+        if e.ns == "Map" and e.op in ("get", "ref", "in"):
+            key_arg, base = e.args if e.op == "in" else e.args[::-1]
             if not isinstance(base, Var):
                 raise EmitUnsupported("nested map expressions")
-            m = self.expr(base, env)
-            k = self.expr(e.args[1], env)
+            m, k = self.expr(base, env), self.expr(key_arg, env)
+            has = env.get(base.name + "!has")  # None where membership is untracked
+            if e.op == "in":
+                return f"(select {has} {k})"
             default = self._map_default(base.name)
-            if base.name in self.membership:
-                has = env.get(base.name + "!has", f"{m}_has")
-                if default is None:
-                    self.defined.append(f"(select {has} {k})")
-                    return f"(select {m} {k})"
+            if has is not None and default is not None:
                 return f"(ite (select {has} {k}) (select {m} {k}) {default})"
-            if default is None:
+            if has is not None:
+                self.defined.append(f"(select {has} {k})")
+            elif default is None:
                 raise EmitUnsupported(
                     f"Map.get on {base.name} without a default needs Map.in "
                     f"membership reasoning")
             return f"(select {m} {k})"
-        if key == ("Map", "in"):
-            base = e.args[1]
-            if not isinstance(base, Var):
-                raise EmitUnsupported("nested map expressions")
-            m = self.expr(base, env)
-            has = env.get(base.name + "!has", f"{m}_has")
-            return f"(select {has} {self.expr(e.args[0], env)})"
         raise EmitUnsupported(f"{e.ns}.{e.op}")
 
-    def _translate(self, exprs, env) -> tuple[list[str], list[str]]:
-        """The terms of exprs, and the definedness conditions that
-        translating them raises, which are not assumed."""
+    def _raised(self, run):
+        """run's result, and the definedness conditions raised while it
+        ran, taken off `defined`. Each captured set has one placement:
+        required by `holds`, assumed under its path by `exec_action`, or
+        bound by its quantifier (`expr`). What no capture takes is assumed."""
         mark = len(self.defined)
-        terms = [self.expr(e, env) for e in exprs]
+        out = run()
         raised = self.defined[mark:]
         del self.defined[mark:]
-        return terms, raised
+        return out, raised
 
     def holds(self, exprs, env) -> list[str]:
         """The conjuncts of "every expression holds": the definedness
         conditions of exprs, then their terms. An undefined expression does
         not hold (`machine.all_true`), so its conditions are required."""
-        terms, raised = self._translate(exprs, env)
+        terms, raised = self._raised(lambda: [self.expr(e, env) for e in exprs])
         return raised + terms
 
     def _map_default(self, name: str):
@@ -214,23 +216,26 @@ class _Emitter:
     # -- symbolic execution of a loop-free action --
 
     def exec_action(self, stmts, env: dict[str, str], path: list[str]):
-        """Yields (path_conditions, post_env); definedness side conditions
-        accumulate globally (they join the hypothesis side), each one raised
-        under a branch as (=> PATH DEF), since only that path evaluates it."""
+        """Yields (path_conditions, post_env). The definedness conditions
+        that a statement raises are assumed (they join the hypothesis side)
+        under its path, as (=> PATH DEF), since only that path evaluates it."""
         if not stmts:
             yield list(path), dict(env)
             return
-        s, rest = stmts[0], stmts[1:]
-        mark = len(self.defined)
-        if isinstance(s, If):
-            cond = self.expr(s.cond, env)
-            self._under(path, mark)
-            yield from self.exec_action(list(s.then) + list(rest), dict(env),
-                                        path + [cond])
-            yield from self.exec_action(list(s.els) + list(rest), dict(env),
-                                        path + [f"(not {cond})"])
-            return
+        s, rest = stmts[0], list(stmts[1:])
         env = dict(env)
+        cond, raised = self._raised(lambda: self._step(s, env))
+        self.defined += [f"(=> {_and(path)} {d})" for d in raised] if path else raised
+        if isinstance(s, If):
+            yield from self.exec_action(list(s.then) + rest, env, path + [cond])
+            yield from self.exec_action(list(s.els) + rest, env, path + [f"(not {cond})"])
+        else:
+            yield from self.exec_action(rest, env, path)
+
+    def _step(self, s, env):
+        """Translate one statement into env; an `if`'s condition term."""
+        if isinstance(s, If):
+            return self.expr(s.cond, env)
         if isinstance(s, Assign):
             env[s.target] = self.expr(s.value, env)
         elif isinstance(s, Send):
@@ -245,13 +250,6 @@ class _Emitter:
             self._op(s, env)
         else:
             raise EmitUnsupported(repr(s))
-        self._under(path, mark)
-        yield from self.exec_action(rest, env, path)
-
-    def _under(self, path: list[str], mark: int):
-        """Put the definedness conditions raised since `mark` under path."""
-        if path:
-            self.defined[mark:] = [f"(=> {_and(path)} {d})" for d in self.defined[mark:]]
 
     def _slot(self, a: Expr, env):
         """(read_term, write) for coin/token move operands."""
@@ -310,11 +308,9 @@ class _Emitter:
         raise EmitUnsupported(f"{s.ns}.{s.op}")
 
     def tick(self, env, delta: str):
-        for v in self.tc.vars.values():
-            if v.typ.kind != "timer" or v.name not in env:
-                continue
-            t = env[v.name]
-            env[v.name] = (
+        for name in self.tc.timers:
+            t = env[name]
+            env[name] = (
                 f"(ite ((_ is T_Active) {t}) "
                 f"(ite (> (t_rem {t}) {delta}) (T_Active (- (t_rem {t}) {delta})) T_Fired) "
                 f"{t})")
@@ -345,7 +341,7 @@ class _Emitter:
         prior: list[str] = []
         for case in cases:
             c = "true" if case.cond is None else _and(self.holds([case.cond], env))
-            vals, defined = self._translate(case.exprs, env)
+            vals, defined = self._raised(lambda: [self.expr(x, env) for x in case.exprs])
             nonneg = [f"(>= {v} 0)" for v, x in zip(vals, case.exprs)
                       if checker.infer(x).kind == "int"]
             conds.append(_and([f"(not {p})" for p in prior] + [c] + defined + nonneg))
@@ -357,7 +353,7 @@ class _Emitter:
         every obligation requires beside it."""
         term = "0"
         for case in reversed(cases):
-            (val,), _ = self._translate([case.exprs[i]], env)
+            val, _ = self._raised(lambda: self.expr(case.exprs[i], env))
             if case.cond is None:
                 term = val
             else:
@@ -378,7 +374,7 @@ def emit_smtlib(vc: VC) -> SmtScript:
     context, (assert (not (and REQUIRED... (=> CONDS CONCL(post))...)))
     with one term per path of the step, then the hypothesis, then the
     definedness conditions that the hypothesis and the step raise. A tested
-    term requires its own (`holds`)."""
+    term requires its own (`holds`), and a quantifier binds its body's."""
     em = _Emitter(vc)
     tc = vc.tc
     kind = vc.kind
@@ -494,12 +490,7 @@ def _finish(em: _Emitter, vc: VC) -> SmtScript:
     lines.extend(em.decls)
     lines.extend(em.asserts)
     lines.append("(check-sat)")
-    if vc.transition is not None:
-        trans = vc.transition.label()
-    elif vc.state is not None:
-        trans = vc.state
-    else:
-        trans = "init"
+    trans = vc.transition.label() if vc.transition is not None else vc.state or "init"
     fname = f"{_sanitize(vc.sketch.name)}.{vc.kind}.{_sanitize(trans)}.smt2"
     return SmtScript(vc.name, "\n".join(lines) + "\n", fname)
 

@@ -545,9 +545,8 @@ def _check_contract(decl: ContractDecl, msg_universe, msg_origin) -> TypedContra
 def _literal_value(e: Expr, typ: SemType, pos: Pos):
     from . import values
 
+    # a literal is never negative: `-2` is a negation
     if isinstance(e, Lit) and not isinstance(e.value, bool) and typ.kind in ("int", "nat"):
-        if typ.kind == "nat" and e.value < 0:
-            err("TypeError", "nat default must be non-negative", pos)
         return e.value
     if isinstance(e, Lit) and isinstance(e.value, bool) and typ.kind == "bool":
         return e.value

@@ -1,18 +1,21 @@
 """Line coverage of src/asp by the Tier-1 tests, run in-process under a
 `sys.settrace` line tracer (threads too, through `threading.settrace`).
 
-    PYTHONPATH=src python tests/linecov.py [pytest arguments]
+    PYTHONPATH=src python tests/linecov.py [--max N] [pytest arguments]
 
 run from the repository root, runs pytest on `tests/` (or on the given
 arguments) and prints, per module of src/asp, the executable lines that
 no test ran, grouped by the innermost function that holds them. A line
-is executable where the compiled module has an instruction for it.
+is executable where the compiled module has an instruction for it. With
+`--max N` it exits 1 when more than N lines are unexecuted. Hypothesis
+draws from seed 0, so the report is the same on every run.
 
-Not traced: the CLI tests that start `asp` as a subprocess, and the
-children that `differential_check` forks (their share of the scripts is
-traced only where the parent runs the same lines). The tracer's frames
-hold references, so `test_discharge_leaves_no_cycles`, which counts the
-cycles that discharge leaves, fails under it; it is deselected.
+`differential_check` runs on one share (`asp.diff.MAX_SHARES` is 1), so
+the lines that only its forked children would reach are traced; a test
+that sets its own share count still forks. Not traced: the CLI tests that
+start `asp` as a subprocess, and those children. The tracer's frames hold
+references, so `test_discharge_leaves_no_cycles`, which counts the cycles
+that discharge leaves, fails under it; it is deselected.
 """
 import sys
 import threading
@@ -96,12 +99,19 @@ def report() -> int:
 
 def main(args: list[str]) -> int:
     import pytest
+    limit = None
+    if "--max" in args:
+        i = args.index("--max")
+        limit = int(args[i + 1])
+        del args[i:i + 2]
     start = time.perf_counter()
     threading.settrace(_global)
     sys.settrace(_global)
     try:
+        import asp.diff  # under the tracer, so its module lines count as run
+        asp.diff.MAX_SHARES = 1
         status = pytest.main([*(args or ["tests"]), "-q", "-p", "no:cacheprovider",
-                              "--deselect", DESELECTED])
+                              "--hypothesis-seed=0", "--deselect", DESELECTED])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -111,7 +121,11 @@ def main(args: list[str]) -> int:
     print(f"{total} unexecuted lines in src/asp; pytest exit {int(status)}, {elapsed:.0f} s traced")
     print(f"deselected: {DESELECTED} (the tracer's frames hold references, so it "
           f"fails under the tracer)")
-    print("not traced: CLI subprocesses and the children that differential_check forks")
+    print("not traced: CLI subprocesses, and the children of a test that sets its own "
+          "share count")
+    if limit is not None and total > limit:
+        print(f"more than --max {limit} unexecuted lines")
+        return 1
     return int(status)
 
 

@@ -6,7 +6,7 @@ import tempfile
 
 import pytest
 
-from asp.discharge import DomainBounds, Valid, discharge_bounded, discharge_naive
+from asp.discharge import Counterexample, DomainBounds, Valid, discharge_bounded, discharge_naive
 from asp.parser import parse_program
 from asp.sketch import parse_proof_sketch
 from asp.smtlib import EmitUnsupported, emit_smtlib, run_solver
@@ -152,20 +152,66 @@ def test_golden_smtlib_digests():
     assert smtlib_digests() == (GOLDEN / "smtlib.sha256").read_text(encoding="utf-8")
 
 
-def test_connectives_take_two_arguments():
-    """The Core theory's `and` and `or` take at least two arguments: an
-    empty conclusion is `true`, not `(and )`."""
-    checked = 0
+def _criterion_9_scripts() -> list[tuple[str, str]]:
+    """(VC name, script) of each exportable criterion-9 VC."""
+    out = []
     for contract, proof in CRITERION_9_PAIRS:
         prog = typecheck(parse_program(load(contract)))
         for vc in generate_vcs(prog, parse_proof_sketch(load(proof), prog)):
             try:
-                text = emit_smtlib(vc).text
+                out.append((vc.name, emit_smtlib(vc).text))
             except EmitUnsupported:
                 continue
-            assert _short_connectives(_sexp(text)) == [], vc.name
-            checked += 1
-    assert checked == 42
+    return out
+
+
+def test_connectives_take_two_arguments():
+    """The Core theory's `and` and `or` take at least two arguments: an
+    empty conclusion is `true`, not `(and )`."""
+    scripts = _criterion_9_scripts()
+    assert len(scripts) == 42
+    for name, text in scripts:
+        assert _short_connectives(_sexp(text)) == [], name
+
+
+# the symbols a script may use without declaring them: command and sort
+# names, the Core, Ints and ArraysEx operators, `(_ is C)` and `(as const S)`,
+# and the Timer datatype's constructors and selector
+_SMT_BUILTINS = {
+    "set-logic", "ALL", "declare-sort", "declare-const", "assert", "check-sat", "Int", "Bool",
+    "Array", "true", "false", "not", "and", "or", "=>", "=", "distinct", "ite", "+", "-", "*",
+    "div", "mod", "<", "<=", ">", ">=", "select", "store", "_", "is", "as", "const",
+    "Timer", "T_Off", "T_Active", "T_Fired", "t_rem"}
+
+
+def _unbound(e, bound=frozenset()) -> set:
+    """The symbols of e that no enclosing forall/exists binds."""
+    if isinstance(e, str):
+        return set() if e in bound or e.isdigit() else {e}
+    if e and e[0] in ("forall", "exists"):
+        names = {b[0] for b in e[1]}
+        return _unbound([b[1:] for b in e[1]], bound) | _unbound(e[2:], bound | names)
+    return set().union(*(_unbound(x, bound) for x in e))
+
+
+def _undeclared(text: str) -> set:
+    """The symbols of a script that are neither declared, builtin nor
+    bound by an enclosing quantifier."""
+    commands = [c for c in _sexp(re.sub(r";[^\n]*", "", text)) if c[0] != "declare-datatypes"]
+    declared = {c[1] for c in commands if c[0] in ("declare-const", "declare-sort")}
+    return _unbound(commands) - declared - _SMT_BUILTINS
+
+
+def test_exported_scripts_are_closed():
+    """Every symbol of every exportable criterion-9 script is declared,
+    the Timer datatype's, an SMT-LIB builtin, or bound by a quantifier
+    around it: a solver accepts no script with a free symbol."""
+    assert _undeclared("(declare-const v_x Int)\n(assert (forall ((q_n Int)) (> q_n v_x)))\n"
+                       "(assert (>= q_n w))") == {"q_n", "w"}
+    scripts = _criterion_9_scripts()
+    assert len(scripts) == 42
+    for name, text in scripts:
+        assert _undeclared(text) == set(), name
 
 
 CLUB = """
@@ -355,6 +401,39 @@ def test_goal_disjunct_does_not_require_the_rank():
     assert "(assert (>= 3 (+ v_x 1)))" not in text
     assert ("(or (>= (+ v_x 1) 3) (and (and true (>= 3 (+ v_x 1))) "
             "(< (- 3 (+ v_x 1)) (- 3 v_x))))") in _negation(text)
+
+
+_N_CLOSURE = "(forall ((q_n Int)) (=> (>= q_n 0) (distinct q_n 0)))"
+
+
+@pytest.mark.parametrize("body, closure", [
+    ("forall n: nat : n == 0 || 4 / n >= 1", _N_CLOSURE),
+    ("exists n: nat : 4 / n >= 1", _N_CLOSURE),
+    ("forall n: nat : exists m: nat : 4 / (n + m) >= 1",
+     "(forall ((q_n Int)) (=> (>= q_n 0) "
+     "(forall ((q_m Int)) (=> (>= q_m 0) (distinct (+ q_n q_m) 0)))))"),
+], ids=["forall", "exists", "nested"])
+def test_quantifier_binds_its_body_conditions(body, closure):
+    """Expansion evaluates every instance of a quantifier strictly, so at
+    n == 0 the invariant is undefined, whichever the quantifier: both
+    routes refute Up's Initiality and, as no pre-state meets the
+    hypothesis, prove its step. The body's condition leaves its binder
+    only as its universal closure, which Initiality requires and the step
+    assumes. As an implication inside a `forall` or a conjunct inside an
+    `exists` it would not be required, and `exists n: nat : 4 / n >= 1`
+    would hold at Initiality (n == 1)."""
+    prog = typecheck(parse_program(UP % ("", "", "")))
+    sk = parse_proof_sketch(f"safety s {{ always {body} }}", prog)
+    vcs = {vc.name: vc for vc in generate_vcs(prog, sk)}
+    init, step = vcs["initiality[Up.A]"], vcs["inductive[Up.go@A#0]"]
+    for route in (discharge_bounded, discharge_naive):
+        assert isinstance(route(init, DomainBounds(2, 2, 2)), Counterexample)
+        assert isinstance(route(step, DomainBounds(2, 2, 2)), Valid)
+    init_text, step_text = emit_smtlib(init).text, emit_smtlib(step).text
+    for text in (init_text, step_text):
+        assert _undeclared(text) == set()
+    assert _negation(init_text).startswith(f"(assert (not (and {closure} ")
+    assert f"(assert {closure})" in step_text.splitlines()
 
 
 def _solver():

@@ -5,6 +5,7 @@ from asp.ast_nodes import Binop, children, stmt_exprs
 from asp.diagnostics import TypecheckError
 from asp.parser import parse_program
 from asp.typecheck import erase_ghosts, typecheck
+from asp.values import ADDR_NONE
 from conftest import CORPUS, load
 
 
@@ -434,3 +435,107 @@ def test_quantifier_in_contract_code_rejected(site):
     err = expect_error("contract C() { msg go; var ok: bool; initial A; "
                        f"state A: | a??go {site} }}", "TypeError")
     assert err.message == "quantifiers are not allowed in contract code"
+
+
+def _minimal(decls="", arm="a??go -> A { }", head="C()", initial="A", extra=""):
+    """A one-state contract: the head on line 1, `decls` on line 3 and
+    `arm` on line 6, then `extra` after the contract."""
+    return (f"contract {head} {{\n  msg go, put(nat);\n  {decls}\n  initial {initial};\n"
+            f"  state A:\n  | {arm}\n}}\n{extra}")
+
+
+@pytest.mark.parametrize("parts, code, message, line", [
+    # declarations
+    (dict(head="C(x: nat, x: nat)"), "TypeError", "bad parameter name 'x'", 1),
+    (dict(head="C(x: nat) where x"), "TypeError", "where clause must be bool", 1),
+    (dict(head="C(x: nat) issues Token(x)"), "TypeError",
+     "token issue limit must be a literal nat", 1),
+    (dict(initial="B"), "UnknownState", "initial state 'B' is not declared", 1),
+    (dict(decls="var n: nat; var n: nat;"), "TypeError", "duplicate or reserved variable 'n'", 3),
+    (dict(decls="ghost var g: coin;"), "GhostLeak",
+     "ghost variable 'g' may not hold coins, tokens, or timers", 3),
+    (dict(decls="var n: nat default 0;"), "TypeError", "default applies to map variables", 3),
+    (dict(decls="var m: map[address, nat] default true;"), "TypeError",
+     "default must be a literal of type nat", 3),
+    (dict(decls="var m: map[address, nat] default -1;"), "TypeError",
+     "default must be a literal of type nat", 3),
+    (dict(decls="var m: map[address, nat] := 1;"), "TypeError",
+     "map[address, nat] variables cannot take initializers", 3),
+    (dict(decls="var n: nat := true;"), "TypeError",
+     "initializer for 'n' has type bool, expected nat", 3),
+    (dict(decls="msg go;"), "TypeError", "message 'go' declared twice", 3),
+    (dict(decls="msg m(seq[coin]);"), "TypeError",
+     "message 'm' carries coins/tokens inside a container", 3),
+    (dict(decls="msg m(timer);"), "TypeError", "message 'm' carries a timer", 3),
+    (dict(arm="a??go -> A { }\n  state A:"), "TypeError", "duplicate state 'A'", 7),
+    # transition heads
+    (dict(arm="a??put -> A { }"), "SignatureMismatch",
+     "input guard for 'put' binds 0 parameter(s), signature has 1", 6),
+    (dict(decls="var n: nat;", arm="n??go -> A { }"), "TypeError",
+     "sender match 'n' is not address-typed", 6),
+    (dict(decls="ghost var g: address;", arm="g??go -> A { }"), "GhostLeak",
+     "ghost state used to match a sender", 6),
+    (dict(decls="var n: nat;", arm="a??put(n) -> A { }"), "TypeError",
+     "message binder 'n' shadows an existing name", 6),
+    (dict(arm="a??go when 1 -> A { }"), "TypeError", "when guard must be bool", 6),
+    (dict(decls="ghost var g: address;", arm="a??go by g -> A { }"), "GhostLeak",
+     "ghost state used in an access guard", 6),
+    (dict(arm="a??go by 1 -> A { }"), "TypeError", "by guard must be an address", 6),
+    # statements
+    (dict(head="C(x: nat)", arm="a??go -> A { x = 1; }"), "TypeError",
+     "cannot assign to 'x'", 6),
+    (dict(arm="a??go -> A { z = 1; }"), "TypeError", "assignment to undeclared variable 'z'", 6),
+    (dict(decls="var c: coin;", arm="a??go -> A { c = c; }"), "TypeError",
+     "coin variables change only through their abstract operations", 6),
+    (dict(decls="var n: nat;", arm="a??go -> A { n = true; }"), "TypeError",
+     "cannot assign bool to n: nat", 6),
+    (dict(decls="var n: nat;", arm="a??go -> A { n!!go(); }"), "TypeError",
+     "send destination must be an address", 6),
+    (dict(decls="msg pay(coin);", arm="a??pay(c) -> A { log!!ev(c); }"), "TypeError",
+     "log messages cannot carry coins or tokens", 6),
+    (dict(decls="var cm: map[address, coin];", arm="a??go -> A { a!!m(Map.get(cm, a)); }"),
+     "RefRequired", "coin/token message arguments must be variables or refs", 6),
+    (dict(decls="var cm: map[address, coin];", arm="a??go -> A { a!!m(cm); }"), "TypeError",
+     "message argument carries nested resources", 6),
+    (dict(decls="var n: nat;", arm="a??go -> A { Seq.append(n, 1); }"), "TypeError",
+     "Seq.append applies to a seq, got nat", 6),
+    (dict(decls="var ms: map[address, seq[nat]];",
+          arm="a??go -> A { Seq.append(Map.get(ms, a), 1); }"), "TypeError",
+     "Seq.append applies to a variable", 6),
+    (dict(decls="var cm: map[address, coin];", arm="a??go -> A { Map.set(cm, a, 1); }"),
+     "RefRequired", "coin/token entries change only through moves on Map.ref", 6),
+    (dict(decls="var n: nat; ghost var g: nat;", arm="a??go -> A { if g > 0 then { n = 1; } }"),
+     "GhostLeak", "ghost state controls a branch with non-ghost effects", 6),
+    (dict(extra="contract D() {\n  msg go;\n  initial S;\n  state S:\n"
+                "  | a??go -> S { a!!put(true); }\n}\n"), "SignatureMismatch",
+     "send put(bool) in D does not match put(nat) declared in C", 12),
+    # expressions
+    (dict(decls="var b: bool;", arm="a??go -> A { b = !1; }"), "TypeError",
+     "! applies to bool", 6),
+    (dict(decls="var i: int;", arm="a??go -> A { i = -true; }"), "TypeError",
+     "unary - applies to numbers", 6),
+    (dict(decls="var i: int;", arm="a??go -> A { i = 1 + true; }"), "TypeError",
+     "+ applies to numbers", 6),
+    (dict(arm="a??go when a == Address.none(1) -> A { }"), "TypeError",
+     "Address.none takes no arguments", 6),
+    (dict(decls="var m: map[address, nat] default 0; var n: nat;",
+          arm="a??go -> A { n = Map.ref(m, a); }"), "RefRequired",
+     "Map.ref is only allowed as a move operand or send argument", 6),
+])
+def test_each_diagnostic_site(parts, code, message, line):
+    """Each check of the typechecker, on a contract that fails it alone:
+    the code, the message and the line it reports. A nat map's default
+    `-1` is a negation, not a literal, so it fails as any non-literal."""
+    err = expect_error(_minimal(**parts), code)
+    assert (err.message, err.pos.line) == (message, line)
+
+
+def test_literal_defaults_and_a_taken_sender_name():
+    """Defaults of each literal form type, and a matched sender whose
+    canonical name `a` is a parameter's is renamed."""
+    tc = check(_minimal(decls="var mb: map[nat, bool] default true; "
+                              "var ma: map[nat, address] default Address.none; "
+                              "var mi: map[nat, int] default -2;",
+                        arm="owner??put(a) -> A { }")).contract("C")
+    assert [tc.vars[m].default for m in ("mb", "ma", "mi")] == [True, ADDR_NONE, -2]
+    assert tc.transitions[0].sender_var == "a_"
